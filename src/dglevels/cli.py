@@ -16,7 +16,7 @@ import time
 
 from .algebra import DGAlgebraPresentation
 from .emss import FibreSquareSpec, e2_page, install_d2, run_to_stable
-from .errors import DomainError
+from .errors import DomainError, PresentationError
 from .field import parse_field
 from .graded import DEFAULT_WINDOW, DegreeWindow, dims_from_text, dims_to_json
 from .module import DGModulePresentation
@@ -40,9 +40,23 @@ from .spheres import (
 )
 
 
+def _usage_type(parse):
+    """An argparse ``type=`` from a text parser: malformed text exits 2."""
+    def convert(text):
+        try:
+            return parse(text)
+        except PresentationError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return convert
+
+
+_window_arg = _usage_type(DegreeWindow.parse)
+_dims_arg = _usage_type(dims_from_text)
+
+
 def _window(args) -> DegreeWindow:
     if getattr(args, "window", None):
-        return DegreeWindow.parse(args.window)
+        return args.window
     env = os.environ.get("DG_LEVEL_WINDOW")
     if env:
         return DegreeWindow.parse(env)
@@ -108,7 +122,7 @@ def cmd_quiver(args):
 
 
 def cmd_decompose(args):
-    dims = dims_from_text(args.dims)
+    dims = args.dims
     dec = decompose(dims, args.d)
     result = dec.to_json()
     result["level"] = sphere_level(dims, args.d).to_json()
@@ -118,7 +132,7 @@ def cmd_decompose(args):
 
 
 def cmd_level(args):
-    dims = dims_from_text(args.dims)
+    dims = args.dims
     res = sphere_level(dims, args.d)
     result = res.to_json()
     if res.decomposition is not None:
@@ -286,13 +300,13 @@ def build_parser():
 
     dc = sub.add_parser("decompose", help="decompose cohomology dims into molecules")
     dc.add_argument("--d", type=int, required=True)
-    dc.add_argument("--dims", required=True, help="e.g. 0:1,5:1,7:2")
+    dc.add_argument("--dims", type=_dims_arg, required=True, help="e.g. 0:1,5:1,7:2")
     dc.add_argument("--field", default="q")
     dc.set_defaults(func=cmd_decompose)
 
     lv = sub.add_parser("level", help="sphere level of a dimension table")
     lv.add_argument("--d", type=int, required=True)
-    lv.add_argument("--dims", required=True)
+    lv.add_argument("--dims", type=_dims_arg, required=True)
     lv.add_argument("--field", default="q")
     lv.set_defaults(func=cmd_level)
 
@@ -302,14 +316,14 @@ def build_parser():
     t.add_argument("--arg", default="k", help="right factor: k or s<n>")
     t.add_argument("--strategy", choices=["bar", "koszul"], default="koszul")
     t.add_argument("--field", default="q")
-    t.add_argument("--window")
+    t.add_argument("--window", type=_window_arg)
     t.set_defaults(func=cmd_tor)
 
     ph = sub.add_parser("phi", help="compactness verdict of a module")
     ph.add_argument("--d", type=int, required=True)
     ph.add_argument("--module", default="k")
     ph.add_argument("--field", default="q")
-    ph.add_argument("--window")
+    ph.add_argument("--window", type=_window_arg)
     ph.set_defaults(func=cmd_phi)
 
     em = sub.add_parser("emss", help="Eilenberg-Moore spectral sequence run")
@@ -318,7 +332,7 @@ def build_parser():
     em.add_argument("--hopf", type=int, default=0)
     em.add_argument("--extra", help="extra tensor factor s<n>")
     em.add_argument("--field", default="q")
-    em.add_argument("--window")
+    em.add_argument("--window", type=_window_arg)
     em.add_argument("--format", choices=["json", "table"], default="json")
     em.set_defaults(func=cmd_emss)
 

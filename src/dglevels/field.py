@@ -5,9 +5,11 @@ Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 a prime field.  A :class:`FieldTag` carries the choice of field and provides
 the arithmetic; no floating point appears anywhere.
 
-Row reduction over the rationals rescales each working row to a primitive
-integer vector before it is used for elimination, which keeps numerators and
-denominators from blowing up on desk-scale matrices.
+Row reduction over the rationals clears each row's denominators once and
+eliminates on plain ints, dividing every combined row by its content (gcd)
+to keep the entries small; Fractions appear only in the returned RREF.
+Over F_p it eliminates on residues and touches only the pivot row's nonzero
+columns.
 """
 
 from __future__ import annotations
@@ -140,19 +142,6 @@ def parse_field(name: str) -> FieldTag:
     raise FieldMismatch(f"unknown field {name!r} (expected q or f<prime>)")
 
 
-def arith(field: FieldTag, a, b, op: str):
-    """Single-entry arithmetic dispatcher. ``inv`` and ``neg`` ignore ``b``."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "neg":
-        return field.neg(a)
-    if op == "inv":
-        return field.inv(a)
-    raise FieldMismatch(f"unknown operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Exact linear algebra
 # ---------------------------------------------------------------------------
@@ -173,58 +162,117 @@ def _validate_entries(rows, field):
     return want
 
 
-def _primitive(row):
-    """Rescale a rational row to a primitive integer vector (sign preserved)."""
+_ZERO = Fraction(0)
+
+
+def integer_row(row):
+    """A rational row times the lcm of its denominators, as plain ints."""
     den = 1
     for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return [Fraction(v) for v in ints]
+        if type(x) is not int and x.denominator != 1:
+            den = den * x.denominator // gcd(den, x.denominator)
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
-def row_reduce(rows, field: FieldTag):
-    """Reduced row echelon form. Returns (rref rows, pivot column list).
-
-    The input is not modified.  Over Q each new pivot row is rescaled to a
-    primitive integer vector before elimination (fraction-free growth
-    control); pivots are normalized to 1 at the end.
-    """
-    _validate_entries(rows, field)
-    if field.p == 0:
-        m = [[Fraction(x) for x in row] for row in rows]
-    else:
-        m = [[int(x) % field.p for x in row] for row in rows]
+def _rref_rational(rows):
+    """Gauss-Jordan on integer rows: ``a·row − f·pivot_row``, then the row is
+    divided by its content.  Rows only ever change by nonzero rational
+    multiples of row operations, so dividing each pivot row by its pivot at
+    the end gives the unique RREF."""
+    m = [integer_row(row) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
         for i in range(r, nrows):
-            if not field.is_zero(m[i][c]):
-                pivot_row = i
+            if m[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        if field.p == 0:
-            m[r] = _primitive(m[r])
-        inv_p = field.inv(m[r][c])
-        m[r] = [field.mul(inv_p, x) for x in m[r]]
+        m[r], m[i] = m[i], m[r]
+        piv = m[r]
+        g = gcd(*piv)
+        if g > 1:
+            piv = m[r] = [x // g for x in piv]
+        a = piv[c]
+        nz = [j for j in range(c, ncols) if piv[j]]
         for i in range(nrows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(m[i][j], field.mul(f, m[r][j])) for j in range(ncols)]
+            row = m[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            if f % a == 0:
+                k = f // a
+                for j in nz:
+                    row[j] -= k * piv[j]
+            else:
+                g = gcd(a, f)
+                s, k = a // g, f // g
+                row = [s * x for x in row]
+                for j in nz:
+                    row[j] -= k * piv[j]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = []
+    for row, c in zip(m, pivots):
+        a = row[c]
+        out.append([Fraction(x, a) if x else _ZERO for x in row])
+    return out, pivots
+
+
+def _rref_mod_p(rows, p):
+    """Gauss-Jordan mod p; each elimination touches only the nonzero columns
+    of the pivot row."""
+    m = [[int(x) % p for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        piv = m[r]
+        nz = [j for j in range(c, ncols) if piv[j]]
+        if piv[c] != 1:
+            inv = pow(piv[c], -1, p)
+            for j in nz:
+                piv[j] = piv[j] * inv % p
+        for i in range(nrows):
+            row = m[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            for j in nz:
+                row[j] = (row[j] - f * piv[j]) % p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return m[:r], pivots
+
+
+def row_reduce(rows, field: FieldTag):
+    """Reduced row echelon form. Returns (rref rows, pivot column list).
+
+    The input is not modified.  Over Q the elimination runs on plain ints
+    (each row's denominators cleared once) and Fractions are built only for
+    the returned RREF; over F_p it runs on residues.
+    """
+    _validate_entries(rows, field)
+    if field.p:
+        return _rref_mod_p(rows, field.p)
+    return _rref_rational(rows)
 
 
 def rank_and_kernel(rows, field: FieldTag):

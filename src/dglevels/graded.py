@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PresentationError, WindowTooSmall, ZeroModule
-from .field import FieldTag, rank_and_kernel, in_span
+from .field import FieldTag, integer_row, rank_and_kernel, row_reduce
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,12 @@ class DegreeWindow:
 
     @staticmethod
     def parse(text: str) -> "DegreeWindow":
-        lo, hi = text.split(":")
-        return DegreeWindow(int(lo), int(hi))
+        """Parse "lo:hi"."""
+        try:
+            lo, hi = (int(x) for x in text.split(":"))
+        except ValueError:
+            raise PresentationError(f"window {text!r} is not of the form lo:hi") from None
+        return DegreeWindow(lo, hi)
 
 
 DEFAULT_WINDOW = DegreeWindow(-16, 64)
@@ -115,35 +119,41 @@ class CochainComplex:
         return mat
 
     def apply(self, n: int, vector):
-        mat = self.matrix(n)
-        return tuple(
-            sum((self.field.mul(mat[i][j], vector[j]) for j in range(len(vector))),
-                start=self.field.zero())
-            if len(vector) else self.field.zero()
-            for i in range(self.space.dim(n + 1))
-        )
+        return mat_vec(self.matrix(n), vector, self.field)
 
     def degrees(self):
         return self.space.degrees()
 
     def _check_d_squared(self):
-        f = self.field
+        rational = self.field.p == 0
         for n in list(self.differential):
             if n + 1 not in self.differential:
                 continue
             if not (self.known(n) and self.known(n + 1) and self.known(n + 2)):
                 continue
             a, b = self.differential[n], self.differential[n + 1]
+            if rational:
+                # rescaling the rows of b and the columns of a by nonzero
+                # rationals keeps the zero pattern of b∘a and makes it integral
+                b = [integer_row(row) for row in b]
             for j in range(self.space.dim(n)):
-                for i in range(self.space.dim(n + 2)):
-                    acc = f.zero()
-                    for k in range(self.space.dim(n + 1)):
-                        acc = f.add(acc, f.mul(b[i][k], a[k][j]))
-                    if not f.is_zero(acc):
-                        raise PresentationError(
-                            f"d∘d ≠ 0 from degree {n} "
-                            f"(source {self.space.labels(n)[j]!r})"
-                        )
+                col = [row[j] for row in a]
+                if any(mat_vec(b, integer_row(col) if rational else col, self.field)):
+                    raise PresentationError(
+                        f"d∘d ≠ 0 from degree {n} "
+                        f"(source {self.space.labels(n)[j]!r})"
+                    )
+
+
+def mat_vec(mat, vector, field: FieldTag):
+    """mat · vector as a tuple, summing plain values over the nonzero entries
+    of the vector only; reduced mod p over F_p."""
+    nz = [(j, x) for j, x in enumerate(vector) if x]
+    if field.p:
+        p = field.p
+        return tuple(sum(row[j] * x for j, x in nz) % p for row in mat)
+    zero = field.zero()
+    return tuple(sum(row[j] * x for j, x in nz) or zero for row in mat)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +185,18 @@ def cohomology(cx: CochainComplex, window: DegreeWindow | None = None):
 
 
 def _cohomology_at(cx: CochainComplex, n: int):
+    """dim H^n and its representatives: the kernel basis vectors of d^n that
+    are not in the span of the coboundaries and the kernel vectors before
+    them.  One row reduction of the columns [d^{n-1} | kernel] picks them:
+    its pivot columns in the kernel part.  Without d^{n-1} every kernel
+    basis vector is a representative."""
     f = cx.field
     dim_n = cx.space.dim(n)
     if dim_n == 0:
         return 0, []
-    mat = cx.matrix(n)
-    if not mat:
-        # the target is zero-dimensional: everything is a cocycle
+    mat = cx.differential.get(n)
+    if mat is None:
+        # d^n is zero: everything is a cocycle
         kernel = []
         for j in range(dim_n):
             v = [f.zero()] * dim_n
@@ -191,29 +206,15 @@ def _cohomology_at(cx: CochainComplex, n: int):
         _, kernel = rank_and_kernel(mat, f)
     if not kernel:
         return 0, []
-    image = _image_vectors(cx, n - 1)
-    reps = []
-    chosen = list(image)
-    for v in kernel:
-        if not in_span(chosen, v, f):
-            reps.append(v)
-            chosen.append(v)
+    image = cx.differential.get(n - 1)
+    if image is None:
+        # kernel basis vectors are independent: each has its own free coordinate
+        return len(kernel), kernel
+    width = len(image[0])
+    cols = [list(image[i]) + [v[i] for v in kernel] for i in range(dim_n)]
+    _, pivots = row_reduce(cols, f)
+    reps = [kernel[c - width] for c in pivots if c >= width]
     return len(reps), reps
-
-
-def _image_vectors(cx: CochainComplex, n: int):
-    """Columns of d^n as vectors in degree n+1."""
-    mat = cx.differential.get(n)
-    if mat is None:
-        return []
-    src = cx.space.dim(n)
-    tgt = cx.space.dim(n + 1)
-    cols = []
-    for j in range(src):
-        col = tuple(mat[i][j] for i in range(tgt))
-        if any(not cx.field.is_zero(x) for x in col):
-            cols.append(col)
-    return cols
 
 
 def cohomology_in_degree(cx: CochainComplex, n: int) -> int:
@@ -245,8 +246,11 @@ def dims_from_text(text: str):
         part = part.strip()
         if not part:
             continue
-        deg, mult = part.split(":")
-        n, m = int(deg), int(mult)
+        try:
+            n, m = (int(x) for x in part.split(":"))
+        except ValueError:
+            raise PresentationError(
+                f"dimension entry {part!r} is not of the form degree:multiplicity") from None
         if m < 0:
             raise PresentationError(f"negative multiplicity at degree {n}")
         if m:

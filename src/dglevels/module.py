@@ -27,7 +27,7 @@ from .errors import (
     SourceNotFree,
 )
 from .field import coordinates
-from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, cohomology
+from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, cohomology, mat_vec
 
 
 class DGModulePresentation:
@@ -169,15 +169,10 @@ class DGModulePresentation:
                             f"action of {label} does not commute with d at degree {n}")
 
     def _raw_apply(self, mats, n, vector, gd):
-        f = self.field
-        tgt = self.complex.dim(n + gd)
         mat = mats.get(n)
         if mat is None:
-            return tuple(f.zero() for _ in range(tgt))
-        return tuple(
-            sum((f.mul(mat[i][j], vector[j]) for j in range(len(vector))), start=f.zero())
-            for i in range(tgt)
-        )
+            return (self.field.zero(),) * self.complex.dim(n + gd)
+        return mat_vec(mat, vector, self.field)
 
     # -- constructors ------------------------------------------------------------
 

@@ -214,32 +214,29 @@ def _pair_valid(a, b, d):
     return b - a >= d and (b - a - d) % (d - 1) == 0
 
 
-def _pair_molecule(a, b, d):
-    return MoleculeId(d, b - d, (b - a - d) // (d - 1))
-
-
 def all_matchings(dims, d):
     """Every perfect matching of the degree multiset into molecule pairs."""
     degrees = []
     for n in sorted(dims):
         degrees.extend([n] * dims[n])
+    valid = {(a, b) for a in dims for b in dims if _pair_valid(a, b, d)}
     out = []
 
     def search(remaining, acc):
         if not remaining:
-            out.append(tuple(acc))
+            out.append(acc)
             return
         a = remaining[0]
-        tried = set()
+        prev = None
         for i in range(1, len(remaining)):
             b = remaining[i]
-            if b in tried:
+            if b == prev:       # the degrees are sorted: equal partners are adjacent
                 continue
-            tried.add(b)
-            if _pair_valid(a, b, d):
-                search(remaining[1:i] + remaining[i + 1:], acc + [(a, b)])
+            prev = b
+            if (a, b) in valid:
+                search(remaining[1:i] + remaining[i + 1:], acc + ((a, b),))
 
-    search(degrees, [])
+    search(degrees, ())
     return out
 
 
@@ -250,6 +247,8 @@ def decompose(dims, d: int) -> Decomposition:
     height (then sorts lexicographically), and `ambiguous` flags everything
     with more than one molecule multiset.
     """
+    if d <= 1:
+        raise PresentationError("sphere dimension must exceed 1")
     dims = {n: v for n, v in dims.items() if v}
     if total_dimension(dims) % 2:
         raise NoValidMatching("odd total dimension cannot split into molecules")
@@ -257,21 +256,20 @@ def decompose(dims, d: int) -> Decomposition:
     if not matchings:
         raise NoValidMatching(
             f"dimension table {dims} is not a sum of molecule cohomologies over S^{d}")
-    scored = []
-    seen = set()
+    # one entry per molecule multiset, as sorted (m, l) pairs, with the first
+    # matching that gives it
+    pair_ml = {(a, b): ((b - a - d) // (d - 1), b - d)
+               for a in dims for b in dims if _pair_valid(a, b, d)}
+    first = {}
     for match in matchings:
-        molecules = tuple(sorted((_pair_molecule(a, b, d) for a, b in match),
-                                 key=lambda mol: (mol.m, mol.l)))
-        if molecules in seen:
-            continue
-        seen.add(molecules)
-        score = (max((mol.m for mol in molecules), default=-1),
-                 tuple((mol.m, mol.l) for mol in molecules))
-        scored.append((score, molecules, match))
-    scored.sort(key=lambda t: t[0])
-    default = scored[0]
-    alternatives = tuple(mols for _, mols, _ in scored[1:])
-    return Decomposition(default[1], default[2], len(scored) > 1, alternatives)
+        key = tuple(sorted(map(pair_ml.__getitem__, match)))
+        if key not in first:
+            first[key] = match
+    keys = sorted(first, key=lambda key: (key[-1][0] if key else -1, key))
+    mols = {ml: MoleculeId(d, ml[1], ml[0]) for ml in pair_ml.values()}
+    multisets = [tuple(map(mols.__getitem__, key)) for key in keys]
+    return Decomposition(multisets[0], first[keys[0]], len(keys) > 1,
+                         tuple(multisets[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +369,15 @@ def sphere_level(data, d: int, window: DegreeWindow | None = None,
     return _level_from_decomposition(dec, upper_bound)
 
 
+def _level_of(molecules) -> int:
+    """Level of a multiset sorted by (m, l): the last height plus one."""
+    return molecules[-1].m + 1 if molecules else 0
+
+
 def _level_from_decomposition(dec: Decomposition, upper_bound=None) -> LevelResult:
     candidates = [dec.molecules] + list(dec.alternatives)
     if upper_bound is not None:
-        pruned = [mols for mols in candidates
-                  if max((mol.m for mol in mols), default=-1) + 1 <= upper_bound]
+        pruned = [mols for mols in candidates if _level_of(mols) <= upper_bound]
         if not pruned:
             raise VerificationFailed(
                 f"the filtration bound {upper_bound} contradicts every matching")
@@ -384,7 +386,7 @@ def _level_from_decomposition(dec: Decomposition, upper_bound=None) -> LevelResu
                                 dec.matching if pruned[0] == dec.molecules else (),
                                 len(pruned) > 1, tuple(pruned[1:]))
             candidates = pruned
-    levels = sorted({max((mol.m for mol in mols), default=-1) + 1 for mols in candidates})
+    levels = sorted({_level_of(mols) for mols in candidates})
     if len(levels) == 1:
         return LevelResult.exact(levels[0], decomposition=dec)
     return LevelResult.interval(levels[0], levels[-1], decomposition=dec)

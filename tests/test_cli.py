@@ -139,3 +139,40 @@ def test_window_env_override(capsys, monkeypatch):
     code, out = run(capsys, "tor", "--d", "4", "--module", "k", "--arg", "k")
     assert code == 0
     assert json.loads(out)["result"]["certifiedThrough"] == 12
+
+
+@pytest.mark.parametrize("argv", [
+    ["tor", "--d", "4", "--window", "abc"],
+    ["phi", "--d", "4", "--module", "s7", "--window", "0:4:8"],
+])
+def test_malformed_window_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "is not of the form lo:hi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", ["0:x", "0:1,4"])
+def test_malformed_dims_is_usage_error(dims, capsys):
+    for command in ("decompose", "level"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--d", "4", "--dims", dims])
+        assert e.value.code == 2
+        assert "is not of the form degree:multiplicity" in capsys.readouterr().err
+
+
+def test_malformed_window_env_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setenv("DG_LEVEL_WINDOW", "abc")
+    code, out = run(capsys, "tor", "--d", "4", "--module", "k", "--arg", "k")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "invalid-presentation"
+    assert error["message"] == "window 'abc' is not of the form lo:hi"
+
+
+@pytest.mark.parametrize("command", ["decompose", "level"])
+def test_sphere_dimension_one_is_domain_error(command, capsys):
+    code, out = run(capsys, command, "--d", "1", "--dims", "0:1,1:1")
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "invalid-presentation",
+                                        "message": "sphere dimension must exceed 1"}

@@ -1,23 +1,25 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dglevels.errors import DivisionByZero, FieldMismatch
-from dglevels.field import QQ, GF2, GF5, FieldTag, arith, parse_field, rank, rank_and_kernel, solve
+from dglevels.field import (
+    QQ, GF2, GF5, FieldTag, parse_field, rank, rank_and_kernel, row_reduce, solve,
+)
 
 
 def test_rational_addition_is_exact():
-    assert arith(QQ, Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
+    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
 
 
 def test_prime_field_inverse():
     f7 = FieldTag(7)
-    assert arith(f7, f7.from_int(3), None, "inv") == 5
+    assert f7.inv(f7.from_int(3)) == 5
 
 
 def test_modular_reduction():
-    assert arith(GF5, GF5.from_int(2), GF5.from_int(3), "add") == 0
+    assert GF5.add(GF5.from_int(2), GF5.from_int(3)) == 0
 
 
 def test_inverse_of_zero_raises():
@@ -128,3 +130,72 @@ def test_scalar_json_round_trip():
     assert QQ.scalar_from_json("-5/6") == Fraction(-5, 6)
     assert GF5.scalar_to_json(3) == 3
     assert GF5.scalar_from_json("7") == 2
+
+
+# -- row reduction against a naive Gauss-Jordan oracle ---------------------------
+
+
+def naive_rref(rows, p):
+    """Textbook Gauss-Jordan on Fractions; over F_p every entry is kept as
+    its residue in [0, p)."""
+    def red(x):
+        return x if p == 0 else Fraction(int(x) % p)
+
+    m = [[red(Fraction(x)) for x in row] for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c] if p == 0 else pow(int(m[r][c]), -1, p)
+        m[r] = [red(x * inv) for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [red(a - f * b) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+@st.composite
+def matrices(draw, entries):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+RATIONAL_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-20, 20),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+)
+
+
+@settings(deadline=None)
+@given(matrices(RATIONAL_ENTRIES))
+@example([])
+@example([[]])
+@example([[0, 0], [0, 0], [0, 0]])
+@example([[Fraction(1, 2), 0, Fraction(-3, 4)], [0, 0, 0], [3, 0, Fraction(5, 7)]])
+def test_row_reduce_matches_naive_oracle_over_q(rows):
+    rref, pivots = row_reduce(rows, QQ)
+    assert (rref, pivots) == naive_rref(rows, 0)
+    assert all(type(x) is Fraction for row in rref for x in row)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3, 5, 2**31 - 1]).flatmap(
+    lambda p: st.tuples(st.just(p), matrices(st.one_of(
+        st.just(0), st.integers(0, p - 1), st.integers(-2 * p, 2 * p))))))
+@example((2, []))
+@example((3, [[], []]))
+@example((2**31 - 1, [[2**31 - 2, 1], [1, 2**31 - 2]]))
+def test_row_reduce_matches_naive_oracle_over_fp(case):
+    p, rows = case
+    rref, pivots = row_reduce(rows, FieldTag(p))
+    assert (rref, pivots) == naive_rref(rows, p)
+    assert all(type(x) is int and 0 <= x < p for row in rref for x in row)

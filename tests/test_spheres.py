@@ -3,13 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dglevels.algebra import DGAlgebraPresentation
 from dglevels.errors import (
     FormalizabilityNotDeclared,
+    NoValidMatching,
     NotCompactlyDecomposable,
     NotFree,
     OddGenerator,
+    PresentationError,
 )
 from dglevels.field import QQ, GF2
 from dglevels.graded import DegreeWindow, amplitude
@@ -21,6 +24,7 @@ from dglevels.resolve import (
     level_upper_bound,
 )
 from dglevels.spheres import (
+    Decomposition,
     MoleculeId,
     bundle_level,
     component_index,
@@ -164,6 +168,83 @@ def test_decompose_round_trip_random_multisets():
         target = tuple(sorted(mols, key=lambda mol: (mol.m, mol.l)))
         assert target in [dec.molecules] + list(dec.alternatives)
 
+
+
+def reference_decompose(dims, d):
+    """Decomposition as first written: every matching from a search over
+    degree lists, one MoleculeId per pair per matching, deduplicated and
+    scored on the molecule tuples."""
+    dims = {n: v for n, v in dims.items() if v}
+    if sum(dims.values()) % 2:
+        raise NoValidMatching("odd total dimension cannot split into molecules")
+    degrees = [n for n in sorted(dims) for _ in range(dims[n])]
+    matchings = []
+
+    def search(remaining, acc):
+        if not remaining:
+            matchings.append(tuple(acc))
+            return
+        a = remaining[0]
+        tried = set()
+        for i in range(1, len(remaining)):
+            b = remaining[i]
+            if b in tried:
+                continue
+            tried.add(b)
+            if b - a >= d and (b - a - d) % (d - 1) == 0:
+                search(remaining[1:i] + remaining[i + 1:], acc + [(a, b)])
+
+    search(degrees, [])
+    if not matchings:
+        raise NoValidMatching("no matching")
+    scored = []
+    seen = set()
+    for match in matchings:
+        molecules = tuple(sorted((MoleculeId(d, b - d, (b - a - d) // (d - 1))
+                                  for a, b in match), key=lambda mol: (mol.m, mol.l)))
+        if molecules in seen:
+            continue
+        seen.add(molecules)
+        score = (max((mol.m for mol in molecules), default=-1),
+                 tuple((mol.m, mol.l) for mol in molecules))
+        scored.append((score, molecules, match))
+    scored.sort(key=lambda t: t[0])
+    default = scored[0]
+    return Decomposition(default[1], default[2], len(scored) > 1,
+                         tuple(mols for _, mols, _ in scored[1:]))
+
+
+def assert_same_decomposition(dims, d):
+    want = reference_decompose(dims, d)
+    got = decompose(dims, d)
+    assert got.molecules == want.molecules
+    assert got.matching == want.matching
+    assert got.ambiguous == want.ambiguous
+    assert got.alternatives == want.alternatives
+
+
+@settings(deadline=None)
+@given(st.integers(2, 6), st.lists(st.tuples(st.integers(0, 10), st.integers(0, 3)),
+                                   min_size=1, max_size=5))
+def test_decompose_matches_reference_on_random_tables(d, pairs):
+    dims = {}
+    for l, m in pairs:
+        for n, v in molecule_cohomology(MoleculeId(d, l, m)).items():
+            dims[n] = dims.get(n, 0) + v
+    assert_same_decomposition(dims, d)
+
+
+def test_decompose_matches_reference_on_tower_5_3_table():
+    # the 16-class cohomology of build_P_tower(5, 3): 40,320 matchings, all
+    # giving distinct molecule multisets
+    dims = dict.fromkeys([0, 3, 31, 42, 64, 68, 75, 79, 99, 103, 110, 114,
+                          136, 147, 175, 178], 1)
+    assert_same_decomposition(dims, 3)
+
+
+def test_decompose_rejects_sphere_dimension_one():
+    with pytest.raises(PresentationError, match="sphere dimension must exceed 1"):
+        decompose({0: 1, 1: 1}, 1)
 
 # -- molecule models --------------------------------------------------------------
 
