@@ -32,6 +32,7 @@ from .spheres import (
     bundle_level,
     component_index,
     decompose,
+    decompose_module,
     formalizability_check,
     free_pullback_level,
     molecule_cohomology,
@@ -56,7 +57,6 @@ from .rational import (
     sci_level_bound,
     sphere_model,
     tower_level_bounds,
-    whitehead_square_invariant,
 )
 
 __all__ = [
@@ -71,14 +71,13 @@ __all__ = [
     "is_compact", "koszul_resolution_poly", "koszul_resolution_sphere",
     "level_upper_bound", "phi", "residue_module",
     "Decomposition", "LevelResult", "MoleculeId", "bundle_level",
-    "component_index", "decompose", "formalizability_check",
+    "component_index", "decompose", "decompose_module", "formalizability_check",
     "free_pullback_level", "molecule_cohomology", "molecule_level",
     "molecule_model", "quiver_component", "realizable", "sphere_level",
     "FibreSquareSpec", "compactness_from_hopf", "e2_page", "install_d2",
     "run_to_stable",
     "TowerSpec", "build_P_tower", "hopf_invariant", "pile_upper_bound",
     "sci_level_bound", "sphere_model", "tower_level_bounds",
-    "whitehead_square_invariant",
 ]
 
 __version__ = "0.1.0"

@@ -214,28 +214,6 @@ def _check_d2_squares_to_zero(page):
                     raise PresentationError("d₂ ∘ d₂ ≠ 0 on the installed page")
 
 
-def comodule_compatibility(page: BigradedPage, i_max: int = 4) -> bool:
-    """Δ ∘ d₂ = (d₂ ⊗ 1 ± 1 ⊗ d̃₂) ∘ Δ on γ_i(τ) for i <= i_max, with the
-    loop-space side having zero differential.  Coefficients are compared
-    symbolically on the divided-power comultiplication Δγ_n = Σ γ_a ⊗ γ_b."""
-    f = page.field
-    h = page.spec.hopf
-    top_deg = page.top_sphere_degree
-    for i in range(1, i_max + 1):
-        lhs = {}
-        # Δ(d₂ γ_i) = Δ(h x γ_{i-1}) = h Σ_{a+b=i-1} x γ_a ⊗ γ_b
-        for a in range(i):
-            lhs[((top_deg, a), i - 1 - a)] = h
-        rhs = {}
-        # (d₂ ⊗ 1)(Σ_{a+b=i} γ_a ⊗ γ_b) = Σ_{a>=1} h x γ_{a-1} ⊗ γ_b
-        for a in range(1, i + 1):
-            rhs[((top_deg, a - 1), i - a)] = h
-        if {k: v for k, v in lhs.items() if not f.is_zero(v)} != \
-                {k: v for k, v in rhs.items() if not f.is_zero(v)}:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Page turn and collapse certification
 # ---------------------------------------------------------------------------

@@ -68,6 +68,12 @@ class VerificationFailed(DomainError):
     code = "verification-failed"
 
 
+class BudgetExceeded(DomainError):
+    """A search would pass its fixed work limit."""
+
+    code = "budget-exceeded"
+
+
 class NotCompactlyDecomposable(DomainError):
     code = "not-compactly-decomposable"
 

@@ -9,7 +9,9 @@ Row reduction over the rationals clears each row's denominators once and
 eliminates on plain ints, dividing every combined row by its content (gcd)
 to keep the entries small; Fractions appear only in the returned RREF.
 Over F_p it eliminates on residues and touches only the pivot row's nonzero
-columns.
+columns.  ``rank`` clears only below each pivot and ``rank_and_kernel``
+reads its kernel off the integer pivot rows, so neither builds the Fraction
+RREF.
 """
 
 from __future__ import annotations
@@ -176,11 +178,13 @@ def integer_row(row):
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _rref_rational(rows):
-    """Gauss-Jordan on integer rows: ``a·row − f·pivot_row``, then the row is
+def _eliminate_rational(rows, full=True):
+    """Elimination on integer rows: ``a·row − f·pivot_row``, then the row is
     divided by its content.  Rows only ever change by nonzero rational
-    multiples of row operations, so dividing each pivot row by its pivot at
-    the end gives the unique RREF."""
+    multiples of row operations, so dividing each pivot row by its pivot
+    gives the unique RREF.  Returns (pivot rows, pivot columns); with
+    ``full`` false only the rows below each pivot are cleared, which is
+    enough for the pivot columns."""
     m = [integer_row(row) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -199,7 +203,7 @@ def _rref_rational(rows):
             piv = m[r] = [x // g for x in piv]
         a = piv[c]
         nz = [j for j in range(c, ncols) if piv[j]]
-        for i in range(nrows):
+        for i in range(0 if full else r + 1, nrows):
             row = m[i]
             f = row[c]
             if not f or i == r:
@@ -220,16 +224,13 @@ def _rref_rational(rows):
         r += 1
         if r == nrows:
             break
-    out = []
-    for row, c in zip(m, pivots):
-        a = row[c]
-        out.append([Fraction(x, a) if x else _ZERO for x in row])
-    return out, pivots
+    return m[:r], pivots
 
 
-def _rref_mod_p(rows, p):
+def _rref_mod_p(rows, p, full=True):
     """Gauss-Jordan mod p; each elimination touches only the nonzero columns
-    of the pivot row."""
+    of the pivot row.  With ``full`` false only the rows below each pivot
+    are cleared."""
     m = [[int(x) % p for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -248,7 +249,7 @@ def _rref_mod_p(rows, p):
             inv = pow(piv[c], -1, p)
             for j in nz:
                 piv[j] = piv[j] * inv % p
-        for i in range(nrows):
+        for i in range(0 if full else r + 1, nrows):
             row = m[i]
             f = row[c]
             if not f or i == r:
@@ -272,7 +273,9 @@ def row_reduce(rows, field: FieldTag):
     _validate_entries(rows, field)
     if field.p:
         return _rref_mod_p(rows, field.p)
-    return _rref_rational(rows)
+    m, pivots = _eliminate_rational(rows)
+    return [[Fraction(x, row[c]) if x else _ZERO for x in row]
+            for row, c in zip(m, pivots)], pivots
 
 
 def rank_and_kernel(rows, field: FieldTag):
@@ -290,7 +293,10 @@ def rank_and_kernel(rows, field: FieldTag):
             v[j] = field.one()
             basis.append(tuple(v))
         return 0, basis
-    rref, pivots = row_reduce(rows, field)
+    _validate_entries(rows, field)
+    p = field.p
+    # the pivot rows, on ints over Q (entry / pivot is the RREF entry)
+    red, pivots = _rref_mod_p(rows, p) if p else _eliminate_rational(rows)
     ncols = len(rows[0])
     pivot_set = set(pivots)
     basis = []
@@ -299,16 +305,24 @@ def rank_and_kernel(rows, field: FieldTag):
             continue
         v = [field.zero()] * ncols
         v[free] = field.one()
-        for r, p in enumerate(pivots):
-            v[p] = field.neg(rref[r][free])
+        for row, c in zip(red, pivots):
+            x = row[free]
+            if p:
+                v[c] = -x % p
+            elif x:
+                v[c] = Fraction(-x, row[c])
         basis.append(tuple(v))
     return len(pivots), basis
 
 
 def rank(rows, field: FieldTag) -> int:
+    """Rank from forward elimination alone: no RREF and no Fractions."""
     if not rows or not rows[0]:
         return 0
-    return len(row_reduce(rows, field)[1])
+    _validate_entries(rows, field)
+    if field.p:
+        return len(_rref_mod_p(rows, field.p, full=False)[1])
+    return len(_eliminate_rational(rows, full=False)[1])
 
 
 def solve(rows, rhs, field: FieldTag):

@@ -34,11 +34,10 @@ class DGModulePresentation:
     """A right DG module, either free over the algebra or a raw complex."""
 
     def __init__(self, algebra: DGAlgebraPresentation, generators=None,
-                 differential=None, complex=None, actions=None, side="right",
+                 differential=None, complex=None, actions=None,
                  truncation_degree=None):
         self.algebra = algebra
         self.field = algebra.field
-        self.side = side
         # first degree at which stored generators/differentials may be incomplete
         self.truncation_degree = truncation_degree
         if (generators is None) == (complex is None):

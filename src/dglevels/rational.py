@@ -12,11 +12,16 @@ l is built as follows, with suspension parameter m >= l·d + 1:
            w_0, ..., w_{l-2} with D(w_i) = (ρx - ξ)·w_{i-1},
            deg w_i = i(2d-1) + (2m-1) - i.
 
+Each extension generator is odd, so the fibre complex (tower ⊗_base Q) is a
+finite exterior algebra and the total space is a compact object over the
+base sphere.  `tower_level_bounds` pushes the tower, as a free module over
+the base model, along the quasi-isomorphism onto H*(S^d) and reads its
+molecules off the Jordan strings of the minimal model (see `spheres`), so
+every tower level is exact.
+
 The recipe reaches its target only for l <= 3 on odd spheres and for
 l <= 2 on even spheres; beyond that the tower it builds has a higher level
-than l.  The levels below are the longest Jordan strings of the x-action;
-`tower_level_bounds` agrees where it is exact and reports (4, 3) and (5, 3)
-only as the intervals [4, 5] and [5, 7]:
+than l:
 
   (l, d)   (3, 4)  (4, 3)  (4, 4)  (5, 3)  (5, 4)  (6, 3)  (6, 4)
   level       4       5       6       7      10      10      14
@@ -33,18 +38,15 @@ only as the intervals [4, 5] and [5, 7]:
            for l = 3, 4, 5, 6.
 
 Whether the paper's level-l construction differs from this recipe is open;
-C7 in the acceptance suite keeps the (3, 4) case visible.  The obvious
-odd-d alternative, a fibre product over ∧(x) of l-1 two-stage towers, does
-not settle it here: at (l, d) = (3, 3) with distinct generator degrees per
-factor, `all_matchings` exhausts a 1.5 GB address space, and with equal
-degrees the level is only bracketed in [2, 3].
+C7 in the acceptance suite keeps the (3, 4) case visible.  For odd d the
+obvious alternative, a fibre product over ∧(x) of l-1 two-stage towers
+(generators u_i, v_i with D(v_i) = x·u_i), reaches level l exactly: the
+x-action is the (l-1)-fold tensor power of a size-2 Jordan block, whose
+largest block has size l (Clebsch-Gordan), and `tower_level_bounds` on such
+a TowerSpec gives l for l <= 6 on S^3.  It has no direct analogue for even
+d, where D(v) = x·u with u odd would make v even.
 
-Each extension generator is odd, so the fibre complex (tower ⊗_base Q) is a
-finite exterior algebra: the total space is a compact object over the base
-sphere.  Levels are then bracketed by the generator-depth semifree filtration
-(upper bound) and the molecule decomposition of the cohomology (lower bound),
-and reported exactly only when the two meet.  Spatial realizations are
-metadata: all computation happens on the models.
+Spatial realizations are metadata: all computation happens on the models.
 """
 
 from __future__ import annotations
@@ -58,19 +60,13 @@ from .errors import (
     NotExact,
     OddDimension,
     PresentationError,
-    WindowTooSmall,
     WrongTargetCohomology,
 )
 from .field import QQ, coordinates, solve
 from .graded import DegreeWindow, cohomology
 from .module import DGModulePresentation
-from .resolve import (
-    SemifreeFiltration,
-    filtration_class,
-    generator_depth_filtration,
-    level_upper_bound,
-)
-from .spheres import LevelResult, _level_from_decomposition, decompose
+from .resolve import SemifreeFiltration, filtration_class
+from .spheres import LevelResult, decompose_module
 
 
 def sphere_model(d: int) -> DGAlgebraPresentation:
@@ -114,9 +110,16 @@ class TowerSpec:
     # -- conversions ------------------------------------------------------------
 
     def as_base_module(self) -> DGModulePresentation:
-        """The tower as a free module over the base model, one generator per
-        square-free monomial in the extension generators."""
+        """The tower as a free module over H*(S^d), one generator per
+        square-free monomial in the extension generators.
+
+        The coefficients, polynomials in the base model, are pushed along the
+        quasi-isomorphism of the base model onto H*(S^d) (for even d,
+        ∧(x, ξ) → H*(S^d) with ξ ↦ 0 and x² ↦ 0), which keeps the module's
+        class in the derived category and so its level.
+        """
         F = self.full
+        H = DGAlgebraPresentation.sphere_cohomology(self.d, QQ)
         nb = F.n - len(self.extension)
         gens = []
         diff = {}
@@ -141,16 +144,17 @@ class TowerSpec:
                 pb = sum(tmono[nb + k] * F.generators[nb + k].degree
                          for k in range(len(self.extension))) & 1
                 coeff = QQ.from_int(-1 if pa and pb else 1)
-                tlabel = self._ext_label(tmask)
-                poly = terms.setdefault(tlabel, {})
-                key = tuple(base_part)
+                if base_part[0] > 1 or any(base_part[1:]):
+                    continue                # x² and ξ map to zero
+                poly = terms.setdefault(self._ext_label(tmask), {})
+                key = (base_part[0],)
                 poly[key] = QQ.add(poly.get(key, QQ.zero()), QQ.mul(coeff, c))
             terms = {t: {k: v for k, v in p.items() if not QQ.is_zero(v)}
                      for t, p in terms.items()}
             terms = {t: p for t, p in terms.items() if p}
             if terms:
                 diff[label] = terms
-        return DGModulePresentation.free(self.base, gens, diff)
+        return DGModulePresentation.free(H, gens, diff)
 
     def _ext_label(self, mask):
         parts = [self.extension[k][0] for k in range(len(self.extension))
@@ -246,30 +250,14 @@ def build_P_tower(l: int, d: int, m: int | None = None) -> TowerSpec:
     return TowerSpec(d, l, m, base, full, tuple(extension))
 
 
-def tower_level_bounds(tower: TowerSpec, d: int | None = None,
-                       window: DegreeWindow | None = None) -> LevelResult:
-    """Bracket the level of the tower over its base sphere.
-
-    Upper bound: class of the generator-depth semifree filtration of the
-    tower as a base module, plus one.  Lower bound: molecule decomposition of
-    the computed cohomology, with matchings above the upper bound pruned.
-    Exact exactly when one level survives.
-    """
+def tower_level_bounds(tower: TowerSpec, d: int | None = None) -> LevelResult:
+    """The level of the tower over its base sphere, always exact: the
+    molecules are the Jordan strings of the tower as a module over H*(S^d)."""
     d = d or tower.d
-    window = window or tower.auto_window()
     if not tower.fibre_cohomology_finite():
         raise PresentationError("the fibre complex is not certifiably finite")
-    module = tower.as_base_module()
-    filt = generator_depth_filtration(module)
-    upper = level_upper_bound(filt)
-    dims = module.cohomology_dims(window)
-    support_top = max((n for n, v in dims.items() if v), default=0)
-    if support_top >= window.hi - 2 * d:
-        raise WindowTooSmall(
-            f"cohomology reaches degree {support_top}; enlarge the window past "
-            f"{window.hi}")
-    dec = decompose(dims, d)
-    return _level_from_decomposition(dec, upper_bound=upper)
+    dec = decompose_module(tower.as_base_module(), d)
+    return LevelResult.exact(dec.level(), decomposition=dec)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +416,3 @@ def _hopf_value(target, basis, cx, reps, rho_vec, gx, gxi, d, generator_choice,
     if coords is None:
         raise NotExact("the Hopf cocycle is not a class against this generator")
     return coords[0]
-
-
-def whitehead_square_invariant(d: int) -> int:
-    """Hopf invariant of the Whitehead square of the identity, sign-normalized."""
-    if d % 2:
-        raise OddDimension("the Whitehead square invariant needs even d")
-    return 2

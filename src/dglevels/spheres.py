@@ -1,4 +1,4 @@
-"""Molecules over spheres and cohomology-driven decomposition.
+"""Molecules over spheres: catalog, quiver, decomposition and levels.
 
 Over A = H*(S^d; K), d > 1, the compact derived category decomposes every
 object uniquely into indecomposables ("molecules").  Molecules are the
@@ -7,12 +7,21 @@ two degrees -m(d-1)+l and d+l, zero elsewhere, and level_A(Σ^{-l}Z_m) = m+1
 independently of the shift.  The Auslander-Reiten quiver splits into d-1
 translation-quiver components indexed by l mod (d-1).
 
-Decomposition therefore reduces to perfect matchings: pair the cohomology
-degrees (a, b) with b - a >= d and (b - a - d) divisible by d - 1; each pair
-names the molecule with l = b - d and m = (b - a - d)/(d - 1).  Cohomology
-alone cannot always pick the matching, so every maximal matching is listed
-and the default minimizes the largest height; levels are then exact only
-when all matchings agree.
+Module inputs are decomposed by the Jordan strings of their minimal model
+(`decompose_module`).  Write the differential of a free module on a graded
+space V of generators as D = δ₀ + x·Φ with scalar matrices δ₀ and Φ.  By the
+homological perturbation lemma the minimal model is (H(V, δ₀), x·Φ̄), since
+every higher transfer term carries x² = 0; Φ̄ is nilpotent of degree 1-d,
+and a Jordan string of length m+1 whose top sits in degree l is the molecule
+Σ^{-l}Z_m.  This is rank arithmetic, and the answer is unique.
+
+Bare dimension tables, and modules known only through their cohomology (raw
+or truncated presentations), are decomposed by perfect matching: pair the
+cohomology degrees (a, b) with b - a >= d and (b - a - d) divisible by d - 1;
+each pair names the molecule with l = b - d and m = (b - a - d)/(d - 1).
+Cohomology alone cannot always pick the matching, so every matching is
+listed, up to a fixed budget, and the default minimizes the largest height;
+levels are then exact only when all matchings agree, an interval otherwise.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from dataclasses import dataclass
 
 from .algebra import DGAlgebraPresentation
 from .errors import (
+    BudgetExceeded,
     FormalizabilityNotDeclared,
     MissingData,
     NoValidMatching,
@@ -30,15 +40,10 @@ from .errors import (
     PresentationError,
     VerificationFailed,
 )
-from .field import FieldTag, QQ
+from .field import FieldTag, QQ, rank, rank_and_kernel
 from .graded import DegreeWindow, total_dimension
-from .module import DGModulePresentation, find_idempotents
-from .resolve import (
-    TorResult,
-    derived_tensor,
-    filtration_class,
-    generator_depth_filtration,
-)
+from .module import DGModulePresentation
+from .resolve import TorResult, derived_tensor
 
 
 @dataclass(frozen=True)
@@ -214,8 +219,16 @@ def _pair_valid(a, b, d):
     return b - a >= d and (b - a - d) % (d - 1) == 0
 
 
+# matchings `all_matchings` lists before it gives up; above the 40,320 of the
+# 16-class table of build_P_tower(5, 3)
+MATCHING_BUDGET = 100_000
+
+
 def all_matchings(dims, d):
-    """Every perfect matching of the degree multiset into molecule pairs."""
+    """Every perfect matching of the degree multiset into molecule pairs.
+
+    Raises BudgetExceeded instead of listing more than MATCHING_BUDGET.
+    """
     degrees = []
     for n in sorted(dims):
         degrees.extend([n] * dims[n])
@@ -224,6 +237,10 @@ def all_matchings(dims, d):
 
     def search(remaining, acc):
         if not remaining:
+            if len(out) == MATCHING_BUDGET:
+                raise BudgetExceeded(
+                    f"the degree table has more than {MATCHING_BUDGET} matchings "
+                    "into molecule pairs")
             out.append(acc)
             return
         a = remaining[0]
@@ -273,6 +290,114 @@ def decompose(dims, d: int) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
+# Decomposition of modules by Jordan strings
+# ---------------------------------------------------------------------------
+
+
+def decompose_module(module: DGModulePresentation, d: int) -> Decomposition:
+    """Molecules of a finite, untruncated free module over H*(S^d).
+
+    Splits D into δ₀ + x·Φ and counts the Jordan strings of Φ̄ on H(V, δ₀)
+    by ranks (see the module docstring).  With r_k(a) the rank of
+    Φ̄^k : H_a → H_{a+k(1-d)}, computed as rank[Φ^k Z_a | B] - rank B on the
+    cocycles Z and boundaries B of δ₀, N(a, k) = r_k(a) - r_{k+1}(a+d-1)
+    strings of length at least k+1 start in degree a, and
+    N(a, k) - N(a, k+1) of them have length exactly k+1.  `matching` lists
+    each molecule's two cohomology degrees; nothing is ambiguous.
+    """
+    if d <= 1:
+        raise PresentationError("sphere dimension must exceed 1")
+    A = module.algebra
+    if A.sphere_generator_label() is None or A.generators[0].degree != d:
+        raise PresentationError(f"the module does not live over H*(S^{d})")
+    if not module.is_free or module.truncation_degree is not None:
+        raise PresentationError("Jordan strings need a finite, untruncated free module")
+    f = module.field
+    labels = {}                     # degree -> generator labels
+    for label, deg in module.generators:
+        labels.setdefault(deg, []).append(label)
+    where = {label: (deg, j) for deg, ls in labels.items() for j, label in enumerate(ls)}
+    # δ₀ and Φ as sparse columns: source degree -> [[(target row, scalar)], ...]
+    delta = {deg: [[] for _ in ls] for deg, ls in labels.items()}
+    phi = {deg: [[] for _ in ls] for deg, ls in labels.items()}
+    for src, terms in module.differential.items():
+        deg, j = where[src]
+        for tgt, poly in terms.items():
+            for (e,), c in poly.items():
+                (phi if e else delta)[deg][j].append((where[tgt][1], c))
+
+    def apply(cols, deg, vec, tgt):
+        out = [f.zero()] * len(labels.get(tgt, ()))
+        for c, col in zip(vec, cols[deg]):
+            if c:
+                for i, e in col:
+                    out[i] = f.add(out[i], f.mul(c, e))
+        return out
+
+    def units(deg):
+        n = len(labels.get(deg, ()))
+        return [[f.one() if i == j else f.zero() for i in range(n)] for j in range(n)]
+
+    def images(cols, deg, tgt):
+        """The images of the generators of degree deg, as dense vectors."""
+        return [apply(cols, deg, v, tgt) for v in units(deg)]
+
+    boundaries = {}
+
+    def boundary(a):
+        if a not in boundaries:
+            vecs = [v for v in images(delta, a - 1, a) if any(v)]
+            boundaries[a] = (vecs, rank(vecs, f))
+        return boundaries[a]
+
+    ranks = {}
+
+    def rank_powers(a):
+        """[r_0(a), r_1(a), ...] up to the first zero."""
+        if a not in ranks:
+            out = []
+            if a + 1 in labels:         # the kernel of δ₀, from its rows
+                vecs = rank_and_kernel([list(r) for r in zip(*images(delta, a, a + 1))], f)[1]
+            else:
+                vecs = units(a)
+            t = a
+            while vecs:
+                bvecs, brank = boundary(t)
+                r = rank(vecs + bvecs, f) - brank
+                if not r:
+                    break
+                out.append(r)
+                vecs = [v for v in (apply(phi, t, v, t + 1 - d) for v in vecs) if any(v)]
+                t += 1 - d
+            ranks[a] = out
+        return ranks[a]
+
+    def at_least(a, k):
+        """N(a, k): strings of length >= k+1 with top in degree a."""
+        r, above = rank_powers(a), rank_powers(a + d - 1)
+        return (r[k] if k < len(r) else 0) - (above[k + 1] if k + 1 < len(above) else 0)
+
+    molecules = []
+    for a in sorted(labels):
+        for k in range(len(rank_powers(a))):
+            count = at_least(a, k) - at_least(a, k + 1)
+            if count < 0:
+                raise VerificationFailed(f"negative string count in degree {a}")
+            molecules.extend([MoleculeId(d, a, k)] * count)
+    molecules.sort(key=lambda mol: (mol.m, mol.l))
+    matching = tuple(tuple(sorted(molecule_cohomology(mol))) for mol in molecules)
+    return Decomposition(tuple(molecules), matching, False, ())
+
+
+def _cohomology_of(molecules) -> dict:
+    dims = {}
+    for mol in molecules:
+        for n, v in molecule_cohomology(mol).items():
+            dims[n] = dims.get(n, 0) + v
+    return dims
+
+
+# ---------------------------------------------------------------------------
 # Molecule models
 # ---------------------------------------------------------------------------
 
@@ -282,8 +407,7 @@ def molecule_model(mol: MoleculeId, field: FieldTag = QQ,
     """Free module realizing Σ^{-l}Z_m over H*(S^d): generators e_0, ..., e_m
     in degrees l - (m-j)(d-1) with D(e_j) = e_{j-1}·x.
 
-    Verified on construction: the cohomology matches the catalog formula and
-    the endomorphism search finds no nontrivial idempotent.
+    Verified on construction: its Jordan strings are exactly the one molecule.
     """
     d = mol.d
     A = DGAlgebraPresentation.sphere_cohomology(d, field)
@@ -292,12 +416,10 @@ def molecule_model(mol: MoleculeId, field: FieldTag = QQ,
     diff = {f"e{j}": {f"e{j-1}": A.generator_poly(x)} for j in range(1, mol.m + 1)}
     module = DGModulePresentation.free(A, gens, diff)
     if verify:
-        dims = module.cohomology_dims()
-        if dims != molecule_cohomology(mol):
+        found = decompose_module(module, d).molecules
+        if found != (mol,):
             raise VerificationFailed(
-                f"model of {mol} has cohomology {dims}, catalog says {molecule_cohomology(mol)}")
-        if find_idempotents(module):
-            raise VerificationFailed(f"model of {mol} split unexpectedly")
+                f"model of {mol} decomposes as {[str(m) for m in found]}")
     return module
 
 
@@ -336,16 +458,14 @@ class LevelResult:
                 "certificate": self.certificate.to_json() if self.certificate else None}
 
 
-def sphere_level(data, d: int, window: DegreeWindow | None = None,
-                 upper_bound: int | None = None) -> LevelResult:
+def sphere_level(data, d: int) -> LevelResult:
     """Level over H*(S^d) of a module, a Tor result, or a dimension table.
 
-    Infinite-cohomology certificates win; otherwise decompose the cohomology
-    and read levels off the heights.  Module presentations contribute a
-    filtration-class upper bound that prunes impossible matchings; ambiguity
-    that survives the pruning produces an interval, never a guess.
+    Finite, untruncated free modules are decomposed by their Jordan strings,
+    so their level is exact.  Otherwise infinite-cohomology certificates win,
+    and the cohomology (of a raw or truncated module, in its default window)
+    is decomposed by matching; ambiguity produces an interval, never a guess.
     """
-    dims = None
     if isinstance(data, TorResult):
         v = data.verdict()
         if v.is_infinite:
@@ -355,9 +475,10 @@ def sphere_level(data, d: int, window: DegreeWindow | None = None,
                 "finiteness of the cohomology could not be certified")
         dims = {n: x for n, x in data.dims.items() if x}
     elif isinstance(data, DGModulePresentation):
-        dims = data.cohomology_dims(window)
-        if data.is_free and upper_bound is None:
-            upper_bound = filtration_class(generator_depth_filtration(data)) + 1
+        if data.is_free and data.truncation_degree is None:
+            dec = decompose_module(data, d)
+            return LevelResult.exact(dec.level(), decomposition=dec)
+        dims = data.cohomology_dims()
     else:
         dims = {n: x for n, x in data.items() if x}
     if not dims:
@@ -366,7 +487,7 @@ def sphere_level(data, d: int, window: DegreeWindow | None = None,
         dec = decompose(dims, d)
     except NoValidMatching as e:
         raise NotCompactlyDecomposable(str(e))
-    return _level_from_decomposition(dec, upper_bound)
+    return _level_from_decomposition(dec)
 
 
 def _level_of(molecules) -> int:
@@ -374,19 +495,8 @@ def _level_of(molecules) -> int:
     return molecules[-1].m + 1 if molecules else 0
 
 
-def _level_from_decomposition(dec: Decomposition, upper_bound=None) -> LevelResult:
-    candidates = [dec.molecules] + list(dec.alternatives)
-    if upper_bound is not None:
-        pruned = [mols for mols in candidates if _level_of(mols) <= upper_bound]
-        if not pruned:
-            raise VerificationFailed(
-                f"the filtration bound {upper_bound} contradicts every matching")
-        if len(pruned) < len(candidates):
-            dec = Decomposition(pruned[0],
-                                dec.matching if pruned[0] == dec.molecules else (),
-                                len(pruned) > 1, tuple(pruned[1:]))
-            candidates = pruned
-    levels = sorted({_level_of(mols) for mols in candidates})
+def _level_from_decomposition(dec: Decomposition) -> LevelResult:
+    levels = sorted({_level_of(mols) for mols in (dec.molecules, *dec.alternatives)})
     if len(levels) == 1:
         return LevelResult.exact(levels[0], decomposition=dec)
     return LevelResult.interval(levels[0], levels[-1], decomposition=dec)
@@ -407,7 +517,9 @@ def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag, d: int = 4,
     map (the degree-4 generator goes to the sphere class when f4_nonzero, all
     else dies for degree reasons), decompose, take the level.  The answer is
     then checked against the closed form (2 when the degree-4 generator acts,
-    1 otherwise); disagreement is a hard failure.
+    1 otherwise); disagreement is a hard failure.  The molecules come from
+    the Jordan strings of the same derived tensor as a module over H*(S^d),
+    and their cohomology must equal the Tor dimensions.
     """
     poly_gens = list(poly_gens)
     char2 = field.characteristic() == 2
@@ -434,20 +546,15 @@ def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag, d: int = 4,
                          window=DegreeWindow(0, hi))
 
     # The same derived tensor as a module over H*(S^d): the Koszul complex of
-    # the polynomial algebra tensored down along the classifying map.  Dims
-    # must agree with the Tor computation; the module presentation supplies
-    # the filtration bound that settles matching ambiguity.
-    module = _koszul_tensor_module(poly_gens, d, field, f4_nonzero)
-    module_dims = module.cohomology_dims(DegreeWindow(-1, hi))
-    if module_dims != tor.dims:
-        raise VerificationFailed("module and resolution routes disagree on Tor")
-
-    level = sphere_level(module, d, window=DegreeWindow(-1, hi))
+    # the polynomial algebra tensored down along the classifying map.
+    dec = decompose_module(_koszul_tensor_module(poly_gens, d, field, f4_nonzero), d)
+    if _cohomology_of(dec.molecules) != {n: v for n, v in tor.dims.items() if v}:
+        raise VerificationFailed("the molecules and the Koszul resolution disagree on Tor")
     expected = 2 if f4_nonzero else 1
-    if level.kind != "exact" or level.value != expected:
+    if dec.level() != expected:
         raise VerificationFailed(
-            f"computed level {level.to_json()} disagrees with the closed form {expected}")
-    return level.value, level.decomposition, dict(sorted(tor.dims.items()))
+            f"computed level {dec.level()} disagrees with the closed form {expected}")
+    return dec.level(), dec, dict(sorted(tor.dims.items()))
 
 
 def _koszul_tensor_module(poly_gens, d, field, f4_nonzero):

@@ -128,6 +128,16 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(out)["error"]["code"] == "no-valid-matching"
 
 
+def test_matching_budget_is_domain_error(capsys):
+    # sixteen distinct even degrees over S^2 have 2,027,025 matchings
+    dims = ",".join(f"{n}:1" for n in range(0, 32, 2))
+    code, out = run(capsys, "decompose", "--d", "2", "--dims", dims)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "budget-exceeded"
+    assert "matchings" in error["message"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["nonsense-command"])

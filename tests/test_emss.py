@@ -4,7 +4,6 @@ import pytest
 
 from dglevels.emss import (
     FibreSquareSpec,
-    comodule_compatibility,
     compactness_from_hopf,
     e2_page,
     install_d2,
@@ -93,10 +92,6 @@ def test_d2_odd_guard():
     with pytest.raises(OddDimensionNonzeroHopf):
         install_d2(e2_page(spec, DegreeWindow(0, 30)))
 
-
-def test_comodule_compatibility():
-    page = install_d2(e2_page(s7_over_s4(1), DegreeWindow(0, 32)))
-    assert comodule_compatibility(page, i_max=4)
 
 
 # -- stable page ----------------------------------------------------------------

@@ -199,3 +199,31 @@ def test_row_reduce_matches_naive_oracle_over_fp(case):
     rref, pivots = row_reduce(rows, FieldTag(p))
     assert (rref, pivots) == naive_rref(rows, p)
     assert all(type(x) is int and 0 <= x < p for row in rref for x in row)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([0, 2, 3, 5, 2**31 - 1]).flatmap(
+    lambda p: st.tuples(st.just(p), matrices(
+        RATIONAL_ENTRIES if p == 0 else st.one_of(
+            st.just(0), st.integers(0, p - 1), st.integers(-2 * p, 2 * p))))))
+@example((0, [[0, 0], [0, 0]]))
+@example((0, [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]]))
+@example((2, [[1, 1, 0], [1, 1, 0], [0, 1, 1]]))
+def test_rank_and_kernel_agree_with_row_reduce(case):
+    # rank eliminates only below its pivots and rank_and_kernel reads the
+    # kernel off the unnormalised pivot rows; both must match the RREF
+    p, rows = case
+    field = FieldTag(p)
+    rref, pivots = row_reduce(rows, field)
+    assert rank(rows, field) == len(pivots)
+    ncols = len(rows[0]) if rows else 0
+    kernel = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        v = [field.zero()] * ncols
+        v[free] = field.one()
+        for r, c in enumerate(pivots):
+            v[c] = field.neg(rref[r][free])
+        kernel.append(tuple(v))
+    got_rank, got_kernel = rank_and_kernel(rows, field)
+    assert (got_rank, got_kernel) == (len(pivots), kernel)
+    assert all(type(x) is (int if p else Fraction) for v in got_kernel for x in v)

@@ -7,11 +7,10 @@ import pytest
 from dglevels.algebra import DGAlgebraPresentation, Generator
 from dglevels.errors import (
     MTooSmall,
-    OddDimension,
     PresentationError,
     WrongTargetCohomology,
 )
-from dglevels.field import QQ, GF2
+from dglevels.field import QQ
 from dglevels.graded import DegreeWindow, cohomology
 from dglevels.rational import (
     TowerSpec,
@@ -21,7 +20,6 @@ from dglevels.rational import (
     sci_level_bound,
     sphere_model,
     tower_level_bounds,
-    whitehead_square_invariant,
 )
 from dglevels.resolve import filtration_class, level_upper_bound
 
@@ -113,6 +111,36 @@ def test_even_sphere_level_three_tower_computes_four():
     assert res.to_json() == {"kind": "exact", "level": 4}
 
 
+@pytest.mark.parametrize("l, d, level", [(4, 3, 5), (5, 3, 7), (6, 3, 10),
+                                         (4, 4, 6), (5, 4, 10), (6, 4, 14)])
+def test_tower_level_table(l, d, level):
+    # the levels the recipe reaches beyond its target (module docstring)
+    res = tower_level_bounds(build_P_tower(l, d))
+    assert res.kind == "exact"
+    assert res.value == level
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_fibre_product_of_two_stage_towers_reaches_its_level(l):
+    # over S^3: l-1 factors u_i, v_i with D(v_i) = x·u_i; the x-action is the
+    # (l-1)-fold tensor power of a size-2 Jordan block, largest block size l
+    d = 3
+    gens = [Generator("x", d, "exterior")]
+    extension = []
+    for i in range(l - 1):
+        a = 2 * (l * d + 1 + 7 * i) - 1
+        extension += [(f"u{i}", a), (f"v{i}", a + d - 1)]
+    gens += [Generator(label, deg, "exterior") for label, deg in extension]
+    diff = {}
+    for i in range(l - 1):
+        mono = [0] * len(gens)
+        mono[0] = mono[1 + 2 * i] = 1
+        diff[f"v{i}"] = {tuple(mono): Fraction(1)}
+    full = DGAlgebraPresentation(QQ, gens, diff)
+    res = tower_level_bounds(TowerSpec(d, l, 0, sphere_model(d), full, tuple(extension)))
+    assert res.to_json() == {"kind": "exact", "level": l}
+
+
 def test_tower_cohomology_two_routes_agree():
     # the tower-as-base-module expansion against the raw Sullivan algebra
     for l, d, m in [(2, 3, 7), (2, 4, 9), (3, 4, 13)]:
@@ -198,10 +226,3 @@ def test_hopf_invariant_lift_independence():
     gen = {(1, 0, 1): Fraction(1), (0, 1, 0): Fraction(-1)}
     assert hopf_invariant(C, gx, gxi, d=4, generator_choice=gen) == Fraction(4)
 
-
-def test_whitehead_square():
-    assert whitehead_square_invariant(4) == 2
-    assert whitehead_square_invariant(8) == 2
-    assert GF2.from_int(whitehead_square_invariant(4)) == 0
-    with pytest.raises(OddDimension):
-        whitehead_square_invariant(5)

@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from dglevels.algebra import DGAlgebraPresentation
 from dglevels.errors import (
+    BudgetExceeded,
     FormalizabilityNotDeclared,
+    InvalidFiltration,
     NoValidMatching,
     NotCompactlyDecomposable,
     NotFree,
     OddGenerator,
     PresentationError,
 )
-from dglevels.field import QQ, GF2
+from dglevels.field import QQ, GF2, GF3, GF5, rank, row_reduce
 from dglevels.graded import DegreeWindow, amplitude
 from dglevels.module import DGModulePresentation, direct_sum, shift
 from dglevels.resolve import (
@@ -24,11 +26,14 @@ from dglevels.resolve import (
     level_upper_bound,
 )
 from dglevels.spheres import (
+    MATCHING_BUDGET,
     Decomposition,
     MoleculeId,
+    all_matchings,
     bundle_level,
     component_index,
     decompose,
+    decompose_module,
     formalizability_check,
     free_pullback_level,
     molecule_cohomology,
@@ -242,9 +247,136 @@ def test_decompose_matches_reference_on_tower_5_3_table():
     assert_same_decomposition(dims, 3)
 
 
+def test_all_matchings_stops_at_its_budget():
+    # sixteen distinct even degrees over S^2: every pair is a molecule, so
+    # the table has 15!! = 2,027,025 matchings
+    dims = dict.fromkeys(range(0, 32, 2), 1)
+    with pytest.raises(BudgetExceeded, match=f"more than {MATCHING_BUDGET} matchings"):
+        all_matchings(dims, 2)
+    with pytest.raises(BudgetExceeded) as e:
+        decompose(dims, 2)
+    assert e.value.code == "budget-exceeded"
+    # the 40,320 matchings of the tower[5, 3] table stay inside the budget
+    tower_5_3 = dict.fromkeys([0, 3, 31, 42, 64, 68, 75, 79, 99, 103, 110, 114,
+                               136, 147, 175, 178], 1)
+    assert len(all_matchings(tower_5_3, 3)) == 40320 < MATCHING_BUDGET
+
+
 def test_decompose_rejects_sphere_dimension_one():
     with pytest.raises(PresentationError, match="sphere dimension must exceed 1"):
         decompose({0: 1, 1: 1}, 1)
+
+# -- decomposition of modules by Jordan strings -----------------------------------
+
+
+def planted_module(field, d, strings, pairs, rng):
+    """A free module over H*(S^d) that is the sum of the molecule models
+    Σ^{-l}Z_m for (l, m) in ``strings`` and of acyclic pairs u' → u with u in
+    the degrees ``pairs``, presented in a random basis of each degree."""
+    A = DGAlgebraPresentation.sphere_cohomology(d, field)
+    gens, scalar, by_x = [], {}, {}      # D(g) = Σ h·(scalar + by_x·x)
+    for i, (l, m) in enumerate(strings):
+        for j in range(m + 1):
+            gens.append((f"s{i}e{j}", l - (m - j) * (d - 1)))
+            if j:
+                by_x[f"s{i}e{j}"] = {f"s{i}e{j - 1}": field.one()}
+    for i, n in enumerate(pairs):
+        gens += [(f"p{i}u", n), (f"p{i}v", n - 1)]
+        scalar[f"p{i}v"] = {f"p{i}u": field.one()}
+    degree = dict(gens)
+    old = {}
+    for g, n in gens:
+        old.setdefault(n, []).append(g)
+    # new basis f_i = Σ_j P_ij g_j per degree, and Q = P^{-1} to rewrite
+    # g_j = Σ_i Q_ji f_i
+    P, Q = {}, {}
+    for n, labels in old.items():
+        k = len(labels)
+        while True:
+            mat = [[field.from_int(rng.randint(-2, 2)) for _ in range(k)] for _ in range(k)]
+            if rank(mat, field) == k:
+                break
+        unit = [[field.one() if i == j else field.zero() for j in range(k)] for i in range(k)]
+        rref, _ = row_reduce([row + u for row, u in zip(mat, unit)], field)
+        P[n], Q[n] = mat, [row[k:] for row in rref]
+
+    def new_label(n, i):
+        return f"f{n}_{i}"
+
+    diff = {}
+    for n, labels in old.items():
+        for i in range(len(labels)):
+            terms = {}
+            for part, mono in ((scalar, (0,)), (by_x, (1,))):
+                for j, g in enumerate(labels):
+                    for h, c in part.get(g, {}).items():
+                        tn = degree[h]
+                        t = old[tn].index(h)
+                        for s, q in enumerate(Q[tn][t]):
+                            coeff = field.mul(field.mul(P[n][i][j], c), q)
+                            poly = terms.setdefault(new_label(tn, s), {})
+                            poly[mono] = field.add(poly.get(mono, field.zero()), coeff)
+            if terms:
+                diff[new_label(n, i)] = terms
+    new_gens = [(new_label(n, i), n) for n, labels in old.items() for i in range(len(labels))]
+    return DGModulePresentation.free(A, new_gens, diff)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([QQ, GF2, GF3, GF5]), st.integers(2, 5),
+       st.lists(st.tuples(st.integers(-4, 8), st.integers(0, 3)), max_size=4),
+       st.lists(st.integers(-4, 8), max_size=3), st.integers(0, 2**32 - 1))
+def test_decompose_module_recovers_planted_strings(field, d, strings, pairs, seed):
+    # the basis change comes from a seeded generator: drawing its entries one
+    # by one from hypothesis can overrun the example buffer over F2, where
+    # most random matrices are singular
+    M = planted_module(field, d, strings, pairs, random.Random(seed))
+    dec = decompose_module(M, d)
+    planted = tuple(sorted((MoleculeId(d, l, m) for l, m in strings),
+                           key=lambda mol: (mol.m, mol.l)))
+    assert dec.molecules == planted
+    assert not dec.ambiguous and dec.alternatives == ()
+    assert dec.matching == tuple(tuple(sorted(molecule_cohomology(mol))) for mol in planted)
+    dims = {}
+    for mol in planted:
+        for n, v in molecule_cohomology(mol).items():
+            dims[n] = dims.get(n, 0) + v
+    assert M.cohomology_dims() == dims
+    try:
+        assert dec.level() <= level_upper_bound(generator_depth_filtration(M))
+    except InvalidFiltration:
+        pass        # a random basis can make D(g) reach back to g: no depth filtration
+    if dims:
+        by_matching = decompose(dims, d)
+        candidates = [by_matching.molecules, *by_matching.alternatives]
+        assert dec.molecules in candidates
+        levels = [max(mol.m for mol in c) + 1 for c in candidates]
+        assert min(levels) <= dec.level() <= max(levels)
+
+
+def test_decompose_module_of_the_c2_bundles():
+    # the Koszul tensor module of bundle_level([4, 6, 7]) over F2, in a form
+    # small enough to read: four Z_1 strings a_3 → 1, a_3a_5 → a_5, ...
+    lvl, dec, _ = bundle_level([4, 6, 7], True, GF2, formalizable_declared=True)
+    assert lvl == 2 and not dec.ambiguous
+    assert dec.matching == ((0, 7), (5, 12), (6, 13), (11, 18))
+
+
+def test_decompose_module_guards():
+    A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
+    M = molecule_model(MoleculeId(4, 3, 1), verify=False)
+    with pytest.raises(PresentationError, match="does not live over"):
+        decompose_module(M, 5)
+    with pytest.raises(PresentationError, match="sphere dimension"):
+        decompose_module(M, 1)
+    raw = DGModulePresentation.trivial(A, shifts=(0, 4))
+    with pytest.raises(PresentationError, match="untruncated free module"):
+        decompose_module(raw, 4)
+    truncated = DGModulePresentation.free(A, [("a", 0)], truncation_degree=10)
+    with pytest.raises(PresentationError, match="untruncated free module"):
+        decompose_module(truncated, 4)
+    assert decompose_module(DGModulePresentation.zero(A), 4).molecules == ()
+
 
 # -- molecule models --------------------------------------------------------------
 
@@ -303,6 +435,11 @@ def test_sphere_level_infinite_from_tor():
 
 def test_sphere_level_interval_on_ambiguous_dims():
     res = sphere_level({0: 1, 3: 1, 7: 1, 10: 1}, 4)
+    assert res.kind == "interval" and (res.lo, res.hi) == (2, 3)
+    # a raw module is known only through its cohomology: the same interval
+    A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
+    raw = DGModulePresentation.trivial(A, shifts=(0, 3, 7, 10))
+    res = sphere_level(raw, 4)
     assert res.kind == "interval" and (res.lo, res.hi) == (2, 3)
 
 
@@ -370,6 +507,22 @@ def test_bundle_level_guards():
         bundle_level([4, 7], True, QQ)
     with pytest.raises(FormalizabilityNotDeclared):
         bundle_level([4, 6, 7], True, GF2)
+
+
+@pytest.mark.parametrize("gens", [[4, 5], [4, 5, 6], [4, 5, 8], [4, 5, 10], [4, 5, 12]])
+def test_bundle_level_degree_five_over_f2(gens):
+    # the class s⁻¹y_5 sits in the sphere degree 4, so cohomology alone
+    # brackets the level in [1, 2]; the Jordan strings settle it
+    lvl, dec, _ = bundle_level(gens, True, GF2, formalizable_declared=True)
+    assert lvl == 2
+    assert [str(m) for m in dec.molecules][:2] == ["Σ^{-3}Z_1", "Σ^{-7}Z_1"]
+
+
+def test_bundle_level_five_generators():
+    lvl, dec, dims = bundle_level([4, 6, 8, 10, 12], True, QQ)
+    assert lvl == 2
+    assert len(dec.molecules) == 16 and all(mol.m == 1 for mol in dec.molecules)
+    assert sum(dims.values()) == 32
 
 
 def test_free_pullback_level():
