@@ -50,8 +50,17 @@ def _usage_type(parse):
     return convert
 
 
+def _parse_gens(text):
+    try:
+        return [int(g) for g in text.split(",") if g.strip()]
+    except ValueError:
+        raise PresentationError(
+            f"generator degrees {text!r} are not comma-separated integers") from None
+
+
 _window_arg = _usage_type(DegreeWindow.parse)
 _dims_arg = _usage_type(dims_from_text)
+_gens_arg = _usage_type(_parse_gens)
 
 
 def _window(args) -> DegreeWindow:
@@ -257,15 +266,14 @@ def cmd_pile(args):
 
 def cmd_bundle_level(args):
     field = parse_field(args.field)
-    gens = [int(g) for g in args.gens.split(",") if g.strip()]
-    lvl, dec, dims = bundle_level(gens, args.f4 == "nonzero", field,
+    lvl, dec, dims = bundle_level(args.gens, args.f4 == "nonzero", field,
                                   formalizable_declared=args.declare_formalizable)
     result = {
         "level": lvl,
         "tor": dims_to_json(dims),
         "decomposition": dec.to_json(),
     }
-    return _report("bundle-level", {"gens": gens, "f4": args.f4,
+    return _report("bundle-level", {"gens": args.gens, "f4": args.f4,
                                     "field": str(field)},
                    result, "bundle-level", args)
 
@@ -355,7 +363,8 @@ def build_parser():
     pl.set_defaults(func=cmd_pile)
 
     bl = sub.add_parser("bundle-level", help="level of a bundle over S^4")
-    bl.add_argument("--gens", required=True, help="comma-separated generator degrees")
+    bl.add_argument("--gens", type=_gens_arg, required=True,
+                    help="comma-separated generator degrees")
     bl.add_argument("--f4", choices=["nonzero", "zero"], default="nonzero")
     bl.add_argument("--field", default="q")
     bl.add_argument("--declare-formalizable", action="store_true",

@@ -74,6 +74,12 @@ class BudgetExceeded(DomainError):
     code = "budget-exceeded"
 
 
+class Undecided(DomainError):
+    """Neither a splitting idempotent nor a locality certificate was found."""
+
+    code = "undecided"
+
+
 class NotCompactlyDecomposable(DomainError):
     code = "not-compactly-decomposable"
 

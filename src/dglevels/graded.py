@@ -121,6 +121,14 @@ class CochainComplex:
     def apply(self, n: int, vector):
         return mat_vec(self.matrix(n), vector, self.field)
 
+    def coboundaries(self, n: int):
+        """The nonzero columns of d^{n-1}: vectors of degree n spanning B^n."""
+        mat = self.differential.get(n - 1)
+        if mat is None:
+            return []
+        cols = (tuple(row[j] for row in mat) for j in range(self.space.dim(n - 1)))
+        return [col for col in cols if any(col)]
+
     def degrees(self):
         return self.space.degrees()
 

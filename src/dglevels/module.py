@@ -16,7 +16,8 @@ suspension without sign.  Cones use d(n, σm) = (d n + f m, -σ d m).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from fractions import Fraction
+from math import isqrt
 
 from .algebra import DIVIDED, DGAlgebraPresentation
 from .errors import (
@@ -25,8 +26,10 @@ from .errors import (
     NotAChainMap,
     PresentationError,
     SourceNotFree,
+    Undecided,
+    VerificationFailed,
 )
-from .field import coordinates
+from .field import coordinates, integer_row, row_reduce, solve
 from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, cohomology, mat_vec
 
 
@@ -688,14 +691,7 @@ class EndomorphismH0:
         dims, reps = cohomology(self.hom.complex)
         self.dim = dims.get(0, 0)
         self.reps = reps.get(0, [])
-        mat = self.hom.complex.differential.get(-1)
-        self.boundaries = []
-        if mat is not None:
-            tgt = len(self.hom.basis.get(0, []))
-            for j in range(len(self.hom.basis.get(-1, []))):
-                col = tuple(mat[i][j] for i in range(tgt))
-                if any(not self.field.is_zero(x) for x in col):
-                    self.boundaries.append(col)
+        self.boundaries = self.hom.complex.coboundaries(0)
 
     def _vector_to_map(self, vec):
         """Morphism vector -> {source gen: expansion vector at its degree}."""
@@ -765,10 +761,16 @@ class EndomorphismH0:
 
 def find_idempotents(module: DGModulePresentation, hom_window: DegreeWindow = None,
                      dim_guard: int = 8):
-    """All nontrivial solutions of e·e = e in H^0(End M).
+    """A splitting pair [e, 1 − e] of H^0(End M), or [] when it is local.
 
-    Empty output certifies indecomposability at desk scale.  The search is
-    exact: brute force over prime fields, polynomial solving over Q.
+    By Krull–Schmidt M is indecomposable exactly when H^0(End M) is local,
+    so [] certifies indecomposability.  A nonempty answer is one pair of
+    complementary idempotents in the chosen basis of H^0(End M), sorted,
+    each checked against the structure constants (e² = e, e(1 − e) = 0,
+    e ∉ {0, 1}); it is not a list of all idempotents (for Z_0 ⊕ Z_0 over Q
+    they form an infinite family).  Raises ``Undecided`` when
+    ``idempotent_split`` finds neither a split nor a locality certificate,
+    and ``EndTooLarge`` past ``dim_guard`` or the root-search guard.
     """
     if not module.is_free:
         raise SourceNotFree("find_idempotents needs a free presentation")
@@ -782,65 +784,199 @@ def find_idempotents(module: DGModulePresentation, hom_window: DegreeWindow = No
         raise EndTooLarge(f"dim H^0(End) = {k} exceeds the guard {dim_guard}")
     f = module.field
     struct = [[end.compose(end.reps[i], end.reps[j]) for j in range(k)] for i in range(k)]
-    ident = end.identity_coordinates()
-
-    solutions = []
-    if f.characteristic():
-        p = f.characteristic()
-        if p ** k > 200_000:
-            raise EndTooLarge(f"brute force over F_{p}^{k} is out of the guard")
-        for cand in iter_product(range(p), repeat=k):
-            if _is_idempotent(cand, struct, f, k):
-                solutions.append(tuple(f.from_int(c) for c in cand))
-    else:
-        solutions = _rational_idempotents(struct, f, k)
-    zero = tuple(f.zero() for _ in range(k))
-    out = [s for s in solutions if s != zero and s != tuple(ident)]
-    out.sort(key=lambda v: [str(x) for x in v])
-    return out
+    unit = end.identity_coordinates()
+    e = idempotent_split(struct, unit, f)
+    if e is None:
+        return []
+    alg = _Algebra(struct, unit, f)
+    rest = alg.comb(unit, e, f.from_int(-1))
+    if alg.mul(e, e) != e or any(alg.mul(e, rest)) or not any(e) or not any(rest):
+        raise VerificationFailed("the split of H^0(End) is not a pair of idempotents")
+    return sorted([e, rest], key=lambda v: [str(x) for x in v])
 
 
-def _is_idempotent(cand, struct, f, k):
-    cand = [f.from_int(c) if isinstance(c, int) else c for c in cand]
-    for t in range(k):
-        acc = f.zero()
-        for i in range(k):
-            if f.is_zero(cand[i]):
+# the most trials a root search makes: residues of F_p, or trial divisors of
+# the cleared end coefficients of μ over Q; past it, EndTooLarge
+ROOT_SEARCH_GUARD = 200_000
+
+
+def idempotent_split(struct, unit, field):
+    """A nontrivial idempotent of a finite-dimensional algebra, or None when
+    the algebra is certified local.
+
+    The algebra has basis b_0, …, b_{k-1} with b_i·b_j = Σ_t struct[i][j][t]·b_t
+    and unit ``unit``; elements are coordinate tuples.  For each b its
+    minimal polynomial μ is the first linear dependence among 1, b, b², ….
+    A root λ of μ in the field with μ = (t − λ)^e·g, deg g ≥ 1, g(λ) ≠ 0
+    splits the algebra: the CRT element ≡ 1 mod (t − λ)^e, ≡ 0 mod g,
+    evaluated at b, is a nontrivial idempotent.  If every b is λ_b plus a
+    nilpotent, J = span{b − λ_b} and its powers J^{n+1} = J^n·J are tested
+    the same way; J^N = 0 makes the algebra J generates a nilpotent ideal of
+    codimension 1, so the algebra is local, in every characteristic.  A
+    basis element without an eigenvalue in the field (the algebra may be a
+    larger field) raises ``Undecided``, and so does a J that never reaches 0.
+    """
+    alg = _Algebra(struct, unit, field)
+    k = alg.dim
+    gens = []
+    rootless = False
+    for i in range(k):
+        b = tuple(field.one() if j == i else field.zero() for j in range(k))
+        e, lam = alg.split(b)
+        if e is not None:
+            return e
+        if lam is None:
+            rootless = True
+        else:
+            gens.append(alg.comb(b, unit, field.neg(lam)))
+    if rootless:
+        raise Undecided("a basis element of H^0(End) has no eigenvalue in "
+                        f"{field}; no split and no locality certificate")
+    J = alg.independent(gens)
+    power = J
+    for _ in range(k):
+        if not power:
+            return None
+        power = alg.independent([alg.mul(a, b) for a in power for b in J])
+        for z in power:
+            # z has a nilpotent factor, so it is no unit and 0 is a root of
+            # μ_z: z splits the algebra or is nilpotent
+            e, _ = alg.split(z)
+            if e is not None:
+                return e
+    raise Undecided("the nilpotent parts of H^0(End) generate no nilpotent "
+                    "ideal and no split was found")
+
+
+class _Algebra:
+    """Structure-constant arithmetic on coordinate tuples."""
+
+    def __init__(self, struct, unit, field):
+        self.struct = struct
+        self.unit = tuple(unit)
+        self.field = field
+        self.dim = len(self.unit)
+
+    def _reduced(self, v):
+        p = self.field.p
+        return tuple(x % p for x in v) if p else tuple(v)
+
+    def mul(self, x, y):
+        out = [self.field.zero()] * self.dim
+        for i, a in enumerate(x):
+            if not a:
                 continue
-            for j in range(k):
-                if f.is_zero(cand[j]):
+            row = self.struct[i]
+            for j, b in enumerate(y):
+                if not b:
                     continue
-                acc = f.add(acc, f.mul(f.mul(cand[i], cand[j]), struct[i][j][t]))
-        if acc != cand[t]:
-            return False
-    return True
+                c = a * b
+                for t, s in enumerate(row[j]):
+                    if s:
+                        out[t] += c * s
+        return self._reduced(out)
 
+    def comb(self, x, y, c):
+        """x + c·y."""
+        return self._reduced([u + c * v for u, v in zip(x, y)])
 
-def _rational_idempotents(struct, f, k):
-    import sympy
-    from fractions import Fraction
+    def at(self, poly, x):
+        """poly(x) by Horner; coefficients run from the constant term up."""
+        acc = tuple(self.field.zero() for _ in range(self.dim))
+        for c in reversed(poly):
+            acc = self.comb(self.mul(acc, x), self.unit, c)
+        return acc
 
-    cs = sympy.symbols(f"c0:{k}")
-    eqs = []
-    for t in range(k):
-        expr = -cs[t]
-        for i in range(k):
-            for j in range(k):
-                coeff = struct[i][j][t]
-                if not f.is_zero(coeff):
-                    expr += sympy.Rational(coeff.numerator, coeff.denominator) * cs[i] * cs[j]
-        eqs.append(expr)
-    sols = sympy.solve(eqs, list(cs), dict=True)
-    out = []
-    for sol in sols:
-        vals = []
-        ok = True
-        for c in cs:
-            v = sympy.nsimplify(sol.get(c, 0))
-            if not v.is_rational:
-                ok = False
+    def independent(self, vectors):
+        """The vectors at the pivot columns: a basis of their span."""
+        if not vectors:
+            return []
+        rows = [[v[i] for v in vectors] for i in range(self.dim)]
+        return [vectors[c] for c in row_reduce(rows, self.field)[1]]
+
+    def minimal_polynomial(self, x):
+        """Monic μ_x, coefficients from the constant term up."""
+        f = self.field
+        powers = [self.unit]
+        while True:
+            top = self.mul(powers[-1], x)
+            rows = [[v[i] for v in powers] for i in range(self.dim)]
+            c = solve(rows, list(top), f)
+            if c is not None:
+                return [f.neg(a) for a in c] + [f.one()]
+            powers.append(top)
+
+    def split(self, x):
+        """(idempotent, λ) from the least root λ of μ_x: (None, λ) when
+        μ_x = (t − λ)^e, (None, None) when μ_x has no root in the field."""
+        f = self.field
+        mu = self.minimal_polynomial(x)
+        roots = _roots(mu, f)
+        if not roots:
+            return None, None
+        lam = roots[0]
+        e, g = 0, mu
+        while True:
+            q, r = _divide_linear(g, lam, f)
+            if not f.is_zero(r):
                 break
-            vals.append(Fraction(int(sympy.numer(v)), int(sympy.denom(v))))
-        if ok:
-            out.append(tuple(vals))
-    return out
+            e, g = e + 1, q
+        if len(g) == 1:
+            return None, lam
+        # h = 1 / g(s + λ) mod s^e from the Taylor coefficients of g at λ
+        taylor, rest = [], g
+        for _ in range(e):
+            rest, r = _divide_linear(rest, lam, f) if rest else ([], f.zero())
+            taylor.append(r)
+        inv0 = f.inv(taylor[0])
+        h = [inv0]
+        for n in range(1, e):
+            s = f.zero()
+            for i in range(1, n + 1):
+                s = f.add(s, f.mul(taylor[i], h[n - i]))
+            h.append(f.neg(f.mul(s, inv0)))
+        shifted = self.comb(x, self.unit, f.neg(lam))
+        return self.mul(self.at(g, x), self.at(h, shifted)), lam
+
+
+def _divide_linear(poly, lam, f):
+    """(quotient, remainder = poly(λ)) of poly by t − λ (synthetic division)."""
+    out = []
+    acc = f.zero()
+    for a in reversed(poly):
+        acc = f.add(f.mul(acc, lam), a)
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
+def _roots(mu, f):
+    """The roots of the monic μ in the field, ascending: every residue over
+    F_p, the rational-root theorem on the integer-cleared μ over Q."""
+    if len(mu) == 2:
+        return [f.neg(mu[0])]
+    if f.p:
+        if f.p > ROOT_SEARCH_GUARD:
+            raise EndTooLarge(f"a root search over F_{f.p} is out of the guard")
+        return [r for r in range(f.p) if not _divide_linear(mu, r, f)[1]]
+    a = integer_row(mu)
+    roots = set()
+    if not a[0]:
+        roots.add(Fraction(0))
+        while not a[0]:
+            a = a[1:]
+    if len(a) > 1:
+        for u in _divisors(a[0]):
+            for v in _divisors(a[-1]):
+                for r in (Fraction(u, v), Fraction(-u, v)):
+                    if not _divide_linear(mu, r, f)[1]:
+                        roots.add(r)
+    return sorted(roots)
+
+
+def _divisors(n):
+    n = abs(n)
+    if isqrt(n) > ROOT_SEARCH_GUARD:
+        raise EndTooLarge(f"the rational-root search would factor {n}, out of the guard")
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))

@@ -405,14 +405,7 @@ def _hopf_value(target, basis, cx, reps, rho_vec, gx, gxi, d, generator_choice,
         gen_vec = [field.zero()] * len(monos)
         for m, c in gen_poly.items():
             gen_vec[monos.index(m)] = c
-    boundaries = []
-    mat = cx.differential.get(top - 1)
-    if mat is not None:
-        for j in range(cx.dim(top - 1)):
-            col = tuple(mat[i][j] for i in range(cx.dim(top)))
-            if any(not field.is_zero(x) for x in col):
-                boundaries.append(col)
-    coords = coordinates([tuple(gen_vec)] + boundaries, tuple(u_vec), field)
+    coords = coordinates([tuple(gen_vec)] + cx.coboundaries(top), tuple(u_vec), field)
     if coords is None:
         raise NotExact("the Hopf cocycle is not a class against this generator")
     return coords[0]

@@ -581,24 +581,18 @@ def is_compact(M: DGModulePresentation, window: DegreeWindow | None = None):
     return None, v
 
 
-def infinite_level_certificate(obj, algebra: DGAlgebraPresentation | None = None):
+def infinite_level_certificate(tor: TorResult, algebra: DGAlgebraPresentation | None = None):
     """The infinite-cohomology witness behind "level = ∞".
 
     When the base algebra has finite-dimensional cohomology, any object built
     from it in finitely many steps has finite-dimensional cohomology; so a
-    certified infinite H(M) certifies level_A(M) = ∞.  Accepts a TorResult or
-    a module; returns a FinitenessVerdict with kind "infinite", or None.
+    certified infinite Tor certifies level_A = ∞.  Returns the TorResult's
+    FinitenessVerdict when its kind is "infinite", else None.
     """
-    if isinstance(obj, TorResult):
-        A = algebra
-        if A is not None and not A.is_bounded():
-            raise PresentationError("the certificate needs dim H(A) < ∞")
-        v = obj.verdict()
-        return v if v.is_infinite else None
-    M = obj
-    if not M.algebra.is_bounded():
+    if algebra is not None and not algebra.is_bounded():
         raise PresentationError("the certificate needs dim H(A) < ∞")
-    return None  # finite presentations over bounded algebras have bounded H
+    v = tor.verdict()
+    return v if v.is_infinite else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Command-line surface: determinism, report shapes, exit codes."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dglevels.cli import main
 
@@ -186,3 +189,61 @@ def test_sphere_dimension_one_is_domain_error(command, capsys):
     assert code == 1
     assert json.loads(out)["error"] == {"code": "invalid-presentation",
                                         "message": "sphere dimension must exceed 1"}
+
+
+# -- fuzzing: malformed arguments never crash -------------------------------------
+
+def fuzz(valid):
+    """Mostly well-formed small values, sometimes junk text."""
+    junk = st.text(alphabet="0123456789:,-+qfx. ", max_size=6)
+    return st.one_of(valid, valid, valid, junk)
+
+
+SMALL = fuzz(st.integers(-3, 9).map(str))
+WINDOW = fuzz(st.tuples(st.integers(-4, 12), st.integers(-4, 12)).map(
+    lambda t: f"{t[0]}:{t[1]}"))
+DIMS = fuzz(st.lists(st.tuples(st.integers(-3, 12), st.integers(-1, 2)), max_size=4).map(
+    lambda ps: ",".join(f"{n}:{m}" for n, m in ps)))
+FIELD = fuzz(st.sampled_from(["q", "f2", "f3", "f5", "F7", "f0", "f1", "f4", "f-3", "f", "x"]))
+GENS = fuzz(st.lists(st.integers(-2, 9), max_size=3).map(lambda gs: ",".join(map(str, gs))))
+
+FUZZ_COMMANDS = {
+    "decompose": {"--d": SMALL, "--dims": DIMS, "--field": FIELD},
+    "level": {"--d": SMALL, "--dims": DIMS, "--field": FIELD},
+    "tor": {"--d": SMALL, "--window": WINDOW, "--field": FIELD},
+    "phi": {"--d": SMALL, "--window": WINDOW, "--field": FIELD},
+    "emss": {"--d": SMALL, "--window": WINDOW, "--field": FIELD},
+    "molecule": {"--d": SMALL, "--l": SMALL, "--m": SMALL, "--field": FIELD},
+    "bundle-level": {"--gens": GENS, "--field": FIELD},
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A command with each flag given a value, given without one, or left out,
+    and sometimes an unknown flag somewhere."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = [command]
+    for flag, values in FUZZ_COMMANDS[command].items():
+        shape = draw(st.sampled_from(["value"] * 8 + ["missing", "absent"]))
+        if shape == "value":
+            argv += [flag, draw(values)]
+        elif shape == "missing":
+            argv.append(flag)
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-z", "--d="])))
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(fuzzed_argv())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert set(json.loads(out.getvalue())["error"]) == {"code", "message"}, argv

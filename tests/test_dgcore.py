@@ -1,9 +1,14 @@
 """Algebra and module presentations: expansion, shift, cone, sums, Hom, idempotents."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dglevels.algebra import DGAlgebraPresentation, Generator
 from dglevels.errors import (
@@ -12,10 +17,21 @@ from dglevels.errors import (
     NotAChainMap,
     PresentationError,
     SourceNotFree,
+    Undecided,
 )
-from dglevels.field import QQ, GF2, GF3
+from dglevels.field import QQ, GF2, GF3, GF5, FieldTag
 from dglevels.graded import DegreeWindow, cohomology
-from dglevels.module import DGModulePresentation, cone, direct_sum, find_idempotents, hom_complex, shift
+from dglevels.module import (
+    DGModulePresentation,
+    EndomorphismH0,
+    cone,
+    direct_sum,
+    find_idempotents,
+    hom_complex,
+    idempotent_split,
+    shift,
+)
+from dglevels.spheres import MoleculeId, molecule_model
 
 
 def sphere(d, field=QQ):
@@ -257,6 +273,138 @@ def test_end_dimension_guard():
     big = direct_sum([M] * 3)
     with pytest.raises(EndTooLarge):
         find_idempotents(big)
+
+
+def structure(module):
+    """(multiplication, unit) of H^0(End M) in the basis find_idempotents uses."""
+    end = EndomorphismH0(module)
+    f, k = module.field, end.dim
+    table = [[end.compose(end.reps[i], end.reps[j]) for j in range(k)] for i in range(k)]
+
+    def mul(x, y):
+        out = [f.zero()] * k
+        for i in range(k):
+            for j in range(k):
+                for t in range(k):
+                    out[t] = f.add(out[t], f.mul(f.mul(x[i], y[j]), table[i][j][t]))
+        return tuple(out)
+
+    return mul, tuple(end.identity_coordinates())
+
+
+def assert_complementary_pair(module, idems):
+    mul, unit = structure(module)
+    f = module.field
+    assert len(idems) == 2
+    e, rest = idems
+    zero = tuple(f.zero() for _ in unit)
+    assert tuple(f.add(a, b) for a, b in zip(e, rest)) == unit
+    for x in (e, rest):
+        assert x != zero and x != unit
+        assert mul(x, x) == x
+    assert mul(e, rest) == zero and mul(rest, e) == zero
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([QQ, GF2, GF3, GF5]), st.integers(2, 5),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(-3, 3)),
+                min_size=1, max_size=3))
+def test_molecule_sums_split_and_molecules_are_local(field, d, parts):
+    models = [shift(molecule_model(MoleculeId(d, l, m), field, verify=False), k)
+              for l, m, k in parts]
+    module = direct_sum(models) if len(models) > 1 else models[0]
+    idems = find_idempotents(module, dim_guard=16)
+    if len(models) == 1:
+        assert idems == []
+    else:
+        assert_complementary_pair(module, idems)
+
+
+def test_two_free_summands_split_into_one_pair_of_an_infinite_family():
+    # End(Z_0 ⊕ Z_0) = M_2(Q): the answer is one complementary pair, not a
+    # list of all idempotents, which form an infinite family over Q
+    A = sphere(4)
+    M = DGModulePresentation.free_rank_one(A)
+    s = direct_sum([M, M])
+    idems = find_idempotents(s)
+    assert_complementary_pair(s, idems)
+    mul, unit = structure(s)
+    e, rest = idems
+    basis = [tuple(Fraction(int(i == j)) for j in range(len(unit))) for i in range(len(unit))]
+    off = [mul(mul(e, b), rest) for b in basis]
+    x = next(v for v in off if any(v))
+    for t in (Fraction(1), Fraction(-3, 2)):
+        other = tuple(a + t * b for a, b in zip(e, x))
+        assert mul(other, other) == other and other not in idems
+
+
+# F_3[ω]/(ω² + 1) = F_9 and Q[ω]/(ω² + 1) = Q(i): local, but ω has no
+# eigenvalue in the ground field, so neither certificate applies
+QUADRATIC_FIELD = [[(1, 0), (0, 1)], [(0, 1), (-1, 0)]]
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_quadratic_extension_is_undecided(field):
+    struct = [[tuple(field.from_int(c) for c in v) for v in row] for row in QUADRATIC_FIELD]
+    with pytest.raises(Undecided) as e:
+        idempotent_split(struct, (field.one(), field.zero()), field)
+    assert e.value.code == "undecided"
+
+
+def truncated_polynomial_algebra(coeffs, field):
+    """K[t]/(μ) for a monic μ (coefficients from the constant term up), in
+    the basis 1, t, …, t^{n-1}."""
+    n = len(coeffs) - 1
+
+    def power(a):
+        v = [field.zero()] * (2 * n)
+        v[a] = field.one()
+        for top in range(2 * n - 1, n - 1, -1):
+            c = v[top]
+            v[top] = field.zero()
+            for i in range(n):
+                v[top - n + i] = field.sub(v[top - n + i], field.mul(c, field.from_int(coeffs[i])))
+        return tuple(v[:n])
+
+    struct = [[power(i + j) for j in range(n)] for i in range(n)]
+    return struct, power(0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5])
+def test_split_through_a_repeated_root(field):
+    # μ = t²(t − 1): the idempotent is the CRT element ≡ 1 mod t², ≡ 0 mod t − 1
+    struct, unit = truncated_polynomial_algebra([0, 0, -1, 1], field)
+    e = idempotent_split(struct, unit, field)
+    one, zero = field.one(), field.zero()
+    assert e in ((one, zero, field.neg(one)), (zero, zero, one))   # 1 − t², t²
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5])
+def test_truncated_polynomial_algebra_is_local(field):
+    # K[t]/((t − 2)³) with every basis element 2^i + nilpotent
+    struct, unit = truncated_polynomial_algebra([-8, 12, -6, 1], field)
+    assert idempotent_split(struct, unit, field) is None
+
+
+def test_root_search_guard_over_large_primes():
+    field = FieldTag(200_003)
+    struct, unit = truncated_polynomial_algebra([0, 0, 1], field)
+    with pytest.raises(EndTooLarge, match="root search over F_200003"):
+        idempotent_split(struct, unit, field)
+
+
+def test_find_idempotents_needs_no_sympy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from dglevels import QQ, DGAlgebraPresentation, DGModulePresentation, direct_sum, find_idempotents\n"
+        "M = DGModulePresentation.free_rank_one(DGAlgebraPresentation.sphere_cohomology(4, QQ))\n"
+        "assert len(find_idempotents(direct_sum([M, M]))) == 2\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- cone long exact sequence ----------------------------------------------------------

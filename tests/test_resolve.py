@@ -239,8 +239,6 @@ def test_infinite_level_certificate_cases():
     tor = derived_tensor(hs7, hs7, strategy="koszul", window=DegreeWindow(0, 40))
     cert = infinite_level_certificate(tor, algebra=A7)
     assert cert is not None and cert.period == 6
-    assert infinite_level_certificate(chain_module(4, 1)) is None
-    assert infinite_level_certificate(DGModulePresentation.free_rank_one(A4)) is None
 
 
 def test_periodic_witnesses_requires_reaching_horizon():
