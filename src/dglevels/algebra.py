@@ -10,6 +10,9 @@ a polynomial algebra in positive characteristic).
 Sign conventions are Koszul throughout: swapping homogeneous factors a, b
 costs (-1)^{|a||b|}, and the differential is a degree +1 derivation.
 d∘d = 0 is verified symbolically on the generators at construction.
+Monomial products and monomial differentials are pure functions of the
+presentation, so each instance memoizes them in its own tables; the cached
+values are immutable (tuples, read-only mappings).
 
 Kinds:
   exterior    exponents capped at 1 (used both for odd generators and for the
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from types import MappingProxyType
 
 from .errors import PresentationError
 from .field import FieldTag
@@ -32,6 +36,7 @@ EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
 DIVIDED = "divided"
 _KINDS = (EXTERIOR, POLYNOMIAL, DIVIDED)
+_NO_TERMS = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,8 @@ class DGAlgebraPresentation:
             if poly:
                 self.differential[label] = poly
         self._basis_cache = {}
+        self._mul_table = {}     # (m1, m2) -> (coeff, monomial) or None
+        self._d_table = {}       # monomial -> read-only polynomial
         self._validate_differential()
 
     # -- basic structure -----------------------------------------------------
@@ -147,6 +154,13 @@ class DGAlgebraPresentation:
 
     def mono_mul(self, m1, m2):
         """Product of monomials: (coefficient, monomial) or None when zero."""
+        try:
+            return self._mul_table[m1, m2]
+        except KeyError:
+            r = self._mul_table[m1, m2] = self._mono_product(m1, m2)
+            return r
+
+    def _mono_product(self, m1, m2):
         f = self.field
         coeff = f.one()
         sign = 0
@@ -196,7 +210,16 @@ class DGAlgebraPresentation:
     # -- differential -----------------------------------------------------------
 
     def mono_differential(self, mono):
-        """The derivation applied to one monomial, as a polynomial."""
+        """The derivation applied to one monomial, as a read-only polynomial."""
+        if not self.differential:
+            return _NO_TERMS
+        try:
+            return self._d_table[mono]
+        except KeyError:
+            d = self._d_table[mono] = MappingProxyType(self._mono_derivative(mono))
+            return d
+
+    def _mono_derivative(self, mono):
         f = self.field
         out = {}
         prefix_parity = 0
@@ -225,6 +248,8 @@ class DGAlgebraPresentation:
         return out
 
     def poly_differential(self, poly):
+        if not self.differential:
+            return {}
         out = {}
         for mono, c in poly.items():
             out = self.poly_add(out, self.poly_scale(self.mono_differential(mono), c))

@@ -374,9 +374,14 @@ def build_parser():
     return p
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:      # argparse trees are reusable; build one per process
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     args._t0 = time.perf_counter()
     try:
         report = args.func(args)

@@ -240,10 +240,11 @@ class EmssResult:
 def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> EmssResult:
     """Turn the page once and certify E₃ = E∞ by bidegree arithmetic.
 
-    E₃ is exact linear algebra per cell.  Certification scans all pairs of
-    surviving cells for a possible d_r (r >= 3): target s-column minus source
-    s-column equals r and the t-drop equals r - 1.  If such a pair exists the
-    collapse cannot be certified and the run fails loudly.
+    E₃ is exact linear algebra per cell.  Certification looks for a pair of
+    surviving cells that a d_r (r >= 3) could join: target s-column minus
+    source s-column equals r and the t-drop equals r - 1 (see
+    ``_check_collapse``).  If such a pair exists the collapse cannot be
+    certified and the run fails loudly.
     """
     if page.d2 is None:
         raise PresentationError("install d₂ before running the sequence")
@@ -263,14 +264,7 @@ def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> Ems
             raise PresentationError("rank bookkeeping failed on the page")
         if surv:
             e3[st] = surv
-    # collapse certification
-    nonzero = sorted(e3)
-    for (s, t) in nonzero:
-        for (s2, t2) in nonzero:
-            r = s2 - s
-            if r >= 3 and t - t2 == r - 1:
-                raise CannotCertifyCollapse(
-                    f"a d_{r} could connect cells {(s, t)} and {(s2, t2)}")
+    _check_collapse(e3)
     total = {}
     for (s, t), v in e3.items():
         total[s + t] = total.get(s + t, 0) + v
@@ -278,6 +272,27 @@ def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> Ems
 
     verdict = _stable_verdict(page, e3, total, window)
     return EmssResult(e3, total, verdict, True, no_ext)
+
+
+def _check_collapse(cells):
+    """Raise CannotCertifyCollapse if a d_r, r >= 3, could join two cells.
+
+    d_r has bidegree (r, 1 - r), so it raises s + t by exactly 1: only the
+    cells of total degree s + t + 1 with s₂ >= s + 3 are candidate targets.
+    Sources are walked in sorted order and each takes its first target in
+    sorted order, so the reported pair is the first in (source, target)
+    order.
+    """
+    cells = sorted(cells)
+    by_total = {}           # total degree -> cells, s ascending
+    for s, t in cells:
+        by_total.setdefault(s + t, []).append((s, t))
+    for s, t in cells:
+        above = by_total.get(s + t + 1)
+        if above and above[-1][0] >= s + 3:
+            s2, t2 = next(c for c in above if c[0] >= s + 3)
+            raise CannotCertifyCollapse(
+                f"a d_{s2 - s} could connect cells {(s, t)} and {(s2, t2)}")
 
 
 def _stable_verdict(page, e3, total, window):

@@ -114,6 +114,7 @@ class DGModulePresentation:
         # D² = 0, symbolically: D(Σ h·a) = Σ D(h)·a + (-1)^{|h|} h·dA(a).
         # Near a truncation the stored differentials are incomplete, so the
         # check covers only generators whose two-step range is fully stored.
+        zero_dA = A.has_zero_differential()
         for src in self.differential:
             if self.truncation_degree is not None and \
                     self.gen_degree[src] + 2 >= self.truncation_degree:
@@ -123,6 +124,8 @@ class DGModulePresentation:
                 for k, b in self.differential.get(h, {}).items():
                     acc.setdefault(k, {})
                     acc[k] = A.poly_add(acc[k], A.poly_mul(b, a))
+                if zero_dA:
+                    continue
                 da = A.poly_differential(a)
                 if da:
                     sign = -1 if self.gen_degree[h] % 2 else 1
@@ -332,9 +335,8 @@ class ModuleExpansion:
         for n, elems in self.elements.items():
             seen = {}
             labels[n] = []
-            for g, m in elems:
-                ml = A.mono_label(m)
-                lbl = g if ml == "1" else f"{g}·{ml}"
+            for e in elems:
+                lbl = self.elem_label(e)
                 if lbl in seen:
                     seen[lbl] += 1
                     lbl = f"{lbl}#{seen[lbl]}"
@@ -378,6 +380,17 @@ class ModuleExpansion:
         truncated_below = self.window.lo - 1 if min(gen_degs) < self.window.lo else None
         return CochainComplex(space, diff, truncated_above=truncated_above,
                               truncated_below=truncated_below)
+
+    def elem_label(self, e, tag_degree=False):
+        """g·m for a free module; the complex's own label for a raw one,
+        prefixed by [degree] when ``tag_degree``."""
+        if self.module.is_free:
+            g, m = e
+            ml = self.module.algebra.mono_label(m)
+            return g if ml == "1" else f"{g}·{ml}"
+        n, j = e
+        label = self.module.complex.space.labels(n)[j]
+        return f"[{n}]{label}" if tag_degree else label
 
     # -- right action --------------------------------------------------------
 
@@ -618,7 +631,7 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
 
     labels = {}
     for n, elems in basis.items():
-        labels[n] = [f"{g}→{_elem_label(texp, e)}" for g, e in elems]
+        labels[n] = [f"{g}→{texp.elem_label(e, tag_degree=True)}" for g, e in elems]
     space = GradedVectorSpace(f, labels)
 
     diff = {}
@@ -670,15 +683,6 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
     trunc_below = hom_window.lo - 1 if trunc_below is None else max(trunc_below, hom_window.lo - 1)
     cx = CochainComplex(space, diff, truncated_above=trunc_above, truncated_below=trunc_below)
     return MorphismComplex(source, target, cx, basis, texp)
-
-
-def _elem_label(texp, e):
-    if texp.module.is_free:
-        g, m = e
-        ml = texp.module.algebra.mono_label(m)
-        return g if ml == "1" else f"{g}·{ml}"
-    n, j = e
-    return f"[{n}]{texp.module.complex.space.labels(n)[j]}"
 
 
 class EndomorphismH0:

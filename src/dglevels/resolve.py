@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .algebra import DGAlgebraPresentation, POLYNOMIAL
 from .errors import (
+    BudgetExceeded,
     InvalidFiltration,
     NotSimplyConnected,
     OddGenerator,
@@ -36,6 +37,12 @@ from .module import DGModulePresentation
 BAR = "bar"
 KOSZUL = "koszul"
 GIVEN = "given"
+
+# Bar words listed before bar_resolution gives up.  Window 0:10 over
+# K[a₂, b₄] needs 1,516 words, window 0:12 needs 5,221.  Over H*(S^d) a
+# window needs one word per d - 1 degrees, but word t has length t, so the
+# listing there grows with the square of the word count.
+BAR_WORD_BUDGET = 3_000
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +131,26 @@ def sphere_block_period(d: int) -> int:
     return 2 * (d - 1) if d % 2 == 0 else d - 1
 
 
+@dataclass
+class _KoszulRecipe:
+    """Generators and differential of a Koszul resolution, not yet a module.
+
+    The polynomials are single monomials with unit exponent vectors, so the
+    same recipe serves every presentation of the algebra with the same
+    generator order."""
+
+    generators: list
+    differential: dict
+    truncation_degree: int | None
+    period: int | None
+    description: str
+
+    def resolution(self, A: DGAlgebraPresentation) -> Resolution:
+        mod = DGModulePresentation.free(A, self.generators, self.differential,
+                                        truncation_degree=self.truncation_degree)
+        return Resolution(mod, period=self.period, description=self.description)
+
+
 def koszul_resolution_sphere(d: int, field, cap: int | None = None,
                              window: DegreeWindow | None = None) -> Resolution:
     """Semifree resolution of K over A = H*(S^d).
@@ -136,8 +163,13 @@ def koszul_resolution_sphere(d: int, field, cap: int | None = None,
     """
     window = window or DegreeWindow(0, 40)
     cap = cap if cap is not None else window.hi + d + 2
-    A = DGAlgebraPresentation.sphere_cohomology(d, field)
+    A = DGAlgebraPresentation.sphere_cohomology(d, field)   # rejects d <= 1
+    return _koszul_sphere_recipe(d, field, cap).resolution(A)
+
+
+def _koszul_sphere_recipe(d, field, cap) -> _KoszulRecipe:
     x = f"x{d}"
+    xpoly = {(1,): field.one()}
     gens = []
     diff = {}
     if d % 2 == 0:
@@ -148,11 +180,11 @@ def koszul_resolution_sphere(d: int, field, cap: int | None = None,
             g0 = f"γ{i}(w)" if i else "1̄"
             gens.append((g0, i * block))
             if prev is not None:
-                diff[g0] = {prev: A.generator_poly(x)}
+                diff[g0] = {prev: xpoly}
             g1 = f"γ{i}(w)·s⁻¹{x}" if i else f"s⁻¹{x}"
             if i * block + d - 1 <= cap:
                 gens.append((g1, i * block + d - 1))
-                diff[g1] = {g0: A.generator_poly(x)}
+                diff[g1] = {g0: xpoly}
                 prev = g1
             else:
                 prev = None
@@ -165,11 +197,10 @@ def koszul_resolution_sphere(d: int, field, cap: int | None = None,
             gens.append((g, i * block))
             if i:
                 prevlbl = f"γ{i-1}(s⁻¹{x})" if i > 1 else "1̄"
-                diff[g] = {prevlbl: A.generator_poly(x)}
+                diff[g] = {prevlbl: xpoly}
             i += 1
-    mod = DGModulePresentation.free(A, gens, diff, truncation_degree=cap + 1)
-    return Resolution(mod, period=sphere_block_period(d),
-                      description=f"Koszul resolution of K over H*(S^{d})")
+    return _KoszulRecipe(gens, diff, cap + 1, sphere_block_period(d),
+                         f"Koszul resolution of K over H*(S^{d})")
 
 
 def koszul_resolution_poly(degrees, field, labels=None,
@@ -177,31 +208,34 @@ def koszul_resolution_poly(degrees, field, labels=None,
     """Koszul complex resolving K over K[x_1, ..., x_l]: exterior generators
     s⁻¹x_j with D(s⁻¹x_j) = x_j.  Finite and fully known."""
     degrees = list(degrees)
-    char2 = field.characteristic() == 2
-    if any(dd % 2 for dd in degrees) and not char2:
-        raise OddGenerator("polynomial generators must have even degree outside char 2")
     labels = labels or [f"x{i+1}" for i in range(len(degrees))]
+    recipe = _koszul_poly_recipe(degrees, field, labels)
     A = DGAlgebraPresentation.polynomial(field, list(zip(labels, degrees)),
-                                         char2_polynomial_odd=char2)
+                                         char2_polynomial_odd=field.characteristic() == 2)
+    return recipe.resolution(A)
+
+
+def _koszul_poly_recipe(degrees, field, labels) -> _KoszulRecipe:
+    if any(dd % 2 for dd in degrees) and field.characteristic() != 2:
+        raise OddGenerator("polynomial generators must have even degree outside char 2")
+    n = len(degrees)
     gens = []
     diff = {}
-    for mask in range(2 ** len(degrees)):
-        subset = [j for j in range(len(degrees)) if mask & (1 << j)]
+    for mask in range(2 ** n):
+        subset = [j for j in range(n) if mask & (1 << j)]
         label = _koszul_label(subset, labels)
         deg = sum(degrees[j] - 1 for j in subset)
         gens.append((label, deg))
         terms = {}
-        sign = 1
         for idx, j in enumerate(subset):
             rest = subset[:idx] + subset[idx + 1:]
             prefix_parity = sum((degrees[t] - 1) for t in subset[:idx]) % 2
-            coeff = field.from_int(-1 if prefix_parity else 1)
-            terms[_koszul_label(rest, labels)] = A.poly_scale(A.generator_poly(labels[j]), coeff)
+            mono = tuple(int(t == j) for t in range(n))
+            terms[_koszul_label(rest, labels)] = {mono: field.from_int(-1 if prefix_parity else 1)}
         if terms:
             diff[label] = terms
-    mod = DGModulePresentation.free(A, gens, diff)
-    return Resolution(mod, period=None,
-                      description=f"Koszul complex over {field}[{', '.join(labels)}]")
+    return _KoszulRecipe(gens, diff, None, None,
+                         f"Koszul complex over {field}[{', '.join(labels)}]")
 
 
 def _koszul_label(subset, labels):
@@ -217,7 +251,8 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
     Generators are m[a_1|...|a_t] with m a basis element of (an expansion of)
     M and a_i positive-degree algebra basis monomials; the generator degree is
     deg m + Σ(deg a_i - 1), so the bar-length-t part sits in degrees >= t and
-    truncation is sound below the cutoff.
+    truncation is sound below the cutoff.  Raises BudgetExceeded instead of
+    listing more than BAR_WORD_BUDGET bar words.
     """
     algebra = algebra or module.algebra
     if not algebra.is_simply_connected():
@@ -243,7 +278,7 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
     gen_label = {}
 
     def label_of(elem, slots):
-        mlabel = _module_elem_label(mexp, elem)
+        mlabel = mexp.elem_label(elem)
         if not slots:
             return mlabel
         inner = "|".join(algebra.mono_label(s) for s in slots)
@@ -255,6 +290,10 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
     while stack:
         slots, sdeg = stack.pop()
         all_words.append((slots, sdeg))
+        if len(all_words) > BAR_WORD_BUDGET:
+            raise BudgetExceeded(
+                f"the bar resolution needs more than {BAR_WORD_BUDGET} bar words "
+                f"below degree {cap + 1}")
         if len(slots) >= cutoff:
             continue
         for mono, mdeg in slot_basis:
@@ -333,15 +372,6 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
     return Resolution(mod, period=None, description="bar resolution")
 
 
-def _module_elem_label(mexp, elem):
-    if mexp.module.is_free:
-        g, m = elem
-        ml = mexp.module.algebra.mono_label(m)
-        return g if ml == "1" else f"{g}·{ml}"
-    n, j = elem
-    return mexp.module.complex.space.labels(n)[j]
-
-
 def _unit_vector(mexp, elem):
     n, j = mexp.pos[elem]
     f = mexp.field
@@ -403,22 +433,22 @@ def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow) -> Re
             raise StrategyInapplicable(
                 "Koszul strategy resolves trivial modules (sums of shifts of K)")
         shifts = M.shift_degrees()
-        d_label = A.sphere_generator_label()
-        if d_label is not None:
+        if A.sphere_generator_label() is not None:
             d = A.generators[0].degree
-            base = koszul_resolution_sphere(d, A.field, cap=window.hi + d + 2)
+            recipe = _koszul_sphere_recipe(d, A.field, window.hi + d + 2)
         elif all(g.kind == POLYNOMIAL for g in A.generators):
-            base = koszul_resolution_poly([g.degree for g in A.generators], A.field,
-                                          labels=[g.label for g in A.generators])
+            recipe = _koszul_poly_recipe([g.degree for g in A.generators], A.field,
+                                         [g.label for g in A.generators])
         else:
             raise StrategyInapplicable("no Koszul pattern for this algebra")
-        return _shifted_sum(base, shifts, A)
+        return _shifted_sum(recipe, shifts, A)
     if strategy == BAR:
         return bar_resolution(M, A, window=window)
     raise StrategyInapplicable(f"unknown strategy {strategy!r}")
 
 
-def _shifted_sum(base: Resolution, shifts, A) -> Resolution:
+def _shifted_sum(recipe: _KoszulRecipe, shifts, A) -> Resolution:
+    """The sum of the shifts of a Koszul recipe, built and checked once."""
     f = A.field
     if not shifts:
         return Resolution(DGModulePresentation.zero(A), period=None,
@@ -427,17 +457,18 @@ def _shifted_sum(base: Resolution, shifts, A) -> Resolution:
     diff = {}
     for k, s in enumerate(sorted(shifts)):
         sign = f.from_int(-1 if s % 2 else 1)
-        for lbl, deg in base.module.generators:
+        for lbl, deg in recipe.generators:
             gens.append((f"{k}⟨{s}⟩·{lbl}", deg + s))
-        for src, terms in base.module.differential.items():
+        for src, terms in recipe.differential.items():
             diff[f"{k}⟨{s}⟩·{src}"] = {
                 f"{k}⟨{s}⟩·{t}": A.poly_scale(p, sign) for t, p in terms.items()
             }
-    trunc = base.module.truncation_degree
+    trunc = recipe.truncation_degree
     if trunc is not None:
-        trunc = trunc + min(shifts) if shifts else trunc
+        trunc += min(shifts)
     mod = DGModulePresentation.free(A, gens, diff, truncation_degree=trunc)
-    return Resolution(mod, period=base.period, description=base.description + " (shifted sum)")
+    return Resolution(mod, period=recipe.period,
+                      description=recipe.description + " (shifted sum)")
 
 
 def residue_module(A: DGAlgebraPresentation) -> DGModulePresentation:
@@ -478,7 +509,7 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
         labels[n] = []
         for jj, (glabel, gdeg, ne) in enumerate(es):
             pos[(glabel, ne)] = (n, jj)
-            labels[n].append(f"{glabel}⊗{_module_elem_label(nexp, ne)}")
+            labels[n].append(f"{glabel}⊗{nexp.elem_label(ne)}")
     space = GradedVectorSpace(f, labels)
 
     diff = {}

@@ -2,12 +2,15 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dglevels import cli
 from dglevels.cli import main
+from dglevels.resolve import BAR_WORD_BUDGET
 
 
 def run(capsys, *argv):
@@ -141,6 +144,18 @@ def test_matching_budget_is_domain_error(capsys):
     assert "matchings" in error["message"]
 
 
+def test_bar_word_budget_is_domain_error(capsys):
+    # over H*(S^2) window 0:n needs n + 3 bar words
+    start = time.perf_counter()
+    code, out = run(capsys, "tor", "--d", "2", "--strategy", "bar",
+                    "--window", f"0:{BAR_WORD_BUDGET + 200}")
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "budget-exceeded"
+    assert f"more than {BAR_WORD_BUDGET} bar words" in error["message"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["nonsense-command"])
@@ -235,15 +250,54 @@ def fuzzed_argv(draw):
     return argv
 
 
-@settings(deadline=None, max_examples=300)
-@given(fuzzed_argv())
-def test_fuzzed_arguments_exit_cleanly(argv):
+def run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as e:
             code = e.code
+    return code, out.getvalue()
+
+
+def check_exits_cleanly(argv):
+    code, out = run_captured(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
-        assert set(json.loads(out.getvalue())["error"]) == {"code", "message"}, argv
+        assert set(json.loads(out)["error"]) == {"code", "message"}, argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(fuzzed_argv())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    check_exits_cleanly(argv)
+
+
+# -- one parser per process ------------------------------------------------------
+
+REFERENCE_COMMANDS = [
+    ["tor", "--d", "4", "--module", "s7", "--strategy", "bar", "--window", "0:10"],
+    ["emss", "--d", "4", "--top", "s7", "--hopf", "1", "--format", "table"],
+    ["bundle-level", "--gens", "4,6,7", "--field", "f2", "--declare-formalizable"],
+    ["decompose", "--d", "4", "--dims", "0:1,1:1"],
+]
+
+
+def test_parser_is_built_once_and_reused(monkeypatch):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    first = [run_captured(argv) for argv in REFERENCE_COMMANDS]   # builds the parser
+    parser = cli._PARSER
+    assert parser is not None
+    for bad in (["tor", "--d"], ["bundle-level", "--gens", "4,x"], ["--bogus"]):
+        assert run_captured(bad)[0] == 2
+        assert [run_captured(argv) for argv in REFERENCE_COMMANDS] == first
+    assert [code for code, _ in first] == [0, 0, 0, 1]
+    assert cli._PARSER is parser
+
+
+@settings(deadline=None, max_examples=100)
+@given(fuzzed_argv())
+def test_fuzzing_leaves_the_cached_parser_unchanged(argv):
+    before = run_captured(REFERENCE_COMMANDS[2])      # bundle-level --gens
+    check_exits_cleanly(argv)
+    assert run_captured(REFERENCE_COMMANDS[2]) == before

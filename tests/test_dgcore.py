@@ -99,6 +99,113 @@ def test_koszul_sign_in_monomial_product():
     assert c2 == Fraction(1)
 
 
+# -- memoized monomial arithmetic --------------------------------------------
+
+
+def acyclic_closure(d, field):
+    """K over H*(S^d), d even, closed up: ∧(x) ⊗ ∧(y) ⊗ Γ(w) with x² = 0,
+    dy = x, dw = x·y, so d(γ_e(w)) = x·y·γ_{e-1}(w)."""
+    gens = [Generator("x", d, "exterior"), Generator("y", d - 1, "exterior"),
+            Generator("w", 2 * d - 2, "divided")]
+    one = field.one()
+    return DGAlgebraPresentation(field, gens, {"y": {(1, 0, 0): one},
+                                               "w": {(1, 1, 0): one}})
+
+
+def sphere_model(d, field):
+    """(∧(x, ξ, ρ), dξ = x², dρ = x), d even."""
+    gens = [Generator("x", d, "polynomial"), Generator("ξ", 2 * d - 1, "exterior"),
+            Generator("ρ", d - 1, "exterior")]
+    one = field.one()
+    return DGAlgebraPresentation(field, gens, {"ξ": {(2, 0, 0): one},
+                                               "ρ": {(1, 0, 0): one}})
+
+
+@st.composite
+def algebras(draw):
+    """Exterior, polynomial and divided generators over Q, F2 and F3, with
+    zero differential or one of two differential families."""
+    field = draw(st.sampled_from([QQ, GF2, GF3]))
+    family = draw(st.sampled_from(["free", "closure", "model"]))
+    d = draw(st.sampled_from([2, 4, 6]))
+    if family == "closure":
+        return acyclic_closure(d, field)
+    if family == "model":
+        return sphere_model(d, field)
+    gens = []
+    for i in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["exterior", "polynomial", "divided"]))
+        deg = draw(st.integers(1, 5))
+        if kind != "exterior":
+            deg = 2 * deg
+        gens.append(Generator(f"g{i}", deg, kind))
+    return DGAlgebraPresentation(field, gens)
+
+
+@settings(deadline=None, max_examples=150)
+@given(algebras(), st.data())
+def test_memoized_monomial_arithmetic_matches_recomputation(alg, data):
+    basis = [m for monos in alg.monomial_basis(20).values() for m in monos]
+    monos = data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=6))
+    one = alg.field.one()
+    for _ in range(2):                       # the second round reads the tables
+        for m1 in monos:
+            assert dict(alg.mono_differential(m1)) == alg._mono_derivative(m1)
+            for m2 in monos:
+                assert alg.mono_mul(m1, m2) == alg._mono_product(m1, m2)
+    # the Leibniz rule ties the two tables together
+    for m1 in monos:
+        for m2 in monos:
+            if alg.mono_mul(m1, m2) is None:
+                continue
+            c, m = alg.mono_mul(m1, m2)
+            sign = alg.field.from_int(-1 if alg.monomial_parity(m1) else 1)
+            d1 = alg.poly_mul(alg.poly_differential({m1: one}), {m2: one})
+            d2 = alg.poly_mul({m1: one}, alg.poly_differential({m2: one}))
+            assert alg.poly_differential({m: c}) == alg.poly_add(d1, alg.poly_scale(d2, sign))
+
+
+def test_divided_power_products_that_vanish_mod_p_are_cached_as_zero():
+    w = Generator("w", 4, "divided")
+    f2 = DGAlgebraPresentation(GF2, [w])
+    f3 = DGAlgebraPresentation(GF3, [w])
+    q = DGAlgebraPresentation(QQ, [w])
+    for _ in range(2):
+        assert f2.mono_mul((1,), (1,)) is None          # binom(2, 1) = 2
+        assert f2.mono_mul((2,), (2,)) is None          # binom(4, 2) = 6
+        assert f3.mono_mul((1,), (2,)) is None          # binom(3, 1) = 3
+        assert f3.mono_mul((1,), (1,)) == (2, (2,))
+        assert q.mono_mul((1,), (2,)) == (Fraction(3), (3,))
+    closure = acyclic_closure(4, GF2)
+    # d(γ_2(w)) = x·y·γ_1(w), and x·y·γ_1(w)·γ_1(w) = 0 over F2
+    assert dict(closure.mono_differential((0, 0, 2))) == {(1, 1, 1): 1}
+    assert closure.mono_mul((1, 1, 1), (0, 0, 1)) is None
+
+
+def test_cached_results_cannot_be_changed_by_callers():
+    alg = acyclic_closure(4, QQ)
+    m = (0, 0, 2)
+    expected = alg._mono_derivative(m)
+    first = alg.mono_differential(m)
+    with pytest.raises(TypeError):
+        first[(0, 0, 0)] = Fraction(5)
+    copy = alg.poly_differential({m: Fraction(1)})
+    copy[(0, 0, 0)] = Fraction(5)
+    product = alg.mono_mul((0, 0, 1), (0, 0, 1))
+    with pytest.raises(TypeError):
+        product[1][0] = 7
+    assert dict(alg.mono_differential(m)) == expected
+    assert alg.poly_differential({m: Fraction(1)}) == expected
+    assert alg.mono_mul((0, 0, 1), (0, 0, 1)) == (Fraction(2), (0, 0, 2))
+
+
+def test_zero_differential_shortcuts():
+    alg = sphere(4)
+    assert alg.poly_differential({(1,): Fraction(1)}) == {}
+    assert dict(alg.mono_differential((1,))) == {}
+    assert alg._mono_derivative((1,)) == {}
+
+
 # -- free modules -------------------------------------------------------------
 
 

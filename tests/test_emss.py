@@ -1,15 +1,17 @@
 """Spectral sequence pages, the Hopf-invariant differential, stable pages."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dglevels.emss import (
     FibreSquareSpec,
+    _check_collapse,
     compactness_from_hopf,
     e2_page,
     install_d2,
     run_to_stable,
 )
-from dglevels.errors import OddDimensionNonzeroHopf, WindowTooSmall
+from dglevels.errors import CannotCertifyCollapse, OddDimensionNonzeroHopf, WindowTooSmall
 from dglevels.field import QQ, GF2, GF3
 from dglevels.graded import DegreeWindow
 from dglevels.resolve import derived_tensor, residue_module
@@ -146,3 +148,45 @@ def test_compactness_odd_sphere():
     assert compact is False
     with pytest.raises(OddDimensionNonzeroHopf):
         compactness_from_hopf(5, 1, QQ)
+
+
+# -- collapse certification ----------------------------------------------------
+
+
+def pairwise_collapse_check(cells):
+    """The scan over all pairs of cells that _check_collapse replaces."""
+    nonzero = sorted(cells)
+    for (s, t) in nonzero:
+        for (s2, t2) in nonzero:
+            r = s2 - s
+            if r >= 3 and t - t2 == r - 1:
+                raise CannotCertifyCollapse(
+                    f"a d_{r} could connect cells {(s, t)} and {(s2, t2)}")
+
+
+def collapse_outcome(check, cells):
+    try:
+        check(cells)
+    except CannotCertifyCollapse as e:
+        return str(e)
+    return None
+
+
+CELLS = st.sets(st.tuples(st.integers(-12, 0), st.integers(0, 16)), max_size=30)
+
+
+@settings(deadline=None, max_examples=400)
+@given(CELLS)
+def test_collapse_scan_agrees_with_the_pairwise_scan(cells):
+    assert collapse_outcome(_check_collapse, cells) == \
+        collapse_outcome(pairwise_collapse_check, cells)
+
+
+def test_collapse_scan_reports_the_first_pair():
+    # five candidate pairs; the message names the first source in sorted
+    # order, (−5, 9), and its first target in sorted order, (−2, 7)
+    cells = {(-1, 6), (0, 5), (-4, 8), (-5, 9), (-2, 7)}
+    msg = collapse_outcome(_check_collapse, cells)
+    assert msg == "a d_3 could connect cells (-5, 9) and (-2, 7)"
+    assert msg == collapse_outcome(pairwise_collapse_check, cells)
+    assert collapse_outcome(_check_collapse, {(-4, 8), (-2, 7), (0, 0)}) is None

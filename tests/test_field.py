@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dglevels.errors import DivisionByZero, FieldMismatch
 from dglevels.field import (
-    QQ, GF2, GF5, FieldTag, parse_field, rank, rank_and_kernel, row_reduce, solve,
+    QQ, GF2, GF5, FieldTag, _is_prime, parse_field, rank, rank_and_kernel, row_reduce, solve,
 )
 
 
@@ -123,6 +123,46 @@ def test_rank_agreement_under_unimodular_row_operations():
         for p in (2, 3, 5, 7):
             fp = FieldTag(p)
             assert rank([[fp.from_int(x) for x in row] for row in m], fp) == r
+
+
+def unimodular(draw, n):
+    """A random n×n integer matrix of determinant ±1: row operations and a
+    sign change applied to the identity."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            m[i] = [-a for a in m[i]]
+        else:
+            c = draw(st.integers(-9, 9))
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def int_mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def unimodular_rank_cases(draw):
+    """U·D·V with U, V unimodular and D a 0/1 diagonal of rank r, and a prime
+    p drawn from [2^30, 2^31)."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(n, m)))
+    d = [[int(i == j and i < r) for j in range(m)] for i in range(n)]
+    p = draw(st.integers(2**30, 2**31 - 1))
+    while not _is_prime(p):
+        p -= 1
+    return int_mat_mul(int_mat_mul(unimodular(draw, n), d), unimodular(draw, m)), r, p
+
+
+@settings(deadline=None, max_examples=150)
+@given(unimodular_rank_cases())
+def test_rank_over_q_equals_rank_mod_a_large_prime(case):
+    m, r, p = case
+    fp = FieldTag(p)
+    assert rank([[Fraction(x) for x in row] for row in m], QQ) == r
+    assert rank([[fp.from_int(x) for x in row] for row in m], fp) == r
 
 
 def test_scalar_json_round_trip():

@@ -6,16 +6,20 @@ import pytest
 
 from dglevels.algebra import DGAlgebraPresentation, Generator
 from dglevels.errors import (
+    BudgetExceeded,
     InvalidFiltration,
     NotSimplyConnected,
     OddGenerator,
     StrategyInapplicable,
 )
-from dglevels.field import QQ, GF2
+from dglevels.field import QQ, GF2, GF3
 from dglevels.graded import DegreeWindow
 from dglevels.module import DGModulePresentation, shift
 from dglevels.resolve import (
+    BAR_WORD_BUDGET,
+    KOSZUL,
     SemifreeFiltration,
+    _resolve,
     bar_length_filtration,
     bar_resolution,
     derived_tensor,
@@ -83,6 +87,17 @@ def test_bar_length_filtration_is_semifree_over_cohomology_algebras():
     assert filtration_class(filt) >= 1
 
 
+def test_bar_word_budget():
+    # window 0:12 over K[a2, b4] needs 5,221 bar words; 0:10 needs 1,516
+    P = DGAlgebraPresentation.polynomial(QQ, [("a", 2), ("b", 4)])
+    K = residue_module(P)
+    with pytest.raises(BudgetExceeded, match=f"more than {BAR_WORD_BUDGET} bar words"):
+        bar_resolution(K, P, window=DegreeWindow(0, 12))
+    P2 = DGAlgebraPresentation.polynomial(GF2, [("a", 2), ("b", 4)])
+    res = bar_resolution(residue_module(P2), P2, window=DegreeWindow(0, 4))
+    assert len(res.module.generators) == 37
+
+
 # -- Koszul resolutions -----------------------------------------------------------
 
 
@@ -123,6 +138,51 @@ def test_poly_koszul_odd_guard():
         koszul_resolution_poly([4, 7], QQ)
     res = koszul_resolution_poly([4, 6, 7], GF2)   # allowed in characteristic 2
     assert res.module.cohomology_dims(DegreeWindow(-1, 10)) == {0: 1}
+
+
+def two_step_koszul_sum(base, shifts, A):
+    """The sum of shifts of a built and checked Koszul resolution: the
+    construction the Koszul strategy makes in one step."""
+    gens, diff = [], {}
+    for k, s in enumerate(sorted(shifts)):
+        sign = A.field.from_int(-1 if s % 2 else 1)
+        gens += [(f"{k}⟨{s}⟩·{lbl}", deg + s) for lbl, deg in base.module.generators]
+        for src, terms in base.module.differential.items():
+            diff[f"{k}⟨{s}⟩·{src}"] = {f"{k}⟨{s}⟩·{t}": A.poly_scale(p, sign)
+                                      for t, p in terms.items()}
+    trunc = base.module.truncation_degree
+    trunc = None if trunc is None else trunc + min(shifts)
+    return gens, diff, trunc, base.period, base.description + " (shifted sum)"
+
+
+@pytest.mark.parametrize("d, field, shifts", [
+    (4, QQ, (0,)), (4, GF2, (0, 7)), (3, GF3, (2, 2, 5)), (6, QQ, (1, 4, 4, 9)),
+    (2, GF2, (0, 1)),
+])
+def test_koszul_strategy_builds_the_shifted_public_resolution(d, field, shifts):
+    A = sphere(d, field)
+    M = DGModulePresentation.trivial(A, shifts=shifts)
+    w = DegreeWindow(0, 30)
+    res = _resolve(M, KOSZUL, w)
+    base = koszul_resolution_sphere(d, field, cap=w.hi + d + 2)
+    expected = two_step_koszul_sum(base, shifts, A)
+    assert (list(res.module.generators), res.module.differential,
+            res.module.truncation_degree, res.period, res.description) == expected
+
+
+@pytest.mark.parametrize("field, gens, shifts", [
+    (QQ, [("a", 2), ("b", 4)], (0, 3)), (GF2, [("y", 3), ("z", 4)], (1,)),
+    (GF3, [("u", 2)], (0, 0, 2)),
+])
+def test_koszul_strategy_builds_the_shifted_public_complex(field, gens, shifts):
+    A = DGAlgebraPresentation.polynomial(field, gens,
+                                         char2_polynomial_odd=field.characteristic() == 2)
+    M = DGModulePresentation.trivial(A, shifts=shifts)
+    res = _resolve(M, KOSZUL, DegreeWindow(0, 20))
+    base = koszul_resolution_poly([g for _, g in gens], field, labels=[l for l, _ in gens])
+    expected = two_step_koszul_sum(base, shifts, A)
+    assert (list(res.module.generators), res.module.differential,
+            res.module.truncation_degree, res.period, res.description) == expected
 
 
 # -- derived tensor -----------------------------------------------------------------
