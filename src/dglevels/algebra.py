@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 from .errors import PresentationError
 from .field import FieldTag
-from .graded import CochainComplex, DegreeWindow, GradedVectorSpace
+from .graded import CochainComplex, DegreeWindow, assemble
 
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
@@ -315,32 +315,12 @@ class DGAlgebraPresentation:
     def to_complex(self, window: DegreeWindow) -> CochainComplex:
         """Expansion as a cochain complex of the degrees inside the window."""
         by_degree = self.monomial_basis(window.hi)
-        degrees = [n for n in sorted(by_degree) if window.contains(n)]
-        monos = {n: by_degree[n] for n in degrees}
-        space = GradedVectorSpace(
-            self.field, {n: [self.mono_label(m) for m in monos[n]] for n in degrees})
-        pos = {}
-        for n in degrees:
-            for j, m in enumerate(monos[n]):
-                pos[m] = (n, j)
-        diff = {}
-        f = self.field
-        for n in degrees:
-            if n + 1 not in monos:
-                continue
-            mat = [[f.zero()] * len(monos[n]) for _ in range(len(monos[n + 1]))]
-            nonzero = False
-            for j, m in enumerate(monos[n]):
-                for tm, c in self.mono_differential(m).items():
-                    loc = pos.get(tm)
-                    if loc is None:
-                        continue
-                    mat[loc[1]][j] = f.add(mat[loc[1]][j], c)
-                    nonzero = True
-            if nonzero:
-                diff[n] = mat
+        monos = {n: by_degree[n] for n in sorted(by_degree) if window.contains(n)}
+        labels = {n: [self.mono_label(m) for m in ms] for n, ms in monos.items()}
         truncated = None if self.is_bounded() else window.hi
-        return CochainComplex(space, diff, truncated_above=truncated)
+        return assemble(self.field, monos, labels,
+                        lambda n, m: self.mono_differential(m).items(),
+                        truncated_above=truncated)[0]
 
     # -- common constructors -------------------------------------------------------
 

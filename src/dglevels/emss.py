@@ -114,9 +114,6 @@ class BigradedPage:
     def entries(self):
         return {st: tuple(lbl for _, lbl in elems) for st, elems in self.cells.items()}
 
-    def cell_dim(self, st):
-        return len(self.cells.get(st, ()))
-
     def total_degree_dims(self):
         out = {}
         for (s, t), elems in self.cells.items():

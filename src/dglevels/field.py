@@ -52,10 +52,6 @@ class FieldTag:
     def characteristic(self) -> int:
         return self.p
 
-    @property
-    def is_rational(self) -> bool:
-        return self.p == 0
-
     def __str__(self):
         return "Q" if self.p == 0 else f"F{self.p}"
 
@@ -95,9 +91,6 @@ class FieldTag:
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
         return 1 / Fraction(a) if self.p == 0 else pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -7,6 +7,11 @@ the expansion of a finite free module over an exterior algebra).  Degree n is
 *certified* when the differentials into and out of degree n are fully known,
 which needs degrees n-1, n, n+1 to be known.  Infinite-dimensionality claims
 are made elsewhere as explicit verdicts, never by silent truncation.
+
+Every complex expanded from a presentation (an algebra, a free module, a
+Hom complex, a derived tensor product) is built by :func:`assemble` from an
+ordered basis per degree, its labels, and a column rule that lists d(e) as
+(target, scalar) pairs.  ``CochainComplex.column`` reads d(e) back sparsely.
 """
 
 from __future__ import annotations
@@ -64,9 +69,6 @@ class GradedVectorSpace:
     def degrees(self):
         return sorted(self.basis)
 
-    def total_dim(self) -> int:
-        return sum(len(v) for v in self.basis.values())
-
 
 class CochainComplex:
     """A graded space with a degree +1 differential, d composed with d = 0.
@@ -121,6 +123,13 @@ class CochainComplex:
     def apply(self, n: int, vector):
         return mat_vec(self.matrix(n), vector, self.field)
 
+    def column(self, n: int, j: int):
+        """d(e_j) for basis element j of degree n as sparse (row, scalar) pairs."""
+        mat = self.differential.get(n)
+        if mat is None:
+            return []
+        return [(i, row[j]) for i, row in enumerate(mat) if row[j]]
+
     def coboundaries(self, n: int):
         """The nonzero columns of d^{n-1}: vectors of degree n spanning B^n."""
         mat = self.differential.get(n - 1)
@@ -151,6 +160,34 @@ class CochainComplex:
                         f"d∘d ≠ 0 from degree {n} "
                         f"(source {self.space.labels(n)[j]!r})"
                     )
+
+
+def assemble(field: FieldTag, elements, labels, column, truncated_above=None,
+             truncated_below=None):
+    """The complex on an ordered basis whose differential a column rule gives.
+
+    ``elements[n]`` is the basis of degree n (keys unique across degrees) and
+    ``labels[n]`` its labels; ``column(n, e)`` yields (target, scalar) pairs
+    for d(e).  Pairs on one target are summed and targets outside degree
+    n + 1 are dropped.  Returns the complex and ``pos``: element ->
+    (degree, index).
+    """
+    pos = {e: (n, j) for n, es in elements.items() for j, e in enumerate(es)}
+    zero, add = field.zero(), field.add
+    diff = {}
+    for n, es in elements.items():
+        tgt = elements.get(n + 1)
+        if not tgt:
+            continue
+        mat = diff[n] = [[zero] * len(es) for _ in tgt]
+        for j, e in enumerate(es):
+            for t, c in column(n, e):
+                loc = pos.get(t)
+                if loc is not None and loc[0] == n + 1:
+                    row = mat[loc[1]]
+                    row[j] = add(row[j], c)
+    cx = CochainComplex(GradedVectorSpace(field, labels), diff, truncated_above, truncated_below)
+    return cx, pos
 
 
 def mat_vec(mat, vector, field: FieldTag):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .algebra import DIVIDED, DGAlgebraPresentation
+from .algebra import DIVIDED, EXTERIOR, DGAlgebraPresentation
 from .errors import (
     AlgebraMismatch,
     EndTooLarge,
@@ -29,8 +29,8 @@ from .errors import (
     Undecided,
     VerificationFailed,
 )
-from .field import coordinates, integer_row, row_reduce, solve
-from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, cohomology, mat_vec
+from .field import integer_row, row_reduce, solve
+from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology, mat_vec
 
 
 class DGModulePresentation:
@@ -172,6 +172,33 @@ class DGModulePresentation:
                     if tuple(dav) != tuple(adv):
                         raise PresentationError(
                             f"action of {label} does not commute with d at degree {n}")
+        # the relations of A: x·x = 0 for exterior x, a·b = (-1)^{|a||b|} b·a
+        labels = sorted(self.actions, key=A.index.get)
+        for i, a in enumerate(labels):
+            for b in labels[i:]:
+                ga, gb = A.generators[A.index[a]], A.generators[A.index[b]]
+                if a == b and ga.kind != EXTERIOR:
+                    continue
+                # a == b: the sign 0 asks for x·x = 0
+                sign = f.from_int(0 if a == b else -1 if ga.degree * gb.degree % 2 else 1)
+                relation = f"{a}·{a} = 0" if a == b else f"{a}·{b} = ±{b}·{a}"
+                for n in self.complex.space.degrees():
+                    for j in range(self.complex.dim(n)):
+                        ab, ba = self._raw_word(n, j, (a, b)), self._raw_word(n, j, (b, a))
+                        if any(f.sub(x, f.mul(sign, y)) for x, y in zip(ab, ba)):
+                            raise PresentationError(
+                                f"the action breaks {relation} at degree {n}")
+
+    def _raw_word(self, n, j, word):
+        """Basis vector j of degree n acted on by the generators of ``word`` in turn."""
+        f, A = self.field, self.algebra
+        v = [f.zero()] * self.complex.dim(n)
+        v[j] = f.one()
+        for label in word:
+            gd = A.generators[A.index[label]].degree
+            v = self._raw_apply(self.actions[label], n, v, gd)
+            n += gd
+        return v
 
     def _raw_apply(self, mats, n, vector, gd):
         mat = mats.get(n)
@@ -279,9 +306,6 @@ class DGModulePresentation:
         degs = self.complex.space.degrees() or [0]
         return DegreeWindow(min(degs) - 2, max(degs) + 2)
 
-    def gen_labels(self):
-        return [l for l, _ in self.generators]
-
 
 # ---------------------------------------------------------------------------
 # Expansion of a module to an honest cochain complex
@@ -312,13 +336,31 @@ class ModuleExpansion:
                         if window.contains(n):
                             for m in monos:
                                 self.elements.setdefault(n, []).append((label, m))
-            for n in self.elements:
-                self.elements[n].sort(key=lambda e: (e[0], e[1]))
-            self.pos = {}
+            labels = {}
             for n, elems in self.elements.items():
-                for j, e in enumerate(elems):
-                    self.pos[e] = (n, j)
-            self.complex = self._build_free_complex()
+                elems.sort()
+                seen = {}
+                labels[n] = []
+                for e in elems:
+                    lbl = self.elem_label(e)
+                    if lbl in seen:
+                        seen[lbl] += 1
+                        lbl = f"{lbl}#{seen[lbl]}"
+                    else:
+                        seen[lbl] = 0
+                    labels[n].append(lbl)
+            gen_degs = [d for _, d in module.generators] or [0]
+            top = A.top_degree()
+            support_hi = None if top is None else max(gen_degs) + top
+            truncated_above = window.hi + 1 \
+                if (support_hi is None or support_hi > window.hi) else None
+            if module.truncation_degree is not None:
+                cut = module.truncation_degree - 1
+                truncated_above = cut if truncated_above is None else min(truncated_above, cut)
+            truncated_below = window.lo - 1 if min(gen_degs) < window.lo else None
+            self.complex, self.pos = assemble(self.field, self.elements, labels,
+                                              self._free_column, truncated_above,
+                                              truncated_below)
         else:
             self.elements = {
                 n: [(n, j) for j in range(module.complex.dim(n))]
@@ -327,59 +369,19 @@ class ModuleExpansion:
             self.pos = {e: (e[0], e[1]) for elems in self.elements.values() for e in elems}
             self.complex = module.complex
 
-    def _build_free_complex(self):
+    def _free_column(self, n, e):
+        """D(g·m) = D(g)·m + (-1)^{|g|} g·dA(m)."""
         mod = self.module
         A = mod.algebra
-        f = self.field
-        labels = {}
-        for n, elems in self.elements.items():
-            seen = {}
-            labels[n] = []
-            for e in elems:
-                lbl = self.elem_label(e)
-                if lbl in seen:
-                    seen[lbl] += 1
-                    lbl = f"{lbl}#{seen[lbl]}"
-                else:
-                    seen[lbl] = 0
-                labels[n].append(lbl)
-        space = GradedVectorSpace(f, labels)
-        diff = {}
-        for n, elems in self.elements.items():
-            tgt = self.elements.get(n + 1, [])
-            if not tgt:
-                continue
-            mat = [[f.zero()] * len(elems) for _ in range(len(tgt))]
-            nonzero = False
-            for j, (g, m) in enumerate(elems):
-                # D(g·m) = D(g)·m + (-1)^{|g|} g·dA(m)
-                for h, a in mod.differential.get(g, {}).items():
-                    for tm, c in A.poly_mul(a, A.mono_poly(m)).items():
-                        loc = self.pos.get((h, tm))
-                        if loc:
-                            mat[loc[1]][j] = f.add(mat[loc[1]][j], c)
-                            nonzero = True
-                dm = A.mono_differential(m)
-                if dm:
-                    sign = -1 if mod.gen_degree[g] % 2 else 1
-                    for tm, c in dm.items():
-                        loc = self.pos.get((g, tm))
-                        if loc:
-                            mat[loc[1]][j] = f.add(mat[loc[1]][j], f.mul(f.from_int(sign), c))
-                            nonzero = True
-            if nonzero:
-                diff[n] = mat
-        gen_degs = [d for _, d in mod.generators] or [0]
-        top = A.top_degree()
-        support_hi = None if top is None else max(gen_degs) + top
-        truncated_above = self.window.hi + 1 \
-            if (support_hi is None or support_hi > self.window.hi) else None
-        if mod.truncation_degree is not None:
-            cut = mod.truncation_degree - 1
-            truncated_above = cut if truncated_above is None else min(truncated_above, cut)
-        truncated_below = self.window.lo - 1 if min(gen_degs) < self.window.lo else None
-        return CochainComplex(space, diff, truncated_above=truncated_above,
-                              truncated_below=truncated_below)
+        g, m = e
+        for h, a in mod.differential.get(g, {}).items():
+            for tm, c in A.poly_mul(a, A.mono_poly(m)).items():
+                yield (h, tm), c
+        dm = A.mono_differential(m)
+        if dm:
+            sign = self.field.from_int(-1 if mod.gen_degree[g] % 2 else 1)
+            for tm, c in dm.items():
+                yield (g, tm), self.field.mul(sign, c)
 
     def elem_label(self, e, tag_degree=False):
         """g·m for a free module; the complex's own label for a raw one,
@@ -546,27 +548,6 @@ def cone(f_map, source: DGModulePresentation, target: DGModulePresentation):
             deg = A.poly_degree(poly)
             if deg is not None and target.gen_degree[tgt] + deg != source.gen_degree[src]:
                 raise NotAChainMap(f"map is not degree 0 on {src!r}")
-    # chain condition D_N(f g) = f(D_M g), checked symbolically
-    for src in source.gen_degree:
-        lhs = {}
-        for tgt, a in f_map.get(src, {}).items():
-            for k, b in target.differential.get(tgt, {}).items():
-                lhs.setdefault(k, {})
-                lhs[k] = A.poly_add(lhs[k], A.poly_mul(b, a))
-            da = A.poly_differential(a)
-            if da:
-                sign = -1 if target.gen_degree[tgt] % 2 else 1
-                lhs.setdefault(tgt, {})
-                lhs[tgt] = A.poly_add(lhs[tgt], A.poly_scale(da, fld.from_int(sign)))
-        rhs = {}
-        for h, a in source.differential.get(src, {}).items():
-            for tgt, b in f_map.get(h, {}).items():
-                rhs.setdefault(tgt, {})
-                rhs[tgt] = A.poly_add(rhs[tgt], A.poly_mul(b, a))
-        keys = set(lhs) | set(rhs)
-        for k in keys:
-            if A.poly_add(lhs.get(k, {}), A.poly_scale(rhs.get(k, {}), fld.from_int(-1))):
-                raise NotAChainMap(f"f does not commute with the differentials at {src!r}")
     gens = [(l, d) for l, d in target.generators]
     gens += [(f"s·{l}", d - 1) for l, d in source.generators]
     diff = {src: dict(terms) for src, terms in target.differential.items()}
@@ -579,7 +560,13 @@ def cone(f_map, source: DGModulePresentation, target: DGModulePresentation):
             terms[tgt] = A.poly_add(terms.get(tgt, {}), a)
         if terms:
             diff[f"s·{l}"] = terms
-    return DGModulePresentation(A, generators=gens, differential=diff)
+    if len(dict(gens)) != len(gens):
+        raise PresentationError("duplicate module generator labels")
+    # D_M² = D_N² = 0, so the cone has D² = 0 exactly when D_N∘f = f∘D_M
+    try:
+        return DGModulePresentation(A, generators=gens, differential=diff)
+    except PresentationError as exc:
+        raise NotAChainMap(f"f does not commute with the differentials: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -624,52 +611,21 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
                 elems.append((g, e))
         if elems:
             basis[n] = elems
-    pos = {}
-    for n, elems in basis.items():
-        for j, (g, e) in enumerate(elems):
-            pos[(n, g, e)] = j
+    labels = {n: [f"{g}→{texp.elem_label(e, tag_degree=True)}" for g, e in elems]
+              for n, elems in basis.items()}
 
-    labels = {}
-    for n, elems in basis.items():
-        labels[n] = [f"{g}→{texp.elem_label(e, tag_degree=True)}" for g, e in elems]
-    space = GradedVectorSpace(f, labels)
-
-    diff = {}
-    for n in basis:
-        src_elems = basis[n]
-        tgt_elems = basis.get(n + 1, [])
-        if not tgt_elems:
-            continue
-        mat = [[f.zero()] * len(src_elems) for _ in range(len(tgt_elems))]
-        nonzero = False
-        sign = f.from_int(-1 if n % 2 else 1)
-        for j, (g, b) in enumerate(src_elems):
-            bdeg = source.gen_degree[g] + n
-            vec = [f.zero()] * len(texp.elements[bdeg])
-            vec[texp.pos[b][1]] = f.one()
-            # d_N ∘ φ
-            image = texp.complex.apply(bdeg, vec)
-            for i, x in enumerate(image):
-                if f.is_zero(x):
-                    continue
-                elem = texp.elements[bdeg + 1][i]
-                row = pos.get((n + 1, g, elem))
-                if row is not None:
-                    mat[row][j] = f.add(mat[row][j], x)
-                    nonzero = True
-            # -(-1)^n φ ∘ D_M on every generator whose differential hits g
-            for g2, terms in source.differential.items():
-                a = terms.get(g)
-                if not a:
-                    continue
-                acted = texp.act_element(b, a)
-                for elem, c in acted.items():
-                    row = pos.get((n + 1, g2, elem))
-                    if row is not None:
-                        mat[row][j] = f.sub(mat[row][j], f.mul(sign, c))
-                        nonzero = True
-        if nonzero:
-            diff[n] = mat
+    def column(n, elem):
+        g, b = elem
+        bdeg = source.gen_degree[g] + n
+        # d_N ∘ φ
+        for i, x in texp.complex.column(bdeg, texp.pos[b][1]):
+            yield (g, texp.elements[bdeg + 1][i]), x
+        # -(-1)^n φ ∘ D_M on every generator whose differential hits g
+        sign = f.from_int(1 if n % 2 else -1)
+        for g2, terms in source.differential.items():
+            if g in terms:
+                for e, c in texp.act_element(b, terms[g]).items():
+                    yield (g2, e), f.mul(sign, c)
 
     # hom-degree n is known when every contributing target degree is known
     trunc_above = None
@@ -681,7 +637,7 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
             trunc_below = texp.complex.truncated_below - min(gen_degs)
     trunc_above = hom_window.hi + 1 if trunc_above is None else min(trunc_above, hom_window.hi + 1)
     trunc_below = hom_window.lo - 1 if trunc_below is None else max(trunc_below, hom_window.lo - 1)
-    cx = CochainComplex(space, diff, truncated_above=trunc_above, truncated_below=trunc_below)
+    cx, _ = assemble(f, basis, labels, column, trunc_above, trunc_below)
     return MorphismComplex(source, target, cx, basis, texp)
 
 
@@ -722,14 +678,13 @@ class EndomorphismH0:
         poly = self.module.algebra.mono_poly(mono)
         return texp.act_vector(gd, phi[g], poly)
 
-    def compose(self, vec_outer, vec_inner):
-        """Class vector of (outer ∘ inner) in the chosen H^0 basis."""
+    def _compose(self, vec_outer, vec_inner, index):
+        """The cocycle vector of outer ∘ inner."""
         f = self.field
         texp = self.hom.target_expansion
         outer = self._vector_to_map(vec_outer)
         inner = self._vector_to_map(vec_inner)
-        out_vec = [f.zero()] * len(self.hom.basis.get(0, []))
-        index = {(g, e): j for j, (g, e) in enumerate(self.hom.basis.get(0, []))}
+        out_vec = [f.zero()] * len(index)
         for g, gd in self.module.generators:
             inner_v = inner[g]
             acc = {}
@@ -745,22 +700,32 @@ class EndomorphismH0:
                         acc[tgt] = s
             for tgt, x in acc.items():
                 out_vec[index[(g, tgt)]] = x
-        return self.class_coordinates(tuple(out_vec))
+        return out_vec
 
-    def class_coordinates(self, cocycle_vector):
-        coords = coordinates(self.reps + self.boundaries, cocycle_vector, self.field)
-        if coords is None:
-            raise PresentationError("vector is not a cocycle class combination")
-        return tuple(coords[: self.dim])
+    def structure(self):
+        """(struct, unit): struct[i][j] holds the class coordinates of
+        rep_i ∘ rep_j and unit those of the identity.
 
-    def identity_coordinates(self):
-        f = self.field
-        vec = [f.zero()] * len(self.hom.basis.get(0, []))
-        index = {(g, e): j for j, (g, e) in enumerate(self.hom.basis.get(0, []))}
+        One row reduction of the columns [reps | coboundaries | the k²
+        products | identity] gives them all: the reps are independent modulo
+        the coboundaries, so they are the first k pivots and the rep
+        coefficients of every later column are unique, in the first k rows.
+        """
+        f, k = self.field, self.dim
+        index = {ge: j for j, ge in enumerate(self.hom.basis.get(0, []))}
         unit = self.module.algebra.unit_monomial()
+        identity = [f.zero()] * len(index)
         for g, _ in self.module.generators:
-            vec[index[(g, (g, unit))]] = f.one()
-        return self.class_coordinates(tuple(vec))
+            identity[index[(g, (g, unit))]] = f.one()
+        cols = self.reps + self.boundaries
+        width = len(cols)
+        cols += [self._compose(a, b, index) for a in self.reps for b in self.reps]
+        cols.append(identity)
+        rref, pivots = row_reduce([list(row) for row in zip(*cols)], f)
+        if pivots[-1] >= width:
+            raise PresentationError("vector is not a cocycle class combination")
+        coords = [tuple(rref[i][c] for i in range(k)) for c in range(width, len(cols))]
+        return [coords[i * k:(i + 1) * k] for i in range(k)], coords[-1]
 
 
 def find_idempotents(module: DGModulePresentation, hom_window: DegreeWindow = None,
@@ -787,8 +752,7 @@ def find_idempotents(module: DGModulePresentation, hom_window: DegreeWindow = No
     if k > dim_guard:
         raise EndTooLarge(f"dim H^0(End) = {k} exceeds the guard {dim_guard}")
     f = module.field
-    struct = [[end.compose(end.reps[i], end.reps[j]) for j in range(k)] for i in range(k)]
-    unit = end.identity_coordinates()
+    struct, unit = end.structure()
     e = idempotent_split(struct, unit, f)
     if e is None:
         return []

@@ -31,7 +31,7 @@ from .errors import (
     PresentationError,
     StrategyInapplicable,
 )
-from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, cohomology
+from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology
 from .module import DGModulePresentation
 
 BAR = "bar"
@@ -330,12 +330,8 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
                 eps.append(eps[-1] + algebra.monomial_degree(s) - 1)
 
             # internal differential of m
-            dm = mexp.complex.apply(mexp.pos[elem][0],
-                                    _unit_vector(mexp, elem))
-            for i, c in enumerate(dm):
-                if not f.is_zero(c):
-                    tgt_elem = mexp.elements[mdeg + 1][i]
-                    add((tgt_elem, slots), {unit: c})
+            for i, c in mexp.complex.column(mdeg, mexp.pos[elem][1]):
+                add((mexp.elements[mdeg + 1][i], slots), {unit: c})
             # internal differentials of the slots
             for i, s in enumerate(slots):
                 ds = algebra.mono_differential(s)
@@ -370,14 +366,6 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
                                     {s: t for s, t in diff.items() if t},
                                     truncation_degree=cap + 1)
     return Resolution(mod, period=None, description="bar resolution")
-
-
-def _unit_vector(mexp, elem):
-    n, j = mexp.pos[elem]
-    f = mexp.field
-    v = [f.zero()] * len(mexp.elements[n])
-    v[j] = f.one()
-    return v
 
 
 def bar_length_filtration(resolution: Resolution) -> "SemifreeFiltration":
@@ -497,54 +485,27 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
     elems = {}
     for glabel, gdeg in F.generators:
         for nd in n_degrees:
-            for j, ne in enumerate(nexp.elements[nd]):
-                total = gdeg + nd
-                if window.lo <= total <= window.hi + 1:
-                    elems.setdefault(total, []).append((glabel, gdeg, ne))
+            total = gdeg + nd
+            if window.lo <= total <= window.hi + 1:
+                elems.setdefault(total, []).extend((glabel, ne) for ne in nexp.elements[nd])
     for n in elems:
-        elems[n].sort(key=lambda e: (e[0], str(e[2])))
-    pos = {}
-    labels = {}
-    for n, es in elems.items():
-        labels[n] = []
-        for jj, (glabel, gdeg, ne) in enumerate(es):
-            pos[(glabel, ne)] = (n, jj)
-            labels[n].append(f"{glabel}⊗{nexp.elem_label(ne)}")
-    space = GradedVectorSpace(f, labels)
+        elems[n].sort(key=lambda e: (e[0], str(e[1])))
+    labels = {n: [f"{g}⊗{nexp.elem_label(ne)}" for g, ne in es] for n, es in elems.items()}
 
-    diff = {}
-    for n, es in sorted(elems.items()):
-        tgt = elems.get(n + 1, [])
-        if not tgt:
-            continue
-        mat = [[f.zero()] * len(es) for _ in range(len(tgt))]
-        nonzero = False
-        for j, (glabel, gdeg, ne) in enumerate(es):
-            # D_F part: D(g) = Σ h·a ; (h·a)⊗b = h⊗(a·b), left action via
-            # graded commutativity a·b = (-1)^{|a||b|} b·a
-            for h, a in F.differential.get(glabel, {}).items():
-                bparity = (nexp.pos[ne][0]) % 2
-                for am, ac in a.items():
-                    aparity = A.monomial_degree(am) % 2
-                    sgn = f.from_int(-1 if (aparity and bparity) else 1)
-                    for tgt_ne, c in nexp.act_element(ne, {am: ac}).items():
-                        loc = pos.get((h, tgt_ne))
-                        if loc and loc[0] == n + 1:
-                            mat[loc[1]][j] = f.add(mat[loc[1]][j], f.mul(sgn, c))
-                            nonzero = True
-            # N-differential part with the Koszul sign of |g|
-            nd = nexp.pos[ne][0]
-            image = nexp.complex.apply(nd, _unit_vector(nexp, ne))
-            sgn = f.from_int(-1 if gdeg % 2 else 1)
-            for i, c in enumerate(image):
-                if f.is_zero(c):
-                    continue
-                loc = pos.get((glabel, nexp.elements[nd + 1][i]))
-                if loc and loc[0] == n + 1:
-                    mat[loc[1]][j] = f.add(mat[loc[1]][j], f.mul(sgn, c))
-                    nonzero = True
-        if nonzero:
-            diff[n] = mat
+    def column(n, e):
+        glabel, ne = e
+        nd, j = nexp.pos[ne]
+        # D_F part: D(g) = Σ h·a ; (h·a)⊗b = h⊗(a·b), left action via
+        # graded commutativity a·b = (-1)^{|a||b|} b·a
+        for h, a in F.differential.get(glabel, {}).items():
+            for am, ac in a.items():
+                sgn = f.from_int(-1 if (A.monomial_degree(am) % 2 and nd % 2) else 1)
+                for tgt_ne, c in nexp.act_element(ne, {am: ac}).items():
+                    yield (h, tgt_ne), f.mul(sgn, c)
+        # N-differential part with the Koszul sign of |g|
+        sgn = f.from_int(-1 if F.gen_degree[glabel] % 2 else 1)
+        for i, c in nexp.complex.column(nd, j):
+            yield (glabel, nexp.elements[nd + 1][i]), f.mul(sgn, c)
 
     if F.truncation_degree is None:
         truncated_above = None
@@ -552,7 +513,7 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
     else:
         truncated_above = F.truncation_degree - 1 + n_lo
         bounded = False
-    cx = CochainComplex(space, diff, truncated_above=truncated_above)
+    cx, _ = assemble(f, dict(sorted(elems.items())), labels, column, truncated_above)
     dims, _ = cohomology(cx, window)
     cert_hi = window.hi
     if truncated_above is not None:

@@ -292,6 +292,21 @@ def test_cone_rejects_non_chain_maps():
         cone({"b": {"e": {A.unit_monomial(): Fraction(1)}}}, M, N)
 
 
+def test_cone_rejects_a_degree_zero_map_that_is_no_chain_map():
+    A = sphere(4)
+    M = DGModulePresentation.free_rank_one(A)
+    N = molecule_model(MoleculeId(4, 0, 1))          # D(e1) = e0·x
+    # e ↦ e1 has degree 0, but D(e1) ≠ 0 = f(D e)
+    with pytest.raises(NotAChainMap) as err:
+        cone({"e": {"e1": {A.unit_monomial(): Fraction(1)}}}, M, N)
+    assert err.value.code == "not-a-chain-map"
+    # e1 ↦ e is one: D(e1) = e0·x and e0 ↦ 0
+    assert cone({"e1": {"e": {A.unit_monomial(): Fraction(1)}}}, N, M).is_free
+    # a generator-label clash stays a presentation error
+    with pytest.raises(PresentationError, match="duplicate"):
+        cone({}, M, cone({}, M, M))
+
+
 def test_direct_sum_adds_cohomology():
     A = sphere(4)
     M = DGModulePresentation.free_rank_one(A)
@@ -386,7 +401,7 @@ def structure(module):
     """(multiplication, unit) of H^0(End M) in the basis find_idempotents uses."""
     end = EndomorphismH0(module)
     f, k = module.field, end.dim
-    table = [[end.compose(end.reps[i], end.reps[j]) for j in range(k)] for i in range(k)]
+    table, unit = end.structure()
 
     def mul(x, y):
         out = [f.zero()] * k
@@ -396,7 +411,7 @@ def structure(module):
                     out[t] = f.add(out[t], f.mul(f.mul(x[i], y[j]), table[i][j][t]))
         return tuple(out)
 
-    return mul, tuple(end.identity_coordinates())
+    return mul, tuple(unit)
 
 
 def assert_complementary_pair(module, idems):
@@ -601,6 +616,39 @@ def test_raw_action_axioms_checked():
     # action of x4 sends u to v, but v is not a cocycle: Leibniz fails
     with pytest.raises(PresentationError):
         DGModulePresentation.raw(A, cx, {"x4": {0: [[Fraction(1)]]}})
+
+
+def test_raw_action_must_square_to_zero_on_an_exterior_generator():
+    from dglevels.graded import CochainComplex, GradedVectorSpace
+
+    A = sphere(2)
+    space = GradedVectorSpace(QQ, {0: ["1"], 2: ["b"], 4: ["c"]})
+    cx = CochainComplex(space, {})
+    one = [[Fraction(1)]]
+    # 1 ↦ b ↦ c makes x·x ≠ 0 in H*(S²)
+    with pytest.raises(PresentationError, match="x2·x2 = 0"):
+        DGModulePresentation.raw(A, cx, {"x2": {0: one, 2: one}})
+    DGModulePresentation.raw(A, cx, {"x2": {0: one}})
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_raw_action_must_be_graded_commutative(field):
+    from dglevels.graded import CochainComplex, GradedVectorSpace
+
+    A = DGAlgebraPresentation(field, [Generator("x", 2), Generator("y", 2)])
+    space = GradedVectorSpace(field, {0: ["u"], 2: ["p", "q"], 4: ["t"]})
+    cx = CochainComplex(space, {})
+    one, minus = field.one(), field.from_int(-1)
+
+    def actions(q_x, p_y):
+        # u·x = p, u·y = q, q·x = q_x·t, p·y = p_y·t
+        return {"x": {0: [[one], [0]], 2: [[0, q_x]]},
+                "y": {0: [[0], [one]], 2: [[p_y, 0]]}}
+
+    M = DGModulePresentation.raw(A, cx, actions(one, one))     # u·x·y = u·y·x
+    assert not M.is_trivial()
+    with pytest.raises(PresentationError, match="x·y = ±y·x"):
+        DGModulePresentation.raw(A, cx, actions(one, minus))
 
 
 def test_module_presentation_json_round_trip():

@@ -10,6 +10,7 @@ from dglevels.graded import (
     DegreeWindow,
     GradedVectorSpace,
     amplitude,
+    assemble,
     cohomology,
     cohomology_in_degree,
     dims_from_text,
@@ -220,3 +221,32 @@ def test_perturbed_complex_raises_the_same_d_squared_message(case, data):
     with pytest.raises(PresentationError) as e:
         CochainComplex(space, diff)
     assert str(e.value) == expected
+
+
+# -- assemble -------------------------------------------------------------------
+
+
+def test_assemble_sums_repeated_targets_and_drops_out_of_degree_ones():
+    elements = {0: ["a"], 1: ["b", "c"], 2: ["z"]}
+    labels = {0: ["A"], 1: ["B", "C"], 2: ["Z"]}
+    rule = {"a": [("b", Fraction(1)), ("c", Fraction(2)), ("b", Fraction(3)),
+                  ("z", Fraction(5)), ("nowhere", Fraction(7)), ("a", Fraction(1))],
+            "b": [("z", Fraction(2))], "c": [("z", Fraction(-4))]}
+    cx, pos = assemble(QQ, elements, labels, lambda n, e: rule.get(e, ()), truncated_above=9)
+    assert cx.differential == {0: [[Fraction(4)], [Fraction(2)]],
+                               1: [[Fraction(2), Fraction(-4)]]}
+    assert pos == {"a": (0, 0), "b": (1, 0), "c": (1, 1), "z": (2, 0)}
+    assert cx.space.labels(1) == ("B", "C")
+    assert (cx.truncated_above, cx.truncated_below) == (9, None)
+    assert cx.column(0, 0) == [(0, Fraction(4)), (1, Fraction(2))]
+    assert cx.column(2, 0) == []
+
+
+def test_assemble_stores_no_all_zero_map():
+    elements = {0: ["a"], 1: ["b"], 2: ["c"]}
+    labels = {n: [str(e) for e in es] for n, es in elements.items()}
+    rule = {"a": [("b", 1), ("b", 2)], "b": [("c", 1)]}
+    cx, _ = assemble(FieldTag(3), elements, labels, lambda n, e: rule.get(e, ()))
+    # over F_3 the two terms of d(a) cancel, and no map leaves degree 2
+    assert cx.differential == {1: [[1]]}
+    assert cx.column(0, 0) == []
