@@ -29,6 +29,7 @@ from .spheres import (
     Decomposition,
     LevelResult,
     MoleculeId,
+    SphereModule,
     bundle_level,
     component_index,
     decompose,
@@ -70,7 +71,7 @@ __all__ = [
     "derived_tensor", "filtration_class", "infinite_level_certificate",
     "is_compact", "koszul_resolution_poly", "koszul_resolution_sphere",
     "level_upper_bound", "phi", "residue_module",
-    "Decomposition", "LevelResult", "MoleculeId", "bundle_level",
+    "Decomposition", "LevelResult", "MoleculeId", "SphereModule", "bundle_level",
     "component_index", "decompose", "decompose_module", "formalizability_check",
     "free_pullback_level", "molecule_cohomology", "molecule_level",
     "molecule_model", "quiver_component", "realizable", "sphere_level",

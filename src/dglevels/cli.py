@@ -19,7 +19,7 @@ from .emss import FibreSquareSpec, e2_page, install_d2, run_to_stable
 from .errors import DomainError, PresentationError
 from .field import parse_field
 from .graded import DEFAULT_WINDOW, DegreeWindow, dims_from_text, dims_to_json
-from .module import DGModulePresentation
+from .module import DGModulePresentation, find_idempotents
 from .rational import (
     build_P_tower,
     hopf_invariant,
@@ -140,14 +140,36 @@ def cmd_decompose(args):
                    result, "molecule-decomposition", args)
 
 
+def _module_file(path):
+    """A module from a file holding its ``to_json`` payload; a file that
+    cannot be read as one is a domain error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return DGModulePresentation.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as e:
+        raise PresentationError(f"cannot read a module from {path!r}: {e}") from None
+
+
 def cmd_level(args):
-    dims = args.dims
-    res = sphere_level(dims, args.d)
+    if args.module:
+        data, inputs = _module_file(args.module), {"d": args.d, "module": args.module}
+    else:
+        data, inputs = args.dims, {"d": args.d, "dims": dims_to_json(args.dims)}
+    res = sphere_level(data, args.d)
     result = res.to_json()
     if res.decomposition is not None:
         result["decomposition"] = res.decomposition.to_json()
-    return _report("level", {"d": args.d, "dims": dims_to_json(dims)},
-                   result, "sphere-level", args)
+    return _report("level", inputs, result, "sphere-level", args)
+
+
+def cmd_split(args):
+    module = _module_file(args.module)
+    pair = find_idempotents(module, args.window)
+    result = {"indecomposable": not pair,
+              "idempotents": [[module.field.scalar_to_json(x) for x in e] for e in pair]}
+    window = f"{args.window.lo}:{args.window.hi}" if args.window else None
+    return _report("split", {"module": args.module, "window": window},
+                   result, "endomorphism-split", args)
 
 
 def cmd_tor(args):
@@ -312,11 +334,18 @@ def build_parser():
     dc.add_argument("--field", default="q")
     dc.set_defaults(func=cmd_decompose)
 
-    lv = sub.add_parser("level", help="sphere level of a dimension table")
+    lv = sub.add_parser("level", help="sphere level of a dimension table or a module")
     lv.add_argument("--d", type=int, required=True)
-    lv.add_argument("--dims", type=_dims_arg, required=True)
+    given = lv.add_mutually_exclusive_group(required=True)
+    given.add_argument("--dims", type=_dims_arg)
+    given.add_argument("--module", help="JSON file of a module presentation")
     lv.add_argument("--field", default="q")
     lv.set_defaults(func=cmd_level)
+
+    sp = sub.add_parser("split", help="split or certify indecomposable a free module")
+    sp.add_argument("--module", required=True, help="JSON file of a module presentation")
+    sp.add_argument("--window", type=_window_arg, help="hom degrees of H^0(End)")
+    sp.set_defaults(func=cmd_split)
 
     t = sub.add_parser("tor", help="derived tensor over a sphere algebra")
     t.add_argument("--d", type=int, required=True)

@@ -22,6 +22,7 @@ from math import isqrt
 from .algebra import DIVIDED, EXTERIOR, DGAlgebraPresentation
 from .errors import (
     AlgebraMismatch,
+    BudgetExceeded,
     EndTooLarge,
     NotAChainMap,
     PresentationError,
@@ -158,10 +159,9 @@ class DGModulePresentation:
                 if len(mat) != tgt or any(len(row) != src for row in mat):
                     raise PresentationError(
                         f"action of {label} at degree {n} has wrong shape")
-            # module axiom: the action is a chain map (algebra differential zero here)
-            for n, mat in mats.items():
-                if self.complex.dim(n) == 0:
-                    continue
+            # module axiom: the action is a chain map (algebra differential zero
+            # here), in every degree; a missing matrix is the zero action
+            for n in self.complex.space.degrees():
                 for j in range(self.complex.dim(n)):
                     v = [f.zero()] * self.complex.dim(n)
                     v[j] = f.one()
@@ -588,8 +588,15 @@ class MorphismComplex:
         return cohomology(self.complex)[0]
 
 
+# basis maps `hom_complex` lists before it gives up; 32 times the 153 of the
+# largest Hom complex the tests build (the catalog benchmark's reach 68)
+HOM_BASIS_BUDGET = 5_000
+
+
 def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
                 hom_window: DegreeWindow = None) -> MorphismComplex:
+    """Algebra-linear maps source → target, graded by hom degree in the window
+    (default -8..8).  Raises BudgetExceeded past HOM_BASIS_BUDGET basis maps."""
     if not source.is_free:
         raise SourceNotFree("hom_complex needs a free source")
     if source.algebra is not target.algebra and \
@@ -604,6 +611,7 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
     texp = target.expand(tgt_window)
 
     basis = {}
+    size = 0
     for n in hom_window.degrees():
         elems = []
         for g, gd in source.generators:
@@ -611,6 +619,11 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
                 elems.append((g, e))
         if elems:
             basis[n] = elems
+            size += len(elems)
+            if size > HOM_BASIS_BUDGET:
+                raise BudgetExceeded(
+                    f"the Hom complex needs more than {HOM_BASIS_BUDGET} basis maps "
+                    f"in hom degrees {hom_window.lo}..{hom_window.hi}")
     labels = {n: [f"{g}→{texp.elem_label(e, tag_degree=True)}" for g, e in elems]
               for n, elems in basis.items()}
 

@@ -66,7 +66,7 @@ from .field import QQ, coordinates, solve
 from .graded import DegreeWindow, cohomology
 from .module import DGModulePresentation
 from .resolve import SemifreeFiltration, filtration_class
-from .spheres import LevelResult, decompose_module
+from .spheres import LevelResult, SphereModule, decompose_module
 
 
 def sphere_model(d: int) -> DGAlgebraPresentation:
@@ -116,45 +116,55 @@ class TowerSpec:
         The coefficients, polynomials in the base model, are pushed along the
         quasi-isomorphism of the base model onto H*(S^d) (for even d,
         ∧(x, ξ) → H*(S^d) with ξ ↦ 0 and x² ↦ 0), which keeps the module's
-        class in the derived category and so its level.
+        class in the derived category and so its level.  The push is an
+        algebra map, so it is applied once to each D(w_k); D of a monomial
+        w^S then follows from the Leibniz rule on S as a bit mask (see
+        `sphere_module`, whose blocks this presentation carries).
         """
+        return self.sphere_module().to_presentation()
+
+    def sphere_module(self) -> SphereModule:
+        """The blocks of `as_base_module`: D(w^S) = Σ_{k ∈ S} (-1)^{#S below k}
+        w^{S below k}·D̄(w_k)·w^{S above k}, with D̄(w_k) = Σ c·x^e·w^β the
+        pushed differential.  Every w_k is odd, so x^e moves to the right
+        past the prefix and w^β, and sorting the product of w's is a
+        permutation sign; a repeated w_k gives zero."""
         F = self.full
-        H = DGAlgebraPresentation.sphere_cohomology(self.d, QQ)
-        nb = F.n - len(self.extension)
-        gens = []
-        diff = {}
-        for mask in range(2 ** len(self.extension)):
-            mono = [0] * F.n
-            for k in range(len(self.extension)):
-                if mask & (1 << k):
-                    mono[nb + k] = 1
-            label = self._ext_label(mask)
-            gens.append((label, F.monomial_degree(tuple(mono))))
-            terms = {}
-            for tmono, c in F.mono_differential(tuple(mono)).items():
-                tmask = 0
-                base_part = [0] * nb
-                for i in range(nb):
-                    base_part[i] = tmono[i]
-                for k in range(len(self.extension)):
-                    if tmono[nb + k]:
-                        tmask |= 1 << k
-                # base^α·ext^β = (-1)^{p(α)p(β)} (ext^β)·base^α
-                pa = sum(base_part[i] * F.generators[i].degree for i in range(nb)) & 1
-                pb = sum(tmono[nb + k] * F.generators[nb + k].degree
-                         for k in range(len(self.extension))) & 1
-                coeff = QQ.from_int(-1 if pa and pb else 1)
-                if base_part[0] > 1 or any(base_part[1:]):
+        n = len(self.extension)
+        nb = F.n - n
+        x_odd = F.generators[0].degree & 1
+        pushed = []                 # per k: (e, β as a mask, bits of β, c)
+        for label, _ in self.extension:
+            terms = []
+            for mono, c in F.differential.get(label, {}).items():
+                if mono[0] > 1 or any(mono[1:nb]):
                     continue                # x² and ξ map to zero
-                poly = terms.setdefault(self._ext_label(tmask), {})
-                key = (base_part[0],)
-                poly[key] = QQ.add(poly.get(key, QQ.zero()), QQ.mul(coeff, c))
-            terms = {t: {k: v for k, v in p.items() if not QQ.is_zero(v)}
-                     for t, p in terms.items()}
-            terms = {t: p for t, p in terms.items() if p}
-            if terms:
-                diff[label] = terms
-        return DGModulePresentation.free(H, gens, diff)
+                bits = [j for j in range(n) if mono[nb + j]]
+                terms.append((mono[0], sum(1 << j for j in bits), bits, c))
+            pushed.append(terms)
+        gens, delta, phi = [], {}, {}
+        for mask in range(1 << n):
+            gens.append((self._ext_label(mask),
+                         sum(deg for k, (_, deg) in enumerate(self.extension) if mask >> k & 1)))
+            for k in range(n):
+                if not mask >> k & 1:
+                    continue
+                rest = mask ^ (1 << k)
+                below = rest & ((1 << k) - 1)
+                above = rest ^ below
+                lead = below.bit_count()
+                for e, beta, bits, c in pushed[k]:
+                    if beta & rest:
+                        continue
+                    target = rest | beta
+                    # the Leibniz sign, then the inversions of (below, β, above)
+                    sign = lead + sum((below >> b).bit_count() +
+                                      (above & ((1 << b) - 1)).bit_count() for b in bits)
+                    if e and x_odd:
+                        sign += lead + target.bit_count()
+                    col = (phi if e else delta).setdefault(mask, {})
+                    col[target] = col.get(target, 0) + (-c if sign & 1 else c)
+        return SphereModule(self.d, F.field, gens, delta, phi)
 
     def _ext_label(self, mask):
         parts = [self.extension[k][0] for k in range(len(self.extension))
@@ -256,7 +266,7 @@ def tower_level_bounds(tower: TowerSpec, d: int | None = None) -> LevelResult:
     d = d or tower.d
     if not tower.fibre_cohomology_finite():
         raise PresentationError("the fibre complex is not certifiably finite")
-    dec = decompose_module(tower.as_base_module(), d)
+    dec = decompose_module(tower.sphere_module(), d)
     return LevelResult.exact(dec.level(), decomposition=dec)
 
 
@@ -275,21 +285,17 @@ def pile_upper_bound(stages: int, extra_odd_spheres: int = 0, d: int = 3,
     """
     if stages < 0:
         raise PresentationError("the stage count must be nonnegative")
-    A = DGAlgebraPresentation.sphere_cohomology(d, field)
-    x = f"x{d}"
-    gens = []
-    diff = {}
+    gens, phi = [], {}
     spheres = [2 * i + 3 for i in range(extra_odd_spheres)]
     for mask in range(2 ** extra_odd_spheres):
         sub = [i for i in range(extra_odd_spheres) if mask & (1 << i)]
         suffix = "".join(f"·y{spheres[i]}" for i in sub)
         sdeg = sum(spheres[i] for i in sub)
         for j in range(stages + 1):
-            label = f"e{j}{suffix}"
-            gens.append((label, j * (d - 1) + sdeg))
+            gens.append((f"e{j}{suffix}", j * (d - 1) + sdeg))
             if j:
-                diff[label] = {f"e{j-1}{suffix}": A.generator_poly(x)}
-    module = DGModulePresentation.free(A, gens, diff)
+                phi[len(gens) - 1] = {len(gens) - 2: 1}     # D(e_j) = e_{j-1}·x
+    module = SphereModule(d, field, gens, phi=phi).to_presentation()
     stages_sets = []
     for c in range(stages + 1):
         stages_sets.append(frozenset(lbl for lbl, _ in gens

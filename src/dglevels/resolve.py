@@ -273,6 +273,13 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
         for m in monos:
             slot_basis.append((m, deg))
 
+    slot_degree = dict(slot_basis)
+    slot_label = {m: algebra.mono_label(m) for m in slot_degree}
+    # decided once per call: over H*(S^d) every product of two slots is zero
+    # (x·x = 0), so no word has an adjacent merge and that scan is skipped;
+    # with a zero differential no slot has an internal differential
+    merges = any(algebra.mono_mul(a, b) is not None for a in slot_degree for b in slot_degree)
+    slot_differentials = not algebra.has_zero_differential()
     gens = []
     diff = {}
     gen_label = {}
@@ -281,7 +288,7 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
         mlabel = mexp.elem_label(elem)
         if not slots:
             return mlabel
-        inner = "|".join(algebra.mono_label(s) for s in slots)
+        inner = "|".join(slot_label[s] for s in slots)
         return f"{mlabel}[{inner}]"
 
     # enumerate (m, slots) with total degree <= cap and bar length <= cutoff
@@ -327,15 +334,14 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
             unit = algebra.unit_monomial()
             eps = [mdeg]
             for s in slots:
-                eps.append(eps[-1] + algebra.monomial_degree(s) - 1)
+                eps.append(eps[-1] + slot_degree[s] - 1)
 
             # internal differential of m
             for i, c in mexp.complex.column(mdeg, mexp.pos[elem][1]):
                 add((mexp.elements[mdeg + 1][i], slots), {unit: c})
             # internal differentials of the slots
-            for i, s in enumerate(slots):
-                ds = algebra.mono_differential(s)
-                for tm, c in ds.items():
+            for i, s in enumerate(slots if slot_differentials else ()):
+                for tm, c in algebra.mono_differential(s).items():
                     sign = f.from_int(-1 if eps[i] % 2 else 1)
                     add((elem, slots[:i] + (tm,) + slots[i + 1:]),
                         {unit: f.neg(f.mul(sign, c))})
@@ -345,16 +351,17 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
                 acted = mexp.act_element(elem, algebra.mono_poly(slots[0]))
                 for tgt_elem, c in acted.items():
                     add((tgt_elem, slots[1:]), {unit: f.mul(sign0, c)})
-                # merge adjacent slots; the sign uses the prefix through the
-                # left slot (suspended degrees)
-                for i in range(1, len(slots)):
-                    prod = algebra.mono_mul(slots[i - 1], slots[i])
-                    if prod is None:
-                        continue
-                    c, mono = prod
-                    sign = f.from_int(-1 if eps[i] % 2 else 1)
-                    add((elem, slots[:i - 1] + (mono,) + slots[i + 1:]),
-                        {unit: f.mul(sign, c)})
+                if merges:
+                    # merge adjacent slots; the sign uses the prefix through the
+                    # left slot (suspended degrees)
+                    for i in range(1, len(slots)):
+                        prod = algebra.mono_mul(slots[i - 1], slots[i])
+                        if prod is None:
+                            continue
+                        c, mono = prod
+                        sign = f.from_int(-1 if eps[i] % 2 else 1)
+                        add((elem, slots[:i - 1] + (mono,) + slots[i + 1:]),
+                            {unit: f.mul(sign, c)})
                 # last slot becomes an algebra coefficient
                 signt = f.from_int(-1 if eps[-2] % 2 else 1)
                 add((elem, slots[:-1]),

@@ -8,12 +8,24 @@ independently of the shift.  The Auslander-Reiten quiver splits into d-1
 translation-quiver components indexed by l mod (d-1).
 
 Module inputs are decomposed by the Jordan strings of their minimal model
-(`decompose_module`).  Write the differential of a free module on a graded
-space V of generators as D = δ₀ + x·Φ with scalar matrices δ₀ and Φ.  By the
-homological perturbation lemma the minimal model is (H(V, δ₀), x·Φ̄), since
-every higher transfer term carries x² = 0; Φ̄ is nilpotent of degree 1-d,
-and a Jordan string of length m+1 whose top sits in degree l is the molecule
-Σ^{-l}Z_m.  This is rank arithmetic, and the answer is unique.
+(`decompose_module`).  A free module over A = K[x]/(x²) on a graded space V
+of generators has D = δ₀ + x·Φ with scalar matrices δ₀ (degree 1) and Φ
+(degree 1-d), and the level path builds every such module in this block
+form, as a `SphereModule` with sparse columns per degree: the molecule
+models, the towers of `rational` and the Koszul tensor of a bundle.  With
+coefficients on the right (the right-module rule of `module`), D(h·a) =
+D(h)·a since dA = 0, so
+
+  D²(g) = δ₀²(g) + (Φδ₀ + δ₀Φ)(g)·x,
+
+with no sign: D² = 0 exactly when δ₀² = 0 and Φδ₀ + δ₀Φ = 0, the two
+identities a SphereModule checks on construction.  A `DGModulePresentation`
+is built from the blocks only where a caller needs one (Hom, Tor, JSON).
+
+By the homological perturbation lemma the minimal model is (H(V, δ₀), x·Φ̄),
+since every higher transfer term carries x² = 0; Φ̄ is nilpotent of degree
+1-d, and a Jordan string of length m+1 whose top sits in degree l is the
+molecule Σ^{-l}Z_m.  This is rank arithmetic, and the answer is unique.
 
 Bare dimension tables, and modules known only through their cohomology (raw
 or truncated presentations), are decomposed by perfect matching: pair the
@@ -40,7 +52,7 @@ from .errors import (
     PresentationError,
     VerificationFailed,
 )
-from .field import FieldTag, QQ, rank, rank_and_kernel
+from .field import FieldTag, QQ, integer_row, rank, rank_and_kernel
 from .graded import DegreeWindow, total_dimension
 from .module import DGModulePresentation
 from .resolve import TorResult, derived_tensor
@@ -294,60 +306,161 @@ def decompose(dims, d: int) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def decompose_module(module: DGModulePresentation, d: int) -> Decomposition:
-    """Molecules of a finite, untruncated free module over H*(S^d).
+class SphereModule:
+    """A finite free module over H*(S^d) = K[x]/(x²) as two scalar blocks.
 
-    Splits D into δ₀ + x·Φ and counts the Jordan strings of Φ̄ on H(V, δ₀)
-    by ranks (see the module docstring).  With r_k(a) the rank of
-    Φ̄^k : H_a → H_{a+k(1-d)}, computed as rank[Φ^k Z_a | B] - rank B on the
-    cocycles Z and boundaries B of δ₀, N(a, k) = r_k(a) - r_{k+1}(a+d-1)
-    strings of length at least k+1 start in degree a, and
-    N(a, k) - N(a, k+1) of them have length exactly k+1.  `matching` lists
-    each molecule's two cohomology degrees; nothing is ambiguous.
+    ``generators`` lists (label, degree) pairs.  ``delta`` and ``phi`` map a
+    generator's index to its column {target index: scalar}: D(g) = δ₀(g) +
+    Φ(g)·x, so δ₀ raises the degree by 1 and Φ by 1 - d.  Both are stored as
+    sparse columns per degree: ``delta[n][j]`` lists (row, scalar) pairs for
+    generator j of degree n, rows indexing the generators of degree n + 1;
+    a degree whose columns are all zero has no entry.
+    D² = δ₀² + (Φδ₀ + δ₀Φ)·x (see the module docstring), so both identities
+    are checked on construction; a violation raises PresentationError.
+    """
+
+    def __init__(self, d: int, field: FieldTag, generators, delta=None, phi=None):
+        if d <= 1:
+            raise PresentationError("sphere dimension must exceed 1")
+        self.d = d
+        self.field = field
+        self.generators = tuple(generators)
+        if len({label for label, _ in self.generators}) != len(self.generators):
+            raise PresentationError("duplicate module generator labels")
+        self.labels = {}            # degree -> generator labels
+        self._slot = []             # generator index -> position in its degree
+        for label, deg in self.generators:
+            self._slot.append(len(self.labels.setdefault(deg, [])))
+            self.labels[deg].append(label)
+        self.delta = self._columns(delta or {}, 0)
+        self.phi = self._columns(phi or {}, d)
+        self._check()
+
+    def _columns(self, columns, xdeg):
+        """Per-degree sparse columns of the block whose entries multiply x^xdeg."""
+        out = {}
+        for src, terms in columns.items():
+            label, deg = self.generators[src]
+            col = []
+            for tgt, c in terms.items():
+                c = self._scalar(c)
+                if not c:
+                    continue
+                tlabel, tdeg = self.generators[tgt]
+                if tdeg + xdeg != deg + 1:
+                    raise PresentationError(
+                        f"D({label}) term on {tlabel} has total degree {tdeg + xdeg}, "
+                        f"expected {deg + 1}")
+                col.append((self._slot[tgt], c))
+            if col:
+                out.setdefault(deg, [[] for _ in self.labels[deg]])[self._slot[src]] = col
+        return out
+
+    def _scalar(self, c):
+        """Residues over F_p; over Q ints where integral, else Fractions."""
+        if self.field.p:
+            return self.field.from_fraction(c.numerator, c.denominator)
+        return c.numerator if c.denominator == 1 else c
+
+    def _check(self):
+        """δ₀² = 0 and Φδ₀ + δ₀Φ = 0, one generator's column at a time."""
+        if not self.delta:
+            return                  # δ₀ = 0 satisfies both
+        p, d = self.field.p, self.d
+        for deg in sorted(self.delta.keys() | self.phi.keys()):
+            none = [[]] * len(self.labels[deg])
+            for label, dcol, pcol in zip(self.labels[deg], self.delta.get(deg, none),
+                                         self.phi.get(deg, none)):
+                if not (dcol or pcol):
+                    continue
+                square = self._compose(self.delta, deg + 1, dcol)
+                cross = self._compose(self.phi, deg + 1, dcol,
+                                      self._compose(self.delta, deg + 1 - d, pcol))
+                for acc, tdeg in ((square, deg + 2), (cross, deg + 2 - d)):
+                    hit = [i for i, c in acc.items() if (c % p if p else c)]
+                    if hit:
+                        raise PresentationError(f"D∘D ≠ 0 on generator {label!r} "
+                                                f"(lands on {self.labels[tdeg][min(hit)]!r})")
+
+    def _compose(self, blocks, deg, col, acc=None):
+        """acc plus the block at degree ``deg`` applied to a sparse column there."""
+        acc = {} if acc is None else acc
+        cols = blocks.get(deg)
+        for i, c in col if cols else ():
+            for k, e in cols[i]:
+                acc[k] = acc.get(k, 0) + c * e
+        return acc
+
+    @staticmethod
+    def from_presentation(module: DGModulePresentation, d: int) -> "SphereModule":
+        """Split a finite, untruncated free presentation over H*(S^d) into
+        its blocks: the x⁰ coefficients form δ₀, the x¹ coefficients Φ."""
+        A = module.algebra
+        if A.sphere_generator_label() is None or A.generators[0].degree != d:
+            raise PresentationError(f"the module does not live over H*(S^{d})")
+        if not module.is_free or module.truncation_degree is not None:
+            raise PresentationError("Jordan strings need a finite, untruncated free module")
+        index = {label: i for i, (label, _) in enumerate(module.generators)}
+        delta, phi = {}, {}
+        for src, terms in module.differential.items():
+            for tgt, poly in terms.items():
+                for (e,), c in poly.items():
+                    (phi if e else delta).setdefault(index[src], {})[index[tgt]] = c
+        return SphereModule(d, module.field, module.generators, delta, phi)
+
+    def to_presentation(self) -> DGModulePresentation:
+        """The same module as a DGModulePresentation, validated in full."""
+        f = self.field
+        A = DGAlgebraPresentation.sphere_cohomology(self.d, f)
+        diff = {}
+        for e, blocks in ((0, self.delta), (1, self.phi)):
+            for deg, cols in blocks.items():
+                targets = self.labels.get(deg + 1 - e * self.d)
+                for label, col in zip(self.labels[deg], cols):
+                    for i, c in col:
+                        diff.setdefault(label, {})[targets[i]] = \
+                            {(e,): f.from_int(c) if isinstance(c, int) else c}
+        return DGModulePresentation.free(A, self.generators, diff)
+
+
+def decompose_module(module, d: int) -> Decomposition:
+    """Molecules of a finite free module over H*(S^d): a SphereModule, or an
+    untruncated free DGModulePresentation, which is split into its blocks.
+
+    Counts the Jordan strings of Φ̄ on H(V, δ₀) by ranks (see the module
+    docstring).  With r_k(a) the rank of Φ̄^k : H_a → H_{a+k(1-d)}, computed
+    as rank[Φ^k Z_a | B] - rank B on the cocycles Z and boundaries B of δ₀,
+    N(a, k) = r_k(a) - r_{k+1}(a+d-1) strings of length at least k+1 start
+    in degree a, and N(a, k) - N(a, k+1) of them have length exactly k+1.
+    `matching` lists each molecule's two cohomology degrees; nothing is
+    ambiguous.
     """
     if d <= 1:
         raise PresentationError("sphere dimension must exceed 1")
-    A = module.algebra
-    if A.sphere_generator_label() is None or A.generators[0].degree != d:
+    if isinstance(module, DGModulePresentation):
+        module = SphereModule.from_presentation(module, d)
+    elif module.d != d:
         raise PresentationError(f"the module does not live over H*(S^{d})")
-    if not module.is_free or module.truncation_degree is not None:
-        raise PresentationError("Jordan strings need a finite, untruncated free module")
-    f = module.field
-    labels = {}                     # degree -> generator labels
-    for label, deg in module.generators:
-        labels.setdefault(deg, []).append(label)
-    where = {label: (deg, j) for deg, ls in labels.items() for j, label in enumerate(ls)}
-    # δ₀ and Φ as sparse columns: source degree -> [[(target row, scalar)], ...]
-    delta = {deg: [[] for _ in ls] for deg, ls in labels.items()}
-    phi = {deg: [[] for _ in ls] for deg, ls in labels.items()}
-    for src, terms in module.differential.items():
-        deg, j = where[src]
-        for tgt, poly in terms.items():
-            for (e,), c in poly.items():
-                (phi if e else delta)[deg][j].append((where[tgt][1], c))
+    f, p = module.field, module.field.p
+    labels, delta, phi = module.labels, module.delta, module.phi
 
-    def apply(cols, deg, vec, tgt):
-        out = [f.zero()] * len(labels.get(tgt, ()))
-        for c, col in zip(vec, cols[deg]):
-            if c:
-                for i, e in col:
-                    out[i] = f.add(out[i], f.mul(c, e))
-        return out
+    def dense(pairs, n):
+        v = [0] * n
+        for i, c in pairs:
+            v[i] = c % p if p else c
+        return v
 
-    def units(deg):
-        n = len(labels.get(deg, ()))
-        return [[f.one() if i == j else f.zero() for i in range(n)] for j in range(n)]
-
-    def images(cols, deg, tgt):
-        """The images of the generators of degree deg, as dense vectors."""
-        return [apply(cols, deg, v, tgt) for v in units(deg)]
+    def span(vecs):
+        """The rank of nonzero vectors; one or none needs no reduction."""
+        return len(vecs) if len(vecs) < 2 else rank(vecs, f)
 
     boundaries = {}
 
     def boundary(a):
         if a not in boundaries:
-            vecs = [v for v in images(delta, a - 1, a) if any(v)]
-            boundaries[a] = (vecs, rank(vecs, f))
+            n = len(labels[a])
+            vecs = [dense(col, n) for col in delta.get(a - 1, ()) if col]
+            boundaries[a] = (vecs, span(vecs))
         return boundaries[a]
 
     ranks = {}
@@ -356,31 +469,37 @@ def decompose_module(module: DGModulePresentation, d: int) -> Decomposition:
         """[r_0(a), r_1(a), ...] up to the first zero."""
         if a not in ranks:
             out = []
-            if a + 1 in labels:         # the kernel of δ₀, from its rows
-                vecs = rank_and_kernel([list(r) for r in zip(*images(delta, a, a + 1))], f)[1]
+            n = len(labels[a])
+            if a in delta:              # the kernel of δ₀, from its rows
+                rows = list(zip(*(dense(col, len(labels[a + 1])) for col in delta[a])))
+                vecs = [v if p else integer_row(v) for v in rank_and_kernel(rows, f)[1]]
             else:
-                vecs = units(a)
-            t = a
-            while vecs:
-                bvecs, brank = boundary(t)
-                r = rank(vecs + bvecs, f) - brank
-                if not r:
-                    break
+                vecs = [dense([(j, 1)], n) for j in range(n)]
+            # Z_a contains B_a, so r_0(a) = dim Z_a - rank B_a without a reduction
+            t, r = a, len(vecs) - boundary(a)[1]
+            while r:
                 out.append(r)
-                vecs = [v for v in (apply(phi, t, v, t + 1 - d) for v in vecs) if any(v)]
+                images = [module._compose(phi, t, [(j, c) for j, c in enumerate(v) if c])
+                          for v in vecs]    # Φ on the sparse columns
                 t += 1 - d
+                n = len(labels.get(t, ()))
+                vecs = [w for w in (dense(acc.items(), n) for acc in images) if any(w)]
+                if not vecs:
+                    break
+                bvecs, brank = boundary(t)
+                r = span(vecs + bvecs) - brank
             ranks[a] = out
         return ranks[a]
 
-    def at_least(a, k):
-        """N(a, k): strings of length >= k+1 with top in degree a."""
-        r, above = rank_powers(a), rank_powers(a + d - 1)
-        return (r[k] if k < len(r) else 0) - (above[k + 1] if k + 1 < len(above) else 0)
-
     molecules = []
     for a in sorted(labels):
-        for k in range(len(rank_powers(a))):
-            count = at_least(a, k) - at_least(a, k + 1)
+        r = rank_powers(a)
+        above = rank_powers(a + d - 1) if a + d - 1 in labels else []
+        # N(a, k) for k = 0 .. len(r)
+        at_least = [(r[k] if k < len(r) else 0) - (above[k + 1] if k + 1 < len(above) else 0)
+                    for k in range(len(r) + 1)]
+        for k in range(len(r)):
+            count = at_least[k] - at_least[k + 1]
             if count < 0:
                 raise VerificationFailed(f"negative string count in degree {a}")
             molecules.extend([MoleculeId(d, a, k)] * count)
@@ -410,17 +529,14 @@ def molecule_model(mol: MoleculeId, field: FieldTag = QQ,
     Verified on construction: its Jordan strings are exactly the one molecule.
     """
     d = mol.d
-    A = DGAlgebraPresentation.sphere_cohomology(d, field)
-    x = f"x{d}"
     gens = [(f"e{j}", mol.l - (mol.m - j) * (d - 1)) for j in range(mol.m + 1)]
-    diff = {f"e{j}": {f"e{j-1}": A.generator_poly(x)} for j in range(1, mol.m + 1)}
-    module = DGModulePresentation.free(A, gens, diff)
+    module = SphereModule(d, field, gens, phi={j: {j - 1: 1} for j in range(1, mol.m + 1)})
     if verify:
         found = decompose_module(module, d).molecules
         if found != (mol,):
             raise VerificationFailed(
                 f"model of {mol} decomposes as {[str(m) for m in found]}")
-    return module
+    return module.to_presentation()
 
 
 # ---------------------------------------------------------------------------
@@ -557,33 +673,19 @@ def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag, d: int = 4,
     return dec.level(), dec, dict(sorted(tor.dims.items()))
 
 
-def _koszul_tensor_module(poly_gens, d, field, f4_nonzero):
+def _koszul_tensor_module(poly_gens, d, field, f4_nonzero) -> SphereModule:
     """⊗ of the Koszul resolution with H*(S^d) along the classifying map, as a
-    free module over the sphere: exterior generators s⁻¹y_j, the degree-4 one
-    differentiating to the sphere class when it acts."""
-    A = DGAlgebraPresentation.sphere_cohomology(d, field)
-    x = f"x{d}"
+    free module over the sphere: one generator per product of the exterior
+    generators a_j = s⁻¹y_j, and D(a_0·a) = a·x when the degree-4 generator
+    acts (a_0 comes first, so no sign); δ₀ = 0."""
     n = len(poly_gens)
     gens = []
-    diff = {}
-
-    def lbl(subset):
-        return "·".join(f"a{j}" for j in subset) if subset else "1̄"
-
-    for mask in range(2 ** n):
-        subset = [j for j in range(n) if mask & (1 << j)]
-        deg = sum(poly_gens[j] - 1 for j in subset)
-        gens.append((lbl(subset), deg))
-        terms = {}
-        for idx, j in enumerate(subset):
-            if j == 0 and f4_nonzero:
-                prefix_parity = sum((poly_gens[t] - 1) for t in subset[:idx]) % 2
-                coeff = field.from_int(-1 if prefix_parity else 1)
-                rest = subset[:idx] + subset[idx + 1:]
-                terms[lbl(rest)] = A.poly_scale(A.generator_poly(x), coeff)
-        if terms:
-            diff[lbl(subset)] = terms
-    return DGModulePresentation.free(A, gens, diff)
+    for mask in range(1 << n):
+        subset = [j for j in range(n) if mask >> j & 1]
+        label = "·".join(f"a{j}" for j in subset) if subset else "1̄"
+        gens.append((label, sum(poly_gens[j] - 1 for j in subset)))
+    phi = {mask: {mask ^ 1: 1} for mask in range(1, 1 << n, 2)} if f4_nonzero else {}
+    return SphereModule(d, field, gens, phi=phi)
 
 
 def _sphere_as_module_over(P, labels, degrees, d, field, f4_nonzero):

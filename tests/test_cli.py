@@ -301,3 +301,72 @@ def test_fuzzing_leaves_the_cached_parser_unchanged(argv):
     before = run_captured(REFERENCE_COMMANDS[2])      # bundle-level --gens
     check_exits_cleanly(argv)
     assert run_captured(REFERENCE_COMMANDS[2]) == before
+
+
+# -- modules read from JSON files -------------------------------------------------
+
+
+def write_module(path, module):
+    path.write_text(json.dumps(module.to_json(), ensure_ascii=False), encoding="utf-8")
+    return str(path)
+
+
+def test_level_of_a_module_file(tmp_path):
+    from dglevels.module import direct_sum, shift
+    from dglevels.spheres import MoleculeId, molecule_model
+
+    M = direct_sum([molecule_model(MoleculeId(4, 3, 1)),
+                    shift(molecule_model(MoleculeId(4, 6, 2)), 2)])
+    argv = ["level", "--d", "4", "--module", write_module(tmp_path / "m.json", M)]
+    code, out = run_captured(argv)
+    assert code == 0 and run_captured(argv) == (code, out)
+    result = json.loads(out)["result"]
+    assert result["kind"] == "exact" and result["level"] == 3
+    assert [(m["l"], m["m"]) for m in result["decomposition"]["molecules"]] == [(3, 1), (4, 2)]
+    assert run_captured(["level", "--d", "4", "--dims", "0:1", "--module", argv[-1]])[0] == 2
+
+
+def test_split_of_a_module_file(tmp_path):
+    from dglevels.module import direct_sum
+    from dglevels.spheres import MoleculeId, molecule_model
+
+    one = write_module(tmp_path / "one.json", molecule_model(MoleculeId(3, 2, 1)))
+    code, out = run_captured(["split", "--module", one])
+    assert code == 0 and json.loads(out)["result"] == {"indecomposable": True, "idempotents": []}
+    two = write_module(tmp_path / "two.json", direct_sum(
+        [molecule_model(MoleculeId(3, 2, 1)), molecule_model(MoleculeId(3, 9, 0))]))
+    code, out = run_captured(["split", "--module", two, "--window=-2:2"])
+    assert code == 0 and len(json.loads(out)["result"]["idempotents"]) == 2
+
+
+ZERO_DENOMINATOR = json.dumps({
+    "algebra": {"field": "q", "generators": [["x4", 4, "exterior"]], "differential": {}},
+    "generators": [["u", 0], ["v", 3]], "differential": {"v": {"u": [["1/0", {"x4": 1}]]}}})
+
+
+@pytest.mark.parametrize("text", ["", "[1, 2", "[1, 2]", '{"algebra": {}}', ZERO_DENOMINATOR])
+def test_unreadable_module_files_are_domain_errors(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["level", "--d", "4", "--module", str(path)], ["split", "--module", str(path)]):
+        code, out = run_captured(argv)
+        assert code == 1 and json.loads(out)["error"]["code"] == "invalid-presentation"
+    code, out = run_captured(["split", "--module", str(tmp_path / "missing.json")])
+    assert code == 1 and json.loads(out)["error"]["code"] == "invalid-presentation"
+
+
+def test_hom_basis_budget_on_the_command_line(tmp_path):
+    from dglevels.algebra import DGAlgebraPresentation
+    from dglevels.field import QQ
+    from dglevels.module import HOM_BASIS_BUDGET, DGModulePresentation
+
+    A = DGAlgebraPresentation.sphere_cohomology(2, QQ)
+    big = write_module(tmp_path / "big.json",
+                       DGModulePresentation.free(A, [(f"g{i}", 0) for i in range(60)]))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["split", "--module", big])
+    assert code == 1 and err.getvalue() == ""
+    payload = json.loads(out.getvalue())
+    assert payload["error"]["code"] == "budget-exceeded"
+    assert str(HOM_BASIS_BUDGET) in payload["error"]["message"]

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from dglevels.algebra import DGAlgebraPresentation, Generator
 from dglevels.errors import (
     AlgebraMismatch,
+    BudgetExceeded,
     EndTooLarge,
     NotAChainMap,
     PresentationError,
@@ -22,6 +23,7 @@ from dglevels.errors import (
 from dglevels.field import QQ, GF2, GF3, GF5, FieldTag
 from dglevels.graded import DegreeWindow, cohomology
 from dglevels.module import (
+    HOM_BASIS_BUDGET,
     DGModulePresentation,
     EndomorphismH0,
     cone,
@@ -344,6 +346,16 @@ def test_hom_into_molecule_model():
     assert dims.get(0) == 1
 
 
+def test_hom_basis_budget():
+    # 60 generators in degree 0 over H*(S^2): 60² maps in hom degrees 0 and 2
+    A = sphere(2)
+    M = DGModulePresentation.free(A, [(f"g{i}", 0) for i in range(60)])
+    with pytest.raises(BudgetExceeded, match=f"more than {HOM_BASIS_BUDGET} basis maps"):
+        hom_complex(M, M)
+    small = DGModulePresentation.free(A, [(f"g{i}", 0) for i in range(45)])
+    assert hom_complex(small, small).h_dims() == {0: 45 * 45, 2: 45 * 45}
+
+
 def test_hom_requires_free_source():
     A = sphere(4)
     raw = DGModulePresentation.trivial(A, shifts=(0,))
@@ -616,6 +628,22 @@ def test_raw_action_axioms_checked():
     # action of x4 sends u to v, but v is not a cocycle: Leibniz fails
     with pytest.raises(PresentationError):
         DGModulePresentation.raw(A, cx, {"x4": {0: [[Fraction(1)]]}})
+
+
+def test_raw_action_missing_matrix_is_the_zero_action():
+    from dglevels.graded import CochainComplex, GradedVectorSpace
+
+    # u (0) → w (1) with d(u) = w and only w·x = z given: u·x = 0, so
+    # d(u·x) = 0 while d(u)·x = z; the missing matrix at degree 0 is zero
+    A = sphere(4)
+    space = GradedVectorSpace(QQ, {0: ["u"], 1: ["w"], 5: ["z"]})
+    cx = CochainComplex(space, {0: [[Fraction(1)]]})
+    with pytest.raises(PresentationError, match="does not commute with d at degree 0"):
+        DGModulePresentation.raw(A, cx, {"x4": {1: [[Fraction(1)]]}})
+    # the action u·x = v, w·x = z is a chain map when d(v) = z as well
+    space = GradedVectorSpace(QQ, {0: ["u"], 1: ["w"], 4: ["v"], 5: ["z"]})
+    cx = CochainComplex(space, {0: [[Fraction(1)]], 4: [[Fraction(1)]]})
+    DGModulePresentation.raw(A, cx, {"x4": {0: [[Fraction(1)]], 1: [[Fraction(1)]]}})
 
 
 def test_raw_action_must_square_to_zero_on_an_exterior_generator():

@@ -12,6 +12,7 @@ from dglevels.errors import (
 )
 from dglevels.field import QQ
 from dglevels.graded import DegreeWindow, cohomology
+from dglevels.module import DGModulePresentation
 from dglevels.rational import (
     TowerSpec,
     build_P_tower,
@@ -120,11 +121,8 @@ def test_tower_level_table(l, d, level):
     assert res.value == level
 
 
-@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
-def test_fibre_product_of_two_stage_towers_reaches_its_level(l):
-    # over S^3: l-1 factors u_i, v_i with D(v_i) = x·u_i; the x-action is the
-    # (l-1)-fold tensor power of a size-2 Jordan block, largest block size l
-    d = 3
+def fibre_product_tower(l, d=3):
+    """l-1 factors u_i, v_i over S^d with D(v_i) = x·u_i."""
     gens = [Generator("x", d, "exterior")]
     extension = []
     for i in range(l - 1):
@@ -137,8 +135,63 @@ def test_fibre_product_of_two_stage_towers_reaches_its_level(l):
         mono[0] = mono[1 + 2 * i] = 1
         diff[f"v{i}"] = {tuple(mono): Fraction(1)}
     full = DGAlgebraPresentation(QQ, gens, diff)
-    res = tower_level_bounds(TowerSpec(d, l, 0, sphere_model(d), full, tuple(extension)))
+    return TowerSpec(d, l, 0, sphere_model(d), full, tuple(extension))
+
+
+def mixed_tower():
+    """Over S^3: D(w) = u·v + x·u and D(t) = x·w - v·w, so D has scalar
+    terms and x moves past odd prefixes."""
+    labels = [("x", 3), ("u", 5), ("v", 3), ("w", 7), ("t", 9)]
+    gens = [Generator(label, deg, "exterior") for label, deg in labels]
+    diff = {"w": {(0, 1, 1, 0, 0): Fraction(1), (1, 1, 0, 0, 0): Fraction(1)},
+            "t": {(1, 0, 0, 1, 0): Fraction(1), (0, 0, 1, 1, 0): Fraction(-1)}}
+    full = DGAlgebraPresentation(QQ, gens, diff)
+    return TowerSpec(3, 0, 0, sphere_model(3), full, tuple(labels[1:]))
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_fibre_product_of_two_stage_towers_reaches_its_level(l):
+    # over S^3: the x-action is the (l-1)-fold tensor power of a size-2
+    # Jordan block, largest block size l
+    res = tower_level_bounds(fibre_product_tower(l))
     assert res.to_json() == {"kind": "exact", "level": l}
+
+
+def pushed_monomial_by_monomial(tower):
+    """The base module the direct way: D of every monomial in the full
+    algebra, pushed onto H*(S^d) term by term."""
+    F = tower.full
+    A = DGAlgebraPresentation.sphere_cohomology(tower.d, QQ)
+    nb = F.n - len(tower.extension)
+    gens, diff = [], {}
+    for mask in range(2 ** len(tower.extension)):
+        mono = tuple([0] * nb + [mask >> k & 1 for k in range(len(tower.extension))])
+        label = tower._ext_label(mask)
+        gens.append((label, F.monomial_degree(mono)))
+        for tmono, c in F.mono_differential(mono).items():
+            if tmono[0] > 1 or any(tmono[1:nb]):
+                continue                # x² and ξ map to zero
+            tmask = sum(1 << k for k in range(len(tower.extension)) if tmono[nb + k])
+            # x^e·w^β = (-1)^{e|x||β|} w^β·x^e
+            odd = tmono[0] * F.generators[0].degree * sum(
+                tmono[nb + k] * deg for k, (_, deg) in enumerate(tower.extension)) % 2
+            poly = diff.setdefault(label, {}).setdefault(tower._ext_label(tmask), {})
+            key = (tmono[0],)
+            poly[key] = poly.get(key, 0) + (-c if odd else c)
+    return DGModulePresentation.free(A, gens, diff)
+
+
+@pytest.mark.parametrize("make", [lambda: mixed_tower(), lambda: fibre_product_tower(4)] + [
+    lambda l=l, d=d: build_P_tower(l, d) for d in range(3, 7) for l in range(1, 6)])
+def test_base_module_blocks_match_the_monomial_route(make):
+    tower = make()
+    assert tower.as_base_module().to_json() == pushed_monomial_by_monomial(tower).to_json()
+
+
+def test_mixed_tower_has_scalar_terms():
+    blocks = mixed_tower().sphere_module()
+    assert any(any(cols) for cols in blocks.delta.values())
+    assert tower_level_bounds(mixed_tower()).kind == "exact"
 
 
 def test_tower_cohomology_two_routes_agree():

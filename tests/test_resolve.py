@@ -205,6 +205,25 @@ def test_bar_vs_koszul_agreement_on_sphere_tor():
     assert bar.dims == kos.dims
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_bar_equals_koszul_over_spheres_at_several_windows(d, field):
+    # over H*(S^d) no two slots multiply, so the bar resolution skips its
+    # adjacent-merge scan; Tor must not move
+    A = sphere(d, field)
+    K = residue_module(A)
+    M = DGModulePresentation.trivial(A, shifts=(0, d - 1))
+    for hi in (6, 11, 17):
+        w = DegreeWindow(0, hi)
+        for left in (K, M):
+            bar = derived_tensor(left, K, strategy="bar", window=w)
+            kos = derived_tensor(left, K, strategy="koszul", window=w)
+            top = min(bar.certified_hi, kos.certified_hi)
+            assert top >= hi - 2
+            assert all(bar.dims.get(n, 0) == kos.dims.get(n, 0) for n in range(top + 1)), \
+                (d, field, hi)
+
+
 def test_s7_pullback_tensor_is_infinite():
     A4 = sphere(4)
     hs7 = DGModulePresentation.trivial(A4, shifts=(0, 7), labels=["1", "x7"])

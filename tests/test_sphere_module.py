@@ -1,0 +1,250 @@
+"""Free modules over H*(S^d) as two scalar blocks: the block check against
+the symbolic D∘D check, the split of presentations, and the Jordan engine's
+behaviour under shift and direct sum."""
+
+import json
+import random
+from contextlib import redirect_stdout
+from io import StringIO
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dglevels import rational, spheres
+from dglevels.algebra import DGAlgebraPresentation
+from dglevels.cli import main
+from dglevels.errors import PresentationError
+from dglevels.field import GF2, GF3, QQ, rank, row_reduce
+from dglevels.module import DGModulePresentation, direct_sum, shift
+from dglevels.rational import build_P_tower, tower_level_bounds
+from dglevels.spheres import MoleculeId, SphereModule, bundle_level, decompose_module
+
+FIELDS = st.sampled_from([QQ, GF2, GF3])
+STRINGS = st.lists(st.tuples(st.integers(-4, 8), st.integers(0, 3)), max_size=4)
+PIECES = st.lists(st.tuples(st.integers(-4, 8), st.booleans()), max_size=3)
+
+
+def planted_blocks(field, d, strings, pieces, rng):
+    """(generators, δ₀, Φ) of the sum of the molecule models Σ^{-l}Z_m for
+    (l, m) in ``strings`` and of acyclic pieces, in a random basis of each
+    degree.  A piece (n, False) is a pair v → u with u in degree n; a piece
+    (n, True) is a square a → b, c → -e under δ₀ and a → c, b → e under Φ,
+    with a in degree n, where Φδ₀ and δ₀Φ are nonzero and cancel.  Blocks map
+    a generator's index to {target index: scalar}."""
+    gens, blocks = [], ({}, {})
+    for l, m in strings:
+        for j in range(m + 1):
+            gens.append((f"s{len(gens)}", l - (m - j) * (d - 1)))
+            if j:
+                blocks[1][len(gens) - 1] = {len(gens) - 2: 1}
+    for n, square in pieces:
+        i = len(gens)
+        if square:
+            gens += [(f"a{i}", n), (f"b{i}", n + 1), (f"c{i}", n + 1 - d), (f"e{i}", n + 2 - d)]
+            blocks[0].update({i: {i + 1: 1}, i + 2: {i + 3: -1}})
+            blocks[1].update({i: {i + 2: 1}, i + 1: {i + 3: 1}})
+        else:
+            gens += [(f"u{i}", n), (f"v{i}", n - 1)]
+            blocks[0][i + 1] = {i: 1}
+    by_degree = {}
+    for i, (_, n) in enumerate(gens):
+        by_degree.setdefault(n, []).append(i)
+    # new basis f_i = Σ_j P_ij g_j in each degree, and g_j = Σ_i Q_ji f_i
+    P, Q, new = {}, {}, {}
+    for n, old in by_degree.items():
+        k = len(old)
+        while True:
+            mat = [[field.from_int(rng.randint(-2, 2)) for _ in range(k)] for _ in range(k)]
+            if rank(mat, field) == k:
+                break
+        unit = [[field.one() if i == j else field.zero() for j in range(k)] for i in range(k)]
+        rref, _ = row_reduce([row + u for row, u in zip(mat, unit)], field)
+        P[n], Q[n] = mat, [row[k:] for row in rref]
+        for i in range(k):
+            new[n, i] = len(new)
+    position = {g: (n, old.index(g)) for n, old in by_degree.items() for g in old}
+
+    def rewrite(block):
+        out = {}
+        for (n, i), src in new.items():
+            col = {}
+            for j, g in enumerate(by_degree[n]):
+                for h, c in block.get(g, {}).items():
+                    tn, t = position[h]
+                    for s, q in enumerate(Q[tn][t]):
+                        key = new[tn, s]
+                        col[key] = field.add(col.get(key, field.zero()),
+                                             field.mul(field.mul(P[n][i][j], field.from_int(c)), q))
+            col = {t: c for t, c in col.items() if c}
+            if col:
+                out[src] = col
+        return out
+
+    labels = [(f"f{n}_{i}", n) for (n, i) in new]
+    return labels, rewrite(blocks[0]), rewrite(blocks[1])
+
+
+def as_polynomials(gens, delta, phi):
+    """The differential of the blocks as a DGModulePresentation would take it."""
+    diff = {}
+    for e, block in enumerate((delta, phi)):
+        for src, col in block.items():
+            for tgt, c in col.items():
+                diff.setdefault(gens[src][0], {})[gens[tgt][0]] = {(e,): c}
+    return diff
+
+
+def verdict(build):
+    try:
+        build()
+    except PresentationError as exc:
+        return exc.code
+    return "accepted"
+
+
+def planted_module(field, d, strings, pieces, seed):
+    return SphereModule(d, field, *planted_blocks(field, d, strings, pieces, random.Random(seed)))
+
+
+def expected(d, strings, shift_by=0):
+    return tuple(sorted((MoleculeId(d, l - shift_by, m) for l, m in strings),
+                        key=lambda mol: (mol.m, mol.l)))
+
+
+# -- the block check against _validate_free -------------------------------------------
+
+
+@settings(deadline=None, max_examples=150)
+@given(FIELDS, st.integers(2, 5), STRINGS, PIECES, st.integers(0, 2**32 - 1),
+       st.sampled_from([None, 0, 1]))
+def test_block_check_agrees_with_the_symbolic_check(field, d, strings, pieces, seed, perturb):
+    # a planted module, accepted by both, or the same with one entry of δ₀
+    # (perturb = 0) or Φ (perturb = 1) raised by one, which may break D² = 0
+    rng = random.Random(seed)
+    gens, delta, phi = planted_blocks(field, d, strings, pieces, rng)
+    if perturb is not None:
+        step = 1 - perturb * d
+        spots = [(i, j) for i, (_, a) in enumerate(gens) for j, (_, b) in enumerate(gens)
+                 if b == a + step]
+        if spots:
+            i, j = rng.choice(spots)
+            col = (delta, phi)[perturb].setdefault(i, {})
+            col[j] = field.add(col.get(j, field.zero()), field.one())
+            if not col[j]:
+                del col[j]
+    A = DGAlgebraPresentation.sphere_cohomology(d, field)
+    blocks = verdict(lambda: SphereModule(d, field, gens, delta, phi))
+    symbolic = verdict(lambda: DGModulePresentation.free(A, gens, as_polynomials(gens, delta, phi)))
+    assert blocks == symbolic
+    if perturb is None:
+        assert blocks == "accepted"
+
+
+BREAKERS = {
+    # δ₀: u → v, Φ: v → w; D²(u) = w·x from the cross term Φδ₀ alone
+    "cross": ([("u", 0), ("v", 1), ("w", -2)], {0: {1: 1}}, {1: {2: 1}}),
+    # δ₀: u → v → w
+    "square": ([("u", 0), ("v", 1), ("w", 2)], {0: {1: 1}, 1: {2: 1}}, {}),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("name", sorted(BREAKERS))
+def test_a_broken_d_squared_is_rejected_by_library_and_cli(tmp_path, field, name):
+    gens, delta, phi = BREAKERS[name]
+    with pytest.raises(PresentationError, match="D∘D ≠ 0 on generator 'u'") as blocks:
+        SphereModule(4, field, gens, delta, phi)
+    A = DGAlgebraPresentation.sphere_cohomology(4, field)
+    diff = as_polynomials(gens, delta, phi)
+    with pytest.raises(PresentationError) as symbolic:
+        DGModulePresentation.free(A, gens, diff)
+    assert blocks.value.code == symbolic.value.code == "invalid-presentation"
+    payload = {"algebra": A.to_json(), "generators": [list(g) for g in gens],
+               "differential": {src: {tgt: A.poly_to_json(poly) for tgt, poly in terms.items()}
+                                for src, terms in diff.items()}}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main(["level", "--d", "4", "--module", str(path)])
+    assert code == 1
+    assert json.loads(out.getvalue())["error"]["code"] == blocks.value.code
+
+
+def test_block_guards():
+    with pytest.raises(PresentationError, match="sphere dimension"):
+        SphereModule(1, QQ, [("u", 0)])
+    with pytest.raises(PresentationError, match="duplicate"):
+        SphereModule(4, QQ, [("u", 0), ("u", 3)])
+    with pytest.raises(PresentationError, match="total degree 0, expected 1"):
+        SphereModule(4, QQ, [("u", 0), ("v", 0)], delta={0: {1: 1}})
+    with pytest.raises(PresentationError, match="total degree 7, expected 4"):
+        SphereModule(4, QQ, [("u", 3), ("v", 3)], phi={0: {1: 1}})
+    M = SphereModule(4, GF3, [("u", 0), ("v", 3)], phi={1: {0: 3}})
+    assert M.phi == {}                        # 3 = 0 in F_3
+    with pytest.raises(PresentationError, match="does not live over"):
+        decompose_module(M, 5)
+
+
+# -- presentations and blocks -------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(FIELDS, st.integers(2, 5), STRINGS, PIECES, st.integers(0, 2**32 - 1))
+def test_presentation_round_trip(field, d, strings, pieces, seed):
+    M = planted_module(field, d, strings, pieces, seed)
+    P = M.to_presentation()
+    back = SphereModule.from_presentation(P, d)
+    assert (back.generators, back.delta, back.phi) == (M.generators, M.delta, M.phi)
+    assert back.to_presentation().to_json() == P.to_json()
+
+
+def test_level_pipelines_decompose_blocks(monkeypatch):
+    # towers and bundles hand the engine a SphereModule and never build a
+    # presentation of the module they decompose
+    seen = []
+    engine = spheres.decompose_module
+
+    def spy(module, d):
+        seen.append(type(module))
+        return engine(module, d)
+
+    def refuse(self):
+        raise AssertionError("a presentation was built")
+
+    monkeypatch.setattr(spheres, "decompose_module", spy)
+    monkeypatch.setattr(rational, "decompose_module", spy)
+    monkeypatch.setattr(SphereModule, "to_presentation", refuse)
+    monkeypatch.setattr(SphereModule, "from_presentation", refuse)
+    assert tower_level_bounds(build_P_tower(3, 4)).value == 4
+    assert bundle_level([4, 6, 8], True, QQ)[0] == 2
+    assert seen == [SphereModule, SphereModule]
+
+
+# -- the Jordan engine under shift and direct sum -----------------------------------------
+
+
+@settings(deadline=None, max_examples=100)
+@given(FIELDS, st.integers(2, 5), STRINGS, PIECES, st.integers(0, 2**32 - 1),
+       st.integers(-7, 7))
+def test_decompose_module_respects_shift(field, d, strings, pieces, seed, k):
+    # Σ^k(Σ^{-l}Z_m) = Σ^{-(l-k)}Z_m: heights stay, every l moves by k
+    M = planted_module(field, d, strings, pieces, seed).to_presentation()
+    dec = decompose_module(M, d)
+    moved = decompose_module(shift(M, k), d)
+    assert dec.molecules == expected(d, strings)
+    assert moved.molecules == expected(d, strings, shift_by=k)
+    assert [mol.m for mol in moved.molecules] == [mol.m for mol in dec.molecules]
+    assert moved.level() == dec.level()
+
+
+@settings(deadline=None, max_examples=100)
+@given(FIELDS, st.integers(2, 5), STRINGS, STRINGS, PIECES, st.integers(0, 2**32 - 1))
+def test_decompose_module_respects_direct_sum(field, d, first, second, pieces, seed):
+    parts = [planted_module(field, d, first, pieces, seed).to_presentation(),
+             planted_module(field, d, second, (), seed + 1).to_presentation()]
+    decs = [decompose_module(P, d) for P in parts]
+    total = decompose_module(direct_sum(parts), d)
+    assert total.molecules == tuple(sorted(decs[0].molecules + decs[1].molecules,
+                                           key=lambda mol: (mol.m, mol.l)))
+    assert total.level() == max(dec.level() for dec in decs)
