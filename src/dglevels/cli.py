@@ -164,12 +164,10 @@ def cmd_level(args):
 
 def cmd_split(args):
     module = _module_file(args.module)
-    pair = find_idempotents(module, args.window)
+    pair = find_idempotents(module)
     result = {"indecomposable": not pair,
               "idempotents": [[module.field.scalar_to_json(x) for x in e] for e in pair]}
-    window = f"{args.window.lo}:{args.window.hi}" if args.window else None
-    return _report("split", {"module": args.module, "window": window},
-                   result, "endomorphism-split", args)
+    return _report("split", {"module": args.module}, result, "endomorphism-split", args)
 
 
 def cmd_tor(args):
@@ -344,7 +342,6 @@ def build_parser():
 
     sp = sub.add_parser("split", help="split or certify indecomposable a free module")
     sp.add_argument("--module", required=True, help="JSON file of a module presentation")
-    sp.add_argument("--window", type=_window_arg, help="hom degrees of H^0(End)")
     sp.set_defaults(func=cmd_split)
 
     t = sub.add_parser("tor", help="derived tensor over a sphere algebra")

@@ -589,7 +589,7 @@ class MorphismComplex:
 
 
 # basis maps `hom_complex` lists before it gives up; 32 times the 153 of the
-# largest Hom complex the tests build (the catalog benchmark's reach 68)
+# largest Hom complex the tests complete (the catalog benchmark's reach 68)
 HOM_BASIS_BUDGET = 5_000
 
 

@@ -276,10 +276,8 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
     slot_degree = dict(slot_basis)
     slot_label = {m: algebra.mono_label(m) for m in slot_degree}
     # decided once per call: over H*(S^d) every product of two slots is zero
-    # (x·x = 0), so no word has an adjacent merge and that scan is skipped;
-    # with a zero differential no slot has an internal differential
+    # (x·x = 0), so no word has an adjacent merge and that scan is skipped
     merges = any(algebra.mono_mul(a, b) is not None for a in slot_degree for b in slot_degree)
-    slot_differentials = not algebra.has_zero_differential()
     gens = []
     diff = {}
     gen_label = {}
@@ -340,8 +338,9 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
             for i, c in mexp.complex.column(mdeg, mexp.pos[elem][1]):
                 add((mexp.elements[mdeg + 1][i], slots), {unit: c})
             # internal differentials of the slots
-            for i, s in enumerate(slots if slot_differentials else ()):
-                for tm, c in algebra.mono_differential(s).items():
+            for i, s in enumerate(slots):
+                ds = algebra.mono_differential(s)
+                for tm, c in ds.items():
                     sign = f.from_int(-1 if eps[i] % 2 else 1)
                     add((elem, slots[:i] + (tm,) + slots[i + 1:]),
                         {unit: f.neg(f.mul(sign, c))})

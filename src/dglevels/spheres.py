@@ -306,6 +306,12 @@ def decompose(dims, d: int) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
+def _require_sphere(module: DGModulePresentation, d: int):
+    A = module.algebra
+    if A.sphere_generator_label() is None or A.generators[0].degree != d:
+        raise PresentationError(f"the module does not live over H*(S^{d})")
+
+
 class SphereModule:
     """A finite free module over H*(S^d) = K[x]/(x²) as two scalar blocks.
 
@@ -317,9 +323,12 @@ class SphereModule:
     a degree whose columns are all zero has no entry.
     D² = δ₀² + (Φδ₀ + δ₀Φ)·x (see the module docstring), so both identities
     are checked on construction; a violation raises PresentationError.
+    ``check=False`` skips that check for blocks already known to square to
+    zero, as those of a presentation, whose constructor checked D² = 0.
     """
 
-    def __init__(self, d: int, field: FieldTag, generators, delta=None, phi=None):
+    def __init__(self, d: int, field: FieldTag, generators, delta=None, phi=None,
+                 check: bool = True):
         if d <= 1:
             raise PresentationError("sphere dimension must exceed 1")
         self.d = d
@@ -334,7 +343,8 @@ class SphereModule:
             self.labels[deg].append(label)
         self.delta = self._columns(delta or {}, 0)
         self.phi = self._columns(phi or {}, d)
-        self._check()
+        if check:
+            self._check()
 
     def _columns(self, columns, xdeg):
         """Per-degree sparse columns of the block whose entries multiply x^xdeg."""
@@ -395,9 +405,7 @@ class SphereModule:
     def from_presentation(module: DGModulePresentation, d: int) -> "SphereModule":
         """Split a finite, untruncated free presentation over H*(S^d) into
         its blocks: the x⁰ coefficients form δ₀, the x¹ coefficients Φ."""
-        A = module.algebra
-        if A.sphere_generator_label() is None or A.generators[0].degree != d:
-            raise PresentationError(f"the module does not live over H*(S^{d})")
+        _require_sphere(module, d)
         if not module.is_free or module.truncation_degree is not None:
             raise PresentationError("Jordan strings need a finite, untruncated free module")
         index = {label: i for i, (label, _) in enumerate(module.generators)}
@@ -406,7 +414,7 @@ class SphereModule:
             for tgt, poly in terms.items():
                 for (e,), c in poly.items():
                     (phi if e else delta).setdefault(index[src], {})[index[tgt]] = c
-        return SphereModule(d, module.field, module.generators, delta, phi)
+        return SphereModule(d, module.field, module.generators, delta, phi, check=False)
 
     def to_presentation(self) -> DGModulePresentation:
         """The same module as a DGModulePresentation, validated in full."""
@@ -581,6 +589,7 @@ def sphere_level(data, d: int) -> LevelResult:
     so their level is exact.  Otherwise infinite-cohomology certificates win,
     and the cohomology (of a raw or truncated module, in its default window)
     is decomposed by matching; ambiguity produces an interval, never a guess.
+    A module over any other algebra raises PresentationError.
     """
     if isinstance(data, TorResult):
         v = data.verdict()
@@ -591,6 +600,7 @@ def sphere_level(data, d: int) -> LevelResult:
                 "finiteness of the cohomology could not be certified")
         dims = {n: x for n, x in data.dims.items() if x}
     elif isinstance(data, DGModulePresentation):
+        _require_sphere(data, d)
         if data.is_free and data.truncation_degree is None:
             dec = decompose_module(data, d)
             return LevelResult.exact(dec.level(), decomposition=dec)

@@ -326,6 +326,26 @@ def test_level_of_a_module_file(tmp_path):
     assert run_captured(["level", "--d", "4", "--dims", "0:1", "--module", argv[-1]])[0] == 2
 
 
+def test_level_of_a_module_file_over_another_algebra(tmp_path):
+    from dglevels.algebra import DGAlgebraPresentation
+    from dglevels.field import QQ
+    from dglevels.module import DGModulePresentation
+    from dglevels.spheres import MoleculeId, molecule_model
+
+    # each has cohomology that a matching over S^4 would accept
+    S7 = DGAlgebraPresentation.sphere_cohomology(7, QQ)
+    Ky = DGAlgebraPresentation.polynomial(QQ, [("y", 4)])
+    modules = {"raw-s7": DGModulePresentation.trivial(S7, shifts=(0, 4)),
+               "raw-ky": DGModulePresentation.trivial(Ky, shifts=(0, 4)),
+               "free-s7": molecule_model(MoleculeId(7, 4, 0))}
+    for name, module in modules.items():
+        code, out = run_captured(["level", "--d", "4", "--module",
+                                  write_module(tmp_path / f"{name}.json", module)])
+        error = json.loads(out)["error"]
+        assert code == 1 and error["code"] == "invalid-presentation", name
+        assert error["message"] == "the module does not live over H*(S^4)"
+
+
 def test_split_of_a_module_file(tmp_path):
     from dglevels.module import direct_sum
     from dglevels.spheres import MoleculeId, molecule_model
@@ -335,7 +355,7 @@ def test_split_of_a_module_file(tmp_path):
     assert code == 0 and json.loads(out)["result"] == {"indecomposable": True, "idempotents": []}
     two = write_module(tmp_path / "two.json", direct_sum(
         [molecule_model(MoleculeId(3, 2, 1)), molecule_model(MoleculeId(3, 9, 0))]))
-    code, out = run_captured(["split", "--module", two, "--window=-2:2"])
+    code, out = run_captured(["split", "--module", two])
     assert code == 0 and len(json.loads(out)["result"]["idempotents"]) == 2
 
 

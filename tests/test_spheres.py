@@ -441,6 +441,10 @@ def test_sphere_level_interval_on_ambiguous_dims():
     raw = DGModulePresentation.trivial(A, shifts=(0, 3, 7, 10))
     res = sphere_level(raw, 4)
     assert res.kind == "interval" and (res.lo, res.hi) == (2, 3)
+    # the same cohomology over H*(S^7) is not a module over H*(S^4)
+    S7 = DGAlgebraPresentation.sphere_cohomology(7, QQ)
+    with pytest.raises(PresentationError, match="does not live over"):
+        sphere_level(DGModulePresentation.trivial(S7, shifts=(0, 3, 7, 10)), 4)
 
 
 def test_sphere_level_module_bound_disambiguates():
