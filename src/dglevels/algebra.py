@@ -29,7 +29,7 @@ from math import comb
 from types import MappingProxyType
 
 from .errors import PresentationError
-from .field import FieldTag
+from .field import FieldTag, sparse_sum
 from .graded import CochainComplex, DegreeWindow, assemble
 
 EXTERIOR = "exterior"
@@ -125,32 +125,18 @@ class DGAlgebraPresentation:
     # -- polynomial arithmetic -------------------------------------------------
 
     def normalize_poly(self, poly):
-        out = {}
-        for mono, c in poly.items():
-            mono = tuple(mono)
+        for mono in poly:
             if len(mono) != self.n:
-                raise PresentationError(f"monomial {mono} has wrong arity")
-            if not self.field.is_zero(c):
-                out[mono] = self.field.add(out.get(mono, self.field.zero()), c) \
-                    if mono in out else c
-        return {m: c for m, c in out.items() if not self.field.is_zero(c)}
+                raise PresentationError(f"monomial {tuple(mono)} has wrong arity")
+        reduce = self.field.reduce
+        return {tuple(m): r for m, c in poly.items() if (r := reduce(c))}
 
     def poly_add(self, p, q):
-        out = dict(p)
-        f = self.field
-        for m, c in q.items():
-            s = f.add(out.get(m, f.zero()), c)
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return out
+        return sparse_sum((*p.items(), *q.items()), self.field)
 
     def poly_scale(self, p, c):
-        f = self.field
-        if f.is_zero(c):
-            return {}
-        return {m: f.mul(c, x) for m, x in p.items()}
+        reduce = self.field.reduce
+        return {m: r for m, x in p.items() if (r := reduce(c * x))}
 
     def mono_mul(self, m1, m2):
         """Product of monomials: (coefficient, monomial) or None when zero."""
@@ -161,8 +147,7 @@ class DGAlgebraPresentation:
             return r
 
     def _mono_product(self, m1, m2):
-        f = self.field
-        coeff = f.one()
+        coeff = self.field.one()
         sign = 0
         # Koszul sign: each odd factor of m2 at position j moves left past the
         # odd factors of m1 sitting at positions > j.
@@ -178,31 +163,15 @@ class DGAlgebraPresentation:
             if g.kind == EXTERIOR and e > 1:
                 return None
             if g.kind == DIVIDED and e1 and e2:
-                b = f.from_int(comb(e1 + e2, e1))
-                if f.is_zero(b):
-                    return None
-                coeff = f.mul(coeff, b)
+                coeff *= comb(e1 + e2, e1)
             out.append(e)
-        if sign & 1:
-            coeff = f.neg(coeff)
-        return coeff, tuple(out)
+        coeff = self.field.reduce(-coeff if sign & 1 else coeff)
+        return (coeff, tuple(out)) if coeff else None
 
     def poly_mul(self, p, q):
-        f = self.field
-        out = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                r = self.mono_mul(m1, m2)
-                if r is None:
-                    continue
-                coeff, mono = r
-                c = f.mul(f.mul(c1, c2), coeff)
-                s = f.add(out.get(mono, f.zero()), c)
-                if f.is_zero(s):
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return out
+        mul = self.mono_mul
+        return sparse_sum(((r[1], c1 * c2 * r[0]) for m1, c1 in p.items()
+                           for m2, c2 in q.items() if (r := mul(m1, m2))), self.field)
 
     def mono_poly(self, mono):
         return {tuple(mono): self.field.one()}
@@ -220,40 +189,31 @@ class DGAlgebraPresentation:
             return d
 
     def _mono_derivative(self, mono):
-        f = self.field
-        out = {}
+        terms = []
         prefix_parity = 0
         for i, e in enumerate(mono):
             g = self.generators[i]
-            if e:
-                dg = self.differential.get(g.label)
-                if dg:
-                    if g.kind == POLYNOMIAL:
-                        k = f.from_int(e)
-                    else:
-                        k = f.one()
-                    if not f.is_zero(k):
-                        prefix = tuple(mono[j] if j < i else 0 for j in range(self.n))
-                        rest = tuple(
-                            (e - 1 if j == i else mono[j]) if j >= i else 0
-                            for j in range(self.n)
-                        )
-                        term = self.poly_mul(self.poly_mul(self.mono_poly(prefix), dg),
-                                             self.mono_poly(rest))
-                        if prefix_parity & 1:
-                            term = self.poly_scale(term, f.neg(f.one()))
-                        term = self.poly_scale(term, k)
-                        out = self.poly_add(out, term)
+            dg = self.differential.get(g.label) if e else None
+            # d(x^e) = e·x^{e-1}·dx for a polynomial generator
+            k = e if g.kind == POLYNOMIAL else 1
+            if dg and self.field.reduce(k):
+                prefix = tuple(mono[j] if j < i else 0 for j in range(self.n))
+                rest = tuple(
+                    (e - 1 if j == i else mono[j]) if j >= i else 0
+                    for j in range(self.n)
+                )
+                term = self.poly_mul(self.poly_mul(self.mono_poly(prefix), dg),
+                                     self.mono_poly(rest))
+                k = -k if prefix_parity & 1 else k
+                terms.extend((m, k * c) for m, c in term.items())
             prefix_parity += e * (g.degree & 1)
-        return out
+        return sparse_sum(terms, self.field)
 
     def poly_differential(self, poly):
         if not self.differential:
             return {}
-        out = {}
-        for mono, c in poly.items():
-            out = self.poly_add(out, self.poly_scale(self.mono_differential(mono), c))
-        return out
+        return sparse_sum(((m, c * x) for mono, c in poly.items()
+                           for m, x in self.mono_differential(mono).items()), self.field)
 
     def poly_degree(self, poly):
         degs = {self.monomial_degree(m) for m in poly}

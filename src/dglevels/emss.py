@@ -204,10 +204,7 @@ def _check_d2_squares_to_zero(page):
             continue
         for j in range(len(mat[0]) if mat else 0):
             for i in range(len(nxt)):
-                acc = f.zero()
-                for k in range(len(mat)):
-                    acc = f.add(acc, f.mul(nxt[i][k], mat[k][j]))
-                if not f.is_zero(acc):
+                if f.reduce(sum(nxt[i][k] * mat[k][j] for k in range(len(mat)))):
                     raise PresentationError("d₂ ∘ d₂ ≠ 0 on the installed page")
 
 

@@ -2,8 +2,11 @@
 
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 (always stored reduced with positive denominator) and ints in ``[0, p)`` over
-a prime field.  A :class:`FieldTag` carries the choice of field and provides
-the arithmetic; no floating point appears anywhere.
+a prime field.  Arithmetic is Python's own ``+ - *``; a :class:`FieldTag`
+carries the choice of field, builds its scalars, and ``reduce`` normalises a
+value once where it is stored or tested for zero (x mod p over F_p, x itself
+over Q).  ``sparse_sum`` adds (key, scalar) pairs that way.  No floating
+point appears anywhere.
 
 Row reduction over the rationals clears each row's denominators once and
 eliminates on plain ints, dividing every combined row by its content (gcd)
@@ -75,17 +78,9 @@ class FieldTag:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def add(self, a, b):
-        return a + b if self.p == 0 else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p == 0 else (a - b) % self.p
-
-    def neg(self, a):
-        return -a if self.p == 0 else (-a) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p == 0 else (a * b) % self.p
+    def reduce(self, x):
+        """x mod p over F_p; x unchanged over Q."""
+        return x % self.p if self.p else x
 
     def inv(self, a):
         if self.is_zero(a):
@@ -135,6 +130,16 @@ def parse_field(name: str) -> FieldTag:
     if name.startswith("f") and name[1:].isdigit():
         return FieldTag(int(name[1:]))
     raise FieldMismatch(f"unknown field {name!r} (expected q or f<prime>)")
+
+
+def sparse_sum(terms, field: FieldTag):
+    """The (key, scalar) pairs summed per key as {key: scalar}: each sum is
+    reduced once and zero sums are dropped."""
+    acc = {}
+    for key, c in terms:
+        acc[key] = acc[key] + c if key in acc else c
+    reduce = field.reduce
+    return {key: r for key, c in acc.items() if (r := reduce(c))}
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def assemble(field: FieldTag, elements, labels, column, truncated_above=None,
     (degree, index).
     """
     pos = {e: (n, j) for n, es in elements.items() for j, e in enumerate(es)}
-    zero, add = field.zero(), field.add
+    zero, reduce = field.zero(), field.reduce
     diff = {}
     for n, es in elements.items():
         tgt = elements.get(n + 1)
@@ -185,7 +185,7 @@ def assemble(field: FieldTag, elements, labels, column, truncated_above=None,
                 loc = pos.get(t)
                 if loc is not None and loc[0] == n + 1:
                     row = mat[loc[1]]
-                    row[j] = add(row[j], c)
+                    row[j] = reduce(row[j] + c)
     cx = CochainComplex(GradedVectorSpace(field, labels), diff, truncated_above, truncated_below)
     return cx, pos
 
@@ -194,11 +194,8 @@ def mat_vec(mat, vector, field: FieldTag):
     """mat · vector as a tuple, summing plain values over the nonzero entries
     of the vector only; reduced mod p over F_p."""
     nz = [(j, x) for j, x in enumerate(vector) if x]
-    if field.p:
-        p = field.p
-        return tuple(sum(row[j] * x for j, x in nz) % p for row in mat)
-    zero = field.zero()
-    return tuple(sum(row[j] * x for j, x in nz) or zero for row in mat)
+    zero, reduce = field.zero(), field.reduce
+    return tuple(reduce(sum(row[j] * x for j, x in nz)) or zero for row in mat)
 
 
 # ---------------------------------------------------------------------------

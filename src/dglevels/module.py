@@ -30,7 +30,7 @@ from .errors import (
     Undecided,
     VerificationFailed,
 )
-from .field import integer_row, row_reduce, solve
+from .field import integer_row, row_reduce, solve, sparse_sum
 from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology, mat_vec
 
 
@@ -120,22 +120,16 @@ class DGModulePresentation:
             if self.truncation_degree is not None and \
                     self.gen_degree[src] + 2 >= self.truncation_degree:
                 continue
-            acc = {}
+            terms = []
             for h, a in self.differential[src].items():
                 for k, b in self.differential.get(h, {}).items():
-                    acc.setdefault(k, {})
-                    acc[k] = A.poly_add(acc[k], A.poly_mul(b, a))
-                if zero_dA:
-                    continue
-                da = A.poly_differential(a)
-                if da:
-                    sign = -1 if self.gen_degree[h] % 2 else 1
-                    term = A.poly_scale(da, A.field.from_int(sign))
-                    acc.setdefault(h, {})
-                    acc[h] = A.poly_add(acc[h], term)
-            for k, poly in acc.items():
-                if poly:
-                    raise PresentationError(f"D∘D ≠ 0 on generator {src!r} (lands on {k!r})")
+                    terms.extend(((k, m), c) for m, c in A.poly_mul(b, a).items())
+                if not zero_dA:
+                    odd = self.gen_degree[h] % 2
+                    terms.extend(((h, m), -c if odd else c)
+                                 for m, c in A.poly_differential(a).items())
+            for k, _ in sparse_sum(terms, self.field):      # keys: (generator, monomial)
+                raise PresentationError(f"D∘D ≠ 0 on generator {src!r} (lands on {k!r})")
 
     def _validate_raw(self):
         f = self.field
@@ -180,24 +174,23 @@ class DGModulePresentation:
                 if a == b and ga.kind != EXTERIOR:
                     continue
                 # a == b: the sign 0 asks for x·x = 0
-                sign = f.from_int(0 if a == b else -1 if ga.degree * gb.degree % 2 else 1)
+                sign = 0 if a == b else -1 if ga.degree * gb.degree % 2 else 1
                 relation = f"{a}·{a} = 0" if a == b else f"{a}·{b} = ±{b}·{a}"
                 for n in self.complex.space.degrees():
                     for j in range(self.complex.dim(n)):
-                        ab, ba = self._raw_word(n, j, (a, b)), self._raw_word(n, j, (b, a))
-                        if any(f.sub(x, f.mul(sign, y)) for x, y in zip(ab, ba)):
+                        ab, ba = self._raw_word(n, j, (ga, gb)), self._raw_word(n, j, (gb, ga))
+                        if any(f.reduce(x - sign * y) for x, y in zip(ab, ba)):
                             raise PresentationError(
                                 f"the action breaks {relation} at degree {n}")
 
     def _raw_word(self, n, j, word):
         """Basis vector j of degree n acted on by the generators of ``word`` in turn."""
-        f, A = self.field, self.algebra
+        f = self.field
         v = [f.zero()] * self.complex.dim(n)
         v[j] = f.one()
-        for label in word:
-            gd = A.generators[A.index[label]].degree
-            v = self._raw_apply(self.actions[label], n, v, gd)
-            n += gd
+        for g in word:
+            v = self._raw_apply(self.actions.get(g.label, {}), n, v, g.degree)
+            n += g.degree
         return v
 
     def _raw_apply(self, mats, n, vector, gd):
@@ -368,6 +361,7 @@ class ModuleExpansion:
             }
             self.pos = {e: (e[0], e[1]) for elems in self.elements.values() for e in elems}
             self.complex = module.complex
+            self._raw_products = {}     # (element, monomial) -> product pairs
 
     def _free_column(self, n, e):
         """D(g·m) = D(g)·m + (-1)^{|g|} g·dA(m)."""
@@ -377,11 +371,9 @@ class ModuleExpansion:
         for h, a in mod.differential.get(g, {}).items():
             for tm, c in A.poly_mul(a, A.mono_poly(m)).items():
                 yield (h, tm), c
-        dm = A.mono_differential(m)
-        if dm:
-            sign = self.field.from_int(-1 if mod.gen_degree[g] % 2 else 1)
-            for tm, c in dm.items():
-                yield (g, tm), self.field.mul(sign, c)
+        odd = mod.gen_degree[g] % 2
+        for tm, c in A.mono_differential(m).items():
+            yield (g, tm), -c if odd else c
 
     def elem_label(self, e, tag_degree=False):
         """g·m for a free module; the complex's own label for a raw one,
@@ -398,61 +390,32 @@ class ModuleExpansion:
 
     def act_element(self, element, poly):
         """element · poly as {element: scalar}, dropped outside the window."""
-        f = self.field
         A = self.module.algebra
-        out = {}
         if self.module.is_free:
             g, m = element
-            for pm, pc in poly.items():
-                r = A.mono_mul(m, pm)
-                if r is None:
-                    continue
-                coeff, tm = r
-                tgt = (g, tm)
-                if tgt in self.pos:
-                    c = f.mul(pc, coeff)
-                    s = f.add(out.get(tgt, f.zero()), c)
-                    if f.is_zero(s):
-                        out.pop(tgt, None)
-                    else:
-                        out[tgt] = s
+            terms = ((tgt, pc * r[0]) for pm, pc in poly.items()
+                     if (r := A.mono_mul(m, pm)) and (tgt := (g, r[1])) in self.pos)
+            return sparse_sum(terms, self.field)
+        return sparse_sum(((t, pc * x) for pm, pc in poly.items()
+                           for t, x in self._raw_product(element, pm)), self.field)
+
+    def _raw_product(self, element, mono):
+        """element · mono in a raw module as (element, scalar) pairs, computed
+        once per pair since the module is immutable."""
+        try:
+            return self._raw_products[element, mono]
+        except KeyError:
+            (n, j), A = element, self.module.algebra
+            word = [g for g, e in zip(A.generators, mono) for _ in range(e)]
+            tdeg = n + sum(g.degree for g in word)
+            out = self._raw_products[element, mono] = [
+                ((tdeg, i), x) for i, x in enumerate(self.module._raw_word(n, j, word)) if x]
             return out
-        n, j = element
-        v = [f.zero()] * self.module.complex.dim(n)
-        v[j] = f.one()
-        for pm, pc in poly.items():
-            cur, cur_deg = list(v), n
-            for idx, e in enumerate(pm):
-                glabel = A.generators[idx].label
-                gd = A.generators[idx].degree
-                for _ in range(e):
-                    mats = self.module.actions.get(glabel, {})
-                    cur = list(self.module._raw_apply(mats, cur_deg, cur, gd))
-                    cur_deg += gd
-            for i, x in enumerate(cur):
-                if not f.is_zero(x):
-                    tgt = (cur_deg, i)
-                    s = f.add(out.get(tgt, f.zero()), f.mul(pc, x))
-                    if f.is_zero(s):
-                        out.pop(tgt, None)
-                    else:
-                        out[tgt] = s
-        return out
 
     def act_vector(self, degree, vector, poly):
-        f = self.field
-        out = {}
-        for j, c in enumerate(vector):
-            if f.is_zero(c):
-                continue
-            elem = self.elements[degree][j]
-            for tgt, x in self.act_element(elem, poly).items():
-                s = f.add(out.get(tgt, f.zero()), f.mul(c, x))
-                if f.is_zero(s):
-                    out.pop(tgt, None)
-                else:
-                    out[tgt] = s
-        return out
+        """vector · poly for a vector in the basis of the given degree."""
+        return sparse_sum(((tgt, c * x) for c, elem in zip(vector, self.elements[degree]) if c
+                           for tgt, x in self.act_element(elem, poly).items()), self.field)
 
     def vector_of(self, combo, degree):
         f = self.field
@@ -461,7 +424,7 @@ class ModuleExpansion:
             n, j = self.pos[elem]
             if n != degree:
                 raise PresentationError("inhomogeneous combination")
-            v[j] = f.add(v[j], c)
+            v[j] = f.reduce(v[j] + c)
         return tuple(v)
 
 
@@ -473,9 +436,9 @@ class ModuleExpansion:
 def shift(module: DGModulePresentation, k: int) -> DGModulePresentation:
     """Σ^k: generator degrees drop by k, differential picks up (-1)^k."""
     f = module.field
+    sign = -1 if k % 2 else 1
     if module.is_free:
         gens = [(l, d - k) for l, d in module.generators]
-        sign = f.from_int(-1 if k % 2 else 1)
         diff = {
             src: {tgt: module.algebra.poly_scale(poly, sign) for tgt, poly in terms.items()}
             for src, terms in module.differential.items()
@@ -483,9 +446,8 @@ def shift(module: DGModulePresentation, k: int) -> DGModulePresentation:
         return DGModulePresentation(module.algebra, generators=gens, differential=diff)
     space = GradedVectorSpace(
         f, {n - k: module.complex.space.labels(n) for n in module.complex.space.degrees()})
-    sgn = f.from_int(-1 if k % 2 else 1)
     diff = {
-        n - k: [[f.mul(sgn, x) for x in row] for row in mat]
+        n - k: [[f.reduce(sign * x) for x in row] for row in mat]
         for n, mat in module.complex.differential.items()
     }
     cx = CochainComplex(space, diff,
@@ -536,7 +498,6 @@ def cone(f_map, source: DGModulePresentation, target: DGModulePresentation):
             source.algebra.to_json() != target.algebra.to_json():
         raise AlgebraMismatch("cone endpoints live over different algebras")
     A = source.algebra
-    fld = A.field
     f_map = {
         src: {tgt: A.normalize_poly(p) for tgt, p in terms.items() if A.normalize_poly(p)}
         for src, terms in f_map.items()
@@ -551,11 +512,10 @@ def cone(f_map, source: DGModulePresentation, target: DGModulePresentation):
     gens = [(l, d) for l, d in target.generators]
     gens += [(f"s·{l}", d - 1) for l, d in source.generators]
     diff = {src: dict(terms) for src, terms in target.differential.items()}
-    minus = fld.from_int(-1)
     for l, _ in source.generators:
         terms = {}
         for h, a in source.differential.get(l, {}).items():
-            terms[f"s·{h}"] = A.poly_scale(a, minus)
+            terms[f"s·{h}"] = A.poly_scale(a, -1)
         for tgt, a in f_map.get(l, {}).items():
             terms[tgt] = A.poly_add(terms.get(tgt, {}), a)
         if terms:
@@ -634,11 +594,10 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
         for i, x in texp.complex.column(bdeg, texp.pos[b][1]):
             yield (g, texp.elements[bdeg + 1][i]), x
         # -(-1)^n φ ∘ D_M on every generator whose differential hits g
-        sign = f.from_int(1 if n % 2 else -1)
         for g2, terms in source.differential.items():
             if g in terms:
                 for e, c in texp.act_element(b, terms[g]).items():
-                    yield (g2, e), f.mul(sign, c)
+                    yield (g2, e), c if n % 2 else -c
 
     # hom-degree n is known when every contributing target degree is known
     trunc_above = None
@@ -668,52 +627,26 @@ class EndomorphismH0:
 
     def _vector_to_map(self, vec):
         """Morphism vector -> {source gen: expansion vector at its degree}."""
-        out = {g: None for g, _ in self.module.generators}
         texp = self.hom.target_expansion
-        per_gen = {}
+        out = {g: [0] * len(texp.elements.get(gd, [])) for g, gd in self.module.generators}
         for (g, e), c in zip(self.hom.basis.get(0, []), vec):
-            if self.field.is_zero(c):
-                continue
-            per_gen.setdefault(g, {})[e] = c
-        for g, gd in self.module.generators:
-            elems = texp.elements.get(gd, [])
-            v = [self.field.zero()] * len(elems)
-            for e, c in per_gen.get(g, {}).items():
-                v[texp.pos[e][1]] = c
-            out[g] = tuple(v)
+            out[g][texp.pos[e][1]] = c
         return out
 
-    def _eval_on_element(self, phi, elem):
-        """Apply the A-linear map phi to expansion element (gen, monomial)."""
+    def _compose(self, outer, inner, index):
+        """The cocycle vector of outer ∘ inner, both given as maps: each
+        generator's image under inner is Σ c·h·m, and outer sends h·m to
+        outer(h)·m."""
         texp = self.hom.target_expansion
-        g, mono = elem
-        gd = self.module.gen_degree[g]
-        poly = self.module.algebra.mono_poly(mono)
-        return texp.act_vector(gd, phi[g], poly)
-
-    def _compose(self, vec_outer, vec_inner, index):
-        """The cocycle vector of outer ∘ inner."""
-        f = self.field
-        texp = self.hom.target_expansion
-        outer = self._vector_to_map(vec_outer)
-        inner = self._vector_to_map(vec_inner)
-        out_vec = [f.zero()] * len(index)
+        A, gen_degree = self.module.algebra, self.module.gen_degree
+        out = [self.field.zero()] * len(index)
         for g, gd in self.module.generators:
-            inner_v = inner[g]
-            acc = {}
-            for j, c in enumerate(inner_v):
-                if f.is_zero(c):
-                    continue
-                elem = texp.elements[gd][j]
-                for tgt, x in self._eval_on_element(outer, elem).items():
-                    s = f.add(acc.get(tgt, f.zero()), f.mul(c, x))
-                    if f.is_zero(s):
-                        acc.pop(tgt, None)
-                    else:
-                        acc[tgt] = s
-            for tgt, x in acc.items():
-                out_vec[index[(g, tgt)]] = x
-        return out_vec
+            terms = ((tgt, c * x) for c, (h, m) in zip(inner[g], texp.elements.get(gd, [])) if c
+                     for tgt, x in texp.act_vector(gen_degree[h], outer[h],
+                                                   A.mono_poly(m)).items())
+            for tgt, x in sparse_sum(terms, self.field).items():
+                out[index[(g, tgt)]] = x
+        return out
 
     def structure(self):
         """(struct, unit): struct[i][j] holds the class coordinates of
@@ -732,7 +665,8 @@ class EndomorphismH0:
             identity[index[(g, (g, unit))]] = f.one()
         cols = self.reps + self.boundaries
         width = len(cols)
-        cols += [self._compose(a, b, index) for a in self.reps for b in self.reps]
+        maps = [self._vector_to_map(rep) for rep in self.reps]
+        cols += [self._compose(a, b, index) for a in maps for b in maps]
         cols.append(identity)
         rref, pivots = row_reduce([list(row) for row in zip(*cols)], f)
         if pivots[-1] >= width:
@@ -770,7 +704,7 @@ def find_idempotents(module: DGModulePresentation, hom_window: DegreeWindow = No
     if e is None:
         return []
     alg = _Algebra(struct, unit, f)
-    rest = alg.comb(unit, e, f.from_int(-1))
+    rest = alg.comb(unit, e, -1)
     if alg.mul(e, e) != e or any(alg.mul(e, rest)) or not any(e) or not any(rest):
         raise VerificationFailed("the split of H^0(End) is not a pair of idempotents")
     return sorted([e, rest], key=lambda v: [str(x) for x in v])
@@ -809,7 +743,7 @@ def idempotent_split(struct, unit, field):
         if lam is None:
             rootless = True
         else:
-            gens.append(alg.comb(b, unit, field.neg(lam)))
+            gens.append(alg.comb(b, unit, -lam))
     if rootless:
         raise Undecided("a basis element of H^0(End) has no eigenvalue in "
                         f"{field}; no split and no locality certificate")
@@ -838,10 +772,6 @@ class _Algebra:
         self.field = field
         self.dim = len(self.unit)
 
-    def _reduced(self, v):
-        p = self.field.p
-        return tuple(x % p for x in v) if p else tuple(v)
-
     def mul(self, x, y):
         out = [self.field.zero()] * self.dim
         for i, a in enumerate(x):
@@ -855,11 +785,11 @@ class _Algebra:
                 for t, s in enumerate(row[j]):
                     if s:
                         out[t] += c * s
-        return self._reduced(out)
+        return tuple(map(self.field.reduce, out))
 
     def comb(self, x, y, c):
         """x + c·y."""
-        return self._reduced([u + c * v for u, v in zip(x, y)])
+        return tuple(self.field.reduce(u + c * v) for u, v in zip(x, y))
 
     def at(self, poly, x):
         """poly(x) by Horner; coefficients run from the constant term up."""
@@ -884,7 +814,7 @@ class _Algebra:
             rows = [[v[i] for v in powers] for i in range(self.dim)]
             c = solve(rows, list(top), f)
             if c is not None:
-                return [f.neg(a) for a in c] + [f.one()]
+                return [f.reduce(-a) for a in c] + [f.one()]
             powers.append(top)
 
     def split(self, x):
@@ -912,11 +842,9 @@ class _Algebra:
         inv0 = f.inv(taylor[0])
         h = [inv0]
         for n in range(1, e):
-            s = f.zero()
-            for i in range(1, n + 1):
-                s = f.add(s, f.mul(taylor[i], h[n - i]))
-            h.append(f.neg(f.mul(s, inv0)))
-        shifted = self.comb(x, self.unit, f.neg(lam))
+            s = sum(taylor[i] * h[n - i] for i in range(1, n + 1))
+            h.append(f.reduce(-s * inv0))
+        shifted = self.comb(x, self.unit, -lam)
         return self.mul(self.at(g, x), self.at(h, shifted)), lam
 
 
@@ -925,7 +853,7 @@ def _divide_linear(poly, lam, f):
     out = []
     acc = f.zero()
     for a in reversed(poly):
-        acc = f.add(f.mul(acc, lam), a)
+        acc = f.reduce(acc * lam + a)
         out.append(acc)
     rem = out.pop()
     return out[::-1], rem
@@ -935,7 +863,7 @@ def _roots(mu, f):
     """The roots of the monic μ in the field, ascending: every residue over
     F_p, the rational-root theorem on the integer-cleared μ over Q."""
     if len(mu) == 2:
-        return [f.neg(mu[0])]
+        return [f.reduce(-mu[0])]
     if f.p:
         if f.p > ROOT_SEARCH_GUARD:
             raise EndTooLarge(f"a root search over F_{f.p} is out of the guard")

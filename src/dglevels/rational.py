@@ -361,7 +361,7 @@ def hopf_invariant(target: DGAlgebraPresentation, gx, gxi=None, d: int = 4,
     # independence of the choice of ρ: perturb by a cocycle when available
     kernel = _cocycles(cx, d - 1, field)
     for z in kernel[:1]:
-        rho2 = tuple(field.add(a, b) for a, b in zip(rho, z))
+        rho2 = tuple(field.reduce(a + b) for a, b in zip(rho, z))
         value2 = _hopf_value(target, basis, cx, reps, rho2, gx, gxi, d,
                              generator_choice, field, window)
         if value2 != value:
@@ -397,8 +397,7 @@ def _hopf_value(target, basis, cx, reps, rho_vec, gx, gxi, d, generator_choice,
     for m, c in zip(basis.get(d - 1, []), rho_vec):
         if not field.is_zero(c):
             rho_poly[m] = c
-    u = target.poly_add(target.poly_mul(rho_poly, gx),
-                        target.poly_scale(gxi, field.from_int(-1)))
+    u = target.poly_add(target.poly_mul(rho_poly, gx), target.poly_scale(gxi, -1))
     top = 2 * d - 1
     monos = basis.get(top, [])
     u_vec = [field.zero()] * len(monos)

@@ -203,8 +203,7 @@ def _koszul_sphere_recipe(d, field, cap) -> _KoszulRecipe:
                          f"Koszul resolution of K over H*(S^{d})")
 
 
-def koszul_resolution_poly(degrees, field, labels=None,
-                           char2_odd_ok: bool | None = None) -> Resolution:
+def koszul_resolution_poly(degrees, field, labels=None) -> Resolution:
     """Koszul complex resolving K over K[x_1, ..., x_l]: exterior generators
     s⁻¹x_j with D(s⁻¹x_j) = x_j.  Finite and fully known."""
     degrees = list(degrees)
@@ -339,17 +338,14 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
                 add((mexp.elements[mdeg + 1][i], slots), {unit: c})
             # internal differentials of the slots
             for i, s in enumerate(slots):
-                ds = algebra.mono_differential(s)
-                for tm, c in ds.items():
-                    sign = f.from_int(-1 if eps[i] % 2 else 1)
+                for tm, c in algebra.mono_differential(s).items():
                     add((elem, slots[:i] + (tm,) + slots[i + 1:]),
-                        {unit: f.neg(f.mul(sign, c))})
+                        {unit: c if eps[i] % 2 else -c})
             if slots:
                 # merge m with the first slot
-                sign0 = f.from_int(-1 if mdeg % 2 else 1)
                 acted = mexp.act_element(elem, algebra.mono_poly(slots[0]))
                 for tgt_elem, c in acted.items():
-                    add((tgt_elem, slots[1:]), {unit: f.mul(sign0, c)})
+                    add((tgt_elem, slots[1:]), {unit: -c if mdeg % 2 else c})
                 if merges:
                     # merge adjacent slots; the sign uses the prefix through the
                     # left slot (suspended degrees)
@@ -358,13 +354,11 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
                         if prod is None:
                             continue
                         c, mono = prod
-                        sign = f.from_int(-1 if eps[i] % 2 else 1)
                         add((elem, slots[:i - 1] + (mono,) + slots[i + 1:]),
-                            {unit: f.mul(sign, c)})
+                            {unit: -c if eps[i] % 2 else c})
                 # last slot becomes an algebra coefficient
-                signt = f.from_int(-1 if eps[-2] % 2 else 1)
-                add((elem, slots[:-1]),
-                    algebra.poly_scale({slots[-1]: f.one()}, f.neg(signt)))
+                one = f.one()
+                add((elem, slots[:-1]), {slots[-1]: one if eps[-2] % 2 else -one})
             if terms:
                 diff[src] = {t: p for t, p in terms.items() if p}
 
@@ -443,14 +437,13 @@ def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow) -> Re
 
 def _shifted_sum(recipe: _KoszulRecipe, shifts, A) -> Resolution:
     """The sum of the shifts of a Koszul recipe, built and checked once."""
-    f = A.field
     if not shifts:
         return Resolution(DGModulePresentation.zero(A), period=None,
                           description="zero module")
     gens = []
     diff = {}
     for k, s in enumerate(sorted(shifts)):
-        sign = f.from_int(-1 if s % 2 else 1)
+        sign = -1 if s % 2 else 1
         for lbl, deg in recipe.generators:
             gens.append((f"{k}⟨{s}⟩·{lbl}", deg + s))
         for src, terms in recipe.differential.items():
@@ -505,13 +498,13 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
         # graded commutativity a·b = (-1)^{|a||b|} b·a
         for h, a in F.differential.get(glabel, {}).items():
             for am, ac in a.items():
-                sgn = f.from_int(-1 if (A.monomial_degree(am) % 2 and nd % 2) else 1)
+                odd = A.monomial_degree(am) % 2 and nd % 2
                 for tgt_ne, c in nexp.act_element(ne, {am: ac}).items():
-                    yield (h, tgt_ne), f.mul(sgn, c)
+                    yield (h, tgt_ne), -c if odd else c
         # N-differential part with the Koszul sign of |g|
-        sgn = f.from_int(-1 if F.gen_degree[glabel] % 2 else 1)
+        odd = F.gen_degree[glabel] % 2
         for i, c in nexp.complex.column(nd, j):
-            yield (glabel, nexp.elements[nd + 1][i]), f.mul(sgn, c)
+            yield (glabel, nexp.elements[nd + 1][i]), -c if odd else c
 
     if F.truncation_degree is None:
         truncated_above = None

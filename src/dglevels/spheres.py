@@ -55,7 +55,7 @@ from .errors import (
 from .field import FieldTag, QQ, integer_row, rank, rank_and_kernel
 from .graded import DegreeWindow, total_dimension
 from .module import DGModulePresentation
-from .resolve import TorResult, derived_tensor
+from .resolve import TorResult, derived_tensor, phi
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class MoleculeId:
     def __str__(self):
         if self.l == 0:
             return f"Z_{self.m}"
-        return f"Σ^{{-{self.l}}}Z_{self.m}"
+        return f"Σ^{{{-self.l}}}Z_{self.m}"
 
     def to_json(self):
         return {"d": self.d, "l": self.l, "m": self.m, "name": str(self)}
@@ -376,7 +376,7 @@ class SphereModule:
         """δ₀² = 0 and Φδ₀ + δ₀Φ = 0, one generator's column at a time."""
         if not self.delta:
             return                  # δ₀ = 0 satisfies both
-        p, d = self.field.p, self.d
+        reduce, d = self.field.reduce, self.d
         for deg in sorted(self.delta.keys() | self.phi.keys()):
             none = [[]] * len(self.labels[deg])
             for label, dcol, pcol in zip(self.labels[deg], self.delta.get(deg, none),
@@ -387,7 +387,7 @@ class SphereModule:
                 cross = self._compose(self.phi, deg + 1, dcol,
                                       self._compose(self.delta, deg + 1 - d, pcol))
                 for acc, tdeg in ((square, deg + 2), (cross, deg + 2 - d)):
-                    hit = [i for i, c in acc.items() if (c % p if p else c)]
+                    hit = [i for i, c in acc.items() if reduce(c)]
                     if hit:
                         raise PresentationError(f"D∘D ≠ 0 on generator {label!r} "
                                                 f"(lands on {self.labels[tdeg][min(hit)]!r})")
@@ -449,13 +449,13 @@ def decompose_module(module, d: int) -> Decomposition:
         module = SphereModule.from_presentation(module, d)
     elif module.d != d:
         raise PresentationError(f"the module does not live over H*(S^{d})")
-    f, p = module.field, module.field.p
+    f, p, reduce = module.field, module.field.p, module.field.reduce
     labels, delta, phi = module.labels, module.delta, module.phi
 
     def dense(pairs, n):
         v = [0] * n
         for i, c in pairs:
-            v[i] = c % p if p else c
+            v[i] = reduce(c)
         return v
 
     def span(vecs):
@@ -586,8 +586,9 @@ def sphere_level(data, d: int) -> LevelResult:
     """Level over H*(S^d) of a module, a Tor result, or a dimension table.
 
     Finite, untruncated free modules are decomposed by their Jordan strings,
-    so their level is exact.  Otherwise infinite-cohomology certificates win,
-    and the cohomology (of a raw or truncated module, in its default window)
+    so their level is exact.  Otherwise infinite-cohomology certificates win:
+    a Tor result's own verdict, or for a raw or truncated module the verdict
+    of `phi`.  Without one, the cohomology (of a module in its default window)
     is decomposed by matching; ambiguity produces an interval, never a guess.
     A module over any other algebra raises PresentationError.
     """
@@ -604,6 +605,9 @@ def sphere_level(data, d: int) -> LevelResult:
         if data.is_free and data.truncation_degree is None:
             dec = decompose_module(data, d)
             return LevelResult.exact(dec.level(), decomposition=dec)
+        v = phi(data)
+        if v.is_infinite:
+            return LevelResult.infinite(v)
         dims = data.cohomology_dims()
     else:
         dims = {n: x for n, x in data.items() if x}

@@ -326,6 +326,34 @@ def test_level_of_a_module_file(tmp_path):
     assert run_captured(["level", "--d", "4", "--dims", "0:1", "--module", argv[-1]])[0] == 2
 
 
+def test_level_of_a_module_file_with_a_positive_shift(tmp_path):
+    from dglevels.module import direct_sum
+    from dglevels.spheres import MoleculeId, molecule_model
+
+    # Σ^{-3}Z_1 ⊕ ΣZ_2: the second molecule has l = -1
+    M = direct_sum([molecule_model(MoleculeId(4, 3, 1)), molecule_model(MoleculeId(4, -1, 2))])
+    code, out = run_captured(["level", "--d", "4", "--module",
+                              write_module(tmp_path / "m.json", M)])
+    result = json.loads(out)["result"]
+    assert code == 0 and result["kind"] == "exact" and result["level"] == 3
+    assert [m["name"] for m in result["decomposition"]["molecules"]] == ["Σ^{-3}Z_1", "Σ^{1}Z_2"]
+
+
+def test_level_of_a_raw_module_file_with_infinite_phi(tmp_path):
+    from dglevels.algebra import DGAlgebraPresentation
+    from dglevels.field import QQ
+    from dglevels.module import DGModulePresentation
+
+    # H*(S^4) with zero x-action matches Z_0, but phi certifies infinite Tor
+    A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
+    path = write_module(tmp_path / "k.json", DGModulePresentation.trivial(A, shifts=(0, 4)))
+    code, out = run_captured(["level", "--d", "4", "--module", path])
+    result = json.loads(out)["result"]
+    assert code == 0 and result["kind"] == "infinite"
+    assert result["certificate"]["kind"] == "infinite" and result["certificate"]["period"] == 6
+    assert "decomposition" not in result
+
+
 def test_level_of_a_module_file_over_another_algebra(tmp_path):
     from dglevels.algebra import DGAlgebraPresentation
     from dglevels.field import QQ

@@ -83,6 +83,14 @@ def test_divided_power_multiplication_coefficients():
     assert c3 == 1                            # binom(3,1) = 3 ≡ 1 mod 2
 
 
+def test_polynomials_are_stored_reduced():
+    # over F_3 the coefficient 3 is zero and -1 is stored as 2
+    alg = DGAlgebraPresentation.sphere_cohomology(4, GF3)
+    assert alg.normalize_poly({(1,): 3, (0,): -1}) == {(0,): 2}
+    M = DGModulePresentation.free(alg, [("u", 0), ("v", 3)], {"v": {"u": {(1,): 3}}})
+    assert M.differential == {}
+
+
 def test_char2_polynomial_odd_generator_guard():
     with pytest.raises(PresentationError):
         DGAlgebraPresentation.polynomial(QQ, [("y7", 7)])
@@ -420,7 +428,7 @@ def structure(module):
         for i in range(k):
             for j in range(k):
                 for t in range(k):
-                    out[t] = f.add(out[t], f.mul(f.mul(x[i], y[j]), table[i][j][t]))
+                    out[t] = f.reduce(out[t] + x[i] * y[j] * table[i][j][t])
         return tuple(out)
 
     return mul, tuple(unit)
@@ -432,7 +440,7 @@ def assert_complementary_pair(module, idems):
     assert len(idems) == 2
     e, rest = idems
     zero = tuple(f.zero() for _ in unit)
-    assert tuple(f.add(a, b) for a, b in zip(e, rest)) == unit
+    assert tuple(f.reduce(a + b) for a, b in zip(e, rest)) == unit
     for x in (e, rest):
         assert x != zero and x != unit
         assert mul(x, x) == x
@@ -497,7 +505,7 @@ def truncated_polynomial_algebra(coeffs, field):
             c = v[top]
             v[top] = field.zero()
             for i in range(n):
-                v[top - n + i] = field.sub(v[top - n + i], field.mul(c, field.from_int(coeffs[i])))
+                v[top - n + i] = field.reduce(v[top - n + i] - c * field.from_int(coeffs[i]))
         return tuple(v[:n])
 
     struct = [[power(i + j) for j in range(n)] for i in range(n)]
@@ -510,7 +518,7 @@ def test_split_through_a_repeated_root(field):
     struct, unit = truncated_polynomial_algebra([0, 0, -1, 1], field)
     e = idempotent_split(struct, unit, field)
     one, zero = field.one(), field.zero()
-    assert e in ((one, zero, field.neg(one)), (zero, zero, one))   # 1 − t², t²
+    assert e in ((one, zero, field.reduce(-one)), (zero, zero, one))   # 1 − t², t²
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5])
@@ -568,7 +576,7 @@ def induced_map_rank(f_map, M, N, n, window=None):
                 for tm, tc in prod.items():
                     key = (tgt_gen, tm)
                     if key in nexp.pos:
-                        acc[key] = f.add(acc.get(key, f.zero()), f.mul(c, tc))
+                        acc[key] = f.reduce(acc.get(key, f.zero()) + c * tc)
         images.append(nexp.vector_of(acc, n))
     # rank of the induced map = dim of span of images modulo coboundaries
     boundaries = []

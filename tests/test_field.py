@@ -6,11 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 from dglevels.errors import DivisionByZero, FieldMismatch
 from dglevels.field import (
     QQ, GF2, GF5, FieldTag, _is_prime, parse_field, rank, rank_and_kernel, row_reduce, solve,
+    sparse_sum,
 )
 
 
 def test_rational_addition_is_exact():
-    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert QQ.reduce(Fraction(1, 2) + Fraction(1, 3)) == Fraction(5, 6)
 
 
 def test_prime_field_inverse():
@@ -19,7 +20,15 @@ def test_prime_field_inverse():
 
 
 def test_modular_reduction():
-    assert GF5.add(GF5.from_int(2), GF5.from_int(3)) == 0
+    assert GF5.reduce(GF5.from_int(2) + GF5.from_int(3)) == 0
+
+
+def test_sparse_sum_reduces_each_sum_once_and_drops_zeros():
+    terms = [("a", 3), ("b", -1), ("a", 2), ("c", 7)]
+    assert sparse_sum(terms, GF5) == {"b": 4, "c": 2}
+    half = Fraction(1, 2)
+    got = sparse_sum([("a", half), ("b", half), ("a", -half)], QQ)
+    assert got == {"b": half} and type(got["b"]) is Fraction
 
 
 def test_inverse_of_zero_raises():
@@ -262,7 +271,7 @@ def test_rank_and_kernel_agree_with_row_reduce(case):
         v = [field.zero()] * ncols
         v[free] = field.one()
         for r, c in enumerate(pivots):
-            v[c] = field.neg(rref[r][free])
+            v[c] = field.reduce(-rref[r][free])
         kernel.append(tuple(v))
     got_rank, got_kernel = rank_and_kernel(rows, field)
     assert (got_rank, got_kernel) == (len(pivots), kernel)

@@ -1,7 +1,13 @@
-"""Dead-definition guard: every function or method defined in src/dglevels is
-named somewhere besides its own definition, in the package, its tests or its
+"""Static guards on src/dglevels.
+
+Dead definitions: every function or method defined in the package is named
+somewhere besides its own definition, in the package, its tests or its
 benchmark.  Dunder methods are exempt.  A reference inside the function's own
 body (recursion) does not count.
+
+Scalar arithmetic: scalars are Python numbers, so ``FieldTag`` defines no
+``add``/``sub``/``neg``/``mul`` and no package file calls them on a field, a
+line no test reaches included.
 """
 
 import ast
@@ -62,3 +68,26 @@ def test_every_definition_is_named_elsewhere():
     dead = [f"{path.name}:{line} {name}" for path in PACKAGE
             for name, line in definitions(path) if not refs.names[name]]
     assert dead == []
+
+
+FIELD_ARITHMETIC = {"add", "sub", "neg", "mul"}
+# the names the package gives a FieldTag; any ``<expr>.field`` is one too
+FIELD_NAMES = {"f", "field", "fld", "QQ", "GF2", "GF3", "GF5"}
+
+
+def is_field(node):
+    if isinstance(node, ast.Name):
+        return node.id in FIELD_NAMES
+    return isinstance(node, ast.Attribute) and node.attr == "field"
+
+
+def test_field_tag_has_no_per_entry_arithmetic():
+    tree = ast.parse((ROOT / "src" / "dglevels" / "field.py").read_text(encoding="utf-8"))
+    (tag,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FieldTag"]
+    methods = {n.name for n in tag.body if isinstance(n, ast.FunctionDef)}
+    assert "reduce" in methods and not methods & FIELD_ARITHMETIC
+    calls = [f"{path.name}:{node.lineno}" for path in PACKAGE
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in FIELD_ARITHMETIC and is_field(node.func.value)]
+    assert calls == []

@@ -73,8 +73,8 @@ def planted_blocks(field, d, strings, pieces, rng):
                     tn, t = position[h]
                     for s, q in enumerate(Q[tn][t]):
                         key = new[tn, s]
-                        col[key] = field.add(col.get(key, field.zero()),
-                                             field.mul(field.mul(P[n][i][j], field.from_int(c)), q))
+                        col[key] = field.reduce(col.get(key, field.zero())
+                                                + P[n][i][j] * field.from_int(c) * q)
             col = {t: c for t, c in col.items() if c}
             if col:
                 out[src] = col
@@ -129,7 +129,7 @@ def test_block_check_agrees_with_the_symbolic_check(field, d, strings, pieces, s
         if spots:
             i, j = rng.choice(spots)
             col = (delta, phi)[perturb].setdefault(i, {})
-            col[j] = field.add(col.get(j, field.zero()), field.one())
+            col[j] = field.reduce(col.get(j, field.zero()) + field.one())
             if not col[j]:
                 del col[j]
     A = DGAlgebraPresentation.sphere_cohomology(d, field)

@@ -24,6 +24,7 @@ from dglevels.resolve import (
     filtration_class,
     generator_depth_filtration,
     level_upper_bound,
+    phi,
 )
 from dglevels.spheres import (
     MATCHING_BUDGET,
@@ -60,6 +61,14 @@ def test_molecule_level_examples():
     assert molecule_level(MoleculeId(4, 0, 0)) == 1
     assert molecule_level(MoleculeId(4, 3, 1)) == 2
     assert molecule_level(MoleculeId(4, 0, 4)) == 5
+
+
+def test_molecule_names():
+    # Σ^{-l}Z_m names the shift -l once, with its own sign
+    assert str(MoleculeId(4, 0, 2)) == "Z_2"
+    assert str(MoleculeId(4, 3, 1)) == "Σ^{-3}Z_1"
+    assert str(MoleculeId(4, -1, 2)) == "Σ^{1}Z_2"
+    assert MoleculeId(4, -5, 0).to_json()["name"] == "Σ^{5}Z_0"
 
 
 def test_catalog_formula_on_grid():
@@ -313,9 +322,9 @@ def planted_module(field, d, strings, pairs, rng):
                         tn = degree[h]
                         t = old[tn].index(h)
                         for s, q in enumerate(Q[tn][t]):
-                            coeff = field.mul(field.mul(P[n][i][j], c), q)
+                            coeff = field.reduce(P[n][i][j] * c * q)
                             poly = terms.setdefault(new_label(tn, s), {})
-                            poly[mono] = field.add(poly.get(mono, field.zero()), coeff)
+                            poly[mono] = field.reduce(poly.get(mono, field.zero()) + coeff)
             if terms:
                 diff[new_label(n, i)] = terms
     new_gens = [(new_label(n, i), n) for n, labels in old.items() for i in range(len(labels))]
@@ -433,18 +442,55 @@ def test_sphere_level_infinite_from_tor():
     assert res.certificate.period == 6
 
 
+def raw_expansion(module):
+    """A free module over H*(S^d) as a raw module: its expansion in the
+    default window with the action of x as matrices."""
+    A = module.algebra
+    (x,) = A.generators
+    exp = module.expand(module.default_window())
+    actions = {}
+    for n, elems in exp.elements.items():
+        targets = exp.elements.get(n + x.degree)
+        if targets:
+            mat = actions[n] = [[A.field.zero()] * len(elems) for _ in targets]
+            for j, e in enumerate(elems):
+                for t, c in exp.act_element(e, A.generator_poly(x.label)).items():
+                    mat[exp.pos[t][1]][j] = c
+    return DGModulePresentation.raw(A, exp.complex, {x.label: actions})
+
+
 def test_sphere_level_interval_on_ambiguous_dims():
     res = sphere_level({0: 1, 3: 1, 7: 1, 10: 1}, 4)
     assert res.kind == "interval" and (res.lo, res.hi) == (2, 3)
-    # a raw module is known only through its cohomology: the same interval
+    # a compact raw module is known only through its cohomology: the same
+    # interval (the raw complex of Σ^{-3}Z_1 ⊕ Σ^{-6}Z_1, where phi is unknown)
     A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
-    raw = DGModulePresentation.trivial(A, shifts=(0, 3, 7, 10))
+    raw = raw_expansion(direct_sum([molecule_model(MoleculeId(4, 3, 1)),
+                                    molecule_model(MoleculeId(4, 6, 1))]))
+    assert raw.cohomology_dims() == {0: 1, 3: 1, 7: 1, 10: 1}
+    assert phi(raw).kind == "unknown"
     res = sphere_level(raw, 4)
     assert res.kind == "interval" and (res.lo, res.hi) == (2, 3)
+    # four shifts of K with zero action: phi certifies infinite cohomology,
+    # so the level is ∞ although the same dimensions match into molecules
+    res = sphere_level(DGModulePresentation.trivial(A, shifts=(0, 3, 7, 10)), 4)
+    assert res.kind == "infinite" and res.certificate.period == 6
     # the same cohomology over H*(S^7) is not a module over H*(S^4)
     S7 = DGAlgebraPresentation.sphere_cohomology(7, QQ)
     with pytest.raises(PresentationError, match="does not live over"):
         sphere_level(DGModulePresentation.trivial(S7, shifts=(0, 3, 7, 10)), 4)
+
+
+def test_sphere_level_of_raw_modules_puts_an_infinite_phi_first():
+    # H*(S^4) with zero x-action: its cohomology matches Z_0, but phi
+    # certifies it infinite, and an infinite certificate wins
+    A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
+    res = sphere_level(DGModulePresentation.trivial(A, shifts=(0, 4)), 4)
+    assert res.kind == "infinite" and res.certificate.period == 6
+    # with the action x·1 = x4 it is A itself: Z_0, level 1
+    res = sphere_level(raw_expansion(DGModulePresentation.free_rank_one(A)), 4)
+    assert res.kind == "exact" and res.value == 1
+    assert [str(m) for m in res.decomposition.molecules] == ["Z_0"]
 
 
 def test_sphere_level_module_bound_disambiguates():
