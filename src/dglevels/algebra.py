@@ -334,15 +334,14 @@ class DGAlgebraPresentation:
         }
 
     @staticmethod
-    def from_json(data, char2_polynomial_odd=False):
+    def from_json(data):
         from .field import parse_field
 
         field = parse_field(data["field"])
         gens = [Generator(lbl, int(deg), kind) for lbl, deg, kind in data["generators"]]
-        alg = DGAlgebraPresentation(field, gens, char2_polynomial_odd=char2_polynomial_odd)
+        alg = DGAlgebraPresentation(field, gens)
         diff = {
             label: alg.poly_from_json(terms)
             for label, terms in data.get("differential", {}).items()
         }
-        return DGAlgebraPresentation(field, gens, diff,
-                                     char2_polynomial_odd=char2_polynomial_odd)
+        return DGAlgebraPresentation(field, gens, diff)

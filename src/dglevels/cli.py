@@ -140,14 +140,19 @@ def cmd_decompose(args):
                    result, "molecule-decomposition", args)
 
 
-def _module_file(path):
-    """A module from a file holding its ``to_json`` payload; a file that
-    cannot be read as one is a domain error."""
+def _read_file(path, what, read):
+    """``read`` of the JSON payload in a file; a file that cannot be read
+    that way is a domain error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return DGModulePresentation.from_json(json.load(fh))
+            return read(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as e:
-        raise PresentationError(f"cannot read a module from {path!r}: {e}") from None
+        raise PresentationError(f"cannot read {what} from {path!r}: {e}") from None
+
+
+def _module_file(path):
+    """A module from a file holding its ``to_json`` payload."""
+    return _read_file(path, "a module", DGModulePresentation.from_json)
 
 
 def cmd_level(args):
@@ -195,8 +200,7 @@ def cmd_phi(args):
     A = DGAlgebraPresentation.sphere_cohomology(args.d, field)
     M = _module_from_name(args.module, A, args.d)
     verdict = phi(M, window=window)
-    compact = True if verdict.is_finite else (False if verdict.is_infinite else None)
-    result = {"phi": verdict.to_json(), "compact": compact}
+    result = {"phi": verdict.to_json(), "compact": verdict.compact}
     return _report("phi", {"d": args.d, "module": args.module, "field": str(field)},
                    result, "compactness", args)
 
@@ -238,17 +242,15 @@ def cmd_emss(args):
 
 
 def cmd_hopf(args):
-    with open(args.model, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    target = DGAlgebraPresentation.from_json(data["target"])
-    d = int(data.get("d", args.d or 4))
-    gx = target.poly_from_json(data.get("gx", []))
-    gxi = target.poly_from_json(data.get("gxi", []))
-    if args.generator == "auto" and "generator" not in data:
-        gen = "auto"
-    else:
+    def model(data):
+        target = DGAlgebraPresentation.from_json(data["target"])
         gen = target.poly_from_json(data["generator"]) \
             if args.generator == "file" or "generator" in data else "auto"
+        return (target, int(data.get("d", args.d or 4)),
+                target.poly_from_json(data.get("gx", [])),
+                target.poly_from_json(data.get("gxi", [])), gen)
+
+    target, d, gx, gxi, gen = _read_file(args.model, "a Hopf model", model)
     value = hopf_invariant(target, gx, gxi, d=d, generator_choice=gen)
     result = {"hopf": target.field.scalar_to_json(value),
               "zeroInField": target.field.is_zero(value)}

@@ -28,14 +28,7 @@ from .errors import (
 )
 from .field import FieldTag, rank
 from .graded import DegreeWindow
-from .resolve import (
-    FinitenessVerdict,
-    finite_verdict,
-    infinite_verdict,
-    periodic_witnesses,
-    sphere_block_period,
-    UNKNOWN,
-)
+from .resolve import FinitenessVerdict, finiteness, sphere_block_period
 
 
 @dataclass(frozen=True)
@@ -76,32 +69,22 @@ class BigradedPage:
         d = spec.d
         self.even = d % 2 == 0
         top = _expand(spec.top_dims, "x")
-        extra = _expand(spec.extra_dims, "e") if spec.extra_dims else [((0, 0), "1", 0)]
+        extra = _expand(spec.extra_dims, "e") if spec.extra_dims else [((0, 0), "1")]
+        # one Koszul letter of bidegree (-step, step·d): τ for even d, s⁻¹x_d
+        # for odd d; even d also has the exterior letter s⁻¹x_d (ε = 1)
+        step, letter = (2, "τ") if self.even else (1, f"s⁻¹x{d}")
+        gamma_cap = max(0, window.hi // sphere_block_period(d) + 1)
         cells = {}
-        if self.even:
-            gamma_cap = max(0, (window.hi) // (2 * d - 2) + 1)
-            for (tdeg, tidx), tlabel, _ in top:
-                for eps in (0, 1):
-                    for i in range(gamma_cap + 1):
-                        for (edeg, eidx), elabel, _ in extra:
-                            s = -eps - 2 * i
-                            t = tdeg + eps * d + 2 * i * d + edeg
-                            if t - (-s) > window.hi or t < 0:
-                                continue
-                            key = (tdeg, tidx, eps, i, edeg, eidx)
-                            label = _cell_label(tlabel, eps, i, elabel, d, even=True)
-                            cells.setdefault((s, t), []).append((key, label))
-        else:
-            gamma_cap = max(0, window.hi // (d - 1) + 1)
-            for (tdeg, tidx), tlabel, _ in top:
+        for (tdeg, tidx), tlabel in top:
+            for eps in ((0, 1) if self.even else (0,)):
                 for i in range(gamma_cap + 1):
-                    for (edeg, eidx), elabel, _ in extra:
-                        s = -i
-                        t = tdeg + i * d + edeg
-                        if t - i > window.hi or t < 0:
+                    for (edeg, eidx), elabel in extra:
+                        s = -eps - step * i
+                        t = tdeg + eps * d + step * i * d + edeg
+                        if s + t > window.hi or t < 0:
                             continue
-                        key = (tdeg, tidx, 0, i, edeg, eidx)
-                        label = _cell_label(tlabel, 0, i, elabel, d, even=False)
+                        label = _cell_label(tlabel, eps, i, elabel, d, letter)
+                        key = (tdeg, tidx, eps, i, edeg, eidx)
                         cells.setdefault((s, t), []).append((key, label))
         self.cells = {st: sorted(v) for st, v in cells.items()}
         self.index = {}
@@ -134,22 +117,18 @@ def _expand(dims_pairs, prefix):
                 label = "1"
             else:
                 label = f"{prefix}{deg}" + (f"_{idx}" if mult > 1 else "")
-            out.append(((deg, idx), label, deg))
+            out.append(((deg, idx), label))
     return out
 
 
-def _cell_label(tlabel, eps, i, elabel, d, even):
+def _cell_label(tlabel, eps, i, elabel, d, letter):
     parts = []
     if tlabel != "1":
         parts.append(tlabel)
-    if even:
-        if eps:
-            parts.append(f"s⁻¹x{d}")
-        if i:
-            parts.append(f"γ{i}(τ)" if i > 1 else "τ")
-    else:
-        if i:
-            parts.append(f"γ{i}(s⁻¹x{d})" if i > 1 else f"s⁻¹x{d}")
+    if eps:
+        parts.append(f"s⁻¹x{d}")
+    if i:
+        parts.append(f"γ{i}({letter})" if i > 1 else letter)
     if elabel != "1":
         parts.append(f"⊗{elabel}")
     return "·".join(parts) if parts else "1"
@@ -163,11 +142,11 @@ def e2_page(spec: FibreSquareSpec, window: DegreeWindow | None = None) -> Bigrad
     return BigradedPage(spec, window)
 
 
-def install_d2(page: BigradedPage, hopf=None) -> BigradedPage:
+def install_d2(page: BigradedPage) -> BigradedPage:
     """d₂(γ_i(τ)) = h · x_top · γ_{i-1}(τ), multiplicatively over ∧(s⁻¹x_d)
     and linearly over top and extra classes; h must vanish when d is odd."""
     f = page.field
-    h = page.spec.hopf if hopf is None else (f.from_int(hopf) if isinstance(hopf, int) else hopf)
+    h = page.spec.hopf
     if not page.even and not f.is_zero(h):
         raise OddDimensionNonzeroHopf("the Hopf invariant vanishes over odd spheres")
     top_deg = page.top_sphere_degree
@@ -264,7 +243,10 @@ def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> Ems
         total[s + t] = total.get(s + t, 0) + v
     no_ext = all(v <= 1 for v in total.values())
 
-    verdict = _stable_verdict(page, e3, total, window)
+    # h ≠ 0 with d even pairs (1, ε, γ_i) with (x_top, ε, γ_{i-1}) exactly in
+    # every degree, inside the window and beyond: the survivors are bounded
+    bounded = page.even and not f.is_zero(page.spec.hopf)
+    verdict = finiteness(total, sphere_block_period(page.spec.d), window.hi - 2, bounded)
     return EmssResult(e3, total, verdict, True, no_ext)
 
 
@@ -289,36 +271,12 @@ def _check_collapse(cells):
                 f"a d_{s2 - s} could connect cells {(s, t)} and {(s2, t2)}")
 
 
-def _stable_verdict(page, e3, total, window):
-    f = page.field
-    d = page.spec.d
-    period = sphere_block_period(d)
-    if not f.is_zero(page.spec.hopf) and page.even:
-        # the pairing (1, ε, γ_i) -> (x_top, ε, γ_{i-1}) is exact in every
-        # degree, inside the window and beyond: survivors form a bounded set
-        return finite_verdict(total)
-    ws = periodic_witnesses(total, period, window.hi - 2)
-    if ws:
-        return infinite_verdict(period, ws)
-    if not e3:
-        return finite_verdict({})
-    if max(s + t for s, t in e3) + period <= window.hi and _pattern_stops(page, e3, window):
-        return finite_verdict(total)
-    return UNKNOWN
-
-
-def _pattern_stops(page, e3, window):
-    # survivors fit strictly below the last full period of the window
-    top = max((s + t for s, t in e3), default=0)
-    return top <= window.hi - 2 * sphere_block_period(page.spec.d)
-
-
 def compactness_from_hopf(d: int, hopf: int, field: FieldTag,
                           window: DegreeWindow | None = None):
     """Whether the pullback of the path-loop fibration along a map
     S^{2d-1} → S^d with the given Hopf invariant has a compact cochain
     module, decided by running the spectral sequence to its stable page.
-    Returns (bool, EmssResult)."""
+    Returns (verdict.compact, EmssResult): None when the verdict is unknown."""
     h = field.from_int(hopf)
     if d % 2 and not field.is_zero(h):
         raise OddDimensionNonzeroHopf("odd-sphere Hopf invariants vanish")
@@ -326,4 +284,4 @@ def compactness_from_hopf(d: int, hopf: int, field: FieldTag,
     window = window or DegreeWindow(0, 8 * d)
     page = install_d2(e2_page(spec, window))
     result = run_to_stable(page, window)
-    return result.verdict.is_finite, result
+    return result.verdict.compact, result

@@ -108,10 +108,6 @@ class WrongTargetCohomology(DomainError):
     code = "wrong-target-cohomology"
 
 
-class OddDimension(DomainError):
-    code = "odd-dimension"
-
-
 class OddDimensionNonzeroHopf(DomainError):
     code = "odd-dimension-nonzero-hopf"
 

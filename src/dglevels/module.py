@@ -208,9 +208,9 @@ class DGModulePresentation:
                                     truncation_degree=truncation_degree)
 
     @staticmethod
-    def free_rank_one(algebra, label="e", degree=0):
-        """The algebra as a module over itself."""
-        return DGModulePresentation(algebra, generators=[(label, degree)])
+    def free_rank_one(algebra):
+        """The algebra as a module over itself, on one generator e."""
+        return DGModulePresentation(algebra, generators=[("e", 0)])
 
     @staticmethod
     def trivial(algebra, shifts=(0,), labels=None):
@@ -242,6 +242,8 @@ class DGModulePresentation:
                 src: {tgt: A.poly_to_json(poly) for tgt, poly in sorted(terms.items())}
                 for src, terms in sorted(self.differential.items())
             }
+            if self.truncation_degree is not None:
+                out["truncationDegree"] = self.truncation_degree
         else:
             from .graded import complex_to_json
 
@@ -264,7 +266,9 @@ class DGModulePresentation:
                 src: {tgt: A.poly_from_json(terms) for tgt, terms in inner.items()}
                 for src, inner in data.get("differential", {}).items()
             }
-            return DGModulePresentation.free(A, gens, diff)
+            trunc = data.get("truncationDegree")
+            return DGModulePresentation.free(A, gens, diff,
+                                             None if trunc is None else int(trunc))
         from .graded import complex_from_json
 
         cx = complex_from_json(data["complex"])
@@ -616,10 +620,10 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
 class EndomorphismH0:
     """The finite-dimensional algebra H^0(End M) with its multiplication."""
 
-    def __init__(self, module: DGModulePresentation, hom_window: DegreeWindow = None):
+    def __init__(self, module: DGModulePresentation):
         self.module = module
         self.field = module.field
-        self.hom = hom_complex(module, module, hom_window or DegreeWindow(-3, 3))
+        self.hom = hom_complex(module, module, DegreeWindow(-3, 3))
         dims, reps = cohomology(self.hom.complex)
         self.dim = dims.get(0, 0)
         self.reps = reps.get(0, [])
@@ -675,8 +679,7 @@ class EndomorphismH0:
         return [coords[i * k:(i + 1) * k] for i in range(k)], coords[-1]
 
 
-def find_idempotents(module: DGModulePresentation, hom_window: DegreeWindow = None,
-                     dim_guard: int = 8):
+def find_idempotents(module: DGModulePresentation, dim_guard: int = 8):
     """A splitting pair [e, 1 − e] of H^0(End M), or [] when it is local.
 
     By Krull–Schmidt M is indecomposable exactly when H^0(End M) is local,
@@ -692,7 +695,7 @@ def find_idempotents(module: DGModulePresentation, hom_window: DegreeWindow = No
         raise SourceNotFree("find_idempotents needs a free presentation")
     if not module.generators:
         return []
-    end = EndomorphismH0(module, hom_window)
+    end = EndomorphismH0(module)
     k = end.dim
     if k == 0:
         return []

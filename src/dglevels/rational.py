@@ -55,14 +55,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import DGAlgebraPresentation, EXTERIOR, Generator, POLYNOMIAL
-from .errors import (
-    MTooSmall,
-    NotExact,
-    OddDimension,
-    PresentationError,
-    WrongTargetCohomology,
-)
-from .field import QQ, coordinates, solve
+from .errors import MTooSmall, NotExact, PresentationError, WrongTargetCohomology
+from .field import QQ, coordinates, rank_and_kernel, solve
 from .graded import DegreeWindow, cohomology
 from .module import DGModulePresentation
 from .resolve import SemifreeFiltration, filtration_class
@@ -260,13 +254,12 @@ def build_P_tower(l: int, d: int, m: int | None = None) -> TowerSpec:
     return TowerSpec(d, l, m, base, full, tuple(extension))
 
 
-def tower_level_bounds(tower: TowerSpec, d: int | None = None) -> LevelResult:
+def tower_level_bounds(tower: TowerSpec) -> LevelResult:
     """The level of the tower over its base sphere, always exact: the
     molecules are the Jordan strings of the tower as a module over H*(S^d)."""
-    d = d or tower.d
     if not tower.fibre_cohomology_finite():
         raise PresentationError("the fibre complex is not certifiably finite")
-    dec = decompose_module(tower.sphere_module(), d)
+    dec = decompose_module(tower.sphere_module(), tower.d)
     return LevelResult.exact(dec.level(), decomposition=dec)
 
 
@@ -275,16 +268,16 @@ def tower_level_bounds(tower: TowerSpec, d: int | None = None) -> LevelResult:
 # ---------------------------------------------------------------------------
 
 
-def pile_upper_bound(stages: int, extra_odd_spheres: int = 0, d: int = 3,
-                     field=QQ):
+def pile_upper_bound(stages: int, extra_odd_spheres: int = 0):
     """Level bound c + 1 for a c-stage pile of odd-sphere fibrations over a
-    product of the base with extra odd spheres.
+    product of the base S^3 with extra odd spheres.
 
     Returns (bound, filtration): the explicit class-c semifree filtration is
     materialized on a witness module and validated, never assumed.
     """
     if stages < 0:
         raise PresentationError("the stage count must be nonnegative")
+    d = 3
     gens, phi = [], {}
     spheres = [2 * i + 3 for i in range(extra_odd_spheres)]
     for mask in range(2 ** extra_odd_spheres):
@@ -295,7 +288,7 @@ def pile_upper_bound(stages: int, extra_odd_spheres: int = 0, d: int = 3,
             gens.append((f"e{j}{suffix}", j * (d - 1) + sdeg))
             if j:
                 phi[len(gens) - 1] = {len(gens) - 2: 1}     # D(e_j) = e_{j-1}·x
-    module = SphereModule(d, field, gens, phi=phi).to_presentation()
+    module = SphereModule(d, QQ, gens, phi=phi).to_presentation()
     stages_sets = []
     for c in range(stages + 1):
         stages_sets.append(frozenset(lbl for lbl, _ in gens
@@ -320,7 +313,7 @@ def sci_level_bound(codim: int) -> int:
 
 
 def hopf_invariant(target: DGAlgebraPresentation, gx, gxi=None, d: int = 4,
-                   generator_choice="auto", window: DegreeWindow | None = None):
+                   generator_choice="auto"):
     """Cochain-level Hopf invariant of a map from the sphere model into a
     finite model C with H(C) the cohomology of S^{2d-1}.
 
@@ -328,89 +321,50 @@ def hopf_invariant(target: DGAlgebraPresentation, gx, gxi=None, d: int = 4,
     chosen degree-(2d-1) generator.  The answer does not depend on the choice
     of ρ; that is re-verified by perturbing ρ with a cocycle when one exists.
     """
+    if d <= 1:
+        raise PresentationError("sphere dimension must exceed 1")
     field = target.field
     if d % 2:
         return field.zero()
-    if d <= 1:
-        raise OddDimension("the sphere dimension must exceed 1")
     gx = target.normalize_poly(gx)
     gxi = target.normalize_poly(gxi or {})
-    window = window or DegreeWindow(0, 2 * d + 4)
-    cx = target.to_complex(window)
+    top = 2 * d - 1
+    cx = target.to_complex(DegreeWindow(0, 2 * d + 4))
     dims, reps = cohomology(cx)
-    if dims != {0: 1, 2 * d - 1: 1}:
+    if dims != {0: 1, top: 1}:
         raise WrongTargetCohomology(
-            f"H(C) = {dims}, expected the S^{2*d-1} pattern")
+            f"H(C) = {dims}, expected the S^{top} pattern")
+    basis = target.monomial_basis(2 * d + 4)
+    index = {n: {m: j for j, m in enumerate(ms)} for n, ms in basis.items()}
 
-    basis = target.monomial_basis(window.hi)
-
-    def vec(poly, degree):
-        monos = basis.get(degree, [])
-        v = [field.zero()] * len(monos)
+    def vec(poly, n):
+        at = index.get(n, {})
+        v = [field.zero()] * len(at)
         for m, c in poly.items():
-            v[monos.index(m)] = c
+            if m not in at:
+                raise PresentationError(f"a polynomial of the map is not homogeneous of degree {n}")
+            v[at[m]] = c
         return v
 
-    gx_vec = vec(gx, d)
-    rho = _solve_boundary(cx, d - 1, gx_vec, field)
+    rho = solve(cx.matrix(d - 1), vec(gx, d), field)
     if rho is None:
         raise NotExact("g(x) is not a coboundary in the target")
+    gen = reps[top][0] if generator_choice == "auto" else \
+        vec(target.normalize_poly(generator_choice), top)
+    against = [tuple(gen)] + cx.coboundaries(top)
 
-    value = _hopf_value(target, basis, cx, reps, rho, gx, gxi, d,
-                        generator_choice, field, window)
-    # independence of the choice of ρ: perturb by a cocycle when available
-    kernel = _cocycles(cx, d - 1, field)
-    for z in kernel[:1]:
-        rho2 = tuple(field.reduce(a + b) for a, b in zip(rho, z))
-        value2 = _hopf_value(target, basis, cx, reps, rho2, gx, gxi, d,
-                             generator_choice, field, window)
-        if value2 != value:
+    def value(rho):
+        rho_poly = {m: c for m, c in zip(basis.get(d - 1, ()), rho) if c}
+        u = target.poly_add(target.poly_mul(rho_poly, gx), target.poly_scale(gxi, -1))
+        coords = coordinates(against, vec(u, top), field)
+        if coords is None:
+            raise NotExact("the Hopf cocycle is not a class against this generator")
+        return coords[0]
+
+    h = value(rho)
+    # independence of the choice of ρ: perturb by a cocycle when one exists
+    _, cocycles = rank_and_kernel(cx.matrix(d - 1), field)
+    for z in cocycles[:1]:
+        if value(tuple(field.reduce(a + b) for a, b in zip(rho, z))) != h:
             raise PresentationError("the Hopf invariant depended on the lift")
-    return value
-
-
-def _solve_boundary(cx, degree, rhs, field):
-    mat = cx.matrix(degree)
-    if not mat:
-        return None if any(not field.is_zero(x) for x in rhs) else ()
-    return solve(mat, rhs, field)
-
-
-def _cocycles(cx, degree, field):
-    from .field import rank_and_kernel
-
-    mat = cx.matrix(degree)
-    if not mat:
-        out = []
-        for j in range(cx.dim(degree)):
-            v = [field.zero()] * cx.dim(degree)
-            v[j] = field.one()
-            out.append(tuple(v))
-        return out
-    _, kernel = rank_and_kernel(mat, field)
-    return [k for k in kernel if any(not field.is_zero(x) for x in k)]
-
-
-def _hopf_value(target, basis, cx, reps, rho_vec, gx, gxi, d, generator_choice,
-                field, window):
-    rho_poly = {}
-    for m, c in zip(basis.get(d - 1, []), rho_vec):
-        if not field.is_zero(c):
-            rho_poly[m] = c
-    u = target.poly_add(target.poly_mul(rho_poly, gx), target.poly_scale(gxi, -1))
-    top = 2 * d - 1
-    monos = basis.get(top, [])
-    u_vec = [field.zero()] * len(monos)
-    for m, c in u.items():
-        u_vec[monos.index(m)] = c
-    if generator_choice == "auto":
-        gen_vec = reps[top][0]
-    else:
-        gen_poly = target.normalize_poly(generator_choice)
-        gen_vec = [field.zero()] * len(monos)
-        for m, c in gen_poly.items():
-            gen_vec[monos.index(m)] = c
-    coords = coordinates([tuple(gen_vec)] + cx.coboundaries(top), tuple(u_vec), field)
-    if coords is None:
-        raise NotExact("the Hopf cocycle is not a class against this generator")
-    return coords[0]
+    return h

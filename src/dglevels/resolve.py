@@ -2,14 +2,15 @@
 and level bounds from filtration class.
 
 A truncated engine must never silently claim finiteness, so every total
-cohomology question is answered by a three-way verdict:
+cohomology question is answered by a three-way verdict from one rule,
+`finiteness`:
 
-  Finite(total, dims)       the tensor complex is fully known (finite free
-                            resolution, or finite free module tensored down)
-  InfiniteCertified(...)    nonzero cohomology on >= 3 equally spaced degrees
-                            reaching the certified horizon, with the spacing
-                            equal to the resolution's periodic block degree
-  UnknownBeyondCap          everything else
+  finite     the computation is bounded (finite free resolution, finite free
+             module tensored down, or an exact pairing on an EMSS page)
+  infinite   nonzero cohomology on >= 3 equally spaced degrees reaching the
+             certified horizon, with the spacing equal to the resolution's
+             periodic block degree
+  unknown    everything else
 
 Upper bounds for levels come from finite semifree filtrations: a filtration
 of class c certifies level <= c + 1.  Where matching lower bounds exist the
@@ -66,6 +67,11 @@ class FinitenessVerdict:
     def is_infinite(self):
         return self.kind == "infinite"
 
+    @property
+    def compact(self):
+        """True when finite, False when certified infinite, None when unknown."""
+        return {"finite": True, "infinite": False}.get(self.kind)
+
     def to_json(self):
         out = {"kind": self.kind}
         if self.kind == "finite":
@@ -77,18 +83,17 @@ class FinitenessVerdict:
         return out
 
 
-def finite_verdict(dims):
-    items = tuple(sorted((n, d) for n, d in dims.items() if d))
-    return FinitenessVerdict("finite", total=sum(d for _, d in items), dims=items)
-
-
-def infinite_verdict(period, witnesses):
-    if len(witnesses) < 3:
-        raise PresentationError("an infinite certificate needs at least 3 witnesses")
-    return FinitenessVerdict("infinite", period=period, witnesses=tuple(witnesses))
-
-
-UNKNOWN = FinitenessVerdict("unknown")
+def finiteness(dims, period, horizon, bounded) -> FinitenessVerdict:
+    """The one finiteness rule: a bounded computation is finite with these
+    dims; nonzero degrees in steps of ``period`` that reach the horizon
+    certify infinity; anything else is unknown."""
+    if bounded:
+        items = tuple(sorted((n, d) for n, d in dims.items() if d))
+        return FinitenessVerdict("finite", total=sum(d for _, d in items), dims=items)
+    ws = periodic_witnesses(dims, period, horizon)
+    if ws:
+        return FinitenessVerdict("infinite", period=period, witnesses=ws)
+    return FinitenessVerdict("unknown")
 
 
 def periodic_witnesses(dims, period, horizon):
@@ -151,18 +156,17 @@ class _KoszulRecipe:
         return Resolution(mod, period=self.period, description=self.description)
 
 
-def koszul_resolution_sphere(d: int, field, cap: int | None = None,
-                             window: DegreeWindow | None = None) -> Resolution:
+def koszul_resolution_sphere(d: int, field, cap: int | None = None) -> Resolution:
     """Semifree resolution of K over A = H*(S^d).
 
     d even: generators γ_i(w) and γ_i(w)·s⁻¹x with D(γ_i(w)) = γ_{i-1}(w)s⁻¹x · x
     and D(γ_i(w)s⁻¹x) = γ_i(w) · x; a single chain of x-multiplications.
     d odd: generators γ_i(s⁻¹x) with D(γ_i) = γ_{i-1} · x.
-    Generators are produced through degree ``cap``; the stored differentials
-    are complete (they point down the chain), only high generators are absent.
+    Generators are produced through degree ``cap`` (by default 42 + d, the
+    cap a Tor window 0:40 needs); the stored differentials are complete
+    (they point down the chain), only high generators are absent.
     """
-    window = window or DegreeWindow(0, 40)
-    cap = cap if cap is not None else window.hi + d + 2
+    cap = cap if cap is not None else 42 + d
     A = DGAlgebraPresentation.sphere_cohomology(d, field)   # rejects d <= 1
     return _koszul_sphere_recipe(d, field, cap).resolution(A)
 
@@ -398,12 +402,7 @@ class TorResult:
     strategy: str
 
     def verdict(self) -> FinitenessVerdict:
-        if self.bounded:
-            return finite_verdict(self.dims)
-        ws = periodic_witnesses(self.dims, self.period, self.certified_hi)
-        if ws:
-            return infinite_verdict(self.period, ws)
-        return UNKNOWN
+        return finiteness(self.dims, self.period, self.certified_hi, self.bounded)
 
 
 def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow) -> Resolution:
@@ -538,15 +537,13 @@ def auto_strategy(M: DGModulePresentation) -> str:
     return BAR
 
 
-def phi(M: DGModulePresentation, window: DegreeWindow | None = None,
-        strategy: str | None = None) -> FinitenessVerdict:
+def phi(M: DGModulePresentation, window: DegreeWindow | None = None) -> FinitenessVerdict:
     """dim H(M ⊗^L_A K) as a verdict."""
     A = M.algebra
     if not A.is_simply_connected():
         raise NotSimplyConnected("phi needs a simply-connected algebra")
     window = window or _phi_window(M)
-    strategy = strategy or auto_strategy(M)
-    tor = derived_tensor(M, residue_module(A), strategy=strategy, window=window)
+    tor = derived_tensor(M, residue_module(A), strategy=auto_strategy(M), window=window)
     return tor.verdict()
 
 
@@ -563,13 +560,9 @@ def _phi_window(M):
 
 
 def is_compact(M: DGModulePresentation, window: DegreeWindow | None = None):
-    """(True/False/None, verdict): None when the verdict is unknown."""
+    """(verdict.compact, verdict): None when the verdict is unknown."""
     v = phi(M, window)
-    if v.is_finite:
-        return True, v
-    if v.is_infinite:
-        return False, v
-    return None, v
+    return v.compact, v
 
 
 def infinite_level_certificate(tor: TorResult, algebra: DGAlgebraPresentation | None = None):

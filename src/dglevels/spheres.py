@@ -588,9 +588,11 @@ def sphere_level(data, d: int) -> LevelResult:
     Finite, untruncated free modules are decomposed by their Jordan strings,
     so their level is exact.  Otherwise infinite-cohomology certificates win:
     a Tor result's own verdict, or for a raw or truncated module the verdict
-    of `phi`.  Without one, the cohomology (of a module in its default window)
-    is decomposed by matching; ambiguity produces an interval, never a guess.
-    A module over any other algebra raises PresentationError.
+    of `phi`.  Without one, a truncated module raises
+    NotCompactlyDecomposable, since its cohomology is known only below the
+    truncation; otherwise the cohomology (of a raw module in its default
+    window) is decomposed by matching; ambiguity produces an interval, never
+    a guess.  A module over any other algebra raises PresentationError.
     """
     if isinstance(data, TorResult):
         v = data.verdict()
@@ -608,6 +610,10 @@ def sphere_level(data, d: int) -> LevelResult:
         v = phi(data)
         if v.is_infinite:
             return LevelResult.infinite(v)
+        if data.truncation_degree is not None:
+            raise NotCompactlyDecomposable(
+                f"the module is truncated at degree {data.truncation_degree} and "
+                "phi does not certify infinite Tor, so its cohomology is partial")
         dims = data.cohomology_dims()
     else:
         dims = {n: x for n, x in data.items() if x}
@@ -637,7 +643,7 @@ def _level_from_decomposition(dec: Decomposition) -> LevelResult:
 # ---------------------------------------------------------------------------
 
 
-def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag, d: int = 4,
+def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag,
                  formalizable_declared: bool = False):
     """Level over S^4 of the total space of a bundle classified by a map into
     a space with polynomial cohomology on the given generator degrees.
@@ -651,6 +657,7 @@ def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag, d: int = 4,
     the Jordan strings of the same derived tensor as a module over H*(S^d),
     and their cohomology must equal the Tor dimensions.
     """
+    d = 4
     poly_gens = list(poly_gens)
     char2 = field.characteristic() == 2
     if any(g % 2 for g in poly_gens):
@@ -675,7 +682,7 @@ def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag, d: int = 4,
     tor = derived_tensor(K, sphere_target, strategy="koszul",
                          window=DegreeWindow(0, hi))
 
-    # The same derived tensor as a module over H*(S^d): the Koszul complex of
+    # The same derived tensor as a module over H*(S^4): the Koszul complex of
     # the polynomial algebra tensored down along the classifying map.
     dec = decompose_module(_koszul_tensor_module(poly_gens, d, field, f4_nonzero), d)
     if _cohomology_of(dec.molecules) != {n: v for n, v in tor.dims.items() if v}:
@@ -716,12 +723,12 @@ def _sphere_as_module_over(P, labels, degrees, d, field, f4_nonzero):
     return DGModulePresentation.raw(P, cx, actions)
 
 
-def free_pullback_level(basis_degrees, field: FieldTag = QQ, d: int = 4,
-                        dims=None):
-    """Level of a pullback whose upstairs cohomology is declared free over the
-    base polynomial algebra, with the given module basis degrees.
+def free_pullback_level(basis_degrees, dims=None):
+    """Level over S^4 of a pullback whose upstairs cohomology is declared
+    free over the base polynomial algebra, with the given module basis
+    degrees.
 
-    The derived tensor is then the plain tensor: a sum of shifts of H*(S^d).
+    The derived tensor is then the plain tensor: a sum of shifts of H*(S^4).
     The decomposition is recomputed and must consist of height-0 molecules
     only; any height >= 1 exposes the freeness declaration as false.
     """
@@ -732,8 +739,8 @@ def free_pullback_level(basis_degrees, field: FieldTag = QQ, d: int = 4,
         dims = {}
         for b in basis_degrees:
             dims[b] = dims.get(b, 0) + 1
-            dims[b + d] = dims.get(b + d, 0) + 1
-    dec = decompose(dims, d)
+            dims[b + 4] = dims.get(b + 4, 0) + 1
+    dec = decompose(dims, 4)
     candidates = [dec.molecules] + list(dec.alternatives)
     flat = [mols for mols in candidates if all(mol.m == 0 for mol in mols)]
     if not flat:
@@ -749,8 +756,7 @@ def free_pullback_level(basis_degrees, field: FieldTag = QQ, d: int = 4,
 def formalizability_check(source_reduced=None, loops_of_target_reduced=None,
                           target_indecomposables=None,
                           source_polynomial=False, target_polynomial=False,
-                          sq1_vanishes=True, field: FieldTag = QQ,
-                          window: DegreeWindow | None = None):
+                          sq1_vanishes=True, field: FieldTag = QQ):
     """Evaluate the two sufficient conditions for a map π : S → T.
 
     (i) both cohomologies polynomial (Sq_1 must vanish in characteristic 2);
@@ -759,7 +765,6 @@ def formalizability_check(source_reduced=None, loops_of_target_reduced=None,
     Returns "cond-i", "cond-ii" or "neither"; "neither" means the level
     reduction through cohomology is not justified for this pair.
     """
-    window = window or DegreeWindow(0, 32)
     if source_polynomial and target_polynomial:
         if field.characteristic() != 2 or sq1_vanishes:
             return "cond-i"
@@ -768,8 +773,8 @@ def formalizability_check(source_reduced=None, loops_of_target_reduced=None,
         if source_polynomial or target_polynomial:
             return "neither"
         raise MissingData("condition (ii) needs all three dimension tables")
-    for i in window.degrees():
+    for i, dim in source_reduced.items():
         imbalance = loops_of_target_reduced.get(i - 1, 0) - target_indecomposables.get(i, 0)
-        if imbalance != 0 and source_reduced.get(i, 0) != 0:
+        if imbalance != 0 and dim != 0:
             return "neither"
     return "cond-ii"

@@ -4,6 +4,7 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,27 +106,56 @@ def test_bundle_level_command(capsys):
     assert report["result"]["level"] == 2
 
 
-def test_hopf_command(tmp_path, capsys):
-    model = {
-        "d": 4,
-        "target": {
-            "field": "q",
-            "generators": [["x", 4, "polynomial"], ["ξ", 7, "exterior"],
-                           ["ρ", 3, "exterior"]],
-            "differential": {
-                "ξ": [["1/1", {"x": 2}]],
-                "ρ": [["1/1", {"x": 1}]],
-            },
+HOPF_MODEL = {
+    "d": 4,
+    "target": {
+        "field": "q",
+        "generators": [["x", 4, "polynomial"], ["ξ", 7, "exterior"],
+                       ["ρ", 3, "exterior"]],
+        "differential": {
+            "ξ": [["1/1", {"x": 2}]],
+            "ρ": [["1/1", {"x": 1}]],
         },
-        "gx": [["1/1", {"x": 1}]],
-        "gxi": [["1/1", {"ξ": 1}]],
-        "generator": [["1/1", {"ρ": 1, "x": 1}], ["-1/1", {"ξ": 1}]],
-    }
+    },
+    "gx": [["1/1", {"x": 1}]],
+    "gxi": [["1/1", {"ξ": 1}]],
+    "generator": [["1/1", {"ρ": 1, "x": 1}], ["-1/1", {"ξ": 1}]],
+}
+
+
+def test_hopf_command(tmp_path, capsys):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model), encoding="utf-8")
+    path.write_text(json.dumps(HOPF_MODEL), encoding="utf-8")
     code, out = run(capsys, "hopf", "--model", str(path))
     assert code == 0
     assert json.loads(out)["result"]["hopf"] == "1/1"
+
+
+@pytest.mark.parametrize("case", ["missing file", "invalid json", "no target",
+                                  "no generator"])
+def test_unreadable_hopf_models_are_domain_errors(tmp_path, case):
+    path = tmp_path / "model.json"
+    model = dict(HOPF_MODEL)
+    argv = ["hopf", "--model", str(path)]
+    if case == "invalid json":
+        path.write_text("{", encoding="utf-8")
+    elif case != "missing file":
+        del model["target" if case == "no target" else "generator"]
+        path.write_text(json.dumps(model), encoding="utf-8")
+        argv += ["--generator", "file"]
+    code, out = run_captured(argv)
+    error = json.loads(out)["error"]
+    assert code == 1 and error["code"] == "invalid-presentation"
+    assert error["message"].startswith(f"cannot read a Hopf model from {str(path)!r}")
+
+
+def test_hopf_of_sphere_dimension_one_is_domain_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(HOPF_MODEL, d=1)), encoding="utf-8")
+    code, out = run_captured(["hopf", "--model", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "invalid-presentation",
+                                        "message": "sphere dimension must exceed 1"}
 
 
 def test_domain_error_exit_code(capsys):
@@ -372,6 +402,20 @@ def test_level_of_a_module_file_over_another_algebra(tmp_path):
         error = json.loads(out)["error"]
         assert code == 1 and error["code"] == "invalid-presentation", name
         assert error["message"] == "the module does not live over H*(S^4)"
+
+
+def test_level_of_a_truncated_module_file(tmp_path):
+    from dglevels.field import QQ
+    from dglevels.resolve import koszul_resolution_sphere
+
+    # the Koszul resolution of K over S^4 for Tor window 0:12 is cut at 19;
+    # its partial cohomology once read as exact level 7
+    path = write_module(tmp_path / "k.json", koszul_resolution_sphere(4, QQ, cap=18).module)
+    assert json.loads(Path(path).read_text(encoding="utf-8"))["truncationDegree"] == 19
+    code, out = run_captured(["level", "--d", "4", "--module", path])
+    error = json.loads(out)["error"]
+    assert code == 1 and error["code"] == "not-compactly-decomposable"
+    assert "truncated at degree 19" in error["message"]
 
 
 def test_split_of_a_module_file(tmp_path):

@@ -700,6 +700,18 @@ def test_module_presentation_json_round_trip():
     assert sorted(again.shift_degrees()) == [0, 7]
 
 
+def test_module_json_keeps_the_truncation_degree():
+    from dglevels.resolve import koszul_resolution_sphere
+
+    M = koszul_resolution_sphere(4, QQ, cap=18).module
+    data = M.to_json()
+    assert data["truncationDegree"] == 19
+    back = DGModulePresentation.from_json(data)
+    assert back.truncation_degree == 19 and back.to_json() == data
+    # untruncated payloads carry no such key
+    assert "truncationDegree" not in molecule_like(4, 2).to_json()
+
+
 def test_complex_json_round_trip():
     from dglevels.graded import complex_from_json, complex_to_json, cohomology
 

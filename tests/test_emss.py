@@ -1,5 +1,8 @@
 """Spectral sequence pages, the Hopf-invariant differential, stable pages."""
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -67,6 +70,22 @@ def test_e2_total_dims_match_bar_tor_sphere_top():
         assert total.get(n, 0) == tor.dims.get(n, 0), n
 
 
+# sha256 of the cells (keys and labels, in order) over the grid below; the
+# d₂ installation and every report read cells by these keys and labels
+E2_GRID_DIGEST = "c7bb5ea58aa87483ec6eb1da8d164907464204f2785418ffae25e80b79130e8e"
+
+
+def test_e2_cells_keys_and_labels_are_pinned():
+    h = hashlib.sha256()
+    for d, top, extra, hopf in itertools.product(
+            range(2, 9), (None, {0: 1, 7: 1}, {0: 1, 3: 2, 5: 1}),
+            (None, {0: 1, 5: 1}, {4: 1}), (0, 1)):
+        page = e2_page(FibreSquareSpec.make(d, top, hopf, QQ, extra_dims=extra),
+                       DegreeWindow(0, 4 * d + 6))
+        h.update(repr((d, top, extra, hopf, sorted(page.cells.items()))).encode())
+    assert h.hexdigest() == E2_GRID_DIGEST
+
+
 def test_window_too_small():
     with pytest.raises(WindowTooSmall):
         e2_page(s7_over_s4(1), DegreeWindow(0, 6))
@@ -115,6 +134,16 @@ def test_stable_page_zero_hopf_is_infinite():
     assert len(res.verdict.witnesses) >= 3
 
 
+def test_stable_page_with_no_class_in_the_window_is_unknown():
+    # the first class, x7 ⊗ e4, sits in total degree 11: a window below it
+    # sees nothing and must not call the page finite
+    spec = FibreSquareSpec.make(4, {7: 1}, 0, QQ, extra_dims={4: 1})
+    res = run_to_stable(install_d2(e2_page(spec, DegreeWindow(0, 9))))
+    assert res.total_dims == {} and res.verdict.kind == "unknown"
+    res = run_to_stable(install_d2(e2_page(spec, DegreeWindow(0, 40))))
+    assert res.verdict.kind == "infinite" and res.verdict.period == 6
+
+
 def test_pullback_square_with_extra_factor():
     spec = s7_over_s4(1, extra={0: 1, 7: 1})
     page = install_d2(e2_page(spec, DegreeWindow(0, 40)))
@@ -141,6 +170,14 @@ def test_compactness_grid():
             assert compact == expected, (field, h)
             if expected:
                 assert res.total_dims == {0: 1, 3: 1}
+
+
+def test_compactness_is_none_when_the_verdict_is_unknown():
+    # window 0:12 holds only two classes of each period-6 progression
+    compact, res = compactness_from_hopf(4, 0, QQ, window=DegreeWindow(0, 12))
+    assert compact is None and res.verdict.kind == "unknown"
+    compact, res = compactness_from_hopf(4, 0, QQ, window=DegreeWindow(0, 20))
+    assert compact is False and res.verdict.kind == "infinite"
 
 
 def test_compactness_odd_sphere():

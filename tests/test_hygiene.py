@@ -5,6 +5,12 @@ somewhere besides its own definition, in the package, its tests or its
 benchmark.  Dunder methods are exempt.  A reference inside the function's own
 body (recursion) does not count.
 
+Unused options: every parameter with a default, of a function or method
+defined in the package, is passed by some call in the package, its tests or
+its benchmark to a callee of that name, by keyword or by position; a call of
+``ClassName(...)`` counts for ``ClassName.__init__``, and a call that spreads
+``*args`` or ``**kwargs`` counts as passing every parameter.
+
 Scalar arithmetic: scalars are Python numbers, so ``FieldTag`` defines no
 ``add``/``sub``/``neg``/``mul`` and no package file calls them on a field, a
 line no test reaches included.
@@ -68,6 +74,52 @@ def test_every_definition_is_named_elsewhere():
     dead = [f"{path.name}:{line} {name}" for path in PACKAGE
             for name, line in definitions(path) if not refs.names[name]]
     assert dead == []
+
+
+def defaulted_parameters(path):
+    """(callee name, parameter, position or None, where) for each parameter
+    with a default; the position counts the call's arguments, so ``self`` is
+    skipped on methods other than static methods."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = [(None, tree.body)] + [(n.name, n.body) for n in ast.walk(tree)
+                                     if isinstance(n, ast.ClassDef)]
+    for cls, body in scopes:
+        for node in body:
+            if not isinstance(node, ast.FunctionDef) or \
+                    node.name.startswith("__") and node.name != "__init__":
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if cls and not static else 0
+            callee = cls if node.name == "__init__" else node.name
+            where = f"{path.name}:{node.lineno} {node.name}"
+            args = node.args.posonlyargs + node.args.args
+            for k in range(len(args) - len(node.args.defaults), len(args)):
+                yield callee, args[k].arg, k - skip, where
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield callee, arg.arg, None, where
+
+
+def passes(call, param, position):
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_option_is_passed_somewhere():
+    calls = {}
+    for path in FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unused = [f"{where}({param})" for path in PACKAGE
+              for callee, param, position, where in defaulted_parameters(path)
+              if not any(passes(c, param, position) for c in calls.get(callee, ()))]
+    assert unused == []
 
 
 FIELD_ARITHMETIC = {"add", "sub", "neg", "mul"}

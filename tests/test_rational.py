@@ -10,7 +10,8 @@ from dglevels.errors import (
     PresentationError,
     WrongTargetCohomology,
 )
-from dglevels.field import QQ
+from dglevels import rational
+from dglevels.field import QQ, coordinates
 from dglevels.graded import DegreeWindow, cohomology
 from dglevels.module import DGModulePresentation
 from dglevels.rational import (
@@ -257,6 +258,14 @@ def test_hopf_invariant_trivial_map():
 def test_hopf_invariant_odd_dimension_is_zero():
     C = acyclic_closure_model(4)
     assert hopf_invariant(C, {}, {}, d=5) == Fraction(0)
+    assert hopf_invariant(C, {}, {}, d=3) == Fraction(0)
+
+
+@pytest.mark.parametrize("d", [1, 0, -2])
+def test_hopf_invariant_rejects_sphere_dimension_one_and_below(d):
+    with pytest.raises(PresentationError, match="sphere dimension must exceed 1") as info:
+        hopf_invariant(acyclic_closure_model(4), {}, {}, d=d)
+    assert info.value.code == "invalid-presentation"
 
 
 def test_hopf_invariant_guards():
@@ -271,11 +280,24 @@ def test_hopf_invariant_guards():
         hopf_invariant(C2, {(0, 1): Fraction(1)}, {}, d=4)
 
 
-def test_hopf_invariant_lift_independence():
-    # scaling the map scales the invariant; the perturbation check runs inside
+def test_hopf_invariant_lift_independence(monkeypatch):
+    # scaling the map scales the invariant
     C = acyclic_closure_model(4)
     gx = {(1, 0, 0): Fraction(2)}
     gxi = {(0, 1, 0): Fraction(4)}
     gen = {(1, 0, 1): Fraction(1), (0, 1, 0): Fraction(-1)}
     assert hopf_invariant(C, gx, gxi, d=4, generator_choice=gen) == Fraction(4)
 
+    # ⊗ the contractible pair (u, v), Du = v, |v| = 3: v is a nonzero cocycle
+    # in degree d - 1, so the invariant is read off ρ and off ρ + v too
+    gens = list(C.generators) + [Generator("u", 2, "polynomial"), Generator("v", 3, "exterior")]
+    diff = {"ξ": {(2, 0, 0, 0, 0): Fraction(1)}, "ρ": {(1, 0, 0, 0, 0): Fraction(1)},
+            "u": {(0, 0, 0, 0, 1): Fraction(1)}}
+    CC = DGAlgebraPresentation(QQ, gens, diff)
+    pad = {m + (0, 0): c for m, c in gen.items()}
+    reads = []
+    monkeypatch.setattr(rational, "coordinates",
+                        lambda *a: reads.append(a[1]) or coordinates(*a))
+    assert hopf_invariant(CC, {(1, 0, 0, 0, 0): Fraction(2)}, {(0, 1, 0, 0, 0): Fraction(4)},
+                          d=4, generator_choice=pad) == Fraction(4)
+    assert len(reads) == 2 and reads[0] != reads[1]

@@ -24,6 +24,7 @@ from dglevels.resolve import (
     bar_resolution,
     derived_tensor,
     filtration_class,
+    finiteness,
     generator_depth_filtration,
     infinite_level_certificate,
     is_compact,
@@ -310,6 +311,17 @@ def test_is_compact():
     assert is_compact(DGModulePresentation.free_rank_one(A))[0] is True
     assert is_compact(chain_module(4, 3))[0] is True
     assert is_compact(residue_module(A), window=DegreeWindow(0, 30))[0] is False
+    assert is_compact(residue_module(A), window=DegreeWindow(0, 10))[0] is None
+
+
+def test_finiteness_is_one_rule_with_three_outcomes():
+    dims = {0: 1, 6: 1, 12: 1}
+    finite = finiteness(dims, 6, 14, True)
+    assert finite.kind == "finite" and finite.total == 3 and finite.compact is True
+    infinite = finiteness(dims, 6, 14, False)
+    assert infinite.witnesses == (0, 6, 12) and infinite.compact is False
+    assert finiteness(dims, 6, 40, False).compact is None
+    assert finiteness({}, 6, 40, False).kind == "unknown"
 
 
 def test_infinite_level_certificate_cases():

@@ -20,9 +20,11 @@ from dglevels.field import QQ, GF2, GF3, GF5, rank, row_reduce
 from dglevels.graded import DegreeWindow, amplitude
 from dglevels.module import DGModulePresentation, direct_sum, shift
 from dglevels.resolve import (
+    _resolve,
     derived_tensor,
     filtration_class,
     generator_depth_filtration,
+    koszul_resolution_sphere,
     level_upper_bound,
     phi,
 )
@@ -491,6 +493,30 @@ def test_sphere_level_of_raw_modules_puts_an_infinite_phi_first():
     res = sphere_level(raw_expansion(DGModulePresentation.free_rank_one(A)), 4)
     assert res.kind == "exact" and res.value == 1
     assert [str(m) for m in res.decomposition.molecules] == ["Z_0"]
+
+
+def s7_over_s4():
+    A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
+    return DGModulePresentation.trivial(A, shifts=(0, 7), labels=["1", "x7"])
+
+
+TRUNCATED = {
+    "bar of s7": lambda: _resolve(s7_over_s4(), "bar", DegreeWindow(0, 30)).module,
+    "koszul of s7": lambda: _resolve(s7_over_s4(), "koszul", DegreeWindow(0, 30)).module,
+    "koszul of k": lambda: koszul_resolution_sphere(4, QQ).module,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATED))
+def test_sphere_level_refuses_the_partial_cohomology_of_a_truncated_module(name):
+    # each resolves a module of level ∞, but phi sees only a free module with
+    # no period; matching its partial cohomology gave level 2 for s7
+    M = TRUNCATED[name]()
+    assert M.truncation_degree is not None
+    with pytest.raises(NotCompactlyDecomposable,
+                       match=f"truncated at degree {M.truncation_degree}"):
+        sphere_level(M, 4)
+    assert sphere_level(s7_over_s4(), 4).kind == "infinite"
 
 
 def test_sphere_level_module_bound_disambiguates():
