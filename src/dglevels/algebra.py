@@ -81,7 +81,11 @@ class DGAlgebraPresentation:
             if poly:
                 self.differential[label] = poly
         self._basis_cache = {}
+        # set only where an odd generator uses the permission (and JSON needs it)
+        self.char2_polynomial_odd = any(g.kind != EXTERIOR and g.degree % 2
+                                        for g in self.generators)
         self._mul_table = {}     # (m1, m2) -> (coeff, monomial) or None
+        self._deg_table = {}     # monomial -> degree
         self._d_table = {}       # monomial -> read-only polynomial
         self._validate_differential()
 
@@ -103,10 +107,11 @@ class DGAlgebraPresentation:
         return {self.generator_monomial(label): self.field.one()}
 
     def monomial_degree(self, mono) -> int:
-        return sum(e * g.degree for e, g in zip(mono, self.generators))
-
-    def monomial_parity(self, mono) -> int:
-        return sum(e * g.degree for e, g in zip(mono, self.generators)) & 1
+        try:
+            return self._deg_table[mono]
+        except KeyError:
+            n = self._deg_table[mono] = sum(e * g.degree for e, g in zip(mono, self.generators))
+            return n
 
     def is_bounded(self) -> bool:
         """True when the monomial basis is finite (all generators exterior)."""
@@ -331,6 +336,7 @@ class DGAlgebraPresentation:
                 label: self.poly_to_json(poly)
                 for label, poly in sorted(self.differential.items())
             },
+            **({"char2PolynomialOdd": True} if self.char2_polynomial_odd else {}),
         }
 
     @staticmethod
@@ -339,9 +345,10 @@ class DGAlgebraPresentation:
 
         field = parse_field(data["field"])
         gens = [Generator(lbl, int(deg), kind) for lbl, deg, kind in data["generators"]]
-        alg = DGAlgebraPresentation(field, gens)
+        odd = data.get("char2PolynomialOdd", False) is True
+        alg = DGAlgebraPresentation(field, gens, char2_polynomial_odd=odd)
         diff = {
             label: alg.poly_from_json(terms)
             for label, terms in data.get("differential", {}).items()
         }
-        return DGAlgebraPresentation(field, gens, diff)
+        return DGAlgebraPresentation(field, gens, diff, odd)

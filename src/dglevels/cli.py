@@ -244,13 +244,14 @@ def cmd_emss(args):
 def cmd_hopf(args):
     def model(data):
         target = DGAlgebraPresentation.from_json(data["target"])
-        gen = target.poly_from_json(data["generator"]) \
-            if args.generator == "file" or "generator" in data else "auto"
+        gen = target.poly_from_json(data["generator"]) if args.generator == "file" else "auto"
         return (target, int(data.get("d", args.d or 4)),
                 target.poly_from_json(data.get("gx", [])),
                 target.poly_from_json(data.get("gxi", [])), gen)
 
     target, d, gx, gxi, gen = _read_file(args.model, "a Hopf model", model)
+    if args.d is not None and args.d != d:
+        _PARSER.error(f"--d {args.d} conflicts with d = {d} in {args.model}")
     value = hopf_invariant(target, gx, gxi, d=d, generator_choice=gen)
     result = {"hopf": target.field.scalar_to_json(value),
               "zeroInField": target.field.is_zero(value)}

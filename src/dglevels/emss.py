@@ -97,12 +97,6 @@ class BigradedPage:
     def entries(self):
         return {st: tuple(lbl for _, lbl in elems) for st, elems in self.cells.items()}
 
-    def total_degree_dims(self):
-        out = {}
-        for (s, t), elems in self.cells.items():
-            out[s + t] = out.get(s + t, 0) + len(elems)
-        return out
-
     @property
     def top_sphere_degree(self):
         degs = [n for n, _ in self.spec.top_dims if n > 0]
@@ -244,8 +238,11 @@ def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> Ems
     no_ext = all(v <= 1 for v in total.values())
 
     # h ≠ 0 with d even pairs (1, ε, γ_i) with (x_top, ε, γ_{i-1}) exactly in
-    # every degree, inside the window and beyond: the survivors are bounded
-    bounded = page.even and not f.is_zero(page.spec.hopf)
+    # every degree, inside the window and beyond; that bounds the survivors when
+    # the top space is units and classes of degree 2d - 1, equally many
+    tops = page.spec.top_dims
+    paired = len(tops) == 2 and tops[0][0] == 0 and tops[1] == (2 * page.spec.d - 1, tops[0][1])
+    bounded = page.even and not f.is_zero(page.spec.hopf) and paired
     verdict = finiteness(total, sphere_block_period(page.spec.d), window.hi - 2, bounded)
     return EmssResult(e3, total, verdict, True, no_ext)
 

@@ -148,8 +148,12 @@ def sparse_sum(terms, field: FieldTag):
 
 
 def _validate_entries(rows, field):
-    want = Fraction if field.p == 0 else int
+    """Reject entries that are no scalars: a row of exact ints (and Fractions
+    over Q) passes on its types alone, any other row entry by entry."""
+    exact = {int, Fraction} if field.p == 0 else {int}
     for row in rows:
+        if exact.issuperset(map(type, row)):
+            continue
         for x in row:
             if field.p == 0:
                 if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
@@ -159,7 +163,6 @@ def _validate_entries(rows, field):
                     raise FieldMismatch(f"entry {x!r} is not a mod-{field.p} residue")
                 if not isinstance(x, (int, Fraction)):
                     raise FieldMismatch(f"entry {x!r} is not a mod-{field.p} residue")
-    return want
 
 
 _ZERO = Fraction(0)

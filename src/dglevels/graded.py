@@ -179,11 +179,13 @@ def assemble(field: FieldTag, elements, labels, column, truncated_above=None,
         tgt = elements.get(n + 1)
         if not tgt:
             continue
-        mat = diff[n] = [[zero] * len(es) for _ in tgt]
+        mat = None                  # allocated when the first entry lands
         for j, e in enumerate(es):
             for t, c in column(n, e):
                 loc = pos.get(t)
                 if loc is not None and loc[0] == n + 1:
+                    if mat is None:
+                        mat = diff[n] = [[zero] * len(es) for _ in tgt]
                     row = mat[loc[1]]
                     row[j] = reduce(row[j] + c)
     cx = CochainComplex(GradedVectorSpace(field, labels), diff, truncated_above, truncated_below)

@@ -105,9 +105,7 @@ class DGModulePresentation:
         A = self.algebra
         for src, terms in self.differential.items():
             for tgt, poly in terms.items():
-                deg = A.poly_degree(poly)
-                if deg is None:
-                    continue
+                deg = A.poly_degree(poly) if len(poly) > 1 else A.monomial_degree(next(iter(poly)))
                 if self.gen_degree[tgt] + deg != self.gen_degree[src] + 1:
                     raise PresentationError(
                         f"D({src}) term on {tgt} has total degree "
@@ -116,20 +114,34 @@ class DGModulePresentation:
         # Near a truncation the stored differentials are incomplete, so the
         # check covers only generators whose two-step range is fully stored.
         zero_dA = A.has_zero_differential()
+        mul, reduce = A.mono_mul, self.field.reduce
         for src in self.differential:
             if self.truncation_degree is not None and \
                     self.gen_degree[src] + 2 >= self.truncation_degree:
                 continue
-            terms = []
+            # each product D(h)·a, h·dA(a) is summed alone first: the error names
+            # the first generator whose term survives its product
+            total = {}
             for h, a in self.differential[src].items():
+                parts = []                      # (generator, {monomial: scalar})
                 for k, b in self.differential.get(h, {}).items():
-                    terms.extend(((k, m), c) for m, c in A.poly_mul(b, a).items())
+                    part = {}
+                    for mb, cb in b.items():
+                        for ma, ca in a.items():
+                            if r := mul(mb, ma):
+                                m, c = r[1], cb * ca * r[0]
+                                part[m] = part[m] + c if m in part else c
+                    parts.append((k, part))
                 if not zero_dA:
-                    odd = self.gen_degree[h] % 2
-                    terms.extend(((h, m), -c if odd else c)
-                                 for m, c in A.poly_differential(a).items())
-            for k, _ in sparse_sum(terms, self.field):      # keys: (generator, monomial)
-                raise PresentationError(f"D∘D ≠ 0 on generator {src!r} (lands on {k!r})")
+                    sign = -1 if self.gen_degree[h] % 2 else 1
+                    parts.append((h, {m: sign * c for m, c in A.poly_differential(a).items()}))
+                for k, part in parts:
+                    for m, c in part.items():
+                        if reduce(c):
+                            total[k, m] = total[k, m] + c if (k, m) in total else c
+            for (k, _), c in total.items():
+                if reduce(c):
+                    raise PresentationError(f"D∘D ≠ 0 on generator {src!r} (lands on {k!r})")
 
     def _validate_raw(self):
         f = self.field
@@ -421,16 +433,6 @@ class ModuleExpansion:
         return sparse_sum(((tgt, c * x) for c, elem in zip(vector, self.elements[degree]) if c
                            for tgt, x in self.act_element(elem, poly).items()), self.field)
 
-    def vector_of(self, combo, degree):
-        f = self.field
-        v = [f.zero()] * len(self.elements.get(degree, []))
-        for elem, c in combo.items():
-            n, j = self.pos[elem]
-            if n != degree:
-                raise PresentationError("inhomogeneous combination")
-            v[j] = f.reduce(v[j] + c)
-        return tuple(v)
-
 
 # ---------------------------------------------------------------------------
 # Operations on presentations
@@ -547,9 +549,6 @@ class MorphismComplex:
     complex: CochainComplex
     basis: dict           # hom degree -> list of (source gen, target element)
     target_expansion: ModuleExpansion
-
-    def h_dims(self):
-        return cohomology(self.complex)[0]
 
 
 # basis maps `hom_complex` lists before it gives up; 32 times the 153 of the

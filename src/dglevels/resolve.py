@@ -446,8 +446,9 @@ def _shifted_sum(recipe: _KoszulRecipe, shifts, A) -> Resolution:
         for lbl, deg in recipe.generators:
             gens.append((f"{k}⟨{s}⟩·{lbl}", deg + s))
         for src, terms in recipe.differential.items():
-            diff[f"{k}⟨{s}⟩·{src}"] = {
-                f"{k}⟨{s}⟩·{t}": A.poly_scale(p, sign) for t, p in terms.items()
+            diff[f"{k}⟨{s}⟩·{src}"] = {     # the constructor reduces the signs
+                f"{k}⟨{s}⟩·{t}": p if sign == 1 else {m: -c for m, c in p.items()}
+                for t, p in terms.items()
             }
     trunc = recipe.truncation_degree
     if trunc is not None:
@@ -490,6 +491,8 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
         elems[n].sort(key=lambda e: (e[0], str(e[1])))
     labels = {n: [f"{g}⊗{nexp.elem_label(ne)}" for g, ne in es] for n, es in elems.items()}
 
+    acts = {}           # (element b of N, monomial a) -> a·b, once per call
+
     def column(n, e):
         glabel, ne = e
         nd, j = nexp.pos[ne]
@@ -497,9 +500,12 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
         # graded commutativity a·b = (-1)^{|a||b|} b·a
         for h, a in F.differential.get(glabel, {}).items():
             for am, ac in a.items():
-                odd = A.monomial_degree(am) % 2 and nd % 2
-                for tgt_ne, c in nexp.act_element(ne, {am: ac}).items():
-                    yield (h, tgt_ne), -c if odd else c
+                if (ne, am) not in acts:
+                    odd = A.monomial_degree(am) % 2 and nd % 2
+                    acts[ne, am] = [(t, -c if odd else c) for t, c in
+                                    nexp.act_element(ne, {am: f.one()}).items()]
+                for tgt_ne, c in acts[ne, am]:
+                    yield (h, tgt_ne), ac * c
         # N-differential part with the Koszul sign of |g|
         odd = F.gen_degree[glabel] % 2
         for i, c in nexp.complex.column(nd, j):

@@ -131,6 +131,44 @@ def test_hopf_command(tmp_path, capsys):
     assert json.loads(out)["result"]["hopf"] == "1/1"
 
 
+def test_hopf_generator_auto_ignores_the_file_generator(tmp_path, capsys):
+    # the file's generator is the negative of the class auto picks
+    path = tmp_path / "model.json"
+    negated = [["-1/1", {"ρ": 1, "x": 1}], ["1/1", {"ξ": 1}]]
+    path.write_text(json.dumps(dict(HOPF_MODEL, generator=negated)), encoding="utf-8")
+    code, out = run(capsys, "hopf", "--model", str(path), "--generator", "auto")
+    assert code == 0 and json.loads(out)["result"]["hopf"] == "1/1"
+    code, out = run(capsys, "hopf", "--model", str(path), "--generator", "file")
+    assert code == 0 and json.loads(out)["result"]["hopf"] == "-1/1"
+
+
+def test_hopf_d_flag_conflicting_with_the_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(HOPF_MODEL), encoding="utf-8")
+    with pytest.raises(SystemExit) as e:
+        main(["hopf", "--model", str(path), "--d", "6"])
+    assert e.value.code == 2
+    assert "--d 6 conflicts with d = 4" in capsys.readouterr().err
+    code, out = run(capsys, "hopf", "--model", str(path), "--d", "4")
+    assert code == 0 and json.loads(out)["inputs"]["d"] == 4
+
+
+def test_level_reads_a_module_over_odd_polynomial_generators_in_char_2(tmp_path, capsys):
+    from dglevels.algebra import DGAlgebraPresentation
+    from dglevels.field import GF2
+    from dglevels.module import DGModulePresentation
+
+    A = DGAlgebraPresentation.polynomial(GF2, [("y4", 4), ("y7", 7)],
+                                         char2_polynomial_odd=True)
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(DGModulePresentation.trivial(A).to_json()), encoding="utf-8")
+    # the file is read back; the module is then refused as not over H*(S^4)
+    code, out = run(capsys, "level", "--d", "4", "--module", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "invalid-presentation",
+                                        "message": "the module does not live over H*(S^4)"}
+
+
 @pytest.mark.parametrize("case", ["missing file", "invalid json", "no target",
                                   "no generator"])
 def test_unreadable_hopf_models_are_domain_errors(tmp_path, case):

@@ -161,6 +161,8 @@ def test_memoized_monomial_arithmetic_matches_recomputation(alg, data):
     for _ in range(2):                       # the second round reads the tables
         for m1 in monos:
             assert dict(alg.mono_differential(m1)) == alg._mono_derivative(m1)
+            assert alg.monomial_degree(m1) == sum(e * g.degree
+                                                  for e, g in zip(m1, alg.generators))
             for m2 in monos:
                 assert alg.mono_mul(m1, m2) == alg._mono_product(m1, m2)
     # the Leibniz rule ties the two tables together
@@ -169,7 +171,7 @@ def test_memoized_monomial_arithmetic_matches_recomputation(alg, data):
             if alg.mono_mul(m1, m2) is None:
                 continue
             c, m = alg.mono_mul(m1, m2)
-            sign = alg.field.from_int(-1 if alg.monomial_parity(m1) else 1)
+            sign = alg.field.from_int(-1 if alg.monomial_degree(m1) % 2 else 1)
             d1 = alg.poly_mul(alg.poly_differential({m1: one}), {m2: one})
             d2 = alg.poly_mul({m1: one}, alg.poly_differential({m2: one}))
             assert alg.poly_differential({m: c}) == alg.poly_add(d1, alg.poly_scale(d2, sign))
@@ -249,6 +251,144 @@ def test_module_d_squared_symbolic_check():
             [("a", 0), ("b", 3), ("c", 6)],
             {"b": {"a": P.generator_poly("t")}, "c": {"b": P.generator_poly("t")}},
         )
+
+
+# -- the D² check against the whole-polynomial reference ------------------------
+
+
+def reference_validate_free(M):
+    """The free-module checks as whole-polynomial arithmetic: the degree of
+    each coefficient by ``poly_degree``, and D² of each generator as one
+    ``poly_mul`` per pair and one ``poly_differential`` per coefficient,
+    summed by ``sparse_sum``."""
+    from dglevels.field import sparse_sum
+
+    A = M.algebra
+    for src, terms in M.differential.items():
+        for tgt, poly in terms.items():
+            deg = A.poly_degree(poly)
+            if M.gen_degree[tgt] + deg != M.gen_degree[src] + 1:
+                raise PresentationError(
+                    f"D({src}) term on {tgt} has total degree "
+                    f"{M.gen_degree[tgt] + deg}, expected {M.gen_degree[src] + 1}")
+    for src in M.differential:
+        if M.truncation_degree is not None and M.gen_degree[src] + 2 >= M.truncation_degree:
+            continue
+        terms = []
+        for h, a in M.differential[src].items():
+            for k, b in M.differential.get(h, {}).items():
+                terms.extend(((k, m), c) for m, c in A.poly_mul(b, a).items())
+            if not A.has_zero_differential():
+                odd = M.gen_degree[h] % 2
+                terms.extend(((h, m), -c if odd else c)
+                             for m, c in A.poly_differential(a).items())
+        for k, _ in sparse_sum(terms, M.field):     # keys: (generator, monomial)
+            raise PresentationError(f"D∘D ≠ 0 on generator {src!r} (lands on {k!r})")
+
+
+class Unchecked(DGModulePresentation):
+    """A free presentation built without the free-module checks."""
+
+    def _validate_free(self):
+        pass
+
+
+def model_module(d, field):
+    """e, f, g over the S^d model (∧(x, ξ), dξ = x²), d even, with D(f) = e·x
+    and D(g) = f·x − e·ξ: D²(g) = 0 needs dA(ξ) = x²."""
+    A = DGAlgebraPresentation(field, [Generator("x", d, "polynomial"),
+                                      Generator("ξ", 2 * d - 1, "exterior")],
+                              {"ξ": {(2, 0): field.one()}})
+    return DGModulePresentation.free(
+        A, [("e", 0), ("f", d - 1), ("g", 2 * d - 2)],
+        {"f": {"e": {(1, 0): field.one()}},
+         "g": {"f": {(1, 0): field.one()}, "e": {(0, 1): field.from_int(-1)}}})
+
+
+def cancelling_module(field, moved=False):
+    """Over ∧(y, z), |y| = |z| = 3: D(f) = e·(y+z), D(f2) = e2·y, D(f3) = e2·(−y)
+    and D(g) = f·(y+z) + f2·z + f3·z.  The product (y+z)·(y+z) cancels inside
+    itself, and f2, f3 cancel each other on e2.  ``moved`` sends D(f3) to e
+    instead, so D²(g) is nonzero on e2 and on e."""
+    A = DGAlgebraPresentation(field, [Generator("y", 3), Generator("z", 3)])
+    one, y, z = field.one(), (1, 0), (0, 1)
+    return DGModulePresentation.free(
+        A, [("e", 0), ("e2", 0), ("f", 2), ("f2", 2), ("f3", 2), ("g", 4)],
+        {"f": {"e": {y: one, z: one}}, "f2": {"e2": {y: one}},
+         "f3": {"e" if moved else "e2": {y: -one}},
+         "g": {"f": {y: one, z: one}, "f2": {z: one}, "f3": {z: one}}})
+
+
+def d_squared_recipe(kind, field):
+    from dglevels.resolve import (bar_resolution, koszul_resolution_poly,
+                                  koszul_resolution_sphere, residue_module)
+
+    if kind == "koszul sphere":
+        return koszul_resolution_sphere(4, field, cap=20).module
+    if kind == "koszul poly":
+        return koszul_resolution_poly([2, 4, 6], field).module
+    if kind == "bar poly":
+        A = DGAlgebraPresentation.polynomial(field, [("a", 2), ("b", 4)])
+        return bar_resolution(residue_module(A), A, window=DegreeWindow(0, 6)).module
+    if kind == "bar model":
+        A = model_module(2, field).algebra
+        return bar_resolution(residue_module(A), A, window=DegreeWindow(0, 6)).module
+    if kind == "cancelling":
+        return cancelling_module(field)
+    if kind == "molecule sum":
+        return direct_sum([molecule_model(MoleculeId(4, l, m), field)
+                           for l, m in ((0, 2), (3, 1), (5, 0))])
+    return direct_sum([model_module(4, field), shift(model_module(4, field), 3)])
+
+
+D2_KINDS = ["koszul sphere", "koszul poly", "bar poly", "bar model", "molecule sum",
+            "model", "cancelling"]
+D2_RECIPES = {(kind, field): d_squared_recipe(kind, field)
+              for kind in D2_KINDS for field in (QQ, GF2, GF3)}
+
+
+def check_outcome(check, M):
+    try:
+        check(M)
+    except PresentationError as e:
+        return str(e)
+    return None
+
+
+def test_d_squared_names_the_first_term_left_by_a_nonzero_product():
+    # the product on f cancels inside itself, so e enters only with f3's
+    # product, after the e2 term of f2's
+    with pytest.raises(PresentationError) as e:
+        cancelling_module(QQ, moved=True)
+    assert str(e.value) == "D∘D ≠ 0 on generator 'g' (lands on 'e2')"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(list(D2_RECIPES)), st.data())
+def test_d_squared_check_agrees_with_the_whole_polynomial_reference(key, data):
+    base = D2_RECIPES[key]
+    field = base.field
+    assert check_outcome(DGModulePresentation._validate_free, base) is None
+    assert check_outcome(reference_validate_free, base) is None
+    diff = {s: {t: dict(p) for t, p in terms.items()} for s, terms in base.differential.items()}
+    src, tgt, mono = data.draw(st.sampled_from(
+        [(s, t, m) for s, terms in sorted(diff.items()) for t, p in sorted(terms.items())
+         for m in sorted(p)]))
+    if data.draw(st.booleans()):
+        # one coefficient moves by c; it may cancel, dropping the term
+        c = field.from_int(data.draw(st.sampled_from([1, 2, -1])))
+        diff[src][tgt][mono] = diff[src][tgt][mono] + c
+    else:
+        # one term moves to another target, of the same degree or not
+        same = [g for g, n in base.generators if n == base.gen_degree[tgt] and g != tgt]
+        new = data.draw(st.sampled_from(same or [g for g, _ in base.generators]))
+        moved = diff[src][tgt].pop(mono)
+        poly = diff[src].setdefault(new, {})
+        poly[mono] = poly.get(mono, field.zero()) + moved
+    M = Unchecked(base.algebra, generators=base.generators, differential=diff,
+                  truncation_degree=base.truncation_degree)
+    assert check_outcome(DGModulePresentation._validate_free, M) == \
+        check_outcome(reference_validate_free, M)
 
 
 def test_shift_is_an_exact_degree_translation():
@@ -342,7 +482,7 @@ def test_hom_out_of_free_rank_one_is_the_target():
     A = sphere(4)
     M = DGModulePresentation.free_rank_one(A)
     E = hom_complex(M, M)
-    dims = E.h_dims()
+    dims = cohomology(E.complex)[0]
     assert dims.get(0) == 1 and dims.get(4) == 1
 
 
@@ -350,7 +490,7 @@ def test_hom_into_molecule_model():
     A = sphere(4)
     M = DGModulePresentation.free_rank_one(A)
     Z = molecule_like(4, 1)
-    dims = hom_complex(M, Z).h_dims()
+    dims = cohomology(hom_complex(M, Z).complex)[0]
     assert dims.get(0) == 1
 
 
@@ -361,7 +501,7 @@ def test_hom_basis_budget():
     with pytest.raises(BudgetExceeded, match=f"more than {HOM_BASIS_BUDGET} basis maps"):
         hom_complex(M, M)
     small = DGModulePresentation.free(A, [(f"g{i}", 0) for i in range(8)])
-    assert hom_complex(small, small).h_dims() == {0: 8 * 8, 2: 8 * 8}
+    assert cohomology(hom_complex(small, small).complex)[0] == {0: 8 * 8, 2: 8 * 8}
 
 
 def test_hom_requires_free_source():
@@ -377,7 +517,7 @@ def test_hom_end_of_two_summands_d7():
         DGModulePresentation.free_rank_one(A),
         DGModulePresentation.free(A, [("u", 3)]),   # Σ^{-3} copy
     ])
-    dims = hom_complex(M, M).h_dims()
+    dims = cohomology(hom_complex(M, M).complex)[0]
     assert dims.get(0) == 2
 
 
@@ -577,7 +717,11 @@ def induced_map_rank(f_map, M, N, n, window=None):
                     key = (tgt_gen, tm)
                     if key in nexp.pos:
                         acc[key] = f.reduce(acc.get(key, f.zero()) + c * tc)
-        images.append(nexp.vector_of(acc, n))
+        v = [f.zero()] * len(nexp.elements.get(n, []))
+        for key, c in acc.items():
+            assert nexp.pos[key][0] == n
+            v[nexp.pos[key][1]] = c
+        images.append(tuple(v))
     # rank of the induced map = dim of span of images modulo coboundaries
     boundaries = []
     mat = nexp.complex.differential.get(n - 1)
@@ -698,6 +842,19 @@ def test_module_presentation_json_round_trip():
     again = DGModulePresentation.from_json(raw.to_json())
     assert again.is_trivial()
     assert sorted(again.shift_degrees()) == [0, 7]
+
+
+def test_module_json_round_trips_odd_polynomial_generators_in_char_2():
+    A = DGAlgebraPresentation.polynomial(GF2, [("y4", 4), ("y7", 7)],
+                                         char2_polynomial_odd=True)
+    data = DGModulePresentation.trivial(A).to_json()
+    assert data["algebra"]["char2PolynomialOdd"] is True
+    back = DGModulePresentation.from_json(data)
+    assert back.algebra.char2_polynomial_odd and back.to_json() == data
+    # an algebra that does not use the permission writes no such key
+    even = DGAlgebraPresentation.polynomial(GF2, [("y4", 4)], char2_polynomial_odd=True)
+    assert "char2PolynomialOdd" not in even.to_json()
+    assert even.to_json() == DGAlgebraPresentation.polynomial(GF2, [("y4", 4)]).to_json()
 
 
 def test_module_json_keeps_the_truncation_degree():

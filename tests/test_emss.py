@@ -45,10 +45,18 @@ def test_e2_for_odd_sphere_point():
         assert (-i, 3 * i) in entries
 
 
+def total_degree_dims(page):
+    """The page's dimension per total degree s + t, read off its cells."""
+    out = {}
+    for (s, t), elems in page.entries().items():
+        out[s + t] = out.get(s + t, 0) + len(elems)
+    return out
+
+
 def test_e2_total_dims_match_bar_tor():
     # the page over a point computes Tor of K against K
     page = e2_page(FibreSquareSpec.make(4, {0: 1}, 0, QQ), DegreeWindow(0, 12))
-    total = page.total_degree_dims()
+    total = total_degree_dims(page)
     A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
     K = residue_module(A)
     tor = derived_tensor(K, K, strategy="bar", window=DegreeWindow(0, 12))
@@ -61,7 +69,7 @@ def test_e2_total_dims_match_bar_tor_sphere_top():
     from dglevels.module import DGModulePresentation
 
     page = e2_page(s7_over_s4(0), DegreeWindow(0, 14))
-    total = page.total_degree_dims()
+    total = total_degree_dims(page)
     A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
     hs7 = DGModulePresentation.trivial(A, shifts=(0, 7), labels=["1", "x7"])
     tor = derived_tensor(hs7, residue_module(A), strategy="bar",
@@ -141,6 +149,15 @@ def test_stable_page_with_no_class_in_the_window_is_unknown():
     res = run_to_stable(install_d2(e2_page(spec, DegreeWindow(0, 9))))
     assert res.total_dims == {} and res.verdict.kind == "unknown"
     res = run_to_stable(install_d2(e2_page(spec, DegreeWindow(0, 40))))
+    assert res.verdict.kind == "infinite" and res.verdict.period == 6
+
+
+@pytest.mark.parametrize("top", [{0: 1}, {0: 1, 3: 1}, {7: 1}])
+def test_nonzero_hopf_bounds_the_page_only_when_d2_pairs_every_tower(top):
+    # d₂(γ_i(τ)) = h·x₇·γ_{i-1}(τ) needs both the unit and x₇ in the top
+    # space; without either, towers of period 6 survive and reach the window
+    spec = FibreSquareSpec.make(4, top, 1, QQ)
+    res = run_to_stable(install_d2(e2_page(spec, DegreeWindow(0, 32))))
     assert res.verdict.kind == "infinite" and res.verdict.period == 6
 
 

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dglevels.errors import DivisionByZero, FieldMismatch
 from dglevels.field import (
-    QQ, GF2, GF5, FieldTag, _is_prime, parse_field, rank, rank_and_kernel, row_reduce, solve,
+    QQ, GF2, GF3, GF5, FieldTag, _is_prime, parse_field, rank, rank_and_kernel, row_reduce, solve,
     sparse_sum,
 )
 
@@ -41,6 +41,22 @@ def test_inverse_of_zero_raises():
 def test_field_tag_rejects_composite_modulus():
     with pytest.raises(FieldMismatch):
         FieldTag(6)
+
+
+@pytest.mark.parametrize("field, bad", [
+    (QQ, True), (QQ, 0.5), (QQ, "1"), (GF3, 1.0), (GF3, "2"),
+    (GF3, Fraction(1, 2)),
+])
+def test_entries_that_are_no_scalars_are_rejected_before_every_reduction(field, bad):
+    for run in (row_reduce, rank, rank_and_kernel):
+        with pytest.raises(FieldMismatch, match="is not a"):
+            run([[field.one(), bad], [field.zero(), field.one()]], field)
+
+
+def test_integral_fractions_and_plain_ints_pass_as_scalars():
+    assert rank([[Fraction(4), 1], [2, Fraction(1, 2)]], QQ) == 1
+    assert rank([[Fraction(4), 1], [2, 2]], GF3) == 1
+    assert rank([[-1, 5], [2, -10]], GF3) == 1
 
 
 def test_parse_field():

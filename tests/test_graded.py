@@ -250,3 +250,7 @@ def test_assemble_stores_no_all_zero_map():
     # over F_3 the two terms of d(a) cancel, and no map leaves degree 2
     assert cx.differential == {1: [[1]]}
     assert cx.column(0, 0) == []
+    # a rule whose every pair lands outside degree n + 1 leaves no map either
+    rule = {"a": [("c", 1), ("a", 2)], "b": [("c", 1)]}
+    cx, _ = assemble(FieldTag(3), elements, labels, lambda n, e: rule.get(e, ()))
+    assert cx.differential == {1: [[1]]}
