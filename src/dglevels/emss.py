@@ -64,7 +64,6 @@ class BigradedPage:
         self.spec = spec
         self.field = spec.field
         self.window = window
-        self.page_index = 2
         self.d2 = None
         d = spec.d
         self.even = d % 2 == 0
@@ -96,11 +95,6 @@ class BigradedPage:
 
     def entries(self):
         return {st: tuple(lbl for _, lbl in elems) for st, elems in self.cells.items()}
-
-    @property
-    def top_sphere_degree(self):
-        degs = [n for n, _ in self.spec.top_dims if n > 0]
-        return degs[0] if degs else None
 
 
 def _expand(dims_pairs, prefix):
@@ -137,13 +131,13 @@ def e2_page(spec: FibreSquareSpec, window: DegreeWindow | None = None) -> Bigrad
 
 
 def install_d2(page: BigradedPage) -> BigradedPage:
-    """d₂(γ_i(τ)) = h · x_top · γ_{i-1}(τ), multiplicatively over ∧(s⁻¹x_d)
+    """d₂(γ_i(τ)) = h · x_{2d-1} · γ_{i-1}(τ), multiplicatively over ∧(s⁻¹x_d)
     and linearly over top and extra classes; h must vanish when d is odd."""
     f = page.field
     h = page.spec.hopf
     if not page.even and not f.is_zero(h):
         raise OddDimensionNonzeroHopf("the Hopf invariant vanishes over odd spheres")
-    top_deg = page.top_sphere_degree
+    top_deg = 2 * page.spec.d - 1
     d2 = {}
     for (s, t), elems in page.cells.items():
         target_st = (s + 2, t - 1)
@@ -154,7 +148,7 @@ def install_d2(page: BigradedPage) -> BigradedPage:
         nonzero = False
         for j, (key, _) in enumerate(elems):
             tdeg, tidx, eps, i, edeg, eidx = key
-            if i == 0 or tdeg != 0 or top_deg is None:
+            if i == 0 or tdeg != 0:
                 continue    # top class multiples die on x², γ_0 has no target
             target_key = (top_deg, tidx, eps, i - 1, edeg, eidx)
             loc = page.index.get(target_key)

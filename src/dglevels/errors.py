@@ -24,10 +24,6 @@ class WindowTooSmall(DomainError):
     code = "window-too-small"
 
 
-class ZeroModule(DomainError):
-    code = "zero-module"
-
-
 class NotAChainMap(DomainError):
     code = "not-a-chain-map"
 
@@ -86,14 +82,6 @@ class NotCompactlyDecomposable(DomainError):
 
 class FormalizabilityNotDeclared(DomainError):
     code = "formalizability-not-declared"
-
-
-class NotFree(DomainError):
-    code = "not-free"
-
-
-class MissingData(DomainError):
-    code = "missing-data"
 
 
 class MTooSmall(DomainError):

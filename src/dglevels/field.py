@@ -151,18 +151,14 @@ def _validate_entries(rows, field):
     """Reject entries that are no scalars: a row of exact ints (and Fractions
     over Q) passes on its types alone, any other row entry by entry."""
     exact = {int, Fraction} if field.p == 0 else {int}
+    kind = f"a mod-{field.p} residue" if field.p else "a rational scalar"
     for row in rows:
         if exact.issuperset(map(type, row)):
             continue
         for x in row:
-            if field.p == 0:
-                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                    raise FieldMismatch(f"entry {x!r} is not a rational scalar")
-            else:
-                if isinstance(x, Fraction) and x.denominator != 1:
-                    raise FieldMismatch(f"entry {x!r} is not a mod-{field.p} residue")
-                if not isinstance(x, (int, Fraction)):
-                    raise FieldMismatch(f"entry {x!r} is not a mod-{field.p} residue")
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)) \
+                    or field.p and x.denominator != 1:
+                raise FieldMismatch(f"entry {x!r} is not {kind}")
 
 
 _ZERO = Fraction(0)
@@ -342,15 +338,6 @@ def solve(rows, rhs, field: FieldTag):
             return None
         x[p] = rref[r][ncols]
     return tuple(x)
-
-
-def in_span(vectors, target, field: FieldTag):
-    """Whether target lies in the span of the given vectors (all same length)."""
-    if not vectors:
-        return all(field.is_zero(t) for t in target)
-    cols = list(vectors)
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
-    return solve(rows, list(target), field) is not None
 
 
 def coordinates(vectors, target, field: FieldTag):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PresentationError, WindowTooSmall, ZeroModule
+from .errors import PresentationError
 from .field import FieldTag, integer_row, rank_and_kernel, row_reduce
 
 
@@ -259,20 +259,6 @@ def _cohomology_at(cx: CochainComplex, n: int):
     _, pivots = row_reduce(cols, f)
     reps = [kernel[c - width] for c in pivots if c >= width]
     return len(reps), reps
-
-
-def cohomology_in_degree(cx: CochainComplex, n: int) -> int:
-    if not cx.certifiable(n):
-        raise WindowTooSmall(f"degree {n} is not certifiable (knowledge ends at {cx.truncated_above})")
-    return _cohomology_at(cx, n)[0]
-
-
-def amplitude(dims) -> int:
-    """sup minus inf of the nonzero degrees of a dimension table."""
-    nonzero = [n for n, d in dims.items() if d]
-    if not nonzero:
-        raise ZeroModule("amplitude of the zero module")
-    return max(nonzero) - min(nonzero)
 
 
 def total_dimension(dims) -> int:

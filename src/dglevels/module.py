@@ -468,13 +468,11 @@ def shift(module: DGModulePresentation, k: int) -> DGModulePresentation:
     return DGModulePresentation(module.algebra, complex=cx, actions=actions)
 
 
-def direct_sum(modules, algebra=None) -> DGModulePresentation:
-    """Block sum of free modules over one algebra; empty sum is the zero module."""
+def direct_sum(modules) -> DGModulePresentation:
+    """Block sum of free modules over one algebra."""
     modules = list(modules)
     if not modules:
-        if algebra is None:
-            raise AlgebraMismatch("empty direct sum needs an explicit algebra")
-        return DGModulePresentation.zero(algebra)
+        raise AlgebraMismatch("an empty direct sum has no algebra")
     base = modules[0].algebra
     for m in modules[1:]:
         if m.algebra is not base and m.algebra.to_json() != base.to_json():
@@ -678,7 +676,11 @@ class EndomorphismH0:
         return [coords[i * k:(i + 1) * k] for i in range(k)], coords[-1]
 
 
-def find_idempotents(module: DGModulePresentation, dim_guard: int = 8):
+# the largest dim H^0(End M) find_idempotents searches; past it, EndTooLarge
+END_DIM_GUARD = 8
+
+
+def find_idempotents(module: DGModulePresentation):
     """A splitting pair [e, 1 − e] of H^0(End M), or [] when it is local.
 
     By Krull–Schmidt M is indecomposable exactly when H^0(End M) is local,
@@ -688,7 +690,7 @@ def find_idempotents(module: DGModulePresentation, dim_guard: int = 8):
     e ∉ {0, 1}); it is not a list of all idempotents (for Z_0 ⊕ Z_0 over Q
     they form an infinite family).  Raises ``Undecided`` when
     ``idempotent_split`` finds neither a split nor a locality certificate,
-    and ``EndTooLarge`` past ``dim_guard`` or the root-search guard.
+    and ``EndTooLarge`` past ``END_DIM_GUARD`` or the root-search guard.
     """
     if not module.is_free:
         raise SourceNotFree("find_idempotents needs a free presentation")
@@ -698,8 +700,8 @@ def find_idempotents(module: DGModulePresentation, dim_guard: int = 8):
     k = end.dim
     if k == 0:
         return []
-    if k > dim_guard:
-        raise EndTooLarge(f"dim H^0(End) = {k} exceeds the guard {dim_guard}")
+    if k > END_DIM_GUARD:
+        raise EndTooLarge(f"dim H^0(End) = {k} exceeds the guard {END_DIM_GUARD}")
     f = module.field
     struct, unit = end.structure()
     e = idempotent_split(struct, unit, f)

@@ -85,7 +85,6 @@ class TowerSpec:
     d: int
     target_level: int
     m: int
-    base: DGAlgebraPresentation
     full: DGAlgebraPresentation
     extension: tuple       # ((label, degree), ...) in extension order
 
@@ -209,7 +208,7 @@ def build_P_tower(l: int, d: int, m: int | None = None) -> TowerSpec:
         raise MTooSmall(f"suspension parameter m = {m} is below the bound {l * d + 1}")
     base = sphere_model(d)
     if l == 1:
-        return TowerSpec(d, 1, m, base, base, ())
+        return TowerSpec(d, 1, m, base, ())
     gens = [Generator(g.label, g.degree, g.kind) for g in base.generators]
     diff = {label: dict(poly) for label, poly in base.differential.items()}
     extension = []
@@ -251,7 +250,7 @@ def build_P_tower(l: int, d: int, m: int | None = None) -> TowerSpec:
             xi[3 + (i - 1)] = 1
             diff[f"w{i}"] = {tuple(rx): Fraction(1), tuple(xi): Fraction(-1)}
     full = DGAlgebraPresentation(QQ, gens, diff)
-    return TowerSpec(d, l, m, base, full, tuple(extension))
+    return TowerSpec(d, l, m, full, tuple(extension))
 
 
 def tower_level_bounds(tower: TowerSpec) -> LevelResult:
@@ -298,13 +297,6 @@ def pile_upper_bound(stages: int, extra_odd_spheres: int = 0):
     if cls != stages:
         raise PresentationError("pile filtration has unexpected class")
     return stages + 1, filt
-
-
-def sci_level_bound(codim: int) -> int:
-    """Pile bound for a spherically-complete-intersection presentation:
-    level over the regular base is at most codim + 1."""
-    bound, _ = pile_upper_bound(codim, 0)
-    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -207,11 +207,11 @@ def _koszul_sphere_recipe(d, field, cap) -> _KoszulRecipe:
                          f"Koszul resolution of K over H*(S^{d})")
 
 
-def koszul_resolution_poly(degrees, field, labels=None) -> Resolution:
+def koszul_resolution_poly(degrees, field) -> Resolution:
     """Koszul complex resolving K over K[x_1, ..., x_l]: exterior generators
     s⁻¹x_j with D(s⁻¹x_j) = x_j.  Finite and fully known."""
     degrees = list(degrees)
-    labels = labels or [f"x{i+1}" for i in range(len(degrees))]
+    labels = [f"x{i+1}" for i in range(len(degrees))]
     recipe = _koszul_poly_recipe(degrees, field, labels)
     A = DGAlgebraPresentation.polynomial(field, list(zip(labels, degrees)),
                                          char2_polynomial_odd=field.characteristic() == 2)
@@ -281,6 +281,8 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
     # decided once per call: over H*(S^d) every product of two slots is zero
     # (x·x = 0), so no word has an adjacent merge and that scan is skipped
     merges = any(algebra.mono_mul(a, b) is not None for a in slot_degree for b in slot_degree)
+    # likewise over a zero-differential algebra no slot has a differential
+    slot_differentials = not algebra.has_zero_differential()
     gens = []
     diff = {}
     gen_label = {}
@@ -341,7 +343,7 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
             for i, c in mexp.complex.column(mdeg, mexp.pos[elem][1]):
                 add((mexp.elements[mdeg + 1][i], slots), {unit: c})
             # internal differentials of the slots
-            for i, s in enumerate(slots):
+            for i, s in enumerate(slots if slot_differentials else ()):
                 for tm, c in algebra.mono_differential(s).items():
                     add((elem, slots[:i] + (tm,) + slots[i + 1:]),
                         {unit: c if eps[i] % 2 else -c})
@@ -370,21 +372,6 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
                                     {s: t for s, t in diff.items() if t},
                                     truncation_degree=cap + 1)
     return Resolution(mod, period=None, description="bar resolution")
-
-
-def bar_length_filtration(resolution: Resolution) -> "SemifreeFiltration":
-    """Filtration of a bar resolution by bar length (valid over algebras with
-    zero differential resolving a zero-differential module)."""
-    stages = {}
-    for label, _ in resolution.module.generators:
-        t = label.count("|") + (1 if "[" in label else 0)
-        stages.setdefault(t, set()).add(label)
-    cumulative = []
-    acc = set()
-    for t in sorted(stages):
-        acc |= stages[t]
-        cumulative.append(frozenset(acc))
-    return SemifreeFiltration(resolution.module, tuple(cumulative))
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +550,6 @@ def _phi_window(M):
         base = max(degs) + 4 * (span + 4)
         return DegreeWindow(min(degs) - 1, base)
     return DegreeWindow(-1, 8)
-
-
-def is_compact(M: DGModulePresentation, window: DegreeWindow | None = None):
-    """(verdict.compact, verdict): None when the verdict is unknown."""
-    v = phi(M, window)
-    return v.compact, v
 
 
 def infinite_level_certificate(tor: TorResult, algebra: DGAlgebraPresentation | None = None):

@@ -44,10 +44,8 @@ from .algebra import DGAlgebraPresentation
 from .errors import (
     BudgetExceeded,
     FormalizabilityNotDeclared,
-    MissingData,
     NoValidMatching,
     NotCompactlyDecomposable,
-    NotFree,
     OddGenerator,
     PresentationError,
     VerificationFailed,
@@ -723,58 +721,23 @@ def _sphere_as_module_over(P, labels, degrees, d, field, f4_nonzero):
     return DGModulePresentation.raw(P, cx, actions)
 
 
-def free_pullback_level(basis_degrees, dims=None):
+def free_pullback_level(basis_degrees):
     """Level over S^4 of a pullback whose upstairs cohomology is declared
     free over the base polynomial algebra, with the given module basis
     degrees.
 
     The derived tensor is then the plain tensor: a sum of shifts of H*(S^4).
     The decomposition is recomputed and must consist of height-0 molecules
-    only; any height >= 1 exposes the freeness declaration as false.
+    only.
     """
-    if dims is None:
-        basis_degrees = list(basis_degrees)
-        if any(b % 2 for b in basis_degrees):
-            raise OddGenerator("a free basis over an even polynomial algebra is even")
-        dims = {}
-        for b in basis_degrees:
-            dims[b] = dims.get(b, 0) + 1
-            dims[b + 4] = dims.get(b + 4, 0) + 1
+    basis_degrees = list(basis_degrees)
+    if any(b % 2 for b in basis_degrees):
+        raise OddGenerator("a free basis over an even polynomial algebra is even")
+    dims = {}
+    for b in basis_degrees:
+        dims[b] = dims.get(b, 0) + 1
+        dims[b + 4] = dims.get(b + 4, 0) + 1
     dec = decompose(dims, 4)
-    candidates = [dec.molecules] + list(dec.alternatives)
-    flat = [mols for mols in candidates if all(mol.m == 0 for mol in mols)]
-    if not flat:
-        raise NotFree("the decomposition contains a molecule of positive height")
-    return 1, flat[0]
-
-
-# ---------------------------------------------------------------------------
-# Relative formalizability conditions
-# ---------------------------------------------------------------------------
-
-
-def formalizability_check(source_reduced=None, loops_of_target_reduced=None,
-                          target_indecomposables=None,
-                          source_polynomial=False, target_polynomial=False,
-                          sq1_vanishes=True, field: FieldTag = QQ):
-    """Evaluate the two sufficient conditions for a map π : S → T.
-
-    (i) both cohomologies polynomial (Sq_1 must vanish in characteristic 2);
-    (ii) the reduced cohomology of S vanishes in every degree i where
-         dim H̃^{i-1}(Ω T) differs from dim (indecomposables of H*(T))^i.
-    Returns "cond-i", "cond-ii" or "neither"; "neither" means the level
-    reduction through cohomology is not justified for this pair.
-    """
-    if source_polynomial and target_polynomial:
-        if field.characteristic() != 2 or sq1_vanishes:
-            return "cond-i"
-    if source_reduced is None or loops_of_target_reduced is None \
-            or target_indecomposables is None:
-        if source_polynomial or target_polynomial:
-            return "neither"
-        raise MissingData("condition (ii) needs all three dimension tables")
-    for i, dim in source_reduced.items():
-        imbalance = loops_of_target_reduced.get(i - 1, 0) - target_indecomposables.get(i, 0)
-        if imbalance != 0 and dim != 0:
-            return "neither"
-    return "cond-ii"
+    if dec.max_height() > 0:
+        raise VerificationFailed("the decomposition contains a molecule of positive height")
+    return 1, dec.molecules

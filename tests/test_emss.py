@@ -161,6 +161,17 @@ def test_nonzero_hopf_bounds_the_page_only_when_d2_pairs_every_tower(top):
     assert res.verdict.kind == "infinite" and res.verdict.period == 6
 
 
+def test_d2_aims_at_the_class_in_degree_2d_minus_1():
+    # with x₃ and x₇ in the top space, d₂(τ) = h·x₇ (not x₃): τ and x₇ die,
+    # while x₃ keeps a tower of period 6 up the window
+    spec = FibreSquareSpec.make(4, {0: 1, 3: 1, 7: 1}, 1, QQ)
+    page = install_d2(e2_page(spec, DegreeWindow(0, 32)))
+    assert page.d2
+    res = run_to_stable(page)
+    assert res.total_dims == {0: 1, 3: 2, **{n: 1 for n in range(6, 31, 3)}}
+    assert res.verdict.kind == "infinite"
+
+
 def test_pullback_square_with_extra_factor():
     spec = s7_over_s4(1, extra={0: 1, 7: 1})
     page = install_d2(e2_page(spec, DegreeWindow(0, 40)))

@@ -45,7 +45,7 @@ def test_field_tag_rejects_composite_modulus():
 
 @pytest.mark.parametrize("field, bad", [
     (QQ, True), (QQ, 0.5), (QQ, "1"), (GF3, 1.0), (GF3, "2"),
-    (GF3, Fraction(1, 2)),
+    (GF3, Fraction(1, 2)), (GF3, True),
 ])
 def test_entries_that_are_no_scalars_are_rejected_before_every_reduction(field, bad):
     for run in (row_reduce, rank, rank_and_kernel):

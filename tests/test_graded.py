@@ -3,16 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dglevels.errors import PresentationError, WindowTooSmall, ZeroModule
-from dglevels.field import QQ, GF2, FieldTag, in_span, rank_and_kernel
+from dglevels.errors import PresentationError
+from dglevels.field import QQ, GF2, FieldTag, coordinates, rank_and_kernel
 from dglevels.graded import (
     CochainComplex,
     DegreeWindow,
     GradedVectorSpace,
-    amplitude,
     assemble,
     cohomology,
-    cohomology_in_degree,
     dims_from_text,
 )
 
@@ -62,11 +60,9 @@ def test_representatives_complement_coboundaries():
 def test_certification_respects_truncation():
     space = GradedVectorSpace(QQ, {0: ["a"], 1: ["b"]})
     cx = CochainComplex(space, {}, truncated_above=2)
-    assert cohomology_in_degree(cx, 0) == 1
-    with pytest.raises(WindowTooSmall):
-        cohomology_in_degree(cx, 1)
-    with pytest.raises(WindowTooSmall):
-        cohomology_in_degree(cx, 2)
+    assert cohomology(cx)[0] == {0: 1}
+    assert cx.certifiable(0)
+    assert not cx.certifiable(1) and not cx.certifiable(2)
 
 
 def test_enlarging_window_is_stable():
@@ -82,30 +78,6 @@ def test_basis_order_invariance():
     m1 = two_step(QQ, [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0)]])
     m2 = two_step(QQ, [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(0)]])
     assert cohomology(m1)[0] == cohomology(m2)[0]
-
-
-def test_amplitude_of_sphere_pattern():
-    assert amplitude({0: 1, 7: 1}) == 7
-
-
-def test_amplitude_molecule_grid():
-    # Amplitude of the two-class pattern {-m(d-1)+l, d+l} is (m+1)d - m.
-    for d in range(2, 7):
-        for m in range(0, 6):
-            for l in range(0, 11):
-                dims = {-m * (d - 1) + l: 1, d + l: 1}
-                assert amplitude(dims) == (m + 1) * d - m
-    # At m = 2l - 1 this specializes to 2ld - 2l + 1.
-    for d in (3, 4):
-        for l in (1, 2, 3):
-            m = 2 * l - 1
-            assert (m + 1) * d - m == 2 * l * d - 2 * l + 1
-
-
-def test_amplitude_single_degree_and_zero():
-    assert amplitude({5: 2}) == 0
-    with pytest.raises(ZeroModule):
-        amplitude({})
 
 
 def test_dims_from_text():
@@ -170,7 +142,7 @@ def greedy_cohomology(cx):
         chosen = [c for c in zip(*prev) if any(c)] if prev else []
         picked = []
         for v in kernel:
-            if not in_span(chosen, v, f):
+            if coordinates(chosen, v, f) is None:
                 picked.append(v)
                 chosen.append(v)
         if picked:

@@ -1,15 +1,22 @@
 """Static guards on src/dglevels.
 
+Use is counted only where the package is really called: in the package
+itself, whose ``__init__`` imports are the public roots, in the benchmark, and
+in the spec suites (the paper's acceptance criteria and the two pin suites).
+A name that only other tests call counts as dead.
+
 Dead definitions: every function or method defined in the package is named
-somewhere besides its own definition, in the package, its tests or its
-benchmark.  Dunder methods are exempt.  A reference inside the function's own
-body (recursion) does not count.
+somewhere besides its own definition.  Dunder methods are exempt.  A
+reference inside the function's own body (recursion) does not count.
 
 Unused options: every parameter with a default, of a function or method
-defined in the package, is passed by some call in the package, its tests or
-its benchmark to a callee of that name, by keyword or by position; a call of
-``ClassName(...)`` counts for ``ClassName.__init__``, and a call that spreads
-``*args`` or ``**kwargs`` counts as passing every parameter.
+defined in the package, is passed by some call to a callee of that name, by
+keyword or by position; a call of ``ClassName(...)`` counts for
+``ClassName.__init__``, and a call that spreads ``*args`` or ``**kwargs``
+counts as passing every parameter.
+
+Public roots: ``dglevels/__init__.py`` imports exactly the names in
+``__all__``, so a stale import cannot keep dead code alive.
 
 Scalar arithmetic: scalars are Python numbers, so ``FieldTag`` defines no
 ``add``/``sub``/``neg``/``mul`` and no package file calls them on a field, a
@@ -22,7 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "dglevels").glob("*.py"))
-FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+SPEC_SUITES = [ROOT / "tests" / name for name in
+               ("test_acceptance.py", "test_layout.py", "test_answers.py")]
+FILES = PACKAGE + sorted((ROOT / "bench").glob("*.py")) + SPEC_SUITES
 
 
 class References(ast.NodeVisitor):
@@ -120,6 +129,15 @@ def test_every_option_is_passed_somewhere():
               for callee, param, position, where in defaulted_parameters(path)
               if not any(passes(c, param, position) for c in calls.get(callee, ()))]
     assert unused == []
+
+
+def test_init_imports_exactly_all():
+    tree = ast.parse((ROOT / "src" / "dglevels" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"]
+    assert sorted(imported) == sorted(exported)
 
 
 FIELD_ARITHMETIC = {"add", "sub", "neg", "mul"}

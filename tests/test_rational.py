@@ -19,7 +19,6 @@ from dglevels.rational import (
     build_P_tower,
     hopf_invariant,
     pile_upper_bound,
-    sci_level_bound,
     sphere_model,
     tower_level_bounds,
 )
@@ -74,14 +73,13 @@ def test_tower_m_guard():
 
 
 def test_tower_extension_property_enforced():
-    base = sphere_model(3)
     gens = [Generator("x", 3, "exterior"), Generator("a", 5, "exterior"),
             Generator("b", 7, "exterior")]
     # D(a) involves b, which comes later: not a Koszul-Sullivan extension
     diff = {"a": {(0, 0, 1): Fraction(1)}}
     with pytest.raises(PresentationError):
         full = DGAlgebraPresentation(QQ, gens, diff)
-        TowerSpec(3, 2, 8, base, full, (("a", 5), ("b", 7)))
+        TowerSpec(3, 2, 8, full, (("a", 5), ("b", 7)))
 
 
 def test_fibre_complex_is_finite_and_odd():
@@ -136,7 +134,7 @@ def fibre_product_tower(l, d=3):
         mono[0] = mono[1 + 2 * i] = 1
         diff[f"v{i}"] = {tuple(mono): Fraction(1)}
     full = DGAlgebraPresentation(QQ, gens, diff)
-    return TowerSpec(d, l, 0, sphere_model(d), full, tuple(extension))
+    return TowerSpec(d, l, 0, full, tuple(extension))
 
 
 def mixed_tower():
@@ -147,7 +145,7 @@ def mixed_tower():
     diff = {"w": {(0, 1, 1, 0, 0): Fraction(1), (1, 1, 0, 0, 0): Fraction(1)},
             "t": {(1, 0, 0, 1, 0): Fraction(1), (0, 0, 1, 1, 0): Fraction(-1)}}
     full = DGAlgebraPresentation(QQ, gens, diff)
-    return TowerSpec(3, 0, 0, sphere_model(3), full, tuple(labels[1:]))
+    return TowerSpec(3, 0, 0, full, tuple(labels[1:]))
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
@@ -233,8 +231,8 @@ def test_pile_upper_bound_two_stages():
 
 
 def test_sci_wrapper():
-    assert sci_level_bound(3) == 4
-    assert sci_level_bound(0) == 1
+    assert pile_upper_bound(3)[0] == 4
+    assert pile_upper_bound(0)[0] == 1
 
 
 # -- Hopf invariant ---------------------------------------------------------------------
