@@ -130,11 +130,16 @@ class DGAlgebraPresentation:
     # -- polynomial arithmetic -------------------------------------------------
 
     def normalize_poly(self, poly):
-        for mono in poly:
-            if len(mono) != self.n:
-                raise PresentationError(f"monomial {tuple(mono)} has wrong arity")
-        reduce = self.field.reduce
-        return {tuple(m): r for m, c in poly.items() if (r := reduce(c))}
+        """The polynomial with tuple monomials and reduced nonzero scalars, in
+        one pass that also checks each monomial's arity."""
+        n, reduce = self.n, self.field.reduce
+        out = {}
+        for m, c in poly.items():
+            if len(m) != n:
+                raise PresentationError(f"monomial {tuple(m)} has wrong arity")
+            if r := reduce(c):
+                out[tuple(m)] = r
+        return out
 
     def poly_add(self, p, q):
         return sparse_sum((*p.items(), *q.items()), self.field)

@@ -212,15 +212,14 @@ def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> Ems
     window = window or page.window
     f = page.field
     cert_hi = window.hi - 1   # outgoing d₂ from total degree hi leaves the page
+    # each d₂ inside the certified range is ranked once: it is the out-rank of
+    # its source cell and the in-rank of its target cell
+    ranks = {st: rank(mat, f) for st, mat in page.d2.items() if st[0] + st[1] <= cert_hi}
     e3 = {}
     for st, elems in page.cells.items():
         if st[0] + st[1] > cert_hi:
             continue
-        dim = len(elems)
-        out_rank = rank(page.d2[st], f) if st in page.d2 else 0
-        src = (st[0] - 2, st[1] + 1)
-        in_rank = rank(page.d2[src], f) if src in page.d2 else 0
-        surv = dim - out_rank - in_rank
+        surv = len(elems) - ranks.get(st, 0) - ranks.get((st[0] - 2, st[1] + 1), 0)
         if surv < 0:
             raise PresentationError("rank bookkeeping failed on the page")
         if surv:

@@ -31,7 +31,8 @@ from .errors import (
     VerificationFailed,
 )
 from .field import integer_row, row_reduce, solve, sparse_sum
-from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology, mat_vec
+from .graded import (CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology,
+                     cohomology_dims, mat_vec)
 
 
 class DGModulePresentation:
@@ -103,42 +104,41 @@ class DGModulePresentation:
 
     def _validate_free(self):
         A = self.algebra
-        for src, terms in self.differential.items():
+        D, gdeg, trunc = self.differential, self.gen_degree, self.truncation_degree
+        for src, terms in D.items():
             for tgt, poly in terms.items():
                 deg = A.poly_degree(poly) if len(poly) > 1 else A.monomial_degree(next(iter(poly)))
-                if self.gen_degree[tgt] + deg != self.gen_degree[src] + 1:
+                if gdeg[tgt] + deg != gdeg[src] + 1:
                     raise PresentationError(
                         f"D({src}) term on {tgt} has total degree "
-                        f"{self.gen_degree[tgt] + deg}, expected {self.gen_degree[src] + 1}")
+                        f"{gdeg[tgt] + deg}, expected {gdeg[src] + 1}")
         # D² = 0, symbolically: D(Σ h·a) = Σ D(h)·a + (-1)^{|h|} h·dA(a).
         # Near a truncation the stored differentials are incomplete, so the
         # check covers only generators whose two-step range is fully stored.
         zero_dA = A.has_zero_differential()
         mul, reduce = A.mono_mul, self.field.reduce
-        for src in self.differential:
-            if self.truncation_degree is not None and \
-                    self.gen_degree[src] + 2 >= self.truncation_degree:
+        for src, terms in D.items():
+            if trunc is not None and gdeg[src] + 2 >= trunc:
                 continue
-            # each product D(h)·a, h·dA(a) is summed alone first: the error names
-            # the first generator whose term survives its product
+            # products enter one total and the error names the first generator a
+            # surviving product reaches; a pair with several monomials on both
+            # sides may cancel inside itself, so it is summed alone first
             total = {}
-            for h, a in self.differential[src].items():
-                parts = []                      # (generator, {monomial: scalar})
-                for k, b in self.differential.get(h, {}).items():
-                    part = {}
+            for h, a in terms.items():
+                for k, b in D.get(h, {}).items():
+                    acc = total if len(a) == 1 or len(b) == 1 else {}
                     for mb, cb in b.items():
                         for ma, ca in a.items():
                             if r := mul(mb, ma):
-                                m, c = r[1], cb * ca * r[0]
-                                part[m] = part[m] + c if m in part else c
-                    parts.append((k, part))
-                if not zero_dA:
-                    sign = -1 if self.gen_degree[h] % 2 else 1
-                    parts.append((h, {m: sign * c for m, c in A.poly_differential(a).items()}))
-                for k, part in parts:
-                    for m, c in part.items():
+                                key, c = (k, r[1]), cb * ca * r[0]
+                                acc[key] = acc[key] + c if key in acc else c
+                    for key, c in (() if acc is total else acc.items()):
                         if reduce(c):
-                            total[k, m] = total[k, m] + c if (k, m) in total else c
+                            total[key] = total[key] + c if key in total else c
+                if not zero_dA:
+                    sign = -1 if gdeg[h] % 2 else 1
+                    for m, c in A.poly_differential(a).items():
+                        total[h, m] = total[h, m] + sign * c if (h, m) in total else sign * c
             for (k, _), c in total.items():
                 if reduce(c):
                     raise PresentationError(f"D∘D ≠ 0 on generator {src!r} (lands on {k!r})")
@@ -296,12 +296,8 @@ class DGModulePresentation:
     def expand(self, window: DegreeWindow) -> "ModuleExpansion":
         return ModuleExpansion(self, window)
 
-    def cohomology(self, window: DegreeWindow = None):
-        window = window or self.default_window()
-        return cohomology(self.expand(window).complex)
-
     def cohomology_dims(self, window: DegreeWindow = None):
-        return self.cohomology(window)[0]
+        return cohomology_dims(self.expand(window or self.default_window()).complex)
 
     def default_window(self) -> DegreeWindow:
         """A window that certifies the whole support of a bounded module."""
@@ -549,8 +545,9 @@ class MorphismComplex:
     target_expansion: ModuleExpansion
 
 
-# basis maps `hom_complex` lists before it gives up; 32 times the 153 of the
-# largest Hom complex the tests complete (the catalog benchmark's reach 68)
+# basis maps `hom_complex` lists before it gives up; 39 times the 128 of the
+# largest Hom complex the tests complete (the catalog benchmark's End
+# complexes, hom degrees -1..1, reach 40)
 HOM_BASIS_BUDGET = 5_000
 
 
@@ -620,8 +617,9 @@ class EndomorphismH0:
     def __init__(self, module: DGModulePresentation):
         self.module = module
         self.field = module.field
-        self.hom = hom_complex(module, module, DegreeWindow(-3, 3))
-        dims, reps = cohomology(self.hom.complex)
+        # H^0 needs hom degrees -1..1 only
+        self.hom = hom_complex(module, module, DegreeWindow(-1, 1))
+        dims, reps = cohomology(self.hom.complex, DegreeWindow(0, 0))
         self.dim = dims.get(0, 0)
         self.reps = reps.get(0, [])
         self.boundaries = self.hom.complex.coboundaries(0)

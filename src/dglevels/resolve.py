@@ -32,7 +32,7 @@ from .errors import (
     PresentationError,
     StrategyInapplicable,
 )
-from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology
+from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology_dims
 from .module import DGModulePresentation
 
 BAR = "bar"
@@ -287,13 +287,6 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
     diff = {}
     gen_label = {}
 
-    def label_of(elem, slots):
-        mlabel = mexp.elem_label(elem)
-        if not slots:
-            return mlabel
-        inner = "|".join(slot_label[s] for s in slots)
-        return f"{mlabel}[{inner}]"
-
     # enumerate (m, slots) with total degree <= cap and bar length <= cutoff
     stack = [((), 0)]
     all_words = []
@@ -311,47 +304,56 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
             if nd <= cap:
                 stack.append((slots + (mono,), nd))
     all_words.sort(key=lambda w: (len(w[0]), w[0]))
+    word_label = {slots: "[" + "|".join(slot_label[s] for s in slots) + "]" if slots else ""
+                  for slots, _ in all_words}
 
     for elem, mdeg in m_elems:
+        mlabel = mexp.elem_label(elem)
         for slots, sdeg in all_words:
             total = mdeg + sdeg
             if total > cap:
                 continue
-            lbl = label_of(elem, slots)
+            lbl = mlabel + word_label[slots]
             gens.append((lbl, total))
             gen_label[(elem, slots)] = lbl
 
+    unit = algebra.unit_monomial()
+    one = f.one()
+    first_merge = {}        # (element, first slot) -> (element · slot) pairs
+
+    def add(target_key, mono, c):
+        """c·mono on the target into the current word's terms."""
+        tgt = gen_label.get(target_key)
+        if tgt is not None:
+            poly = terms.setdefault(tgt, {})
+            poly[mono] = poly[mono] + c if mono in poly else c
+
     for elem, mdeg in m_elems:
+        d_elem = [(mexp.elements[mdeg + 1][i], c)
+                  for i, c in mexp.complex.column(mdeg, mexp.pos[elem][1])]
         for slots, sdeg in all_words:
             if mdeg + sdeg > cap:
                 continue
-            src = gen_label[(elem, slots)]
-            terms = {}
-
-            def add(target_key, poly):
-                tgt = gen_label.get(target_key)
-                if tgt is None:
-                    return
-                terms[tgt] = algebra.poly_add(terms.get(tgt, {}), poly)
-
-            unit = algebra.unit_monomial()
+            terms = {}          # target label -> {monomial: scalar}, reduced by the module
             eps = [mdeg]
             for s in slots:
                 eps.append(eps[-1] + slot_degree[s] - 1)
 
             # internal differential of m
-            for i, c in mexp.complex.column(mdeg, mexp.pos[elem][1]):
-                add((mexp.elements[mdeg + 1][i], slots), {unit: c})
+            for tgt_elem, c in d_elem:
+                add((tgt_elem, slots), unit, c)
             # internal differentials of the slots
             for i, s in enumerate(slots if slot_differentials else ()):
                 for tm, c in algebra.mono_differential(s).items():
-                    add((elem, slots[:i] + (tm,) + slots[i + 1:]),
-                        {unit: c if eps[i] % 2 else -c})
+                    add((elem, slots[:i] + (tm,) + slots[i + 1:]), unit,
+                        c if eps[i] % 2 else -c)
             if slots:
                 # merge m with the first slot
-                acted = mexp.act_element(elem, algebra.mono_poly(slots[0]))
-                for tgt_elem, c in acted.items():
-                    add((tgt_elem, slots[1:]), {unit: -c if mdeg % 2 else c})
+                key = (elem, slots[0])
+                if key not in first_merge:
+                    first_merge[key] = list(mexp.act_element(elem, {slots[0]: one}).items())
+                for tgt_elem, c in first_merge[key]:
+                    add((tgt_elem, slots[1:]), unit, -c if mdeg % 2 else c)
                 if merges:
                     # merge adjacent slots; the sign uses the prefix through the
                     # left slot (suspended degrees)
@@ -360,17 +362,14 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
                         if prod is None:
                             continue
                         c, mono = prod
-                        add((elem, slots[:i - 1] + (mono,) + slots[i + 1:]),
-                            {unit: -c if eps[i] % 2 else c})
+                        add((elem, slots[:i - 1] + (mono,) + slots[i + 1:]), unit,
+                            -c if eps[i] % 2 else c)
                 # last slot becomes an algebra coefficient
-                one = f.one()
-                add((elem, slots[:-1]), {slots[-1]: one if eps[-2] % 2 else -one})
+                add((elem, slots[:-1]), slots[-1], one if eps[-2] % 2 else -one)
             if terms:
-                diff[src] = {t: p for t, p in terms.items() if p}
+                diff[gen_label[(elem, slots)]] = terms
 
-    mod = DGModulePresentation.free(algebra, gens,
-                                    {s: t for s, t in diff.items() if t},
-                                    truncation_degree=cap + 1)
+    mod = DGModulePresentation.free(algebra, gens, diff, truncation_degree=cap + 1)
     return Resolution(mod, period=None, description="bar resolution")
 
 
@@ -426,17 +425,16 @@ def _shifted_sum(recipe: _KoszulRecipe, shifts, A) -> Resolution:
     if not shifts:
         return Resolution(DGModulePresentation.zero(A), period=None,
                           description="zero module")
+    negated = {src: {t: {m: -c for m, c in p.items()} for t, p in terms.items()}
+               for src, terms in recipe.differential.items()}
     gens = []
     diff = {}
     for k, s in enumerate(sorted(shifts)):
-        sign = -1 if s % 2 else 1
-        for lbl, deg in recipe.generators:
-            gens.append((f"{k}⟨{s}⟩·{lbl}", deg + s))
-        for src, terms in recipe.differential.items():
-            diff[f"{k}⟨{s}⟩·{src}"] = {     # the constructor reduces the signs
-                f"{k}⟨{s}⟩·{t}": p if sign == 1 else {m: -c for m, c in p.items()}
-                for t, p in terms.items()
-            }
+        pre = f"{k}⟨{s}⟩·"
+        gens.extend((pre + lbl, deg + s) for lbl, deg in recipe.generators)
+        # the constructor reduces the signs (and copies the polynomials)
+        for src, terms in (negated if s % 2 else recipe.differential).items():
+            diff[pre + src] = {pre + t: p for t, p in terms.items()}
     trunc = recipe.truncation_degree
     if trunc is not None:
         trunc += min(shifts)
@@ -468,6 +466,8 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
         return TorResult(cx, {}, window.hi, res.period, True, strategy)
     n_lo = min(n_degrees)
 
+    n_key = {ne: str(ne) for es in nexp.elements.values() for ne in es}
+    n_label = {ne: "⊗" + nexp.elem_label(ne) for ne in n_key}
     elems = {}
     for glabel, gdeg in F.generators:
         for nd in n_degrees:
@@ -475,8 +475,8 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
             if window.lo <= total <= window.hi + 1:
                 elems.setdefault(total, []).extend((glabel, ne) for ne in nexp.elements[nd])
     for n in elems:
-        elems[n].sort(key=lambda e: (e[0], str(e[1])))
-    labels = {n: [f"{g}⊗{nexp.elem_label(ne)}" for g, ne in es] for n, es in elems.items()}
+        elems[n].sort(key=lambda e: (e[0], n_key[e[1]]))
+    labels = {n: [g + n_label[ne] for g, ne in es] for n, es in elems.items()}
 
     acts = {}           # (element b of N, monomial a) -> a·b, once per call
 
@@ -505,7 +505,7 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
         truncated_above = F.truncation_degree - 1 + n_lo
         bounded = False
     cx, _ = assemble(f, dict(sorted(elems.items())), labels, column, truncated_above)
-    dims, _ = cohomology(cx, window)
+    dims = cohomology_dims(cx, window)
     cert_hi = window.hi
     if truncated_above is not None:
         cert_hi = min(cert_hi, truncated_above - 2)

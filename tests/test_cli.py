@@ -490,9 +490,11 @@ def test_hom_basis_budget_on_the_command_line(tmp_path):
     from dglevels.field import QQ
     from dglevels.module import HOM_BASIS_BUDGET, DGModulePresentation
 
+    # split reads H^0(End) from hom degrees -1..1, where 71 generators in
+    # degree 0 give 71² = 5,041 basis maps
     A = DGAlgebraPresentation.sphere_cohomology(2, QQ)
     big = write_module(tmp_path / "big.json",
-                       DGModulePresentation.free(A, [(f"g{i}", 0) for i in range(60)]))
+                       DGModulePresentation.free(A, [(f"g{i}", 0) for i in range(71)]))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["split", "--module", big])

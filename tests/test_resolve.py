@@ -1,5 +1,7 @@
 """Resolutions, derived tensors, phi verdicts, filtrations."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -44,6 +46,41 @@ def chain_module(d, m, field=QQ, bottom=0):
     gens = [(f"e{j}", bottom + j * (d - 1)) for j in range(m + 1)]
     diff = {f"e{j}": {f"e{j-1}": A.generator_poly(f"x{d}")} for j in range(1, m + 1)}
     return DGModulePresentation.free(A, gens, diff)
+
+
+def module_digest(M):
+    """sha256 of the module's JSON and of its differential as stored: the
+    order of every dict and the type of every scalar."""
+    stored = [[src, [[tgt, [[list(m), type(c).__name__, str(c)] for m, c in p.items()]]
+                     for tgt, p in terms.items()]] for src, terms in M.differential.items()]
+    blob = json.dumps([M.to_json(), stored], ensure_ascii=False)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# recorded before the resolutions were built in one pass per term
+RESOLUTION_DIGESTS = {
+    ("koszul", QQ): "ca248c93eed19645",
+    ("koszul", GF3): "551f00654e9a394c",
+    ("bar", QQ): "685456c758d7406b",
+    ("bar", GF3): "0232d0a0878c8e68",
+}
+
+
+@pytest.mark.parametrize("kind, field", list(RESOLUTION_DIGESTS))
+def test_resolution_layout_is_pinned(kind, field):
+    """The shifted Koszul sum over H*(S^2) for shifts 2, 3, and the bar
+    resolution of K over K[a₂, b₄] at window 0:6: generator order,
+    differential dicts and scalar types."""
+    if kind == "koszul":
+        A = sphere(2, field)
+        M = DGModulePresentation.trivial(A, shifts=(2, 3))
+        F = _resolve(M, KOSZUL, DegreeWindow(0, 12)).module
+        assert len(F.generators) == 34
+    else:
+        P = DGAlgebraPresentation.polynomial(field, [("a", 2), ("b", 4)])
+        F = bar_resolution(residue_module(P), P, window=DegreeWindow(0, 6)).module
+        assert len(F.generators) == 128
+    assert module_digest(F) == RESOLUTION_DIGESTS[kind, field]
 
 
 # -- bar resolution ------------------------------------------------------------
