@@ -319,7 +319,7 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
 
     unit = algebra.unit_monomial()
     one = f.one()
-    first_merge = {}        # (element, first slot) -> (element · slot) pairs
+    first_merge = {}        # (element, first slot) -> element · slot
 
     def add(target_key, mono, c):
         """c·mono on the target into the current word's terms."""
@@ -351,8 +351,8 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
                 # merge m with the first slot
                 key = (elem, slots[0])
                 if key not in first_merge:
-                    first_merge[key] = list(mexp.act_element(elem, {slots[0]: one}).items())
-                for tgt_elem, c in first_merge[key]:
+                    first_merge[key] = mexp.act_element(elem, {slots[0]: one})
+                for tgt_elem, c in first_merge[key].items():
                     add((tgt_elem, slots[1:]), unit, -c if mdeg % 2 else c)
                 if merges:
                     # merge adjacent slots; the sign uses the prefix through the

@@ -218,7 +218,7 @@ BROKEN = {
 def test_sparse_d_squared_check_names_the_first_broken_source(field):
     a, b = BROKEN[field]
     space = GradedVectorSpace(field, {1: ["s0", "s1", "s2"], 2: ["m0", "m1"], 3: ["t0", "t1"]})
-    diff = {0: [], 1: a, 2: b}
+    diff = {1: a, 2: b}
     expected = "d∘d ≠ 0 from degree 1 (source 's1')"
     assert naive_d_squared_message(space, diff) == expected
     with pytest.raises(PresentationError) as e:
