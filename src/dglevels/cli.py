@@ -63,13 +63,12 @@ _dims_arg = _usage_type(dims_from_text)
 _gens_arg = _usage_type(_parse_gens)
 
 
-def _window(args) -> DegreeWindow:
+def _window(args) -> DegreeWindow | None:
+    """``--window``, else ``DG_LEVEL_WINDOW``, else None."""
     if getattr(args, "window", None):
         return args.window
     env = os.environ.get("DG_LEVEL_WINDOW")
-    if env:
-        return DegreeWindow.parse(env)
-    return DEFAULT_WINDOW
+    return DegreeWindow.parse(env) if env else None
 
 
 def _report(command, inputs, result, kind, args):
@@ -85,14 +84,20 @@ def _report(command, inputs, result, kind, args):
     return out
 
 
-def _module_from_name(name, algebra, d):
+def _sphere_dimension(name):
+    """n for a name ``s<n>`` (any case, surrounding blanks), else None."""
+    name = name.strip().lower()
+    return int(name[1:]) if name.startswith("s") and name[1:].isdigit() else None
+
+
+def _module_from_name(name, algebra):
     name = name.strip().lower()
     if name == "k":
         return residue_module(algebra)
-    if name.startswith("s") and name[1:].isdigit():
-        n = int(name[1:])
-        return DGModulePresentation.trivial(algebra, shifts=(0, n), labels=["1", f"x{n}"])
-    raise DomainError(f"unknown module spec {name!r} (expected k or s<n>)")
+    n = _sphere_dimension(name)
+    if n is None:
+        raise DomainError(f"unknown module spec {name!r} (expected k or s<n>)")
+    return DGModulePresentation.trivial(algebra, shifts=(0, n), labels=["1", f"x{n}"])
 
 
 # -- handlers -------------------------------------------------------------------
@@ -177,10 +182,10 @@ def cmd_split(args):
 
 def cmd_tor(args):
     field = parse_field(args.field)
-    window = _window(args)
+    window = _window(args) or DEFAULT_WINDOW
     A = DGAlgebraPresentation.sphere_cohomology(args.d, field)
-    M = _module_from_name(args.module, A, args.d)
-    N = _module_from_name(getattr(args, "arg") or "k", A, args.d)
+    M = _module_from_name(args.module, A)
+    N = _module_from_name(getattr(args, "arg") or "k", A)
     tor = derived_tensor(M, N, strategy=args.strategy, window=window)
     result = {
         "tor": dims_to_json(tor.dims),
@@ -196,10 +201,9 @@ def cmd_tor(args):
 
 def cmd_phi(args):
     field = parse_field(args.field)
-    window = _window(args)
     A = DGAlgebraPresentation.sphere_cohomology(args.d, field)
-    M = _module_from_name(args.module, A, args.d)
-    verdict = phi(M, window=window)
+    M = _module_from_name(args.module, A)
+    verdict = phi(M, window=_window(args) or DEFAULT_WINDOW)
     result = {"phi": verdict.to_json(), "compact": verdict.compact}
     return _report("phi", {"d": args.d, "module": args.module, "field": str(field)},
                    result, "compactness", args)
@@ -207,25 +211,21 @@ def cmd_phi(args):
 
 def cmd_emss(args):
     field = parse_field(args.field)
-    window = _window(args)
-    if window is DEFAULT_WINDOW:
-        window = DegreeWindow(0, 8 * args.d)
-    top = {0: 1} if args.top == "point" else None
-    if top is None:
-        name = args.top.strip().lower()
-        if not (name.startswith("s") and name[1:].isdigit()):
+    top = {0: 1}
+    if args.top != "point":
+        n = _sphere_dimension(args.top)
+        if n is None:
             raise DomainError(f"unknown top space {args.top!r}")
-        n = int(name[1:])
-        top = {0: 1, n: 1}
+        top[n] = 1
     extra = None
     if args.extra:
-        name = args.extra.strip().lower()
-        if not (name.startswith("s") and name[1:].isdigit()):
+        n = _sphere_dimension(args.extra)
+        if n is None:
             raise DomainError(f"unknown extra factor {args.extra!r}")
-        extra = {0: 1, int(name[1:]): 1}
+        extra = {0: 1, n: 1}
     spec = FibreSquareSpec.make(args.d, top, args.hopf, field, extra_dims=extra)
-    page = install_d2(e2_page(spec, window))
-    res = run_to_stable(page, window)
+    page = install_d2(e2_page(spec, _window(args)))
+    res = run_to_stable(page)
     if args.format == "table":
         print(f"E2 page, base S^{args.d}, hopf {args.hopf} over {field}")
         for (s, t), labels in sorted(page.entries().items()):

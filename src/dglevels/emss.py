@@ -271,7 +271,5 @@ def compactness_from_hopf(d: int, hopf: int, field: FieldTag,
     if d % 2 and not field.is_zero(h):
         raise OddDimensionNonzeroHopf("odd-sphere Hopf invariants vanish")
     spec = FibreSquareSpec.make(d, {0: 1, 2 * d - 1: 1}, h, field)
-    window = window or DegreeWindow(0, 8 * d)
-    page = install_d2(e2_page(spec, window))
-    result = run_to_stable(page, window)
+    result = run_to_stable(install_d2(e2_page(spec, window)))
     return result.verdict.compact, result

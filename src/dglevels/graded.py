@@ -235,9 +235,7 @@ def cohomology(cx: CochainComplex, window: DegreeWindow | None = None):
     """
     dims = {}
     reps = {}
-    degrees = set(cx.space.degrees())
-    degrees.update(n + 1 for n in cx.differential)
-    for n in sorted(degrees):
+    for n in cx.space.degrees():
         if window is not None and not window.contains(n):
             continue
         if not cx.certifiable(n):

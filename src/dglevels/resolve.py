@@ -124,11 +124,6 @@ class Resolution:
 
     module: DGModulePresentation
     period: int | None = None      # degree of the repeating block, if any
-    description: str = ""
-
-    @property
-    def bounded(self):
-        return self.module.truncation_degree is None
 
 
 def sphere_block_period(d: int) -> int:
@@ -136,115 +131,86 @@ def sphere_block_period(d: int) -> int:
     return 2 * (d - 1) if d % 2 == 0 else d - 1
 
 
-@dataclass
-class _KoszulRecipe:
-    """Generators and differential of a Koszul resolution, not yet a module.
+def _koszul_applies(A: DGAlgebraPresentation) -> bool:
+    """K has a Koszul resolution over A here: A has zero differential and is
+    H*(S^d), d >= 2, or a polynomial algebra."""
+    if not A.has_zero_differential():
+        return False
+    if A.sphere_generator_label() is not None:
+        return A.generators[0].degree > 1
+    return all(g.kind == POLYNOMIAL for g in A.generators)
 
-    The polynomials are single monomials with unit exponent vectors, so the
-    same recipe serves every presentation of the algebra with the same
-    generator order."""
 
-    generators: list
-    differential: dict
-    truncation_degree: int | None
-    period: int | None
-    description: str
+def _koszul(A: DGAlgebraPresentation, cap: int | None):
+    """(generators, differential, truncation degree, period) of the Koszul
+    resolution of K over A, or None when A has none (`_koszul_applies`).
 
-    def resolution(self, A: DGAlgebraPresentation) -> Resolution:
-        mod = DGModulePresentation.free(A, self.generators, self.differential,
-                                        truncation_degree=self.truncation_degree)
-        return Resolution(mod, period=self.period, description=self.description)
+    Over H*(S^d), one generator in each degree j(d-1) <= cap with
+    D(g_j) = g_{j-1}·x: for d even g_{2i} = γ_i(w) and
+    g_{2i+1} = γ_i(w)·s⁻¹x, for d odd g_j = γ_j(s⁻¹x).  The differentials
+    are complete (they point down the chain), only generators above ``cap``
+    are absent.  Over K[x_1, ..., x_l], exterior generators s⁻¹x_j with
+    D(s⁻¹x_j) = x_j: finite and fully known.  The polynomials are single
+    monomials with unit exponent vectors, so the same recipe serves every
+    presentation of A with the same generator order.
+    """
+    if not _koszul_applies(A):
+        return None
+    gens = []
+    diff = {}
+    if A.sphere_generator_label() is not None:
+        d = A.generators[0].degree
+        sx = f"s⁻¹x{d}"
+        xpoly = {(1,): A.field.one()}
+        for j in range(cap // (d - 1) + 1):
+            if j == 0:
+                label = "1̄"
+            elif d % 2:
+                label = f"γ{j}({sx})"
+            elif j % 2:
+                label = f"γ{j // 2}(w)·{sx}" if j > 1 else sx
+            else:
+                label = f"γ{j // 2}(w)"
+            if j:
+                diff[label] = {gens[-1][0]: xpoly}
+            gens.append((label, j * (d - 1)))
+        return gens, diff, cap + 1, sphere_block_period(d)
+    n = A.n
+    sx = [f"s⁻¹{g.label}" for g in A.generators]
+    for mask in range(1 << n):
+        subset = [j for j in range(n) if mask >> j & 1]
+        label = "·".join(sx[j] for j in subset) or "1̄"
+        gens.append((label, sum(A.generators[j].degree - 1 for j in subset)))
+        terms = {}
+        parity = 0          # degree of the factors before s⁻¹x_j
+        for j in subset:
+            mono = tuple(int(t == j) for t in range(n))
+            terms[gens[mask ^ 1 << j][0]] = {mono: A.field.from_int(-1 if parity % 2 else 1)}
+            parity += A.generators[j].degree - 1
+        if terms:
+            diff[label] = terms
+    return gens, diff, None, None
 
 
 def koszul_resolution_sphere(d: int, field, cap: int | None = None) -> Resolution:
-    """Semifree resolution of K over A = H*(S^d).
-
-    d even: generators γ_i(w) and γ_i(w)·s⁻¹x with D(γ_i(w)) = γ_{i-1}(w)s⁻¹x · x
-    and D(γ_i(w)s⁻¹x) = γ_i(w) · x; a single chain of x-multiplications.
-    d odd: generators γ_i(s⁻¹x) with D(γ_i) = γ_{i-1} · x.
-    Generators are produced through degree ``cap`` (by default 42 + d, the
-    cap a Tor window 0:40 needs); the stored differentials are complete
-    (they point down the chain), only high generators are absent.
-    """
-    cap = cap if cap is not None else 42 + d
+    """Semifree resolution of K over A = H*(S^d) (see `_koszul`), with
+    generators through degree ``cap`` (by default 42 + d, the cap a Tor
+    window 0:40 needs)."""
     A = DGAlgebraPresentation.sphere_cohomology(d, field)   # rejects d <= 1
-    return _koszul_sphere_recipe(d, field, cap).resolution(A)
-
-
-def _koszul_sphere_recipe(d, field, cap) -> _KoszulRecipe:
-    x = f"x{d}"
-    xpoly = {(1,): field.one()}
-    gens = []
-    diff = {}
-    if d % 2 == 0:
-        block = 2 * d - 2
-        i = 0
-        prev = None
-        while i * block <= cap:
-            g0 = f"γ{i}(w)" if i else "1̄"
-            gens.append((g0, i * block))
-            if prev is not None:
-                diff[g0] = {prev: xpoly}
-            g1 = f"γ{i}(w)·s⁻¹{x}" if i else f"s⁻¹{x}"
-            if i * block + d - 1 <= cap:
-                gens.append((g1, i * block + d - 1))
-                diff[g1] = {g0: xpoly}
-                prev = g1
-            else:
-                prev = None
-            i += 1
-    else:
-        block = d - 1
-        i = 0
-        while i * block <= cap:
-            g = f"γ{i}(s⁻¹{x})" if i else "1̄"
-            gens.append((g, i * block))
-            if i:
-                prevlbl = f"γ{i-1}(s⁻¹{x})" if i > 1 else "1̄"
-                diff[g] = {prevlbl: xpoly}
-            i += 1
-    return _KoszulRecipe(gens, diff, cap + 1, sphere_block_period(d),
-                         f"Koszul resolution of K over H*(S^{d})")
+    gens, diff, trunc, period = _koszul(A, cap if cap is not None else 42 + d)
+    return Resolution(DGModulePresentation.free(A, gens, diff, truncation_degree=trunc), period)
 
 
 def koszul_resolution_poly(degrees, field) -> Resolution:
     """Koszul complex resolving K over K[x_1, ..., x_l]: exterior generators
     s⁻¹x_j with D(s⁻¹x_j) = x_j.  Finite and fully known."""
-    degrees = list(degrees)
-    labels = [f"x{i+1}" for i in range(len(degrees))]
-    recipe = _koszul_poly_recipe(degrees, field, labels)
-    A = DGAlgebraPresentation.polynomial(field, list(zip(labels, degrees)),
-                                         char2_polynomial_odd=field.characteristic() == 2)
-    return recipe.resolution(A)
-
-
-def _koszul_poly_recipe(degrees, field, labels) -> _KoszulRecipe:
-    if any(dd % 2 for dd in degrees) and field.characteristic() != 2:
+    xs = [(f"x{i+1}", dd) for i, dd in enumerate(degrees)]
+    char2 = field.characteristic() == 2
+    if any(dd % 2 for _, dd in xs) and not char2:
         raise OddGenerator("polynomial generators must have even degree outside char 2")
-    n = len(degrees)
-    gens = []
-    diff = {}
-    for mask in range(2 ** n):
-        subset = [j for j in range(n) if mask & (1 << j)]
-        label = _koszul_label(subset, labels)
-        deg = sum(degrees[j] - 1 for j in subset)
-        gens.append((label, deg))
-        terms = {}
-        for idx, j in enumerate(subset):
-            rest = subset[:idx] + subset[idx + 1:]
-            prefix_parity = sum((degrees[t] - 1) for t in subset[:idx]) % 2
-            mono = tuple(int(t == j) for t in range(n))
-            terms[_koszul_label(rest, labels)] = {mono: field.from_int(-1 if prefix_parity else 1)}
-        if terms:
-            diff[label] = terms
-    return _KoszulRecipe(gens, diff, None, None,
-                         f"Koszul complex over {field}[{', '.join(labels)}]")
-
-
-def _koszul_label(subset, labels):
-    if not subset:
-        return "1̄"
-    return "·".join(f"s⁻¹{labels[j]}" for j in subset)
+    A = DGAlgebraPresentation.polynomial(field, xs, char2_polynomial_odd=char2)
+    gens, diff, trunc, period = _koszul(A, None)
+    return Resolution(DGModulePresentation.free(A, gens, diff, truncation_degree=trunc), period)
 
 
 def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation = None,
@@ -370,7 +336,7 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
                 diff[gen_label[(elem, slots)]] = terms
 
     mod = DGModulePresentation.free(algebra, gens, diff, truncation_degree=cap + 1)
-    return Resolution(mod, period=None, description="bar resolution")
+    return Resolution(mod)
 
 
 # ---------------------------------------------------------------------------
@@ -396,51 +362,43 @@ def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow) -> Re
     if strategy == GIVEN:
         if not M.is_free:
             raise StrategyInapplicable("GivenResolution needs a free presentation")
-        return Resolution(M, period=None, description="module is already semifree")
+        return Resolution(M)
     if strategy == KOSZUL:
         if not A.has_zero_differential():
             raise StrategyInapplicable("Koszul strategy needs a zero-differential algebra")
         if M.is_free:
-            return Resolution(M, period=None, description="free module")
+            return Resolution(M)
         if not M.is_trivial():
             raise StrategyInapplicable(
                 "Koszul strategy resolves trivial modules (sums of shifts of K)")
-        shifts = M.shift_degrees()
-        if A.sphere_generator_label() is not None:
-            d = A.generators[0].degree
-            recipe = _koszul_sphere_recipe(d, A.field, window.hi + d + 2)
-        elif all(g.kind == POLYNOMIAL for g in A.generators):
-            recipe = _koszul_poly_recipe([g.degree for g in A.generators], A.field,
-                                         [g.label for g in A.generators])
-        else:
+        # over H*(S^d), Tor through window.hi needs generators through hi + d + 2
+        recipe = _koszul(A, window.hi + 2 + sum(g.degree for g in A.generators))
+        if recipe is None:
             raise StrategyInapplicable("no Koszul pattern for this algebra")
-        return _shifted_sum(recipe, shifts, A)
+        return _shifted_sum(recipe, M.shift_degrees(), A)
     if strategy == BAR:
         return bar_resolution(M, A, window=window)
     raise StrategyInapplicable(f"unknown strategy {strategy!r}")
 
 
-def _shifted_sum(recipe: _KoszulRecipe, shifts, A) -> Resolution:
+def _shifted_sum(recipe, shifts, A) -> Resolution:
     """The sum of the shifts of a Koszul recipe, built and checked once."""
     if not shifts:
-        return Resolution(DGModulePresentation.zero(A), period=None,
-                          description="zero module")
+        return Resolution(DGModulePresentation.zero(A))
+    generators, differential, trunc, period = recipe
     negated = {src: {t: {m: -c for m, c in p.items()} for t, p in terms.items()}
-               for src, terms in recipe.differential.items()}
+               for src, terms in differential.items()}
     gens = []
     diff = {}
     for k, s in enumerate(sorted(shifts)):
         pre = f"{k}⟨{s}⟩·"
-        gens.extend((pre + lbl, deg + s) for lbl, deg in recipe.generators)
+        gens.extend((pre + lbl, deg + s) for lbl, deg in generators)
         # the constructor reduces the signs (and copies the polynomials)
-        for src, terms in (negated if s % 2 else recipe.differential).items():
+        for src, terms in (negated if s % 2 else differential).items():
             diff[pre + src] = {pre + t: p for t, p in terms.items()}
-    trunc = recipe.truncation_degree
     if trunc is not None:
         trunc += min(shifts)
-    mod = DGModulePresentation.free(A, gens, diff, truncation_degree=trunc)
-    return Resolution(mod, period=recipe.period,
-                      description=recipe.description + " (shifted sum)")
+    return Resolution(DGModulePresentation.free(A, gens, diff, truncation_degree=trunc), period)
 
 
 def residue_module(A: DGAlgebraPresentation) -> DGModulePresentation:
@@ -505,11 +463,12 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
         truncated_above = F.truncation_degree - 1 + n_lo
         bounded = False
     cx, _ = assemble(f, dict(sorted(elems.items())), labels, column, truncated_above)
+    # a certifiable degree n has n + 1 < truncated_above, so these dims stop
+    # at cert_hi already
     dims = cohomology_dims(cx, window)
     cert_hi = window.hi
     if truncated_above is not None:
         cert_hi = min(cert_hi, truncated_above - 2)
-    dims = {n: d for n, d in dims.items() if n <= cert_hi}
     return TorResult(cx, dims, cert_hi, res.period, bounded, strategy)
 
 
@@ -521,13 +480,7 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
 def auto_strategy(M: DGModulePresentation) -> str:
     if M.is_free:
         return GIVEN
-    A = M.algebra
-    if M.is_trivial() and A.has_zero_differential():
-        label_ok = A.sphere_generator_label() is not None or \
-            all(g.kind == POLYNOMIAL for g in A.generators)
-        if label_ok:
-            return KOSZUL
-    return BAR
+    return KOSZUL if M.is_trivial() and _koszul_applies(M.algebra) else BAR
 
 
 def phi(M: DGModulePresentation, window: DegreeWindow | None = None) -> FinitenessVerdict:

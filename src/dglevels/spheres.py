@@ -51,7 +51,7 @@ from .errors import (
     VerificationFailed,
 )
 from .field import FieldTag, QQ, integer_row, rank, rank_and_kernel
-from .graded import DegreeWindow, total_dimension
+from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, total_dimension
 from .module import DGModulePresentation
 from .resolve import TorResult, derived_tensor, phi
 
@@ -674,8 +674,7 @@ def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag,
                                          char2_polynomial_odd=char2)
     K = DGModulePresentation.trivial(P)
 
-    sphere_target = _sphere_as_module_over(P, labels, poly_gens, d, field,
-                                           f4_nonzero=f4_nonzero)
+    sphere_target = _sphere_as_module_over(P, labels, d, f4_nonzero=f4_nonzero)
     hi = sum(max(g - 1, 1) for g in poly_gens) + d + 2
     tor = derived_tensor(K, sphere_target, strategy="koszul",
                          window=DegreeWindow(0, hi))
@@ -707,17 +706,15 @@ def _koszul_tensor_module(poly_gens, d, field, f4_nonzero) -> SphereModule:
     return SphereModule(d, field, gens, phi=phi)
 
 
-def _sphere_as_module_over(P, labels, degrees, d, field, f4_nonzero):
+def _sphere_as_module_over(P, labels, d, f4_nonzero):
     """H*(S^d) as a raw module over the polynomial algebra through the
     classifying map: only a degree-d generator can act, sending 1 to the
     sphere class."""
-    from .graded import CochainComplex, GradedVectorSpace
-
-    space = GradedVectorSpace(field, {0: ["1"], d: [f"z{d}"]})
+    space = GradedVectorSpace(P.field, {0: ["1"], d: [f"z{d}"]})
     cx = CochainComplex(space, {})
     actions = {}
     if f4_nonzero:
-        actions[labels[0]] = {0: [[field.one()]]}
+        actions[labels[0]] = {0: [[P.field.one()]]}
     return DGModulePresentation.raw(P, cx, actions)
 
 

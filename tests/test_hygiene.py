@@ -15,6 +15,11 @@ keyword or by position; a call of ``ClassName(...)`` counts for
 ``ClassName.__init__``, and a call that spreads ``*args`` or ``**kwargs``
 counts as passing every parameter.
 
+Unread parameters: every parameter of a package function, ``self`` aside, is
+read in its body.  A function its file passes as a call argument is a callback
+whose signature the callee fixes (the ``assemble`` column rules, the argparse
+handlers), so it is exempt.
+
 Public roots: ``dglevels/__init__.py`` imports exactly the names in
 ``__all__``, so a stale import cannot keep dead code alive.
 
@@ -161,3 +166,37 @@ def test_field_tag_has_no_per_entry_arithmetic():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in FIELD_ARITHMETIC and is_field(node.func.value)]
     assert calls == []
+
+
+
+def callbacks(tree):
+    """Functions of the file that it passes as a call argument, by name or as
+    an attribute: callbacks whose signature the callee fixes, such as the
+    column rules ``graded.assemble`` takes."""
+    passed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            for a in [*node.args, *(k.value for k in node.keywords)]:
+                if isinstance(a, ast.Name):
+                    passed.add(a.id)
+                elif isinstance(a, ast.Attribute):
+                    passed.add(a.attr)
+    return passed
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = callbacks(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
+                    node.name in exempt:
+                continue
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            unread += [f"{path.stem}.{node.name}({p.arg})" for p in params
+                       if p is not None and p.arg != "self" and p.arg not in read]
+    assert unread == []

@@ -17,11 +17,13 @@ from dglevels.errors import (
 from dglevels.field import QQ, GF2, GF3
 from dglevels.graded import DegreeWindow
 from dglevels.module import DGModulePresentation, shift
+from dglevels.rational import sphere_model
 from dglevels.resolve import (
     BAR_WORD_BUDGET,
     KOSZUL,
     SemifreeFiltration,
     _resolve,
+    auto_strategy,
     bar_resolution,
     derived_tensor,
     filtration_class,
@@ -57,29 +59,63 @@ def module_digest(M):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# recorded before the resolutions were built in one pass per term
+# recorded before the resolutions were built in one pass per term (koszul,
+# bar) and before the Koszul recipes became one function (the rest); the
+# sphere caps end on an even and on an odd link of the chain
 RESOLUTION_DIGESTS = {
     ("koszul", QQ): "ca248c93eed19645",
     ("koszul", GF3): "551f00654e9a394c",
     ("bar", QQ): "685456c758d7406b",
     ("bar", GF3): "0232d0a0878c8e68",
+    ("sphere/3/8", QQ): "f30c450b6db9fbb2",
+    ("sphere/3/11", QQ): "3243c67c02e369ff",
+    ("sphere/3/8", GF3): "b3551b5bfffb20a8",
+    ("sphere/3/11", GF3): "f0db37a061845620",
+    ("sphere/4/12", QQ): "f35473ac289e3716",
+    ("sphere/4/16", QQ): "1b783e10dc4b9b73",
+    ("sphere/4/12", GF3): "1fde20587efb34d9",
+    ("sphere/4/16", GF3): "8db3161f30c5ad86",
+    ("sphere/5/16", QQ): "e9d133e4f84a5a44",
+    ("sphere/5/21", QQ): "eb8a5c42d52c84ed",
+    ("sphere/5/16", GF3): "a1e3a8787dcbe7ae",
+    ("sphere/5/21", GF3): "06c1e7c9493848a8",
+    ("poly/2,4", QQ): "90d8ff7050808de3",
+    ("poly/4,6,7", GF2): "4948d39463861996",
+    ("poly-sum", QQ): "47266917c29e3bbc",
 }
 
 
 @pytest.mark.parametrize("kind, field", list(RESOLUTION_DIGESTS))
 def test_resolution_layout_is_pinned(kind, field):
-    """The shifted Koszul sum over H*(S^2) for shifts 2, 3, and the bar
-    resolution of K over K[a₂, b₄] at window 0:6: generator order,
-    differential dicts and scalar types."""
-    if kind == "koszul":
+    """Generator order, differential dicts and scalar types of: the shifted
+    Koszul sum over H*(S^2) for shifts 2, 3 (koszul); the bar resolution of
+    K over K[a₂, b₄] at window 0:6 (bar); the Koszul resolution of K over
+    H*(S^d) at a cap (sphere/d/cap) and over a polynomial algebra
+    (poly/degrees); the shifted Koszul sum over K[x₂, x₄] for shifts 0, 3
+    (poly-sum)."""
+    name, *args = kind.split("/")
+    if name == "koszul":
         A = sphere(2, field)
         M = DGModulePresentation.trivial(A, shifts=(2, 3))
         F = _resolve(M, KOSZUL, DegreeWindow(0, 12)).module
         assert len(F.generators) == 34
-    else:
+    elif name == "bar":
         P = DGAlgebraPresentation.polynomial(field, [("a", 2), ("b", 4)])
         F = bar_resolution(residue_module(P), P, window=DegreeWindow(0, 6)).module
         assert len(F.generators) == 128
+    elif name == "sphere":
+        d, cap = map(int, args)
+        F = koszul_resolution_sphere(d, field, cap=cap).module
+        assert [deg for _, deg in F.generators] == list(range(0, cap + 1, d - 1))
+    elif name == "poly":
+        degrees = [int(g) for g in args[0].split(",")]
+        F = koszul_resolution_poly(degrees, field).module
+        assert len(F.generators) == 2 ** len(degrees)
+    else:
+        P = DGAlgebraPresentation.polynomial(field, [("x1", 2), ("x2", 4)])
+        M = DGModulePresentation.trivial(P, shifts=(0, 3))
+        F = _resolve(M, KOSZUL, DegreeWindow(0, 12)).module
+        assert len(F.generators) == 8
     assert module_digest(F) == RESOLUTION_DIGESTS[kind, field]
 
 
@@ -165,7 +201,7 @@ def test_sphere_koszul_tor_pattern_odd():
 def test_poly_koszul_single_even_generator():
     res = koszul_resolution_poly([4], QQ)
     assert res.module.cohomology_dims(DegreeWindow(-1, 10)) == {0: 1}
-    assert res.bounded
+    assert res.module.truncation_degree is None
 
 
 def test_poly_koszul_empty_is_k():
@@ -192,7 +228,7 @@ def two_step_koszul_sum(base, shifts, A):
                                       for t, p in terms.items()}
     trunc = base.module.truncation_degree
     trunc = None if trunc is None else trunc + min(shifts)
-    return gens, diff, trunc, base.period, base.description + " (shifted sum)"
+    return gens, diff, trunc, base.period
 
 
 @pytest.mark.parametrize("d, field, shifts", [
@@ -207,7 +243,7 @@ def test_koszul_strategy_builds_the_shifted_public_resolution(d, field, shifts):
     base = koszul_resolution_sphere(d, field, cap=w.hi + d + 2)
     expected = two_step_koszul_sum(base, shifts, A)
     assert (list(res.module.generators), res.module.differential,
-            res.module.truncation_degree, res.period, res.description) == expected
+            res.module.truncation_degree, res.period) == expected
 
 
 @pytest.mark.parametrize("field, gens, shifts", [
@@ -222,7 +258,7 @@ def test_koszul_strategy_builds_the_shifted_public_complex(field, gens, shifts):
     base = koszul_resolution_poly([g for _, g in gens], field)
     expected = two_step_koszul_sum(base, shifts, A)
     assert (list(res.module.generators), res.module.differential,
-            res.module.truncation_degree, res.period, res.description) == expected
+            res.module.truncation_degree, res.period) == expected
 
 
 # -- derived tensor -----------------------------------------------------------------
@@ -285,6 +321,27 @@ def test_strategy_guard():
     raw = DGModulePresentation.trivial(A)
     cooked = shift(raw, 0)
     assert derived_tensor(cooked, raw, strategy="koszul").dims[0] == 1
+
+
+@pytest.mark.parametrize("algebra, koszul", [
+    (sphere(2), True),
+    (sphere(5, GF3), True),
+    (DGAlgebraPresentation.polynomial(QQ, [("a", 2), ("b", 4)]), True),
+    (DGAlgebraPresentation(QQ, [Generator("a", 3), Generator("b", 5)]), False),
+    (DGAlgebraPresentation(QQ, [Generator("w", 4, "divided")]), False),
+    (sphere_model(4), False),                                  # δξ = x²
+    (DGAlgebraPresentation(QQ, [Generator("t", 1)]), False),   # H*(S^1)
+], ids=["S2", "S5/F3", "K[a2,b4]", "ext(a3,b5)", "divided(w4)", "S4 model", "S1"])
+def test_auto_strategy_picks_koszul_exactly_when_koszul_resolves(algebra, koszul):
+    for shifts in ((0,), (0, 3)):
+        M = DGModulePresentation.trivial(algebra, shifts=shifts)
+        try:
+            _resolve(M, KOSZUL, DegreeWindow(0, 8))
+            resolves = True
+        except StrategyInapplicable:
+            resolves = False
+        assert resolves == koszul
+        assert (auto_strategy(M) == KOSZUL) == koszul
 
 
 def test_truncation_soundness_under_cutoff_increase():
