@@ -43,7 +43,7 @@ _NO_TERMS = MappingProxyType({})
 class Generator:
     label: str
     degree: int
-    kind: str = EXTERIOR
+    kind: str
 
     def __post_init__(self):
         if self.kind not in _KINDS:

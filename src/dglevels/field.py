@@ -43,7 +43,7 @@ def _is_prime(p: int) -> bool:
 class FieldTag:
     """Ground field: ``p == 0`` means the rationals, otherwise F_p."""
 
-    p: int = 0
+    p: int
 
     def __post_init__(self):
         if self.p != 0:
@@ -283,13 +283,7 @@ def rank_and_kernel(rows, field: FieldTag):
     in the free coordinate.
     """
     if not rows or not rows[0]:
-        ncols = len(rows[0]) if rows else 0
-        basis = []
-        for j in range(ncols):
-            v = [field.zero()] * ncols
-            v[j] = field.one()
-            basis.append(tuple(v))
-        return 0, basis
+        return 0, []
     _validate_entries(rows, field)
     p = field.p
     # the pivot rows, on ints over Q (entry / pivot is the RREF entry)

@@ -33,8 +33,8 @@ from .field import FieldTag, integer_row, rank, rank_and_kernel, row_reduce
 
 @dataclass(frozen=True)
 class DegreeWindow:
-    lo: int = -16
-    hi: int = 64
+    lo: int
+    hi: int
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -272,8 +272,6 @@ def _cohomology_at(cx: CochainComplex, n: int):
     basis vector is a representative."""
     f = cx.field
     dim_n = cx.space.dim(n)
-    if dim_n == 0:
-        return 0, []
     mat = cx.differential.get(n)
     if mat is None:
         # d^n is zero: everything is a cocycle

@@ -214,7 +214,7 @@ def koszul_resolution_poly(degrees, field) -> Resolution:
 
 
 def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation = None,
-                   cutoff: int | None = None, window: DegreeWindow | None = None) -> Resolution:
+                   cutoff: int | None = None, *, window: DegreeWindow) -> Resolution:
     """The bar resolution B(M; A; A), truncated at the given bar length.
 
     Generators are m[a_1|...|a_t] with m a basis element of (an expansion of)
@@ -226,7 +226,6 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
     algebra = algebra or module.algebra
     if not algebra.is_simply_connected():
         raise NotSimplyConnected("bar resolution needs generators in degrees >= 2")
-    window = window or DegreeWindow(0, 24)
     cap = window.hi + 2
     cutoff = cutoff if cutoff is not None else cap
     f = algebra.field
@@ -407,11 +406,10 @@ def residue_module(A: DGAlgebraPresentation) -> DGModulePresentation:
 
 
 def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
-                   strategy: str = BAR, window: DegreeWindow | None = None) -> TorResult:
+                   strategy: str, window: DegreeWindow) -> TorResult:
     """M ⊗^L_A N as a cochain complex; its cohomology is Tor_A(M, N) in every
     certified degree.  N is a bounded module presented with right actions and
     used on the left through graded commutativity."""
-    window = window or DegreeWindow(0, 24)
     res = _resolve(M, strategy, window)
     F = res.module
     A = M.algebra
@@ -595,6 +593,4 @@ def generator_depth_filtration(module: DGModulePresentation) -> SemifreeFiltrati
     stages = []
     for c in range(top + 1):
         stages.append(frozenset(g for g, _ in module.generators if depth[g] <= c))
-    if not stages:
-        stages = [frozenset()]
     return SemifreeFiltration(module, tuple(stages))

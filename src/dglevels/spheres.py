@@ -135,8 +135,9 @@ class QuiverComponent:
 
 def quiver_component(d: int, component: int, rows: int, cols: int) -> QuiverComponent:
     """Grid of the ZA∞ component: vertices Σ^{-l}Z_m with l ≡ component
-    mod (d-1), arrows up-right Σ^{-l}Z_m → Σ^{-l-(d-1)}Z_{m+1} and down-right
-    Σ^{-l}Z_m → Σ^{-l-(d-1)}Z_{m-1} (m >= 1); row translation is Σ^{-(d-1)}."""
+    mod (d-1), arrows up-right Σ^{-l}Z_m → Σ^{-l-(d-1)}Z_{m+1} and down
+    Σ^{-l}Z_m → Σ^{-l}Z_{m-1} (m >= 1, the same column); row translation is
+    Σ^{-(d-1)}."""
     if not (0 <= component <= d - 2):
         raise PresentationError(f"component must lie in [0, {d - 2}]")
     if rows < 1 or cols < 1:
@@ -149,11 +150,10 @@ def quiver_component(d: int, component: int, rows: int, cols: int) -> QuiverComp
     for m in range(rows):
         for k in range(cols):
             src = vertices[m][k]
-            if k + 1 < cols:
-                if m + 1 < rows:
-                    arrows.append((src, vertices[m + 1][k + 1]))
-                if m >= 1:
-                    arrows.append((src, vertices[m - 1][k + 1]))
+            if k + 1 < cols and m + 1 < rows:
+                arrows.append((src, vertices[m + 1][k + 1]))
+            if m >= 1:
+                arrows.append((src, vertices[m - 1][k]))
     return QuiverComponent(d, component, vertices, arrows)
 
 
@@ -321,12 +321,9 @@ class SphereModule:
     a degree whose columns are all zero has no entry.
     D² = δ₀² + (Φδ₀ + δ₀Φ)·x (see the module docstring), so both identities
     are checked on construction; a violation raises PresentationError.
-    ``check=False`` skips that check for blocks already known to square to
-    zero, as those of a presentation, whose constructor checked D² = 0.
     """
 
-    def __init__(self, d: int, field: FieldTag, generators, delta=None, phi=None,
-                 check: bool = True):
+    def __init__(self, d: int, field: FieldTag, generators, delta=None, phi=None):
         if d <= 1:
             raise PresentationError("sphere dimension must exceed 1")
         self.d = d
@@ -341,8 +338,7 @@ class SphereModule:
             self.labels[deg].append(label)
         self.delta = self._columns(delta or {}, 0)
         self.phi = self._columns(phi or {}, d)
-        if check:
-            self._check()
+        self._check()
 
     def _columns(self, columns, xdeg):
         """Per-degree sparse columns of the block whose entries multiply x^xdeg."""
@@ -412,7 +408,7 @@ class SphereModule:
             for tgt, poly in terms.items():
                 for (e,), c in poly.items():
                     (phi if e else delta).setdefault(index[src], {})[index[tgt]] = c
-        return SphereModule(d, module.field, module.generators, delta, phi, check=False)
+        return SphereModule(d, module.field, module.generators, delta, phi)
 
     def to_presentation(self) -> DGModulePresentation:
         """The same module as a DGModulePresentation, validated in full."""

@@ -52,6 +52,33 @@ def test_quiver_dot(capsys):
     assert "one of 3 components" in out
 
 
+def test_quiver_json(capsys):
+    code, out = run(capsys, "quiver", "--d", "4", "--rows", "2", "--cols", "2")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["componentCount"] == 3
+    assert [[v["name"] for v in row] for row in result["vertices"]] == \
+        [["Z_0", "Σ^{-3}Z_0"], ["Z_1", "Σ^{-3}Z_1"]]
+    # up-right into the next column, down within the column
+    assert result["arrows"] == [["Z_0", "Σ^{-3}Z_1"], ["Z_1", "Z_0"],
+                                ["Σ^{-3}Z_1", "Σ^{-3}Z_0"]]
+
+
+def test_timing_reports_milliseconds(capsys):
+    code, out = run(capsys, "--timing", "molecule", "--d", "4", "--l", "3", "--m", "1")
+    assert code == 0
+    timing = json.loads(out)["timing_ms"]
+    assert isinstance(timing, float) and timing >= 0
+
+
+def test_level_interval_on_an_ambiguous_table(capsys):
+    code, out = run(capsys, "level", "--d", "4", "--dims", "0:1,3:1,7:1,10:1")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["kind"], result["lo"], result["hi"]) == ("interval", 2, 3)
+    assert result["decomposition"]["ambiguous"] is True
+
+
 def test_level_command(capsys):
     code, out = run(capsys, "level", "--d", "7", "--dims", "0:1,3:1,7:1,10:1")
     assert code == 0
@@ -79,6 +106,27 @@ def test_emss_json(capsys):
     report = json.loads(out)
     assert report["result"]["totalDims"] == {"0": 1, "3": 1}
     assert report["result"]["verdict"]["kind"] == "finite"
+
+
+def test_emss_extra_factor(capsys):
+    code, out = run(capsys, "emss", "--d", "4", "--top", "s7", "--hopf", "1",
+                    "--extra", "s7")
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["extra"] == "s7"
+    assert report["result"]["totalDims"] == {"0": 1, "3": 1, "7": 1, "10": 1}
+    assert report["result"]["verdict"]["kind"] == "finite"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["emss", "--d", "4", "--top", "foo"], "unknown top space 'foo'"),
+    (["emss", "--d", "4", "--extra", "foo"], "unknown extra factor 'foo'"),
+    (["tor", "--d", "4", "--module", "foo"], "unknown module spec 'foo' (expected k or s<n>)"),
+])
+def test_unknown_space_names_are_domain_errors(argv, message, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": {"code": "domain-error", "message": message}}
 
 
 def test_emss_table(capsys):

@@ -311,7 +311,7 @@ def cancelling_module(field, moved=False):
     and D(g) = f·(y+z) + f2·z + f3·z.  The product (y+z)·(y+z) cancels inside
     itself, and f2, f3 cancel each other on e2.  ``moved`` sends D(f3) to e
     instead, so D²(g) is nonzero on e2 and on e."""
-    A = DGAlgebraPresentation(field, [Generator("y", 3), Generator("z", 3)])
+    A = DGAlgebraPresentation(field, [Generator("y", 3, "exterior"), Generator("z", 3, "exterior")])
     one, y, z = field.one(), (1, 0), (0, 1)
     return DGModulePresentation.free(
         A, [("e", 0), ("e2", 0), ("f", 2), ("f2", 2), ("f3", 2), ("g", 4)],
@@ -818,7 +818,7 @@ def test_raw_action_must_square_to_zero_on_an_exterior_generator():
 def test_raw_action_must_be_graded_commutative(field):
     from dglevels.graded import CochainComplex, GradedVectorSpace
 
-    A = DGAlgebraPresentation(field, [Generator("x", 2), Generator("y", 2)])
+    A = DGAlgebraPresentation(field, [Generator("x", 2, "exterior"), Generator("y", 2, "exterior")])
     space = GradedVectorSpace(field, {0: ["u"], 2: ["p", "q"], 4: ["t"]})
     cx = CochainComplex(space, {})
     one, minus = field.one(), field.from_int(-1)

@@ -103,12 +103,12 @@ def test_window_too_small():
 
 
 def test_d2_on_tau_hits_the_top_class():
+    # d₂ is a matching {source key: target key}, every entry the Hopf invariant
     page = install_d2(e2_page(s7_over_s4(1), DegreeWindow(0, 24)))
-    mat = page.d2[(-2, 8)]
-    src = page.cells[(-2, 8)]
-    tgt = page.cells[(0, 7)]
-    assert len(src) == 1 and len(tgt) == 1
-    assert mat[0][0] == QQ.one()
+    [(tau, _)] = page.cells[(-2, 8)]
+    [(x7, _)] = page.cells[(0, 7)]
+    assert page.d2[tau] == x7
+    assert page.spec.hopf == QQ.one()
 
 
 def test_d2_zero_when_hopf_vanishes():

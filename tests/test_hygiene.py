@@ -15,6 +15,9 @@ keyword or by position; a call of ``ClassName(...)`` counts for
 ``ClassName.__init__``, and a call that spreads ``*args`` or ``**kwargs``
 counts as passing every parameter.
 
+Relied-on field defaults: every dataclass field with a default is omitted by
+some ``ClassName(...)`` call, so the default is not restated at each call.
+
 Unread parameters: every parameter of a package function, ``self`` aside, is
 read in its body.  A function its file passes as a call argument is a callback
 whose signature the callee fixes (the ``assemble`` column rules, the argparse
@@ -122,7 +125,8 @@ def passes(call, param, position):
     return position is not None and len(call.args) > position
 
 
-def test_every_option_is_passed_somewhere():
+def calls_by_name():
+    """Every call in FILES, keyed by the called name or attribute."""
     calls = {}
     for path in FILES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -130,9 +134,41 @@ def test_every_option_is_passed_somewhere():
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_option_is_passed_somewhere():
+    calls = calls_by_name()
     unused = [f"{where}({param})" for path in PACKAGE
               for callee, param, position, where in defaulted_parameters(path)
               if not any(passes(c, param, position) for c in calls.get(callee, ()))]
+    assert unused == []
+
+
+def is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" or
+               isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def defaulted_fields(path):
+    """(class name, field, position, where) for each dataclass field with a
+    default."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef) and is_dataclass(node):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            for k, f in enumerate(fields):
+                if f.value is not None:
+                    yield node.name, f.target.id, k, f"{path.name}:{f.lineno} {node.name}"
+
+
+def test_every_field_default_is_relied_on():
+    # function parameters stay out: their ``x or default`` fallbacks are
+    # relied on through an explicit None, which no static check sees
+    calls = calls_by_name()
+    unused = [f"{where}.{field}" for path in PACKAGE
+              for cls, field, position, where in defaulted_fields(path)
+              if all(passes(c, field, position) for c in calls.get(cls, ()))]
     assert unused == []
 
 

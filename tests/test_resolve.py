@@ -149,7 +149,7 @@ def test_bar_needs_simply_connected():
     # a degree-1 generator breaks truncation soundness
     A = DGAlgebraPresentation(QQ, [Generator("t", 1, "exterior")])
     with pytest.raises(NotSimplyConnected):
-        bar_resolution(residue_module(A), A)
+        bar_resolution(residue_module(A), A, window=DegreeWindow(0, 24))
 
 
 def test_bar_over_a_zero_differential_algebra_reads_no_slot_differential():
@@ -316,21 +316,35 @@ def test_strategy_guard():
     A = sphere(4)
     M = chain_module(4, 1)
     with pytest.raises(StrategyInapplicable):
-        derived_tensor(residue_module(A), residue_module(A), strategy="nonsense")
+        derived_tensor(residue_module(A), residue_module(A), strategy="nonsense",
+                       window=DegreeWindow(0, 24))
     # Koszul requires a trivial (or free) module
     raw = DGModulePresentation.trivial(A)
     cooked = shift(raw, 0)
-    assert derived_tensor(cooked, raw, strategy="koszul").dims[0] == 1
+    assert derived_tensor(cooked, raw, strategy="koszul", window=DegreeWindow(0, 24)).dims[0] == 1
+
+
+def test_koszul_strategy_takes_a_free_module_as_its_own_resolution():
+    F = chain_module(4, 1)
+    assert _resolve(F, KOSZUL, DegreeWindow(0, 12)).module is F
+
+
+def test_derived_tensor_with_a_zero_module_is_zero_and_finite():
+    A = sphere(4)
+    tor = derived_tensor(residue_module(A), DGModulePresentation.zero(A), strategy="koszul",
+                         window=DegreeWindow(0, 12))
+    assert tor.dims == {} and tor.certified_hi == 12
+    assert tor.verdict().is_finite
 
 
 @pytest.mark.parametrize("algebra, koszul", [
     (sphere(2), True),
     (sphere(5, GF3), True),
     (DGAlgebraPresentation.polynomial(QQ, [("a", 2), ("b", 4)]), True),
-    (DGAlgebraPresentation(QQ, [Generator("a", 3), Generator("b", 5)]), False),
+    (DGAlgebraPresentation(QQ, [Generator("a", 3, "exterior"), Generator("b", 5, "exterior")]), False),
     (DGAlgebraPresentation(QQ, [Generator("w", 4, "divided")]), False),
     (sphere_model(4), False),                                  # δξ = x²
-    (DGAlgebraPresentation(QQ, [Generator("t", 1)]), False),   # H*(S^1)
+    (DGAlgebraPresentation(QQ, [Generator("t", 1, "exterior")]), False),  # H*(S^1)
 ], ids=["S2", "S5/F3", "K[a2,b4]", "ext(a3,b5)", "divided(w4)", "S4 model", "S1"])
 def test_auto_strategy_picks_koszul_exactly_when_koszul_resolves(algebra, koszul):
     for shifts in ((0,), (0, 3)):

@@ -16,8 +16,8 @@ from dglevels.errors import (
     PresentationError,
 )
 from dglevels.field import QQ, GF2, GF3, GF5, rank, row_reduce
-from dglevels.graded import DegreeWindow
-from dglevels.module import DGModulePresentation, direct_sum, shift
+from dglevels.graded import DegreeWindow, cohomology
+from dglevels.module import DGModulePresentation, cone, direct_sum, hom_complex, shift
 from dglevels.resolve import (
     _resolve,
     derived_tensor,
@@ -105,6 +105,44 @@ def test_quiver_arrows_stay_in_component():
     qc = quiver_component(5, 2, rows=3, cols=4)
     for src, tgt in qc.arrows:
         assert component_index(src) == component_index(tgt) == 2
+
+
+def _h0_reps(src, tgt, field):
+    """The Hom complex between two molecule models and its H⁰ cocycles."""
+    hom = hom_complex(molecule_model(src, field), molecule_model(tgt, field),
+                      DegreeWindow(-1, 1))
+    return hom, cohomology(hom.complex, DegreeWindow(0, 0))[1].get(0, [])
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_every_quiver_arrow_carries_a_map(d, field):
+    # the down arrow Σ^{-l}Z_m → Σ^{-l}Z_{m-1} stays in its column: there is
+    # no nonzero H⁰ map Σ^{-l}Z_1 → Σ^{-l-(d-1)}Z_0 one column to the right
+    for c in range(d - 1):
+        arrows = quiver_component(d, c, 4, 4).arrows
+        assert [a for a in arrows if not _h0_reps(*a, field)[1]] == []
+        assert len(arrows) == 21
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_quiver_meshes_close(d, field):
+    # Z_m → Σ^{-(d-1)}Z_{m+1} ⊕ Z_{m-1}, both H⁰ coefficients 1, has the
+    # translate Σ^{-(d-1)}Z_m as its cone: one molecule, no split
+    for m in (1, 2, 3):
+        src = MoleculeId(d, 0, m)
+        middle = [MoleculeId(d, d - 1, m + 1), MoleculeId(d, 0, m - 1)]
+        f_map = {}
+        for i, tgt in enumerate(middle):
+            hom, reps = _h0_reps(src, tgt, field)
+            assert len(reps) == 1
+            for (g, (h, mono)), c in zip(hom.basis[0], reps[0]):
+                if c:
+                    f_map.setdefault(g, {}).setdefault(f"{i}·{h}", {})[tuple(mono)] = c
+        C = cone(f_map, molecule_model(src, field),
+                 direct_sum([molecule_model(t, field) for t in middle]))
+        assert decompose_module(C, d).molecules == (MoleculeId(d, d - 1, m),)
 
 
 def test_quiver_dot_output_shape():
@@ -440,6 +478,29 @@ def test_sphere_level_infinite_from_tor():
     res = sphere_level(tor, 7)
     assert res.kind == "infinite"
     assert res.certificate.period == 6
+
+
+def test_sphere_level_of_a_finite_tor_matches_its_dims():
+    # Tor(A, N) = N is bounded, so the verdict is finite and the dims match
+    A4 = DGAlgebraPresentation.sphere_cohomology(4, QQ)
+    hs7 = DGModulePresentation.trivial(A4, shifts=(0, 7))
+    tor = derived_tensor(DGModulePresentation.free_rank_one(A4), hs7, strategy="koszul",
+                         window=DegreeWindow(0, 12))
+    assert tor.verdict().is_finite
+    res = sphere_level(tor, 4)
+    assert res.kind == "exact" and res.value == 2
+    assert res.decomposition.molecules == (MoleculeId(4, 3, 1),)
+
+
+def test_sphere_level_of_a_tor_with_unknown_verdict_refuses():
+    # the bar resolution is truncated and has no period: no verdict
+    A4 = DGAlgebraPresentation.sphere_cohomology(4, QQ)
+    K = DGModulePresentation.trivial(A4)
+    tor = derived_tensor(K, K, strategy="bar", window=DegreeWindow(0, 12))
+    assert tor.verdict().kind == "unknown"
+    with pytest.raises(NotCompactlyDecomposable, match="could not be certified") as e:
+        sphere_level(tor, 4)
+    assert e.value.code == "not-compactly-decomposable"
 
 
 def raw_expansion(module):
