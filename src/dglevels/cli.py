@@ -136,6 +136,7 @@ def cmd_quiver(args):
 
 
 def cmd_decompose(args):
+    parse_field(args.field)     # an unknown field is refused; the text is echoed
     dims = args.dims
     dec = decompose(dims, args.d)
     result = dec.to_json()
@@ -340,7 +341,6 @@ def build_parser():
     given = lv.add_mutually_exclusive_group(required=True)
     given.add_argument("--dims", type=_dims_arg)
     given.add_argument("--module", help="JSON file of a module presentation")
-    lv.add_argument("--field", default="q")
     lv.set_defaults(func=cmd_level)
 
     sp = sub.add_parser("split", help="split or certify indecomposable a free module")

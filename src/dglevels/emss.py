@@ -188,8 +188,9 @@ def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> Ems
     """
     if page.d2 is None:
         raise PresentationError("install d₂ before running the sequence")
-    window = window or page.window
-    cert_hi = window.hi - 1   # outgoing d₂ from total degree hi leaves the page
+    # the page ends at its own window: a class past it has no d₂ target listed
+    hi = min((window or page.window).hi, page.window.hi)
+    cert_hi = hi - 1   # outgoing d₂ from total degree hi leaves the page
     # a key that d₂ uses as source or target dies; the rest survive to E₃
     matched = Counter(page.index[key] for pair in page.d2.items() for key in pair)
     e3 = {}
@@ -209,7 +210,7 @@ def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> Ems
     tops = page.spec.top_dims
     paired = len(tops) == 2 and tops[0][0] == 0 and tops[1] == (2 * page.spec.d - 1, tops[0][1])
     bounded = page.even and not page.field.is_zero(page.spec.hopf) and paired
-    verdict = finiteness(total, sphere_block_period(page.spec.d), window.hi - 2, bounded)
+    verdict = finiteness(total, sphere_block_period(page.spec.d), hi - 2, bounded)
     return EmssResult(e3, total, verdict, no_ext)
 
 
@@ -240,9 +241,6 @@ def compactness_from_hopf(d: int, hopf: int, field: FieldTag,
     S^{2d-1} → S^d with the given Hopf invariant has a compact cochain
     module, decided by running the spectral sequence to its stable page.
     Returns (verdict.compact, EmssResult): None when the verdict is unknown."""
-    h = field.from_int(hopf)
-    if d % 2 and not field.is_zero(h):
-        raise OddDimensionNonzeroHopf("odd-sphere Hopf invariants vanish")
-    spec = FibreSquareSpec.make(d, {0: 1, 2 * d - 1: 1}, h, field)
+    spec = FibreSquareSpec.make(d, {0: 1, 2 * d - 1: 1}, hopf, field)
     result = run_to_stable(install_d2(e2_page(spec, window)))
     return result.verdict.compact, result

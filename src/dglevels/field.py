@@ -90,6 +90,9 @@ class FieldTag:
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def is_zero_matrix(self, mat) -> bool:
+        return all(self.is_zero(x) for row in mat for x in row)
+
     # -- serialization -------------------------------------------------------
 
     def scalar_to_json(self, a):
@@ -100,20 +103,14 @@ class FieldTag:
         return int(a)
 
     def scalar_from_json(self, v):
-        if self.p == 0:
-            if isinstance(v, str):
-                if "/" in v:
-                    num, den = v.split("/", 1)
-                    return Fraction(int(num), int(den))
-                return Fraction(int(v))
-            if isinstance(v, int):
-                return Fraction(v)
-            raise FieldMismatch(f"cannot read rational scalar from {v!r}")
+        """An int or a "num" / "num/den" string; a JSON boolean is no scalar."""
         if isinstance(v, str):
-            return self.from_fraction(*map(int, v.split("/"))) if "/" in v else self.from_int(int(v))
-        if isinstance(v, int):
+            return self.from_fraction(*map(int, v.split("/", 1))) if "/" in v \
+                else self.from_int(int(v))
+        if isinstance(v, int) and not isinstance(v, bool):
             return self.from_int(v)
-        raise FieldMismatch(f"cannot read mod-{self.p} scalar from {v!r}")
+        kind = f"mod-{self.p}" if self.p else "rational"
+        raise FieldMismatch(f"cannot read {kind} scalar from {v!r}")
 
 
 QQ = FieldTag(0)

@@ -97,7 +97,7 @@ class CochainComplex:
         self.differential = {}
         for n, mat in differential.items():
             src, tgt = space.dim(n), space.dim(n + 1)
-            if not mat or not any(any(not self.field.is_zero(x) for x in row) for row in mat):
+            if self.field.is_zero_matrix(mat):
                 continue
             if len(mat) != tgt or any(len(row) != src for row in mat):
                 raise PresentationError(
@@ -293,10 +293,6 @@ def _cohomology_at(cx: CochainComplex, n: int):
     _, pivots = row_reduce(cols, f)
     reps = [kernel[c - width] for c in pivots if c >= width]
     return len(reps), reps
-
-
-def total_dimension(dims) -> int:
-    return sum(dims.values())
 
 
 def dims_to_json(dims):

@@ -85,13 +85,12 @@ class DGModulePresentation:
         """Raw, zero differential, zero action: a finite sum of shifts of K."""
         if self.is_free:
             return not self.generators
-        if self.complex.differential:
-            return False
-        for mats in self.actions.values():
-            for mat in mats.values():
-                if any(any(not self.field.is_zero(x) for x in row) for row in mat):
-                    return False
-        return True
+        return not self.complex.differential and self._zero_action()
+
+    def _zero_action(self) -> bool:
+        """Every action matrix of a raw module is zero."""
+        return all(map(self.field.is_zero_matrix,
+                       (mat for mats in self.actions.values() for mat in mats.values())))
 
     def shift_degrees(self):
         """For a trivial module: the degrees of its K-summands, with multiplicity."""
@@ -149,15 +148,12 @@ class DGModulePresentation:
         for label in self.actions:
             if label not in A.index:
                 raise PresentationError(f"action for unknown algebra generator {label!r}")
-        has_nonzero_action = any(
-            any(any(not f.is_zero(x) for x in row) for row in mat)
-            for mats in self.actions.values() for mat in mats.values()
-        )
-        if has_nonzero_action and not A.has_zero_differential():
-            raise PresentationError(
-                "raw modules with nontrivial action require a zero-differential algebra")
-        if has_nonzero_action and any(g.kind == DIVIDED for g in A.generators):
-            raise PresentationError("raw modules over divided-power algebras are unsupported")
+        if not self._zero_action():
+            if not A.has_zero_differential():
+                raise PresentationError(
+                    "raw modules with nontrivial action require a zero-differential algebra")
+            if any(g.kind == DIVIDED for g in A.generators):
+                raise PresentationError("raw modules over divided-power algebras are unsupported")
         for label, mats in self.actions.items():
             gd = A.generators[A.index[label]].degree
             for n, mat in mats.items():
@@ -435,16 +431,40 @@ class ModuleExpansion:
 # ---------------------------------------------------------------------------
 
 
+def block_sum(parts):
+    """Generators and differential of a block sum of free presentations.
+
+    Each part is (generators, differential, label prefix, degree offset,
+    differential sign): generator g of degree n becomes prefix + g in degree
+    n + offset, and its differential, in generator order, is relabelled the
+    same way and scaled by the sign.  The module constructor reduces the
+    scalars and checks D² = 0.
+    """
+    gens, diff = [], {}
+    for generators, differential, pre, offset, sign in parts:
+        for label, deg in generators:
+            gens.append((pre + label, deg + offset))
+            if terms := differential.get(label):
+                diff[pre + label] = {pre + t: p if sign > 0 else {m: -c for m, c in p.items()}
+                                     for t, p in terms.items()}
+    return gens, diff
+
+
+def _common_algebra(modules, what):
+    """The algebra of the first module, which every other one must share."""
+    base = modules[0].algebra
+    for m in modules[1:]:
+        if m.algebra is not base and m.algebra.to_json() != base.to_json():
+            raise AlgebraMismatch(f"{what} live over different algebras")
+    return base
+
+
 def shift(module: DGModulePresentation, k: int) -> DGModulePresentation:
     """Σ^k: generator degrees drop by k, differential picks up (-1)^k."""
     f = module.field
     sign = -1 if k % 2 else 1
     if module.is_free:
-        gens = [(l, d - k) for l, d in module.generators]
-        diff = {
-            src: {tgt: module.algebra.poly_scale(poly, sign) for tgt, poly in terms.items()}
-            for src, terms in module.differential.items()
-        }
+        gens, diff = block_sum([(module.generators, module.differential, "", -k, sign)])
         return DGModulePresentation(module.algebra, generators=gens, differential=diff)
     space = GradedVectorSpace(
         f, {n - k: module.complex.space.labels(n) for n in module.complex.space.degrees()})
@@ -469,21 +489,13 @@ def direct_sum(modules) -> DGModulePresentation:
     modules = list(modules)
     if not modules:
         raise AlgebraMismatch("an empty direct sum has no algebra")
-    base = modules[0].algebra
-    for m in modules[1:]:
-        if m.algebra is not base and m.algebra.to_json() != base.to_json():
-            raise AlgebraMismatch("direct summands live over different algebras")
+    base = _common_algebra(modules, "direct summands")
     if len(modules) == 1:
         return modules[0]
     if not all(m.is_free for m in modules):
         raise SourceNotFree("direct_sum currently handles free presentations")
-    gens = []
-    diff = {}
-    for i, m in enumerate(modules):
-        ren = {l: f"{i}·{l}" for l, _ in m.generators}
-        gens.extend((ren[l], d) for l, d in m.generators)
-        for src, terms in m.differential.items():
-            diff[ren[src]] = {ren[t]: poly for t, poly in terms.items()}
+    gens, diff = block_sum([(m.generators, m.differential, f"{i}·", 0, 1)
+                            for i, m in enumerate(modules)])
     return DGModulePresentation(base, generators=gens, differential=diff)
 
 
@@ -494,37 +506,25 @@ def cone(f_map, source: DGModulePresentation, target: DGModulePresentation):
     """
     if not (source.is_free and target.is_free):
         raise SourceNotFree("cone requires free presentations")
-    if source.algebra is not target.algebra and \
-            source.algebra.to_json() != target.algebra.to_json():
-        raise AlgebraMismatch("cone endpoints live over different algebras")
-    A = source.algebra
-    f_map = {
-        src: {tgt: A.normalize_poly(p) for tgt, p in terms.items() if A.normalize_poly(p)}
-        for src, terms in f_map.items()
-    }
+    A = _common_algebra([source, target], "cone endpoints")
+    gens, diff = block_sum([(target.generators, target.differential, "", 0, 1),
+                            (source.generators, source.differential, "s·", -1, -1)])
     for src, terms in f_map.items():
         if src not in source.gen_degree:
             raise NotAChainMap(f"map defined on unknown generator {src!r}")
+        out = diff.setdefault(f"s·{src}", {})
         for tgt, poly in terms.items():
-            deg = A.poly_degree(poly)
-            if deg is not None and target.gen_degree[tgt] + deg != source.gen_degree[src]:
-                raise NotAChainMap(f"map is not degree 0 on {src!r}")
-    gens = [(l, d) for l, d in target.generators]
-    gens += [(f"s·{l}", d - 1) for l, d in source.generators]
-    diff = {src: dict(terms) for src, terms in target.differential.items()}
-    for l, _ in source.generators:
-        terms = {}
-        for h, a in source.differential.get(l, {}).items():
-            terms[f"s·{h}"] = A.poly_scale(a, -1)
-        for tgt, a in f_map.get(l, {}).items():
-            terms[tgt] = A.poly_add(terms.get(tgt, {}), a)
-        if terms:
-            diff[f"s·{l}"] = terms
+            if poly := A.normalize_poly(poly):
+                if target.gen_degree[tgt] + A.poly_degree(poly) != source.gen_degree[src]:
+                    raise NotAChainMap(f"map is not degree 0 on {src!r}")
+                out[tgt] = A.poly_add(out.get(tgt, {}), poly)
     if len(dict(gens)) != len(gens):
         raise PresentationError("duplicate module generator labels")
-    # D_M² = D_N² = 0, so the cone has D² = 0 exactly when D_N∘f = f∘D_M
+    # D_M² = D_N² = 0, so the cone has D² = 0 exactly when D_N∘f = f∘D_M; in
+    # generator order the error names the first source generator f breaks on
     try:
-        return DGModulePresentation(A, generators=gens, differential=diff)
+        return DGModulePresentation(A, generators=gens,
+                                    differential={g: diff[g] for g, _ in gens if g in diff})
     except PresentationError as exc:
         raise NotAChainMap(f"f does not commute with the differentials: {exc}") from None
 
@@ -557,10 +557,7 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
     (default -8..8).  Raises BudgetExceeded past HOM_BASIS_BUDGET basis maps."""
     if not source.is_free:
         raise SourceNotFree("hom_complex needs a free source")
-    if source.algebra is not target.algebra and \
-            source.algebra.to_json() != target.algebra.to_json():
-        raise AlgebraMismatch("hom endpoints live over different algebras")
-    A = source.algebra
+    A = _common_algebra([source, target], "hom endpoints")
     f = A.field
     hom_window = hom_window or DegreeWindow(-8, 8)
     gen_degs = [d for _, d in source.generators] or [0]

@@ -33,7 +33,7 @@ from .errors import (
     StrategyInapplicable,
 )
 from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology_dims
-from .module import DGModulePresentation
+from .module import DGModulePresentation, block_sum
 
 BAR = "bar"
 KOSZUL = "koszul"
@@ -385,16 +385,8 @@ def _shifted_sum(recipe, shifts, A) -> Resolution:
     if not shifts:
         return Resolution(DGModulePresentation.zero(A))
     generators, differential, trunc, period = recipe
-    negated = {src: {t: {m: -c for m, c in p.items()} for t, p in terms.items()}
-               for src, terms in differential.items()}
-    gens = []
-    diff = {}
-    for k, s in enumerate(sorted(shifts)):
-        pre = f"{k}⟨{s}⟩·"
-        gens.extend((pre + lbl, deg + s) for lbl, deg in generators)
-        # the constructor reduces the signs (and copies the polynomials)
-        for src, terms in (negated if s % 2 else differential).items():
-            diff[pre + src] = {pre + t: p for t, p in terms.items()}
+    gens, diff = block_sum([(generators, differential, f"{k}⟨{s}⟩·", s, -1 if s % 2 else 1)
+                            for k, s in enumerate(sorted(shifts))])
     if trunc is not None:
         trunc += min(shifts)
     return Resolution(DGModulePresentation.free(A, gens, diff, truncation_degree=trunc), period)

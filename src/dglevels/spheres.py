@@ -51,7 +51,7 @@ from .errors import (
     VerificationFailed,
 )
 from .field import FieldTag, QQ, integer_row, rank, rank_and_kernel
-from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, total_dimension
+from .graded import CochainComplex, DegreeWindow, GradedVectorSpace
 from .module import DGModulePresentation
 from .resolve import TorResult, derived_tensor, phi
 
@@ -81,11 +81,7 @@ class MoleculeId:
 
 def molecule_cohomology(mol: MoleculeId) -> dict:
     """K in degrees -m(d-1)+l and d+l, zero elsewhere."""
-    low = -mol.m * (mol.d - 1) + mol.l
-    high = mol.d + mol.l
-    if low == high:
-        raise VerificationFailed("molecule degrees collide; impossible for d > 1")
-    return {low: 1, high: 1}
+    return {-mol.m * (mol.d - 1) + mol.l: 1, mol.d + mol.l: 1}
 
 
 def molecule_level(mol: MoleculeId) -> int:
@@ -113,12 +109,7 @@ class QuiverComponent:
     def to_dot(self, field: FieldTag = QQ) -> str:
         lines = [f'digraph "ZA-infinity component {self.component} (d={self.d})" {{',
                  "  rankdir=LR;"]
-        seen = []
-        for row in self.vertices:
-            for v in row:
-                if v not in seen:
-                    seen.append(v)
-        for v in seen:
+        for v in (mol for row in self.vertices for mol in row):
             h = molecule_cohomology(v)
             a, b = sorted(h)
             r = realizable(v, field)
@@ -209,11 +200,8 @@ class Decomposition:
     ambiguous: bool
     alternatives: tuple         # other molecule multisets, sorted
 
-    def max_height(self):
-        return max((mol.m for mol in self.molecules), default=-1)
-
     def level(self):
-        return self.max_height() + 1
+        return _level_of(self.molecules)
 
     def to_json(self):
         return {
@@ -277,7 +265,7 @@ def decompose(dims, d: int) -> Decomposition:
     if d <= 1:
         raise PresentationError("sphere dimension must exceed 1")
     dims = {n: v for n, v in dims.items() if v}
-    if total_dimension(dims) % 2:
+    if sum(dims.values()) % 2:
         raise NoValidMatching("odd total dimension cannot split into molecules")
     matchings = all_matchings(dims, d)
     if not matchings:
@@ -621,8 +609,8 @@ def sphere_level(data, d: int) -> LevelResult:
 
 
 def _level_of(molecules) -> int:
-    """Level of a multiset sorted by (m, l): the last height plus one."""
-    return molecules[-1].m + 1 if molecules else 0
+    """Level of a molecule multiset: its largest molecule level, 0 when empty."""
+    return max(map(molecule_level, molecules), default=0)
 
 
 def _level_from_decomposition(dec: Decomposition) -> LevelResult:
@@ -731,6 +719,6 @@ def free_pullback_level(basis_degrees):
         dims[b] = dims.get(b, 0) + 1
         dims[b + 4] = dims.get(b + 4, 0) + 1
     dec = decompose(dims, 4)
-    if dec.max_height() > 0:
+    if dec.level() > 1:
         raise VerificationFailed("the decomposition contains a molecule of positive height")
     return 1, dec.molecules

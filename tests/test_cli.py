@@ -340,7 +340,7 @@ GENS = fuzz(st.lists(st.integers(-2, 9), max_size=3).map(lambda gs: ",".join(map
 
 FUZZ_COMMANDS = {
     "decompose": {"--d": SMALL, "--dims": DIMS, "--field": FIELD},
-    "level": {"--d": SMALL, "--dims": DIMS, "--field": FIELD},
+    "level": {"--d": SMALL, "--dims": DIMS},
     "tor": {"--d": SMALL, "--window": WINDOW, "--field": FIELD},
     "phi": {"--d": SMALL, "--window": WINDOW, "--field": FIELD},
     "emss": {"--d": SMALL, "--window": WINDOW, "--field": FIELD},
@@ -531,6 +531,40 @@ def test_unreadable_module_files_are_domain_errors(tmp_path, text):
         assert code == 1 and json.loads(out)["error"]["code"] == "invalid-presentation"
     code, out = run_captured(["split", "--module", str(tmp_path / "missing.json")])
     assert code == 1 and json.loads(out)["error"]["code"] == "invalid-presentation"
+
+
+TRUE_COEFFICIENT = {
+    "free": {"algebra": {"field": "f3", "generators": [["x4", 4, "exterior"]],
+                         "differential": {}},
+             "generators": [["u", 0], ["v", 3]],
+             "differential": {"v": {"u": [[True, {"x4": 1}]]}}},
+    "raw": {"algebra": {"field": "q", "generators": [["x4", 4, "exterior"]],
+                        "differential": {}},
+            "complex": {"field": "q", "basis": {"0": ["u"], "4": ["v"]}, "d": {}},
+            "actions": {"x4": {"0": [[True]]}}},
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(TRUE_COEFFICIENT))
+def test_a_json_boolean_coefficient_is_refused(tmp_path, flavor):
+    # JSON true once loaded as the scalar 1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(TRUE_COEFFICIENT[flavor]), encoding="utf-8")
+    code, out = run_captured(["level", "--d", "4", "--module", str(path)])
+    error = json.loads(out)["error"]
+    assert code == 1 and error["code"] == "field-mismatch"
+    assert error["message"].startswith("cannot read") and "True" in error["message"]
+
+
+@pytest.mark.parametrize("field", ["zz", "f4"])
+def test_decompose_refuses_an_unknown_field(field):
+    code, out = run_captured(["decompose", "--d", "4", "--field", field, "--dims", "0:1,4:1"])
+    assert code == 1 and json.loads(out)["error"]["code"] == "field-mismatch"
+
+
+def test_level_declares_no_field_option():
+    # the level of a dimension table or a module file is read without a field
+    assert run_captured(["level", "--d", "4", "--dims", "0:1,4:1", "--field", "q"])[0] == 2
 
 
 def test_hom_basis_budget_on_the_command_line(tmp_path):

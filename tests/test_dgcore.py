@@ -834,6 +834,41 @@ def test_raw_action_must_be_graded_commutative(field):
         DGModulePresentation.raw(A, cx, actions(one, minus))
 
 
+def raw_refusals():
+    """(algebra, basis, actions, message) for each input ``_validate_raw`` refuses."""
+    S4 = sphere(4)
+    divided = DGAlgebraPresentation(QQ, [Generator("w", 2, "divided")])
+    one = [[Fraction(1)]]
+    uv = {0: ["u"], 4: ["v"]}
+    return {
+        "unknown generator": (S4, uv, {"y": {0: one}},
+                              "action for unknown algebra generator 'y'"),
+        "dA ≠ 0": (even_sphere_model(4), uv, {"x": {0: one}},
+                   "raw modules with nontrivial action require a zero-differential algebra"),
+        "divided powers": (divided, {0: ["u"], 2: ["v"]}, {"w": {0: one}},
+                           "raw modules over divided-power algebras are unsupported"),
+        "wrong shape": (S4, uv, {"x4": {0: [[Fraction(1), Fraction(0)]]}},
+                        "action of x4 at degree 0 has wrong shape"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(raw_refusals()))
+def test_raw_module_refusals_by_constructor_and_json(case):
+    import re
+
+    from dglevels.graded import CochainComplex, GradedVectorSpace, complex_to_json
+
+    A, basis, actions, message = raw_refusals()[case]
+    cx = CochainComplex(GradedVectorSpace(QQ, basis), {})
+    with pytest.raises(PresentationError, match=f"^{re.escape(message)}$"):
+        DGModulePresentation.raw(A, cx, actions)
+    data = {"algebra": A.to_json(), "complex": complex_to_json(cx),
+            "actions": {g: {str(n): [[QQ.scalar_to_json(x) for x in row] for row in mat]
+                            for n, mat in mats.items()} for g, mats in actions.items()}}
+    with pytest.raises(PresentationError, match=f"^{re.escape(message)}$"):
+        DGModulePresentation.from_json(data)
+
+
 def test_module_presentation_json_round_trip():
     M = molecule_like(4, 2)
     back = DGModulePresentation.from_json(M.to_json())

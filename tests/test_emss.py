@@ -187,6 +187,19 @@ def test_einfinity_window_independence_for_nonzero_hopf():
         assert res.total_dims == {0: 1, 3: 1}, hi
 
 
+@pytest.mark.parametrize("h", [1, 0])
+def test_a_window_past_the_page_reads_no_further_than_the_page(h):
+    # on a 0:24 page d₂ from γ_4(τ) in degree 24 aims past the page; a wider
+    # window once counted γ_4(τ) as a survivor (h = 1) and moved the witness
+    # horizon past the last listed class (h = 0)
+    page = install_d2(e2_page(s7_over_s4(h), DegreeWindow(0, 24)))
+    own, wide = run_to_stable(page), run_to_stable(page, DegreeWindow(0, 40))
+    assert wide.total_dims == own.total_dims and wide.verdict == own.verdict
+    assert own.verdict.kind == ("finite" if h else "infinite")
+    if h:
+        assert own.total_dims == {0: 1, 3: 1}
+
+
 # -- compactness ------------------------------------------------------------------
 
 
@@ -211,8 +224,11 @@ def test_compactness_is_none_when_the_verdict_is_unknown():
 def test_compactness_odd_sphere():
     compact, _ = compactness_from_hopf(5, 0, QQ)
     assert compact is False
-    with pytest.raises(OddDimensionNonzeroHopf):
+    with pytest.raises(OddDimensionNonzeroHopf, match="vanishes over odd spheres"):
         compactness_from_hopf(5, 1, QQ)
+    # the page is built first, so a window below 2d is reported first
+    with pytest.raises(WindowTooSmall):
+        compactness_from_hopf(5, 1, QQ, window=DegreeWindow(0, 9))
 
 
 # -- collapse certification ----------------------------------------------------

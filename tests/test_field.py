@@ -197,6 +197,15 @@ def test_scalar_json_round_trip():
     assert GF5.scalar_from_json("7") == 2
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, GF5])
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.5])
+def test_json_booleans_and_floats_are_no_scalars(field, value):
+    # a bool is an int to Python, but JSON true is no coefficient
+    kind = f"mod-{field.p}" if field.p else "rational"
+    with pytest.raises(FieldMismatch, match=f"cannot read {kind} scalar from {value!r}"):
+        field.scalar_from_json(value)
+
+
 # -- row reduction against a naive Gauss-Jordan oracle ---------------------------
 
 

@@ -29,6 +29,10 @@ Public roots: ``dglevels/__init__.py`` imports exactly the names in
 Scalar arithmetic: scalars are Python numbers, so ``FieldTag`` defines no
 ``add``/``sub``/``neg``/``mul`` and no package file calls them on a field, a
 line no test reaches included.
+
+Read CLI options: every option a subcommand declares in ``cli.build_parser``
+is read by its handler, directly or through a ``cli`` function the handler
+passes its ``args`` to (such as ``_window`` or ``_report``).
 """
 
 import ast
@@ -235,4 +239,65 @@ def test_every_parameter_is_read():
             params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
             unread += [f"{path.stem}.{node.name}({p.arg})" for p in params
                        if p is not None and p.arg != "self" and p.arg not in read]
+    assert unread == []
+
+
+def declared_options(build):
+    """(subcommand, option dest, handler name) for every option a subparser
+    declares in ``build_parser``; a mutually exclusive group belongs to its
+    parser."""
+    parsers, handlers, options = {}, {}, []
+    for stmt in build.body:
+        call = stmt.value if isinstance(stmt, (ast.Assign, ast.Expr)) else None
+        if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Attribute):
+            continue
+        owner, method = getattr(call.func.value, "id", None), call.func.attr
+        if isinstance(stmt, ast.Assign) and method == "add_parser":
+            parsers[stmt.targets[0].id] = call.args[0].value
+        elif isinstance(stmt, ast.Assign) and owner in parsers:
+            parsers[stmt.targets[0].id] = parsers[owner]
+        elif method == "add_argument" and owner in parsers:
+            dest = [k.value.value for k in call.keywords if k.arg == "dest"] or \
+                [a.value.lstrip("-").replace("-", "_") for a in call.args]
+            options.append((parsers[owner], dest[0]))
+        elif method == "set_defaults" and owner in parsers:
+            handlers[parsers[owner]] = next(k.value.id for k in call.keywords if k.arg == "func")
+    return [(sub, dest, handlers[sub]) for sub, dest in options]
+
+
+def attributes_read(fn, param, functions, seen):
+    """The attributes of ``param`` that ``fn`` reads, by ``param.name`` or
+    ``getattr(param, "name")``, and through every ``cli`` function that ``fn``
+    passes ``param`` to."""
+    if (fn.name, param) in seen:
+        return set()
+    seen.add((fn.name, param))
+    read = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and \
+                getattr(node.value, "id", None) == param:
+            read.add(node.attr)
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+            continue
+        passed = [(i, None) for i, a in enumerate(node.args) if getattr(a, "id", None) == param]
+        passed += [(None, k.arg) for k in node.keywords if getattr(k.value, "id", None) == param]
+        if node.func.id == "getattr" and passed == [(0, None)]:
+            read.add(node.args[1].value)
+        elif node.func.id in functions:
+            callee = functions[node.func.id]
+            names = [a.arg for a in callee.args.args]
+            for i, kw in passed:
+                read |= attributes_read(callee, kw or names[i], functions, seen)
+    return read
+
+
+def test_every_cli_option_is_read():
+    tree = ast.parse((ROOT / "src" / "dglevels" / "cli.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    options = declared_options(functions["build_parser"])
+    assert len(options) > 30
+    unread = [f"{sub} --{dest}" for sub, dest, handler in options
+              if dest not in attributes_read(functions[handler],
+                                             functions[handler].args.args[0].arg,
+                                             functions, set())]
     assert unread == []
