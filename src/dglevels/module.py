@@ -3,7 +3,9 @@
 Two flavors share one class.  A *free* module is presented by finitely many
 generators and a differential D(g) = Σ h·a_h with algebra coefficients on the
 right (unspecified modules are right modules); D² = 0 and the right-module
-Leibniz rule are enforced symbolically at construction.  A *raw* module is a
+Leibniz rule are enforced symbolically at construction, and block sums of
+checked modules (`block_sum`: shifts, direct sums, shifted Koszul sums)
+inherit them without a recheck.  A *raw* module is a
 finite cochain complex together with a right action matrix for every algebra
 generator (the fallback for cohomology-level inputs such as H*(S^7) over
 H*(S^4)).
@@ -431,23 +433,37 @@ class ModuleExpansion:
 # ---------------------------------------------------------------------------
 
 
-def block_sum(parts):
-    """Generators and differential of a block sum of free presentations.
+def block_sum(parts) -> DGModulePresentation:
+    """Block sum of checked free modules over the algebra of the first.
 
-    Each part is (generators, differential, label prefix, degree offset,
-    differential sign): generator g of degree n becomes prefix + g in degree
-    n + offset, and its differential, in generator order, is relabelled the
-    same way and scaled by the sign.  The module constructor reduces the
-    scalars and checks D² = 0.
+    Each part is (module, label prefix, degree offset): generator g of degree
+    n becomes prefix + g in degree n + offset, and its differential, in
+    generator order, is relabelled the same way and scaled by (-1)^offset, the
+    sign that keeps the Leibniz rule.  The truncation degree is the lowest part
+    truncation moved by its offset.  On each block D² is the part's D²,
+    relabelled, and a uniform offset keeps every term homogeneous, so the
+    parts' checks cover the sum: it is built without the constructor, and
+    only its labels are checked.
     """
-    gens, diff = [], {}
-    for generators, differential, pre, offset, sign in parts:
-        for label, deg in generators:
+    first = parts[0][0]
+    reduce = first.field.reduce
+    gens, diff, truncs = [], {}, []
+    for m, pre, offset in parts:
+        for label, deg in m.generators:
             gens.append((pre + label, deg + offset))
-            if terms := differential.get(label):
-                diff[pre + label] = {pre + t: p if sign > 0 else {m: -c for m, c in p.items()}
+            if terms := m.differential.get(label):
+                diff[pre + label] = {pre + t: p if offset % 2 == 0 else
+                                     {mono: reduce(-c) for mono, c in p.items()}
                                      for t, p in terms.items()}
-    return gens, diff
+        if m.truncation_degree is not None:
+            truncs.append(m.truncation_degree + offset)
+    out = DGModulePresentation.__new__(DGModulePresentation)
+    out.algebra, out.field, out.complex, out.actions = first.algebra, first.field, None, None
+    out.generators, out.gen_degree, out.differential = tuple(gens), dict(gens), diff
+    if len(out.gen_degree) != len(gens):
+        raise PresentationError("duplicate module generator labels")
+    out.truncation_degree = min(truncs, default=None)
+    return out
 
 
 def _common_algebra(modules, what):
@@ -461,11 +477,10 @@ def _common_algebra(modules, what):
 
 def shift(module: DGModulePresentation, k: int) -> DGModulePresentation:
     """Σ^k: generator degrees drop by k, differential picks up (-1)^k."""
+    if module.is_free:
+        return block_sum([(module, "", -k)])
     f = module.field
     sign = -1 if k % 2 else 1
-    if module.is_free:
-        gens, diff = block_sum([(module.generators, module.differential, "", -k, sign)])
-        return DGModulePresentation(module.algebra, generators=gens, differential=diff)
     space = GradedVectorSpace(
         f, {n - k: module.complex.space.labels(n) for n in module.complex.space.degrees()})
     diff = {
@@ -489,14 +504,12 @@ def direct_sum(modules) -> DGModulePresentation:
     modules = list(modules)
     if not modules:
         raise AlgebraMismatch("an empty direct sum has no algebra")
-    base = _common_algebra(modules, "direct summands")
+    _common_algebra(modules, "direct summands")
     if len(modules) == 1:
         return modules[0]
     if not all(m.is_free for m in modules):
         raise SourceNotFree("direct_sum currently handles free presentations")
-    gens, diff = block_sum([(m.generators, m.differential, f"{i}·", 0, 1)
-                            for i, m in enumerate(modules)])
-    return DGModulePresentation(base, generators=gens, differential=diff)
+    return block_sum([(m, f"{i}·", 0) for i, m in enumerate(modules)])
 
 
 def cone(f_map, source: DGModulePresentation, target: DGModulePresentation):
@@ -507,24 +520,25 @@ def cone(f_map, source: DGModulePresentation, target: DGModulePresentation):
     if not (source.is_free and target.is_free):
         raise SourceNotFree("cone requires free presentations")
     A = _common_algebra([source, target], "cone endpoints")
-    gens, diff = block_sum([(target.generators, target.differential, "", 0, 1),
-                            (source.generators, source.differential, "s·", -1, -1)])
+    s = block_sum([(target, "", 0), (source, "s·", -1)])
+    diff = s.differential
     for src, terms in f_map.items():
         if src not in source.gen_degree:
             raise NotAChainMap(f"map defined on unknown generator {src!r}")
         out = diff.setdefault(f"s·{src}", {})
         for tgt, poly in terms.items():
+            if tgt not in target.gen_degree:
+                raise NotAChainMap(f"map hits unknown generator {tgt!r}")
             if poly := A.normalize_poly(poly):
                 if target.gen_degree[tgt] + A.poly_degree(poly) != source.gen_degree[src]:
                     raise NotAChainMap(f"map is not degree 0 on {src!r}")
                 out[tgt] = A.poly_add(out.get(tgt, {}), poly)
-    if len(dict(gens)) != len(gens):
-        raise PresentationError("duplicate module generator labels")
     # D_M² = D_N² = 0, so the cone has D² = 0 exactly when D_N∘f = f∘D_M; in
     # generator order the error names the first source generator f breaks on
     try:
-        return DGModulePresentation(A, generators=gens,
-                                    differential={g: diff[g] for g, _ in gens if g in diff})
+        return DGModulePresentation(A, generators=s.generators,
+                                    differential={g: diff[g] for g, _ in s.generators if g in diff},
+                                    truncation_degree=s.truncation_degree)
     except PresentationError as exc:
         raise NotAChainMap(f"f does not commute with the differentials: {exc}") from None
 

@@ -141,18 +141,16 @@ def _koszul_applies(A: DGAlgebraPresentation) -> bool:
     return all(g.kind == POLYNOMIAL for g in A.generators)
 
 
-def _koszul(A: DGAlgebraPresentation, cap: int | None):
-    """(generators, differential, truncation degree, period) of the Koszul
-    resolution of K over A, or None when A has none (`_koszul_applies`).
+def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution | None:
+    """The Koszul resolution of K over A, or None when A has none
+    (`_koszul_applies`).
 
     Over H*(S^d), one generator in each degree j(d-1) <= cap with
     D(g_j) = g_{j-1}·x: for d even g_{2i} = γ_i(w) and
     g_{2i+1} = γ_i(w)·s⁻¹x, for d odd g_j = γ_j(s⁻¹x).  The differentials
     are complete (they point down the chain), only generators above ``cap``
     are absent.  Over K[x_1, ..., x_l], exterior generators s⁻¹x_j with
-    D(s⁻¹x_j) = x_j: finite and fully known.  The polynomials are single
-    monomials with unit exponent vectors, so the same recipe serves every
-    presentation of A with the same generator order.
+    D(s⁻¹x_j) = x_j: finite and fully known.
     """
     if not _koszul_applies(A):
         return None
@@ -174,7 +172,8 @@ def _koszul(A: DGAlgebraPresentation, cap: int | None):
             if j:
                 diff[label] = {gens[-1][0]: xpoly}
             gens.append((label, j * (d - 1)))
-        return gens, diff, cap + 1, sphere_block_period(d)
+        return Resolution(DGModulePresentation.free(A, gens, diff, truncation_degree=cap + 1),
+                          sphere_block_period(d))
     n = A.n
     sx = [f"s⁻¹{g.label}" for g in A.generators]
     for mask in range(1 << n):
@@ -189,7 +188,7 @@ def _koszul(A: DGAlgebraPresentation, cap: int | None):
             parity += A.generators[j].degree - 1
         if terms:
             diff[label] = terms
-    return gens, diff, None, None
+    return Resolution(DGModulePresentation.free(A, gens, diff))
 
 
 def koszul_resolution_sphere(d: int, field, cap: int | None = None) -> Resolution:
@@ -197,8 +196,7 @@ def koszul_resolution_sphere(d: int, field, cap: int | None = None) -> Resolutio
     generators through degree ``cap`` (by default 42 + d, the cap a Tor
     window 0:40 needs)."""
     A = DGAlgebraPresentation.sphere_cohomology(d, field)   # rejects d <= 1
-    gens, diff, trunc, period = _koszul(A, cap if cap is not None else 42 + d)
-    return Resolution(DGModulePresentation.free(A, gens, diff, truncation_degree=trunc), period)
+    return _koszul(A, cap if cap is not None else 42 + d)
 
 
 def koszul_resolution_poly(degrees, field) -> Resolution:
@@ -209,8 +207,7 @@ def koszul_resolution_poly(degrees, field) -> Resolution:
     if any(dd % 2 for _, dd in xs) and not char2:
         raise OddGenerator("polynomial generators must have even degree outside char 2")
     A = DGAlgebraPresentation.polynomial(field, xs, char2_polynomial_odd=char2)
-    gens, diff, trunc, period = _koszul(A, None)
-    return Resolution(DGModulePresentation.free(A, gens, diff, truncation_degree=trunc), period)
+    return _koszul(A, None)
 
 
 def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation = None,
@@ -371,25 +368,22 @@ def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow) -> Re
             raise StrategyInapplicable(
                 "Koszul strategy resolves trivial modules (sums of shifts of K)")
         # over H*(S^d), Tor through window.hi needs generators through hi + d + 2
-        recipe = _koszul(A, window.hi + 2 + sum(g.degree for g in A.generators))
-        if recipe is None:
+        res = _koszul(A, window.hi + 2 + sum(g.degree for g in A.generators))
+        if res is None:
             raise StrategyInapplicable("no Koszul pattern for this algebra")
-        return _shifted_sum(recipe, M.shift_degrees(), A)
+        return _shifted_sum(res, M.shift_degrees(), A)
     if strategy == BAR:
         return bar_resolution(M, A, window=window)
     raise StrategyInapplicable(f"unknown strategy {strategy!r}")
 
 
-def _shifted_sum(recipe, shifts, A) -> Resolution:
-    """The sum of the shifts of a Koszul recipe, built and checked once."""
+def _shifted_sum(res: Resolution, shifts, A) -> Resolution:
+    """The sum of the shifts Σ^{-s} of a checked resolution, built without a
+    recheck (`block_sum`)."""
     if not shifts:
         return Resolution(DGModulePresentation.zero(A))
-    generators, differential, trunc, period = recipe
-    gens, diff = block_sum([(generators, differential, f"{k}⟨{s}⟩·", s, -1 if s % 2 else 1)
-                            for k, s in enumerate(sorted(shifts))])
-    if trunc is not None:
-        trunc += min(shifts)
-    return Resolution(DGModulePresentation.free(A, gens, diff, truncation_degree=trunc), period)
+    return Resolution(block_sum([(res.module, f"{k}⟨{s}⟩·", s)
+                                 for k, s in enumerate(sorted(shifts))]), res.period)
 
 
 def residue_module(A: DGAlgebraPresentation) -> DGModulePresentation:

@@ -17,6 +17,7 @@ from dglevels.errors import (
     BudgetExceeded,
     EndTooLarge,
     NotAChainMap,
+    NotCompactlyDecomposable,
     PresentationError,
     SourceNotFree,
     Undecided,
@@ -27,6 +28,7 @@ from dglevels.module import (
     HOM_BASIS_BUDGET,
     DGModulePresentation,
     EndomorphismH0,
+    block_sum,
     cone,
     direct_sum,
     find_idempotents,
@@ -34,7 +36,8 @@ from dglevels.module import (
     idempotent_split,
     shift,
 )
-from dglevels.spheres import MoleculeId, molecule_model
+from dglevels.resolve import KOSZUL, _resolve, koszul_resolution_poly, koszul_resolution_sphere
+from dglevels.spheres import MoleculeId, molecule_model, sphere_level
 
 
 def sphere(d, field=QQ):
@@ -474,6 +477,108 @@ def test_direct_sum_rejects_mixed_algebras():
             DGModulePresentation.free_rank_one(sphere(4)),
             DGModulePresentation.free_rank_one(sphere(5)),
         ])
+
+
+def test_cone_rejects_a_map_onto_an_unknown_target_generator():
+    A = sphere(4)
+    M = DGModulePresentation.free_rank_one(A)
+    with pytest.raises(NotAChainMap, match="'zz'"):
+        cone({"e": {"zz": {A.unit_monomial(): 1}}}, M, M)
+
+
+def test_shift_direct_sum_and_cone_keep_the_truncation():
+    M = koszul_resolution_sphere(4, QQ, cap=18).module       # truncated at degree 19
+    N = molecule_model(MoleculeId(4, 0, 1))
+    assert M.truncation_degree == 19
+    assert shift(M, 2).truncation_degree == 17
+    assert direct_sum([M, M]).truncation_degree == 19
+    assert direct_sum([N, shift(M, -3)]).truncation_degree == 22
+    # the cone's truncation is min(target, source − 1)
+    assert cone({}, M, M).truncation_degree == 18
+    assert cone({}, N, M).truncation_degree == 19
+    assert cone({}, N, N).truncation_degree is None
+    # M resolves K, whose level is ∞: no truncated copy of it has a finite level
+    for X in (M, shift(M, 2), direct_sum([M, M])):
+        with pytest.raises(NotCompactlyDecomposable, match="truncated at degree"):
+            sphere_level(X, 4)
+
+
+# -- block sums of checked modules -----------------------------------------------
+
+
+@st.composite
+def block_sum_parts(draw):
+    """(module, label prefix, degree offset) parts over one algebra: molecule
+    models and Koszul resolutions over H*(S^d), Koszul complexes over
+    K[x₂, x₄], or the module over the S^d model (∧(x, ξ), dξ = x²), whose
+    nonzero differential makes the sign of an odd offset matter."""
+    field = draw(st.sampled_from([QQ, GF2, GF3]))
+    family = draw(st.sampled_from(["sphere", "poly", "model"]))
+    d = draw(st.sampled_from([2, 4] if family == "model" else [2, 3, 4, 5]))
+
+    def part():
+        if family == "poly":
+            return koszul_resolution_poly([2, 4], field).module
+        if family == "model":
+            return model_module(d, field)
+        if draw(st.booleans()):
+            return koszul_resolution_sphere(d, field, cap=draw(st.integers(0, 12))).module
+        mol = MoleculeId(d, draw(st.integers(-6, 6)), draw(st.integers(0, 3)))
+        return molecule_model(mol, field, verify=False)
+
+    tags = draw(st.lists(st.text("ab⟨⟩·", max_size=2), min_size=1, max_size=3))
+    return [(part(), f"{tag}{i}·", draw(st.integers(-5, 5))) for i, tag in enumerate(tags)]
+
+
+def scalars(differential):
+    """Every stored scalar with its place and type, in dict order."""
+    return [(src, tgt, mono, c, type(c)) for src, terms in differential.items()
+            for tgt, poly in terms.items() for mono, c in poly.items()]
+
+
+@settings(deadline=None, max_examples=150)
+@given(block_sum_parts())
+def test_block_sum_is_what_the_checking_constructor_builds(parts):
+    s = block_sum(parts)
+    checked = DGModulePresentation.free(s.algebra, s.generators, s.differential,
+                                        truncation_degree=s.truncation_degree)
+    assert checked.generators == s.generators
+    assert scalars(checked.differential) == scalars(s.differential)
+    assert checked.truncation_degree == s.truncation_degree == min(
+        (m.truncation_degree + offset for m, _, offset in parts
+         if m.truncation_degree is not None), default=None)
+
+
+def counted_checks(monkeypatch):
+    """The modules `_validate_free` runs on from here on."""
+    seen, check = [], DGModulePresentation._validate_free
+
+    def counting(self):
+        seen.append(self)
+        check(self)
+
+    monkeypatch.setattr(DGModulePresentation, "_validate_free", counting)
+    return seen
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_koszul_strategy_checks_its_recipe_once(monkeypatch, k):
+    M = DGModulePresentation.trivial(sphere(4, GF3), shifts=tuple(range(0, 3 * k, 3)))
+    seen = counted_checks(monkeypatch)
+    res = _resolve(M, KOSZUL, DegreeWindow(0, 30))
+    assert len(seen) == 1
+    assert len(res.module.generators) == k * len(seen[0].generators)
+
+
+def test_shift_and_direct_sum_do_not_recheck_and_cone_checks_once(monkeypatch):
+    M, N = molecule_like(4, 2), molecule_like(4, 1)
+    seen = counted_checks(monkeypatch)
+    shift(M, 3)
+    direct_sum([M, shift(N, 1), M])
+    assert seen == []
+    one = {M.algebra.unit_monomial(): Fraction(1)}
+    cone({"e0": {"e0": one}, "e1": {"e1": one}}, N, M)          # the inclusion
+    assert len(seen) == 1
 
 
 # -- hom complexes ---------------------------------------------------------------

@@ -33,6 +33,10 @@ line no test reaches included.
 Read CLI options: every option a subcommand declares in ``cli.build_parser``
 is read by its handler, directly or through a ``cli`` function the handler
 passes its ``args`` to (such as ``_window`` or ``_report``).
+
+One unchecked construction: ``__new__`` makes an object without running
+``__init__``, so a module made that way skips the constructor's checks.  Only
+``module.block_sum``, whose parts are checked modules, does so.
 """
 
 import ast
@@ -301,3 +305,16 @@ def test_every_cli_option_is_read():
                                              functions[handler].args.args[0].arg,
                                              functions, set())]
     assert unread == []
+
+
+def test_block_sum_is_the_only_construction_past_init():
+    uses = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk is breadth first, so a nested function overwrites its parent
+        owner = {id(n): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(fn)}
+        uses += [f"{path.name} {owner.get(id(n))}" for n in ast.walk(tree)
+                 if getattr(n, "attr", None) == "__new__" or
+                 isinstance(n, ast.Constant) and n.value == "__new__"]
+    assert uses == ["module.py block_sum"]
