@@ -267,7 +267,7 @@ def cmd_p_tower(args):
         "targetLevel": tower.target_level,
         "m": tower.m,
         "extension": [[lbl, deg] for lbl, deg in tower.extension],
-        "fibreFinite": tower.fibre_cohomology_finite(),
+        "fibreFinite": True,    # TowerSpec admits only odd generators
     }
     if args.report in ("level", "all"):
         result["level"] = tower_level_bounds(tower).to_json()

@@ -88,7 +88,7 @@ class FieldTag:
         return 1 / Fraction(a) if self.p == 0 else pow(a, -1, self.p)
 
     def is_zero(self, a) -> bool:
-        return a == 0
+        return not self.reduce(a)
 
     def is_zero_matrix(self, mat) -> bool:
         return all(self.is_zero(x) for row in mat for x in row)

@@ -32,7 +32,7 @@ from .errors import (
     Undecided,
     VerificationFailed,
 )
-from .field import integer_row, row_reduce, solve, sparse_sum
+from .field import _validate_entries, integer_row, row_reduce, solve, sparse_sum
 from .graded import (CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology,
                      cohomology_dims, mat_vec)
 
@@ -150,6 +150,9 @@ class DGModulePresentation:
         for label in self.actions:
             if label not in A.index:
                 raise PresentationError(f"action for unknown algebra generator {label!r}")
+        for mat in (*self.complex.differential.values(),
+                    *(mat for mats in self.actions.values() for mat in mats.values())):
+            _validate_entries(mat, f)
         if not self._zero_action():
             if not A.has_zero_differential():
                 raise PresentationError(

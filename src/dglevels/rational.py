@@ -56,7 +56,7 @@ from fractions import Fraction
 
 from .algebra import DGAlgebraPresentation, EXTERIOR, Generator, POLYNOMIAL
 from .errors import MTooSmall, NotExact, PresentationError, WrongTargetCohomology
-from .field import QQ, coordinates, rank_and_kernel, solve
+from .field import QQ, _validate_entries, coordinates, rank_and_kernel, solve
 from .graded import DegreeWindow, cohomology
 from .module import DGModulePresentation
 from .resolve import SemifreeFiltration, filtration_class
@@ -78,27 +78,50 @@ def sphere_model(d: int) -> DGAlgebraPresentation:
 class TowerSpec:
     """A Koszul-Sullivan extension of the sphere model by odd generators.
 
-    Every extension differential lies in the subalgebra generated by the
-    base and the earlier extension generators (checked on construction).
+    ``generators`` lists (label, degree, D) in extension order.  D maps a
+    monomial, the tuple of its labels in generator order (x, ξ, then the
+    extension), to its coefficient, and may name only x, ξ and earlier
+    generators, so D lies in the earlier subalgebra.  `full`, the model over
+    ``sphere_model(d)``, is built once here; its constructor checks degrees
+    and D² = 0.
     """
 
     d: int
     target_level: int
     m: int
-    full: DGAlgebraPresentation
-    extension: tuple       # ((label, degree), ...) in extension order
+    generators: tuple      # ((label, degree, {(label, ...): coefficient}), ...)
 
     def __post_init__(self):
-        base_count = self.full.n - len(self.extension)
-        for k, (label, degree) in enumerate(self.extension):
+        base = sphere_model(self.d)
+        n = base.n + len(self.generators)
+        gens, index = list(base.generators), dict(base.index)
+        diff = {label: {mono + (0,) * (n - base.n): c for mono, c in poly.items()}
+                for label, poly in base.differential.items()}
+        for label, degree, D in self.generators:
             if degree % 2 == 0:
                 raise PresentationError(f"extension generator {label!r} must be odd")
-            poly = self.full.differential.get(label, {})
-            allowed = base_count + k
-            for mono in poly:
-                if any(mono[i] for i in range(allowed, self.full.n)):
-                    raise PresentationError(
-                        f"D({label}) escapes the earlier subalgebra")
+            _validate_entries([D.values()], QQ)
+            poly = {}
+            for key, c in D.items():
+                for name in key:
+                    if name not in index:
+                        raise PresentationError(f"D({label}) names {name!r}, which is not x, "
+                                                "ξ or an earlier generator")
+                at = [index[name] for name in key]
+                if any(b < a or b == a and gens[a].kind == EXTERIOR
+                       for a, b in zip(at, at[1:])):
+                    raise PresentationError(f"D({label}): {key} does not list a monomial's "
+                                            "labels in generator order")
+                poly[tuple(map(at.count, range(n)))] = c
+            index[label] = len(gens)
+            gens.append(Generator(label, degree, EXTERIOR))
+            diff[label] = poly
+        self.full = DGAlgebraPresentation(QQ, gens, diff)
+
+    @property
+    def extension(self):
+        """((label, degree), ...) in extension order."""
+        return tuple((label, degree) for label, degree, _ in self.generators)
 
     # -- conversions ------------------------------------------------------------
 
@@ -122,23 +145,23 @@ class TowerSpec:
         pushed differential.  Every w_k is odd, so x^e moves to the right
         past the prefix and w^β, and sorting the product of w's is a
         permutation sign; a repeated w_k gives zero."""
-        F = self.full
-        n = len(self.extension)
-        nb = F.n - n
-        x_odd = F.generators[0].degree & 1
+        n = len(self.generators)
+        bit = {label: k for k, (label, _, _) in enumerate(self.generators)}
         pushed = []                 # per k: (e, β as a mask, bits of β, c)
-        for label, _ in self.extension:
+        for _, _, D in self.generators:
             terms = []
-            for mono, c in F.differential.get(label, {}).items():
-                if mono[0] > 1 or any(mono[1:nb]):
+            for key, c in D.items():
+                e = key.count("x")  # x comes first in a key
+                if e > 1 or "ξ" in key:
                     continue                # x² and ξ map to zero
-                bits = [j for j in range(n) if mono[nb + j]]
-                terms.append((mono[0], sum(1 << j for j in bits), bits, c))
+                bits = [bit[name] for name in key[e:]]
+                terms.append((e, sum(1 << j for j in bits), bits, c))
             pushed.append(terms)
         gens, delta, phi = [], {}, {}
         for mask in range(1 << n):
-            gens.append((self._ext_label(mask),
-                         sum(deg for k, (_, deg) in enumerate(self.extension) if mask >> k & 1)))
+            word = [g for k, g in enumerate(self.generators) if mask >> k & 1]
+            gens.append(("·".join(label for label, _, _ in word) or "1",
+                         sum(deg for _, deg, _ in word)))
             for k in range(n):
                 if not mask >> k & 1:
                     continue
@@ -153,43 +176,14 @@ class TowerSpec:
                     # the Leibniz sign, then the inversions of (below, β, above)
                     sign = lead + sum((below >> b).bit_count() +
                                       (above & ((1 << b) - 1)).bit_count() for b in bits)
-                    if e and x_odd:
+                    if e and self.d & 1:
                         sign += lead + target.bit_count()
                     col = (phi if e else delta).setdefault(mask, {})
                     col[target] = col.get(target, 0) + (-c if sign & 1 else c)
-        return SphereModule(self.d, F.field, gens, delta, phi)
-
-    def _ext_label(self, mask):
-        parts = [self.extension[k][0] for k in range(len(self.extension))
-                 if mask & (1 << k)]
-        return "·".join(parts) if parts else "1"
-
-    def fibre_complex(self):
-        """Tower ⊗_base Q: the quotient differential keeps only monomials
-        free of base generators."""
-        F = self.full
-        nb = F.n - len(self.extension)
-        gens = [Generator(lbl, deg, EXTERIOR) for lbl, deg in self.extension]
-        diff = {}
-        for lbl, _ in self.extension:
-            poly = F.differential.get(lbl, {})
-            kept = {}
-            for mono, c in poly.items():
-                if any(mono[:nb]):
-                    continue
-                kept[tuple(mono[nb:])] = c
-            if kept:
-                diff[lbl] = kept
-        return DGAlgebraPresentation(QQ, gens, diff)
-
-    def fibre_cohomology_finite(self) -> bool:
-        """All quotient generators odd, hence the fibre complex is a finite
-        exterior algebra."""
-        fib = self.fibre_complex()
-        return fib.is_bounded() and all(g.degree % 2 for g in fib.generators)
+        return SphereModule(self.d, QQ, gens, delta, phi)
 
     def auto_window(self) -> DegreeWindow:
-        hi = sum(deg for _, deg in self.extension) + 4 * self.d + 4
+        hi = sum(deg for _, deg, _ in self.generators) + 4 * self.d + 4
         return DegreeWindow(-1, hi)
 
 
@@ -206,58 +200,23 @@ def build_P_tower(l: int, d: int, m: int | None = None) -> TowerSpec:
     m = m if m is not None else l * d + 1
     if m < l * d + 1:
         raise MTooSmall(f"suspension parameter m = {m} is below the bound {l * d + 1}")
-    base = sphere_model(d)
+    one = Fraction(1)
     if l == 1:
-        return TowerSpec(d, 1, m, base, ())
-    gens = [Generator(g.label, g.degree, g.kind) for g in base.generators]
-    diff = {label: dict(poly) for label, poly in base.differential.items()}
-    extension = []
-
-    def pad(poly, width):
-        return {tuple(mono) + (0,) * (width - len(mono)): c for mono, c in poly.items()}
-
-    if d % 2:
-        for i in range(l):
-            deg = i * d + (2 * m - 1) - i
-            gens.append(Generator(f"w{i}", deg, EXTERIOR))
-            extension.append((f"w{i}", deg))
-        width = len(gens)
-        diff = {label: pad(poly, width) for label, poly in diff.items()}
-        for i in range(1, l):
-            mono = [0] * width
-            mono[0] = 1              # x
-            mono[1 + (i - 1)] = 1    # w_{i-1}
-            diff[f"w{i}"] = {tuple(mono): Fraction(1)}
-    else:
-        gens.append(Generator("ρ", d - 1, EXTERIOR))
-        extension.append(("ρ", d - 1))
-        for i in range(l - 1):
-            deg = i * (2 * d - 1) + (2 * m - 1) - i
-            gens.append(Generator(f"w{i}", deg, EXTERIOR))
-            extension.append((f"w{i}", deg))
-        width = len(gens)
-        diff = {label: pad(poly, width) for label, poly in diff.items()}
-        rho_mono = [0] * width
-        rho_mono[0] = 1
-        diff["ρ"] = {tuple(rho_mono): Fraction(1)}   # D(ρ) = x
-        for i in range(1, l - 1):
-            rx = [0] * width
-            rx[0] = 1       # x
-            rx[2] = 1       # ρ
-            rx[3 + (i - 1)] = 1   # w_{i-1}
-            xi = [0] * width
-            xi[1] = 1       # ξ
-            xi[3 + (i - 1)] = 1
-            diff[f"w{i}"] = {tuple(rx): Fraction(1), tuple(xi): Fraction(-1)}
-    full = DGAlgebraPresentation(QQ, gens, diff)
-    return TowerSpec(d, l, m, full, tuple(extension))
+        gens = []
+    elif d % 2:                     # D(w_i) = x·w_{i-1}
+        gens = [(f"w{i}", i * d + (2 * m - 1) - i,
+                 {("x", f"w{i - 1}"): one} if i else {}) for i in range(l)]
+    else:                           # D(ρ) = x, D(w_i) = (ρx - ξ)·w_{i-1}
+        gens = [("ρ", d - 1, {("x",): one})]
+        gens += [(f"w{i}", i * (2 * d - 1) + (2 * m - 1) - i,
+                  {("x", "ρ", f"w{i - 1}"): one, ("ξ", f"w{i - 1}"): -one} if i else {})
+                 for i in range(l - 1)]
+    return TowerSpec(d, l, m, tuple(gens))
 
 
 def tower_level_bounds(tower: TowerSpec) -> LevelResult:
     """The level of the tower over its base sphere, always exact: the
     molecules are the Jordan strings of the tower as a module over H*(S^d)."""
-    if not tower.fibre_cohomology_finite():
-        raise PresentationError("the fibre complex is not certifiably finite")
     dec = decompose_module(tower.sphere_module(), tower.d)
     return LevelResult.exact(dec.level(), decomposition=dec)
 
@@ -277,7 +236,7 @@ def pile_upper_bound(stages: int, extra_odd_spheres: int = 0):
     if stages < 0:
         raise PresentationError("the stage count must be nonnegative")
     d = 3
-    gens, phi = [], {}
+    gens, stage, phi = [], [], {}
     spheres = [2 * i + 3 for i in range(extra_odd_spheres)]
     for mask in range(2 ** extra_odd_spheres):
         sub = [i for i in range(extra_odd_spheres) if mask & (1 << i)]
@@ -285,14 +244,12 @@ def pile_upper_bound(stages: int, extra_odd_spheres: int = 0):
         sdeg = sum(spheres[i] for i in sub)
         for j in range(stages + 1):
             gens.append((f"e{j}{suffix}", j * (d - 1) + sdeg))
+            stage.append(j)
             if j:
                 phi[len(gens) - 1] = {len(gens) - 2: 1}     # D(e_j) = e_{j-1}·x
     module = SphereModule(d, QQ, gens, phi=phi).to_presentation()
-    stages_sets = []
-    for c in range(stages + 1):
-        stages_sets.append(frozenset(lbl for lbl, _ in gens
-                                     if int(lbl[1:].split("·")[0]) <= c))
-    filt = SemifreeFiltration(module, tuple(stages_sets))
+    filt = SemifreeFiltration(module, tuple(
+        frozenset(lbl for (lbl, _), j in zip(gens, stage) if j <= c) for c in range(stages + 1)))
     cls = filtration_class(filt)
     if cls != stages:
         raise PresentationError("pile filtration has unexpected class")

@@ -707,18 +707,14 @@ def free_pullback_level(basis_degrees):
     free over the base polynomial algebra, with the given module basis
     degrees.
 
-    The derived tensor is then the plain tensor: a sum of shifts of H*(S^4).
-    The decomposition is recomputed and must consist of height-0 molecules
-    only.
+    The derived tensor is then the plain tensor: a sum of shifts of H*(S^4),
+    a free module with zero differential.  Its Jordan strings are recomputed
+    and must all have height 0.
     """
-    basis_degrees = list(basis_degrees)
-    if any(b % 2 for b in basis_degrees):
+    basis = [(f"b{i}", b) for i, b in enumerate(basis_degrees)]
+    if any(b % 2 for _, b in basis):
         raise OddGenerator("a free basis over an even polynomial algebra is even")
-    dims = {}
-    for b in basis_degrees:
-        dims[b] = dims.get(b, 0) + 1
-        dims[b + 4] = dims.get(b + 4, 0) + 1
-    dec = decompose(dims, 4)
+    dec = decompose_module(SphereModule(4, QQ, basis), 4)
     if dec.level() > 1:
         raise VerificationFailed("the decomposition contains a molecule of positive height")
     return 1, dec.molecules

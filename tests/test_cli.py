@@ -1,5 +1,6 @@
 """Command-line surface: determinism, report shapes, exit codes."""
 
+import hashlib
 import io
 import json
 import time
@@ -144,6 +145,40 @@ def test_p_tower_and_pile(capsys):
     code, out = run(capsys, "pile", "--stages", "2", "--odd-spheres", "1")
     assert code == 0
     assert json.loads(out)["result"]["levelUpperBound"] == 3
+
+
+# sha256 of `p-tower --l l --report all` stdout for d = 3…6, recorded before
+# TowerSpec took its generators as (label, degree, D) triples
+P_TOWER_DIGESTS = {
+    1: ("6ddb2a5ebdb07fb41d65abc258fe6af73cf0d4fea8bb2746390c4f8feb427b41",
+         "a741992290ce51388973cd15516dfc4f36671433fbfa9d6e8976bbe81b54bfd7",
+         "eee4e7be4662a1f5871fa8fbe50d8975bed192583998bc9aeb4bab14674fa79a",
+         "400de128e86d6106a4d5e906d052995406b16bcae876a5fde88cd9dd2b03ffeb"),
+    2: ("73249a4575a08f6389f1970b7564e300681028b531fb4459c6d4d84187a04bae",
+         "3953a1d85fa6fcc564da0b9a17b4fbc262a9d87cfc61ab3c957629aefcf83dff",
+         "434e031f405667ae9b879618a8c320f1d33159db68cf0e50f4558655418e5f6b",
+         "51e0279ec121da28b6d2172cf818f01a79af4ad8747c5a86540ed2180147e2dc"),
+    3: ("67762a82e85661f0935434d8b4e30a93f844f6a584a194f3bb7b124c99cead8b",
+         "9f46ceddb894efad6e09add6ab8c55b3cc6d059500e14d59ab3d13a4b239f15e",
+         "e9b464d3355c8f9eab7ce5774be4d33b1789bde57977115fe7da8466cd9c7401",
+         "09d73cbcd5b3b59af282da3835946c7989cb257fc056296bf6dd21ace9739d06"),
+    4: ("b14c4faa82a908c05c179643265148777a55c199606e2a60da9ae1878dac41a5",
+         "bb79984c2529a318523ff9853b1001fd3df27af7e25e4dfe0c3e926968ed1554",
+         "9b0e83cd4cc04c2bb5ed84b854ab0e050a11e87d5b4e61e397eb5084fded8c61",
+         "061560f124fb22c57f4efd5aa31c0a86d7b86d9ace34a5a9bab9fb9d900302c7"),
+    5: ("5b04211c12eccf99a20c9f0cf7fa49155c019b67cfa9e47ce73d86b3e75fa52b",
+         "7d650abce64cf7b4f0424925ec2df66be2ec8d654e09973e9d84c967739aa031",
+         "ebd31543d0c991e3eda552381d25eac308ae50c04d66f8ea556e6434fe877bf3",
+         "5b26aa1b89a160a2dcd45541f65f4b545f3863f84af18474846c67dc992724fd"),
+}
+
+
+@pytest.mark.parametrize("l", sorted(P_TOWER_DIGESTS))
+def test_p_tower_stdout_is_pinned(capsys, l):
+    for d, digest in zip(range(3, 7), P_TOWER_DIGESTS[l]):
+        code, out = run(capsys, "p-tower", "--l", str(l), "--d", str(d), "--report", "all")
+        assert code == 0 and json.loads(out)["result"]["fibreFinite"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (l, d)
 
 
 def test_bundle_level_command(capsys):

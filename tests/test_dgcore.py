@@ -16,6 +16,7 @@ from dglevels.errors import (
     AlgebraMismatch,
     BudgetExceeded,
     EndTooLarge,
+    FieldMismatch,
     NotAChainMap,
     NotCompactlyDecomposable,
     PresentationError,
@@ -937,6 +938,24 @@ def test_raw_action_must_be_graded_commutative(field):
     assert not M.is_trivial()
     with pytest.raises(PresentationError, match="x·y = ±y·x"):
         DGModulePresentation.raw(A, cx, actions(one, minus))
+
+
+def test_raw_scalars_are_checked_where_they_enter():
+    from dglevels.graded import CochainComplex, GradedVectorSpace
+    from dglevels.resolve import auto_strategy, phi
+
+    # over F3 the entry 3 is 0: the module is K ⊕ Σ^{-4}K, trivial and infinite
+    space = GradedVectorSpace(GF3, {0: ["a"], 4: ["b"]})
+    M = DGModulePresentation.raw(sphere(4, GF3), CochainComplex(space, {}), {"x4": {0: [[3]]}})
+    assert M.is_trivial() and auto_strategy(M) == KOSZUL
+    verdict = phi(M, DegreeWindow(0, 30))
+    assert (verdict.kind, verdict.period) == ("infinite", 6)
+    # over Q a float is no scalar, in an action or in the differential
+    space = GradedVectorSpace(QQ, {0: ["a"], 1: ["c"], 4: ["b"]})
+    for d, action in (({}, [[0.5]]), ({0: [[0.5]]}, [[1]])):
+        with pytest.raises(FieldMismatch) as info:
+            DGModulePresentation.raw(sphere(4), CochainComplex(space, d), {"x4": {0: action}})
+        assert info.value.code == "field-mismatch"
 
 
 def raw_refusals():

@@ -38,6 +38,14 @@ def test_inverse_of_zero_raises():
         GF5.inv(0)
 
 
+def test_is_zero_compares_reduced_values():
+    assert GF3.is_zero(3) and GF3.is_zero(-6) and not GF3.is_zero(4)
+    assert GF3.is_zero_matrix([[3, 0], [0, 9]]) and not GF5.is_zero_matrix([[3]])
+    assert QQ.is_zero(Fraction(0)) and not QQ.is_zero(Fraction(1, 3))
+    with pytest.raises(DivisionByZero):
+        GF3.inv(3)
+
+
 def test_field_tag_rejects_composite_modulus():
     with pytest.raises(FieldMismatch):
         FieldTag(6)

@@ -1,17 +1,20 @@
 """Sullivan-style sphere models, towers, pile bounds, Hopf invariants."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dglevels.algebra import DGAlgebraPresentation, Generator
 from dglevels.errors import (
+    FieldMismatch,
     MTooSmall,
     PresentationError,
     WrongTargetCohomology,
 )
 from dglevels import rational
-from dglevels.field import QQ, coordinates
+from dglevels.field import QQ, coordinates, rank_and_kernel
 from dglevels.graded import DegreeWindow, cohomology
 from dglevels.module import DGModulePresentation
 from dglevels.rational import (
@@ -73,23 +76,42 @@ def test_tower_m_guard():
 
 
 def test_tower_extension_property_enforced():
-    gens = [Generator("x", 3, "exterior"), Generator("a", 5, "exterior"),
-            Generator("b", 7, "exterior")]
-    # D(a) involves b, which comes later: not a Koszul-Sullivan extension
-    diff = {"a": {(0, 0, 1): Fraction(1)}}
-    with pytest.raises(PresentationError):
-        full = DGAlgebraPresentation(QQ, gens, diff)
-        TowerSpec(3, 2, 8, full, (("a", 5), ("b", 7)))
+    # D(a) = x·b involves b, which comes later: not a Koszul-Sullivan extension
+    with pytest.raises(PresentationError, match="not x, ξ or an earlier generator"):
+        TowerSpec(3, 2, 8, (("a", 5, {("x", "b"): 1}), ("b", 3, {})))
 
 
-def test_fibre_complex_is_finite_and_odd():
-    for l, d in [(2, 3), (2, 4), (3, 3)]:
-        t = build_P_tower(l, d)
-        assert t.fibre_cohomology_finite()
-        fib = t.fibre_complex()
-        dims, _ = cohomology(fib.to_complex(DegreeWindow(0, sum(g.degree for g in fib.generators) + 2)))
-        assert all(v >= 0 for v in dims.values())
-        assert sum(dims.values()) == 2 ** len(t.extension)
+@pytest.mark.parametrize("D", [{("x", "y"): 1}, {("ξ", "u"): 1}, {("x", "v"): 1}])
+def test_a_differential_naming_an_unknown_label_is_refused(D):
+    # y is no generator, ξ is none over an odd sphere, v is the generator itself
+    with pytest.raises(PresentationError) as info:
+        TowerSpec(3, 2, 8, (("u", 5, {}), ("v", 7, D)))
+    assert info.value.code == "invalid-presentation"
+
+
+@pytest.mark.parametrize("D", [{("u", "x"): 1}, {("x", "x", "u"): 1}])
+def test_a_differential_key_lists_a_monomial_in_generator_order(D):
+    # the sign of u·x differs from x·u's, and x·x = 0 over an odd sphere
+    with pytest.raises(PresentationError, match="generator order"):
+        TowerSpec(3, 2, 8, (("u", 5, {}), ("v", 7, D)))
+
+
+def test_an_even_extension_generator_is_refused():
+    with pytest.raises(PresentationError, match="must be odd"):
+        TowerSpec(3, 2, 8, (("u", 6, {}),))
+
+
+def test_a_float_coefficient_is_no_scalar():
+    with pytest.raises(FieldMismatch):
+        TowerSpec(3, 2, 8, (("u", 5, {}), ("v", 7, {("x", "u"): 0.5})))
+
+
+def test_the_extension_is_read_off_the_generators():
+    t = TowerSpec(3, 2, 0, (("u", 5, {}), ("v", 7, {("x", "u"): 1})))
+    assert t.extension == (("u", 5), ("v", 7))
+    assert [g.label for g in t.full.generators] == ["x", "u", "v"]
+    assert t.full.differential == {"v": {(1, 1, 0): 1}}
+    assert tower_level_bounds(t).to_json() == {"kind": "exact", "level": 2}
 
 
 def test_tower_level_bounds_odd_sphere():
@@ -122,30 +144,20 @@ def test_tower_level_table(l, d, level):
 
 def fibre_product_tower(l, d=3):
     """l-1 factors u_i, v_i over S^d with D(v_i) = x·u_i."""
-    gens = [Generator("x", d, "exterior")]
-    extension = []
+    gens = []
     for i in range(l - 1):
         a = 2 * (l * d + 1 + 7 * i) - 1
-        extension += [(f"u{i}", a), (f"v{i}", a + d - 1)]
-    gens += [Generator(label, deg, "exterior") for label, deg in extension]
-    diff = {}
-    for i in range(l - 1):
-        mono = [0] * len(gens)
-        mono[0] = mono[1 + 2 * i] = 1
-        diff[f"v{i}"] = {tuple(mono): Fraction(1)}
-    full = DGAlgebraPresentation(QQ, gens, diff)
-    return TowerSpec(d, l, 0, full, tuple(extension))
+        gens += [(f"u{i}", a, {}), (f"v{i}", a + d - 1, {("x", f"u{i}"): Fraction(1)})]
+    return TowerSpec(d, l, 0, tuple(gens))
 
 
 def mixed_tower():
     """Over S^3: D(w) = u·v + x·u and D(t) = x·w - v·w, so D has scalar
     terms and x moves past odd prefixes."""
-    labels = [("x", 3), ("u", 5), ("v", 3), ("w", 7), ("t", 9)]
-    gens = [Generator(label, deg, "exterior") for label, deg in labels]
-    diff = {"w": {(0, 1, 1, 0, 0): Fraction(1), (1, 1, 0, 0, 0): Fraction(1)},
-            "t": {(1, 0, 0, 1, 0): Fraction(1), (0, 0, 1, 1, 0): Fraction(-1)}}
-    full = DGAlgebraPresentation(QQ, gens, diff)
-    return TowerSpec(3, 0, 0, full, tuple(labels[1:]))
+    return TowerSpec(3, 0, 0, (
+        ("u", 5, {}), ("v", 3, {}),
+        ("w", 7, {("u", "v"): Fraction(1), ("x", "u"): Fraction(1)}),
+        ("t", 9, {("x", "w"): Fraction(1), ("v", "w"): Fraction(-1)})))
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
@@ -161,21 +173,24 @@ def pushed_monomial_by_monomial(tower):
     algebra, pushed onto H*(S^d) term by term."""
     F = tower.full
     A = DGAlgebraPresentation.sphere_cohomology(tower.d, QQ)
-    nb = F.n - len(tower.extension)
+    x, xi = F.index["x"], F.index.get("ξ")
+    ext = [F.index[label] for label, _ in tower.extension]
+
+    def name(mono):
+        return "·".join(F.generators[i].label for i in ext if mono[i]) or "1"
+
     gens, diff = [], {}
-    for mask in range(2 ** len(tower.extension)):
-        mono = tuple([0] * nb + [mask >> k & 1 for k in range(len(tower.extension))])
-        label = tower._ext_label(mask)
-        gens.append((label, F.monomial_degree(mono)))
+    for mask in range(2 ** len(ext)):
+        on = {i for k, i in enumerate(ext) if mask >> k & 1}
+        mono = tuple(int(i in on) for i in range(F.n))
+        gens.append((name(mono), F.monomial_degree(mono)))
         for tmono, c in F.mono_differential(mono).items():
-            if tmono[0] > 1 or any(tmono[1:nb]):
+            if tmono[x] > 1 or xi is not None and tmono[xi]:
                 continue                # x² and ξ map to zero
-            tmask = sum(1 << k for k in range(len(tower.extension)) if tmono[nb + k])
             # x^e·w^β = (-1)^{e|x||β|} w^β·x^e
-            odd = tmono[0] * F.generators[0].degree * sum(
-                tmono[nb + k] * deg for k, (_, deg) in enumerate(tower.extension)) % 2
-            poly = diff.setdefault(label, {}).setdefault(tower._ext_label(tmask), {})
-            key = (tmono[0],)
+            odd = tmono[x] * tower.d * sum(tmono[i] * F.generators[i].degree for i in ext) % 2
+            poly = diff.setdefault(name(mono), {}).setdefault(name(tmono), {})
+            key = (tmono[x],)
             poly[key] = poly.get(key, 0) + (-c if odd else c)
     return DGModulePresentation.free(A, gens, diff)
 
@@ -185,6 +200,69 @@ def pushed_monomial_by_monomial(tower):
 def test_base_module_blocks_match_the_monomial_route(make):
     tower = make()
     assert tower.as_base_module().to_json() == pushed_monomial_by_monomial(tower).to_json()
+
+
+# sha256 of the molecule names, in order, recorded before TowerSpec took its
+# generators as (label, degree, D) triples
+FIBRE_PRODUCT_MOLECULES = {
+    2: "c2d2ab5b3cf3147a5055f7d9953e8933014711bec3edf3403647d04efcc8c880",
+    3: "01f1b636b6a9471ee0124a85e7589b9b4378330e64437271b270256642353d61",
+    4: "8c8dd0e4c96a2f373faeb45147ba421b7c399e002d91d351a332cf14621d57c7",
+    5: "ee480d5c909f45fcf86141ce5be993a849b40ee1f9c947b2bf6875cca0aca5f0",
+    6: "26af091726871ef8ea360f42107ebdcc7e864ce2e48aa7777c2848451c8ec9af",
+}
+
+
+def test_tower_molecules_are_pinned():
+    for l, digest in FIBRE_PRODUCT_MOLECULES.items():
+        names = [str(m) for m in tower_level_bounds(fibre_product_tower(l)).decomposition.molecules]
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == digest, l
+    names = [str(m) for m in tower_level_bounds(mixed_tower()).decomposition.molecules]
+    assert names == ["Z_0", "Σ^{-3}Z_0", "Σ^{-5}Z_0", "Σ^{-12}Z_0", "Σ^{-12}Z_0",
+                     "Σ^{-19}Z_0", "Σ^{-21}Z_0", "Σ^{-24}Z_0"]
+
+
+@st.composite
+def odd_towers(draw):
+    """Up to four odd generators over S^3…S^6, each D a ±1 sum of cocycles
+    of the earlier model (kernel vectors of its differential), so D² = 0.
+    The ξ terms of an even sphere are rare here; the build_P_tower cases of
+    the monomial-route test cover them."""
+    d = draw(st.integers(3, 6))
+    gens = []
+    for label in "abcd"[:draw(st.integers(1, 4))]:
+        F = TowerSpec(d, 0, 0, tuple(gens)).full
+        basis = F.monomial_basis(24)
+        degrees = [n for n in sorted(basis) if n >= 2 and n % 2 == 0]
+        if not degrees or not draw(st.integers(0, 3)):
+            gens.append((label, 2 * draw(st.integers(1, 10)) + 1, {}))
+            continue
+        n = draw(st.sampled_from(degrees))
+        matrix = F.to_complex(DegreeWindow(0, n + 1)).matrix(n)
+        size = len(basis[n])
+        kernel = rank_and_kernel(matrix, QQ)[1] if matrix else \
+            [[int(i == j) for i in range(size)] for j in range(size)]
+        picks = draw(st.lists(st.sampled_from(range(len(kernel))), unique=True,
+                              min_size=1, max_size=3)) if kernel else []
+        poly = {}
+        for j in picks:
+            sign = draw(st.sampled_from((1, -1)))
+            for m, c in zip(basis[n], kernel[j]):
+                poly[m] = poly.get(m, 0) + sign * c
+        D = {tuple(g.label for g, e in zip(F.generators, m) for _ in range(e)): c
+             for m, c in poly.items() if c}
+        gens.append((label, n - 1, D))
+    return TowerSpec(d, 0, 0, tuple(gens))
+
+
+@settings(max_examples=100, deadline=None)
+@given(odd_towers())
+def test_label_keyed_towers_push_and_keep_their_cohomology(tower):
+    module = tower.as_base_module()
+    assert module.to_json() == pushed_monomial_by_monomial(tower).to_json()
+    top = sum(deg for _, deg in tower.extension) + 2 * tower.d
+    assert module.cohomology_dims(tower.auto_window()) == \
+        cohomology(tower.full.to_complex(DegreeWindow(0, top + 4)))[0]
 
 
 def test_mixed_tower_has_scalar_terms():

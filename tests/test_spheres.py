@@ -1,6 +1,7 @@
 """Molecule catalog, quiver, decomposition, levels, bundle pipelines."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -665,3 +666,12 @@ def test_free_pullback_level():
     assert lvl == 1 and all(m.m == 0 for m in mols)
     lvl2, _ = free_pullback_level([0])
     assert lvl2 == 1
+
+
+def test_free_pullback_level_reads_jordan_strings_not_matchings():
+    # fourteen basis degrees 0, 2, …, 26 give a table with more than 100,000
+    # matchings; the free module's strings are read off at once
+    start = time.perf_counter()
+    lvl, mols = free_pullback_level(range(0, 27, 2))
+    assert time.perf_counter() - start < 1.0
+    assert lvl == 1 and [(m.l, m.m) for m in mols] == [(b, 0) for b in range(0, 27, 2)]
