@@ -143,22 +143,22 @@ def sparse_sum(terms, field: FieldTag):
 # Exact linear algebra
 # ---------------------------------------------------------------------------
 
+_EXACT = (frozenset((int,)), frozenset((int, Fraction)))    # entry types F_p / Q take unchecked
+_ZERO = Fraction(0)
+
 
 def _validate_entries(rows, field):
     """Reject entries that are no scalars: a row of exact ints (and Fractions
     over Q) passes on its types alone, any other row entry by entry."""
-    exact = {int, Fraction} if field.p == 0 else {int}
-    kind = f"a mod-{field.p} residue" if field.p else "a rational scalar"
+    exact = _EXACT[field.p == 0]
     for row in rows:
         if exact.issuperset(map(type, row)):
             continue
         for x in row:
             if isinstance(x, bool) or not isinstance(x, (int, Fraction)) \
                     or field.p and x.denominator != 1:
+                kind = f"a mod-{field.p} residue" if field.p else "a rational scalar"
                 raise FieldMismatch(f"entry {x!r} is not {kind}")
-
-
-_ZERO = Fraction(0)
 
 
 def integer_row(row):

@@ -56,10 +56,10 @@ from fractions import Fraction
 
 from .algebra import DGAlgebraPresentation, EXTERIOR, Generator, POLYNOMIAL
 from .errors import MTooSmall, NotExact, PresentationError, WrongTargetCohomology
-from .field import QQ, _validate_entries, coordinates, rank_and_kernel, solve
+from .field import QQ, coordinates, rank_and_kernel, solve
 from .graded import DegreeWindow, cohomology
 from .module import DGModulePresentation
-from .resolve import SemifreeFiltration, filtration_class
+from .resolve import SemifreeFiltration, check_exterior_basis, filtration_class
 from .spheres import LevelResult, SphereModule, decompose_module
 
 
@@ -82,8 +82,8 @@ class TowerSpec:
     monomial, the tuple of its labels in generator order (x, ξ, then the
     extension), to its coefficient, and may name only x, ξ and earlier
     generators, so D lies in the earlier subalgebra.  `full`, the model over
-    ``sphere_model(d)``, is built once here; its constructor checks degrees
-    and D² = 0.
+    ``sphere_model(d)``, is built once here; its constructor checks degrees,
+    scalars and D² = 0.
     """
 
     d: int
@@ -100,7 +100,6 @@ class TowerSpec:
         for label, degree, D in self.generators:
             if degree % 2 == 0:
                 raise PresentationError(f"extension generator {label!r} must be odd")
-            _validate_entries([D.values()], QQ)
             poly = {}
             for key, c in D.items():
                 for name in key:
@@ -146,6 +145,7 @@ class TowerSpec:
         past the prefix and w^β, and sorting the product of w's is a
         permutation sign; a repeated w_k gives zero."""
         n = len(self.generators)
+        check_exterior_basis(n, f"a tower with {n} extension generators")
         bit = {label: k for k, (label, _, _) in enumerate(self.generators)}
         pushed = []                 # per k: (e, β as a mask, bits of β, c)
         for _, _, D in self.generators:
@@ -235,6 +235,9 @@ def pile_upper_bound(stages: int, extra_odd_spheres: int = 0):
     """
     if stages < 0:
         raise PresentationError("the stage count must be nonnegative")
+    if extra_odd_spheres < 0:
+        raise PresentationError("the count of extra odd spheres must be nonnegative")
+    check_exterior_basis(extra_odd_spheres, f"a pile over {extra_odd_spheres} extra odd spheres")
     d = 3
     gens, stage, phi = [], [], {}
     spheres = [2 * i + 3 for i in range(extra_odd_spheres)]

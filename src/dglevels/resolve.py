@@ -45,6 +45,20 @@ GIVEN = "given"
 # listing there grows with the square of the word count.
 BAR_WORD_BUDGET = 3_000
 
+# Products of exterior generators listed before a construction gives up.  The
+# Koszul complex over K[y_1, ..., y_n], a tower's sphere module and a pile's
+# witness each list all 2^n products of n exterior generators, and each extra
+# generator multiplies the work by 2.5-5; 4,096 is n = 12.
+EXTERIOR_BASIS_BUDGET = 4_096
+
+
+def check_exterior_basis(n: int, what: str):
+    """Raise BudgetExceeded when the 2^n products of n exterior generators
+    pass EXTERIOR_BASIS_BUDGET."""
+    if n >= EXTERIOR_BASIS_BUDGET.bit_length():
+        raise BudgetExceeded(f"{what} would list 2^{n} exterior products, more than "
+                             f"{EXTERIOR_BASIS_BUDGET}")
+
 
 # ---------------------------------------------------------------------------
 # Verdicts
@@ -175,6 +189,7 @@ def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution | None:
         return Resolution(DGModulePresentation.free(A, gens, diff, truncation_degree=cap + 1),
                           sphere_block_period(d))
     n = A.n
+    check_exterior_basis(n, f"the Koszul complex over {n} polynomial generators")
     sx = [f"s⁻¹{g.label}" for g in A.generators]
     for mask in range(1 << n):
         subset = [j for j in range(n) if mask >> j & 1]

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import DGAlgebraPresentation
+from .algebra import POLYNOMIAL, DGAlgebraPresentation, Generator
 from .errors import (
     BudgetExceeded,
     FormalizabilityNotDeclared,
@@ -50,10 +50,9 @@ from .errors import (
     PresentationError,
     VerificationFailed,
 )
-from .field import FieldTag, QQ, integer_row, rank, rank_and_kernel
-from .graded import CochainComplex, DegreeWindow, GradedVectorSpace
+from .field import FieldTag, QQ, _validate_entries, integer_row, rank, rank_and_kernel
 from .module import DGModulePresentation
-from .resolve import TorResult, derived_tensor, phi
+from .resolve import TorResult, koszul_resolution_poly, phi
 
 
 @dataclass(frozen=True)
@@ -329,9 +328,11 @@ class SphereModule:
         self._check()
 
     def _columns(self, columns, xdeg):
-        """Per-degree sparse columns of the block whose entries multiply x^xdeg."""
+        """Per-degree sparse columns of the block whose entries multiply x^xdeg;
+        an entry that is no scalar of the field raises FieldMismatch."""
         out = {}
         for src, terms in columns.items():
+            _validate_entries((terms.values(),), self.field)
             label, deg = self.generators[src]
             col = []
             for tgt, c in terms.items():
@@ -498,14 +499,6 @@ def decompose_module(module, d: int) -> Decomposition:
     return Decomposition(tuple(molecules), matching, False, ())
 
 
-def _cohomology_of(molecules) -> dict:
-    dims = {}
-    for mol in molecules:
-        for n, v in molecule_cohomology(mol).items():
-            dims[n] = dims.get(n, 0) + v
-    return dims
-
-
 # ---------------------------------------------------------------------------
 # Molecule models
 # ---------------------------------------------------------------------------
@@ -628,22 +621,20 @@ def _level_from_decomposition(dec: Decomposition) -> LevelResult:
 def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag,
                  formalizable_declared: bool = False):
     """Level over S^4 of the total space of a bundle classified by a map into
-    a space with polynomial cohomology on the given generator degrees.
+    a space with polynomial cohomology P = K[y_1, ..., y_n] on the given
+    generator degrees.
 
-    The computation runs the actual pipeline: resolve K over the polynomial
-    algebra by the Koszul complex, tensor onto H*(S^4) through the classifying
-    map (the degree-4 generator goes to the sphere class when f4_nonzero, all
-    else dies for degree reasons), decompose, take the level.  The answer is
-    then checked against the closed form (2 when the degree-4 generator acts,
-    1 otherwise); disagreement is a hard failure.  The molecules come from
-    the Jordan strings of the same derived tensor as a module over H*(S^d),
-    and their cohomology must equal the Tor dimensions.
+    The derived tensor K ⊗^L_P H*(S^4) is built once: the Koszul resolution
+    of K over P, checked by its constructor, tensored down along the
+    classifying map.  A coefficient that is the first generator y₄ alone
+    becomes the sphere class x when f4_nonzero; every other one dies for
+    degree reasons.  The molecules are the Jordan strings of this free
+    module over H*(S^4), Tor is their cohomology, and both are checked
+    against closed forms (`_checked_tor`).
     """
-    d = 4
     poly_gens = list(poly_gens)
-    char2 = field.characteristic() == 2
     if any(g % 2 for g in poly_gens):
-        if not char2:
+        if field.characteristic() != 2:
             raise OddGenerator("odd generators are only allowed over F_2")
         if not formalizable_declared:
             raise FormalizabilityNotDeclared(
@@ -651,55 +642,39 @@ def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag,
                 "relatively-formalizable pair")
     if f4_nonzero and (not poly_gens or poly_gens[0] != 4):
         raise PresentationError("the first generator must have degree 4 when it acts")
+    for i, g in enumerate(poly_gens):     # Generator checks the degree, naming y_g
+        Generator(f"y{g}_{i}" if poly_gens.count(g) > 1 else f"y{g}", g, POLYNOMIAL)
 
-    labels = [f"y{g}_{i}" if poly_gens.count(g) > 1 else f"y{g}"
-              for i, g in enumerate(poly_gens)]
-    P = DGAlgebraPresentation.polynomial(field, list(zip(labels, poly_gens)),
-                                         char2_polynomial_odd=char2)
-    K = DGModulePresentation.trivial(P)
+    F = koszul_resolution_poly(poly_gens, field).module
+    index = {label: i for i, (label, _) in enumerate(F.generators)}
+    y4 = (1,) + (0,) * (len(poly_gens) - 1)
+    phi = {index[src]: {index[tgt]: poly[y4] for tgt, poly in terms.items() if y4 in poly}
+           for src, terms in F.differential.items()} if f4_nonzero else {}
+    dec = decompose_module(SphereModule(4, field, F.generators, phi=phi), 4)
+    return dec.level(), dec, _checked_tor(dec, poly_gens, f4_nonzero)
 
-    sphere_target = _sphere_as_module_over(P, labels, d, f4_nonzero=f4_nonzero)
-    hi = sum(max(g - 1, 1) for g in poly_gens) + d + 2
-    tor = derived_tensor(K, sphere_target, strategy="koszul",
-                         window=DegreeWindow(0, hi))
 
-    # The same derived tensor as a module over H*(S^4): the Koszul complex of
-    # the polynomial algebra tensored down along the classifying map.
-    dec = decompose_module(_koszul_tensor_module(poly_gens, d, field, f4_nonzero), d)
-    if _cohomology_of(dec.molecules) != {n: v for n, v in tor.dims.items() if v}:
-        raise VerificationFailed("the molecules and the Koszul resolution disagree on Tor")
+def _checked_tor(dec: Decomposition, poly_gens, f4_nonzero) -> dict:
+    """Tor of a bundle, the cohomology of its molecules, sorted by degree.
+    Both closed forms are hard checks: Tor is ∏_j {0, g_j - 1} × {0, 7} when
+    y₄ acts (its own factor dropped) and × {0, 4} otherwise; the level is 2
+    when y₄ acts and 1 otherwise."""
+    closed = {0: 1}
+    for step in [g - 1 for g in poly_gens[1 if f4_nonzero else 0:]] + [7 if f4_nonzero else 4]:
+        for n, v in list(closed.items()):
+            closed[n + step] = closed.get(n + step, 0) + v
+    tor = {}
+    for mol in dec.molecules:
+        for n, v in molecule_cohomology(mol).items():
+            tor[n] = tor.get(n, 0) + v
+    if tor != closed:
+        raise VerificationFailed("the molecules' cohomology differs from the Koszul closed form "
+                                 "of Tor")
     expected = 2 if f4_nonzero else 1
     if dec.level() != expected:
         raise VerificationFailed(
             f"computed level {dec.level()} disagrees with the closed form {expected}")
-    return dec.level(), dec, dict(sorted(tor.dims.items()))
-
-
-def _koszul_tensor_module(poly_gens, d, field, f4_nonzero) -> SphereModule:
-    """⊗ of the Koszul resolution with H*(S^d) along the classifying map, as a
-    free module over the sphere: one generator per product of the exterior
-    generators a_j = s⁻¹y_j, and D(a_0·a) = a·x when the degree-4 generator
-    acts (a_0 comes first, so no sign); δ₀ = 0."""
-    n = len(poly_gens)
-    gens = []
-    for mask in range(1 << n):
-        subset = [j for j in range(n) if mask >> j & 1]
-        label = "·".join(f"a{j}" for j in subset) if subset else "1̄"
-        gens.append((label, sum(poly_gens[j] - 1 for j in subset)))
-    phi = {mask: {mask ^ 1: 1} for mask in range(1, 1 << n, 2)} if f4_nonzero else {}
-    return SphereModule(d, field, gens, phi=phi)
-
-
-def _sphere_as_module_over(P, labels, d, f4_nonzero):
-    """H*(S^d) as a raw module over the polynomial algebra through the
-    classifying map: only a degree-d generator can act, sending 1 to the
-    sphere class."""
-    space = GradedVectorSpace(P.field, {0: ["1"], d: [f"z{d}"]})
-    cx = CochainComplex(space, {})
-    actions = {}
-    if f4_nonzero:
-        actions[labels[0]] = {0: [[P.field.one()]]}
-    return DGModulePresentation.raw(P, cx, actions)
+    return dict(sorted(tor.items()))
 
 
 def free_pullback_level(basis_degrees):

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from dglevels import cli
 from dglevels.cli import main
-from dglevels.resolve import BAR_WORD_BUDGET
+from dglevels.errors import BudgetExceeded
+from dglevels.resolve import BAR_WORD_BUDGET, EXTERIOR_BASIS_BUDGET, check_exterior_basis
 
 
 def run(capsys, *argv):
@@ -307,6 +308,37 @@ def test_bar_word_budget_is_domain_error(capsys):
     assert f"more than {BAR_WORD_BUDGET} bar words" in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["p-tower", "--l", "30", "--d", "3"],
+    ["bundle-level", "--gens", ",".join(map(str, range(4, 31, 2)))],   # 14 generators
+    ["pile", "--stages", "2", "--odd-spheres", "13"],
+])
+def test_exterior_basis_budget_is_domain_error(capsys, argv):
+    # each lists 2^n products of n exterior generators; past the budget it
+    # stops before listing any
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "budget-exceeded"
+    assert f"more than {EXTERIOR_BASIS_BUDGET}" in error["message"]
+
+
+def test_exterior_basis_budget_boundary():
+    check_exterior_basis(EXTERIOR_BASIS_BUDGET.bit_length() - 1, "the largest basis")
+    with pytest.raises(BudgetExceeded, match="2\\^13 exterior products"):
+        check_exterior_basis(EXTERIOR_BASIS_BUDGET.bit_length(), "one more generator")
+
+
+def test_a_negative_odd_sphere_count_is_domain_error(capsys):
+    code, out = run(capsys, "pile", "--stages", "2", "--odd-spheres", "-3")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "invalid-presentation",
+        "message": "the count of extra odd spheres must be nonnegative"}
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["nonsense-command"])
@@ -381,6 +413,11 @@ FUZZ_COMMANDS = {
     "emss": {"--d": SMALL, "--window": WINDOW, "--field": FIELD},
     "molecule": {"--d": SMALL, "--l": SMALL, "--m": SMALL, "--field": FIELD},
     "bundle-level": {"--gens": GENS, "--field": FIELD},
+    "pile": {"--stages": SMALL, "--odd-spheres": SMALL},
+    "quiver": {"--d": SMALL, "--component": SMALL, "--rows": SMALL, "--cols": SMALL,
+               "--field": FIELD, "--format": fuzz(st.sampled_from(["json", "dot"]))},
+    "p-tower": {"--l": SMALL, "--d": SMALL, "--m": SMALL,
+                "--report": fuzz(st.sampled_from(["level", "shape", "all"]))},
 }
 
 

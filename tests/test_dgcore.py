@@ -958,6 +958,37 @@ def test_raw_scalars_are_checked_where_they_enter():
         assert info.value.code == "field-mismatch"
 
 
+def float_inputs():
+    """Builders that each hand a constructor a coefficient that is no scalar
+    of its field: a float, or over F_3 a fraction."""
+    from dglevels.rational import hopf_invariant
+    from dglevels.spheres import SphereModule
+
+    S4 = sphere(4)
+    gens = [("a", 0), ("b", 3)]
+    free = DGModulePresentation.free(S4, gens, {"b": {"a": {(1,): 1}}})
+    return {
+        "module differential": lambda: DGModulePresentation.free(
+            S4, gens, {"b": {"a": {(1,): 0.5}}}),
+        "algebra differential": lambda: DGAlgebraPresentation(
+            QQ, [Generator("x", 4, "polynomial"), Generator("ξ", 7, "exterior")],
+            {"ξ": {(2, 0): 0.5}}),
+        "cone map": lambda: cone({"a": {"a": {(0,): 0.5}}}, free, free),
+        "Hopf polynomial": lambda: hopf_invariant(even_sphere_model(4), {(1, 0): 0.5}),
+        "sphere blocks": lambda: SphereModule(4, QQ, gens, phi={1: {0: 0.5}}),
+        "sphere blocks over F3": lambda: SphereModule(4, GF3, gens, phi={1: {0: Fraction(1, 2)}}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(float_inputs()))
+def test_scalars_are_checked_where_polynomials_and_blocks_enter(name):
+    # a float used to be stored, written as "1/2" and make the Jordan engine
+    # raise AttributeError; over F_p a fraction is no residue
+    with pytest.raises(FieldMismatch, match="is not a") as info:
+        float_inputs()[name]()
+    assert info.value.code == "field-mismatch"
+
+
 def raw_refusals():
     """(algebra, basis, actions, message) for each input ``_validate_raw`` refuses."""
     S4 = sphere(4)

@@ -10,7 +10,7 @@ from io import StringIO
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dglevels import rational, spheres
+from dglevels import rational, resolve, spheres
 from dglevels.algebra import DGAlgebraPresentation
 from dglevels.cli import main
 from dglevels.errors import PresentationError
@@ -201,24 +201,33 @@ def test_presentation_round_trip(field, d, strings, pieces, seed):
 
 def test_level_pipelines_decompose_blocks(monkeypatch):
     # towers and bundles hand the engine a SphereModule and never build a
-    # presentation of the module they decompose
-    seen = []
-    engine = spheres.decompose_module
+    # presentation of the module they decompose; a bundle builds its derived
+    # tensor once, from one Koszul resolution, and never runs the generic one
+    seen, resolutions = [], []
+    engine, koszul = spheres.decompose_module, spheres.koszul_resolution_poly
 
     def spy(module, d):
         seen.append(type(module))
         return engine(module, d)
 
-    def refuse(self):
-        raise AssertionError("a presentation was built")
+    def koszul_spy(degrees, field):
+        resolutions.append(list(degrees))
+        return koszul(degrees, field)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a presentation was built or a generic tensor run")
 
     monkeypatch.setattr(spheres, "decompose_module", spy)
     monkeypatch.setattr(rational, "decompose_module", spy)
+    monkeypatch.setattr(spheres, "koszul_resolution_poly", koszul_spy)
     monkeypatch.setattr(SphereModule, "to_presentation", refuse)
     monkeypatch.setattr(SphereModule, "from_presentation", refuse)
+    monkeypatch.setattr(resolve, "derived_tensor", refuse)
+    assert not hasattr(spheres, "derived_tensor")
     assert tower_level_bounds(build_P_tower(3, 4)).value == 4
     assert bundle_level([4, 6, 8], True, QQ)[0] == 2
     assert seen == [SphereModule, SphereModule]
+    assert resolutions == [[4, 6, 8]]
 
 
 # -- the Jordan engine under shift and direct sum -----------------------------------------

@@ -1,5 +1,6 @@
 """Molecule catalog, quiver, decomposition, levels, bundle pipelines."""
 
+import itertools
 import random
 import time
 
@@ -15,9 +16,10 @@ from dglevels.errors import (
     NotCompactlyDecomposable,
     OddGenerator,
     PresentationError,
+    VerificationFailed,
 )
 from dglevels.field import QQ, GF2, GF3, GF5, rank, row_reduce
-from dglevels.graded import DegreeWindow, cohomology
+from dglevels.graded import CochainComplex, DegreeWindow, GradedVectorSpace, cohomology
 from dglevels.module import DGModulePresentation, cone, direct_sum, hom_complex, shift
 from dglevels.resolve import (
     _resolve,
@@ -32,6 +34,7 @@ from dglevels.spheres import (
     MATCHING_BUDGET,
     Decomposition,
     MoleculeId,
+    _checked_tor,
     all_matchings,
     bundle_level,
     component_index,
@@ -659,6 +662,53 @@ def test_bundle_level_five_generators():
     assert lvl == 2
     assert len(dec.molecules) == 16 and all(mol.m == 1 for mol in dec.molecules)
     assert sum(dims.values()) == 32
+
+
+def sphere_over(P, f4_nonzero):
+    """H*(S^4) as a raw module over P through the classifying map: only the
+    first generator can act, sending 1 to the sphere class."""
+    space = GradedVectorSpace(P.field, {0: ["1"], 4: ["z4"]})
+    actions = {P.generators[0].label: {0: [[P.field.one()]]}} if f4_nonzero else {}
+    return DGModulePresentation.raw(P, CochainComplex(space, {}), actions)
+
+
+EVENS = range(6, 17, 2)
+BUNDLE_GENS = ([[4], [4, 4], [4, 8, 8], [6, 8, 12], [4, 6, 8, 10, 12]]
+               + [[4, a] for a in EVENS]
+               + [[4, a, b] for a, b in itertools.combinations(EVENS, 2)]
+               + [[4, *abc] for abc in itertools.combinations(EVENS, 3)])
+ODD_BUNDLE_GENS = [[4, o, *e] for o in (5, 7, 9, 11) for e in ((), (6,), (8,), (10,), (12,))]
+
+
+def test_bundle_tor_matches_the_generic_koszul_route():
+    # the oracle: K ⊗^L_P H*(S^4) by the generic derived tensor, with H*(S^4)
+    # a raw P-module and K resolved by its Koszul complex, in a window past
+    # the top class
+    grid = [(gens, field) for gens in BUNDLE_GENS for field in (QQ, GF2, GF3, GF5)]
+    grid += [(gens, GF2) for gens in ODD_BUNDLE_GENS]
+    for gens, field in grid:
+        odd = any(g % 2 for g in gens)
+        P = DGAlgebraPresentation.polynomial(field, [(f"y{i}", g) for i, g in enumerate(gens)],
+                                             char2_polynomial_odd=odd)
+        K = DGModulePresentation.trivial(P)
+        for f4 in (True, False) if gens[0] == 4 else (False,):
+            _, _, dims = bundle_level(gens, f4, field, formalizable_declared=odd)
+            tor = derived_tensor(K, sphere_over(P, f4), strategy="koszul",
+                                 window=DegreeWindow(0, sum(gens) + 4))
+            assert tor.bounded and dims == tor.dims, (gens, f4, field)
+
+
+def test_the_closed_form_tor_check_refuses_wrong_molecules():
+    _, dec, dims = bundle_level([4, 6], True, QQ)
+    assert _checked_tor(dec, [4, 6], True) == dims
+    # the same heights one degree up: the level still agrees, Tor does not
+    moved = Decomposition(tuple(MoleculeId(4, mol.l + 1, mol.m) for mol in dec.molecules),
+                          (), False, ())
+    assert moved.level() == dec.level()
+    with pytest.raises(VerificationFailed, match="Koszul closed form of Tor"):
+        _checked_tor(moved, [4, 6], True)
+    with pytest.raises(VerificationFailed, match="Koszul closed form of Tor"):
+        _checked_tor(Decomposition(dec.molecules[:1], (), False, ()), [4, 6], True)
 
 
 def test_free_pullback_level():
