@@ -140,7 +140,7 @@ def cmd_decompose(args):
     dims = args.dims
     dec = decompose(dims, args.d)
     result = dec.to_json()
-    result["level"] = sphere_level(dims, args.d).to_json()
+    result["level"] = dec.level_result().to_json()
     return _report("decompose", {"d": args.d, "dims": dims_to_json(dims),
                                  "field": args.field},
                    result, "molecule-decomposition", args)

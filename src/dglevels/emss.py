@@ -134,7 +134,8 @@ def install_d2(page: BigradedPage) -> BigradedPage:
 
     d₂ sends each basis element to at most one other and never two to the
     same, so ``page.d2`` is a matching {source key: target key}, every entry
-    h, and empty when h = 0 in K."""
+    h, and empty when h = 0 in K.  Sources sit on the unit class and targets
+    on x_{2d-1}, so no key is both and d₂ ∘ d₂ = 0."""
     f = page.field
     h = page.spec.hopf
     if not page.even and not f.is_zero(h):
@@ -149,8 +150,6 @@ def install_d2(page: BigradedPage) -> BigradedPage:
             target_key = (top_deg, tidx, eps, i - 1, edeg, eidx)
             if target_key in page.index:
                 d2[key] = target_key
-    if not d2.keys().isdisjoint(d2.values()):
-        raise PresentationError("d₂ ∘ d₂ ≠ 0 on the installed page")
     page.d2 = d2
     return page
 
@@ -206,10 +205,14 @@ def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> Ems
 
     # h ≠ 0 with d even pairs (1, ε, γ_i) with (x_top, ε, γ_{i-1}) exactly in
     # every degree, inside the window and beyond; that bounds the survivors when
-    # the top space is units and classes of degree 2d - 1, equally many
+    # the top space is units and classes of degree 2d - 1, equally many, and
+    # the certified degrees hold the survivors (1, ε, γ_0) ⊗ extra, which reach
+    # d - 1 plus the top extra degree
     tops = page.spec.top_dims
     paired = len(tops) == 2 and tops[0][0] == 0 and tops[1] == (2 * page.spec.d - 1, tops[0][1])
-    bounded = page.even and not page.field.is_zero(page.spec.hopf) and paired
+    reach = page.spec.d - 1 + max((n for n, _ in page.spec.extra_dims), default=0)
+    bounded = (page.even and not page.field.is_zero(page.spec.hopf) and paired
+               and reach <= cert_hi)
     verdict = finiteness(total, sphere_block_period(page.spec.d), hi - 2, bounded)
     return EmssResult(e3, total, verdict, no_ext)
 

@@ -147,9 +147,6 @@ class CochainComplex:
         cols = (tuple(row[j] for row in mat) for j in range(self.space.dim(n - 1)))
         return [col for col in cols if any(col)]
 
-    def degrees(self):
-        return self.space.degrees()
-
     def _check_d_squared(self):
         """b∘a = 0 on each known pair: each column of a sums the sparse columns of b it hits."""
         rational = self.field.p == 0

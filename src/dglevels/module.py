@@ -479,27 +479,10 @@ def _common_algebra(modules, what):
 
 
 def shift(module: DGModulePresentation, k: int) -> DGModulePresentation:
-    """Σ^k: generator degrees drop by k, differential picks up (-1)^k."""
-    if module.is_free:
-        return block_sum([(module, "", -k)])
-    f = module.field
-    sign = -1 if k % 2 else 1
-    space = GradedVectorSpace(
-        f, {n - k: module.complex.space.labels(n) for n in module.complex.space.degrees()})
-    diff = {
-        n - k: [[f.reduce(sign * x) for x in row] for row in mat]
-        for n, mat in module.complex.differential.items()
-    }
-    cx = CochainComplex(space, diff,
-                        truncated_above=None if module.complex.truncated_above is None
-                        else module.complex.truncated_above - k,
-                        truncated_below=None if module.complex.truncated_below is None
-                        else module.complex.truncated_below - k)
-    actions = {
-        g: {n - k: mat for n, mat in mats.items()}
-        for g, mats in module.actions.items()
-    }
-    return DGModulePresentation(module.algebra, complex=cx, actions=actions)
+    """Σ^k of a free module: generator degrees drop by k, differential picks up (-1)^k."""
+    if not module.is_free:
+        raise SourceNotFree("shift handles free presentations")
+    return block_sum([(module, "", -k)])
 
 
 def direct_sum(modules) -> DGModulePresentation:

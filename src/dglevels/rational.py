@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import DGAlgebraPresentation, EXTERIOR, Generator, POLYNOMIAL
-from .errors import MTooSmall, NotExact, PresentationError, WrongTargetCohomology
+from .errors import BudgetExceeded, MTooSmall, NotExact, PresentationError, WrongTargetCohomology
 from .field import QQ, coordinates, rank_and_kernel, solve
 from .graded import DegreeWindow, cohomology
 from .module import DGModulePresentation
@@ -226,6 +226,13 @@ def tower_level_bounds(tower: TowerSpec) -> LevelResult:
 # ---------------------------------------------------------------------------
 
 
+# Labels a pile's filtration lists before pile_upper_bound gives up.  Stage c
+# lists (c + 1)·2^k labels for k extra odd spheres, (stages + 1)(stages + 2)/2
+# · 2^k in all: 24,576 for 2 stages over 12 spheres, 130,816 for 510 stages
+# over none (about 25 MB).
+PILE_LABEL_BUDGET = 1 << 17
+
+
 def pile_upper_bound(stages: int, extra_odd_spheres: int = 0):
     """Level bound c + 1 for a c-stage pile of odd-sphere fibrations over a
     product of the base S^3 with extra odd spheres.
@@ -238,6 +245,10 @@ def pile_upper_bound(stages: int, extra_odd_spheres: int = 0):
     if extra_odd_spheres < 0:
         raise PresentationError("the count of extra odd spheres must be nonnegative")
     check_exterior_basis(extra_odd_spheres, f"a pile over {extra_odd_spheres} extra odd spheres")
+    labels = (stages + 1) * (stages + 2) // 2 << extra_odd_spheres
+    if labels > PILE_LABEL_BUDGET:
+        raise BudgetExceeded(f"a {stages}-stage pile filtration would list {labels} labels, "
+                             f"more than {PILE_LABEL_BUDGET}")
     d = 3
     gens, stage, phi = [], [], {}
     spheres = [2 * i + 3 for i in range(extra_odd_spheres)]

@@ -6,7 +6,8 @@ cohomology question is answered by a three-way verdict from one rule,
 `finiteness`:
 
   finite     the computation is bounded (finite free resolution, finite free
-             module tensored down, or an exact pairing on an EMSS page)
+             module tensored down, or an exact pairing on an EMSS page) and
+             the certified degrees hold its whole support
   infinite   nonzero cohomology on >= 3 equally spaced degrees reaching the
              certified horizon, with the spacing equal to the resolution's
              periodic block degree
@@ -456,8 +457,11 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
             yield (glabel, nexp.elements[nd + 1][i]), -c if odd else c
 
     if F.truncation_degree is None:
+        # finite exactly when the window holds the tensor's whole support
         truncated_above = None
-        bounded = True
+        gdegs = [g for _, g in F.generators]
+        bounded = not gdegs or (window.lo <= min(gdegs) + n_lo
+                                and max(gdegs) + n_degrees[-1] <= window.hi)
     else:
         truncated_above = F.truncation_degree - 1 + n_lo
         bounded = False
@@ -476,32 +480,46 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
 # ---------------------------------------------------------------------------
 
 
-def auto_strategy(M: DGModulePresentation) -> str:
+def auto_strategy(M: DGModulePresentation) -> str | None:
+    """The resolution whose Tor `finiteness` can read: M itself when it is
+    free and untruncated (bounded), the Koszul resolution of a trivial module
+    (periodic over H*(S^d), bounded over a polynomial algebra); None for
+    every other module, whose truncated resolution has neither bound nor
+    period."""
     if M.is_free:
-        return GIVEN
-    return KOSZUL if M.is_trivial() and _koszul_applies(M.algebra) else BAR
+        return GIVEN if M.truncation_degree is None else None
+    return KOSZUL if M.is_trivial() and _koszul_applies(M.algebra) else None
 
 
 def phi(M: DGModulePresentation, window: DegreeWindow | None = None) -> FinitenessVerdict:
-    """dim H(M ⊗^L_A K) as a verdict."""
+    """dim H(M ⊗^L_A K) as a verdict; unknown at once, with nothing built,
+    when no resolution could certify it (`auto_strategy`)."""
     A = M.algebra
     if not A.is_simply_connected():
         raise NotSimplyConnected("phi needs a simply-connected algebra")
+    strategy = auto_strategy(M)
+    if strategy is None:
+        return FinitenessVerdict("unknown")
     window = window or _phi_window(M)
-    tor = derived_tensor(M, residue_module(A), strategy=auto_strategy(M), window=window)
-    return tor.verdict()
+    return derived_tensor(M, residue_module(A), strategy=strategy, window=window).verdict()
 
 
 def _phi_window(M):
-    if M.is_free and M.generators:
-        degs = [d for _, d in M.generators]
-        return DegreeWindow(min(degs + [0]) - 1, max(degs) + 2)
-    if not M.is_free:
-        degs = M.complex.space.degrees() or [0]
-        span = max(degs) - min(degs)
-        base = max(degs) + 4 * (span + 4)
-        return DegreeWindow(min(degs) - 1, base)
-    return DegreeWindow(-1, 8)
+    """A window that holds what phi certifies.  A free module's Tor lies in
+    its generator degrees.  For a trivial module the window ends two periods
+    past its lowest shift over H*(S^d), or at its highest shift plus the top
+    Koszul degree Σ(g_j - 1) over a polynomial algebra, and never before the
+    highest shift plus 4·(span of the shifts + 4)."""
+    if M.is_free:
+        return M.default_window()
+    A = M.algebra
+    shifts = M.shift_degrees() or [0]
+    lo, hi = min(shifts), max(shifts)
+    if A.sphere_generator_label() is not None:
+        reach = lo + 2 * sphere_block_period(A.generators[0].degree)
+    else:
+        reach = hi + sum(g.degree - 1 for g in A.generators)
+    return DegreeWindow(lo - 1, max(hi + 4 * (hi - lo + 4), reach))
 
 
 def infinite_level_certificate(tor: TorResult, algebra: DGAlgebraPresentation | None = None):

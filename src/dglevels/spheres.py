@@ -202,6 +202,13 @@ class Decomposition:
     def level(self):
         return _level_of(self.molecules)
 
+    def level_result(self) -> "LevelResult":
+        """Exact when all molecule multisets share one level, else their interval."""
+        levels = sorted({_level_of(mols) for mols in (self.molecules, *self.alternatives)})
+        if len(levels) == 1:
+            return LevelResult.exact(levels[0], decomposition=self)
+        return LevelResult.interval(levels[0], levels[-1], decomposition=self)
+
     def to_json(self):
         return {
             "molecules": [m.to_json() for m in self.molecules],
@@ -263,6 +270,9 @@ def decompose(dims, d: int) -> Decomposition:
     """
     if d <= 1:
         raise PresentationError("sphere dimension must exceed 1")
+    for n, v in dims.items():
+        if v < 0:
+            raise PresentationError(f"negative multiplicity at degree {n}")
     dims = {n: v for n, v in dims.items() if v}
     if sum(dims.values()) % 2:
         raise NoValidMatching("odd total dimension cannot split into molecules")
@@ -330,8 +340,11 @@ class SphereModule:
     def _columns(self, columns, xdeg):
         """Per-degree sparse columns of the block whose entries multiply x^xdeg;
         an entry that is no scalar of the field raises FieldMismatch."""
-        out = {}
+        out, last = {}, len(self.generators) - 1
         for src, terms in columns.items():
+            if not all(type(i) is int and 0 <= i <= last for i in (src, *terms)):
+                raise PresentationError(f"a column of D({src!r}) indexes a generator outside "
+                                        f"0..{last}")
             _validate_entries((terms.values(),), self.field)
             label, deg = self.generators[src]
             col = []
@@ -560,15 +573,21 @@ class LevelResult:
 def sphere_level(data, d: int) -> LevelResult:
     """Level over H*(S^d) of a module, a Tor result, or a dimension table.
 
-    Finite, untruncated free modules are decomposed by their Jordan strings,
-    so their level is exact.  Otherwise infinite-cohomology certificates win:
-    a Tor result's own verdict, or for a raw or truncated module the verdict
-    of `phi`.  Without one, a truncated module raises
+    A SphereModule, and a finite, untruncated free module, is decomposed by
+    its Jordan strings, so its level is exact.  Otherwise infinite-cohomology
+    certificates win: a Tor result's own verdict, or for a raw or truncated
+    module the verdict of `phi`.  Without one, a truncated module raises
     NotCompactlyDecomposable, since its cohomology is known only below the
     truncation; otherwise the cohomology (of a raw module in its default
     window) is decomposed by matching; ambiguity produces an interval, never
     a guess.  A module over any other algebra raises PresentationError.
     """
+    if isinstance(data, DGModulePresentation):
+        _require_sphere(data, d)
+        if data.is_free and data.truncation_degree is None:
+            data = SphereModule.from_presentation(data, d)
+    if isinstance(data, SphereModule):
+        return decompose_module(data, d).level_result()
     if isinstance(data, TorResult):
         v = data.verdict()
         if v.is_infinite:
@@ -578,10 +597,6 @@ def sphere_level(data, d: int) -> LevelResult:
                 "finiteness of the cohomology could not be certified")
         dims = {n: x for n, x in data.dims.items() if x}
     elif isinstance(data, DGModulePresentation):
-        _require_sphere(data, d)
-        if data.is_free and data.truncation_degree is None:
-            dec = decompose_module(data, d)
-            return LevelResult.exact(dec.level(), decomposition=dec)
         v = phi(data)
         if v.is_infinite:
             return LevelResult.infinite(v)
@@ -598,19 +613,12 @@ def sphere_level(data, d: int) -> LevelResult:
         dec = decompose(dims, d)
     except NoValidMatching as e:
         raise NotCompactlyDecomposable(str(e))
-    return _level_from_decomposition(dec)
+    return dec.level_result()
 
 
 def _level_of(molecules) -> int:
     """Level of a molecule multiset: its largest molecule level, 0 when empty."""
     return max(map(molecule_level, molecules), default=0)
-
-
-def _level_from_decomposition(dec: Decomposition) -> LevelResult:
-    levels = sorted({_level_of(mols) for mols in (dec.molecules, *dec.alternatives)})
-    if len(levels) == 1:
-        return LevelResult.exact(levels[0], decomposition=dec)
-    return LevelResult.interval(levels[0], levels[-1], decomposition=dec)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dglevels import cli
+from dglevels import cli, spheres
 from dglevels.cli import main
 from dglevels.errors import BudgetExceeded
+from dglevels.rational import PILE_LABEL_BUDGET
 from dglevels.resolve import BAR_WORD_BUDGET, EXTERIOR_BASIS_BUDGET, check_exterior_basis
 
 
@@ -30,6 +31,29 @@ def test_molecule_report(capsys):
     assert report["result"]["level"] == 2
     assert report["result"]["realizable"]["realizable"] == "yes"
     assert report["kind"] == "molecule-catalog"
+
+
+@pytest.mark.parametrize("l, m, cohomology, level, component, reason", [
+    (2, 1, {"-1": 1, "6": 1}, 2, 2, "NegativeDegreeObstruction"),
+    (6, 2, {"0": 1, "10": 1}, 3, 0, "FibreCohomologyInfinite"),
+])
+def test_molecule_payload_names_the_realizability_obstruction(capsys, l, m, cohomology,
+                                                               level, component, reason):
+    code, out = run(capsys, "molecule", "--d", "4", "--l", str(l), "--m", str(m))
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "molecule",
+        "inputs": {"d": 4, "field": "Q", "l": l, "m": m},
+        "kind": "molecule-catalog",
+        "result": {
+            "cohomology": cohomology,
+            "componentIndex": component,
+            "level": level,
+            "molecule": {"d": 4, "l": l, "m": m, "name": f"Σ^{{-{l}}}Z_{m}"},
+            "realizable": {"realizable": "no", "reason": reason},
+        },
+        "timing_ms": None,
+    }
 
 
 def test_byte_identical_runs(capsys):
@@ -120,6 +144,19 @@ def test_emss_extra_factor(capsys):
     assert report["result"]["verdict"]["kind"] == "finite"
 
 
+def test_emss_is_finite_only_when_the_window_holds_every_survivor(capsys):
+    # the survivors 1, s⁻¹x4 times 1, e30 reach degree 33, past the default 0:32
+    argv = ["emss", "--d", "4", "--top", "s7", "--hopf", "1", "--extra", "s30"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["totalDims"] == {"0": 1, "3": 1, "30": 1}
+    assert result["verdict"] == {"kind": "unknown"}
+    code, out = run(capsys, *argv, "--window", "0:60")
+    assert json.loads(out)["result"]["verdict"] == {
+        "kind": "finite", "total": 4, "dims": {"0": 1, "3": 1, "30": 1, "33": 1}}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["emss", "--d", "4", "--top", "foo"], "unknown top space 'foo'"),
     (["emss", "--d", "4", "--extra", "foo"], "unknown extra factor 'foo'"),
@@ -146,6 +183,21 @@ def test_p_tower_and_pile(capsys):
     code, out = run(capsys, "pile", "--stages", "2", "--odd-spheres", "1")
     assert code == 0
     assert json.loads(out)["result"]["levelUpperBound"] == 3
+
+
+def test_pile_label_budget(capsys):
+    # 2 stages over 12 odd spheres list (1 + 2 + 3)·2^12 labels, within the budget
+    code, out = run(capsys, "pile", "--stages", "2", "--odd-spheres", "12")
+    assert code == 0
+    assert sum(map(len, json.loads(out)["result"]["stages"])) == 24_576 <= PILE_LABEL_BUDGET
+    # 20,000 stages would list about 2·10^8; refused before anything is built
+    start = time.perf_counter()
+    code, out = run(capsys, "pile", "--stages", "20000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "budget-exceeded"
+    assert f"more than {PILE_LABEL_BUDGET}" in error["message"]
 
 
 # sha256 of `p-tower --l l --report all` stdout for d = 3…6, recorded before
@@ -280,6 +332,15 @@ def test_hopf_of_sphere_dimension_one_is_domain_error(tmp_path):
                                         "message": "sphere dimension must exceed 1"}
 
 
+def test_decompose_runs_the_matching_search_once(capsys, monkeypatch):
+    calls = []
+    search = spheres.all_matchings
+    monkeypatch.setattr(spheres, "all_matchings", lambda *a: calls.append(a) or search(*a))
+    code, out = run(capsys, "decompose", "--d", "4", "--dims", "0:1,3:1,7:1,10:1")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["result"]["level"] == {"kind": "interval", "lo": 2, "hi": 3}
+
+
 def test_domain_error_exit_code(capsys):
     code, out = run(capsys, "decompose", "--d", "4", "--dims", "0:1,1:1")
     assert code == 1
@@ -403,6 +464,7 @@ WINDOW = fuzz(st.tuples(st.integers(-4, 12), st.integers(-4, 12)).map(
 DIMS = fuzz(st.lists(st.tuples(st.integers(-3, 12), st.integers(-1, 2)), max_size=4).map(
     lambda ps: ",".join(f"{n}:{m}" for n, m in ps)))
 FIELD = fuzz(st.sampled_from(["q", "f2", "f3", "f5", "F7", "f0", "f1", "f4", "f-3", "f", "x"]))
+SPACE = fuzz(st.sampled_from(["point", "s3", "s7", "S5", "s30", "s1", "s0", "s", "k"]))
 GENS = fuzz(st.lists(st.integers(-2, 9), max_size=3).map(lambda gs: ",".join(map(str, gs))))
 
 FUZZ_COMMANDS = {
@@ -410,7 +472,8 @@ FUZZ_COMMANDS = {
     "level": {"--d": SMALL, "--dims": DIMS},
     "tor": {"--d": SMALL, "--window": WINDOW, "--field": FIELD},
     "phi": {"--d": SMALL, "--window": WINDOW, "--field": FIELD},
-    "emss": {"--d": SMALL, "--window": WINDOW, "--field": FIELD},
+    "emss": {"--d": SMALL, "--window": WINDOW, "--field": FIELD, "--top": SPACE,
+             "--hopf": SMALL, "--extra": SPACE},
     "molecule": {"--d": SMALL, "--l": SMALL, "--m": SMALL, "--field": FIELD},
     "bundle-level": {"--gens": GENS, "--field": FIELD},
     "pile": {"--stages": SMALL, "--odd-spheres": SMALL},

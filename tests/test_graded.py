@@ -133,7 +133,7 @@ def greedy_cohomology(cx):
     not in the span of the coboundaries and the vectors kept before it."""
     f = cx.field
     dims, reps = {}, {}
-    for n in cx.degrees():
+    for n in cx.space.degrees():
         if not cx.certifiable(n):
             continue
         dim_n = cx.dim(n)

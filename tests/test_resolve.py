@@ -15,7 +15,7 @@ from dglevels.errors import (
     StrategyInapplicable,
 )
 from dglevels.field import QQ, GF2, GF3
-from dglevels.graded import DegreeWindow
+from dglevels.graded import CochainComplex, DegreeWindow, GradedVectorSpace
 from dglevels.module import DGModulePresentation, shift
 from dglevels.rational import sphere_model
 from dglevels.resolve import (
@@ -319,9 +319,8 @@ def test_strategy_guard():
         derived_tensor(residue_module(A), residue_module(A), strategy="nonsense",
                        window=DegreeWindow(0, 24))
     # Koszul requires a trivial (or free) module
-    raw = DGModulePresentation.trivial(A)
-    cooked = shift(raw, 0)
-    assert derived_tensor(cooked, raw, strategy="koszul", window=DegreeWindow(0, 24)).dims[0] == 1
+    K = DGModulePresentation.trivial(A)
+    assert derived_tensor(K, K, strategy="koszul", window=DegreeWindow(0, 24)).dims[0] == 1
 
 
 def test_koszul_strategy_takes_a_free_module_as_its_own_resolution():
@@ -414,6 +413,28 @@ def test_phi_shift_invariance():
         a = phi(chain_module(4, 2))
         b = phi(shift(chain_module(4, 2), k))
         assert a.total == b.total
+
+
+def test_bounded_tor_is_finite_only_when_the_window_holds_its_support():
+    # Tor of K over K[x20] is K in degrees 0 and 19; the window -1:16 cuts 19
+    K = residue_module(DGAlgebraPresentation.polynomial(QQ, [("x", 20)]))
+    assert derived_tensor(K, K, "koszul", DegreeWindow(-1, 16)).verdict().kind == "unknown"
+    whole = derived_tensor(K, K, "koszul", DegreeWindow(0, 40)).verdict()
+    assert (whole.kind, whole.dims) == ("finite", ((0, 1), (19, 1)))
+    # phi's own window reaches the top Koszul degree
+    assert phi(K) == whole
+
+
+def test_no_automatic_strategy_is_bar():
+    A = sphere(4)
+    space = GradedVectorSpace(QQ, {0: ["a"], 4: ["b"]})
+    cases = [chain_module(4, 1), residue_module(A),
+             koszul_resolution_sphere(4, QQ, cap=12).module,
+             DGModulePresentation.raw(A, CochainComplex(space, {}), {"x4": {0: [[1]]}}),
+             DGModulePresentation.trivial(DGAlgebraPresentation(
+                 QQ, [Generator("a", 3, "exterior"), Generator("b", 5, "exterior")]))]
+    assert [auto_strategy(M) for M in cases] == ["given", KOSZUL, None, None, None]
+    assert all(phi(M).kind == "unknown" for M in cases[2:])
 
 
 def test_is_compact():

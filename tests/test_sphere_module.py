@@ -186,6 +186,26 @@ def test_block_guards():
         decompose_module(M, 5)
 
 
+@pytest.mark.parametrize("phi", [{2: {0: 1}}, {1: {5: 1}}, {-1: {-2: 1}}, {1.0: {0: 1}}],
+                         ids=["source past the end", "target past the end", "negative",
+                              "not an integer"])
+def test_block_indices_stay_inside_the_generators(phi):
+    # {-1: {-2: 1}} would wrap onto b → a and build Σ^{-3}Z_1 silently
+    with pytest.raises(PresentationError, match="outside 0..1") as info:
+        SphereModule(4, QQ, [("a", 0), ("b", 3)], phi=phi)
+    assert info.value.code == "invalid-presentation"
+
+
+def test_sphere_level_decomposes_a_sphere_module():
+    M = SphereModule(4, QQ, [("e0", -3), ("e1", 0), ("e2", 3)], phi={1: {0: 1}, 2: {1: 1}})
+    res = spheres.sphere_level(M, 4)
+    assert res.to_json() == {"kind": "exact", "level": 3}
+    assert res.decomposition.molecules == (MoleculeId(4, 3, 2),)
+    assert spheres.sphere_level(M.to_presentation(), 4) == res
+    with pytest.raises(PresentationError, match="does not live over"):
+        spheres.sphere_level(M, 5)
+
+
 # -- presentations and blocks -------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dglevels import resolve
 from dglevels.algebra import DGAlgebraPresentation
 from dglevels.errors import (
     BudgetExceeded,
@@ -522,6 +523,44 @@ def raw_expansion(module):
                 for t, c in exp.act_element(e, A.generator_poly(x.label)).items():
                     mat[exp.pos[t][1]][j] = c
     return DGModulePresentation.raw(A, exp.complex, {x.label: actions})
+
+
+def test_phi_resolves_only_what_can_certify(monkeypatch):
+    # a truncated free module, and a raw module with no Koszul resolution, have
+    # no resolution whose Tor could be finite or periodic: phi answers unknown
+    # with nothing built, and sphere_level keeps its answers
+    def refuse(*args, **kwargs):
+        raise AssertionError("phi built a resolution it cannot read")
+
+    monkeypatch.setattr(resolve, "bar_resolution", refuse)
+    monkeypatch.setattr(resolve, "derived_tensor", refuse)
+    truncated = koszul_resolution_sphere(4, QQ, cap=18).module
+    assert resolve.auto_strategy(truncated) is None and phi(truncated).kind == "unknown"
+    with pytest.raises(NotCompactlyDecomposable, match="truncated at degree 19 and phi"):
+        sphere_level(truncated, 4)
+    for mols, interval in (([(4, 3, 1), (4, 6, 1)], (2, 3)),
+                           ([(4, 3, 2), (4, 6, 3), (4, 10, 1)], (3, 4)),
+                           ([(3, 0, 4), (3, 5, 3)], (3, 5))):
+        raw = raw_expansion(direct_sum([molecule_model(MoleculeId(*m)) for m in mols]))
+        assert resolve.auto_strategy(raw) is None and phi(raw).kind == "unknown"
+        res = sphere_level(raw, mols[0][0])
+        assert (res.kind, res.lo, res.hi) == ("interval", *interval)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_k_has_infinite_level_over_every_sphere(d):
+    # phi's window holds three terms of the period, lowest shift first
+    period = 2 * (d - 1) if d % 2 == 0 else d - 1
+    res = sphere_level(DGModulePresentation.trivial(DGAlgebraPresentation.sphere_cohomology(d, QQ)), d)
+    assert res.kind == "infinite"
+    assert (res.certificate.period, res.certificate.witnesses[:3]) == (period, (0, period, 2 * period))
+
+
+def test_negative_multiplicities_are_refused():
+    for dims in ({0: -1, 7: -1}, {0: 1, 7: -1}):
+        with pytest.raises(PresentationError, match="negative multiplicity at degree") as info:
+            sphere_level(dims, 4)
+        assert info.value.code == "invalid-presentation"
 
 
 def test_sphere_level_interval_on_ambiguous_dims():
