@@ -217,13 +217,14 @@ def cmd_emss(args):
         n = _sphere_dimension(args.top)
         if n is None:
             raise DomainError(f"unknown top space {args.top!r}")
-        top[n] = 1
+        top[n] = top.get(n, 0) + 1      # S^0 has two classes in degree 0
     extra = None
     if args.extra:
         n = _sphere_dimension(args.extra)
         if n is None:
             raise DomainError(f"unknown extra factor {args.extra!r}")
-        extra = {0: 1, n: 1}
+        extra = {0: 1}
+        extra[n] = extra.get(n, 0) + 1
     spec = FibreSquareSpec.make(args.d, top, args.hopf, field, extra_dims=extra)
     page = install_d2(e2_page(spec, _window(args)))
     res = run_to_stable(page)

@@ -99,10 +99,7 @@ def _expand(dims_pairs, prefix):
     out = []
     for deg, mult in dims_pairs:
         for idx in range(mult):
-            if deg == 0:
-                label = "1"
-            else:
-                label = f"{prefix}{deg}" + (f"_{idx}" if mult > 1 else "")
+            label = (f"{prefix}{deg}" if deg else "1") + (f"_{idx}" if mult > 1 else "")
             out.append(((deg, idx), label))
     return out
 

@@ -60,7 +60,7 @@ from .field import QQ, coordinates, rank_and_kernel, solve
 from .graded import DegreeWindow, cohomology
 from .module import DGModulePresentation
 from .resolve import SemifreeFiltration, check_exterior_basis, filtration_class
-from .spheres import LevelResult, SphereModule, decompose_module
+from .spheres import LevelResult, SphereModule, decompose_module, extension_module
 
 
 def sphere_model(d: int) -> DGAlgebraPresentation:
@@ -134,53 +134,14 @@ class TowerSpec:
         class in the derived category and so its level.  The push is an
         algebra map, so it is applied once to each D(w_k); D of a monomial
         w^S then follows from the Leibniz rule on S as a bit mask (see
-        `sphere_module`, whose blocks this presentation carries).
+        `extension_module`, whose blocks this presentation carries).
         """
         return self.sphere_module().to_presentation()
 
     def sphere_module(self) -> SphereModule:
-        """The blocks of `as_base_module`: D(w^S) = Σ_{k ∈ S} (-1)^{#S below k}
-        w^{S below k}·D̄(w_k)·w^{S above k}, with D̄(w_k) = Σ c·x^e·w^β the
-        pushed differential.  Every w_k is odd, so x^e moves to the right
-        past the prefix and w^β, and sorting the product of w's is a
-        permutation sign; a repeated w_k gives zero."""
-        n = len(self.generators)
-        check_exterior_basis(n, f"a tower with {n} extension generators")
-        bit = {label: k for k, (label, _, _) in enumerate(self.generators)}
-        pushed = []                 # per k: (e, β as a mask, bits of β, c)
-        for _, _, D in self.generators:
-            terms = []
-            for key, c in D.items():
-                e = key.count("x")  # x comes first in a key
-                if e > 1 or "ξ" in key:
-                    continue                # x² and ξ map to zero
-                bits = [bit[name] for name in key[e:]]
-                terms.append((e, sum(1 << j for j in bits), bits, c))
-            pushed.append(terms)
-        gens, delta, phi = [], {}, {}
-        for mask in range(1 << n):
-            word = [g for k, g in enumerate(self.generators) if mask >> k & 1]
-            gens.append(("·".join(label for label, _, _ in word) or "1",
-                         sum(deg for _, deg, _ in word)))
-            for k in range(n):
-                if not mask >> k & 1:
-                    continue
-                rest = mask ^ (1 << k)
-                below = rest & ((1 << k) - 1)
-                above = rest ^ below
-                lead = below.bit_count()
-                for e, beta, bits, c in pushed[k]:
-                    if beta & rest:
-                        continue
-                    target = rest | beta
-                    # the Leibniz sign, then the inversions of (below, β, above)
-                    sign = lead + sum((below >> b).bit_count() +
-                                      (above & ((1 << b) - 1)).bit_count() for b in bits)
-                    if e and self.d & 1:
-                        sign += lead + target.bit_count()
-                    col = (phi if e else delta).setdefault(mask, {})
-                    col[target] = col.get(target, 0) + (-c if sign & 1 else c)
-        return SphereModule(self.d, QQ, gens, delta, phi)
+        """The blocks of `as_base_module`, built by `extension_module`."""
+        return extension_module(self.d, QQ, self.generators,
+                                f"a tower with {len(self.generators)} extension generators")
 
     def auto_window(self) -> DegreeWindow:
         hi = sum(deg for _, deg, _ in self.generators) + 4 * self.d + 4

@@ -12,9 +12,10 @@ Module inputs are decomposed by the Jordan strings of their minimal model
 of generators has D = δ₀ + x·Φ with scalar matrices δ₀ (degree 1) and Φ
 (degree 1-d), and the level path builds every such module in this block
 form, as a `SphereModule` with sparse columns per degree: the molecule
-models, the towers of `rational` and the Koszul tensor of a bundle.  With
-coefficients on the right (the right-module rule of `module`), D(h·a) =
-D(h)·a since dA = 0, so
+models, and by one builder (`extension_module`) every extension of the
+sphere model by odd generators: the towers of `rational` and the model of a
+bundle over S^4 alike.  With coefficients on the right (the right-module
+rule of `module`), D(h·a) = D(h)·a since dA = 0, so
 
   D²(g) = δ₀²(g) + (Φδ₀ + δ₀Φ)(g)·x,
 
@@ -52,7 +53,7 @@ from .errors import (
 )
 from .field import FieldTag, QQ, _validate_entries, integer_row, rank, rank_and_kernel
 from .module import DGModulePresentation
-from .resolve import TorResult, koszul_resolution_poly, phi
+from .resolve import TorResult, check_exterior_basis, phi
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,24 @@ class QuiverComponent:
         return "\n".join(lines)
 
 
+# vertices `quiver_component` builds before it gives up; 100 × 100 takes a
+# third of a second as DOT, which labels every vertex
+QUIVER_VERTEX_BUDGET = 10_000
+
+
 def quiver_component(d: int, component: int, rows: int, cols: int) -> QuiverComponent:
     """Grid of the ZA∞ component: vertices Σ^{-l}Z_m with l ≡ component
     mod (d-1), arrows up-right Σ^{-l}Z_m → Σ^{-l-(d-1)}Z_{m+1} and down
     Σ^{-l}Z_m → Σ^{-l}Z_{m-1} (m >= 1, the same column); row translation is
-    Σ^{-(d-1)}."""
+    Σ^{-(d-1)}.  Raises BudgetExceeded before building more than
+    QUIVER_VERTEX_BUDGET vertices."""
     if not (0 <= component <= d - 2):
         raise PresentationError(f"component must lie in [0, {d - 2}]")
     if rows < 1 or cols < 1:
         raise PresentationError("rows and cols must be positive")
+    if rows * cols > QUIVER_VERTEX_BUDGET:
+        raise BudgetExceeded(f"a {rows} × {cols} quiver grid has {rows * cols} vertices, "
+                             f"more than {QUIVER_VERTEX_BUDGET}")
     vertices = []
     for m in range(rows):
         row = [MoleculeId(d, component + k * (d - 1), m) for k in range(cols)]
@@ -231,33 +241,45 @@ MATCHING_BUDGET = 100_000
 def all_matchings(dims, d):
     """Every perfect matching of the degree multiset into molecule pairs.
 
-    Raises BudgetExceeded instead of listing more than MATCHING_BUDGET.
+    The lowest class left is paired with each distinct valid partner in
+    increasing degree, depth first, on an explicit stack (a table may hold
+    thousands of pairs).  Raises BudgetExceeded instead of listing more than
+    MATCHING_BUDGET.
     """
-    degrees = []
-    for n in sorted(dims):
-        degrees.extend([n] * dims[n])
-    valid = {(a, b) for a in dims for b in dims if _pair_valid(a, b, d)}
-    out = []
+    degrees = sorted(n for n in dims if dims[n])
+    left = {n: dims[n] for n in degrees}
+    partners = {a: [b for b in degrees if _pair_valid(a, b, d)] for a in degrees}
+    out, acc, stack = [], [], []    # len(acc) == len(stack) - 1 between steps
 
-    def search(remaining, acc):
-        if not remaining:
-            if len(out) == MATCHING_BUDGET:
-                raise BudgetExceeded(
-                    f"the degree table has more than {MATCHING_BUDGET} matchings "
-                    "into molecule pairs")
-            out.append(acc)
-            return
-        a = remaining[0]
-        prev = None
-        for i in range(1, len(remaining)):
-            b = remaining[i]
-            if b == prev:       # the degrees are sorted: equal partners are adjacent
-                continue
-            prev = b
-            if (a, b) in valid:
-                search(remaining[1:i] + remaining[i + 1:], acc + ((a, b),))
+    def extend():
+        """Open a frame on the lowest class left, or record a full matching."""
+        for a in degrees:
+            if left[a]:
+                left[a] -= 1
+                stack.append((a, iter(partners[a])))
+                return True
+        if len(out) == MATCHING_BUDGET:
+            raise BudgetExceeded(f"the degree table has more than {MATCHING_BUDGET} matchings "
+                                 "into molecule pairs")
+        out.append(tuple(acc))
+        return False
 
-    search(degrees, ())
+    extend()
+    while stack:
+        a, options = stack[-1]
+        for b in options:
+            if left[b]:
+                left[b] -= 1
+                acc.append((a, b))
+                break
+        else:               # every partner of this a is tried: give it back
+            stack.pop()
+            left[a] += 1
+            if stack:       # and undo the pair that opened its frame
+                left[acc.pop()[1]] += 1
+            continue
+        if not extend():    # a matching is recorded: undo its last pair
+            left[acc.pop()[1]] += 1
     return out
 
 
@@ -622,8 +644,55 @@ def _level_of(molecules) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bundle pipelines
+# Extensions of the sphere model: towers and bundles
 # ---------------------------------------------------------------------------
+
+
+def extension_module(d: int, field: FieldTag, generators, what: str) -> SphereModule:
+    """An extension of the model of S^d by exterior generators w_k, given as
+    `TowerSpec.generators`, as a free module over H*(S^d) on the square-free
+    monomials w^S.  Each D(w_k) is pushed onto H*(S^d) once (ξ, x² ↦ 0), to
+    D̄(w_k) = Σ c·x^e·w^β, and D(w^S) = Σ_{k ∈ S} (-1)^{#S below k}
+    w^{S below k}·D̄(w_k)·w^{S above k}.  Every w_k is odd, so x^e moves to
+    the right past the prefix and w^β, and sorting the product of w's is a
+    permutation sign (every bit of β lies below k); a repeated w_k gives
+    zero.  Callers pass an even w_k only over F_2, where every sign is +1.
+    ``what`` names the listing when its 2^n products pass the budget."""
+    n = len(generators)
+    check_exterior_basis(n, what)
+    bit = {label: k for k, (label, _, _) in enumerate(generators)}
+    pushed = []                 # per k: (e, β as a mask, bits of β, c)
+    for _, _, D in generators:
+        terms = []
+        for key, c in D.items():
+            e = key.count("x")  # x comes first in a key
+            if e > 1 or "ξ" in key:
+                continue                # x² and ξ map to zero
+            bits = [bit[name] for name in key[e:]]
+            terms.append((e, sum(1 << j for j in bits), bits, c))
+        pushed.append(terms)
+    gens, delta, phi = [], {}, {}
+    for mask in range(1 << n):
+        word = [g for k, g in enumerate(generators) if mask >> k & 1]
+        gens.append(("·".join(label for label, _, _ in word) or "1",
+                     sum(deg for _, deg, _ in word)))
+        for k in range(n):
+            if not mask >> k & 1:
+                continue
+            rest = mask ^ (1 << k)
+            below = rest & ((1 << k) - 1)
+            lead = below.bit_count()
+            for e, beta, bits, c in pushed[k]:
+                if beta & rest:
+                    continue
+                target = rest | beta
+                # the Leibniz sign, then the inversions of (below, β)
+                sign = lead + sum((below >> b).bit_count() for b in bits)
+                if e and d & 1:
+                    sign += lead + target.bit_count()
+                col = (phi if e else delta).setdefault(mask, {})
+                col[target] = col.get(target, 0) + (-c if sign & 1 else c)
+    return SphereModule(d, field, gens, delta, phi)
 
 
 def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag,
@@ -632,12 +701,12 @@ def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag,
     a space with polynomial cohomology P = K[y_1, ..., y_n] on the given
     generator degrees.
 
-    The derived tensor K ⊗^L_P H*(S^4) is built once: the Koszul resolution
-    of K over P, checked by its constructor, tensored down along the
-    classifying map.  A coefficient that is the first generator y₄ alone
-    becomes the sphere class x when f4_nonzero; every other one dies for
-    degree reasons.  The molecules are the Jordan strings of this free
-    module over H*(S^4), Tor is their cohomology, and both are checked
+    Over the K-formal base the total space has the model of S^4 extended by
+    one generator a_j of degree g_j - 1 per y_j, with D(a_1) = x when
+    f4_nonzero (y₄ acts as the sphere class) and every other D zero: the
+    Koszul complex of K over P, tensored down along the classifying map.
+    `extension_module` builds it as blocks over H*(S^4); the molecules are
+    its Jordan strings, Tor is their cohomology, and both are checked
     against closed forms (`_checked_tor`).
     """
     poly_gens = list(poly_gens)
@@ -653,12 +722,10 @@ def bundle_level(poly_gens, f4_nonzero: bool, field: FieldTag,
     for i, g in enumerate(poly_gens):     # Generator checks the degree, naming y_g
         Generator(f"y{g}_{i}" if poly_gens.count(g) > 1 else f"y{g}", g, POLYNOMIAL)
 
-    F = koszul_resolution_poly(poly_gens, field).module
-    index = {label: i for i, (label, _) in enumerate(F.generators)}
-    y4 = (1,) + (0,) * (len(poly_gens) - 1)
-    phi = {index[src]: {index[tgt]: poly[y4] for tgt, poly in terms.items() if y4 in poly}
-           for src, terms in F.differential.items()} if f4_nonzero else {}
-    dec = decompose_module(SphereModule(4, field, F.generators, phi=phi), 4)
+    gens = [(f"a{j + 1}", g - 1, {("x",): 1} if f4_nonzero and not j else {})
+            for j, g in enumerate(poly_gens)]
+    dec = decompose_module(extension_module(
+        4, field, gens, f"the Koszul complex over {len(gens)} polynomial generators"), 4)
     return dec.level(), dec, _checked_tor(dec, poly_gens, f4_nonzero)
 
 

@@ -78,6 +78,18 @@ def test_quiver_dot(capsys):
     assert "one of 3 components" in out
 
 
+def test_quiver_past_its_vertex_budget_is_refused_before_it_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(spheres, "MoleculeId", None)    # nothing may be built
+    for rows, cols in (("101", "100"), ("1000", "1000"), ("3000", "3000")):
+        code, out = run(capsys, "quiver", "--d", "4", "--rows", rows, "--cols", cols,
+                        "--format", "dot")
+        assert code == 1
+        n = int(rows) * int(cols)
+        assert json.loads(out) == {"error": {
+            "code": "budget-exceeded",
+            "message": f"a {rows} × {cols} quiver grid has {n} vertices, more than 10000"}}
+
+
 def test_quiver_json(capsys):
     code, out = run(capsys, "quiver", "--d", "4", "--rows", "2", "--cols", "2")
     assert code == 0
@@ -155,6 +167,26 @@ def test_emss_is_finite_only_when_the_window_holds_every_survivor(capsys):
     code, out = run(capsys, *argv, "--window", "0:60")
     assert json.loads(out)["result"]["verdict"] == {
         "kind": "finite", "total": 4, "dims": {"0": 1, "3": 1, "30": 1, "33": 1}}
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+@pytest.mark.parametrize("field", ["q", "f2"])
+def test_emss_counts_both_classes_of_s0(capsys, d, field):
+    # S^0 is two points: K ⊕ K in degree 0, as `tor --module s0` reads it
+    window = ["--window", "0:30", "--field", field]
+    code, out = run(capsys, "tor", "--d", str(d), "--module", "s0", *window)
+    assert code == 0
+    tor = json.loads(out)["result"]
+    horizon = min(tor["certifiedThrough"], 29)     # the EMSS certifies through hi - 1
+    certified = {n: v for n, v in tor["tor"].items() if int(n) <= horizon}
+    assert set(certified.values()) == {2}
+    for flag in ("--top", "--extra"):
+        code, out = run(capsys, "emss", "--d", str(d), flag, "s0", *window)
+        assert code == 0
+        totals = json.loads(out)["result"]["totalDims"]
+        assert {n: v for n, v in totals.items() if int(n) <= horizon} == certified, flag
+    code, out = run(capsys, "emss", "--d", "4", "--top", "s7", "--hopf", "1", "--extra", "s0")
+    assert json.loads(out)["result"]["totalDims"] == {"0": 2, "3": 2}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -369,6 +401,13 @@ def test_bar_word_budget_is_domain_error(capsys):
     assert f"more than {BAR_WORD_BUDGET} bar words" in error["message"]
 
 
+EXTERIOR_LISTINGS = {
+    "p-tower": "a tower with 30 extension generators would list 2^30",
+    "bundle-level": "the Koszul complex over 14 polynomial generators would list 2^14",
+    "pile": "a pile over 13 extra odd spheres would list 2^13",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["p-tower", "--l", "30", "--d", "3"],
     ["bundle-level", "--gens", ",".join(map(str, range(4, 31, 2)))],   # 14 generators
@@ -383,7 +422,8 @@ def test_exterior_basis_budget_is_domain_error(capsys, argv):
     assert code == 1
     error = json.loads(out)["error"]
     assert error["code"] == "budget-exceeded"
-    assert f"more than {EXTERIOR_BASIS_BUDGET}" in error["message"]
+    assert error["message"] == (f"{EXTERIOR_LISTINGS[argv[0]]} exterior products, "
+                                f"more than {EXTERIOR_BASIS_BUDGET}")
 
 
 def test_exterior_basis_budget_boundary():
@@ -442,6 +482,19 @@ def test_malformed_window_env_is_domain_error(capsys, monkeypatch):
     assert error["message"] == "window 'abc' is not of the form lo:hi"
 
 
+@pytest.mark.parametrize("command, dims", [("decompose", "0:1200,7:1200"),
+                                           ("level", "0:5000,7:5000")])
+def test_tables_of_thousands_of_pairs_answer(command, dims, capsys):
+    code, out = run(capsys, command, "--d", "4", "--dims", dims)
+    assert code == 0
+    result = json.loads(out)["result"]
+    if command == "level":
+        result = result["decomposition"] | {"level": result}
+    pairs = int(dims.split(":")[-1])
+    assert result["molecules"] == [{"d": 4, "l": 3, "m": 1, "name": "Σ^{-3}Z_1"}] * pairs
+    assert result["alternatives"] == [] and result["level"]["level"] == 2
+
+
 @pytest.mark.parametrize("command", ["decompose", "level"])
 def test_sphere_dimension_one_is_domain_error(command, capsys):
     code, out = run(capsys, command, "--d", "1", "--dims", "0:1,1:1")
@@ -461,8 +514,13 @@ def fuzz(valid):
 SMALL = fuzz(st.integers(-3, 9).map(str))
 WINDOW = fuzz(st.tuples(st.integers(-4, 12), st.integers(-4, 12)).map(
     lambda t: f"{t[0]}:{t[1]}"))
-DIMS = fuzz(st.lists(st.tuples(st.integers(-3, 12), st.integers(-1, 2)), max_size=4).map(
-    lambda ps: ",".join(f"{n}:{m}" for n, m in ps)))
+# sometimes two degrees of thousands of classes each: more pairs than Python
+# allows recursive frames, yet at most one path through the matching search
+DIMS = fuzz(st.one_of(
+    st.tuples(st.integers(-3, 12), st.integers(0, 15), st.integers(1000, 5000)).map(
+        lambda t: [(t[0], t[2]), (t[0] + t[1], t[2])]),
+    *[st.lists(st.tuples(st.integers(-3, 12), st.integers(-1, 2)), max_size=4)] * 2,
+).map(lambda ps: ",".join(f"{n}:{m}" for n, m in ps)))
 FIELD = fuzz(st.sampled_from(["q", "f2", "f3", "f5", "F7", "f0", "f1", "f4", "f-3", "f", "x"]))
 SPACE = fuzz(st.sampled_from(["point", "s3", "s7", "S5", "s30", "s1", "s0", "s", "k"]))
 GENS = fuzz(st.lists(st.integers(-2, 9), max_size=3).map(lambda gs: ",".join(map(str, gs))))
@@ -522,6 +580,12 @@ def check_exits_cleanly(argv):
 @given(fuzzed_argv())
 def test_fuzzed_arguments_exit_cleanly(argv):
     check_exits_cleanly(argv)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["decompose", "level"]), fuzz(st.integers(2, 6).map(str)), DIMS)
+def test_fuzzed_dimension_tables_exit_cleanly(command, d, dims):
+    check_exits_cleanly([command, "--d", d, "--dims", dims])
 
 
 # -- one parser per process ------------------------------------------------------

@@ -14,7 +14,7 @@ from dglevels.errors import (
     WrongTargetCohomology,
 )
 from dglevels import rational
-from dglevels.field import QQ, coordinates, rank_and_kernel
+from dglevels.field import QQ, FieldTag, coordinates, rank_and_kernel
 from dglevels.graded import DegreeWindow, cohomology
 from dglevels.module import DGModulePresentation
 from dglevels.rational import (
@@ -26,6 +26,7 @@ from dglevels.rational import (
     tower_level_bounds,
 )
 from dglevels.resolve import filtration_class, level_upper_bound
+from dglevels.spheres import decompose_module, extension_module
 
 
 def acyclic_closure_model(d=4):
@@ -140,6 +141,28 @@ def test_tower_level_table(l, d, level):
     res = tower_level_bounds(build_P_tower(l, d))
     assert res.kind == "exact"
     assert res.value == level
+
+
+# the levels of build_P_tower(l, d) over Q, F_2, F_3, F_5, F_7 and F_11: in
+# characteristic p <= l the Jordan type of Λ^k of a Jordan block changes
+CHARACTERISTIC_LEVELS = {
+    (4, 3): (5, 4, 5, 5, 5, 5),
+    (5, 3): (7, 7, 7, 5, 7, 7),
+    (6, 3): (10, 8, 9, 10, 7, 10),
+    (7, 3): (13, 8, 9, 13, 7, 11),
+    (5, 4): (10, 8, 10, 10, 10, 10),
+    (6, 4): (14, 14, 14, 10, 14, 14),
+    (7, 4): (20, 16, 18, 20, 14, 20),
+}
+
+
+@pytest.mark.parametrize("l, d", sorted(CHARACTERISTIC_LEVELS))
+def test_tower_levels_by_characteristic(l, d):
+    # one call of the extension builder per field, on the tower's own triples
+    gens = build_P_tower(l, d).generators
+    levels = tuple(decompose_module(extension_module(d, FieldTag(p), gens, "a tower"), d).level()
+                   for p in (0, 2, 3, 5, 7, 11))
+    assert levels == CHARACTERISTIC_LEVELS[l, d]
 
 
 def fibre_product_tower(l, d=3):

@@ -220,34 +220,39 @@ def test_presentation_round_trip(field, d, strings, pieces, seed):
 
 
 def test_level_pipelines_decompose_blocks(monkeypatch):
-    # towers and bundles hand the engine a SphereModule and never build a
-    # presentation of the module they decompose; a bundle builds its derived
-    # tensor once, from one Koszul resolution, and never runs the generic one
-    seen, resolutions = [], []
-    engine, koszul = spheres.decompose_module, spheres.koszul_resolution_poly
+    # towers and bundles each call the one extension builder once and hand
+    # the engine its SphereModule; neither builds a presentation, a Koszul
+    # resolution or a derived tensor
+    seen, built = [], []
+    engine, builder = spheres.decompose_module, spheres.extension_module
 
     def spy(module, d):
         seen.append(type(module))
         return engine(module, d)
 
-    def koszul_spy(degrees, field):
-        resolutions.append(list(degrees))
-        return koszul(degrees, field)
+    def builder_spy(d, field, generators, what):
+        built.append((d, field, [label for label, _, _ in generators]))
+        return builder(d, field, generators, what)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a presentation was built or a generic tensor run")
 
-    monkeypatch.setattr(spheres, "decompose_module", spy)
-    monkeypatch.setattr(rational, "decompose_module", spy)
-    monkeypatch.setattr(spheres, "koszul_resolution_poly", koszul_spy)
+    tower = build_P_tower(3, 4)
+    for mod in (spheres, rational):
+        monkeypatch.setattr(mod, "decompose_module", spy)
+        monkeypatch.setattr(mod, "extension_module", builder_spy)
+    for cls in (DGAlgebraPresentation, DGModulePresentation):
+        monkeypatch.setattr(cls, "__init__", refuse)
     monkeypatch.setattr(SphereModule, "to_presentation", refuse)
     monkeypatch.setattr(SphereModule, "from_presentation", refuse)
     monkeypatch.setattr(resolve, "derived_tensor", refuse)
+    monkeypatch.setattr(resolve, "koszul_resolution_poly", refuse)
     assert not hasattr(spheres, "derived_tensor")
-    assert tower_level_bounds(build_P_tower(3, 4)).value == 4
+    assert not hasattr(spheres, "koszul_resolution_poly")
+    assert tower_level_bounds(tower).value == 4
     assert bundle_level([4, 6, 8], True, QQ)[0] == 2
     assert seen == [SphereModule, SphereModule]
-    assert resolutions == [[4, 6, 8]]
+    assert built == [(4, QQ, ["ρ", "w0", "w1"]), (4, QQ, ["a1", "a2", "a3"])]
 
 
 # -- the Jordan engine under shift and direct sum -----------------------------------------

@@ -27,14 +27,17 @@ from dglevels.resolve import (
     derived_tensor,
     filtration_class,
     generator_depth_filtration,
+    koszul_resolution_poly,
     koszul_resolution_sphere,
     level_upper_bound,
     phi,
 )
 from dglevels.spheres import (
     MATCHING_BUDGET,
+    QUIVER_VERTEX_BUDGET,
     Decomposition,
     MoleculeId,
+    SphereModule,
     _checked_tor,
     all_matchings,
     bundle_level,
@@ -148,6 +151,15 @@ def test_quiver_meshes_close(d, field):
         C = cone(f_map, molecule_model(src, field),
                  direct_sum([molecule_model(t, field) for t in middle]))
         assert decompose_module(C, d).molecules == (MoleculeId(d, d - 1, m),)
+
+
+def test_quiver_grid_stops_at_its_budget():
+    assert QUIVER_VERTEX_BUDGET == 10_000
+    assert len(quiver_component(4, 0, 100, 100).vertices) == 100
+    for rows, cols in ((100, 101), (1, 10_001), (10**9, 10**9)):
+        with pytest.raises(BudgetExceeded, match=f"a {rows} × {cols} quiver grid has "
+                                                 f"{rows * cols} vertices, more than 10000"):
+            quiver_component(4, 0, rows, cols)
 
 
 def test_quiver_dot_output_shape():
@@ -312,6 +324,59 @@ def test_all_matchings_stops_at_its_budget():
     tower_5_3 = dict.fromkeys([0, 3, 31, 42, 64, 68, 75, 79, 99, 103, 110, 114,
                                136, 147, 175, 178], 1)
     assert len(all_matchings(tower_5_3, 3)) == 40320 < MATCHING_BUDGET
+
+
+def recursive_matchings(dims, d):
+    """The recursive listing `all_matchings` replaced, kept as its reference:
+    the lowest class left pairs with each distinct valid partner in turn."""
+    degrees = []
+    for n in sorted(dims):
+        degrees.extend([n] * dims[n])
+    out = []
+
+    def search(remaining, acc):
+        if not remaining:
+            if len(out) == MATCHING_BUDGET:
+                raise BudgetExceeded("over budget")
+            out.append(acc)
+            return
+        a, prev = remaining[0], None
+        for i in range(1, len(remaining)):
+            b = remaining[i]
+            if b != prev and b - a >= d and (b - a - d) % (d - 1) == 0:
+                search(remaining[1:i] + remaining[i + 1:], acc + ((a, b),))
+            prev = b
+
+    search(degrees, ())
+    return out
+
+
+def matchings_or_budget(search, dims, d):
+    try:
+        return search(dims, d)
+    except BudgetExceeded:
+        return "budget-exceeded"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 6), st.dictionaries(st.integers(-6, 24), st.integers(0, 3), max_size=5))
+def test_all_matchings_lists_what_the_recursive_search_lists(d, dims):
+    # the same matchings in the same order, hence the same default and the
+    # same order of alternatives in every decompose payload
+    assert matchings_or_budget(all_matchings, dims, d) == \
+        matchings_or_budget(recursive_matchings, dims, d)
+
+
+def test_a_table_of_thousands_of_pairs_is_matched():
+    # one pair per molecule: more pairs than Python's recursion limit allows
+    # frames, and the one matching is 1,200 copies of Σ^{-3}Z_1
+    dec = decompose({0: 1200, 7: 1200}, 4)
+    assert dec.molecules == (MoleculeId(4, 3, 1),) * 1200
+    assert dec.matching == ((0, 7),) * 1200 and not dec.ambiguous
+    assert dec.level_result().to_json() == {"kind": "exact", "level": 2}
+    assert sphere_level({0: 5000, 7: 5000}, 4).value == 2
+    with pytest.raises(NoValidMatching):
+        decompose({0: 3000, 7: 2000}, 4)
 
 
 def test_decompose_rejects_sphere_dimension_one():
@@ -735,6 +800,29 @@ def test_bundle_tor_matches_the_generic_koszul_route():
             tor = derived_tensor(K, sphere_over(P, f4), strategy="koszul",
                                  window=DegreeWindow(0, sum(gens) + 4))
             assert tor.bounded and dims == tor.dims, (gens, f4, field)
+
+
+def koszul_tensor_down(gens, f4_nonzero, field):
+    """The bundle's module by the Koszul route `bundle_level` once took: the
+    Koszul resolution of K over P, tensored down to H*(S^4), where a
+    coefficient that is y₄ alone becomes x when y₄ acts and any other dies."""
+    F = koszul_resolution_poly(gens, field).module
+    index = {label: i for i, (label, _) in enumerate(F.generators)}
+    y4 = (1,) + (0,) * (len(gens) - 1)
+    phi = {index[src]: {index[tgt]: poly[y4] for tgt, poly in terms.items() if y4 in poly}
+           for src, terms in F.differential.items()} if f4_nonzero else {}
+    return SphereModule(4, field, F.generators, phi=phi)
+
+
+def test_bundle_molecules_match_the_koszul_tensor_down():
+    grid = [(gens, field) for gens in BUNDLE_GENS for field in (QQ, GF2, GF3, GF5)]
+    grid += [(gens, GF2) for gens in ODD_BUNDLE_GENS]
+    for gens, field in grid:
+        odd = any(g % 2 for g in gens)
+        for f4 in (True, False) if gens[0] == 4 else (False,):
+            _, dec, _ = bundle_level(gens, f4, field, formalizable_declared=odd)
+            want = decompose_module(koszul_tensor_down(gens, f4, field), 4).molecules
+            assert dec.molecules == want, (gens, f4, field)
 
 
 def test_the_closed_form_tor_check_refuses_wrong_molecules():
