@@ -13,19 +13,22 @@ Hom complex, a derived tensor product) is built by :func:`assemble` from an
 ordered basis per degree, its labels, and a column rule that lists d(e) as
 (target, scalar) pairs.  ``CochainComplex.column`` reads d(e) back sparsely.
 
-Cohomology comes two ways.  :func:`cohomology_dims` gives dimensions only,
-dim C^n - rank d^n - rank d^{n-1}, ranking each differential once by forward
-elimination; use it whenever only the numbers are read (Tor, module
-cohomology).  :func:`cohomology` also returns cocycle representatives, at the
-price of a kernel basis and a second reduction per degree; use it only where
-the classes themselves are used (H^0 of an endomorphism complex, reading a
-class off a chosen basis).
+Cohomology is read only in certified degrees, which form one range,
+``CochainComplex.certified``, found once per call.  It comes two ways.
+:func:`cohomology_dims` gives dimensions only, dim C^n - rank d^n -
+rank d^{n-1}, ranking each differential once by forward elimination; use it
+whenever only the numbers are read (Tor, module cohomology).
+:func:`cohomology` also returns cocycle representatives, at the price of a
+kernel basis and a second reduction per degree; use it only where the
+classes themselves are used (H^0 of an endomorphism complex, reading a class
+off a chosen basis).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import inf
 
 from .errors import PresentationError
 from .field import FieldTag, integer_row, rank, rank_and_kernel, row_reduce
@@ -109,15 +112,16 @@ class CochainComplex:
 
     # -- knowledge bookkeeping ----------------------------------------------
 
-    def known(self, n: int) -> bool:
-        if self.truncated_above is not None and n >= self.truncated_above:
-            return False
-        if self.truncated_below is not None and n <= self.truncated_below:
-            return False
-        return True
-
-    def certifiable(self, n: int) -> bool:
-        return self.known(n - 1) and self.known(n) and self.known(n + 1)
+    def certified(self, window: DegreeWindow | None = None):
+        """The ends (lo, hi) of the certified degrees inside the window:
+        degrees n - 1, n, n + 1 are all known exactly when
+        truncated_below + 2 <= n <= truncated_above - 2."""
+        lo, hi = (window.lo, window.hi) if window is not None else (-inf, inf)
+        if self.truncated_below is not None:
+            lo = max(lo, self.truncated_below + 2)
+        if self.truncated_above is not None:
+            hi = min(hi, self.truncated_above - 2)
+        return lo, hi
 
     def dim(self, n: int) -> int:
         return self.space.dim(n)
@@ -151,33 +155,37 @@ class CochainComplex:
         """b∘a = 0 on each known pair: each column of a sums the sparse columns of b it hits."""
         rational = self.field.p == 0
         reduce = self.field.reduce
+        lo, hi = self.certified()
         for n in list(self.differential):
-            if n + 1 not in self.differential:
-                continue
-            if not (self.known(n) and self.known(n + 1) and self.known(n + 2)):
+            # both maps are known when the degree between them is certified
+            if n + 1 not in self.differential or not lo <= n + 1 <= hi:
                 continue
             a, b = self.differential[n], self.differential[n + 1]
-            if rational:
-                # rescaling the rows of b and the columns of a by nonzero
-                # rationals keeps the zero pattern of b∘a and makes it integral
-                b = [integer_row(row) for row in b]
+            # over Q each row of b and each column of a is made integral by a
+            # nonzero factor, which keeps the zero pattern of b∘a
             b_cols = [[] for _ in range(len(a))]
             for i, row in enumerate(b):
-                for k, x in enumerate(row):
-                    if x:
-                        b_cols[k].append((i, x))
-            for j in range(self.space.dim(n)):
-                col = [row[j] for row in a]
+                for k, x in _nonzero(row, rational):
+                    b_cols[k].append((i, x))
+            for j, col in enumerate(zip(*a)):
                 acc = {}
-                for k, y in enumerate(integer_row(col) if rational else col):
-                    if y:
-                        for i, x in b_cols[k]:
-                            acc[i] = acc[i] + x * y if i in acc else x * y
+                for k, y in _nonzero(col, rational):
+                    for i, x in b_cols[k]:
+                        acc[i] = acc[i] + x * y if i in acc else x * y
                 if any(map(reduce, acc.values())):
                     raise PresentationError(
                         f"d∘d ≠ 0 from degree {n} "
                         f"(source {self.space.labels(n)[j]!r})"
                     )
+
+
+def _nonzero(entries, rational):
+    """(index, entry) for the nonzero entries, over Q scaled to plain ints by
+    the lcm of their denominators (`integer_row`; zeros add none)."""
+    nz = [(k, x) for k, x in enumerate(entries) if x]
+    if rational:
+        return zip([k for k, _ in nz], integer_row([x for _, x in nz]))
+    return nz
 
 
 def assemble(field: FieldTag, elements, labels, column, truncated_above=None,
@@ -224,7 +232,7 @@ def mat_vec(mat, vector, field: FieldTag):
 
 
 def cohomology(cx: CochainComplex, window: DegreeWindow | None = None):
-    """Dimensions and representatives of H^n for every certifiable degree.
+    """Dimensions and representatives of H^n for every certified degree.
 
     dims[n] = dim ker(d^n) - rank(d^{n-1}); only nonzero entries appear.
     Representatives are cocycle vectors spanning a complement of the
@@ -232,10 +240,9 @@ def cohomology(cx: CochainComplex, window: DegreeWindow | None = None):
     """
     dims = {}
     reps = {}
+    lo, hi = cx.certified(window)
     for n in cx.space.degrees():
-        if window is not None and not window.contains(n):
-            continue
-        if not cx.certifiable(n):
+        if not lo <= n <= hi:
             continue
         d, r = _cohomology_at(cx, n)
         if d:
@@ -253,11 +260,10 @@ def cohomology_dims(cx: CochainComplex, window: DegreeWindow | None = None):
         return rank(cx.differential[n], cx.field) if n in cx.differential else 0
 
     dims = {}
+    lo, hi = cx.certified(window)
     for n in cx.space.degrees():
-        if (window is None or window.contains(n)) and cx.certifiable(n):
-            d = cx.space.dim(n) - rank_of(n) - rank_of(n - 1)
-            if d:
-                dims[n] = d
+        if lo <= n <= hi and (d := cx.space.dim(n) - rank_of(n) - rank_of(n - 1)):
+            dims[n] = d
     return dims
 
 

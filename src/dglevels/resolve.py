@@ -1,6 +1,11 @@
 """Semifree resolutions, derived tensor products, Tor, compactness verdicts
 and level bounds from filtration class.
 
+A resolution is a block sum of checked free modules (`Resolution`): a bar or
+given resolution is one block, a sum of shifts of K is one block per shift of
+a single checked Koszul resolution.  `derived_tensor` tensors it block by
+block, so no shifted copy is ever made.
+
 A truncated engine must never silently claim finiteness, so every total
 cohomology question is answered by a three-way verdict from one rule,
 `finiteness`:
@@ -23,6 +28,7 @@ intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import DGAlgebraPresentation, POLYNOMIAL
 from .errors import (
@@ -135,10 +141,22 @@ def periodic_witnesses(dims, period, horizon):
 
 @dataclass
 class Resolution:
-    """A semifree module with an augmentation to the resolved module."""
+    """A semifree module with an augmentation to the resolved module, kept as
+    blocks (checked free module, label prefix, degree offset), read as
+    `block_sum` reads them; ``module``, their sum, is built only when read."""
 
-    module: DGModulePresentation
-    period: int | None = None      # degree of the repeating block, if any
+    blocks: tuple
+    period: int | None             # degree of the repeating block, if any
+
+    @classmethod
+    def of(cls, module: DGModulePresentation, period: int | None = None) -> "Resolution":
+        return cls(((module, "", 0),), period)
+
+    @cached_property
+    def module(self) -> DGModulePresentation:
+        if len(self.blocks) == 1 and self.blocks[0][1:] == ("", 0):
+            return self.blocks[0][0]
+        return block_sum(self.blocks)
 
 
 def sphere_block_period(d: int) -> int:
@@ -187,8 +205,8 @@ def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution | None:
             if j:
                 diff[label] = {gens[-1][0]: xpoly}
             gens.append((label, j * (d - 1)))
-        return Resolution(DGModulePresentation.free(A, gens, diff, truncation_degree=cap + 1),
-                          sphere_block_period(d))
+        return Resolution.of(DGModulePresentation.free(A, gens, diff, truncation_degree=cap + 1),
+                             sphere_block_period(d))
     n = A.n
     check_exterior_basis(n, f"the Koszul complex over {n} polynomial generators")
     sx = [f"s⁻¹{g.label}" for g in A.generators]
@@ -204,7 +222,7 @@ def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution | None:
             parity += A.generators[j].degree - 1
         if terms:
             diff[label] = terms
-    return Resolution(DGModulePresentation.free(A, gens, diff))
+    return Resolution.of(DGModulePresentation.free(A, gens, diff))
 
 
 def koszul_resolution_sphere(d: int, field, cap: int | None = None) -> Resolution:
@@ -348,7 +366,7 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
                 diff[gen_label[(elem, slots)]] = terms
 
     mod = DGModulePresentation.free(algebra, gens, diff, truncation_degree=cap + 1)
-    return Resolution(mod)
+    return Resolution.of(mod)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +392,12 @@ def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow) -> Re
     if strategy == GIVEN:
         if not M.is_free:
             raise StrategyInapplicable("GivenResolution needs a free presentation")
-        return Resolution(M)
+        return Resolution.of(M)
     if strategy == KOSZUL:
         if not A.has_zero_differential():
             raise StrategyInapplicable("Koszul strategy needs a zero-differential algebra")
         if M.is_free:
-            return Resolution(M)
+            return Resolution.of(M)
         if not M.is_trivial():
             raise StrategyInapplicable(
                 "Koszul strategy resolves trivial modules (sums of shifts of K)")
@@ -387,19 +405,15 @@ def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow) -> Re
         res = _koszul(A, window.hi + 2 + sum(g.degree for g in A.generators))
         if res is None:
             raise StrategyInapplicable("no Koszul pattern for this algebra")
-        return _shifted_sum(res, M.shift_degrees(), A)
+        shifts = sorted(M.shift_degrees())
+        if not shifts:
+            return Resolution.of(DGModulePresentation.zero(A))
+        # Σ^{-s} of the one checked resolution per shift s, never copied
+        return Resolution(tuple((res.module, f"{k}⟨{s}⟩·", s) for k, s in enumerate(shifts)),
+                          res.period)
     if strategy == BAR:
         return bar_resolution(M, A, window=window)
     raise StrategyInapplicable(f"unknown strategy {strategy!r}")
-
-
-def _shifted_sum(res: Resolution, shifts, A) -> Resolution:
-    """The sum of the shifts Σ^{-s} of a checked resolution, built without a
-    recheck (`block_sum`)."""
-    if not shifts:
-        return Resolution(DGModulePresentation.zero(A))
-    return Resolution(block_sum([(res.module, f"{k}⟨{s}⟩·", s)
-                                 for k, s in enumerate(sorted(shifts))]), res.period)
 
 
 def residue_module(A: DGAlgebraPresentation) -> DGModulePresentation:
@@ -413,7 +427,6 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
     certified degree.  N is a bounded module presented with right actions and
     used on the left through graded commutativity."""
     res = _resolve(M, strategy, window)
-    F = res.module
     A = M.algebra
     f = A.field
     nexp = N.expand(N.default_window())
@@ -424,25 +437,32 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
         return TorResult(cx, {}, window.hi, res.period, True, strategy)
     n_lo = min(n_degrees)
 
+    # block k of the resolution contributes (k, g, b): its generator g in
+    # degree |g| + offset, labelled prefix + g, tensored with b in N
     n_key = {ne: str(ne) for es in nexp.elements.values() for ne in es}
     n_label = {ne: "⊗" + nexp.elem_label(ne) for ne in n_key}
+    prefix = [pre for _, pre, _ in res.blocks]
     elems = {}
-    for glabel, gdeg in F.generators:
-        for nd in n_degrees:
-            total = gdeg + nd
-            if window.lo <= total <= window.hi + 1:
-                elems.setdefault(total, []).extend((glabel, ne) for ne in nexp.elements[nd])
+    for k, (F, _, offset) in enumerate(res.blocks):
+        for glabel, gdeg in F.generators:
+            for nd in n_degrees:
+                total = gdeg + offset + nd
+                if window.lo <= total <= window.hi + 1:
+                    elems.setdefault(total, []).extend((k, glabel, ne)
+                                                       for ne in nexp.elements[nd])
     for n in elems:
-        elems[n].sort(key=lambda e: (e[0], n_key[e[1]]))
-    labels = {n: [g + n_label[ne] for g, ne in es] for n, es in elems.items()}
+        elems[n].sort(key=lambda e: (prefix[e[0]] + e[1], n_key[e[2]]))
+    labels = {n: [prefix[k] + g + n_label[ne] for k, g, ne in es] for n, es in elems.items()}
 
     acts = {}           # (element b of N, monomial a) -> a·b, once per call
 
     def column(n, e):
-        glabel, ne = e
+        k, glabel, ne = e
+        F, _, offset = res.blocks[k]
         nd, j = nexp.pos[ne]
         # D_F part: D(g) = Σ h·a ; (h·a)⊗b = h⊗(a·b), left action via
-        # graded commutativity a·b = (-1)^{|a||b|} b·a
+        # graded commutativity a·b = (-1)^{|a||b|} b·a; the block's offset
+        # adds the sign (-1)^offset of `block_sum`
         for h, a in F.differential.get(glabel, {}).items():
             for am, ac in a.items():
                 if (ne, am) not in acts:
@@ -450,29 +470,26 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
                     acts[ne, am] = [(t, -c if odd else c) for t, c in
                                     nexp.act_element(ne, {am: f.one()}).items()]
                 for tgt_ne, c in acts[ne, am]:
-                    yield (h, tgt_ne), ac * c
-        # N-differential part with the Koszul sign of |g|
-        odd = F.gen_degree[glabel] % 2
+                    yield (k, h, tgt_ne), -(ac * c) if offset % 2 else ac * c
+        # N-differential part with the Koszul sign of |g| + offset
+        odd = (F.gen_degree[glabel] + offset) % 2
         for i, c in nexp.complex.column(nd, j):
-            yield (glabel, nexp.elements[nd + 1][i]), -c if odd else c
+            yield (k, glabel, nexp.elements[nd + 1][i]), -c if odd else c
 
-    if F.truncation_degree is None:
+    truncs = [F.truncation_degree + offset for F, _, offset in res.blocks
+              if F.truncation_degree is not None]
+    if not truncs:
         # finite exactly when the window holds the tensor's whole support
         truncated_above = None
-        gdegs = [g for _, g in F.generators]
+        gdegs = [g + offset for F, _, offset in res.blocks for _, g in F.generators]
         bounded = not gdegs or (window.lo <= min(gdegs) + n_lo
                                 and max(gdegs) + n_degrees[-1] <= window.hi)
     else:
-        truncated_above = F.truncation_degree - 1 + n_lo
+        truncated_above = min(truncs) - 1 + n_lo
         bounded = False
     cx, _ = assemble(f, dict(sorted(elems.items())), labels, column, truncated_above)
-    # a certifiable degree n has n + 1 < truncated_above, so these dims stop
-    # at cert_hi already
-    dims = cohomology_dims(cx, window)
-    cert_hi = window.hi
-    if truncated_above is not None:
-        cert_hi = min(cert_hi, truncated_above - 2)
-    return TorResult(cx, dims, cert_hi, res.period, bounded, strategy)
+    return TorResult(cx, cohomology_dims(cx, window), cx.certified(window)[1], res.period,
+                     bounded, strategy)
 
 
 # ---------------------------------------------------------------------------

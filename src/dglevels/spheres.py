@@ -238,35 +238,50 @@ def _pair_valid(a, b, d):
 MATCHING_BUDGET = 100_000
 
 
-def all_matchings(dims, d):
-    """Every perfect matching of the degree multiset into molecule pairs.
+def all_matchings(dims, d, key=None):
+    """Every perfect matching of the degree multiset into molecule pairs, as
+    a list; with ``key``, a dict from each value of key(pairs) to the first
+    matching that gives it, which keeps only those matchings.
 
     The lowest class left is paired with each distinct valid partner in
     increasing degree, depth first, on an explicit stack (a table may hold
-    thousands of pairs).  Raises BudgetExceeded instead of listing more than
-    MATCHING_BUDGET.
+    thousands of pairs).  The counts left decide every completion, so a
+    vector of counts that once completed to no matching is skipped when it
+    comes up again.  Raises BudgetExceeded instead of finding more than
+    MATCHING_BUDGET, counting the ones ``key`` drops.
     """
     degrees = sorted(n for n in dims if dims[n])
     left = {n: dims[n] for n in degrees}
     partners = {a: [b for b in degrees if _pair_valid(a, b, d)] for a in degrees}
-    out, acc, stack = [], [], []    # len(acc) == len(stack) - 1 between steps
+    out, acc, stack = [] if key is None else {}, [], []   # len(acc) == len(stack) - 1
+    dead = set()                    # count vectors left that complete to no matching
+    found = 0
 
     def extend():
-        """Open a frame on the lowest class left, or record a full matching."""
+        """Open a frame on the lowest class left, or record a full matching;
+        False when no frame opened."""
+        nonlocal found
         for a in degrees:
             if left[a]:
+                counts = tuple(left.values())
+                if counts in dead:
+                    return False
                 left[a] -= 1
-                stack.append((a, iter(partners[a])))
+                stack.append((a, iter(partners[a]), counts, found))
                 return True
-        if len(out) == MATCHING_BUDGET:
+        if found == MATCHING_BUDGET:
             raise BudgetExceeded(f"the degree table has more than {MATCHING_BUDGET} matchings "
                                  "into molecule pairs")
-        out.append(tuple(acc))
+        found += 1
+        if key is None:
+            out.append(tuple(acc))
+        elif (k := key(acc)) not in out:
+            out[k] = tuple(acc)
         return False
 
     extend()
     while stack:
-        a, options = stack[-1]
+        a, options, counts, found_before = stack[-1]
         for b in options:
             if left[b]:
                 left[b] -= 1
@@ -275,10 +290,12 @@ def all_matchings(dims, d):
         else:               # every partner of this a is tried: give it back
             stack.pop()
             left[a] += 1
+            if found == found_before:
+                dead.add(counts)
             if stack:       # and undo the pair that opened its frame
                 left[acc.pop()[1]] += 1
             continue
-        if not extend():    # a matching is recorded: undo its last pair
+        if not extend():    # a matching is recorded or the rest is dead: undo the pair
             left[acc.pop()[1]] += 1
     return out
 
@@ -286,9 +303,10 @@ def all_matchings(dims, d):
 def decompose(dims, d: int) -> Decomposition:
     """Resolve a cohomology dimension table into a multiset of molecules.
 
-    All maximal matchings are computed; the default minimizes the maximal
-    height (then sorts lexicographically), and `ambiguous` flags everything
-    with more than one molecule multiset.
+    Every perfect matching is searched, keeping the first for each molecule
+    multiset; the default minimizes the maximal height (then sorts
+    lexicographically), and `ambiguous` flags everything with more than one
+    molecule multiset.
     """
     if d <= 1:
         raise PresentationError("sphere dimension must exceed 1")
@@ -298,19 +316,14 @@ def decompose(dims, d: int) -> Decomposition:
     dims = {n: v for n, v in dims.items() if v}
     if sum(dims.values()) % 2:
         raise NoValidMatching("odd total dimension cannot split into molecules")
-    matchings = all_matchings(dims, d)
-    if not matchings:
-        raise NoValidMatching(
-            f"dimension table {dims} is not a sum of molecule cohomologies over S^{d}")
-    # one entry per molecule multiset, as sorted (m, l) pairs, with the first
-    # matching that gives it
+    # each molecule multiset, as sorted (m, l) pairs, with the first matching
+    # that gives it
     pair_ml = {(a, b): ((b - a - d) // (d - 1), b - d)
                for a in dims for b in dims if _pair_valid(a, b, d)}
-    first = {}
-    for match in matchings:
-        key = tuple(sorted(map(pair_ml.__getitem__, match)))
-        if key not in first:
-            first[key] = match
+    first = all_matchings(dims, d, lambda pairs: tuple(sorted(map(pair_ml.__getitem__, pairs))))
+    if not first:
+        raise NoValidMatching(
+            f"dimension table {dims} is not a sum of molecule cohomologies over S^{d}")
     keys = sorted(first, key=lambda key: (key[-1][0] if key else -1, key))
     mols = {ml: MoleculeId(d, ml[1], ml[0]) for ml in pair_ml.values()}
     multisets = [tuple(map(mols.__getitem__, key)) for key in keys]

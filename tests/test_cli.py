@@ -373,6 +373,13 @@ def test_decompose_runs_the_matching_search_once(capsys, monkeypatch):
     assert json.loads(out)["result"]["level"] == {"kind": "interval", "lo": 2, "hi": 3}
 
 
+def test_a_table_with_no_matching_answers_within_a_second(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "decompose", "--d", "4", "--dims", "0:32,4:15,7:15")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and json.loads(out)["error"]["code"] == "no-valid-matching"
+
+
 def test_domain_error_exit_code(capsys):
     code, out = run(capsys, "decompose", "--d", "4", "--dims", "0:1,1:1")
     assert code == 1

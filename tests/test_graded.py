@@ -62,8 +62,9 @@ def test_certification_respects_truncation():
     space = GradedVectorSpace(QQ, {0: ["a"], 1: ["b"]})
     cx = CochainComplex(space, {}, truncated_above=2)
     assert cohomology(cx)[0] == {0: 1}
-    assert cx.certifiable(0)
-    assert not cx.certifiable(1) and not cx.certifiable(2)
+    # degree 1 is listed, but degree 2 past it is not known
+    assert cohomology(cx, DegreeWindow(1, 2)) == ({}, {})
+    assert cohomology_dims(cx) == {0: 1}
 
 
 def test_enlarging_window_is_stable():
@@ -128,13 +129,21 @@ def random_complexes(draw):
     return space, diff
 
 
+def certifiable(cx, n):
+    """The per-degree rule: degrees n - 1, n and n + 1 are all known, that is
+    below ``truncated_above`` and above ``truncated_below``."""
+    above, below = cx.truncated_above, cx.truncated_below
+    return all((above is None or k < above) and (below is None or k > below)
+               for k in (n - 1, n, n + 1))
+
+
 def greedy_cohomology(cx):
     """Representatives picked one kernel vector at a time: keep v when it is
     not in the span of the coboundaries and the vectors kept before it."""
     f = cx.field
     dims, reps = {}, {}
     for n in cx.space.degrees():
-        if not cx.certifiable(n):
+        if not certifiable(cx, n):
             continue
         dim_n = cx.dim(n)
         mat = cx.matrix(n)
@@ -203,6 +212,21 @@ def test_cohomology_dims_from_ranks_match_the_representatives(case, above, below
     space, diff = case
     cx = CochainComplex(space, diff, truncated_above=above, truncated_below=below)
     assert cohomology_dims(cx, window) == cohomology(cx, window)[0]
+
+
+@pytest.mark.parametrize("above, below", [(3, None), (None, 0), (5, -1), (4, 0), (3, 1)],
+                         ids=["above", "below", "both", "one degree", "none certified"])
+@settings(deadline=None, max_examples=60)
+@given(random_complexes(),
+       st.sampled_from([None, DegreeWindow(-3, 1), DegreeWindow(0, 3), DegreeWindow(2, 9)]))
+def test_cohomology_reads_the_degrees_certifiable_one_by_one(above, below, case, window):
+    # the certified range is found once; it must be the per-degree rule
+    space, diff = case
+    cx = CochainComplex(space, diff, truncated_above=above, truncated_below=below)
+    dims, reps = greedy_cohomology(cx)
+    wanted = [n for n in dims if window is None or window.contains(n)]
+    assert cohomology(cx, window) == ({n: dims[n] for n in wanted}, {n: reps[n] for n in wanted})
+    assert cohomology_dims(cx, window) == {n: dims[n] for n in wanted}
 
 
 BROKEN = {

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import dglevels.module
+import dglevels.resolve
 from dglevels.algebra import DGAlgebraPresentation, Generator
 from dglevels.errors import (
     BudgetExceeded,
@@ -14,14 +16,21 @@ from dglevels.errors import (
     OddGenerator,
     StrategyInapplicable,
 )
-from dglevels.field import QQ, GF2, GF3
-from dglevels.graded import CochainComplex, DegreeWindow, GradedVectorSpace
-from dglevels.module import DGModulePresentation, shift
+from dglevels.field import QQ, GF2, GF3, rank
+from dglevels.graded import (
+    CochainComplex,
+    DegreeWindow,
+    GradedVectorSpace,
+    assemble,
+    complex_to_json,
+)
+from dglevels.module import DGModulePresentation, block_sum, shift
 from dglevels.rational import sphere_model
 from dglevels.resolve import (
     BAR_WORD_BUDGET,
     KOSZUL,
     SemifreeFiltration,
+    _koszul,
     _resolve,
     auto_strategy,
     bar_resolution,
@@ -326,6 +335,133 @@ def test_strategy_guard():
 def test_koszul_strategy_takes_a_free_module_as_its_own_resolution():
     F = chain_module(4, 1)
     assert _resolve(F, KOSZUL, DegreeWindow(0, 12)).module is F
+
+
+# -- the Koszul tensor, block by block ------------------------------------------------
+
+
+def copied_tensor(M, N, window):
+    """The Koszul Tor by the route block-wise tensoring replaced, kept as its
+    reference: copy every shift of the checked Koszul resolution into one
+    module (`block_sum`), tensor that module with N, and read the cohomology
+    degree by degree, in each n with n + 1 below the truncation.  Returns the
+    complex and the TorResult fields after it."""
+    A = M.algebra
+    f = A.field
+    base = _koszul(A, window.hi + 2 + sum(g.degree for g in A.generators))
+    F = block_sum([(base.module, f"{k}⟨{s}⟩·", s)
+                   for k, s in enumerate(sorted(M.shift_degrees()))])
+    nexp = N.expand(N.default_window())
+    n_degrees = sorted(nexp.elements)
+    elems = {}
+    for glabel, gdeg in F.generators:
+        for nd in n_degrees:
+            if window.lo <= gdeg + nd <= window.hi + 1:
+                elems.setdefault(gdeg + nd, []).extend((glabel, b) for b in nexp.elements[nd])
+    for es in elems.values():
+        es.sort(key=lambda e: (e[0], str(e[1])))
+    labels = {n: [g + "⊗" + nexp.elem_label(b) for g, b in es] for n, es in elems.items()}
+
+    def column(n, e):
+        glabel, b = e
+        nd, j = nexp.pos[b]
+        for h, a in F.differential.get(glabel, {}).items():
+            for am, ac in a.items():
+                odd = A.monomial_degree(am) % 2 and nd % 2
+                for t, c in nexp.act_element(b, {am: f.one()}).items():
+                    yield (h, t), ac * (-c if odd else c)
+        for i, c in nexp.complex.column(nd, j):
+            yield (glabel, nexp.elements[nd + 1][i]), -c if F.gen_degree[glabel] % 2 else c
+
+    if F.truncation_degree is None:
+        above, cert_hi = None, window.hi
+        gdegs = [g for _, g in F.generators]
+        bounded = (window.lo <= min(gdegs) + n_degrees[0]
+                   and max(gdegs) + n_degrees[-1] <= window.hi)
+    else:
+        above = F.truncation_degree - 1 + n_degrees[0]
+        cert_hi, bounded = min(window.hi, above - 2), False
+    cx, _ = assemble(f, dict(sorted(elems.items())), labels, column, above)
+    ranks = {n: rank(mat, f) for n, mat in cx.differential.items()}
+    dims = {n: h for n in cx.space.degrees() if window.contains(n)
+            and (above is None or n + 1 < above)
+            if (h := cx.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0))}
+    return cx, dims, cert_hi, base.period, bounded
+
+
+def tensor_record(cx, dims, cert_hi, period, bounded):
+    """Everything compared: the complex as JSON and the type of each stored
+    entry, both truncation flags, and the TorResult fields."""
+    types = {n: [[type(x).__name__ for x in row] for row in mat]
+             for n, mat in cx.differential.items()}
+    return (complex_to_json(cx), types, cx.truncated_above, cx.truncated_below,
+            dims, cert_hi, period, bounded)
+
+
+def raw_line(A, d):
+    """H*(S^d) as a raw module: u in degree 0 and v = u·x in degree d."""
+    space = GradedVectorSpace(A.field, {0: ["u"], d: ["v"]})
+    return DGModulePresentation.raw(A, CochainComplex(space, {}),
+                                    {f"x{d}": {0: [[A.field.one()]]}})
+
+
+# repeats, negative shifts, and 11 or 13 shifts, where the prefix "10⟨" sorts
+# before "1⟨"
+SHIFT_LISTS = [(0,), (2, 3), (1, 1, 4), (-3, 0, 5), (-2, -2), tuple(range(11)),
+               (-4, -4, -1, 0, 0, 2, 3, 5, 7, 7, 9, 11, 12)]
+WINDOWS = [DegreeWindow(-6, 14), DegreeWindow(3, 22)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_blockwise_koszul_tensor_is_the_tensor_of_the_copied_sum(d, field):
+    A = sphere(d, field)
+    # the molecule's own differential carries the sign of |g| + offset
+    right = {"K": residue_module(A), "raw line": raw_line(A, d),
+             "trivial sum": DGModulePresentation.trivial(A, shifts=(0, 1, d)),
+             "molecule": chain_module(d, 1, field, bottom=1)}
+    for i, shifts in enumerate(SHIFT_LISTS):
+        M = DGModulePresentation.trivial(A, shifts=shifts)
+        for name, N in right.items():
+            w = WINDOWS[(i + len(name)) % 2]
+            tor = derived_tensor(M, N, KOSZUL, w)
+            got = tensor_record(tor.complex, tor.dims, tor.certified_hi, tor.period,
+                                tor.bounded)
+            assert got == tensor_record(*copied_tensor(M, N, w)), (shifts, name, w)
+
+
+@pytest.mark.parametrize("field, shifts", [(QQ, (0, 3)), (GF2, (-1, 2, 2)), (GF3, (1,))])
+def test_blockwise_koszul_tensor_over_a_polynomial_algebra(field, shifts):
+    # the Koszul complex is finite: bounded exactly when the window holds it all
+    A = DGAlgebraPresentation.polynomial(field, [("a", 2), ("b", 4)])
+    M = DGModulePresentation.trivial(A, shifts=shifts)
+    for w in (DegreeWindow(-2, 20), DegreeWindow(1, 6)):
+        tor = derived_tensor(M, residue_module(A), KOSZUL, w)
+        got = tensor_record(tor.complex, tor.dims, tor.certified_hi, tor.period, tor.bounded)
+        assert got == tensor_record(*copied_tensor(M, residue_module(A), w))
+
+
+@pytest.mark.parametrize("k", [1, 2, 13])
+def test_the_koszul_tensor_checks_its_recipe_once_and_copies_no_block(monkeypatch, k):
+    A = sphere(4, GF3)
+    M = DGModulePresentation.trivial(A, shifts=tuple(range(0, 3 * k, 3)))
+    checks, sums = [], []
+    validate = DGModulePresentation._validate_free
+    monkeypatch.setattr(DGModulePresentation, "_validate_free",
+                        lambda self: checks.append(self) or validate(self))
+    for owner in (dglevels.module, dglevels.resolve):
+        monkeypatch.setattr(owner, "block_sum", lambda parts: sums.append(parts) or
+                            block_sum(parts))
+    tor = derived_tensor(M, residue_module(A), KOSZUL, DegreeWindow(0, 30))
+    assert (len(checks), sums) == (1, [])
+    assert tor.dims[0] == 1
+    checks.clear()
+    assert phi(M).is_infinite
+    assert (len(checks), sums) == (1, [])
+    # the sum of the blocks is built only when it is read
+    assert len(_resolve(M, KOSZUL, DegreeWindow(0, 30)).module.generators) == \
+        k * len(checks[-1].generators)
+    assert len(sums) == 1
 
 
 def test_derived_tensor_with_a_zero_module_is_zero_and_finite():

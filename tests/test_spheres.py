@@ -367,6 +367,33 @@ def test_all_matchings_lists_what_the_recursive_search_lists(d, dims):
         matchings_or_budget(recursive_matchings, dims, d)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 6), st.dictionaries(st.integers(-6, 24), st.integers(0, 4), max_size=5))
+def test_keyed_matchings_are_the_first_of_each_key_in_listing_order(d, dims):
+    # the budget still counts every matching, the ones the key drops included
+    def multiset(pairs):
+        return tuple(sorted(pairs))
+
+    listed = matchings_or_budget(all_matchings, dims, d)
+    keyed = matchings_or_budget(lambda t, d: all_matchings(t, d, multiset), dims, d)
+    if listed == "budget-exceeded":
+        assert keyed == listed
+    else:
+        first = {}
+        for match in listed:
+            first.setdefault(multiset(match), match)
+        assert list(keyed.items()) == list(first.items())
+
+
+def test_a_table_with_no_matching_is_refused_without_walking_its_partial_ones():
+    # 32 classes in degree 0 and only 30 partners: the count vectors left
+    # that complete to nothing are remembered, so the search is polynomial
+    # (at exponential cost it had not ended after 30 s)
+    start = time.perf_counter()
+    assert all_matchings({0: 32, 4: 15, 7: 15}, 4) == []
+    assert time.perf_counter() - start < 1
+
+
 def test_a_table_of_thousands_of_pairs_is_matched():
     # one pair per molecule: more pairs than Python's recursion limit allows
     # frames, and the one matching is 1,200 copies of Σ^{-3}Z_1
