@@ -4,7 +4,11 @@ and level bounds from filtration class.
 A resolution is a block sum of checked free modules (`Resolution`): a bar or
 given resolution is one block, a sum of shifts of K is one block per shift of
 a single checked Koszul resolution.  `derived_tensor` tensors it block by
-block, so no shifted copy is ever made.
+block, so no shifted copy is ever made.  That Koszul resolution depends only
+on the algebra and the degree cap, so `_resolve` builds and checks it once
+per process and keeps it, least recently used first out, up to
+KOSZUL_GENERATOR_BUDGET generators in all; the public builders
+(`koszul_resolution_sphere`, `koszul_resolution_poly`) always build afresh.
 
 A truncated engine must never silently claim finiteness, so every total
 cohomology question is answered by a three-way verdict from one rule,
@@ -27,6 +31,7 @@ intervals.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,6 +62,13 @@ BAR_WORD_BUDGET = 3_000
 # witness each list all 2^n products of n exterior generators, and each extra
 # generator multiplies the work by 2.5-5; 4,096 is n = 12.
 EXTERIOR_BASIS_BUDGET = 4_096
+
+
+# Generators of one Koszul resolution over H*(S^d), one per d - 1 degrees up
+# to the cap, before `_koszul` gives up; also the most generators the checked
+# Koszul resolutions `_resolve` keeps hold together.  Window 0:9,995 over
+# H*(S^2) needs 10,000.
+KOSZUL_GENERATOR_BUDGET = 10_000
 
 
 def check_exterior_basis(n: int, what: str):
@@ -174,8 +186,8 @@ def _koszul_applies(A: DGAlgebraPresentation) -> bool:
     return all(g.kind == POLYNOMIAL for g in A.generators)
 
 
-def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution | None:
-    """The Koszul resolution of K over A, or None when A has none
+def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution:
+    """The Koszul resolution of K over A, which must have one
     (`_koszul_applies`).
 
     Over H*(S^d), one generator in each degree j(d-1) <= cap with
@@ -183,14 +195,16 @@ def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution | None:
     g_{2i+1} = γ_i(w)·s⁻¹x, for d odd g_j = γ_j(s⁻¹x).  The differentials
     are complete (they point down the chain), only generators above ``cap``
     are absent.  Over K[x_1, ..., x_l], exterior generators s⁻¹x_j with
-    D(s⁻¹x_j) = x_j: finite and fully known.
+    D(s⁻¹x_j) = x_j: finite and fully known.  Raises BudgetExceeded before
+    building more than KOSZUL_GENERATOR_BUDGET generators over H*(S^d).
     """
-    if not _koszul_applies(A):
-        return None
     gens = []
     diff = {}
     if A.sphere_generator_label() is not None:
         d = A.generators[0].degree
+        if cap // (d - 1) >= KOSZUL_GENERATOR_BUDGET:
+            raise BudgetExceeded(f"the Koszul resolution over H*(S^{d}) through degree {cap} "
+                                 f"needs more than {KOSZUL_GENERATOR_BUDGET} generators")
         sx = f"s⁻¹x{d}"
         xpoly = {(1,): A.field.one()}
         for j in range(cap // (d - 1) + 1):
@@ -223,6 +237,26 @@ def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution | None:
         if terms:
             diff[label] = terms
     return Resolution.of(DGModulePresentation.free(A, gens, diff))
+
+
+# checked Koszul resolutions by (field, generators, cap), least recently used
+# first; only `_resolve` reads them
+_koszul_memo: OrderedDict = OrderedDict()
+
+
+def _kept_koszul(A: DGAlgebraPresentation, cap: int) -> Resolution:
+    """`_koszul(A, cap)`, built and checked once per process.  The key fixes A,
+    which has zero differential; a polynomial algebra's complex is finite, so
+    its key has no cap."""
+    key = (A.field, A.generators, cap if A.sphere_generator_label() is not None else None)
+    if key in _koszul_memo:
+        _koszul_memo.move_to_end(key)
+        return _koszul_memo[key]
+    res = _koszul_memo[key] = _koszul(A, key[2])
+    held = sum(len(r.module.generators) for r in _koszul_memo.values())
+    while held > KOSZUL_GENERATOR_BUDGET:
+        held -= len(_koszul_memo.popitem(last=False)[1].module.generators)
+    return res
 
 
 def koszul_resolution_sphere(d: int, field, cap: int | None = None) -> Resolution:
@@ -401,13 +435,13 @@ def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow) -> Re
         if not M.is_trivial():
             raise StrategyInapplicable(
                 "Koszul strategy resolves trivial modules (sums of shifts of K)")
-        # over H*(S^d), Tor through window.hi needs generators through hi + d + 2
-        res = _koszul(A, window.hi + 2 + sum(g.degree for g in A.generators))
-        if res is None:
+        if not _koszul_applies(A):
             raise StrategyInapplicable("no Koszul pattern for this algebra")
         shifts = sorted(M.shift_degrees())
         if not shifts:
             return Resolution.of(DGModulePresentation.zero(A))
+        # over H*(S^d), Tor through window.hi needs generators through hi + d + 2
+        res = _kept_koszul(A, window.hi + 2 + sum(g.degree for g in A.generators))
         # Σ^{-s} of the one checked resolution per shift s, never copied
         return Resolution(tuple((res.module, f"{k}⟨{s}⟩·", s) for k, s in enumerate(shifts)),
                           res.period)

@@ -14,7 +14,12 @@ from dglevels import cli, spheres
 from dglevels.cli import main
 from dglevels.errors import BudgetExceeded
 from dglevels.rational import PILE_LABEL_BUDGET
-from dglevels.resolve import BAR_WORD_BUDGET, EXTERIOR_BASIS_BUDGET, check_exterior_basis
+from dglevels.resolve import (
+    BAR_WORD_BUDGET,
+    EXTERIOR_BASIS_BUDGET,
+    KOSZUL_GENERATOR_BUDGET,
+    check_exterior_basis,
+)
 
 
 def run(capsys, *argv):
@@ -406,6 +411,20 @@ def test_bar_word_budget_is_domain_error(capsys):
     error = json.loads(out)["error"]
     assert error["code"] == "budget-exceeded"
     assert f"more than {BAR_WORD_BUDGET} bar words" in error["message"]
+
+
+def test_koszul_generator_budget_is_domain_error(capsys, cold_koszul):
+    # window 0:hi over H*(S^4) needs one generator per 3 degrees through hi + 6
+    start = time.perf_counter()
+    code, out = run(capsys, "tor", "--d", "4", "--module", "k", "--arg", "k", "--strategy",
+                    "koszul", "--window", "0:1000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "budget-exceeded"
+    assert error["message"] == ("the Koszul resolution over H*(S^4) through degree "
+                                f"1000000000006 needs more than {KOSZUL_GENERATOR_BUDGET} "
+                                "generators")
 
 
 EXTERIOR_LISTINGS = {

@@ -563,10 +563,17 @@ def counted_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_the_koszul_strategy_checks_its_recipe_once(monkeypatch, k):
-    M = DGModulePresentation.trivial(sphere(4, GF3), shifts=tuple(range(0, 3 * k, 3)))
+def test_the_koszul_strategy_checks_its_recipe_once(monkeypatch, cold_koszul, k):
+    shifts = tuple(range(0, 3 * k, 3))
+    M = DGModulePresentation.trivial(sphere(4, GF3), shifts=shifts)
     seen = counted_checks(monkeypatch)
     res = _resolve(M, KOSZUL, DegreeWindow(0, 30))
+    assert len(seen) == 1
+    assert len(res.module.generators) == k * len(seen[0].generators)
+    # a warm call over an equal but distinct algebra checks nothing
+    again = DGModulePresentation.trivial(sphere(4, GF3), shifts=shifts)
+    assert again.algebra is not M.algebra
+    res = _resolve(again, KOSZUL, DegreeWindow(0, 30))
     assert len(seen) == 1
     assert len(res.module.generators) == k * len(seen[0].generators)
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from dglevels.errors import (
     OddGenerator,
     StrategyInapplicable,
 )
-from dglevels.field import QQ, GF2, GF3, rank
+from dglevels.field import QQ, GF2, GF3, GF5, rank
 from dglevels.graded import (
     CochainComplex,
     DegreeWindow,
@@ -29,6 +30,7 @@ from dglevels.rational import sphere_model
 from dglevels.resolve import (
     BAR_WORD_BUDGET,
     KOSZUL,
+    KOSZUL_GENERATOR_BUDGET,
     SemifreeFiltration,
     _koszul,
     _resolve,
@@ -442,9 +444,10 @@ def test_blockwise_koszul_tensor_over_a_polynomial_algebra(field, shifts):
 
 
 @pytest.mark.parametrize("k", [1, 2, 13])
-def test_the_koszul_tensor_checks_its_recipe_once_and_copies_no_block(monkeypatch, k):
-    A = sphere(4, GF3)
-    M = DGModulePresentation.trivial(A, shifts=tuple(range(0, 3 * k, 3)))
+def test_the_koszul_tensor_checks_its_recipe_once_and_copies_no_block(monkeypatch, cold_koszul,
+                                                                     k):
+    A, A2 = sphere(4, GF3), sphere(4, GF3)
+    M, M2 = (DGModulePresentation.trivial(B, shifts=tuple(range(0, 3 * k, 3))) for B in (A, A2))
     checks, sums = [], []
     validate = DGModulePresentation._validate_free
     monkeypatch.setattr(DGModulePresentation, "_validate_free",
@@ -455,13 +458,163 @@ def test_the_koszul_tensor_checks_its_recipe_once_and_copies_no_block(monkeypatc
     tor = derived_tensor(M, residue_module(A), KOSZUL, DegreeWindow(0, 30))
     assert (len(checks), sums) == (1, [])
     assert tor.dims[0] == 1
+    # warm: an equal but distinct algebra reads the same checked resolution
+    assert derived_tensor(M2, residue_module(A2), KOSZUL, DegreeWindow(0, 30)).dims == tor.dims
+    assert (len(checks), sums) == (1, [])
+    (F,) = checks
     checks.clear()
-    assert phi(M).is_infinite
+    assert phi(M).is_infinite           # its own window and cap: cold
+    assert (len(checks), sums) == (1, [])
+    assert phi(M2).is_infinite
     assert (len(checks), sums) == (1, [])
     # the sum of the blocks is built only when it is read
     assert len(_resolve(M, KOSZUL, DegreeWindow(0, 30)).module.generators) == \
-        k * len(checks[-1].generators)
-    assert len(sums) == 1
+        k * len(F.generators)
+    assert (len(checks), len(sums)) == (1, 1)
+
+
+# -- the kept Koszul resolutions --------------------------------------------------
+
+
+def koszul_record(M, window):
+    """A Koszul Tor of M against K as `tensor_record` sees it, with its verdict."""
+    tor = derived_tensor(M, residue_module(M.algebra), KOSZUL, window)
+    return (tensor_record(tor.complex, tor.dims, tor.certified_hi, tor.period, tor.bounded),
+            tor.verdict())
+
+
+def cold_and_warm(memo, algebra, shifts, windows):
+    """The records of M = ⊕ Σ^{-s}K in each window, cold (the memo emptied
+    before each) and warm (over an equal algebra read back from JSON)."""
+    cold = []
+    for w in windows:
+        memo.clear()
+        cold.append(koszul_record(DGModulePresentation.trivial(algebra, shifts=shifts), w))
+    again = DGAlgebraPresentation.from_json(algebra.to_json())
+    assert again is not algebra and memo
+    warm = [koszul_record(DGModulePresentation.trivial(again, shifts=shifts), w)
+            for w in windows * 2]
+    return cold * 2, warm
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_a_kept_koszul_resolution_gives_the_cold_record(cold_koszul, d, field):
+    for shifts in SHIFT_LISTS:
+        cold, warm = cold_and_warm(cold_koszul, sphere(d, field), shifts, WINDOWS)
+        assert warm == cold, shifts
+    M = DGModulePresentation.trivial(sphere(d, field), shifts=(-2, 0, 0, d))
+    cold_koszul.clear()
+    verdict = phi(M)
+    assert cold_koszul and phi(DGModulePresentation.trivial(sphere(d, field),
+                                                            shifts=(-2, 0, 0, d))) == verdict
+
+
+@pytest.mark.parametrize("algebra", [
+    DGAlgebraPresentation.polynomial(QQ, [("a", 2), ("b", 4)]),
+    DGAlgebraPresentation.polynomial(GF3, [("a", 2), ("b", 4)]),
+    DGAlgebraPresentation.polynomial(GF2, [("a", 3), ("b", 4)], char2_polynomial_odd=True),
+], ids=["K[a2,b4]/Q", "K[a2,b4]/F3", "F2[a3,b4]"])
+def test_a_kept_polynomial_koszul_complex_serves_every_window(cold_koszul, algebra):
+    # the complex is finite, so one entry serves both windows
+    windows = [DegreeWindow(-2, 20), DegreeWindow(1, 6)]
+    for shifts in ((0,), (0, 3), (-1, 2, 2)):
+        cold, warm = cold_and_warm(cold_koszul, algebra, shifts, windows)
+        assert warm == cold, shifts
+        assert len(cold_koszul) == 1
+
+
+def test_the_kept_koszul_resolutions_part_by_field_and_generators(cold_koszul):
+    # one module per algebra, read one after another through one memo
+    algebras = [sphere(4, QQ), sphere(4, GF2), sphere(4, GF3), sphere(5, GF3),
+                DGAlgebraPresentation(GF3, [Generator("y", 4, "exterior")]),
+                DGAlgebraPresentation.polynomial(GF3, [("x4", 4)])]
+    w = DegreeWindow(-1, 16)
+    cold = []
+    for A in algebras:
+        cold_koszul.clear()
+        cold.append(koszul_record(DGModulePresentation.trivial(A, shifts=(0, 1)), w))
+    cold_koszul.clear()
+    assert [koszul_record(DGModulePresentation.trivial(A, shifts=(0, 1)), w)
+            for A in algebras * 2] == cold * 2
+    assert len(cold_koszul) == len(algebras)
+
+
+def test_changing_a_public_koszul_resolution_changes_no_later_tor(cold_koszul):
+    A = sphere(4)
+    M = DGModulePresentation.trivial(A, shifts=(0, 3))
+    w = DegreeWindow(0, 30)
+    before = koszul_record(M, w)
+    (kept,) = cold_koszul.values()
+    public = koszul_resolution_sphere(4, QQ, cap=w.hi + 2 + 4)
+    F = public.module
+    assert F is not kept.module
+    assert (F.generators, F.differential) == (kept.module.generators, kept.module.differential)
+    F.differential.clear()
+    F.gen_degree.clear()
+    F.truncation_degree = 5
+    assert koszul_record(M, w) == before
+    cold_koszul.clear()
+    assert koszul_record(M, w) == before
+
+
+def test_the_kept_koszul_resolutions_evict_the_least_recently_used(monkeypatch, cold_koszul):
+    checks = []
+    validate = DGModulePresentation._validate_free
+    monkeypatch.setattr(DGModulePresentation, "_validate_free",
+                        lambda self: checks.append(self) or validate(self))
+    M = DGModulePresentation.trivial(sphere(2))
+    # over H*(S^2) window 0:hi keeps hi + 5 generators; four of about 3,000
+    # pass the budget
+    his = [2995, 2996, 2997, 2998]
+
+    def resolve(hi):
+        return _resolve(M, KOSZUL, DegreeWindow(0, hi)).blocks[0][0]
+
+    def held():
+        return sum(len(r.module.generators) for r in cold_koszul.values())
+
+    first = [resolve(hi) for hi in his]
+    assert len(checks) == 4
+    assert [cap for _, _, cap in cold_koszul] == [hi + 4 for hi in his[1:]]
+    assert held() == sum(hi + 5 for hi in his[1:]) <= KOSZUL_GENERATOR_BUDGET
+    assert resolve(his[1]) is first[1] and len(checks) == 4      # warm, now most recent
+    assert resolve(his[0]) is not first[0] and len(checks) == 5  # evicted: checked again
+    assert [cap for _, _, cap in cold_koszul] == [hi + 4 for hi in (his[3], his[1], his[0])]
+    assert held() <= KOSZUL_GENERATOR_BUDGET
+
+
+def test_the_sphere_koszul_chain_has_a_generator_budget(cold_koszul):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"more than {KOSZUL_GENERATOR_BUDGET} generators"):
+            koszul_resolution_sphere(4, QQ, cap=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000           # raised before building anything
+    # the largest chain that passes: one generator in each degree 0..cap over H*(S^2)
+    cap = KOSZUL_GENERATOR_BUDGET - 1
+    assert len(koszul_resolution_sphere(2, QQ, cap=cap).module.generators) == \
+        KOSZUL_GENERATOR_BUDGET
+    with pytest.raises(BudgetExceeded):
+        koszul_resolution_sphere(2, QQ, cap=cap + 1)
+    with pytest.raises(BudgetExceeded):
+        _resolve(residue_module(sphere(4)), KOSZUL, DegreeWindow(0, 10**12))
+    assert not cold_koszul
+
+
+def test_an_empty_trivial_module_builds_no_koszul_resolution(cold_koszul):
+    A = sphere(4)
+    tor = derived_tensor(DGModulePresentation.trivial(A, shifts=()), residue_module(A), KOSZUL,
+                         DegreeWindow(0, 12))
+    assert (tor.dims, tor.bounded) == ({}, True)
+    assert not cold_koszul
+    # an algebra with no Koszul pattern is refused first, empty or not
+    B = DGAlgebraPresentation(QQ, [Generator("w", 4, "divided")])
+    for shifts in ((), (0,)):
+        with pytest.raises(StrategyInapplicable, match="^no Koszul pattern for this algebra$"):
+            _resolve(DGModulePresentation.trivial(B, shifts=shifts), KOSZUL, DegreeWindow(0, 8))
 
 
 def test_derived_tensor_with_a_zero_module_is_zero_and_finite():
