@@ -1,14 +1,18 @@
 """Semifree resolutions, derived tensor products, Tor, compactness verdicts
 and level bounds from filtration class.
 
-A resolution is a block sum of checked free modules (`Resolution`): a bar or
-given resolution is one block, a sum of shifts of K is one block per shift of
-a single checked Koszul resolution.  `derived_tensor` tensors it block by
-block, so no shifted copy is ever made.  That Koszul resolution depends only
-on the algebra and the degree cap, so `_resolve` builds and checks it once
-per process and keeps it, least recently used first out, up to
+A resolution is a block sum of checked free modules (`Resolution`): a given
+resolution, or the bar resolution of any other module, is one block; a sum of
+shifts of K is one block per shift of a single checked resolution of K,
+Koszul or bar.  `derived_tensor` tensors it block by block, so no shifted
+copy is ever made.  That resolution of K depends only on the strategy, the
+algebra and the degree cap, so `_resolve` builds and checks it once per
+process and keeps it, least recently used first out, up to
 KOSZUL_GENERATOR_BUDGET generators in all; the public builders
-(`koszul_resolution_sphere`, `koszul_resolution_poly`) always build afresh.
+(`koszul_resolution_sphere`, `koszul_resolution_poly`, `bar_resolution`)
+always build afresh.  Bar labels are long: the bar resolution of K over
+H*(S^2) on window 0:2990 (2,993 words) holds 15.4 MB, 13.4 M of it label
+characters, so a full store may hold about 46 MB.
 
 A truncated engine must never silently claim finiteness, so every total
 cohomology question is answered by a three-way verdict from one rule,
@@ -66,7 +70,7 @@ EXTERIOR_BASIS_BUDGET = 4_096
 
 # Generators of one Koszul resolution over H*(S^d), one per d - 1 degrees up
 # to the cap, before `_koszul` gives up; also the most generators the checked
-# Koszul resolutions `_resolve` keeps hold together.  Window 0:9,995 over
+# resolutions of K that `_resolve` keeps hold together.  Window 0:9,995 over
 # H*(S^2) needs 10,000.
 KOSZUL_GENERATOR_BUDGET = 10_000
 
@@ -239,23 +243,32 @@ def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution:
     return Resolution.of(DGModulePresentation.free(A, gens, diff))
 
 
-# checked Koszul resolutions by (field, generators, cap), least recently used
-# first; only `_resolve` reads them
-_koszul_memo: OrderedDict = OrderedDict()
+# checked resolutions of K by (strategy, field, generators, differential,
+# cap), least recently used first; only `_resolve` reads them
+_kept_resolutions: OrderedDict = OrderedDict()
 
 
-def _kept_koszul(A: DGAlgebraPresentation, cap: int) -> Resolution:
-    """`_koszul(A, cap)`, built and checked once per process.  The key fixes A,
-    which has zero differential; a polynomial algebra's complex is finite, so
-    its key has no cap."""
-    key = (A.field, A.generators, cap if A.sphere_generator_label() is not None else None)
-    if key in _koszul_memo:
-        _koszul_memo.move_to_end(key)
-        return _koszul_memo[key]
-    res = _koszul_memo[key] = _koszul(A, key[2])
-    held = sum(len(r.module.generators) for r in _koszul_memo.values())
+def _kept_resolution(strategy: str, A: DGAlgebraPresentation, cap: int) -> Resolution:
+    """The resolution of K over A that ``strategy`` builds through degree
+    ``cap``, `_koszul` or `bar_resolution` of K with an empty element label,
+    built and checked once per process.  A polynomial algebra's Koszul complex
+    is finite, so its key has no cap."""
+    if strategy == KOSZUL and A.sphere_generator_label() is None:
+        cap = None
+    dA = tuple((g, tuple(sorted(p.items()))) for g, p in sorted(A.differential.items()))
+    key = (strategy, A.field, A.generators, dA, cap)
+    if key in _kept_resolutions:
+        _kept_resolutions.move_to_end(key)
+        return _kept_resolutions[key]
+    if strategy == KOSZUL:
+        res = _koszul(A, cap)
+    else:
+        res = bar_resolution(DGModulePresentation.trivial(A, labels=[""]), A,
+                             window=DegreeWindow(0, cap - 2))
+    _kept_resolutions[key] = res
+    held = sum(len(r.module.generators) for r in _kept_resolutions.values())
     while held > KOSZUL_GENERATOR_BUDGET:
-        held -= len(_koszul_memo.popitem(last=False)[1].module.generators)
+        held -= len(_kept_resolutions.popitem(last=False)[1].module.generators)
     return res
 
 
@@ -285,22 +298,26 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
     Generators are m[a_1|...|a_t] with m a basis element of (an expansion of)
     M and a_i positive-degree algebra basis monomials; the generator degree is
     deg m + Σ(deg a_i - 1), so the bar-length-t part sits in degrees >= t and
-    truncation is sound below the cutoff.  Raises BudgetExceeded instead of
-    listing more than BAR_WORD_BUDGET bar words.
+    truncation is sound below the cutoff.  Words are listed through
+    window.hi + 2 - (lowest element degree, if negative), so that every
+    generator through window.hi + 2 is present.  Raises BudgetExceeded
+    instead of listing more than BAR_WORD_BUDGET bar words.
     """
     algebra = algebra or module.algebra
     if not algebra.is_simply_connected():
         raise NotSimplyConnected("bar resolution needs generators in degrees >= 2")
     cap = window.hi + 2
-    cutoff = cutoff if cutoff is not None else cap
     f = algebra.field
     mexp = module.expand(DegreeWindow(min(0, window.lo), cap + 1))
     m_elems = []
     for n in sorted(mexp.elements):
         for e in mexp.elements[n]:
             m_elems.append((e, n))
+    # a word on an element in degree m < 0 reaches degree cap - m
+    wcap = cap - min(0, min(mexp.elements, default=0))
+    cutoff = cutoff if cutoff is not None else wcap
     slot_basis = []
-    for deg, monos in sorted(algebra.monomial_basis(cap + 1).items()):
+    for deg, monos in sorted(algebra.monomial_basis(wcap + 1).items()):
         if deg == 0:
             continue
         for m in monos:
@@ -317,7 +334,8 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
     diff = {}
     gen_label = {}
 
-    # enumerate (m, slots) with total degree <= cap and bar length <= cutoff
+    # enumerate words of degree <= wcap and bar length <= cutoff; (m, slots)
+    # is kept when its total degree is <= cap
     stack = [((), 0)]
     all_words = []
     while stack:
@@ -326,12 +344,12 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
         if len(all_words) > BAR_WORD_BUDGET:
             raise BudgetExceeded(
                 f"the bar resolution needs more than {BAR_WORD_BUDGET} bar words "
-                f"below degree {cap + 1}")
+                f"below degree {wcap + 1}")
         if len(slots) >= cutoff:
             continue
         for mono, mdeg in slot_basis:
             nd = sdeg + mdeg - 1
-            if nd <= cap:
+            if nd <= wcap:
                 stack.append((slots + (mono,), nd))
     all_words.sort(key=lambda w: (len(w[0]), w[0]))
     word_label = {slots: "[" + "|".join(slot_label[s] for s in slots) + "]" if slots else ""
@@ -437,17 +455,27 @@ def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow) -> Re
                 "Koszul strategy resolves trivial modules (sums of shifts of K)")
         if not _koszul_applies(A):
             raise StrategyInapplicable("no Koszul pattern for this algebra")
-        shifts = sorted(M.shift_degrees())
-        if not shifts:
+    elif strategy != BAR:
+        raise StrategyInapplicable(f"unknown strategy {strategy!r}")
+    elif M.is_free or not M.is_trivial() or not M.shift_degrees():
+        return bar_resolution(M, A, window=window)
+    # a sum of shifts of K: Σ^{-s} of one kept resolution of K per shift s,
+    # never copied
+    space = M.complex.space
+    summands = [(label, s) for s in sorted(space.degrees()) for label in space.labels(s)]
+    if strategy == KOSZUL:
+        if not summands:
             return Resolution.of(DGModulePresentation.zero(A))
         # over H*(S^d), Tor through window.hi needs generators through hi + d + 2
-        res = _kept_koszul(A, window.hi + 2 + sum(g.degree for g in A.generators))
-        # Σ^{-s} of the one checked resolution per shift s, never copied
-        return Resolution(tuple((res.module, f"{k}⟨{s}⟩·", s) for k, s in enumerate(shifts)),
-                          res.period)
-    if strategy == BAR:
-        return bar_resolution(M, A, window=window)
-    raise StrategyInapplicable(f"unknown strategy {strategy!r}")
+        res = _kept_resolution(KOSZUL, A, window.hi + 2 + sum(g.degree for g in A.generators))
+        summands = [(f"{k}⟨{s}⟩·", s) for k, (_, s) in enumerate(summands)]
+    else:
+        # B(Σ^{-s}K) is Σ^{-s}B(K) with the shift's label before each word;
+        # the word on the lowest shift reaches furthest
+        res = _kept_resolution(BAR, A, window.hi + 2 - min(0, summands[0][1]))
+        if len({label for label, _ in summands}) < len(summands):
+            raise PresentationError("duplicate module generator labels")
+    return Resolution(tuple((res.module, pre, s) for pre, s in summands), res.period)
 
 
 def residue_module(A: DGAlgebraPresentation) -> DGModulePresentation:
