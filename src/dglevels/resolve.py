@@ -5,14 +5,14 @@ A resolution is a block sum of checked free modules (`Resolution`): a given
 resolution, or the bar resolution of any other module, is one block; a sum of
 shifts of K is one block per shift of a single checked resolution of K,
 Koszul or bar.  `derived_tensor` tensors it block by block, so no shifted
-copy is ever made.  That resolution of K depends only on the strategy, the
-algebra and the degree cap, so `_resolve` builds and checks it once per
-process and keeps it, least recently used first out, up to
-KOSZUL_GENERATOR_BUDGET generators in all; the public builders
-(`koszul_resolution_sphere`, `koszul_resolution_poly`, `bar_resolution`)
-always build afresh.  Bar labels are long: the bar resolution of K over
-H*(S^2) on window 0:2990 (2,993 words) holds 15.4 MB, 13.4 M of it label
-characters, so a full store may hold about 46 MB.
+copy is ever made.  The Koszul resolution of K depends only on the algebra
+and the degree cap, so `_resolve` builds and checks it once per process and
+keeps it, least recently used first out, up to KOSZUL_GENERATOR_BUDGET
+generators in all; the public builders (`koszul_resolution_sphere`,
+`koszul_resolution_poly`) always build afresh.  The bar resolution of K is
+built once per call and never kept: its labels are long (over H*(S^2) on
+window 0:2990, 2,993 words hold 15.4 MB, 13.4 M of it label characters),
+and nothing but a replayed query list would read it twice in one process.
 
 A truncated engine must never silently claim finiteness, so every total
 cohomology question is answered by a three-way verdict from one rule,
@@ -70,7 +70,7 @@ EXTERIOR_BASIS_BUDGET = 4_096
 
 # Generators of one Koszul resolution over H*(S^d), one per d - 1 degrees up
 # to the cap, before `_koszul` gives up; also the most generators the checked
-# resolutions of K that `_resolve` keeps hold together.  Window 0:9,995 over
+# Koszul resolutions `_resolve` keeps hold together.  Window 0:9,995 over
 # H*(S^2) needs 10,000.
 KOSZUL_GENERATOR_BUDGET = 10_000
 
@@ -243,32 +243,23 @@ def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution:
     return Resolution.of(DGModulePresentation.free(A, gens, diff))
 
 
-# checked resolutions of K by (strategy, field, generators, differential,
-# cap), least recently used first; only `_resolve` reads them
-_kept_resolutions: OrderedDict = OrderedDict()
+# checked Koszul resolutions by (field, generators, cap), least recently used
+# first; only `_resolve` reads them
+_koszul_memo: OrderedDict = OrderedDict()
 
 
-def _kept_resolution(strategy: str, A: DGAlgebraPresentation, cap: int) -> Resolution:
-    """The resolution of K over A that ``strategy`` builds through degree
-    ``cap``, `_koszul` or `bar_resolution` of K with an empty element label,
-    built and checked once per process.  A polynomial algebra's Koszul complex
-    is finite, so its key has no cap."""
-    if strategy == KOSZUL and A.sphere_generator_label() is None:
-        cap = None
-    dA = tuple((g, tuple(sorted(p.items()))) for g, p in sorted(A.differential.items()))
-    key = (strategy, A.field, A.generators, dA, cap)
-    if key in _kept_resolutions:
-        _kept_resolutions.move_to_end(key)
-        return _kept_resolutions[key]
-    if strategy == KOSZUL:
-        res = _koszul(A, cap)
-    else:
-        res = bar_resolution(DGModulePresentation.trivial(A, labels=[""]), A,
-                             window=DegreeWindow(0, cap - 2))
-    _kept_resolutions[key] = res
-    held = sum(len(r.module.generators) for r in _kept_resolutions.values())
+def _kept_koszul(A: DGAlgebraPresentation, cap: int) -> Resolution:
+    """`_koszul(A, cap)`, built and checked once per process.  The key fixes A,
+    which has zero differential; a polynomial algebra's complex is finite, so
+    its key has no cap."""
+    key = (A.field, A.generators, cap if A.sphere_generator_label() is not None else None)
+    if key in _koszul_memo:
+        _koszul_memo.move_to_end(key)
+        return _koszul_memo[key]
+    res = _koszul_memo[key] = _koszul(A, key[2])
+    held = sum(len(r.module.generators) for r in _koszul_memo.values())
     while held > KOSZUL_GENERATOR_BUDGET:
-        held -= len(_kept_resolutions.popitem(last=False)[1].module.generators)
+        held -= len(_koszul_memo.popitem(last=False)[1].module.generators)
     return res
 
 
@@ -459,20 +450,21 @@ def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow) -> Re
         raise StrategyInapplicable(f"unknown strategy {strategy!r}")
     elif M.is_free or not M.is_trivial() or not M.shift_degrees():
         return bar_resolution(M, A, window=window)
-    # a sum of shifts of K: Σ^{-s} of one kept resolution of K per shift s,
-    # never copied
+    # a sum of shifts of K: Σ^{-s} of one resolution of K per shift s, never
+    # copied
     space = M.complex.space
     summands = [(label, s) for s in sorted(space.degrees()) for label in space.labels(s)]
     if strategy == KOSZUL:
         if not summands:
             return Resolution.of(DGModulePresentation.zero(A))
         # over H*(S^d), Tor through window.hi needs generators through hi + d + 2
-        res = _kept_resolution(KOSZUL, A, window.hi + 2 + sum(g.degree for g in A.generators))
+        res = _kept_koszul(A, window.hi + 2 + sum(g.degree for g in A.generators))
         summands = [(f"{k}⟨{s}⟩·", s) for k, (_, s) in enumerate(summands)]
     else:
         # B(Σ^{-s}K) is Σ^{-s}B(K) with the shift's label before each word;
         # the word on the lowest shift reaches furthest
-        res = _kept_resolution(BAR, A, window.hi + 2 - min(0, summands[0][1]))
+        res = bar_resolution(DGModulePresentation.trivial(A, labels=[""]), A,
+                             window=DegreeWindow(0, window.hi - min(0, summands[0][1])))
         if len({label for label, _ in summands}) < len(summands):
             raise PresentationError("duplicate module generator labels")
     return Resolution(tuple((res.module, pre, s) for pre, s in summands), res.period)

@@ -8,8 +8,8 @@ import dglevels.resolve
 
 
 @pytest.fixture
-def cold_resolutions(monkeypatch):
-    """An empty store of checked resolutions of K for this test alone."""
-    store = OrderedDict()
-    monkeypatch.setattr(dglevels.resolve, "_kept_resolutions", store)
-    return store
+def cold_koszul(monkeypatch):
+    """An empty memo of checked Koszul resolutions for this test alone."""
+    memo = OrderedDict()
+    monkeypatch.setattr(dglevels.resolve, "_koszul_memo", memo)
+    return memo

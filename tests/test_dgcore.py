@@ -563,7 +563,7 @@ def counted_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_the_koszul_strategy_checks_its_recipe_once(monkeypatch, cold_resolutions, k):
+def test_the_koszul_strategy_checks_its_recipe_once(monkeypatch, cold_koszul, k):
     shifts = tuple(range(0, 3 * k, 3))
     M = DGModulePresentation.trivial(sphere(4, GF3), shifts=shifts)
     seen = counted_checks(monkeypatch)

@@ -445,8 +445,8 @@ def test_blockwise_koszul_tensor_over_a_polynomial_algebra(field, shifts):
 
 
 @pytest.mark.parametrize("k", [1, 2, 13])
-def test_the_koszul_tensor_checks_its_recipe_once_and_copies_no_block(monkeypatch,
-                                                                     cold_resolutions, k):
+def test_the_koszul_tensor_checks_its_recipe_once_and_copies_no_block(monkeypatch, cold_koszul,
+                                                                     k):
     A, A2 = sphere(4, GF3), sphere(4, GF3)
     M, M2 = (DGModulePresentation.trivial(B, shifts=tuple(range(0, 3 * k, 3))) for B in (A, A2))
     checks, sums = [], []
@@ -500,14 +500,14 @@ def cold_and_warm(memo, algebra, shifts, windows):
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
-def test_a_kept_koszul_resolution_gives_the_cold_record(cold_resolutions, d, field):
+def test_a_kept_koszul_resolution_gives_the_cold_record(cold_koszul, d, field):
     for shifts in SHIFT_LISTS:
-        cold, warm = cold_and_warm(cold_resolutions, sphere(d, field), shifts, WINDOWS)
+        cold, warm = cold_and_warm(cold_koszul, sphere(d, field), shifts, WINDOWS)
         assert warm == cold, shifts
     M = DGModulePresentation.trivial(sphere(d, field), shifts=(-2, 0, 0, d))
-    cold_resolutions.clear()
+    cold_koszul.clear()
     verdict = phi(M)
-    assert cold_resolutions and phi(DGModulePresentation.trivial(sphere(d, field),
+    assert cold_koszul and phi(DGModulePresentation.trivial(sphere(d, field),
                                                             shifts=(-2, 0, 0, d))) == verdict
 
 
@@ -516,16 +516,16 @@ def test_a_kept_koszul_resolution_gives_the_cold_record(cold_resolutions, d, fie
     DGAlgebraPresentation.polynomial(GF3, [("a", 2), ("b", 4)]),
     DGAlgebraPresentation.polynomial(GF2, [("a", 3), ("b", 4)], char2_polynomial_odd=True),
 ], ids=["K[a2,b4]/Q", "K[a2,b4]/F3", "F2[a3,b4]"])
-def test_a_kept_polynomial_koszul_complex_serves_every_window(cold_resolutions, algebra):
+def test_a_kept_polynomial_koszul_complex_serves_every_window(cold_koszul, algebra):
     # the complex is finite, so one entry serves both windows
     windows = [DegreeWindow(-2, 20), DegreeWindow(1, 6)]
     for shifts in ((0,), (0, 3), (-1, 2, 2)):
-        cold, warm = cold_and_warm(cold_resolutions, algebra, shifts, windows)
+        cold, warm = cold_and_warm(cold_koszul, algebra, shifts, windows)
         assert warm == cold, shifts
-        assert len(cold_resolutions) == 1
+        assert len(cold_koszul) == 1
 
 
-def test_the_kept_koszul_resolutions_part_by_field_and_generators(cold_resolutions):
+def test_the_kept_koszul_resolutions_part_by_field_and_generators(cold_koszul):
     # one module per algebra, read one after another through one memo
     algebras = [sphere(4, QQ), sphere(4, GF2), sphere(4, GF3), sphere(5, GF3),
                 DGAlgebraPresentation(GF3, [Generator("y", 4, "exterior")]),
@@ -533,20 +533,20 @@ def test_the_kept_koszul_resolutions_part_by_field_and_generators(cold_resolutio
     w = DegreeWindow(-1, 16)
     cold = []
     for A in algebras:
-        cold_resolutions.clear()
+        cold_koszul.clear()
         cold.append(koszul_record(DGModulePresentation.trivial(A, shifts=(0, 1)), w))
-    cold_resolutions.clear()
+    cold_koszul.clear()
     assert [koszul_record(DGModulePresentation.trivial(A, shifts=(0, 1)), w)
             for A in algebras * 2] == cold * 2
-    assert len(cold_resolutions) == len(algebras)
+    assert len(cold_koszul) == len(algebras)
 
 
-def test_changing_a_public_koszul_resolution_changes_no_later_tor(cold_resolutions):
+def test_changing_a_public_koszul_resolution_changes_no_later_tor(cold_koszul):
     A = sphere(4)
     M = DGModulePresentation.trivial(A, shifts=(0, 3))
     w = DegreeWindow(0, 30)
     before = koszul_record(M, w)
-    (kept,) = cold_resolutions.values()
+    (kept,) = cold_koszul.values()
     public = koszul_resolution_sphere(4, QQ, cap=w.hi + 2 + 4)
     F = public.module
     assert F is not kept.module
@@ -555,11 +555,11 @@ def test_changing_a_public_koszul_resolution_changes_no_later_tor(cold_resolutio
     F.gen_degree.clear()
     F.truncation_degree = 5
     assert koszul_record(M, w) == before
-    cold_resolutions.clear()
+    cold_koszul.clear()
     assert koszul_record(M, w) == before
 
 
-def test_the_kept_koszul_resolutions_evict_the_least_recently_used(monkeypatch, cold_resolutions):
+def test_the_kept_koszul_resolutions_evict_the_least_recently_used(monkeypatch, cold_koszul):
     checks = []
     validate = DGModulePresentation._validate_free
     monkeypatch.setattr(DGModulePresentation, "_validate_free",
@@ -573,19 +573,19 @@ def test_the_kept_koszul_resolutions_evict_the_least_recently_used(monkeypatch, 
         return _resolve(M, KOSZUL, DegreeWindow(0, hi)).blocks[0][0]
 
     def held():
-        return sum(len(r.module.generators) for r in cold_resolutions.values())
+        return sum(len(r.module.generators) for r in cold_koszul.values())
 
     first = [resolve(hi) for hi in his]
     assert len(checks) == 4
-    assert [key[-1] for key in cold_resolutions] == [hi + 4 for hi in his[1:]]
+    assert [cap for _, _, cap in cold_koszul] == [hi + 4 for hi in his[1:]]
     assert held() == sum(hi + 5 for hi in his[1:]) <= KOSZUL_GENERATOR_BUDGET
     assert resolve(his[1]) is first[1] and len(checks) == 4      # warm, now most recent
     assert resolve(his[0]) is not first[0] and len(checks) == 5  # evicted: checked again
-    assert [key[-1] for key in cold_resolutions] == [hi + 4 for hi in (his[3], his[1], his[0])]
+    assert [cap for _, _, cap in cold_koszul] == [hi + 4 for hi in (his[3], his[1], his[0])]
     assert held() <= KOSZUL_GENERATOR_BUDGET
 
 
-def test_the_sphere_koszul_chain_has_a_generator_budget(cold_resolutions):
+def test_the_sphere_koszul_chain_has_a_generator_budget(cold_koszul):
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match=f"more than {KOSZUL_GENERATOR_BUDGET} generators"):
@@ -602,15 +602,15 @@ def test_the_sphere_koszul_chain_has_a_generator_budget(cold_resolutions):
         koszul_resolution_sphere(2, QQ, cap=cap + 1)
     with pytest.raises(BudgetExceeded):
         _resolve(residue_module(sphere(4)), KOSZUL, DegreeWindow(0, 10**12))
-    assert not cold_resolutions
+    assert not cold_koszul
 
 
-def test_an_empty_trivial_module_builds_no_koszul_resolution(cold_resolutions):
+def test_an_empty_trivial_module_builds_no_koszul_resolution(cold_koszul):
     A = sphere(4)
     tor = derived_tensor(DGModulePresentation.trivial(A, shifts=()), residue_module(A), KOSZUL,
                          DegreeWindow(0, 12))
     assert (tor.dims, tor.bounded) == ({}, True)
-    assert not cold_resolutions
+    assert not cold_koszul
     # an algebra with no Koszul pattern is refused first, empty or not
     B = DGAlgebraPresentation(QQ, [Generator("w", 4, "divided")])
     for shifts in ((), (0,)):
@@ -624,7 +624,7 @@ def test_an_empty_trivial_module_builds_no_koszul_resolution(cold_resolutions):
 def bar_record(M, N, window, monkeypatch=None):
     """A bar Tor of M against N as (complex as JSON, dims, certified_hi,
     period, bounded), or the error's type and message; with ``monkeypatch``,
-    from `bar_resolution(M)` built whole instead of the kept blocks."""
+    from `bar_resolution(M)` built whole instead of the blocks."""
     try:
         if monkeypatch is None:
             tor = derived_tensor(M, N, BAR, window)
@@ -655,6 +655,40 @@ def test_blockwise_bar_tor_is_the_bar_tor_of_the_whole_module(monkeypatch, d, fi
             assert bar_record(M, N, w) == bar_record(M, N, w, monkeypatch), (shifts, name, w)
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_blockwise_bar_tor_against_a_module_below_degree_zero(monkeypatch, d, field):
+    # the block on a shift s reaches degree s + hi + 2 - min(0, lowest shift),
+    # the whole module only hi + 2: against N below degree 0 the blocks
+    # certify through hi + min(lowest shift, 0 - lowest degree of N) and more
+    # than the whole module when every shift is positive, and both are right
+    # on every degree they certify.  Tor(Σ^s K, Σ^t K) is one class in each
+    # degree s + t + j(d - 1), j >= 0.
+    A = sphere(d, field)
+    for t in (-1, -3):
+        N = DGModulePresentation.trivial(A, shifts=(t,))
+        for i, shifts in enumerate(BAR_SHIFT_LISTS):
+            M = DGModulePresentation.trivial(A, shifts=shifts)
+            w = BAR_WINDOWS[i % 2]
+            blocks, whole = (bar_record(M, N, w, mp) for mp in (None, monkeypatch))
+            if not shifts:
+                assert blocks == whole
+                continue
+            assert blocks[3:] == whole[3:] == (None, False), (shifts, t)
+            low = min(shifts)
+            assert whole[2] == w.hi + t
+            assert blocks[2] == min(w.hi, w.hi + t + max(0, low)), (shifts, t)
+            for dims, hi in ((blocks[1], blocks[2]), (whole[1], whole[2])):
+                for n in range(w.lo, hi + 1):
+                    want = sum(1 for s in shifts if n >= s + t and (n - s - t) % (d - 1) == 0)
+                    assert dims.get(n, 0) == want, (shifts, t, n)
+            if low <= 0:
+                # the same answer; the complexes are the same unless N reaches
+                # below degree -1
+                assert blocks[1:] == whole[1:], (shifts, t)
+                assert blocks == whole or t < -1, (shifts, t)
+
+
 @pytest.mark.parametrize("algebra", [
     DGAlgebraPresentation.polynomial(QQ, [("a", 2), ("b", 4)]),
     DGAlgebraPresentation.polynomial(GF2, [("a", 3), ("b", 4)], char2_polynomial_odd=True),
@@ -662,7 +696,7 @@ def test_blockwise_bar_tor_is_the_bar_tor_of_the_whole_module(monkeypatch, d, fi
     sphere_model(4),
     DGAlgebraPresentation(QQ, [Generator("x", 2, "polynomial"), Generator("ξ", 3, "exterior")]),
 ], ids=["K[a2,b4]", "F2[a3,b4]", "S2 model", "S4 model", "K[x2]⊗∧ξ3"])
-def test_blockwise_bar_tor_over_other_algebras(monkeypatch, algebra, cold_resolutions):
+def test_blockwise_bar_tor_over_other_algebras(monkeypatch, algebra):
     K = residue_module(algebra)
     for shifts in ((0,), (0, 3, 3), (-1, 2), (9, 20), ()):
         M = DGModulePresentation.trivial(algebra, shifts=shifts)
@@ -675,7 +709,7 @@ def test_blockwise_bar_tor_over_other_algebras(monkeypatch, algebra, cold_resolu
     assert bar_record(big, K, w) == bar_record(big, K, w, monkeypatch)
 
 
-def test_blockwise_bar_tor_refuses_what_the_whole_module_refuses(monkeypatch, cold_resolutions):
+def test_blockwise_bar_tor_refuses_what_the_whole_module_refuses(monkeypatch):
     w = DegreeWindow(0, 6)
     S1 = DGAlgebraPresentation(QQ, [Generator("t", 1, "exterior")])
     M = DGModulePresentation.trivial(S1, shifts=(0, 2))
@@ -688,19 +722,6 @@ def test_blockwise_bar_tor_refuses_what_the_whole_module_refuses(monkeypatch, co
     assert bar_record(twice, residue_module(A), w) == \
         ("PresentationError", "duplicate module generator labels") == \
         bar_record(twice, residue_module(A), w, monkeypatch)
-
-
-def test_the_bar_store_keys_the_algebras_differential(cold_resolutions):
-    # one generator list, δξ = x² or δξ = 0: two entries, two answers
-    model = sphere_model(2)
-    flat = DGAlgebraPresentation(QQ, model.generators)
-    w = DegreeWindow(0, 8)
-    tors = [bar_record(DGModulePresentation.trivial(A, shifts=(0, 1)), residue_module(A), w)
-            for A in (model, flat)]
-    assert tors[0] != tors[1] and len(cold_resolutions) == 2
-    cold_resolutions.clear()
-    assert bar_record(DGModulePresentation.trivial(flat, shifts=(0, 1)), residue_module(flat),
-                      w) == tors[1]
 
 
 def test_bar_tor_is_right_below_a_negative_shift():
@@ -728,57 +749,22 @@ def test_bar_tor_is_right_below_a_negative_shift():
                           w).dims[24] == 2
 
 
-def test_the_bar_tor_checks_its_resolution_of_k_once(monkeypatch, cold_resolutions):
-    A, A2 = sphere(4, GF3), sphere(4, GF3)
+@pytest.mark.parametrize("k", [1, 3, 13])
+def test_a_bar_tor_checks_one_resolution_of_k_per_call(monkeypatch, cold_koszul, k):
+    A = sphere(4, GF3)
     checks = []
     validate = DGModulePresentation._validate_free
     monkeypatch.setattr(DGModulePresentation, "_validate_free",
                         lambda self: checks.append(self) or validate(self))
+    M = DGModulePresentation.trivial(A, shifts=tuple(range(0, 3 * k, 3)))
     w = DegreeWindow(0, 30)
-    cold = derived_tensor(DGModulePresentation.trivial(A, shifts=(0, 3, 3)),
-                          residue_module(A), BAR, w)
-    assert len(checks) == 1 and len(cold_resolutions) == 1
-    # warm: an equal but distinct algebra and other shifts read the same B(K)
-    warm = derived_tensor(DGModulePresentation.trivial(A2, shifts=(0, 3, 3)),
-                          residue_module(A2), BAR, w)
-    assert derived_tensor(DGModulePresentation.trivial(A2, shifts=(1,)), residue_module(A2),
-                          BAR, w).dims
-    assert len(checks) == 1 and len(cold_resolutions) == 1
-    assert complex_to_json(warm.complex) == complex_to_json(cold.complex)
-
-
-def test_the_kept_bar_and_koszul_resolutions_part_by_strategy(cold_resolutions):
-    # both caps are 16: window 0:10 for Koszul over S^4, 0:14 for bar
-    A = sphere(4)
-    M = DGModulePresentation.trivial(A, shifts=(0, 3))
-    kos, bar = DegreeWindow(0, 10), DegreeWindow(0, 14)
-    cold = [koszul_record(M, kos), bar_record(M, residue_module(A), bar)]
-    assert sorted(key[0] for key in cold_resolutions) == [BAR, KOSZUL]
-    assert {key[-1] for key in cold_resolutions} == {16}
-    # warm, each reads its own entry
-    assert [koszul_record(M, kos), bar_record(M, residue_module(A), bar)] == cold
-    assert len(cold_resolutions) == 2
-
-
-def test_the_kept_bar_and_koszul_resolutions_share_one_eviction(cold_resolutions):
-    A = sphere(2)
-    M = DGModulePresentation.trivial(A)
-
-    def held():
-        return sum(len(r.module.generators) for r in cold_resolutions.values())
-
-    # Koszul chains of 4,995 and 4,996 generators, then a bar resolution of 23
-    # words: the older chain goes
-    for hi in (4990, 4991):
-        _resolve(M, KOSZUL, DegreeWindow(0, hi))
-    _resolve(M, BAR, DegreeWindow(0, 20))
-    assert [(key[0], key[-1]) for key in cold_resolutions] == [(KOSZUL, 4995), (BAR, 22)]
-    assert held() <= KOSZUL_GENERATOR_BUDGET
-    # once least recently used, the bar resolution is the one pushed out
-    _resolve(M, KOSZUL, DegreeWindow(0, 4991))
-    _resolve(M, KOSZUL, DegreeWindow(0, 4992))
-    assert [(key[0], key[-1]) for key in cold_resolutions] == [(KOSZUL, 4995), (KOSZUL, 4996)]
-    assert held() <= KOSZUL_GENERATOR_BUDGET
+    first = derived_tensor(M, residue_module(A), BAR, w)
+    assert len(checks) == 1
+    # nothing is kept: the next call builds and checks B(K) again, and the
+    # kept Koszul resolutions are left alone
+    again = derived_tensor(M, residue_module(A), BAR, w)
+    assert len(checks) == 2 and checks[0] is not checks[1] and not cold_koszul
+    assert complex_to_json(again.complex) == complex_to_json(first.complex)
 
 
 def test_derived_tensor_with_a_zero_module_is_zero_and_finite():
