@@ -1,18 +1,18 @@
 """Semifree resolutions, derived tensor products, Tor, compactness verdicts
 and level bounds from filtration class.
 
-A resolution is a block sum of checked free modules (`Resolution`): a given
-resolution, or the bar resolution of any other module, is one block; a sum of
-shifts of K is one block per shift of a single checked resolution of K,
-Koszul or bar.  `derived_tensor` tensors it block by block, so no shifted
-copy is ever made.  The Koszul resolution of K depends only on the algebra
-and the degree cap, so `_resolve` builds and checks it once per process and
-keeps it, least recently used first out, up to KOSZUL_GENERATOR_BUDGET
-generators in all; the public builders (`koszul_resolution_sphere`,
-`koszul_resolution_poly`) always build afresh.  The bar resolution of K is
-built once per call and never kept: its labels are long (over H*(S^2) on
-window 0:2990, 2,993 words hold 15.4 MB, 13.4 M of it label characters),
-and nothing but a replayed query list would read it twice in one process.
+A resolution is a block sum of checked free modules (`Resolution`), picked
+by `_resolve` with one rule per case.  A zero factor (an empty sum of shifts
+of K, the zero free module, an N with no elements) gets no block, so Tor is
+zero and finite through the window.  A free module is its own resolution
+under `given` and `koszul`.  A sum of shifts of K is one block per shift on
+one checked resolution of K, Koszul or bar, through window.hi - min(0, lowest
+shift).  Whole-module `bar_resolution(M)` serves free modules with generators
+and raw modules that are not trivial.  `derived_tensor` tensors block by
+block, copying no shift, and cuts the tensor where N's expansion is cut,
+moved by the lowest generator.  The Koszul resolution of K depends only on
+the algebra and the cap, so it is kept per process, least recently used
+first out, up to KOSZUL_GENERATOR_BUDGET generators; bar's is built per call.
 
 A truncated engine must never silently claim finiteness, so every total
 cohomology question is answered by a three-way verdict from one rule,
@@ -48,7 +48,7 @@ from .errors import (
     PresentationError,
     StrategyInapplicable,
 )
-from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology_dims
+from .graded import CochainComplex, DegreeWindow, assemble, cohomology_dims
 from .module import DGModulePresentation, block_sum
 
 BAR = "bar"
@@ -430,41 +430,45 @@ class TorResult:
         return finiteness(self.dims, self.period, self.certified_hi, self.bounded)
 
 
-def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow) -> Resolution:
+def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow,
+             zero: bool = False) -> Resolution:
+    """The resolution of M that ``strategy`` names; no block when M or (``zero``)
+    the other factor has nothing in it, as Tor is then zero, but only after
+    the strategy's checks on M, which refuse as they would on any M."""
     A = M.algebra
     if strategy == GIVEN:
         if not M.is_free:
             raise StrategyInapplicable("GivenResolution needs a free presentation")
-        return Resolution.of(M)
-    if strategy == KOSZUL:
+    elif strategy == KOSZUL:
         if not A.has_zero_differential():
             raise StrategyInapplicable("Koszul strategy needs a zero-differential algebra")
-        if M.is_free:
-            return Resolution.of(M)
-        if not M.is_trivial():
-            raise StrategyInapplicable(
-                "Koszul strategy resolves trivial modules (sums of shifts of K)")
-        if not _koszul_applies(A):
-            raise StrategyInapplicable("no Koszul pattern for this algebra")
+        if not M.is_free:
+            if not M.is_trivial():
+                raise StrategyInapplicable(
+                    "Koszul strategy resolves trivial modules (sums of shifts of K)")
+            if not _koszul_applies(A):
+                raise StrategyInapplicable("no Koszul pattern for this algebra")
     elif strategy != BAR:
         raise StrategyInapplicable(f"unknown strategy {strategy!r}")
-    elif M.is_free or not M.is_trivial() or not M.shift_degrees():
+    if zero or not (M.generators if M.is_free else M.complex.space.basis):
+        return Resolution((), None)
+    if M.is_free and strategy != BAR:
+        return Resolution.of(M)
+    if M.is_free or not M.is_trivial():
         return bar_resolution(M, A, window=window)
     # a sum of shifts of K: Σ^{-s} of one resolution of K per shift s, never
-    # copied
+    # copied; the block on the lowest shift reaches furthest
     space = M.complex.space
-    summands = [(label, s) for s in sorted(space.degrees()) for label in space.labels(s)]
+    summands = [(label, s) for s in space.degrees() for label in space.labels(s)]
+    reach = window.hi - min(0, summands[0][1])
     if strategy == KOSZUL:
-        if not summands:
-            return Resolution.of(DGModulePresentation.zero(A))
-        # over H*(S^d), Tor through window.hi needs generators through hi + d + 2
-        res = _kept_koszul(A, window.hi + 2 + sum(g.degree for g in A.generators))
+        # over H*(S^d), Tor through the reach needs generators through reach + d + 2
+        res = _kept_koszul(A, reach + 2 + sum(g.degree for g in A.generators))
         summands = [(f"{k}⟨{s}⟩·", s) for k, (_, s) in enumerate(summands)]
     else:
-        # B(Σ^{-s}K) is Σ^{-s}B(K) with the shift's label before each word;
-        # the word on the lowest shift reaches furthest
+        # B(Σ^{-s}K) is Σ^{-s}B(K) with the shift's label before each word
         res = bar_resolution(DGModulePresentation.trivial(A, labels=[""]), A,
-                             window=DegreeWindow(0, window.hi - min(0, summands[0][1])))
+                             window=DegreeWindow(0, reach))
         if len({label for label, _ in summands}) < len(summands):
             raise PresentationError("duplicate module generator labels")
     return Resolution(tuple((res.module, pre, s) for pre, s in summands), res.period)
@@ -479,17 +483,14 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
                    strategy: str, window: DegreeWindow) -> TorResult:
     """M ⊗^L_A N as a cochain complex; its cohomology is Tor_A(M, N) in every
     certified degree.  N is a bounded module presented with right actions and
-    used on the left through graded commutativity."""
-    res = _resolve(M, strategy, window)
+    used on the left through graded commutativity; where its expansion is
+    truncated, the tensor is too, from that degree on the lowest generator of
+    the resolution."""
+    nexp = N.expand(N.default_window())
+    res = _resolve(M, strategy, window, not nexp.elements)
     A = M.algebra
     f = A.field
-    nexp = N.expand(N.default_window())
     n_degrees = sorted(nexp.elements)
-    if not n_degrees:
-        space = GradedVectorSpace(f, {})
-        cx = CochainComplex(space, {})
-        return TorResult(cx, {}, window.hi, res.period, True, strategy)
-    n_lo = min(n_degrees)
 
     # block k of the resolution contributes (k, g, b): its generator g in
     # degree |g| + offset, labelled prefix + g, tensored with b in N
@@ -530,18 +531,19 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
         for i, c in nexp.complex.column(nd, j):
             yield (k, glabel, nexp.elements[nd + 1][i]), -c if odd else c
 
-    truncs = [F.truncation_degree + offset for F, _, offset in res.blocks
-              if F.truncation_degree is not None]
-    if not truncs:
-        # finite exactly when the window holds the tensor's whole support
-        truncated_above = None
-        gdegs = [g + offset for F, _, offset in res.blocks for _, g in F.generators]
-        bounded = not gdegs or (window.lo <= min(gdegs) + n_lo
-                                and max(gdegs) + n_degrees[-1] <= window.hi)
-    else:
-        truncated_above = min(truncs) - 1 + n_lo
-        bounded = False
-    cx, _ = assemble(f, dict(sorted(elems.items())), labels, column, truncated_above)
+    # a truncated block cuts the tensor from its truncation on N's lowest
+    # degree, a truncated N from its cut on the lowest generator
+    cuts = [F.truncation_degree + offset - 1 + n_degrees[0] for F, _, offset in res.blocks
+            if F.truncation_degree is not None]
+    n_cut = nexp.complex.truncated_above
+    gdegs = [g + offset for F, _, offset in res.blocks for _, g in F.generators] \
+        if n_cut is not None or not cuts else []        # read only where needed
+    if gdegs and n_cut is not None:
+        cuts.append(n_cut + min(gdegs))
+    # finite exactly when nothing is cut and the window holds the whole support
+    bounded = not cuts and (not gdegs or (window.lo <= min(gdegs) + n_degrees[0]
+                                          and max(gdegs) + n_degrees[-1] <= window.hi))
+    cx, _ = assemble(f, dict(sorted(elems.items())), labels, column, min(cuts, default=None))
     return TorResult(cx, cohomology_dims(cx, window), cx.certified(window)[1], res.period,
                      bounded, strategy)
 

@@ -238,10 +238,9 @@ def _pair_valid(a, b, d):
 MATCHING_BUDGET = 100_000
 
 
-def all_matchings(dims, d, key=None):
-    """Every perfect matching of the degree multiset into molecule pairs, as
-    a list; with ``key``, a dict from each value of key(pairs) to the first
-    matching that gives it, which keeps only those matchings.
+def all_matchings(dims, d, key):
+    """The perfect matchings of the degree multiset into molecule pairs, as a
+    dict from each value of key(pairs) to the first matching that gives it.
 
     The lowest class left is paired with each distinct valid partner in
     increasing degree, depth first, on an explicit stack (a table may hold
@@ -253,7 +252,7 @@ def all_matchings(dims, d, key=None):
     degrees = sorted(n for n in dims if dims[n])
     left = {n: dims[n] for n in degrees}
     partners = {a: [b for b in degrees if _pair_valid(a, b, d)] for a in degrees}
-    out, acc, stack = [] if key is None else {}, [], []   # len(acc) == len(stack) - 1
+    out, acc, stack = {}, [], []    # len(acc) == len(stack) - 1
     dead = set()                    # count vectors left that complete to no matching
     found = 0
 
@@ -273,9 +272,7 @@ def all_matchings(dims, d, key=None):
             raise BudgetExceeded(f"the degree table has more than {MATCHING_BUDGET} matchings "
                                  "into molecule pairs")
         found += 1
-        if key is None:
-            out.append(tuple(acc))
-        elif (k := key(acc)) not in out:
+        if (k := key(acc)) not in out:
             out[k] = tuple(acc)
         return False
 

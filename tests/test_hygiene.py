@@ -37,6 +37,10 @@ passes its ``args`` to (such as ``_window`` or ``_report``).
 One unchecked construction: ``__new__`` makes an object without running
 ``__init__``, so a module made that way skips the constructor's checks.  Only
 ``module.block_sum``, whose parts are checked modules, does so.
+
+One place for the resolution rules: inside the package only
+``resolve._resolve`` calls ``bar_resolution`` and ``_kept_koszul``, so which
+resolution a Tor gets, and none for a zero factor, is decided there alone.
 """
 
 import ast
@@ -307,14 +311,28 @@ def test_every_cli_option_is_read():
     assert unread == []
 
 
-def test_block_sum_is_the_only_construction_past_init():
-    uses = []
+def package_nodes():
+    """(file name, innermost enclosing function name or None, node) for every
+    AST node of the package."""
     for path in PACKAGE:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         # ast.walk is breadth first, so a nested function overwrites its parent
         owner = {id(n): fn.name for fn in ast.walk(tree)
                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(fn)}
-        uses += [f"{path.name} {owner.get(id(n))}" for n in ast.walk(tree)
-                 if getattr(n, "attr", None) == "__new__" or
-                 isinstance(n, ast.Constant) and n.value == "__new__"]
+        for n in ast.walk(tree):
+            yield path.name, owner.get(id(n)), n
+
+
+def test_block_sum_is_the_only_construction_past_init():
+    uses = [f"{name} {fn}" for name, fn, n in package_nodes()
+            if getattr(n, "attr", None) == "__new__" or
+            isinstance(n, ast.Constant) and n.value == "__new__"]
     assert uses == ["module.py block_sum"]
+
+
+def test_only_resolve_picks_a_resolution():
+    callers = Counter(f"{name} {fn}" for name, fn, n in package_nodes()
+                      if isinstance(n, ast.Call) and
+                      getattr(n.func, "id", getattr(n.func, "attr", None))
+                      in ("bar_resolution", "_kept_koszul"))
+    assert callers == {"resolve.py _resolve": 3}

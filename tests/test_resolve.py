@@ -30,8 +30,10 @@ from dglevels.rational import sphere_model
 from dglevels.resolve import (
     BAR,
     BAR_WORD_BUDGET,
+    GIVEN,
     KOSZUL,
     KOSZUL_GENERATOR_BUDGET,
+    FinitenessVerdict,
     SemifreeFiltration,
     _koszul,
     _resolve,
@@ -48,6 +50,7 @@ from dglevels.resolve import (
     periodic_witnesses,
     phi,
     residue_module,
+    sphere_block_period,
 )
 
 
@@ -419,18 +422,41 @@ WINDOWS = [DegreeWindow(-6, 14), DegreeWindow(3, 22)]
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_blockwise_koszul_tensor_is_the_tensor_of_the_copied_sum(d, field):
     A = sphere(d, field)
-    # the molecule's own differential carries the sign of |g| + offset
-    right = {"K": residue_module(A), "raw line": raw_line(A, d),
-             "trivial sum": DGModulePresentation.trivial(A, shifts=(0, 1, d)),
-             "molecule": chain_module(d, 1, field, bottom=1)}
+    # the molecule's own differential carries the sign of |g| + offset; each
+    # right module comes with its Tor against K: one class in each degree
+    # t + j(d - 1) per summand K in degree t, the raw line (A itself) K in
+    # degree 0, the molecule K ⊗_A F, one class on each generator
+    def classes_of_k(tops):
+        return lambda n: sum(1 for t in tops if n >= t and (n - t) % (d - 1) == 0)
+
+    right = {"K": (residue_module(A), classes_of_k((0,))),
+             "raw line": (raw_line(A, d), lambda n: int(n == 0)),
+             "trivial sum": (DGModulePresentation.trivial(A, shifts=(0, 1, d)),
+                             classes_of_k((0, 1, d))),
+             "molecule": (chain_module(d, 1, field, bottom=1), lambda n: int(n in (1, d)))}
     for i, shifts in enumerate(SHIFT_LISTS):
         M = DGModulePresentation.trivial(A, shifts=shifts)
-        for name, N in right.items():
+        for name, (N, tor_of_k) in right.items():
             w = WINDOWS[(i + len(name)) % 2]
             tor = derived_tensor(M, N, KOSZUL, w)
-            got = tensor_record(tor.complex, tor.dims, tor.certified_hi, tor.period,
-                                tor.bounded)
-            assert got == tensor_record(*copied_tensor(M, N, w)), (shifts, name, w)
+            if min(shifts) >= 0:
+                got = tensor_record(tor.complex, tor.dims, tor.certified_hi, tor.period,
+                                    tor.bounded)
+                assert got == tensor_record(*copied_tensor(M, N, w)), (shifts, name, w)
+                continue
+            # below degree 0 the copied sum stops short of the window: the
+            # resolution reaches window.hi - (lowest shift), and the answer
+            # is Tor(K, N) moved by each shift, in every degree of the window
+            # above window.lo.  Degree window.lo is read without degree
+            # window.lo - 1, by the copied sum too, so it can hold a class
+            # that degree would bound (shift -3 against the raw line over
+            # H*(S^6) on 3:22 reads one in degree 3)
+            want = {n: h for n in w.degrees() if n > w.lo
+                    if (h := sum(tor_of_k(n - s) for s in shifts))}
+            if h := copied_tensor(M, N, w)[1].get(w.lo):
+                want[w.lo] = h
+            assert (tor.dims, tor.certified_hi, tor.period, tor.bounded) == \
+                (want, w.hi, sphere_block_period(d), False), (shifts, name, w)
 
 
 @pytest.mark.parametrize("field, shifts", [(QQ, (0, 3)), (GF2, (-1, 2, 2)), (GF3, (1,))])
@@ -631,11 +657,18 @@ def bar_record(M, N, window, monkeypatch=None):
         else:
             with monkeypatch.context() as m:
                 m.setattr(dglevels.resolve, "_resolve",
-                          lambda M, _, w: bar_resolution(M, M.algebra, window=w))
+                          lambda M, _, w, zero: bar_resolution(M, M.algebra, window=w))
                 tor = derived_tensor(M, N, BAR, window)
     except Exception as e:
         return type(e).__name__, str(e)
     return complex_to_json(tor.complex), tor.dims, tor.certified_hi, tor.period, tor.bounded
+
+
+def zero_record(field, window):
+    """The record of a Tor with a zero factor: the zero complex, finite and
+    certified through window.hi, with no period."""
+    return complex_to_json(CochainComplex(GradedVectorSpace(field, {}), {})), {}, window.hi, \
+        None, True
 
 
 # repeats, negative shifts, shifts above both windows, and the empty module
@@ -652,7 +685,9 @@ def test_blockwise_bar_tor_is_the_bar_tor_of_the_whole_module(monkeypatch, d, fi
         M = DGModulePresentation.trivial(A, shifts=shifts)
         for name, N in right.items():
             w = BAR_WINDOWS[(i + len(name)) % 2]
-            assert bar_record(M, N, w) == bar_record(M, N, w, monkeypatch), (shifts, name, w)
+            # the whole empty module listed every bar word and came out truncated
+            want = bar_record(M, N, w, monkeypatch) if shifts else zero_record(field, w)
+            assert bar_record(M, N, w) == want, (shifts, name, w)
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5])
@@ -672,7 +707,7 @@ def test_blockwise_bar_tor_against_a_module_below_degree_zero(monkeypatch, d, fi
             w = BAR_WINDOWS[i % 2]
             blocks, whole = (bar_record(M, N, w, mp) for mp in (None, monkeypatch))
             if not shifts:
-                assert blocks == whole
+                assert blocks == zero_record(field, w)
                 continue
             assert blocks[3:] == whole[3:] == (None, False), (shifts, t)
             low = min(shifts)
@@ -701,7 +736,8 @@ def test_blockwise_bar_tor_over_other_algebras(monkeypatch, algebra):
     for shifts in ((0,), (0, 3, 3), (-1, 2), (9, 20), ()):
         M = DGModulePresentation.trivial(algebra, shifts=shifts)
         for w in (DegreeWindow(0, 6), DegreeWindow(2, 8)):
-            assert bar_record(M, K, w) == bar_record(M, K, w, monkeypatch), (shifts, w)
+            want = bar_record(M, K, w, monkeypatch) if shifts else zero_record(algebra.field, w)
+            assert bar_record(M, K, w) == want, (shifts, w)
     # past the word budget both stop with one message
     big = DGModulePresentation.trivial(algebra, shifts=(0, 2))
     w = DegreeWindow(0, 40)
@@ -734,13 +770,10 @@ def test_bar_tor_is_right_below_a_negative_shift():
         for shifts in ((-7,), (-3, 2), (-5, -5, 1), (-1, 4, 30)):
             M = DGModulePresentation.trivial(A, shifts=shifts)
             bar = derived_tensor(M, K, BAR, w)
-            kos = derived_tensor(M, K, KOSZUL, w)
             assert bar.certified_hi == w.hi, (d, shifts)
             for n in range(w.lo, w.hi + 1):
                 want = sum(1 for s in shifts if n >= s and (n - s) % (d - 1) == 0)
                 assert bar.dims.get(n, 0) == want, (d, shifts, n)
-                if n <= kos.certified_hi:
-                    assert kos.dims.get(n, 0) == want, (d, shifts, n)
     # the two answers wrong before: dims stopped at 19, and degree 24 read 1
     K2 = residue_module(sphere(2))
     assert max(derived_tensor(DGModulePresentation.trivial(sphere(2), shifts=(-7,)), K2, BAR,
@@ -773,6 +806,136 @@ def test_derived_tensor_with_a_zero_module_is_zero_and_finite():
                          window=DegreeWindow(0, 12))
     assert tor.dims == {} and tor.certified_hi == 12
     assert tor.verdict().is_finite
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_koszul_and_bar_reach_the_same_degrees_below_a_negative_shift(d, field):
+    # both resolve K through window.hi - (lowest shift), so both certify the
+    # window: one class in each degree s + j(d - 1) per shift s
+    A = sphere(d, field)
+    K = residue_module(A)
+    w = DegreeWindow(0, 24)
+    for shifts in ((-7,), (-3, 2), (-5, -5, 1), (-1, 4, 30), (-25,)):
+        M = DGModulePresentation.trivial(A, shifts=shifts)
+        want = {n: h for n in w.degrees()
+                if (h := sum(1 for s in shifts if n >= s and (n - s) % (d - 1) == 0))}
+        for strategy in (KOSZUL, BAR):
+            tor = derived_tensor(M, K, strategy, w)
+            assert (tor.dims, tor.certified_hi) == (want, w.hi), (shifts, strategy)
+
+
+# -- a zero factor ---------------------------------------------------------------------
+
+
+ZERO_FACTOR_ALGEBRAS = {
+    "S2": sphere(2), "S3/F2": sphere(3, GF2), "S4/F3": sphere(4, GF3), "S5/F5": sphere(5, GF5),
+    "K[a2,b4]": DGAlgebraPresentation.polynomial(QQ, [("a", 2), ("b", 4)]),
+    "S2 model": sphere_model(2),                                       # δξ = x²
+    "ext(a3,b5)": DGAlgebraPresentation(QQ, [Generator("a", 3, "exterior"),
+                                             Generator("b", 5, "exterior")]),  # no pattern
+}
+# past both budgets wherever they apply: over H*(S^2) the window 0:20,000
+# needs 20,005 Koszul generators and over 20,000 bar words
+ZERO_FACTOR_WINDOWS = [DegreeWindow(0, 20_000), DegreeWindow(-7, 30_000)]
+
+
+def tor_outcome(M, N, strategy, window):
+    """A derived tensor as its answer, or its refusal's type and message."""
+    try:
+        tor = derived_tensor(M, N, strategy, window)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return tor.dims, tor.certified_hi, tor.period, tor.bounded, tor.verdict()
+
+
+@pytest.mark.parametrize("name", list(ZERO_FACTOR_ALGEBRAS))
+def test_a_zero_factor_is_zero_tor_under_every_strategy(monkeypatch, cold_koszul, name):
+    A = ZERO_FACTOR_ALGEBRAS[name]
+    zero = {"empty sum": DGModulePresentation.trivial(A, shifts=()),
+            "zero free": DGModulePresentation.zero(A)}
+    other = {"K": residue_module(A), "free": DGModulePresentation.free_rank_one(A),
+             "sum": DGModulePresentation.trivial(A, shifts=(-3, 0, 5))}
+    if A.sphere_generator_label() is not None:
+        other["raw line"] = raw_line(A, A.generators[0].degree)
+    # a strategy's checks read of M only the algebra and whether M is free,
+    # trivial or raw, so a zero M is refused exactly when its non-zero twin
+    # is, as read against K on a small window
+    twin = {"empty sum": other["K"], "zero free": other["free"]}
+    cases = [(m, n) for m in zero for n in [*zero, *other]] + \
+        [(m, n) for m in other for n in zero]
+    strategies = (GIVEN, KOSZUL, BAR, "nonsense")
+    refusal = {}
+    for strategy in strategies:
+        for m in [*zero, *other]:
+            got = tor_outcome(twin.get(m) or other[m], other["K"], strategy, DegreeWindow(0, 4))
+            refusal[strategy, m] = got if got[0] == "StrategyInapplicable" else None
+    cold_koszul.clear()
+    checks, bars = [], []
+    validate, bar = DGModulePresentation._validate_free, dglevels.resolve.bar_resolution
+    monkeypatch.setattr(DGModulePresentation, "_validate_free",
+                        lambda self: checks.append(self) or validate(self))
+    monkeypatch.setattr(dglevels.resolve, "bar_resolution",
+                        lambda *a, **k: bars.append(a) or bar(*a, **k))
+    modules = zero | other
+    for w in ZERO_FACTOR_WINDOWS:
+        for strategy in strategies:
+            for m, n in cases:
+                want = refusal[strategy, m] or \
+                    ({}, w.hi, None, True, FinitenessVerdict("finite", total=0))
+                got = tor_outcome(modules[m], modules[n], strategy, w)
+                assert got == want, (strategy, m, n, w)
+    assert (checks, bars, len(cold_koszul)) == ([], [], 0)
+    refused = {(strategy, m) for (strategy, m), r in refusal.items() if r}
+    assert {(GIVEN, "empty sum"), ("nonsense", "zero free")} <= refused
+    assert ((KOSZUL, "zero free") in refused) == (name == "S2 model")
+    assert ((KOSZUL, "raw line") in refused) == ("raw line" in other)
+
+
+def test_a_zero_factor_needs_no_simply_connected_algebra():
+    # only bar asks for generators in degrees >= 2, and with a zero factor it
+    # builds nothing; a non-zero bar Tor is still refused
+    S1 = DGAlgebraPresentation(QQ, [Generator("t", 1, "exterior")])
+    K, empty = residue_module(S1), DGModulePresentation.trivial(S1, shifts=())
+    w = DegreeWindow(0, 12)
+    for M, N in ((empty, K), (K, empty), (DGModulePresentation.zero(S1), K)):
+        assert tor_outcome(M, N, BAR, w) == \
+            ({}, w.hi, None, True, FinitenessVerdict("finite", total=0))
+    assert tor_outcome(K, K, BAR, w) == \
+        ("NotSimplyConnected", "bar resolution needs generators in degrees >= 2")
+
+
+# -- a truncated right factor ----------------------------------------------------------
+
+
+def test_a_truncated_right_factor_truncates_the_tensor():
+    # K[a₂] on one generator is expanded in its default window -2:2, so it
+    # is known below degree 3 only; Tor(K, K[a₂]) is K in degree 0 and
+    # Tor(K[a₂], K[a₂]) is K[a₂].  Each read a class in degree 3 or 2, the
+    # Koszul and given ones as finite.
+    P = DGAlgebraPresentation.polynomial(QQ, [("a", 2)])
+    F = DGModulePresentation.free_rank_one(P)
+    for M, strategy in ((residue_module(P), KOSZUL), (residue_module(P), BAR), (F, GIVEN)):
+        tor = derived_tensor(M, F, strategy, DegreeWindow(0, 10))
+        assert (tor.dims, tor.certified_hi, tor.bounded, tor.verdict().kind) == \
+            ({0: 1}, 1, False, "unknown"), strategy
+
+
+def test_a_truncated_koszul_module_on_the_right_truncates_the_tensor():
+    # the Koszul resolution of K over H*(S^4) through degree 8 has generators
+    # in degrees 0, 3 and 6 and is expanded through degree 7: A ⊗_A F is F,
+    # with H = K in degree 0 (read before as finite with a class in degree
+    # 10, where γ₁(w)·x is not yet bounded), and K ⊗^L_A F is Tor(K, K), one
+    # class in each degree 3j (read before through degree 12, without 9, 12)
+    A = sphere(4)
+    F = koszul_resolution_sphere(4, QQ, cap=8).module
+    w = DegreeWindow(0, 12)
+    for M, strategy, want in ((DGModulePresentation.free_rank_one(A), GIVEN, {0: 1}),
+                              (residue_module(A), KOSZUL, {0: 1, 3: 1, 6: 1}),
+                              (residue_module(A), BAR, {0: 1, 3: 1, 6: 1})):
+        tor = derived_tensor(M, F, strategy, w)
+        assert (tor.dims, tor.certified_hi, tor.bounded) == (want, 6, False), strategy
+        assert tor.verdict().kind == "unknown"
 
 
 @pytest.mark.parametrize("algebra, koszul", [

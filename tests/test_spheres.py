@@ -316,14 +316,14 @@ def test_all_matchings_stops_at_its_budget():
     # the table has 15!! = 2,027,025 matchings
     dims = dict.fromkeys(range(0, 32, 2), 1)
     with pytest.raises(BudgetExceeded, match=f"more than {MATCHING_BUDGET} matchings"):
-        all_matchings(dims, 2)
+        all_matchings(dims, 2, tuple)
     with pytest.raises(BudgetExceeded) as e:
         decompose(dims, 2)
     assert e.value.code == "budget-exceeded"
     # the 40,320 matchings of the tower[5, 3] table stay inside the budget
     tower_5_3 = dict.fromkeys([0, 3, 31, 42, 64, 68, 75, 79, 99, 103, 110, 114,
                                136, 147, 175, 178], 1)
-    assert len(all_matchings(tower_5_3, 3)) == 40320 < MATCHING_BUDGET
+    assert len(all_matchings(tower_5_3, 3, tuple)) == 40320 < MATCHING_BUDGET
 
 
 def recursive_matchings(dims, d):
@@ -361,10 +361,13 @@ def matchings_or_budget(search, dims, d):
 @settings(deadline=None, max_examples=300)
 @given(st.integers(2, 6), st.dictionaries(st.integers(-6, 24), st.integers(0, 3), max_size=5))
 def test_all_matchings_lists_what_the_recursive_search_lists(d, dims):
-    # the same matchings in the same order, hence the same default and the
-    # same order of alternatives in every decompose payload
-    assert matchings_or_budget(all_matchings, dims, d) == \
-        matchings_or_budget(recursive_matchings, dims, d)
+    # keyed by the matching itself it keeps every one: the same matchings in
+    # the same order, hence the same default and the same order of
+    # alternatives in every decompose payload
+    keyed = matchings_or_budget(lambda t, d: all_matchings(t, d, tuple), dims, d)
+    listed = matchings_or_budget(recursive_matchings, dims, d)
+    assert keyed == listed if listed == "budget-exceeded" else \
+        list(keyed) == list(keyed.values()) == listed
 
 
 @settings(deadline=None, max_examples=200)
@@ -374,7 +377,7 @@ def test_keyed_matchings_are_the_first_of_each_key_in_listing_order(d, dims):
     def multiset(pairs):
         return tuple(sorted(pairs))
 
-    listed = matchings_or_budget(all_matchings, dims, d)
+    listed = matchings_or_budget(recursive_matchings, dims, d)
     keyed = matchings_or_budget(lambda t, d: all_matchings(t, d, multiset), dims, d)
     if listed == "budget-exceeded":
         assert keyed == listed
@@ -390,7 +393,7 @@ def test_a_table_with_no_matching_is_refused_without_walking_its_partial_ones():
     # that complete to nothing are remembered, so the search is polynomial
     # (at exponential cost it had not ended after 30 s)
     start = time.perf_counter()
-    assert all_matchings({0: 32, 4: 15, 7: 15}, 4) == []
+    assert all_matchings({0: 32, 4: 15, 7: 15}, 4, tuple) == {}
     assert time.perf_counter() - start < 1
 
 
