@@ -6,13 +6,13 @@ by `_resolve` with one rule per case.  A zero factor (an empty sum of shifts
 of K, the zero free module, an N with no elements) gets no block, so Tor is
 zero and finite through the window.  A free module is its own resolution
 under `given` and `koszul`.  A sum of shifts of K is one block per shift on
-one checked resolution of K, Koszul or bar, through window.hi - min(0, lowest
-shift).  Whole-module `bar_resolution(M)` serves free modules with generators
-and raw modules that are not trivial.  `derived_tensor` tensors block by
-block, copying no shift, and cuts the tensor where N's expansion is cut,
-moved by the lowest generator.  The Koszul resolution of K depends only on
-the algebra and the cap, so it is kept per process, least recently used
-first out, up to KOSZUL_GENERATOR_BUDGET generators; bar's is built per call.
+one checked resolution of K, Koszul or bar.  Whole-module bar serves free
+modules with generators and raw modules that are not trivial.  What a window
+reads, from the lowest degrees of M and N, is one rule, `tensor_reach`.
+`derived_tensor` tensors block by block, copying no shift.  The Koszul
+resolution of K depends only on the algebra and the cap, so it is kept per
+process, least recently used first out, up to KOSZUL_GENERATOR_BUDGET
+generators; bar's is built per call.
 
 A truncated engine must never silently claim finiteness, so every total
 cohomology question is answered by a three-way verdict from one rule,
@@ -48,7 +48,7 @@ from .errors import (
     PresentationError,
     StrategyInapplicable,
 )
-from .graded import CochainComplex, DegreeWindow, assemble, cohomology_dims
+from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology_dims
 from .module import DGModulePresentation, block_sum
 
 BAR = "bar"
@@ -70,8 +70,8 @@ EXTERIOR_BASIS_BUDGET = 4_096
 
 # Generators of one Koszul resolution over H*(S^d), one per d - 1 degrees up
 # to the cap, before `_koszul` gives up; also the most generators the checked
-# Koszul resolutions `_resolve` keeps hold together.  Window 0:9,995 over
-# H*(S^2) needs 10,000.
+# Koszul resolutions `_resolve` keeps hold together.  K against K on window
+# 0:9,997 over H*(S^2) needs 10,000.
 KOSZUL_GENERATOR_BUDGET = 10_000
 
 
@@ -265,8 +265,8 @@ def _kept_koszul(A: DGAlgebraPresentation, cap: int) -> Resolution:
 
 def koszul_resolution_sphere(d: int, field, cap: int | None = None) -> Resolution:
     """Semifree resolution of K over A = H*(S^d) (see `_koszul`), with
-    generators through degree ``cap`` (by default 42 + d, the cap a Tor
-    window 0:40 needs)."""
+    generators through degree ``cap`` (by default 42 + d; a Tor of K against
+    K on window 0:40 reads through 42)."""
     A = DGAlgebraPresentation.sphere_cohomology(d, field)   # rejects d <= 1
     return _koszul(A, cap if cap is not None else 42 + d)
 
@@ -284,28 +284,35 @@ def koszul_resolution_poly(degrees, field) -> Resolution:
 
 def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation = None,
                    cutoff: int | None = None, *, window: DegreeWindow) -> Resolution:
-    """The bar resolution B(M; A; A), truncated at the given bar length.
-
-    Generators are m[a_1|...|a_t] with m a basis element of (an expansion of)
-    M and a_i positive-degree algebra basis monomials; the generator degree is
-    deg m + Σ(deg a_i - 1), so the bar-length-t part sits in degrees >= t and
-    truncation is sound below the cutoff.  Words are listed through
-    window.hi + 2 - (lowest element degree, if negative), so that every
-    generator through window.hi + 2 is present.  Raises BudgetExceeded
-    instead of listing more than BAR_WORD_BUDGET bar words.
-    """
+    """`_bar` through what a derived tensor with K in ``window`` reads; a
+    module with nothing in it is its own resolution."""
     algebra = algebra or module.algebra
+    reach = tensor_reach(window, module, residue_module(algebra))
+    return _bar(module, algebra, cutoff, reach) if reach else Resolution.of(module)
+
+
+def _bar(module: DGModulePresentation, algebra: DGAlgebraPresentation, cutoff: int | None,
+         reach: Reach) -> Resolution:
+    """B(M; A; A) through what ``reach`` asks, truncated at bar length
+    ``cutoff`` (by default the cap).
+
+    Generators are m[a_1|...|a_t] with m a basis element of M's expansion in
+    reach.m_window and a_i positive-degree algebra basis monomials; the
+    generator degree is deg m + Σ(deg a_i - 1), so the bar-length-t part sits
+    in degrees >= t and truncation is sound below the cutoff.  Words of
+    degree through reach.cap are listed, and every generator through
+    reach.m_window.hi is kept.  Raises BudgetExceeded instead of listing more
+    than BAR_WORD_BUDGET bar words.
+    """
     if not algebra.is_simply_connected():
         raise NotSimplyConnected("bar resolution needs generators in degrees >= 2")
-    cap = window.hi + 2
+    cap, wcap = reach.m_window.hi, reach.cap
     f = algebra.field
-    mexp = module.expand(DegreeWindow(min(0, window.lo), cap + 1))
+    mexp = module.expand(reach.m_window)
     m_elems = []
     for n in sorted(mexp.elements):
         for e in mexp.elements[n]:
             m_elems.append((e, n))
-    # a word on an element in degree m < 0 reaches degree cap - m
-    wcap = cap - min(0, min(mexp.elements, default=0))
     cutoff = cutoff if cutoff is not None else wcap
     slot_basis = []
     for deg, monos in sorted(algebra.monomial_basis(wcap + 1).items()):
@@ -430,11 +437,57 @@ class TorResult:
         return finiteness(self.dims, self.period, self.certified_hi, self.bounded)
 
 
-def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow,
-             zero: bool = False) -> Resolution:
-    """The resolution of M that ``strategy`` names; no block when M or (``zero``)
-    the other factor has nothing in it, as Tor is then zero, but only after
-    the strategy's checks on M, which refuse as they would on any M."""
+@dataclass(frozen=True)
+class Reach:
+    """What a derived tensor in a window reads (`tensor_reach`)."""
+
+    cap: int                       # resolution generators this far above its lowest degree
+    m_window: DegreeWindow         # M's expansion under bar
+    n_window: DegreeWindow         # N's expansion
+    listed: DegreeWindow           # the degrees the tensor lists
+
+
+def tensor_reach(window: DegreeWindow, M: DGModulePresentation,
+                 N: DGModulePresentation) -> Reach | None:
+    """What M ⊗^L_A N in ``window`` reads; None when M or N has nothing in it.
+
+    Let M lie in degrees >= m and N in n ... n + a (a free N spans its
+    generators and A's top degree, without end when A has none), and let
+    r = max(0, window.hi + 1 - m - n).  Degree k is certified when degrees
+    k - 1 and k + 1 are known (`CochainComplex.certified`), so the tensor
+    lists window.lo - 1 ... window.hi + 1.  Every generator of a resolution
+    of M lies in degree >= m (a block on a shift s >= m starts at s, a bar
+    word m'[w] at |m'|), so a listed term g ⊗ b has |g| <= m + r and
+    |b| <= n + r (r is 0 when no term is listed):
+    - the resolution keeps its generators through cap = r + 1 above the
+      lowest degree it resolves.  The 1 is its top generator, which a
+      truncated free module counts as unknown (bar's d(m')[w] may reach past
+      the cut), so each block is cut at window.hi + 2 or above;
+    - under bar M is expanded in m ... m + cap and words are listed through
+      cap, so each m'[w] through m + cap has both its parts;
+    - N is expanded in n ... n + min(a, r), whole through every listed b; a
+      cut there the tensor moves by m to window.hi + 2.
+    So every degree of the window is certified and sees every term that
+    reaches it.  M's highest degree enters none of these: the blocks share
+    the cap the lowest needs.
+    """
+    m_degrees, n_degrees = ([d for _, d in X.generators] if X.is_free
+                            else X.complex.space.degrees() for X in (M, N))
+    if not m_degrees or not n_degrees:
+        return None
+    m, n = min(m_degrees), min(n_degrees)
+    top = N.algebra.top_degree() if N.is_free else 0
+    r = max(0, window.hi + 1 - m - n)
+    a = r if top is None else min(r, max(n_degrees) + top - n)
+    return Reach(r + 1, DegreeWindow(m, m + r + 1), DegreeWindow(n, n + a),
+                 DegreeWindow(window.lo - 1, window.hi + 1))
+
+
+def _resolve(M: DGModulePresentation, strategy: str, reach: Reach | None) -> Resolution:
+    """The resolution of M that ``strategy`` names, through what ``reach``
+    asks (`tensor_reach`); no block when reach is None, as a factor is then
+    zero and so is Tor, but only after the strategy's checks on M, which
+    refuse as they would on any M."""
     A = M.algebra
     if strategy == GIVEN:
         if not M.is_free:
@@ -450,28 +503,27 @@ def _resolve(M: DGModulePresentation, strategy: str, window: DegreeWindow,
                 raise StrategyInapplicable("no Koszul pattern for this algebra")
     elif strategy != BAR:
         raise StrategyInapplicable(f"unknown strategy {strategy!r}")
-    if zero or not (M.generators if M.is_free else M.complex.space.basis):
+    if reach is None:
         return Resolution((), None)
     if M.is_free and strategy != BAR:
         return Resolution.of(M)
     if M.is_free or not M.is_trivial():
-        return bar_resolution(M, A, window=window)
-    # a sum of shifts of K: Σ^{-s} of one resolution of K per shift s, never
-    # copied; the block on the lowest shift reaches furthest
+        return _bar(M, A, None, reach)
+    # a sum of shifts of K: one resolution of K moved to each shift s, never
+    # copied, built through the cap above the lowest shift
     space = M.complex.space
     summands = [(label, s) for s in space.degrees() for label in space.labels(s)]
-    reach = window.hi - min(0, summands[0][1])
     if strategy == KOSZUL:
-        # over H*(S^d), Tor through the reach needs generators through reach + d + 2
-        res = _kept_koszul(A, reach + 2 + sum(g.degree for g in A.generators))
+        res, low = _kept_koszul(A, reach.cap), 0
         summands = [(f"{k}⟨{s}⟩·", s) for k, (_, s) in enumerate(summands)]
     else:
-        # B(Σ^{-s}K) is Σ^{-s}B(K) with the shift's label before each word
-        res = bar_resolution(DGModulePresentation.trivial(A, labels=[""]), A,
-                             window=DegreeWindow(0, reach))
+        # B(Σ^{-s}K) is Σ^{-s}B(K) with the shift's label before each word;
+        # it is built on the lowest shift, where reach.m_window lies
+        low = summands[0][1]
+        res = _bar(DGModulePresentation.trivial(A, shifts=(low,), labels=[""]), A, None, reach)
         if len({label for label, _ in summands}) < len(summands):
             raise PresentationError("duplicate module generator labels")
-    return Resolution(tuple((res.module, pre, s) for pre, s in summands), res.period)
+    return Resolution(tuple((res.module, pre, s - low) for pre, s in summands), res.period)
 
 
 def residue_module(A: DGAlgebraPresentation) -> DGModulePresentation:
@@ -485,11 +537,16 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
     certified degree.  N is a bounded module presented with right actions and
     used on the left through graded commutativity; where its expansion is
     truncated, the tensor is too, from that degree on the lowest generator of
-    the resolution."""
-    nexp = N.expand(N.default_window())
-    res = _resolve(M, strategy, window, not nexp.elements)
+    the resolution.  What it reads is `tensor_reach`'s; a zero factor gives
+    the zero complex."""
+    reach = tensor_reach(window, M, N)
+    res = _resolve(M, strategy, reach)
     A = M.algebra
     f = A.field
+    if reach is None:
+        return TorResult(CochainComplex(GradedVectorSpace(f, {}), {}), {}, window.hi, None, True,
+                         strategy)
+    nexp = N.expand(reach.n_window)
     n_degrees = sorted(nexp.elements)
 
     # block k of the resolution contributes (k, g, b): its generator g in
@@ -497,12 +554,13 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
     n_key = {ne: str(ne) for es in nexp.elements.values() for ne in es}
     n_label = {ne: "⊗" + nexp.elem_label(ne) for ne in n_key}
     prefix = [pre for _, pre, _ in res.blocks]
+    lo, hi = reach.listed.lo, reach.listed.hi
     elems = {}
     for k, (F, _, offset) in enumerate(res.blocks):
         for glabel, gdeg in F.generators:
             for nd in n_degrees:
                 total = gdeg + offset + nd
-                if window.lo <= total <= window.hi + 1:
+                if lo <= total <= hi:
                     elems.setdefault(total, []).extend((k, glabel, ne)
                                                        for ne in nexp.elements[nd])
     for n in elems:
@@ -532,17 +590,15 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
             yield (k, glabel, nexp.elements[nd + 1][i]), -c if odd else c
 
     # a truncated block cuts the tensor from its truncation on N's lowest
-    # degree, a truncated N from its cut on the lowest generator
-    cuts = [F.truncation_degree + offset - 1 + n_degrees[0] for F, _, offset in res.blocks
+    # degree, a truncated N from its cut on the lowest generator, M's lowest
+    m_lo, n_lo = reach.m_window.lo, reach.n_window.lo
+    cuts = [F.truncation_degree + offset - 1 + n_lo for F, _, offset in res.blocks
             if F.truncation_degree is not None]
-    n_cut = nexp.complex.truncated_above
-    gdegs = [g + offset for F, _, offset in res.blocks for _, g in F.generators] \
-        if n_cut is not None or not cuts else []        # read only where needed
-    if gdegs and n_cut is not None:
-        cuts.append(n_cut + min(gdegs))
+    if nexp.complex.truncated_above is not None:
+        cuts.append(nexp.complex.truncated_above + m_lo)
     # finite exactly when nothing is cut and the window holds the whole support
-    bounded = not cuts and (not gdegs or (window.lo <= min(gdegs) + n_degrees[0]
-                                          and max(gdegs) + n_degrees[-1] <= window.hi))
+    bounded = not cuts and window.lo <= m_lo + n_lo and n_degrees[-1] + max(
+        g + offset for F, _, offset in res.blocks for _, g in F.generators) <= window.hi
     cx, _ = assemble(f, dict(sorted(elems.items())), labels, column, min(cuts, default=None))
     return TorResult(cx, cohomology_dims(cx, window), cx.certified(window)[1], res.period,
                      bounded, strategy)

@@ -414,7 +414,7 @@ def test_bar_word_budget_is_domain_error(capsys):
 
 
 def test_koszul_generator_budget_is_domain_error(capsys, cold_koszul):
-    # window 0:hi over H*(S^4) needs one generator per 3 degrees through hi + 6
+    # window 0:hi over H*(S^4) needs one generator per 3 degrees through hi + 2
     start = time.perf_counter()
     code, out = run(capsys, "tor", "--d", "4", "--module", "k", "--arg", "k", "--strategy",
                     "koszul", "--window", "0:1000000000000")
@@ -423,7 +423,7 @@ def test_koszul_generator_budget_is_domain_error(capsys, cold_koszul):
     error = json.loads(out)["error"]
     assert error["code"] == "budget-exceeded"
     assert error["message"] == ("the Koszul resolution over H*(S^4) through degree "
-                                f"1000000000006 needs more than {KOSZUL_GENERATOR_BUDGET} "
+                                f"1000000000002 needs more than {KOSZUL_GENERATOR_BUDGET} "
                                 "generators")
 
 
@@ -488,6 +488,17 @@ def test_malformed_window_is_usage_error(argv, capsys):
         main(argv)
     assert e.value.code == 2
     assert "is not of the form lo:hi" in capsys.readouterr().err
+
+
+def test_a_negative_window_is_written_with_an_equals_sign(capsys):
+    # `--window -3:3` reads -3:3 as an option, as the README says
+    argv = ["tor", "--d", "4", "--module", "k", "--arg", "k"]
+    code, out = run(capsys, *argv, "--window=-3:3")
+    assert code == 0
+    assert json.loads(out)["result"]["tor"] == {"0": 1, "3": 1}
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--window", "-3:3"])
+    assert e.value.code == 2
 
 
 @pytest.mark.parametrize("dims", ["0:x", "0:1,4"])

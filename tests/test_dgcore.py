@@ -37,7 +37,8 @@ from dglevels.module import (
     idempotent_split,
     shift,
 )
-from dglevels.resolve import KOSZUL, _resolve, koszul_resolution_poly, koszul_resolution_sphere
+from dglevels.resolve import (KOSZUL, _resolve, koszul_resolution_poly, koszul_resolution_sphere,
+                              residue_module, tensor_reach)
 from dglevels.spheres import MoleculeId, molecule_model, sphere_level
 
 
@@ -567,13 +568,14 @@ def test_the_koszul_strategy_checks_its_recipe_once(monkeypatch, cold_koszul, k)
     shifts = tuple(range(0, 3 * k, 3))
     M = DGModulePresentation.trivial(sphere(4, GF3), shifts=shifts)
     seen = counted_checks(monkeypatch)
-    res = _resolve(M, KOSZUL, DegreeWindow(0, 30))
+    res = _resolve(M, KOSZUL, tensor_reach(DegreeWindow(0, 30), M, residue_module(M.algebra)))
     assert len(seen) == 1
     assert len(res.module.generators) == k * len(seen[0].generators)
     # a warm call over an equal but distinct algebra checks nothing
     again = DGModulePresentation.trivial(sphere(4, GF3), shifts=shifts)
     assert again.algebra is not M.algebra
-    res = _resolve(again, KOSZUL, DegreeWindow(0, 30))
+    res = _resolve(again, KOSZUL,
+                   tensor_reach(DegreeWindow(0, 30), again, residue_module(again.algebra)))
     assert len(seen) == 1
     assert len(res.module.generators) == k * len(seen[0].generators)
 

@@ -39,8 +39,16 @@ One unchecked construction: ``__new__`` makes an object without running
 ``module.block_sum``, whose parts are checked modules, does so.
 
 One place for the resolution rules: inside the package only
-``resolve._resolve`` calls ``bar_resolution`` and ``_kept_koszul``, so which
-resolution a Tor gets, and none for a zero factor, is decided there alone.
+``resolve._resolve`` calls the bar builder ``_bar`` and ``_kept_koszul``, so
+which resolution a Tor gets, and none for a zero factor, is decided there
+alone; ``bar_resolution``, the public bar resolution against K, is the one
+other caller of ``_bar``, and nothing in the package calls it.
+
+One reach rule: inside ``resolve.py`` only ``tensor_reach`` builds a
+``DegreeWindow`` or reads ``default_window()``, so the cap, the expansion
+windows and the listed degrees of a derived tensor come from that one
+function; ``_phi_window``, which picks the window phi asks rather than what
+a window needs, is the one exception.
 """
 
 import ast
@@ -334,5 +342,13 @@ def test_only_resolve_picks_a_resolution():
     callers = Counter(f"{name} {fn}" for name, fn, n in package_nodes()
                       if isinstance(n, ast.Call) and
                       getattr(n.func, "id", getattr(n.func, "attr", None))
-                      in ("bar_resolution", "_kept_koszul"))
-    assert callers == {"resolve.py _resolve": 3}
+                      in ("bar_resolution", "_bar", "_kept_koszul"))
+    assert callers == {"resolve.py _resolve": 3, "resolve.py bar_resolution": 1}
+
+
+def test_only_tensor_reach_derives_a_window():
+    uses = Counter(fn for name, fn, n in package_nodes()
+                   if name == "resolve.py" and isinstance(n, ast.Call) and
+                   getattr(n.func, "id", getattr(n.func, "attr", None))
+                   in ("DegreeWindow", "default_window"))
+    assert uses == {"tensor_reach": 3, "_phi_window": 2}

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dglevels.module
 import dglevels.resolve
@@ -36,6 +37,7 @@ from dglevels.resolve import (
     FinitenessVerdict,
     SemifreeFiltration,
     _koszul,
+    _bar,
     _resolve,
     auto_strategy,
     bar_resolution,
@@ -51,6 +53,7 @@ from dglevels.resolve import (
     phi,
     residue_module,
     sphere_block_period,
+    tensor_reach,
 )
 
 
@@ -65,6 +68,12 @@ def chain_module(d, m, field=QQ, bottom=0):
     return DGModulePresentation.free(A, gens, diff)
 
 
+def resolution(M, strategy, window):
+    """The resolution `_resolve` gives M for a derived tensor with K in
+    ``window``."""
+    return _resolve(M, strategy, tensor_reach(window, M, residue_module(M.algebra)))
+
+
 def module_digest(M):
     """sha256 of the module's JSON and of its differential as stored: the
     order of every dict and the type of every scalar."""
@@ -74,12 +83,13 @@ def module_digest(M):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# recorded before the resolutions were built in one pass per term (koszul,
-# bar) and before the Koszul recipes became one function (the rest); the
-# sphere caps end on an even and on an odd link of the chain
+# recorded before the resolutions were built in one pass per term (bar) and
+# before the Koszul recipes became one function (the rest but koszul, whose
+# cap, generators through 12 above the lowest shift, is `tensor_reach`'s);
+# the sphere caps end on an even and on an odd link of the chain
 RESOLUTION_DIGESTS = {
-    ("koszul", QQ): "ca248c93eed19645",
-    ("koszul", GF3): "551f00654e9a394c",
+    ("koszul", QQ): "671de213cedbe79d",
+    ("koszul", GF3): "9374d4308a005ae7",
     ("bar", QQ): "685456c758d7406b",
     ("bar", GF3): "0232d0a0878c8e68",
     ("sphere/3/8", QQ): "f30c450b6db9fbb2",
@@ -112,8 +122,8 @@ def test_resolution_layout_is_pinned(kind, field):
     if name == "koszul":
         A = sphere(2, field)
         M = DGModulePresentation.trivial(A, shifts=(2, 3))
-        F = _resolve(M, KOSZUL, DegreeWindow(0, 12)).module
-        assert len(F.generators) == 34
+        F = resolution(M, KOSZUL, DegreeWindow(0, 12)).module
+        assert len(F.generators) == 26
     elif name == "bar":
         P = DGAlgebraPresentation.polynomial(field, [("a", 2), ("b", 4)])
         F = bar_resolution(residue_module(P), P, window=DegreeWindow(0, 6)).module
@@ -129,7 +139,7 @@ def test_resolution_layout_is_pinned(kind, field):
     else:
         P = DGAlgebraPresentation.polynomial(field, [("x1", 2), ("x2", 4)])
         M = DGModulePresentation.trivial(P, shifts=(0, 3))
-        F = _resolve(M, KOSZUL, DegreeWindow(0, 12)).module
+        F = resolution(M, KOSZUL, DegreeWindow(0, 12)).module
         assert len(F.generators) == 8
     assert module_digest(F) == RESOLUTION_DIGESTS[kind, field]
 
@@ -254,8 +264,10 @@ def test_koszul_strategy_builds_the_shifted_public_resolution(d, field, shifts):
     A = sphere(d, field)
     M = DGModulePresentation.trivial(A, shifts=shifts)
     w = DegreeWindow(0, 30)
-    res = _resolve(M, KOSZUL, w)
-    base = koszul_resolution_sphere(d, field, cap=w.hi + d + 2)
+    res = resolution(M, KOSZUL, w)
+    # against K, every generator through w.hi + 1 above the lowest shift and
+    # one more for the truncation (`tensor_reach`)
+    base = koszul_resolution_sphere(d, field, cap=w.hi + 2 - min(shifts))
     expected = two_step_koszul_sum(base, shifts, A)
     assert (list(res.module.generators), res.module.differential,
             res.module.truncation_degree, res.period) == expected
@@ -269,7 +281,7 @@ def test_koszul_strategy_builds_the_shifted_public_complex(field, gens, shifts):
     A = DGAlgebraPresentation.polynomial(field, gens,
                                          char2_polynomial_odd=field.characteristic() == 2)
     M = DGModulePresentation.trivial(A, shifts=shifts)
-    res = _resolve(M, KOSZUL, DegreeWindow(0, 20))
+    res = resolution(M, KOSZUL, DegreeWindow(0, 20))
     base = koszul_resolution_poly([g for _, g in gens], field)
     expected = two_step_koszul_sum(base, shifts, A)
     assert (list(res.module.generators), res.module.differential,
@@ -340,7 +352,7 @@ def test_strategy_guard():
 
 def test_koszul_strategy_takes_a_free_module_as_its_own_resolution():
     F = chain_module(4, 1)
-    assert _resolve(F, KOSZUL, DegreeWindow(0, 12)).module is F
+    assert resolution(F, KOSZUL, DegreeWindow(0, 12)).module is F
 
 
 # -- the Koszul tensor, block by block ------------------------------------------------
@@ -350,19 +362,21 @@ def copied_tensor(M, N, window):
     """The Koszul Tor by the route block-wise tensoring replaced, kept as its
     reference: copy every shift of the checked Koszul resolution into one
     module (`block_sum`), tensor that module with N, and read the cohomology
-    degree by degree, in each n with n + 1 below the truncation.  Returns the
+    degree by degree, in each n with n + 1 below the truncation.  The cap,
+    N's expansion and the degrees listed are `tensor_reach`'s.  Returns the
     complex and the TorResult fields after it."""
     A = M.algebra
     f = A.field
-    base = _koszul(A, window.hi + 2 + sum(g.degree for g in A.generators))
+    reach = tensor_reach(window, M, N)
+    base = _koszul(A, reach.cap)
     F = block_sum([(base.module, f"{k}⟨{s}⟩·", s)
                    for k, s in enumerate(sorted(M.shift_degrees()))])
-    nexp = N.expand(N.default_window())
+    nexp = N.expand(reach.n_window)
     n_degrees = sorted(nexp.elements)
     elems = {}
     for glabel, gdeg in F.generators:
         for nd in n_degrees:
-            if window.lo <= gdeg + nd <= window.hi + 1:
+            if reach.listed.contains(gdeg + nd):
                 elems.setdefault(gdeg + nd, []).extend((glabel, b) for b in nexp.elements[nd])
     for es in elems.values():
         es.sort(key=lambda e: (e[0], str(e[1])))
@@ -439,24 +453,26 @@ def test_blockwise_koszul_tensor_is_the_tensor_of_the_copied_sum(d, field):
         for name, (N, tor_of_k) in right.items():
             w = WINDOWS[(i + len(name)) % 2]
             tor = derived_tensor(M, N, KOSZUL, w)
-            if min(shifts) >= 0:
-                got = tensor_record(tor.complex, tor.dims, tor.certified_hi, tor.period,
-                                    tor.bounded)
-                assert got == tensor_record(*copied_tensor(M, N, w)), (shifts, name, w)
-                continue
-            # below degree 0 the copied sum stops short of the window: the
-            # resolution reaches window.hi - (lowest shift), and the answer
-            # is Tor(K, N) moved by each shift, in every degree of the window
-            # above window.lo.  Degree window.lo is read without degree
-            # window.lo - 1, by the copied sum too, so it can hold a class
-            # that degree would bound (shift -3 against the raw line over
-            # H*(S^6) on 3:22 reads one in degree 3)
-            want = {n: h for n in w.degrees() if n > w.lo
-                    if (h := sum(tor_of_k(n - s) for s in shifts))}
-            if h := copied_tensor(M, N, w)[1].get(w.lo):
-                want[w.lo] = h
+            got = tensor_record(tor.complex, tor.dims, tor.certified_hi, tor.period, tor.bounded)
+            assert got == tensor_record(*copied_tensor(M, N, w)), (shifts, name, w)
+            # Tor(K, N) moved by each shift, in every degree of the window,
+            # window.lo included
+            want = {n: h for n in w.degrees() if (h := sum(tor_of_k(n - s) for s in shifts))}
             assert (tor.dims, tor.certified_hi, tor.period, tor.bounded) == \
                 (want, w.hi, sphere_block_period(d), False), (shifts, name, w)
+
+
+def test_the_window_low_end_reads_the_degree_below_it():
+    # Tor of K in degree -3 against A over H*(S^6) is one class, in degree
+    # -3; degree 3 was read without degree 2, so it held a class that degree
+    # 2 bounds
+    A = sphere(6)
+    M = DGModulePresentation.trivial(A, shifts=(-3,))
+    for strategy in (KOSZUL, BAR):
+        tor = derived_tensor(M, raw_line(A, 6), strategy, DegreeWindow(3, 22))
+        assert (tor.dims, tor.certified_hi) == ({}, 22), strategy
+        tor = derived_tensor(M, raw_line(A, 6), strategy, DegreeWindow(-4, 22))
+        assert (tor.dims, tor.certified_hi) == ({-3: 1}, 22), strategy
 
 
 @pytest.mark.parametrize("field, shifts", [(QQ, (0, 3)), (GF2, (-1, 2, 2)), (GF3, (1,))])
@@ -495,7 +511,7 @@ def test_the_koszul_tensor_checks_its_recipe_once_and_copies_no_block(monkeypatc
     assert phi(M2).is_infinite
     assert (len(checks), sums) == (1, [])
     # the sum of the blocks is built only when it is read
-    assert len(_resolve(M, KOSZUL, DegreeWindow(0, 30)).module.generators) == \
+    assert len(resolution(M, KOSZUL, DegreeWindow(0, 30)).module.generators) == \
         k * len(F.generators)
     assert (len(checks), len(sums)) == (1, 1)
 
@@ -573,7 +589,7 @@ def test_changing_a_public_koszul_resolution_changes_no_later_tor(cold_koszul):
     w = DegreeWindow(0, 30)
     before = koszul_record(M, w)
     (kept,) = cold_koszul.values()
-    public = koszul_resolution_sphere(4, QQ, cap=w.hi + 2 + 4)
+    public = koszul_resolution_sphere(4, QQ, cap=w.hi + 2)
     F = public.module
     assert F is not kept.module
     assert (F.generators, F.differential) == (kept.module.generators, kept.module.differential)
@@ -591,23 +607,23 @@ def test_the_kept_koszul_resolutions_evict_the_least_recently_used(monkeypatch, 
     monkeypatch.setattr(DGModulePresentation, "_validate_free",
                         lambda self: checks.append(self) or validate(self))
     M = DGModulePresentation.trivial(sphere(2))
-    # over H*(S^2) window 0:hi keeps hi + 5 generators; four of about 3,000
+    # over H*(S^2) window 0:hi keeps hi + 3 generators; four of about 3,000
     # pass the budget
     his = [2995, 2996, 2997, 2998]
 
     def resolve(hi):
-        return _resolve(M, KOSZUL, DegreeWindow(0, hi)).blocks[0][0]
+        return resolution(M, KOSZUL, DegreeWindow(0, hi)).blocks[0][0]
 
     def held():
         return sum(len(r.module.generators) for r in cold_koszul.values())
 
     first = [resolve(hi) for hi in his]
     assert len(checks) == 4
-    assert [cap for _, _, cap in cold_koszul] == [hi + 4 for hi in his[1:]]
-    assert held() == sum(hi + 5 for hi in his[1:]) <= KOSZUL_GENERATOR_BUDGET
+    assert [cap for _, _, cap in cold_koszul] == [hi + 2 for hi in his[1:]]
+    assert held() == sum(hi + 3 for hi in his[1:]) <= KOSZUL_GENERATOR_BUDGET
     assert resolve(his[1]) is first[1] and len(checks) == 4      # warm, now most recent
     assert resolve(his[0]) is not first[0] and len(checks) == 5  # evicted: checked again
-    assert [cap for _, _, cap in cold_koszul] == [hi + 4 for hi in (his[3], his[1], his[0])]
+    assert [cap for _, _, cap in cold_koszul] == [hi + 2 for hi in (his[3], his[1], his[0])]
     assert held() <= KOSZUL_GENERATOR_BUDGET
 
 
@@ -627,7 +643,7 @@ def test_the_sphere_koszul_chain_has_a_generator_budget(cold_koszul):
     with pytest.raises(BudgetExceeded):
         koszul_resolution_sphere(2, QQ, cap=cap + 1)
     with pytest.raises(BudgetExceeded):
-        _resolve(residue_module(sphere(4)), KOSZUL, DegreeWindow(0, 10**12))
+        resolution(residue_module(sphere(4)), KOSZUL, DegreeWindow(0, 10**12))
     assert not cold_koszul
 
 
@@ -641,7 +657,7 @@ def test_an_empty_trivial_module_builds_no_koszul_resolution(cold_koszul):
     B = DGAlgebraPresentation(QQ, [Generator("w", 4, "divided")])
     for shifts in ((), (0,)):
         with pytest.raises(StrategyInapplicable, match="^no Koszul pattern for this algebra$"):
-            _resolve(DGModulePresentation.trivial(B, shifts=shifts), KOSZUL, DegreeWindow(0, 8))
+            resolution(DGModulePresentation.trivial(B, shifts=shifts), KOSZUL, DegreeWindow(0, 8))
 
 
 # -- bar Tor of a sum of shifts of K, block by block ---------------------------------
@@ -657,7 +673,7 @@ def bar_record(M, N, window, monkeypatch=None):
         else:
             with monkeypatch.context() as m:
                 m.setattr(dglevels.resolve, "_resolve",
-                          lambda M, _, w, zero: bar_resolution(M, M.algebra, window=w))
+                          lambda M, _, reach: _bar(M, M.algebra, None, reach))
                 tor = derived_tensor(M, N, BAR, window)
     except Exception as e:
         return type(e).__name__, str(e)
@@ -693,12 +709,9 @@ def test_blockwise_bar_tor_is_the_bar_tor_of_the_whole_module(monkeypatch, d, fi
 @pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_blockwise_bar_tor_against_a_module_below_degree_zero(monkeypatch, d, field):
-    # the block on a shift s reaches degree s + hi + 2 - min(0, lowest shift),
-    # the whole module only hi + 2: against N below degree 0 the blocks
-    # certify through hi + min(lowest shift, 0 - lowest degree of N) and more
-    # than the whole module when every shift is positive, and both are right
-    # on every degree they certify.  Tor(Σ^s K, Σ^t K) is one class in each
-    # degree s + t + j(d - 1), j >= 0.
+    # both reach N's lowest degree t < 0: the cap is window.hi + 2 - t above
+    # the lowest shift, so both certify the window, with the same complex.
+    # Tor(Σ^s K, Σ^t K) is one class in each degree s + t + j(d - 1), j >= 0.
     A = sphere(d, field)
     for t in (-1, -3):
         N = DGModulePresentation.trivial(A, shifts=(t,))
@@ -709,19 +722,20 @@ def test_blockwise_bar_tor_against_a_module_below_degree_zero(monkeypatch, d, fi
             if not shifts:
                 assert blocks == zero_record(field, w)
                 continue
-            assert blocks[3:] == whole[3:] == (None, False), (shifts, t)
-            low = min(shifts)
-            assert whole[2] == w.hi + t
-            assert blocks[2] == min(w.hi, w.hi + t + max(0, low)), (shifts, t)
-            for dims, hi in ((blocks[1], blocks[2]), (whole[1], whole[2])):
-                for n in range(w.lo, hi + 1):
-                    want = sum(1 for s in shifts if n >= s + t and (n - s - t) % (d - 1) == 0)
-                    assert dims.get(n, 0) == want, (shifts, t, n)
-            if low <= 0:
-                # the same answer; the complexes are the same unless N reaches
-                # below degree -1
-                assert blocks[1:] == whole[1:], (shifts, t)
-                assert blocks == whole or t < -1, (shifts, t)
+            assert blocks == whole, (shifts, t)
+            assert blocks[2:] == (w.hi, None, False), (shifts, t)
+            want = {n: h for n in w.degrees()
+                    if (h := sum(1 for s in shifts if n >= s + t and (n - s - t) % (d - 1) == 0))}
+            assert blocks[1] == want, (shifts, t)
+
+
+def test_koszul_and_bar_reach_an_n_below_degree_zero():
+    # bar certified through 9 only: its reach ignored N's lowest degree
+    A = sphere(2)
+    M, N = (DGModulePresentation.trivial(A, shifts=(s,)) for s in (2, -3))
+    for strategy in (KOSZUL, BAR):
+        tor = derived_tensor(M, N, strategy, DegreeWindow(0, 10))
+        assert (tor.dims, tor.certified_hi) == ({n: 1 for n in range(11)}, 10), strategy
 
 
 @pytest.mark.parametrize("algebra", [
@@ -836,7 +850,7 @@ ZERO_FACTOR_ALGEBRAS = {
                                              Generator("b", 5, "exterior")]),  # no pattern
 }
 # past both budgets wherever they apply: over H*(S^2) the window 0:20,000
-# needs 20,005 Koszul generators and over 20,000 bar words
+# needs 20,003 Koszul generators and over 20,000 bar words
 ZERO_FACTOR_WINDOWS = [DegreeWindow(0, 20_000), DegreeWindow(-7, 30_000)]
 
 
@@ -872,10 +886,10 @@ def test_a_zero_factor_is_zero_tor_under_every_strategy(monkeypatch, cold_koszul
             refusal[strategy, m] = got if got[0] == "StrategyInapplicable" else None
     cold_koszul.clear()
     checks, bars = [], []
-    validate, bar = DGModulePresentation._validate_free, dglevels.resolve.bar_resolution
+    validate, bar = DGModulePresentation._validate_free, dglevels.resolve._bar
     monkeypatch.setattr(DGModulePresentation, "_validate_free",
                         lambda self: checks.append(self) or validate(self))
-    monkeypatch.setattr(dglevels.resolve, "bar_resolution",
+    monkeypatch.setattr(dglevels.resolve, "_bar",
                         lambda *a, **k: bars.append(a) or bar(*a, **k))
     modules = zero | other
     for w in ZERO_FACTOR_WINDOWS:
@@ -909,16 +923,19 @@ def test_a_zero_factor_needs_no_simply_connected_algebra():
 
 
 def test_a_truncated_right_factor_truncates_the_tensor():
-    # K[a₂] on one generator is expanded in its default window -2:2, so it
-    # is known below degree 3 only; Tor(K, K[a₂]) is K in degree 0 and
-    # Tor(K[a₂], K[a₂]) is K[a₂].  Each read a class in degree 3 or 2, the
-    # Koszul and given ones as finite.
+    # K[a₂] on one generator is expanded through window.hi + 1 less the
+    # lowest degree of M, and cut there, so every degree of the window is
+    # certified but the Tor is not bounded: Tor(K, K[a₂]) is K in degree 0
+    # and Tor(K[a₂], K[a₂]) is K[a₂].  Each was certified through degree 1
+    # alone when K[a₂] was expanded only through degree 2.
     P = DGAlgebraPresentation.polynomial(QQ, [("a", 2)])
     F = DGModulePresentation.free_rank_one(P)
-    for M, strategy in ((residue_module(P), KOSZUL), (residue_module(P), BAR), (F, GIVEN)):
+    for M, strategy, want in ((residue_module(P), KOSZUL, {0: 1}), (residue_module(P), BAR, {0: 1}),
+                              (F, GIVEN, {n: 1 for n in range(0, 11, 2)})):
         tor = derived_tensor(M, F, strategy, DegreeWindow(0, 10))
         assert (tor.dims, tor.certified_hi, tor.bounded, tor.verdict().kind) == \
-            ({0: 1}, 1, False, "unknown"), strategy
+            (want, 10, False, "unknown"), strategy
+        assert tor.complex.truncated_above == 12
 
 
 def test_a_truncated_koszul_module_on_the_right_truncates_the_tensor():
@@ -951,7 +968,7 @@ def test_auto_strategy_picks_koszul_exactly_when_koszul_resolves(algebra, koszul
     for shifts in ((0,), (0, 3)):
         M = DGModulePresentation.trivial(algebra, shifts=shifts)
         try:
-            _resolve(M, KOSZUL, DegreeWindow(0, 8))
+            resolution(M, KOSZUL, DegreeWindow(0, 8))
             resolves = True
         except StrategyInapplicable:
             resolves = False
@@ -986,6 +1003,102 @@ def test_bar_koszul_agreement_randomized():
         hi = min(bar.certified_hi, kos.certified_hi)
         for n in range(0, hi + 1):
             assert bar.dims.get(n, 0) == kos.dims.get(n, 0), (trial, d, field, shifts, n)
+
+
+# -- the reach of a window -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, GF2])
+@pytest.mark.parametrize("d", [4, 6, 7])
+def test_bar_expands_a_free_module_from_its_lowest_generator(d, field):
+    # A on one generator a in degree -5: its Tor against K is one class, in
+    # degree -5.  Bar expanded M from degree min(0, window.lo) only, so on
+    # 0:10 it kept a·x but not a, and read classes in degrees 1 and 6 over
+    # H*(S^6), 2 and 8 over H*(S^7)
+    A = sphere(d, field)
+    M = DGModulePresentation.free(A, [("a", -5)])
+    for w, want in ((DegreeWindow(0, 10), {}), (DegreeWindow(-7, 10), {-5: 1}),
+                    (DegreeWindow(-5, -5), {-5: 1})):
+        bar, given = (derived_tensor(M, residue_module(A), s, w) for s in (BAR, GIVEN))
+        assert (bar.dims, bar.certified_hi) == (given.dims, given.certified_hi) == (want, w.hi)
+
+
+def c8_inputs():
+    """The twenty sums of shifts of K that acceptance criterion 8 draws."""
+    rng = random.Random(8)
+    for _ in range(20):
+        d = rng.choice([2, 3, 4, 5])
+        field = rng.choice([QQ, GF2])
+        A = sphere(d, field)
+        shifts = tuple(sorted(rng.randint(0, d) for _ in range(rng.randint(1, 3))))
+        yield DGModulePresentation.trivial(A, shifts=shifts), residue_module(A), \
+            DegreeWindow(0, 10)
+
+
+def twin_inputs():
+    """The non-zero twins of the zero-factor grid, each pair of its non-zero
+    modules over each algebra, on two small windows."""
+    for A in ZERO_FACTOR_ALGEBRAS.values():
+        other = [residue_module(A), DGModulePresentation.free_rank_one(A),
+                 DGModulePresentation.trivial(A, shifts=(-3, 0, 5))]
+        if A.sphere_generator_label() is not None:
+            other.append(raw_line(A, A.generators[0].degree))
+        for M in other:
+            for N in other:
+                for w in (DegreeWindow(0, 4), DegreeWindow(-2, 5)):
+                    yield M, N, w
+
+
+def test_koszul_and_bar_certify_the_same_degrees():
+    # wherever both resolve M (Koszul needs a zero differential and a pattern
+    # for a raw M, bar a simply-connected algebra and few enough words)
+    compared = 0
+    for M, N, w in [*c8_inputs(), *twin_inputs()]:
+        outcomes = [tor_outcome(M, N, s, w) for s in (KOSZUL, BAR)]
+        if any(isinstance(o[0], str) for o in outcomes):
+            continue
+        (kos, kos_hi, *_), (bar, bar_hi, *_) = outcomes
+        assert (kos, kos_hi) == (bar, bar_hi) == (kos, w.hi), (M.to_json(), N.to_json(), w)
+        compared += 1
+    # the C8 inputs, and the twins with an M Koszul resolves: K, A and the
+    # sum over each sphere (96), every pair over K[a₂, b₄] (18), A over
+    # ∧(a₃, b₅) (6)
+    assert compared == 20 + 96 + 18 + 6
+
+
+def right_factors(A):
+    """The right modules of the doubled-window property over A."""
+    if A.sphere_generator_label() is None:
+        return {"free": DGModulePresentation.free_rank_one(A)}
+    d = A.generators[0].degree
+    return {"K": residue_module(A), "raw line": raw_line(A, d),
+            "trivial sum": DGModulePresentation.trivial(A, shifts=(-2, 0, 1, d))}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_a_certified_degree_keeps_its_tor_in_a_window_twice_as_wide(data):
+    # over K[a₂] bar lists a word per composition into odd parts, so its
+    # windows and shifts stay small enough for the word budget
+    d = data.draw(st.sampled_from([0, 2, 3, 4, 5, 6, 7]), label="d (0: K[a₂])")
+    field = data.draw(st.sampled_from([QQ, GF2, GF3]), label="field")
+    if d:
+        A, low, span = sphere(d, field), -8, 10
+    else:
+        A, low, span = DGAlgebraPresentation.polynomial(field, [("a", 2)]), -2, 4
+    shifts = tuple(data.draw(st.lists(st.integers(low, span), min_size=1, max_size=3),
+                             label="shifts"))
+    N = right_factors(A)[data.draw(st.sampled_from(sorted(right_factors(A))), label="N")]
+    lo = data.draw(st.integers(low, span // 2), label="window.lo")
+    w = DegreeWindow(lo, lo + data.draw(st.integers(0, span), label="width - 1"))
+    half = (w.hi - w.lo) // 2 + 1
+    wide = DegreeWindow(w.lo - half, w.hi + half)
+    M = DGModulePresentation.trivial(A, shifts=shifts)
+    for strategy in (KOSZUL, BAR):
+        tor, big = (derived_tensor(M, N, strategy, v) for v in (w, wide))
+        assert tor.certified_hi == w.hi and big.certified_hi == wide.hi, strategy
+        for n in w.degrees():
+            assert tor.dims.get(n, 0) == big.dims.get(n, 0), (strategy, n)
 
 
 # -- phi and compactness ---------------------------------------------------------------

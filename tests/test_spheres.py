@@ -31,6 +31,8 @@ from dglevels.resolve import (
     koszul_resolution_sphere,
     level_upper_bound,
     phi,
+    residue_module,
+    tensor_reach,
 )
 from dglevels.spheres import (
     MATCHING_BUDGET,
@@ -627,7 +629,7 @@ def test_phi_resolves_only_what_can_certify(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("phi built a resolution it cannot read")
 
-    monkeypatch.setattr(resolve, "bar_resolution", refuse)
+    monkeypatch.setattr(resolve, "_bar", refuse)
     monkeypatch.setattr(resolve, "derived_tensor", refuse)
     truncated = koszul_resolution_sphere(4, QQ, cap=18).module
     assert resolve.auto_strategy(truncated) is None and phi(truncated).kind == "unknown"
@@ -697,9 +699,14 @@ def s7_over_s4():
     return DGModulePresentation.trivial(A, shifts=(0, 7), labels=["1", "x7"])
 
 
+def resolution_of_s7(strategy):
+    M = s7_over_s4()
+    return _resolve(M, strategy, tensor_reach(DegreeWindow(0, 30), M, residue_module(M.algebra)))
+
+
 TRUNCATED = {
-    "bar of s7": lambda: _resolve(s7_over_s4(), "bar", DegreeWindow(0, 30)).module,
-    "koszul of s7": lambda: _resolve(s7_over_s4(), "koszul", DegreeWindow(0, 30)).module,
+    "bar of s7": lambda: resolution_of_s7("bar").module,
+    "koszul of s7": lambda: resolution_of_s7("koszul").module,
     "koszul of k": lambda: koszul_resolution_sphere(4, QQ).module,
 }
 
