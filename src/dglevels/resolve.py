@@ -9,10 +9,10 @@ under `given` and `koszul`.  A sum of shifts of K is one block per shift on
 one checked resolution of K, Koszul or bar.  Whole-module bar serves free
 modules with generators and raw modules that are not trivial.  What a window
 reads, from the lowest degrees of M and N, is one rule, `tensor_reach`.
-`derived_tensor` tensors block by block, copying no shift.  The Koszul
-resolution of K depends only on the algebra and the cap, so it is kept per
-process, least recently used first out, up to KOSZUL_GENERATOR_BUDGET
-generators; bar's is built per call.
+`derived_tensor` tensors block by block, copying no shift, on resolutions
+built per call.  Over H*(S^d) the Koszul tensor of a sum of shifts of K and a
+bounded N is periodic from a stable start on, so it is listed only through
+one period past that start, and the rest of the window is read off it.
 
 A truncated engine must never silently claim finiteness, so every total
 cohomology question is answered by a three-way verdict from one rule,
@@ -35,7 +35,6 @@ intervals.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,9 +68,9 @@ EXTERIOR_BASIS_BUDGET = 4_096
 
 
 # Generators of one Koszul resolution over H*(S^d), one per d - 1 degrees up
-# to the cap, before `_koszul` gives up; also the most generators the checked
-# Koszul resolutions `_resolve` keeps hold together.  K against K on window
-# 0:9,997 over H*(S^2) needs 10,000.
+# to the cap, before `_koszul` gives up.  A periodic Tor lists one period but
+# one dims entry per degree, so it gives up where its whole resolution would
+# (`tensor_reach`).  K against K on window 0:9,997 over H*(S^2) needs 10,000.
 KOSZUL_GENERATOR_BUDGET = 10_000
 
 
@@ -198,17 +197,14 @@ def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution:
     D(g_j) = g_{j-1}·x: for d even g_{2i} = γ_i(w) and
     g_{2i+1} = γ_i(w)·s⁻¹x, for d odd g_j = γ_j(s⁻¹x).  The differentials
     are complete (they point down the chain), only generators above ``cap``
-    are absent.  Over K[x_1, ..., x_l], exterior generators s⁻¹x_j with
-    D(s⁻¹x_j) = x_j: finite and fully known.  Raises BudgetExceeded before
-    building more than KOSZUL_GENERATOR_BUDGET generators over H*(S^d).
+    are absent (`_check_koszul_generators` bounds them).  Over
+    K[x_1, ..., x_l], exterior generators s⁻¹x_j with D(s⁻¹x_j) = x_j: finite
+    and fully known.
     """
-    gens = []
-    diff = {}
+    gens, diff = [], {}
     if A.sphere_generator_label() is not None:
         d = A.generators[0].degree
-        if cap // (d - 1) >= KOSZUL_GENERATOR_BUDGET:
-            raise BudgetExceeded(f"the Koszul resolution over H*(S^{d}) through degree {cap} "
-                                 f"needs more than {KOSZUL_GENERATOR_BUDGET} generators")
+        _check_koszul_generators(d, cap)
         sx = f"s⁻¹x{d}"
         xpoly = {(1,): A.field.one()}
         for j in range(cap // (d - 1) + 1):
@@ -243,24 +239,11 @@ def _koszul(A: DGAlgebraPresentation, cap: int | None) -> Resolution:
     return Resolution.of(DGModulePresentation.free(A, gens, diff))
 
 
-# checked Koszul resolutions by (field, generators, cap), least recently used
-# first; only `_resolve` reads them
-_koszul_memo: OrderedDict = OrderedDict()
-
-
-def _kept_koszul(A: DGAlgebraPresentation, cap: int) -> Resolution:
-    """`_koszul(A, cap)`, built and checked once per process.  The key fixes A,
-    which has zero differential; a polynomial algebra's complex is finite, so
-    its key has no cap."""
-    key = (A.field, A.generators, cap if A.sphere_generator_label() is not None else None)
-    if key in _koszul_memo:
-        _koszul_memo.move_to_end(key)
-        return _koszul_memo[key]
-    res = _koszul_memo[key] = _koszul(A, key[2])
-    held = sum(len(r.module.generators) for r in _koszul_memo.values())
-    while held > KOSZUL_GENERATOR_BUDGET:
-        held -= len(_koszul_memo.popitem(last=False)[1].module.generators)
-    return res
+def _check_koszul_generators(d: int, cap: int):
+    """Refuse a Koszul resolution over H*(S^d) through ``cap`` past the budget."""
+    if cap // (d - 1) >= KOSZUL_GENERATOR_BUDGET:
+        raise BudgetExceeded(f"the Koszul resolution over H*(S^{d}) through degree {cap} "
+                             f"needs more than {KOSZUL_GENERATOR_BUDGET} generators")
 
 
 def koszul_resolution_sphere(d: int, field, cap: int | None = None) -> Resolution:
@@ -287,7 +270,7 @@ def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation 
     """`_bar` through what a derived tensor with K in ``window`` reads; a
     module with nothing in it is its own resolution."""
     algebra = algebra or module.algebra
-    reach = tensor_reach(window, module, residue_module(algebra))
+    reach = tensor_reach(window, module, residue_module(algebra), BAR)
     return _bar(module, algebra, cutoff, reach) if reach else Resolution.of(module)
 
 
@@ -301,26 +284,19 @@ def _bar(module: DGModulePresentation, algebra: DGAlgebraPresentation, cutoff: i
     generator degree is deg m + Σ(deg a_i - 1), so the bar-length-t part sits
     in degrees >= t and truncation is sound below the cutoff.  Words of
     degree through reach.cap are listed, and every generator through
-    reach.m_window.hi is kept.  Raises BudgetExceeded instead of listing more
-    than BAR_WORD_BUDGET bar words.
+    reach.m_window.hi is kept.  A truncated free M cuts B(M) at its own
+    truncation, as `given` cuts M.  Raises BudgetExceeded instead of listing
+    more than BAR_WORD_BUDGET bar words.
     """
     if not algebra.is_simply_connected():
         raise NotSimplyConnected("bar resolution needs generators in degrees >= 2")
     cap, wcap = reach.m_window.hi, reach.cap
     f = algebra.field
     mexp = module.expand(reach.m_window)
-    m_elems = []
-    for n in sorted(mexp.elements):
-        for e in mexp.elements[n]:
-            m_elems.append((e, n))
+    m_elems = [(e, n) for n in sorted(mexp.elements) for e in mexp.elements[n]]
     cutoff = cutoff if cutoff is not None else wcap
-    slot_basis = []
-    for deg, monos in sorted(algebra.monomial_basis(wcap + 1).items()):
-        if deg == 0:
-            continue
-        for m in monos:
-            slot_basis.append((m, deg))
-
+    slot_basis = [(m, deg) for deg, monos in sorted(algebra.monomial_basis(wcap + 1).items())
+                  if deg for m in monos]
     slot_degree = dict(slot_basis)
     slot_label = {m: algebra.mono_label(m) for m in slot_degree}
     # decided once per call: over H*(S^d) every product of two slots is zero
@@ -328,9 +304,7 @@ def _bar(module: DGModulePresentation, algebra: DGAlgebraPresentation, cutoff: i
     merges = any(algebra.mono_mul(a, b) is not None for a in slot_degree for b in slot_degree)
     # likewise over a zero-differential algebra no slot has a differential
     slot_differentials = not algebra.has_zero_differential()
-    gens = []
-    diff = {}
-    gen_label = {}
+    gens, diff, gen_label = [], {}, {}
 
     # enumerate words of degree <= wcap and bar length <= cutoff; (m, slots)
     # is kept when its total degree is <= cap
@@ -356,12 +330,9 @@ def _bar(module: DGModulePresentation, algebra: DGAlgebraPresentation, cutoff: i
     for elem, mdeg in m_elems:
         mlabel = mexp.elem_label(elem)
         for slots, sdeg in all_words:
-            total = mdeg + sdeg
-            if total > cap:
-                continue
-            lbl = mlabel + word_label[slots]
-            gens.append((lbl, total))
-            gen_label[(elem, slots)] = lbl
+            if mdeg + sdeg <= cap:
+                gen_label[elem, slots] = lbl = mlabel + word_label[slots]
+                gens.append((lbl, mdeg + sdeg))
 
     unit = algebra.unit_monomial()
     one = f.one()
@@ -415,8 +386,8 @@ def _bar(module: DGModulePresentation, algebra: DGAlgebraPresentation, cutoff: i
             if terms:
                 diff[gen_label[(elem, slots)]] = terms
 
-    mod = DGModulePresentation.free(algebra, gens, diff, truncation_degree=cap + 1)
-    return Resolution.of(mod)
+    cut = cap + 1 if module.truncation_degree is None else min(cap + 1, module.truncation_degree)
+    return Resolution.of(DGModulePresentation.free(algebra, gens, diff, truncation_degree=cut))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +397,8 @@ def _bar(module: DGModulePresentation, algebra: DGAlgebraPresentation, cutoff: i
 
 @dataclass
 class TorResult:
-    complex: CochainComplex
-    dims: dict
+    complex: CochainComplex        # as listed (`tensor_reach`): a prefix where it is periodic
+    dims: dict                     # every certified degree of the window
     certified_hi: int
     period: int | None
     bounded: bool
@@ -444,12 +415,13 @@ class Reach:
     cap: int                       # resolution generators this far above its lowest degree
     m_window: DegreeWindow         # M's expansion under bar
     n_window: DegreeWindow         # N's expansion
-    listed: DegreeWindow           # the degrees the tensor lists
+    read: DegreeWindow             # the degrees read; the tensor lists one more at each end
 
 
-def tensor_reach(window: DegreeWindow, M: DGModulePresentation,
-                 N: DGModulePresentation) -> Reach | None:
-    """What M ⊗^L_A N in ``window`` reads; None when M or N has nothing in it.
+def tensor_reach(window: DegreeWindow, M: DGModulePresentation, N: DGModulePresentation,
+                 strategy: str) -> Reach | None:
+    """What M ⊗^L_A N in ``window`` reads under ``strategy``; None when M or N
+    has nothing in it.
 
     Let M lie in degrees >= m and N in n ... n + a (a free N spans its
     generators and A's top degree, without end when A has none), and let
@@ -470,17 +442,38 @@ def tensor_reach(window: DegreeWindow, M: DGModulePresentation,
     So every degree of the window is certified and sees every term that
     reaches it.  M's highest degree enters none of these: the blocks share
     the cap the lowest needs.
+
+    Koszul over H*(S^d) of a sum of shifts of K, with N not truncated, reads
+    less.  Let s be M's highest shift, t N's highest degree,
+    p = sphere_block_period(d), q = p/(d - 1) and L = s + t + d + p.  The
+    resolution is g_j in degree j(d - 1), D(g_{j+1}) = g_j·x (`_koszul`), so
+    g_j ⊗ b lies in degree <= s + t < L - p - 1 if j = 0, <= s + t + p - d + 1
+    < L - 1 if j < q.  So g_j ⊗ b -> g_{j+q} ⊗ b keeps D (p is even, so are
+    the signs) and maps the complex in degrees >= L - p - 1 onto its part in
+    degrees >= L - 1: dims(k) = dims(k - p) for k > L.  A window ending past L
+    reads min(window.lo, L - p) ... L and repeats it; its dims keep one entry
+    per degree, so the generator budget still counts the whole window.
     """
     m_degrees, n_degrees = ([d for _, d in X.generators] if X.is_free
                             else X.complex.space.degrees() for X in (M, N))
     if not m_degrees or not n_degrees:
         return None
     m, n = min(m_degrees), min(n_degrees)
+    A = M.algebra
     top = N.algebra.top_degree() if N.is_free else 0
     r = max(0, window.hi + 1 - m - n)
+    if strategy == KOSZUL and M.is_trivial() and _koszul_applies(A) \
+            and A.sphere_generator_label() is not None \
+            and (N.truncation_degree if N.is_free else N.complex.truncated_above) is None:
+        d = A.generators[0].degree
+        _check_koszul_generators(d, r + 1)
+        p = sphere_block_period(d)
+        stable = max(m_degrees) + max(n_degrees) + top + d + p
+        if window.hi > stable:
+            window = DegreeWindow(min(window.lo, stable - p), stable)
+            r = stable + 1 - m - n
     a = r if top is None else min(r, max(n_degrees) + top - n)
-    return Reach(r + 1, DegreeWindow(m, m + r + 1), DegreeWindow(n, n + a),
-                 DegreeWindow(window.lo - 1, window.hi + 1))
+    return Reach(r + 1, DegreeWindow(m, m + r + 1), DegreeWindow(n, n + a), window)
 
 
 def _resolve(M: DGModulePresentation, strategy: str, reach: Reach | None) -> Resolution:
@@ -514,7 +507,7 @@ def _resolve(M: DGModulePresentation, strategy: str, reach: Reach | None) -> Res
     space = M.complex.space
     summands = [(label, s) for s in space.degrees() for label in space.labels(s)]
     if strategy == KOSZUL:
-        res, low = _kept_koszul(A, reach.cap), 0
+        res, low = _koszul(A, reach.cap), 0
         summands = [(f"{k}⟨{s}⟩·", s) for k, (_, s) in enumerate(summands)]
     else:
         # B(Σ^{-s}K) is Σ^{-s}B(K) with the shift's label before each word;
@@ -537,9 +530,11 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
     certified degree.  N is a bounded module presented with right actions and
     used on the left through graded commutativity; where its expansion is
     truncated, the tensor is too, from that degree on the lowest generator of
-    the resolution.  What it reads is `tensor_reach`'s; a zero factor gives
-    the zero complex."""
-    reach = tensor_reach(window, M, N)
+    the resolution.  What it reads and lists is `tensor_reach`'s, so the
+    complex is a prefix where the Koszul tensor over H*(S^d) is periodic,
+    and the dims past it repeat its last period; a zero factor gives the
+    zero complex."""
+    reach = tensor_reach(window, M, N, strategy)
     res = _resolve(M, strategy, reach)
     A = M.algebra
     f = A.field
@@ -554,7 +549,7 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
     n_key = {ne: str(ne) for es in nexp.elements.values() for ne in es}
     n_label = {ne: "⊗" + nexp.elem_label(ne) for ne in n_key}
     prefix = [pre for _, pre, _ in res.blocks]
-    lo, hi = reach.listed.lo, reach.listed.hi
+    lo, hi = reach.read.lo - 1, reach.read.hi + 1
     elems = {}
     for k, (F, _, offset) in enumerate(res.blocks):
         for glabel, gdeg in F.generators:
@@ -600,8 +595,12 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
     bounded = not cuts and window.lo <= m_lo + n_lo and n_degrees[-1] + max(
         g + offset for F, _, offset in res.blocks for _, g in F.generators) <= window.hi
     cx, _ = assemble(f, dict(sorted(elems.items())), labels, column, min(cuts, default=None))
-    return TorResult(cx, cohomology_dims(cx, window), cx.certified(window)[1], res.period,
-                     bounded, strategy)
+    dims, top = cohomology_dims(cx, reach.read), reach.read.hi
+    if top < window.hi:     # periodic past top (`tensor_reach`)
+        dims = {n: h for n in window.degrees()
+                if (h := dims.get(n if n <= top else top - (top - n) % res.period))}
+    certified_hi = window.hi if top < window.hi else cx.certified(window)[1]
+    return TorResult(cx, dims, certified_hi, res.period, bounded, strategy)
 
 
 # ---------------------------------------------------------------------------

@@ -413,7 +413,7 @@ def test_bar_word_budget_is_domain_error(capsys):
     assert f"more than {BAR_WORD_BUDGET} bar words" in error["message"]
 
 
-def test_koszul_generator_budget_is_domain_error(capsys, cold_koszul):
+def test_koszul_generator_budget_is_domain_error(capsys):
     # window 0:hi over H*(S^4) needs one generator per 3 degrees through hi + 2
     start = time.perf_counter()
     code, out = run(capsys, "tor", "--d", "4", "--module", "k", "--arg", "k", "--strategy",

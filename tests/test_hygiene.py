@@ -39,10 +39,15 @@ One unchecked construction: ``__new__`` makes an object without running
 ``module.block_sum``, whose parts are checked modules, does so.
 
 One place for the resolution rules: inside the package only
-``resolve._resolve`` calls the bar builder ``_bar`` and ``_kept_koszul``, so
-which resolution a Tor gets, and none for a zero factor, is decided there
-alone; ``bar_resolution``, the public bar resolution against K, is the one
-other caller of ``_bar``, and nothing in the package calls it.
+``resolve._resolve`` calls the bar builder ``_bar`` and the Koszul builder
+``_koszul``, so which resolution a Tor gets, and none for a zero factor, is
+decided there alone; the public builders ``bar_resolution``,
+``koszul_resolution_sphere`` and ``koszul_resolution_poly`` are the one other
+caller of each, and nothing in the package calls them.
+
+Nothing kept between calls: ``resolve.py`` binds its module-level names to
+constants only and caches no function, so every Tor builds and checks what
+it reads, and no call can change a later one.
 
 One reach rule: inside ``resolve.py`` only ``tensor_reach`` builds a
 ``DegreeWindow`` or reads ``default_window()``, so the cap, the expansion
@@ -342,8 +347,22 @@ def test_only_resolve_picks_a_resolution():
     callers = Counter(f"{name} {fn}" for name, fn, n in package_nodes()
                       if isinstance(n, ast.Call) and
                       getattr(n.func, "id", getattr(n.func, "attr", None))
-                      in ("bar_resolution", "_bar", "_kept_koszul"))
-    assert callers == {"resolve.py _resolve": 3, "resolve.py bar_resolution": 1}
+                      in ("bar_resolution", "_bar", "_koszul", "koszul_resolution_sphere",
+                          "koszul_resolution_poly"))
+    assert callers == {"resolve.py _resolve": 3, "resolve.py bar_resolution": 1,
+                       "resolve.py koszul_resolution_sphere": 1,
+                       "resolve.py koszul_resolution_poly": 1}
+
+
+def test_resolve_keeps_nothing_between_calls():
+    tree = ast.parse((ROOT / "src" / "dglevels" / "resolve.py").read_text(encoding="utf-8"))
+    bound = [n.value for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))]
+    assert len(bound) >= 5 and all(isinstance(v, ast.Constant) for v in bound)
+    cached = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+              for dec in n.decorator_list
+              if getattr(dec, "id", getattr(dec, "attr", None)) in ("cache", "lru_cache")
+              or getattr(getattr(dec, "func", None), "id", None) == "lru_cache"]
+    assert cached == []
 
 
 def test_only_tensor_reach_derives_a_window():

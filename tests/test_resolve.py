@@ -28,6 +28,7 @@ from dglevels.graded import (
 )
 from dglevels.module import DGModulePresentation, block_sum, shift
 from dglevels.rational import sphere_model
+from dglevels.spheres import MoleculeId, molecule_model
 from dglevels.resolve import (
     BAR,
     BAR_WORD_BUDGET,
@@ -38,6 +39,7 @@ from dglevels.resolve import (
     SemifreeFiltration,
     _koszul,
     _bar,
+    _phi_window,
     _resolve,
     auto_strategy,
     bar_resolution,
@@ -71,7 +73,7 @@ def chain_module(d, m, field=QQ, bottom=0):
 def resolution(M, strategy, window):
     """The resolution `_resolve` gives M for a derived tensor with K in
     ``window``."""
-    return _resolve(M, strategy, tensor_reach(window, M, residue_module(M.algebra)))
+    return _resolve(M, strategy, tensor_reach(window, M, residue_module(M.algebra), strategy))
 
 
 def module_digest(M):
@@ -85,11 +87,12 @@ def module_digest(M):
 
 # recorded before the resolutions were built in one pass per term (bar) and
 # before the Koszul recipes became one function (the rest but koszul, whose
-# cap, generators through 12 above the lowest shift, is `tensor_reach`'s);
-# the sphere caps end on an even and on an odd link of the chain
+# cap is `tensor_reach`'s: generators through 7 above the lowest shift, as
+# the tensor is read through one period past its stable start, 7); the
+# sphere caps end on an even and on an odd link of the chain
 RESOLUTION_DIGESTS = {
-    ("koszul", QQ): "671de213cedbe79d",
-    ("koszul", GF3): "9374d4308a005ae7",
+    ("koszul", QQ): "9e93fb3f616eb824",
+    ("koszul", GF3): "0187e7ad7459968e",
     ("bar", QQ): "685456c758d7406b",
     ("bar", GF3): "0232d0a0878c8e68",
     ("sphere/3/8", QQ): "f30c450b6db9fbb2",
@@ -123,7 +126,7 @@ def test_resolution_layout_is_pinned(kind, field):
         A = sphere(2, field)
         M = DGModulePresentation.trivial(A, shifts=(2, 3))
         F = resolution(M, KOSZUL, DegreeWindow(0, 12)).module
-        assert len(F.generators) == 26
+        assert len(F.generators) == 16
     elif name == "bar":
         P = DGAlgebraPresentation.polynomial(field, [("a", 2), ("b", 4)])
         F = bar_resolution(residue_module(P), P, window=DegreeWindow(0, 6)).module
@@ -265,9 +268,11 @@ def test_koszul_strategy_builds_the_shifted_public_resolution(d, field, shifts):
     M = DGModulePresentation.trivial(A, shifts=shifts)
     w = DegreeWindow(0, 30)
     res = resolution(M, KOSZUL, w)
-    # against K, every generator through w.hi + 1 above the lowest shift and
-    # one more for the truncation (`tensor_reach`)
-    base = koszul_resolution_sphere(d, field, cap=w.hi + 2 - min(shifts))
+    # against K, every generator through the stable start + 1 above the
+    # lowest shift and one more for the truncation (`tensor_reach`)
+    stable = max(shifts) + d + sphere_block_period(d)
+    assert stable < w.hi
+    base = koszul_resolution_sphere(d, field, cap=stable + 2 - min(shifts))
     expected = two_step_koszul_sum(base, shifts, A)
     assert (list(res.module.generators), res.module.differential,
             res.module.truncation_degree, res.period) == expected
@@ -367,7 +372,7 @@ def copied_tensor(M, N, window):
     complex and the TorResult fields after it."""
     A = M.algebra
     f = A.field
-    reach = tensor_reach(window, M, N)
+    reach = tensor_reach(window, M, N, BAR)     # the whole window: only koszul cuts a period
     base = _koszul(A, reach.cap)
     F = block_sum([(base.module, f"{k}⟨{s}⟩·", s)
                    for k, s in enumerate(sorted(M.shift_degrees()))])
@@ -376,7 +381,7 @@ def copied_tensor(M, N, window):
     elems = {}
     for glabel, gdeg in F.generators:
         for nd in n_degrees:
-            if reach.listed.contains(gdeg + nd):
+            if reach.read.lo - 1 <= gdeg + nd <= reach.read.hi + 1:
                 elems.setdefault(gdeg + nd, []).extend((glabel, b) for b in nexp.elements[nd])
     for es in elems.values():
         es.sort(key=lambda e: (e[0], str(e[1])))
@@ -418,6 +423,28 @@ def tensor_record(cx, dims, cert_hi, period, bounded):
             dims, cert_hi, period, bounded)
 
 
+def listed(cx, lo, hi):
+    """The complex in degrees lo ... hi: its labels, and each matrix between
+    two of them with the type of every entry."""
+    return ({n: cx.space.labels(n) for n in cx.space.degrees() if lo <= n <= hi},
+            {n: [[(type(x).__name__, x) for x in row] for row in mat]
+             for n, mat in cx.differential.items() if lo <= n < hi})
+
+
+def periodic_and_full(M, N, window):
+    """The Koszul Tor of M against N, and the Tor of the full listing
+    (`copied_tensor`) from the lowest degree the Koszul tensor reads, each as
+    (its complex in the degrees the Koszul tensor lists, dims in the window,
+    certified_hi, period, bounded, verdict)."""
+    tor = derived_tensor(M, N, KOSZUL, window)
+    read = tensor_reach(window, M, N, KOSZUL).read
+    cx, dims, cert_hi, period, bounded = copied_tensor(M, N, DegreeWindow(read.lo, window.hi))
+    dims = {n: h for n, h in dims.items() if n >= window.lo}
+    return [(listed(c, read.lo - 1, read.hi + 1), d, hi, p, b, finiteness(d, p, hi, b))
+            for c, d, hi, p, b in ((tor.complex, tor.dims, tor.certified_hi, tor.period,
+                                    tor.bounded), (cx, dims, cert_hi, period, bounded))]
+
+
 def raw_line(A, d):
     """H*(S^d) as a raw module: u in degree 0 and v = u·x in degree d."""
     space = GradedVectorSpace(A.field, {0: ["u"], d: ["v"]})
@@ -453,8 +480,8 @@ def test_blockwise_koszul_tensor_is_the_tensor_of_the_copied_sum(d, field):
         for name, (N, tor_of_k) in right.items():
             w = WINDOWS[(i + len(name)) % 2]
             tor = derived_tensor(M, N, KOSZUL, w)
-            got = tensor_record(tor.complex, tor.dims, tor.certified_hi, tor.period, tor.bounded)
-            assert got == tensor_record(*copied_tensor(M, N, w)), (shifts, name, w)
+            periodic, full = periodic_and_full(M, N, w)
+            assert periodic == full, (shifts, name, w)
             # Tor(K, N) moved by each shift, in every degree of the window,
             # window.lo included
             want = {n: h for n in w.degrees() if (h := sum(tor_of_k(n - s) for s in shifts))}
@@ -487,10 +514,11 @@ def test_blockwise_koszul_tensor_over_a_polynomial_algebra(field, shifts):
 
 
 @pytest.mark.parametrize("k", [1, 2, 13])
-def test_the_koszul_tensor_checks_its_recipe_once_and_copies_no_block(monkeypatch, cold_koszul,
-                                                                     k):
-    A, A2 = sphere(4, GF3), sphere(4, GF3)
-    M, M2 = (DGModulePresentation.trivial(B, shifts=tuple(range(0, 3 * k, 3))) for B in (A, A2))
+def test_the_koszul_tensor_checks_its_recipe_once_and_copies_no_block(monkeypatch, k):
+    # once per call: each Tor builds and checks one resolution of K, which
+    # its blocks share without a copy
+    A = sphere(4, GF3)
+    M = DGModulePresentation.trivial(A, shifts=tuple(range(0, 3 * k, 3)))
     checks, sums = [], []
     validate = DGModulePresentation._validate_free
     monkeypatch.setattr(DGModulePresentation, "_validate_free",
@@ -501,22 +529,17 @@ def test_the_koszul_tensor_checks_its_recipe_once_and_copies_no_block(monkeypatc
     tor = derived_tensor(M, residue_module(A), KOSZUL, DegreeWindow(0, 30))
     assert (len(checks), sums) == (1, [])
     assert tor.dims[0] == 1
-    # warm: an equal but distinct algebra reads the same checked resolution
-    assert derived_tensor(M2, residue_module(A2), KOSZUL, DegreeWindow(0, 30)).dims == tor.dims
-    assert (len(checks), sums) == (1, [])
-    (F,) = checks
-    checks.clear()
-    assert phi(M).is_infinite           # its own window and cap: cold
-    assert (len(checks), sums) == (1, [])
-    assert phi(M2).is_infinite
-    assert (len(checks), sums) == (1, [])
+    assert derived_tensor(M, residue_module(A), KOSZUL, DegreeWindow(0, 30)).dims == tor.dims
+    assert (len(checks), sums) == (2, []) and checks[0] is not checks[1]
+    assert phi(M).is_infinite
+    assert (len(checks), sums) == (3, [])
     # the sum of the blocks is built only when it is read
     assert len(resolution(M, KOSZUL, DegreeWindow(0, 30)).module.generators) == \
-        k * len(F.generators)
-    assert (len(checks), len(sums)) == (1, 1)
+        k * len(checks[-1].generators)
+    assert (len(checks), len(sums)) == (4, 1)
 
 
-# -- the kept Koszul resolutions --------------------------------------------------
+# -- the periodic Koszul tensor ---------------------------------------------------
 
 
 def koszul_record(M, window):
@@ -526,31 +549,21 @@ def koszul_record(M, window):
             tor.verdict())
 
 
-def cold_and_warm(memo, algebra, shifts, windows):
-    """The records of M = ⊕ Σ^{-s}K in each window, cold (the memo emptied
-    before each) and warm (over an equal algebra read back from JSON)."""
-    cold = []
-    for w in windows:
-        memo.clear()
-        cold.append(koszul_record(DGModulePresentation.trivial(algebra, shifts=shifts), w))
-    again = DGAlgebraPresentation.from_json(algebra.to_json())
-    assert again is not algebra and memo
-    warm = [koszul_record(DGModulePresentation.trivial(again, shifts=shifts), w)
-            for w in windows * 2]
-    return cold * 2, warm
-
-
 @pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
-def test_a_kept_koszul_resolution_gives_the_cold_record(cold_koszul, d, field):
+def test_a_kept_koszul_resolution_gives_the_cold_record(d, field):
+    # the tensor kept to one period past its stable start gives the record of
+    # the full listing, in windows that end past the start, start past it, or
+    # are phi's own
+    A = sphere(d, field)
     for shifts in SHIFT_LISTS:
-        cold, warm = cold_and_warm(cold_koszul, sphere(d, field), shifts, WINDOWS)
-        assert warm == cold, shifts
-    M = DGModulePresentation.trivial(sphere(d, field), shifts=(-2, 0, 0, d))
-    cold_koszul.clear()
-    verdict = phi(M)
-    assert cold_koszul and phi(DGModulePresentation.trivial(sphere(d, field),
-                                                            shifts=(-2, 0, 0, d))) == verdict
+        M = DGModulePresentation.trivial(A, shifts=shifts)
+        for w in (*WINDOWS, DegreeWindow(0, 90), DegreeWindow(70, 110)):
+            periodic, full = periodic_and_full(M, residue_module(A), w)
+            assert periodic == full, (shifts, w)
+    M = DGModulePresentation.trivial(A, shifts=(-2, 0, 0, d))
+    periodic, full = periodic_and_full(M, residue_module(A), _phi_window(M))
+    assert phi(M) == periodic[-1] == full[-1]
 
 
 @pytest.mark.parametrize("algebra", [
@@ -558,76 +571,101 @@ def test_a_kept_koszul_resolution_gives_the_cold_record(cold_koszul, d, field):
     DGAlgebraPresentation.polynomial(GF3, [("a", 2), ("b", 4)]),
     DGAlgebraPresentation.polynomial(GF2, [("a", 3), ("b", 4)], char2_polynomial_odd=True),
 ], ids=["K[a2,b4]/Q", "K[a2,b4]/F3", "F2[a3,b4]"])
-def test_a_kept_polynomial_koszul_complex_serves_every_window(cold_koszul, algebra):
-    # the complex is finite, so one entry serves both windows
-    windows = [DegreeWindow(-2, 20), DegreeWindow(1, 6)]
+def test_a_kept_polynomial_koszul_complex_serves_every_window(algebra):
+    # the complex is finite, so it has no period and is listed whole in every
+    # window, as the full listing is
+    K = residue_module(algebra)
     for shifts in ((0,), (0, 3), (-1, 2, 2)):
-        cold, warm = cold_and_warm(cold_koszul, algebra, shifts, windows)
-        assert warm == cold, shifts
-        assert len(cold_koszul) == 1
+        M = DGModulePresentation.trivial(algebra, shifts=shifts)
+        for w in (DegreeWindow(-2, 20), DegreeWindow(1, 6), DegreeWindow(0, 300)):
+            assert tensor_reach(w, M, K, KOSZUL).read == w
+            tor = derived_tensor(M, K, KOSZUL, w)
+            got = tensor_record(tor.complex, tor.dims, tor.certified_hi, tor.period, tor.bounded)
+            assert got == tensor_record(*copied_tensor(M, K, w)), (shifts, w)
 
 
-def test_the_kept_koszul_resolutions_part_by_field_and_generators(cold_koszul):
-    # one module per algebra, read one after another through one memo
+def test_the_kept_koszul_resolutions_part_by_field_and_generators():
+    # each algebra's Tor is its own full listing's, read one after another,
+    # twice over
     algebras = [sphere(4, QQ), sphere(4, GF2), sphere(4, GF3), sphere(5, GF3),
                 DGAlgebraPresentation(GF3, [Generator("y", 4, "exterior")]),
                 DGAlgebraPresentation.polynomial(GF3, [("x4", 4)])]
-    w = DegreeWindow(-1, 16)
-    cold = []
-    for A in algebras:
-        cold_koszul.clear()
-        cold.append(koszul_record(DGModulePresentation.trivial(A, shifts=(0, 1)), w))
-    cold_koszul.clear()
-    assert [koszul_record(DGModulePresentation.trivial(A, shifts=(0, 1)), w)
-            for A in algebras * 2] == cold * 2
-    assert len(cold_koszul) == len(algebras)
+    w = DegreeWindow(-1, 40)
+    for A in algebras * 2:
+        periodic, full = periodic_and_full(DGModulePresentation.trivial(A, shifts=(0, 1)),
+                                           residue_module(A), w)
+        assert periodic == full, A.to_json()
 
 
-def test_changing_a_public_koszul_resolution_changes_no_later_tor(cold_koszul):
+def test_changing_a_public_koszul_resolution_changes_no_later_tor():
     A = sphere(4)
     M = DGModulePresentation.trivial(A, shifts=(0, 3))
     w = DegreeWindow(0, 30)
     before = koszul_record(M, w)
-    (kept,) = cold_koszul.values()
-    public = koszul_resolution_sphere(4, QQ, cap=w.hi + 2)
-    F = public.module
-    assert F is not kept.module
-    assert (F.generators, F.differential) == (kept.module.generators, kept.module.differential)
+    cap = tensor_reach(w, M, residue_module(A), KOSZUL).cap
+    F = koszul_resolution_sphere(4, QQ, cap=cap).module
     F.differential.clear()
     F.gen_degree.clear()
     F.truncation_degree = 5
     assert koszul_record(M, w) == before
-    cold_koszul.clear()
-    assert koszul_record(M, w) == before
 
 
-def test_the_kept_koszul_resolutions_evict_the_least_recently_used(monkeypatch, cold_koszul):
+def molecule(d, field, l, m):
+    """The free model of the molecule Σ^{-l}Z_m over H*(S^d)."""
+    return molecule_model(MoleculeId(d, l, m), field, verify=False)
+
+
+@st.composite
+def periodic_cases(draw):
+    """(M, N, window): a sum of shifts of K over H*(S^d), a bounded N, and a
+    window through at most 300, starting below or past the stable start."""
+    d = draw(st.integers(2, 7))
+    field = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
+    A = sphere(d, field)
+    shifts = st.lists(st.integers(-6, 9), min_size=1, max_size=4).map(tuple)
+    M = DGModulePresentation.trivial(A, shifts=draw(shifts))
+    N = draw(st.sampled_from([
+        lambda: residue_module(A), lambda: raw_line(A, d),
+        lambda: DGModulePresentation.trivial(A, shifts=draw(shifts)),
+        lambda: DGModulePresentation.free_rank_one(A),
+        lambda: chain_module(d, draw(st.integers(0, 3)), field, bottom=draw(st.integers(-4, 4))),
+        lambda: molecule(d, field, draw(st.integers(-3, 6)), draw(st.integers(0, 3))),
+    ]))()
+    lo = draw(st.integers(-4, 70))
+    return M, N, DegreeWindow(lo, draw(st.integers(max(lo, 0), 300)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(periodic_cases())
+def test_the_periodic_koszul_tor_is_the_full_listing(case):
+    periodic, full = periodic_and_full(*case)
+    assert periodic == full
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7])
+def test_the_periodic_koszul_tensor_does_not_grow_with_the_window(monkeypatch, d):
+    A = sphere(d, GF3)
+    M, N = (DGModulePresentation.trivial(A, shifts=s) for s in ((-1, 3, 3), (0, 2)))
     checks = []
     validate = DGModulePresentation._validate_free
     monkeypatch.setattr(DGModulePresentation, "_validate_free",
                         lambda self: checks.append(self) or validate(self))
-    M = DGModulePresentation.trivial(sphere(2))
-    # over H*(S^2) window 0:hi keeps hi + 3 generators; four of about 3,000
-    # pass the budget
-    his = [2995, 2996, 2997, 2998]
-
-    def resolve(hi):
-        return resolution(M, KOSZUL, DegreeWindow(0, hi)).blocks[0][0]
-
-    def held():
-        return sum(len(r.module.generators) for r in cold_koszul.values())
-
-    first = [resolve(hi) for hi in his]
-    assert len(checks) == 4
-    assert [cap for _, _, cap in cold_koszul] == [hi + 2 for hi in his[1:]]
-    assert held() == sum(hi + 3 for hi in his[1:]) <= KOSZUL_GENERATOR_BUDGET
-    assert resolve(his[1]) is first[1] and len(checks) == 4      # warm, now most recent
-    assert resolve(his[0]) is not first[0] and len(checks) == 5  # evicted: checked again
-    assert [cap for _, _, cap in cold_koszul] == [hi + 2 for hi in (his[3], his[1], his[0])]
-    assert held() <= KOSZUL_GENERATOR_BUDGET
+    sizes = []
+    for hi in (40, 9_000):
+        tor = derived_tensor(M, N, KOSZUL, DegreeWindow(0, hi))
+        sizes.append((checks[-1].generators, {n: tor.complex.dim(n)
+                                              for n in tor.complex.space.degrees()}))
+    assert sizes[0] == sizes[1]
+    # past the stable start the dims repeat with the period, to window.hi
+    p = sphere_block_period(d)
+    stable = 3 + 2 + d + p
+    assert (tor.certified_hi, tor.period) == (9_000, p)
+    assert max(tor.complex.space.degrees()) <= stable + 1
+    assert all(tor.dims.get(n) == tor.dims.get(n - p) for n in range(stable + 1, 9_001))
+    assert tor.verdict().is_infinite
 
 
-def test_the_sphere_koszul_chain_has_a_generator_budget(cold_koszul):
+def test_the_sphere_koszul_chain_has_a_generator_budget():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match=f"more than {KOSZUL_GENERATOR_BUDGET} generators"):
@@ -644,15 +682,24 @@ def test_the_sphere_koszul_chain_has_a_generator_budget(cold_koszul):
         koszul_resolution_sphere(2, QQ, cap=cap + 1)
     with pytest.raises(BudgetExceeded):
         resolution(residue_module(sphere(4)), KOSZUL, DegreeWindow(0, 10**12))
-    assert not cold_koszul
+    # a periodic Tor builds one period, but it lists one degree of dims per
+    # degree of the window, so it passes the budget where the whole
+    # resolution would: K against K over H*(S^2) through 0:9,997
+    K = residue_module(sphere(2))
+    assert len(derived_tensor(K, K, KOSZUL, DegreeWindow(0, cap - 2)).dims) == cap - 1
+    with pytest.raises(BudgetExceeded, match=f"through degree {cap + 1} needs more than"):
+        derived_tensor(K, K, KOSZUL, DegreeWindow(0, cap - 1))
 
 
-def test_an_empty_trivial_module_builds_no_koszul_resolution(cold_koszul):
+def test_an_empty_trivial_module_builds_no_koszul_resolution(monkeypatch):
+    built = []
+    koszul = dglevels.resolve._koszul
+    monkeypatch.setattr(dglevels.resolve, "_koszul", lambda *a: built.append(a) or koszul(*a))
     A = sphere(4)
     tor = derived_tensor(DGModulePresentation.trivial(A, shifts=()), residue_module(A), KOSZUL,
                          DegreeWindow(0, 12))
     assert (tor.dims, tor.bounded) == ({}, True)
-    assert not cold_koszul
+    assert built == []
     # an algebra with no Koszul pattern is refused first, empty or not
     B = DGAlgebraPresentation(QQ, [Generator("w", 4, "divided")])
     for shifts in ((), (0,)):
@@ -796,8 +843,22 @@ def test_bar_tor_is_right_below_a_negative_shift():
                           w).dims[24] == 2
 
 
+@pytest.mark.parametrize("field", [QQ, GF2])
+@pytest.mark.parametrize("d, cap", [(2, 5), (3, 7), (4, 8), (6, 12)])
+def test_bar_certifies_no_degree_that_given_does_not(d, field, cap):
+    # bar listed B(F) through its own cap whatever F's truncation, so over
+    # H*(S^4) it read {0: 1, 3: 1, 6: 1} certified through 16, where F, a
+    # resolution of K cut at 9, has Tor(K, K) classes at 9, 12 and 15 too
+    F = koszul_resolution_sphere(d, field, cap=cap).module
+    K = residue_module(F.algebra)
+    for w in (DegreeWindow(0, 16), DegreeWindow(-3, 30)):
+        given, bar = (derived_tensor(F, K, s, w) for s in (GIVEN, BAR))
+        assert (bar.dims, bar.certified_hi) == (given.dims, given.certified_hi) == \
+            ({n: 1 for n in range(0, cap + 1, d - 1) if n <= cap - 2}, cap - 2), w
+
+
 @pytest.mark.parametrize("k", [1, 3, 13])
-def test_a_bar_tor_checks_one_resolution_of_k_per_call(monkeypatch, cold_koszul, k):
+def test_a_bar_tor_checks_one_resolution_of_k_per_call(monkeypatch, k):
     A = sphere(4, GF3)
     checks = []
     validate = DGModulePresentation._validate_free
@@ -807,10 +868,9 @@ def test_a_bar_tor_checks_one_resolution_of_k_per_call(monkeypatch, cold_koszul,
     w = DegreeWindow(0, 30)
     first = derived_tensor(M, residue_module(A), BAR, w)
     assert len(checks) == 1
-    # nothing is kept: the next call builds and checks B(K) again, and the
-    # kept Koszul resolutions are left alone
+    # nothing is kept: the next call builds and checks B(K) again
     again = derived_tensor(M, residue_module(A), BAR, w)
-    assert len(checks) == 2 and checks[0] is not checks[1] and not cold_koszul
+    assert len(checks) == 2 and checks[0] is not checks[1]
     assert complex_to_json(again.complex) == complex_to_json(first.complex)
 
 
@@ -864,7 +924,7 @@ def tor_outcome(M, N, strategy, window):
 
 
 @pytest.mark.parametrize("name", list(ZERO_FACTOR_ALGEBRAS))
-def test_a_zero_factor_is_zero_tor_under_every_strategy(monkeypatch, cold_koszul, name):
+def test_a_zero_factor_is_zero_tor_under_every_strategy(monkeypatch, name):
     A = ZERO_FACTOR_ALGEBRAS[name]
     zero = {"empty sum": DGModulePresentation.trivial(A, shifts=()),
             "zero free": DGModulePresentation.zero(A)}
@@ -884,7 +944,6 @@ def test_a_zero_factor_is_zero_tor_under_every_strategy(monkeypatch, cold_koszul
         for m in [*zero, *other]:
             got = tor_outcome(twin.get(m) or other[m], other["K"], strategy, DegreeWindow(0, 4))
             refusal[strategy, m] = got if got[0] == "StrategyInapplicable" else None
-    cold_koszul.clear()
     checks, bars = [], []
     validate, bar = DGModulePresentation._validate_free, dglevels.resolve._bar
     monkeypatch.setattr(DGModulePresentation, "_validate_free",
@@ -899,7 +958,7 @@ def test_a_zero_factor_is_zero_tor_under_every_strategy(monkeypatch, cold_koszul
                     ({}, w.hi, None, True, FinitenessVerdict("finite", total=0))
                 got = tor_outcome(modules[m], modules[n], strategy, w)
                 assert got == want, (strategy, m, n, w)
-    assert (checks, bars, len(cold_koszul)) == ([], [], 0)
+    assert (checks, bars) == ([], [])
     refused = {(strategy, m) for (strategy, m), r in refusal.items() if r}
     assert {(GIVEN, "empty sum"), ("nonsense", "zero free")} <= refused
     assert ((KOSZUL, "zero free") in refused) == (name == "S2 model")

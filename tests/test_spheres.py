@@ -701,7 +701,8 @@ def s7_over_s4():
 
 def resolution_of_s7(strategy):
     M = s7_over_s4()
-    return _resolve(M, strategy, tensor_reach(DegreeWindow(0, 30), M, residue_module(M.algebra)))
+    reach = tensor_reach(DegreeWindow(0, 30), M, residue_module(M.algebra), strategy)
+    return _resolve(M, strategy, reach)
 
 
 TRUNCATED = {
