@@ -10,6 +10,14 @@ finite cochain complex together with a right action matrix for every algebra
 generator (the fallback for cohomology-level inputs such as H*(S^7) over
 H*(S^4)).
 
+A free module truncated at T (``truncation_degree``) holds every generator
+in degrees below T, and the whole differential of every generator below
+T - 1, since D(g) lies in degree |g| + 1 < T; of a generator in degree T - 1
+it may hold part of the differential.  So its expansion has its whole basis
+and every differential into each degree below T, and T is its first unknown
+degree; the D² check reads the generators below T - 2, whose D reaches only
+generators below T - 1.
+
 Shift convention: Σ^k lowers generator degrees by k, so (Σ M)^n = M^{n+1},
 and multiplies the differential by (-1)^k; the right action commutes with the
 suspension without sign.  Cones use d(n, σm) = (d n + f m, -σ d m).
@@ -45,7 +53,7 @@ class DGModulePresentation:
                  truncation_degree=None):
         self.algebra = algebra
         self.field = algebra.field
-        # first degree at which stored generators/differentials may be incomplete
+        # first degree at which generators may be missing (module docstring)
         self.truncation_degree = truncation_degree
         if (generators is None) == (complex is None):
             raise PresentationError("give either generators (free) or a complex (raw)")
@@ -361,7 +369,7 @@ class ModuleExpansion:
             truncated_above = window.hi + 1 \
                 if (support_hi is None or support_hi > window.hi) else None
             if module.truncation_degree is not None:
-                cut = module.truncation_degree - 1
+                cut = module.truncation_degree
                 truncated_above = cut if truncated_above is None else min(truncated_above, cut)
             truncated_below = window.lo - 1 if min(gen_degs) < window.lo else None
             self.complex, self.pos = assemble(self.field, self.elements, labels,

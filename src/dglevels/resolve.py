@@ -55,9 +55,9 @@ KOSZUL = "koszul"
 GIVEN = "given"
 
 # Bar words listed before bar_resolution gives up.  Window 0:10 over
-# K[a₂, b₄] needs 1,516 words, window 0:12 needs 5,221.  Over H*(S^d) a
-# window needs one word per d - 1 degrees, but word t has length t, so the
-# listing there grows with the square of the word count.
+# K[a₂, b₄] needs 817 words, 0:12 needs 2,813 and 0:13 needs 5,221.  Over
+# H*(S^d) a window needs one word per d - 1 degrees, but word t has length t,
+# so the listing there grows with the square of the word count.
 BAR_WORD_BUDGET = 3_000
 
 # Products of exterior generators listed before a construction gives up.  The
@@ -70,7 +70,7 @@ EXTERIOR_BASIS_BUDGET = 4_096
 # Generators of one Koszul resolution over H*(S^d), one per d - 1 degrees up
 # to the cap, before `_koszul` gives up.  A periodic Tor lists one period but
 # one dims entry per degree, so it gives up where its whole resolution would
-# (`tensor_reach`).  K against K on window 0:9,997 over H*(S^2) needs 10,000.
+# (`tensor_reach`).  K against K on window 0:9,998 over H*(S^2) needs 10,000.
 KOSZUL_GENERATOR_BUDGET = 10_000
 
 
@@ -249,7 +249,7 @@ def _check_koszul_generators(d: int, cap: int):
 def koszul_resolution_sphere(d: int, field, cap: int | None = None) -> Resolution:
     """Semifree resolution of K over A = H*(S^d) (see `_koszul`), with
     generators through degree ``cap`` (by default 42 + d; a Tor of K against
-    K on window 0:40 reads through 42)."""
+    K on window 0:40 reads through 41)."""
     A = DGAlgebraPresentation.sphere_cohomology(d, field)   # rejects d <= 1
     return _koszul(A, cap if cap is not None else 42 + d)
 
@@ -431,17 +431,22 @@ def tensor_reach(window: DegreeWindow, M: DGModulePresentation, N: DGModulePrese
     of M lies in degree >= m (a block on a shift s >= m starts at s, a bar
     word m'[w] at |m'|), so a listed term g ⊗ b has |g| <= m + r and
     |b| <= n + r (r is 0 when no term is listed):
-    - the resolution keeps its generators through cap = r + 1 above the
-      lowest degree it resolves.  The 1 is its top generator, which a
-      truncated free module counts as unknown (bar's d(m')[w] may reach past
-      the cut), so each block is cut at window.hi + 2 or above;
-    - under bar M is expanded in m ... m + cap and words are listed through
-      cap, so each m'[w] through m + cap has both its parts;
+    - the resolution keeps its generators through cap = r above the lowest
+      degree it resolves, so each block is truncated at m + r + 1 or above.
+      A free module truncated at T holds the whole differential of each
+      generator below T - 1 (see `module`), so a block truncated at T and
+      moved by o, tensored with N, has its whole basis and every
+      differential into the degrees below T + o + n, and is cut there, at
+      window.hi + 2 or above;
+    - under bar M is expanded in m ... m + r and words are listed through r,
+      so each m'[w] through m + r has both its parts;
     - N is expanded in n ... n + min(a, r), whole through every listed b; a
       cut there the tensor moves by m to window.hi + 2.
-    So every degree of the window is certified and sees every term that
-    reaches it.  M's highest degree enters none of these: the blocks share
-    the cap the lowest needs.
+    Certifying window.hi reads D(g) ⊗ b for |g| <= window.hi - n = m + r - 1,
+    and D(g) lands on generators through m + r: no differential of a top
+    generator is read.  So every degree of the window is certified and sees
+    every term that reaches it.  M's highest degree enters none of these:
+    the blocks share the cap the lowest needs.
 
     Koszul over H*(S^d) of a sum of shifts of K, with N not truncated, reads
     less.  Let s be M's highest shift, t N's highest degree,
@@ -466,14 +471,14 @@ def tensor_reach(window: DegreeWindow, M: DGModulePresentation, N: DGModulePrese
             and A.sphere_generator_label() is not None \
             and (N.truncation_degree if N.is_free else N.complex.truncated_above) is None:
         d = A.generators[0].degree
-        _check_koszul_generators(d, r + 1)
+        _check_koszul_generators(d, r)
         p = sphere_block_period(d)
         stable = max(m_degrees) + max(n_degrees) + top + d + p
         if window.hi > stable:
             window = DegreeWindow(min(window.lo, stable - p), stable)
             r = stable + 1 - m - n
     a = r if top is None else min(r, max(n_degrees) + top - n)
-    return Reach(r + 1, DegreeWindow(m, m + r + 1), DegreeWindow(n, n + a), window)
+    return Reach(r, DegreeWindow(m, m + r), DegreeWindow(n, n + a), window)
 
 
 def _resolve(M: DGModulePresentation, strategy: str, reach: Reach | None) -> Resolution:
@@ -584,10 +589,10 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
         for i, c in nexp.complex.column(nd, j):
             yield (k, glabel, nexp.elements[nd + 1][i]), -c if odd else c
 
-    # a truncated block cuts the tensor from its truncation on N's lowest
-    # degree, a truncated N from its cut on the lowest generator, M's lowest
+    # a truncated block cuts the tensor at its truncation on N's lowest
+    # degree, a truncated N at its cut on the lowest generator, M's lowest
     m_lo, n_lo = reach.m_window.lo, reach.n_window.lo
-    cuts = [F.truncation_degree + offset - 1 + n_lo for F, _, offset in res.blocks
+    cuts = [F.truncation_degree + offset + n_lo for F, _, offset in res.blocks
             if F.truncation_degree is not None]
     if nexp.complex.truncated_above is not None:
         cuts.append(nexp.complex.truncated_above + m_lo)

@@ -414,7 +414,7 @@ def test_bar_word_budget_is_domain_error(capsys):
 
 
 def test_koszul_generator_budget_is_domain_error(capsys):
-    # window 0:hi over H*(S^4) needs one generator per 3 degrees through hi + 2
+    # window 0:hi over H*(S^4) needs one generator per 3 degrees through hi + 1
     start = time.perf_counter()
     code, out = run(capsys, "tor", "--d", "4", "--module", "k", "--arg", "k", "--strategy",
                     "koszul", "--window", "0:1000000000000")
@@ -423,7 +423,7 @@ def test_koszul_generator_budget_is_domain_error(capsys):
     error = json.loads(out)["error"]
     assert error["code"] == "budget-exceeded"
     assert error["message"] == ("the Koszul resolution over H*(S^4) through degree "
-                                f"1000000000002 needs more than {KOSZUL_GENERATOR_BUDGET} "
+                                f"1000000000001 needs more than {KOSZUL_GENERATOR_BUDGET} "
                                 "generators")
 
 

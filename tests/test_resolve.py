@@ -1,6 +1,7 @@
 """Resolutions, derived tensors, phi verdicts, filtrations."""
 
 import hashlib
+import itertools
 import json
 import random
 import tracemalloc
@@ -85,16 +86,18 @@ def module_digest(M):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# recorded before the resolutions were built in one pass per term (bar) and
-# before the Koszul recipes became one function (the rest but koszul, whose
-# cap is `tensor_reach`'s: generators through 7 above the lowest shift, as
-# the tensor is read through one period past its stable start, 7); the
-# sphere caps end on an even and on an odd link of the chain
+# sphere, poly and poly-sum were recorded before the Koszul recipes became
+# one function.  koszul and bar take their cap from `tensor_reach`:
+# generators through the top degree the tensor lists, 6 above the lowest
+# shift for koszul (read through one period past its stable start, 7) and 7
+# for bar.  Each is the module recorded with the cap one higher less the top
+# degree of each block, with the same labels, differentials and entry types
+# on the rest.  The sphere caps end on an even and on an odd link of the chain.
 RESOLUTION_DIGESTS = {
-    ("koszul", QQ): "9e93fb3f616eb824",
-    ("koszul", GF3): "0187e7ad7459968e",
-    ("bar", QQ): "685456c758d7406b",
-    ("bar", GF3): "0232d0a0878c8e68",
+    ("koszul", QQ): "977dfdeb2343a46d",
+    ("koszul", GF3): "058cffd1871a90ce",
+    ("bar", QQ): "fa0c41aed75680a4",
+    ("bar", GF3): "a653e3b0c3bfa9cb",
     ("sphere/3/8", QQ): "f30c450b6db9fbb2",
     ("sphere/3/11", QQ): "3243c67c02e369ff",
     ("sphere/3/8", GF3): "b3551b5bfffb20a8",
@@ -126,11 +129,11 @@ def test_resolution_layout_is_pinned(kind, field):
         A = sphere(2, field)
         M = DGModulePresentation.trivial(A, shifts=(2, 3))
         F = resolution(M, KOSZUL, DegreeWindow(0, 12)).module
-        assert len(F.generators) == 16
+        assert len(F.generators) == 14
     elif name == "bar":
         P = DGAlgebraPresentation.polynomial(field, [("a", 2), ("b", 4)])
         F = bar_resolution(residue_module(P), P, window=DegreeWindow(0, 6)).module
-        assert len(F.generators) == 128
+        assert len(F.generators) == 69
     elif name == "sphere":
         d, cap = map(int, args)
         F = koszul_resolution_sphere(d, field, cap=cap).module
@@ -192,14 +195,14 @@ def test_bar_over_a_zero_differential_algebra_reads_no_slot_differential():
 
 
 def test_bar_word_budget():
-    # window 0:12 over K[a2, b4] needs 5,221 bar words; 0:10 needs 1,516
+    # window 0:13 over K[a2, b4] needs 5,221 bar words; 0:12 needs 2,813
     P = DGAlgebraPresentation.polynomial(QQ, [("a", 2), ("b", 4)])
     K = residue_module(P)
     with pytest.raises(BudgetExceeded, match=f"more than {BAR_WORD_BUDGET} bar words"):
-        bar_resolution(K, P, window=DegreeWindow(0, 12))
+        bar_resolution(K, P, window=DegreeWindow(0, 13))
     P2 = DGAlgebraPresentation.polynomial(GF2, [("a", 2), ("b", 4)])
     res = bar_resolution(residue_module(P2), P2, window=DegreeWindow(0, 4))
-    assert len(res.module.generators) == 37
+    assert len(res.module.generators) == 20
 
 
 # -- Koszul resolutions -----------------------------------------------------------
@@ -269,10 +272,10 @@ def test_koszul_strategy_builds_the_shifted_public_resolution(d, field, shifts):
     w = DegreeWindow(0, 30)
     res = resolution(M, KOSZUL, w)
     # against K, every generator through the stable start + 1 above the
-    # lowest shift and one more for the truncation (`tensor_reach`)
+    # lowest shift, the top degree the tensor lists (`tensor_reach`)
     stable = max(shifts) + d + sphere_block_period(d)
     assert stable < w.hi
-    base = koszul_resolution_sphere(d, field, cap=stable + 2 - min(shifts))
+    base = koszul_resolution_sphere(d, field, cap=stable + 1 - min(shifts))
     expected = two_step_koszul_sum(base, shifts, A)
     assert (list(res.module.generators), res.module.differential,
             res.module.truncation_degree, res.period) == expected
@@ -404,7 +407,7 @@ def copied_tensor(M, N, window):
         bounded = (window.lo <= min(gdegs) + n_degrees[0]
                    and max(gdegs) + n_degrees[-1] <= window.hi)
     else:
-        above = F.truncation_degree - 1 + n_degrees[0]
+        above = F.truncation_degree + n_degrees[0]
         cert_hi, bounded = min(window.hi, above - 2), False
     cx, _ = assemble(f, dict(sorted(elems.items())), labels, column, above)
     ranks = {n: rank(mat, f) for n, mat in cx.differential.items()}
@@ -684,11 +687,11 @@ def test_the_sphere_koszul_chain_has_a_generator_budget():
         resolution(residue_module(sphere(4)), KOSZUL, DegreeWindow(0, 10**12))
     # a periodic Tor builds one period, but it lists one degree of dims per
     # degree of the window, so it passes the budget where the whole
-    # resolution would: K against K over H*(S^2) through 0:9,997
+    # resolution would: K against K over H*(S^2) through 0:9,998
     K = residue_module(sphere(2))
-    assert len(derived_tensor(K, K, KOSZUL, DegreeWindow(0, cap - 2)).dims) == cap - 1
+    assert len(derived_tensor(K, K, KOSZUL, DegreeWindow(0, cap - 1)).dims) == cap
     with pytest.raises(BudgetExceeded, match=f"through degree {cap + 1} needs more than"):
-        derived_tensor(K, K, KOSZUL, DegreeWindow(0, cap - 1))
+        derived_tensor(K, K, KOSZUL, DegreeWindow(0, cap))
 
 
 def test_an_empty_trivial_module_builds_no_koszul_resolution(monkeypatch):
@@ -848,13 +851,17 @@ def test_bar_tor_is_right_below_a_negative_shift():
 def test_bar_certifies_no_degree_that_given_does_not(d, field, cap):
     # bar listed B(F) through its own cap whatever F's truncation, so over
     # H*(S^4) it read {0: 1, 3: 1, 6: 1} certified through 16, where F, a
-    # resolution of K cut at 9, has Tor(K, K) classes at 9, 12 and 15 too
+    # resolution of K cut at 9, has Tor(K, K) classes at 9, 12 and 15 too.
+    # F holds its whole differential below cap (`module`), so both certify
+    # through cap - 1, and there F ⊗ K is Tor(K, K): one class in each
+    # degree j(d - 1)
     F = koszul_resolution_sphere(d, field, cap=cap).module
     K = residue_module(F.algebra)
+    tor_k_k = {n: 1 for n in range(cap) if n % (d - 1) == 0}
     for w in (DegreeWindow(0, 16), DegreeWindow(-3, 30)):
         given, bar = (derived_tensor(F, K, s, w) for s in (GIVEN, BAR))
         assert (bar.dims, bar.certified_hi) == (given.dims, given.certified_hi) == \
-            ({n: 1 for n in range(0, cap + 1, d - 1) if n <= cap - 2}, cap - 2), w
+            (tor_k_k, cap - 1), w
 
 
 @pytest.mark.parametrize("k", [1, 3, 13])
@@ -897,6 +904,33 @@ def test_koszul_and_bar_reach_the_same_degrees_below_a_negative_shift(d, field):
         for strategy in (KOSZUL, BAR):
             tor = derived_tensor(M, K, strategy, w)
             assert (tor.dims, tor.certified_hi) == (want, w.hi), (shifts, strategy)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_no_listed_generator_goes_untensored(d, field):
+    # the blocks share the resolution the lowest one needs: K's, with one
+    # generator in each degree j(d - 1) above it, built through the top
+    # degree the tensor lists (reach.read.hi + 1, on N's lowest degree) and
+    # truncated at the next, so no generator it has is left out of the
+    # tensor and none the tensor lists is missing
+    A = sphere(d, field)
+    rights = [residue_module(A), raw_line(A, d), DGModulePresentation.trivial(A, shifts=(-2, 3))]
+    for shifts in ((0,), (-7,), (-3, 2), (-5, -5, 1), (2, 4, 11)):
+        M = DGModulePresentation.trivial(A, shifts=shifts)
+        for N, w in itertools.product(rights, (DegreeWindow(0, 13), DegreeWindow(-4, 24))):
+            n = min(N.complex.space.degrees())
+            for strategy in (KOSZUL, BAR):
+                reach = tensor_reach(w, M, N, strategy)
+                top = reach.read.hi + 1
+                F, _, offset = min(_resolve(M, strategy, reach).blocks, key=lambda b: b[2])
+                degrees = sorted(g + offset for _, g in F.generators)
+                assert degrees == list(range(min(shifts), top - n + 1, d - 1))
+                assert (degrees[-1] + n == top) == ((top - n - min(shifts)) % (d - 1) == 0)
+                assert F.truncation_degree + offset + n == top + 1
+                tor = derived_tensor(M, N, strategy, w)
+                assert (tor.certified_hi, tor.complex.truncated_above) == (w.hi, top + 1), \
+                    (shifts, strategy)
 
 
 # -- a zero factor ---------------------------------------------------------------------
@@ -999,18 +1033,21 @@ def test_a_truncated_right_factor_truncates_the_tensor():
 
 def test_a_truncated_koszul_module_on_the_right_truncates_the_tensor():
     # the Koszul resolution of K over H*(S^4) through degree 8 has generators
-    # in degrees 0, 3 and 6 and is expanded through degree 7: A ⊗_A F is F,
-    # with H = K in degree 0 (read before as finite with a class in degree
-    # 10, where γ₁(w)·x is not yet bounded), and K ⊗^L_A F is Tor(K, K), one
-    # class in each degree 3j (read before through degree 12, without 9, 12)
+    # in degrees 0, 3 and 6, and 9 is its first unknown degree (`module`):
+    # A ⊗_A F is F, with H = K in degree 0 (read before as finite with a
+    # class in degree 10, where γ₁(w)·x is not yet bounded), and K ⊗^L_A F is
+    # Tor(K, K), one class in each degree 3j (read before through degree 12,
+    # without 9, 12), both certified through 7
     A = sphere(4)
     F = koszul_resolution_sphere(4, QQ, cap=8).module
     w = DegreeWindow(0, 12)
+    assert F.expand(w).complex.truncated_above == 9
+    tor_k_k = {n: 1 for n in range(8) if n % 3 == 0}
     for M, strategy, want in ((DGModulePresentation.free_rank_one(A), GIVEN, {0: 1}),
-                              (residue_module(A), KOSZUL, {0: 1, 3: 1, 6: 1}),
-                              (residue_module(A), BAR, {0: 1, 3: 1, 6: 1})):
+                              (residue_module(A), KOSZUL, tor_k_k),
+                              (residue_module(A), BAR, tor_k_k)):
         tor = derived_tensor(M, F, strategy, w)
-        assert (tor.dims, tor.certified_hi, tor.bounded) == (want, 6, False), strategy
+        assert (tor.dims, tor.certified_hi, tor.bounded) == (want, 7, False), strategy
         assert tor.verdict().kind == "unknown"
 
 
