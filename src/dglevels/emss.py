@@ -11,6 +11,33 @@ tensor factors.  Everything beyond d₂ must die for bidegree reasons; the
 certification re-proves that by arithmetic on the nonzero cells instead of
 prose.
 
+The page is periodic, so it is listed only through one period past its
+stable start.  A key (tdeg, tidx, ε, i, edeg, eidx) is a top class, the
+exterior letter s⁻¹x_d to the power ε (d even only), γ_i of the Koszul
+letter of bidegree (-step, step·d) (τ, step 2, for d even; s⁻¹x_d, step 1,
+for d odd) and an extra class.  It lies in total degree
+tdeg + edeg + ε(d - 1) + i·p, with p = `sphere_block_period(d)` = step(d - 1).
+The shift σ: γ_i ↦ γ_{i+1} moves its cell by (-step, step·d), p up in total
+degree, and maps the keys one to one onto those with i >= 1.  d₂ pairs a
+source (0, j, ε, i, e) with i >= 1 and the target (2d - 1, j, ε, i - 1, e),
+whenever both classes j of the top space exist, so σ maps pairs to pairs.
+Let T be the highest top degree, E the highest extra degree (0 when lower),
+M = E + (d - 1) + max(p, T) and S = M + p.  In a total degree n > M
+- every key has i >= 1: with i = 0 its degree is at most T + E + d - 1;
+- every d₂ source has i >= 2: it sits on the unit, so with i = 1 its degree
+  is at most E + d - 1 + p.
+So each key k there is σ(k') for a key k' in degree n - p > E + d - 1 >= 0
+(in a degree n >= 0, t = n - s >= 0 and no key is left off), and k' is a
+source or a target exactly when k is (a source k' needs i >= 1, which it
+has; a target needs only the unit class beside it).  σ therefore maps the E₃ cells of degree n - p onto those of
+degree n, dimension for dimension: E₃ repeats with period p above M.  The
+page lists its keys through min(window.hi, S), with no labels; in the
+degrees below that top, d₂ sees every source and target it would see on the
+whole window.  `run_to_stable` reads E₃ there and moves the last listed
+period, degrees M ... S - 1, up by multiples of σ through its certified top.
+``cells`` and ``entries()`` still cover the whole window, labelled and
+sorted, built when first read.  The window's start plays no part.
+
 Convergence caveat: E∞ dimensions are associated-graded dimensions.  The
 result flags "no extension problem" only when each total degree carries at
 most one nonzero entry.
@@ -20,6 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CannotCertifyCollapse,
@@ -58,8 +86,11 @@ class FibreSquareSpec:
 
 
 class BigradedPage:
-    """One page: cells keyed by (s <= 0, t >= 0) holding labeled basis
-    elements; d_r has bidegree (r, 1-r)."""
+    """One page: basis keys (tdeg, tidx, ε, i, edeg, eidx) in cells
+    (s <= 0, t >= 0); d_r has bidegree (r, 1-r).  ``index`` {key: cell}
+    lists the keys through ``top``, the window's top or S (module docstring)
+    if that comes first; ``cells`` {cell: sorted [(key, label)]} covers the
+    whole window."""
 
     def __init__(self, spec: FibreSquareSpec, window: DegreeWindow):
         self.spec = spec
@@ -68,28 +99,46 @@ class BigradedPage:
         self.d2 = None
         d = spec.d
         self.even = d % 2 == 0
-        top = _expand(spec.top_dims, "x")
-        extra = _expand(spec.extra_dims, "e") if spec.extra_dims else [((0, 0), "1")]
-        # one Koszul letter of bidegree (-step, step·d): τ for even d, s⁻¹x_d
-        # for odd d; even d also has the exterior letter s⁻¹x_d (ε = 1)
-        step, letter = (2, "τ") if self.even else (1, f"s⁻¹x{d}")
-        gamma_cap = max(0, window.hi // sphere_block_period(d) + 1)
-        cells = {}
-        for (tdeg, tidx), tlabel in top:
-            for eps in ((0, 1) if self.even else (0,)):
-                for i in range(gamma_cap + 1):
-                    for (edeg, eidx), elabel in extra:
-                        s = -eps - step * i
-                        t = tdeg + eps * d + step * i * d + edeg
-                        if s + t > window.hi or t < 0:
-                            continue
-                        label = _cell_label(tlabel, eps, i, elabel, d, letter)
-                        key = (tdeg, tidx, eps, i, edeg, eidx)
-                        cells.setdefault((s, t), []).append((key, label))
-        self.cells = {st: sorted(v) for st, v in cells.items()}
-        self.index = {key: st for st, elems in self.cells.items() for key, _ in elems}
+        self.step = 2 if self.even else 1
+        self.period = p = sphere_block_period(d)
+        stable = max([0, *(n for n, _ in spec.extra_dims)]) + d - 1 + \
+            max([p, *(n for n, _ in spec.top_dims)])
+        self.top = min(window.hi, stable + p)
+        self.index = dict(self._keys(self.top))
+
+    def _keys(self, hi):
+        """(key, (s, t)) for every basis element in total degree <= hi."""
+        d, step, p = self.spec.d, self.step, self.period
+        top = self.spec.top_dims
+        extra = self.spec.extra_dims or ((0, 1),)
+        gamma_cap = max(0, (hi - top[0][0] - extra[0][0]) // p) if top else 0
+        for tdeg, tmult in top:
+            for tidx in range(tmult):
+                for eps in ((0, 1) if self.even else (0,)):
+                    for i in range(gamma_cap + 1):
+                        for edeg, emult in extra:
+                            s = -eps - step * i
+                            t = tdeg + eps * d + step * i * d + edeg
+                            if s + t > hi or t < 0:
+                                continue
+                            for eidx in range(emult):
+                                yield (tdeg, tidx, eps, i, edeg, eidx), (s, t)
 
     # -- structure ----------------------------------------------------------
+
+    @cached_property
+    def cells(self):
+        d = self.spec.d
+        tlabel = dict(_expand(self.spec.top_dims, "x"))
+        elabel = dict(_expand(self.spec.extra_dims, "e")) if self.spec.extra_dims \
+            else {(0, 0): "1"}
+        letter = "τ" if self.even else f"s⁻¹x{d}"
+        cells = {}
+        for key, st in self._keys(self.window.hi):
+            tdeg, tidx, eps, i, edeg, eidx = key
+            label = _cell_label(tlabel[tdeg, tidx], eps, i, elabel[edeg, eidx], d, letter)
+            cells.setdefault(st, []).append((key, label))
+        return {st: sorted(v) for st, v in cells.items()}
 
     def entries(self):
         return {st: tuple(lbl for _, lbl in elems) for st, elems in self.cells.items()}
@@ -132,7 +181,9 @@ def install_d2(page: BigradedPage) -> BigradedPage:
     d₂ sends each basis element to at most one other and never two to the
     same, so ``page.d2`` is a matching {source key: target key}, every entry
     h, and empty when h = 0 in K.  Sources sit on the unit class and targets
-    on x_{2d-1}, so no key is both and d₂ ∘ d₂ = 0."""
+    on x_{2d-1}, so no key is both and d₂ ∘ d₂ = 0.  It matches the listed
+    keys, ``page.index``, through ``page.top``: a source in the top degree
+    has its target off the listing and stays unmatched."""
     f = page.field
     h = page.spec.hopf
     if not page.even and not f.is_zero(h):
@@ -176,11 +227,12 @@ class EmssResult:
 def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> EmssResult:
     """Turn the page once and certify E₃ = E∞ by bidegree arithmetic.
 
-    An E₃ cell is its E₂ cell less the keys d₂ matches.  Certification
-    looks for a pair of surviving cells that a d_r (r >= 3) could join:
-    target s-column minus source s-column equals r and the t-drop equals
-    r - 1 (see ``_check_collapse``).  If such a pair exists the collapse
-    cannot be certified and the run fails loudly.
+    An E₃ cell is its E₂ cell less the keys d₂ matches, read on the listed
+    keys below ``page.top``; past them the last listed period repeats
+    (module docstring).  Certification looks for a pair of surviving cells
+    that a d_r (r >= 3) could join: target s-column minus source s-column
+    equals r and the t-drop equals r - 1 (see ``_check_collapse``).  If such
+    a pair exists the collapse cannot be certified and the run fails loudly.
     """
     if page.d2 is None:
         raise PresentationError("install d₂ before running the sequence")
@@ -189,11 +241,19 @@ def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> Ems
     cert_hi = hi - 1   # outgoing d₂ from total degree hi leaves the page
     # a key that d₂ uses as source or target dies; the rest survive to E₃
     matched = Counter(page.index[key] for pair in page.d2.items() for key in pair)
+    listed_hi = min(cert_hi, page.top - 1)
     e3 = {}
-    for st, elems in page.cells.items():
-        surv = len(elems) - matched[st]
-        if surv and st[0] + st[1] <= cert_hi:
+    for st, n in Counter(page.index.values()).items():
+        surv = n - matched[st]
+        if surv and st[0] + st[1] <= listed_hi:
             e3[st] = surv
+    # σ moves each cell of the last listed period up, one period at a time,
+    # through cert_hi (no move when the listing reaches cert_hi)
+    step, rise, p = page.step, page.step * page.spec.d, page.period
+    for (s, t), v in list(e3.items()):
+        if s + t >= page.top - p:
+            for k in range(1, (cert_hi - s - t) // p + 1):
+                e3[s - k * step, t + k * rise] = v
     _check_collapse(e3)
     total = {}
     for (s, t), v in e3.items():

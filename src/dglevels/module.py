@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 
 from .algebra import DIVIDED, EXTERIOR, DGAlgebraPresentation
 from .errors import (
@@ -610,10 +610,29 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
             trunc_above = texp.complex.truncated_above - max(gen_degs)
         if texp.complex.truncated_below is not None:
             trunc_below = texp.complex.truncated_below - min(gen_degs)
+    if source.truncation_degree is not None:
+        # the generators from T on are missing: in hom degree n they map into
+        # the target's degrees >= T + n, so every degree through the target's
+        # top - T is unknown, and all of them when that top is not known
+        top = _top_degree(target)
+        unknown = hom_window.hi + 1 if top is None else top - source.truncation_degree
+        trunc_below = unknown if trunc_below is None else max(trunc_below, unknown)
     trunc_above = hom_window.hi + 1 if trunc_above is None else min(trunc_above, hom_window.hi + 1)
     trunc_below = hom_window.lo - 1 if trunc_below is None else max(trunc_below, hom_window.lo - 1)
     cx, _ = assemble(f, basis, labels, column, trunc_above, trunc_below)
     return MorphismComplex(source, target, cx, basis, texp)
+
+
+def _top_degree(M: DGModulePresentation):
+    """M's highest degree (-inf when M is zero); None when M has no top or
+    is known only below a truncation."""
+    if not M.is_free:
+        return None if M.complex.truncated_above is not None \
+            else max(M.complex.space.degrees(), default=-inf)
+    top = M.algebra.top_degree()
+    if top is None or M.truncation_degree is not None:
+        return None
+    return max((d for _, d in M.generators), default=-inf) + top
 
 
 class EndomorphismH0:

@@ -24,7 +24,7 @@ from dglevels.errors import (
     Undecided,
 )
 from dglevels.field import QQ, GF2, GF3, GF5, FieldTag
-from dglevels.graded import DegreeWindow, cohomology
+from dglevels.graded import CochainComplex, DegreeWindow, GradedVectorSpace, cohomology
 from dglevels.module import (
     HOM_BASIS_BUDGET,
     DGModulePresentation,
@@ -616,6 +616,31 @@ def test_hom_basis_budget():
         hom_complex(M, M)
     small = DGModulePresentation.free(A, [(f"g{i}", 0) for i in range(8)])
     assert cohomology(hom_complex(small, small).complex)[0] == {0: 8 * 8, 2: 8 * 8}
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_hom_out_of_a_truncated_source_certifies_only_what_a_larger_cap_keeps(d, field):
+    # a source truncated at T lacks its generators from T on, which reach the
+    # hom degrees through (target top) - T: Ext(K, K) over H*(S^d) read
+    # through cap c agrees with cap 4d + 20 on every degree it certifies
+    A = sphere(d, field)
+    window = DegreeWindow(-4 * d - 12, 2)
+    line = DGModulePresentation.raw(A, CochainComplex(
+        GradedVectorSpace(field, {0: ["u"], d: ["v"]}), {}), {f"x{d}": {0: [[field.one()]]}})
+    for target in (residue_module(A), line):
+        wide = hom_complex(koszul_resolution_sphere(d, field, cap=4 * d + 20).module, target,
+                           window).complex
+        assert wide.certified(window) == (window.lo + 1, window.hi - 1)
+        whole = cohomology(wide, window)[0]
+        for cap in (d, 2 * d + 1, 3 * d):
+            cx = hom_complex(koszul_resolution_sphere(d, field, cap=cap).module, target,
+                             window).complex
+            lo, hi = cx.certified(window)
+            top = max(target.complex.space.degrees())
+            assert lo == max(window.lo + 1, top - cap + 1), (cap, top)
+            assert cohomology(cx, window)[0] == \
+                {n: h for n, h in whole.items() if lo <= n <= hi}, (cap, top)
 
 
 def test_hom_requires_free_source():

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,8 @@ from dglevels.errors import CannotCertifyCollapse, OddDimensionNonzeroHopf, Wind
 from dglevels.field import QQ, GF2, GF3, GF5
 from dglevels.graded import DegreeWindow
 from dglevels.module import DGModulePresentation
-from dglevels.resolve import auto_strategy, derived_tensor, residue_module
+from dglevels.resolve import (auto_strategy, derived_tensor, finiteness, residue_module,
+                              sphere_block_period)
 from dglevels.algebra import DGAlgebraPresentation
 from dglevels.spheres import MoleculeId, molecule_model
 
@@ -236,6 +238,108 @@ def test_emss_totals_match_the_module_engine():
             assert res.total_dims.get(n, 0) == expected, (d, h, e, field, n)
         compared += 1
     assert compared == 143
+
+
+# -- the periodic listing ----------------------------------------------------------
+
+
+def full_keys(spec, hi):
+    """Every key of total degree <= hi with t >= 0, {key: (s, t)}, listed
+    without the stable start."""
+    d = spec.d
+    step = 2 if d % 2 == 0 else 1
+    top = [(n, j) for n, m in spec.top_dims for j in range(m)]
+    extra = [(n, j) for n, m in spec.extra_dims for j in range(m)] or [(0, 0)]
+    lowest = min(n for n, _ in top) + min(n for n, _ in extra)
+    out = {}
+    for (tdeg, tidx), eps, i, (edeg, eidx) in itertools.product(
+            top, (0, 1) if step == 2 else (0,), range(max(0, hi - lowest) + 1), extra):
+        s, t = -eps - step * i, tdeg + eps * d + step * i * d + edeg
+        if s + t <= hi and t >= 0:
+            out[tdeg, tidx, eps, i, edeg, eidx] = (s, t)
+    return out
+
+
+def full_run(spec, window, run_window=None):
+    """The stable page by the route the periodic listing replaced, kept as its
+    reference: d₂ matched on every key of the window and E₃ read in every
+    degree below the top.  Returns (e3, totals, verdict, no_extension_problem)
+    or the collapse message."""
+    keys = full_keys(spec, window.hi)
+    d2 = {}
+    if not spec.field.is_zero(spec.hopf):
+        for key in keys:
+            tdeg, tidx, eps, i, edeg, eidx = key
+            target = (2 * spec.d - 1, tidx, eps, i - 1, edeg, eidx)
+            if i and tdeg == 0 and target in keys:
+                d2[key] = target
+    hi = min((run_window or window).hi, window.hi)
+    e2 = Counter(keys.values())
+    matched = Counter(keys[key] for pair in d2.items() for key in pair)
+    e3 = {st: v for st, n in e2.items() if (v := n - matched[st]) and sum(st) <= hi - 1}
+    try:
+        _check_collapse(e3)
+    except CannotCertifyCollapse as e:
+        return str(e)
+    total = Counter()
+    for (s, t), v in e3.items():
+        total[s + t] += v
+    tops = spec.top_dims
+    paired = len(tops) == 2 and tops[0][0] == 0 and tops[1] == (2 * spec.d - 1, tops[0][1])
+    reach = spec.d - 1 + max((n for n, _ in spec.extra_dims), default=0)
+    bounded = (spec.d % 2 == 0 and not spec.field.is_zero(spec.hopf) and paired
+               and reach <= hi - 1)
+    return (e3, dict(total), finiteness(total, sphere_block_period(spec.d), hi - 2, bounded),
+            all(v <= 1 for v in total.values()))
+
+
+def periodic_run(spec, window, run_window=None):
+    page = install_d2(e2_page(spec, window))
+    try:
+        res = run_to_stable(page, run_window)
+    except CannotCertifyCollapse as e:
+        return str(e)
+    return res.e3_cells, res.total_dims, res.verdict, res.no_extension_problem
+
+
+@st.composite
+def periodic_cases(draw):
+    """Top spaces with doubled classes, x_{2d-1} or a stray class, negative
+    degrees included; extras; odd d; windows that start past S."""
+    d = draw(st.integers(2, 9))
+    degrees = st.sampled_from([0, 0, 2 * d - 1, 2 * d - 1, 3, d + 2, 17, -5])
+    top = draw(st.dictionaries(degrees, st.integers(1, 2), min_size=1, max_size=3))
+    extra = draw(st.none() | st.dictionaries(st.sampled_from([0, 0, 2, 5, 8, 13, -3]),
+                                             st.integers(1, 2), min_size=1, max_size=3))
+    h = draw(st.integers(0, 3)) if d % 2 == 0 else 0
+    field = draw(st.sampled_from([QQ, GF2, GF3]))
+    hi = draw(st.integers(2 * d, 160))
+    lo = draw(st.sampled_from([0, -4, hi // 2, hi - 1]))
+    run_hi = draw(st.none() | st.integers(2 * d, 200))
+    return (FibreSquareSpec.make(d, top, h, field, extra_dims=extra), DegreeWindow(lo, hi),
+            None if run_hi is None else DegreeWindow(0, run_hi))
+
+
+@settings(deadline=None, max_examples=300)
+@given(periodic_cases())
+def test_the_periodic_page_runs_as_the_full_listing(case):
+    spec, window, run_window = case
+    assert periodic_run(spec, window, run_window) == full_run(spec, window, run_window)
+    assert {key for elems in e2_page(spec, window).cells.values() for key, _ in elems} == \
+        set(full_keys(spec, window.hi))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+@pytest.mark.parametrize("extra", [None, {0: 1, 3: 1}])
+def test_the_listed_keys_do_not_grow_with_the_window(d, extra):
+    spec = FibreSquareSpec.make(d, {0: 1, 2 * d - 1: 1}, d % 2 == 0, QQ, extra_dims=extra)
+    small = install_d2(e2_page(spec, DegreeWindow(0, 40)))
+    large = install_d2(e2_page(spec, DegreeWindow(0, 100_000)))
+    assert large.top == small.top < 40
+    assert large.index == small.index and large.d2 == small.d2
+    wide = run_to_stable(large)
+    assert {n: v for n, v in wide.total_dims.items() if n < 40} == \
+        run_to_stable(small).total_dims
 
 
 # -- compactness ------------------------------------------------------------------

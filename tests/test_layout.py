@@ -12,7 +12,10 @@ and ``tor/bar_molecule`` (11 → 12, bar reaches N's lowest degree, -1).
 ``tor/koszul_sphere`` was recorded once more when the periodic Koszul tensor
 over H*(S^d) came to be listed through one period past its stable start: it
 is the former complex restricted to degrees 0 ... 18 (was 0 ... 21), with
-the truncation flag 22 → 19.
+the truncation flag 22 → 19.  ``hom/koszul_to_raw`` was recorded again when
+`hom_complex` came to count a truncated source's missing generators: the
+same complex, with ``truncated_below`` -10 → -7 (the raw line's top 2 less
+the source's truncation 9).
 """
 
 import hashlib
@@ -160,11 +163,11 @@ DIGESTS = {
     "expand/sullivan/Q":
         "9117962c20bcdc7a5f200eaffe09278e7d737a51bbe27d9ec739c0783842942a",
     "hom/koszul_to_raw/F2":
-        "70333beac1f347731f59c9f23460e4c3778b72ce3e14a09386c89cdccc288bee",
+        "0cd064fa43eff730d8f2a2fdf98376300e649a6229812130cdb0b51d37c37c78",
     "hom/koszul_to_raw/F3":
-        "ef7994fc45dd111aea8e06c5d6e0b2a184542429dfae4ff835b46790b714767e",
+        "ff2ad14500ca32c64a521b15dbe719e6b1ecb4fb9e92fb6289c951da46f3464e",
     "hom/koszul_to_raw/Q":
-        "a541a53a1e06c7bc172b0553eb7393ae0de75d72cfcc0df1d4b95b6da6e32b0b",
+        "2c8d6df80672c4a09357c583a139fe58ff5001381bd5515fe5708928350fada7",
     "hom/molecules/F2":
         "d59def0bc58eadde7f5ffafd350c2a3cfdfb03c88a0ca3ac3417976a647d70e5",
     "hom/molecules/F3":
