@@ -109,20 +109,17 @@ class BigradedPage:
     def _keys(self, hi):
         """(key, (s, t)) for every basis element in total degree <= hi."""
         d, step, p = self.spec.d, self.step, self.period
-        top = self.spec.top_dims
-        extra = self.spec.extra_dims or ((0, 1),)
+        top = [k for k, _ in _expand(self.spec.top_dims, "x")]
+        extra = [k for k, _ in _expand(self.spec.extra_dims or ((0, 1),), "e")]
         gamma_cap = max(0, (hi - top[0][0] - extra[0][0]) // p) if top else 0
-        for tdeg, tmult in top:
-            for tidx in range(tmult):
-                for eps in ((0, 1) if self.even else (0,)):
-                    for i in range(gamma_cap + 1):
-                        for edeg, emult in extra:
-                            s = -eps - step * i
-                            t = tdeg + eps * d + step * i * d + edeg
-                            if s + t > hi or t < 0:
-                                continue
-                            for eidx in range(emult):
-                                yield (tdeg, tidx, eps, i, edeg, eidx), (s, t)
+        for tdeg, tidx in top:
+            for eps in ((0, 1) if self.even else (0,)):
+                for i in range(gamma_cap + 1):
+                    for edeg, eidx in extra:
+                        s = -eps - step * i
+                        t = tdeg + eps * d + step * i * d + edeg
+                        if s + t <= hi and t >= 0:
+                            yield (tdeg, tidx, eps, i, edeg, eidx), (s, t)
 
     # -- structure ----------------------------------------------------------
 
@@ -130,8 +127,7 @@ class BigradedPage:
     def cells(self):
         d = self.spec.d
         tlabel = dict(_expand(self.spec.top_dims, "x"))
-        elabel = dict(_expand(self.spec.extra_dims, "e")) if self.spec.extra_dims \
-            else {(0, 0): "1"}
+        elabel = dict(_expand(self.spec.extra_dims or ((0, 1),), "e"))
         letter = "τ" if self.even else f"s⁻¹x{d}"
         cells = {}
         for key, st in self._keys(self.window.hi):

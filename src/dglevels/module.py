@@ -643,6 +643,10 @@ class EndomorphismH0:
         self.field = module.field
         # H^0 needs hom degrees -1..1 only
         self.hom = hom_complex(module, module, DegreeWindow(-1, 1))
+        lo, hi = self.hom.complex.certified(DegreeWindow(0, 0))
+        if lo > hi:
+            raise Undecided(f"H^0(End M) is not certified: the module is truncated at "
+                            f"degree {module.truncation_degree}")
         dims, reps = cohomology(self.hom.complex, DegreeWindow(0, 0))
         self.dim = dims.get(0, 0)
         self.reps = reps.get(0, [])
@@ -710,13 +714,14 @@ def find_idempotents(module: DGModulePresentation):
     complementary idempotents in the chosen basis of H^0(End M), sorted,
     each checked against the structure constants (e² = e, e(1 − e) = 0,
     e ∉ {0, 1}); it is not a list of all idempotents (for Z_0 ⊕ Z_0 over Q
-    they form an infinite family).  Raises ``Undecided`` when
+    they form an infinite family).  Raises ``Undecided`` when hom degree 0
+    of End M is not certified (a truncated M) or when
     ``idempotent_split`` finds neither a split nor a locality certificate,
     and ``EndTooLarge`` past ``END_DIM_GUARD`` or the root-search guard.
     """
     if not module.is_free:
         raise SourceNotFree("find_idempotents needs a free presentation")
-    if not module.generators:
+    if not module.generators and module.truncation_degree is None:
         return []
     end = EndomorphismH0(module)
     k = end.dim

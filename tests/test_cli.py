@@ -753,6 +753,21 @@ def test_split_of_a_module_file(tmp_path):
     assert code == 0 and len(json.loads(out)["result"]["idempotents"]) == 2
 
 
+def test_split_of_a_truncated_module_file_is_undecided(tmp_path):
+    from dglevels.algebra import DGAlgebraPresentation
+    from dglevels.field import QQ
+    from dglevels.module import DGModulePresentation
+
+    A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
+    path = write_module(tmp_path / "ab.json", DGModulePresentation.free(
+        A, [("a", 0), ("b", 0)], truncation_degree=10))
+    assert json.loads(Path(path).read_text(encoding="utf-8"))["truncationDegree"] == 10
+    code, out = run_captured(["split", "--module", path])
+    error = json.loads(out)["error"]
+    assert code == 1 and error["code"] == "undecided"
+    assert "truncated at degree 10" in error["message"]
+
+
 ZERO_DENOMINATOR = json.dumps({
     "algebra": {"field": "q", "generators": [["x4", 4, "exterior"]], "differential": {}},
     "generators": [["u", 0], ["v", 3]], "differential": {"v": {"u": [["1/0", {"x4": 1}]]}}})

@@ -688,6 +688,18 @@ def test_zero_module_has_no_idempotents():
     assert find_idempotents(DGModulePresentation.zero(A)) == []
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_a_truncated_module_is_not_certified_indecomposable(field):
+    # A<a> + A<b> truncated at 10 may hold more generators from degree 10 on,
+    # so hom degree 0 of End M is not certified: no split and no certificate
+    A = sphere(4, field)
+    M = DGModulePresentation.free(A, [("a", 0), ("b", 0)], truncation_degree=10)
+    for module in (M, DGModulePresentation.free(A, [], truncation_degree=10)):
+        with pytest.raises(Undecided, match="truncated at degree 10"):
+            find_idempotents(module)
+    assert len(find_idempotents(DGModulePresentation.free(A, [("a", 0), ("b", 0)]))) == 2
+
+
 def test_end_dimension_guard():
     A = sphere(4)
     M = DGModulePresentation.free_rank_one(A)
