@@ -225,8 +225,12 @@ def cmd_emss(args):
             raise DomainError(f"unknown extra factor {args.extra!r}")
         extra = {0: 1}
         extra[n] = extra.get(n, 0) + 1
+    window = _window(args)
+    if window and window.lo > 0:    # every class named here lies in degree >= 0
+        raise PresentationError(f"the spectral sequence is read from degree 0; "
+                                f"window {window.lo}:{window.hi} starts above it")
     spec = FibreSquareSpec.make(args.d, top, args.hopf, field, extra_dims=extra)
-    page = install_d2(e2_page(spec, _window(args)))
+    page = install_d2(e2_page(spec, window))
     res = run_to_stable(page)
     if args.format == "table":
         print(f"E2 page, base S^{args.d}, hopf {args.hopf} over {field}")

@@ -11,32 +11,17 @@ tensor factors.  Everything beyond d₂ must die for bidegree reasons; the
 certification re-proves that by arithmetic on the nonzero cells instead of
 prose.
 
-The page is periodic, so it is listed only through one period past its
-stable start.  A key (tdeg, tidx, ε, i, edeg, eidx) is a top class, the
-exterior letter s⁻¹x_d to the power ε (d even only), γ_i of the Koszul
-letter of bidegree (-step, step·d) (τ, step 2, for d even; s⁻¹x_d, step 1,
-for d odd) and an extra class.  It lies in total degree
-tdeg + edeg + ε(d - 1) + i·p, with p = `sphere_block_period(d)` = step(d - 1).
-The shift σ: γ_i ↦ γ_{i+1} moves its cell by (-step, step·d), p up in total
-degree, and maps the keys one to one onto those with i >= 1.  d₂ pairs a
-source (0, j, ε, i, e) with i >= 1 and the target (2d - 1, j, ε, i - 1, e),
-whenever both classes j of the top space exist, so σ maps pairs to pairs.
-Let T be the highest top degree, E the highest extra degree (0 when lower),
-M = E + (d - 1) + max(p, T) and S = M + p.  In a total degree n > M
-- every key has i >= 1: with i = 0 its degree is at most T + E + d - 1;
-- every d₂ source has i >= 2: it sits on the unit, so with i = 1 its degree
-  is at most E + d - 1 + p.
-So each key k there is σ(k') for a key k' in degree n - p > E + d - 1 >= 0
-(in a degree n >= 0, t = n - s >= 0 and no key is left off), and k' is a
-source or a target exactly when k is (a source k' needs i >= 1, which it
-has; a target needs only the unit class beside it).  σ therefore maps the E₃ cells of degree n - p onto those of
-degree n, dimension for dimension: E₃ repeats with period p above M.  The
-page lists its keys through min(window.hi, S), with no labels; in the
-degrees below that top, d₂ sees every source and target it would see on the
-whole window.  `run_to_stable` reads E₃ there and moves the last listed
-period, degrees M ... S - 1, up by multiples of σ through its certified top.
-``cells`` and ``entries()`` still cover the whole window, labelled and
-sorted, built when first read.  The window's start plays no part.
+The page is read tower by tower.  A tower (tdeg, tidx, ε, edeg, eidx) holds
+the keys (tdeg, tidx, ε, i, edeg, eidx), i >= 0: a top class, the exterior
+letter s⁻¹x_d to the power ε (d even only), γ_i of the Koszul letter of
+bidegree (-step, step·d) (τ, step 2, for d even; s⁻¹x_d, step 1, for d odd)
+and an extra class, in total degree tdeg + edeg + ε(d - 1) + i·p with
+p = `sphere_block_period(d)`, on the cells with t >= 0.  d₂ maps each unit
+tower (0, j, ε, e) onto its partner (2d - 1, j, ε, e), γ_i onto γ_{i-1}, one
+total degree up and one t lower.  So a partner dies whole, since γ_{i+1} of
+its source lies one degree below it; a source keeps only its lowest key, and
+only when that is γ_0 or sits on t = 0, where its partner below would have
+t = -1; every other tower survives whole.  The window's start plays no part.
 
 Convergence caveat: E∞ dimensions are associated-graded dimensions.  The
 result flags "no extension problem" only when each total degree carries at
@@ -45,7 +30,6 @@ most one nonzero entry.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,39 +71,35 @@ class FibreSquareSpec:
 
 class BigradedPage:
     """One page: basis keys (tdeg, tidx, ε, i, edeg, eidx) in cells
-    (s <= 0, t >= 0); d_r has bidegree (r, 1-r).  ``index`` {key: cell}
-    lists the keys through ``top``, the window's top or S (module docstring)
-    if that comes first; ``cells`` {cell: sorted [(key, label)]} covers the
-    whole window."""
+    (s <= 0, t >= 0), read by tower (tdeg, tidx, ε, edeg, eidx) (module
+    docstring); d_r has bidegree (r, 1-r).  ``cells`` {cell: sorted
+    [(key, label)]} covers the whole window."""
 
     def __init__(self, spec: FibreSquareSpec, window: DegreeWindow):
         self.spec = spec
         self.field = spec.field
         self.window = window
         self.d2 = None
-        d = spec.d
-        self.even = d % 2 == 0
+        self.even = spec.d % 2 == 0
         self.step = 2 if self.even else 1
-        self.period = p = sphere_block_period(d)
-        stable = max([0, *(n for n, _ in spec.extra_dims)]) + d - 1 + \
-            max([p, *(n for n, _ in spec.top_dims)])
-        self.top = min(window.hi, stable + p)
-        self.index = dict(self._keys(self.top))
+        self.period = sphere_block_period(spec.d)
 
-    def _keys(self, hi):
-        """(key, (s, t)) for every basis element in total degree <= hi."""
-        d, step, p = self.spec.d, self.step, self.period
-        top = [k for k, _ in _expand(self.spec.top_dims, "x")]
-        extra = [k for k, _ in _expand(self.spec.extra_dims or ((0, 1),), "e")]
-        gamma_cap = max(0, (hi - top[0][0] - extra[0][0]) // p) if top else 0
-        for tdeg, tidx in top:
+    def towers(self):
+        extra = _expand(self.spec.extra_dims or ((0, 1),), "e")
+        for (tdeg, tidx), _ in _expand(self.spec.top_dims, "x"):
             for eps in ((0, 1) if self.even else (0,)):
-                for i in range(gamma_cap + 1):
-                    for edeg, eidx in extra:
-                        s = -eps - step * i
-                        t = tdeg + eps * d + step * i * d + edeg
-                        if s + t <= hi and t >= 0:
-                            yield (tdeg, tidx, eps, i, edeg, eidx), (s, t)
+                for (edeg, eidx), _ in extra:
+                    yield tdeg, tidx, eps, edeg, eidx
+
+    def cell(self, tower, i):
+        tdeg, _, eps, edeg, _ = tower
+        d, step = self.spec.d, self.step
+        return -eps - step * i, tdeg + eps * d + step * i * d + edeg
+
+    def gammas(self, tower, hi):
+        """The range of i whose key has t >= 0 and total degree <= hi."""
+        s, t = self.cell(tower, 0)
+        return range(max(0, -(t // (self.step * self.spec.d))), (hi - s - t) // self.period + 1)
 
     # -- structure ----------------------------------------------------------
 
@@ -130,10 +110,12 @@ class BigradedPage:
         elabel = dict(_expand(self.spec.extra_dims or ((0, 1),), "e"))
         letter = "τ" if self.even else f"s⁻¹x{d}"
         cells = {}
-        for key, st in self._keys(self.window.hi):
-            tdeg, tidx, eps, i, edeg, eidx = key
-            label = _cell_label(tlabel[tdeg, tidx], eps, i, elabel[edeg, eidx], d, letter)
-            cells.setdefault(st, []).append((key, label))
+        for tower in self.towers():
+            tdeg, tidx, eps, edeg, eidx = tower
+            for i in self.gammas(tower, self.window.hi):
+                label = _cell_label(tlabel[tdeg, tidx], eps, i, elabel[edeg, eidx], d, letter)
+                cells.setdefault(self.cell(tower, i), []).append(
+                    ((tdeg, tidx, eps, i, edeg, eidx), label))
         return {st: sorted(v) for st, v in cells.items()}
 
     def entries(self):
@@ -174,26 +156,21 @@ def install_d2(page: BigradedPage) -> BigradedPage:
     """d₂(γ_i(τ)) = h · x_{2d-1} · γ_{i-1}(τ), multiplicatively over ∧(s⁻¹x_d)
     and linearly over top and extra classes; h must vanish when d is odd.
 
-    d₂ sends each basis element to at most one other and never two to the
-    same, so ``page.d2`` is a matching {source key: target key}, every entry
-    h, and empty when h = 0 in K.  Sources sit on the unit class and targets
-    on x_{2d-1}, so no key is both and d₂ ∘ d₂ = 0.  It matches the listed
-    keys, ``page.index``, through ``page.top``: a source in the top degree
-    has its target off the listing and stays unmatched."""
+    ``page.d2`` is {source tower: target tower}, every entry h, and empty
+    when h = 0 in K: the unit tower (0, j, ε, edeg, eidx) maps to
+    (2d - 1, j, ε, edeg, eidx) whenever that top class exists.  Sources sit on
+    the unit class and targets on x_{2d-1}, so no tower is both and
+    d₂ ∘ d₂ = 0."""
     f = page.field
-    h = page.spec.hopf
-    if not page.even and not f.is_zero(h):
+    if not page.even and not f.is_zero(page.spec.hopf):
         raise OddDimensionNonzeroHopf("the Hopf invariant vanishes over odd spheres")
-    top_deg = 2 * page.spec.d - 1
     d2 = {}
-    if not f.is_zero(h):
-        for key in page.index:
-            tdeg, tidx, eps, i, edeg, eidx = key
-            if i == 0 or tdeg != 0:
-                continue    # top class multiples die on x², γ_0 has no target
-            target_key = (top_deg, tidx, eps, i - 1, edeg, eidx)
-            if target_key in page.index:
-                d2[key] = target_key
+    if not f.is_zero(page.spec.hopf):
+        towers = list(page.towers())
+        for tower in towers:
+            target = (2 * page.spec.d - 1, *tower[1:])
+            if tower[0] == 0 and target in towers:
+                d2[tower] = target
     page.d2 = d2
     return page
 
@@ -223,50 +200,43 @@ class EmssResult:
 def run_to_stable(page: BigradedPage, window: DegreeWindow | None = None) -> EmssResult:
     """Turn the page once and certify E₃ = E∞ by bidegree arithmetic.
 
-    An E₃ cell is its E₂ cell less the keys d₂ matches, read on the listed
-    keys below ``page.top``; past them the last listed period repeats
-    (module docstring).  Certification looks for a pair of surviving cells
-    that a d_r (r >= 3) could join: target s-column minus source s-column
-    equals r and the t-drop equals r - 1 (see ``_check_collapse``).  If such
-    a pair exists the collapse cannot be certified and the run fails loudly.
+    E₃ is read tower by tower (module docstring) through the certified top.
+    Certification looks for a pair of surviving cells that a d_r (r >= 3)
+    could join: target s-column minus source s-column equals r and the
+    t-drop equals r - 1 (see ``_check_collapse``).  If such a pair exists the
+    collapse cannot be certified and the run fails loudly.
     """
     if page.d2 is None:
         raise PresentationError("install d₂ before running the sequence")
     # the page ends at its own window: a class past it has no d₂ target listed
     hi = min((window or page.window).hi, page.window.hi)
     cert_hi = hi - 1   # outgoing d₂ from total degree hi leaves the page
-    # a key that d₂ uses as source or target dies; the rest survive to E₃
-    matched = Counter(page.index[key] for pair in page.d2.items() for key in pair)
-    listed_hi = min(cert_hi, page.top - 1)
+    targets = set(page.d2.values())
+    step, rise = page.step, page.step * page.spec.d
+    # finite when d₂ pairs every tower and each source's survivor is certified
+    bounded = bool(page.d2)
     e3 = {}
-    for st, n in Counter(page.index.values()).items():
-        surv = n - matched[st]
-        if surv and st[0] + st[1] <= listed_hi:
-            e3[st] = surv
-    # σ moves each cell of the last listed period up, one period at a time,
-    # through cert_hi (no move when the listing reaches cert_hi)
-    step, rise, p = page.step, page.step * page.spec.d, page.period
-    for (s, t), v in list(e3.items()):
-        if s + t >= page.top - p:
-            for k in range(1, (cert_hi - s - t) // p + 1):
-                e3[s - k * step, t + k * rise] = v
+    for tower in page.towers():
+        if tower in targets:
+            continue        # γ_{i+1} of its source, one degree lower, hits each key
+        gammas = page.gammas(tower, cert_hi)
+        s, t = page.cell(tower, gammas.start)
+        if tower in page.d2:
+            if gammas.start and t:
+                continue    # its lowest key hits the partner's key at t - 1 >= 0
+            bounded = bounded and bool(gammas)
+            gammas = gammas[:1]
+        else:
+            bounded = False
+        for _ in gammas:
+            e3[s, t] = e3.get((s, t), 0) + 1
+            s, t = s - step, t + rise
     _check_collapse(e3)
     total = {}
     for (s, t), v in e3.items():
         total[s + t] = total.get(s + t, 0) + v
     no_ext = all(v <= 1 for v in total.values())
-
-    # h ≠ 0 with d even pairs (1, ε, γ_i) with (x_top, ε, γ_{i-1}) exactly in
-    # every degree, inside the window and beyond; that bounds the survivors when
-    # the top space is units and classes of degree 2d - 1, equally many, and
-    # the certified degrees hold the survivors (1, ε, γ_0) ⊗ extra, which reach
-    # d - 1 plus the top extra degree
-    tops = page.spec.top_dims
-    paired = len(tops) == 2 and tops[0][0] == 0 and tops[1] == (2 * page.spec.d - 1, tops[0][1])
-    reach = page.spec.d - 1 + max((n for n, _ in page.spec.extra_dims), default=0)
-    bounded = (page.even and not page.field.is_zero(page.spec.hopf) and paired
-               and reach <= cert_hi)
-    verdict = finiteness(total, sphere_block_period(page.spec.d), hi - 2, bounded)
+    verdict = finiteness(total, page.period, hi - 2, bounded)
     return EmssResult(e3, total, verdict, no_ext)
 
 

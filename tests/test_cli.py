@@ -174,6 +174,22 @@ def test_emss_is_finite_only_when_the_window_holds_every_survivor(capsys):
         "kind": "finite", "total": 4, "dims": {"0": 1, "3": 1, "30": 1, "33": 1}}
 
 
+def test_emss_refuses_a_window_that_starts_above_degree_0(capsys, monkeypatch):
+    # every class the command can name lies in degree >= 0 and the sequence
+    # is read from degree 0, so a window from 50 would still report 0 … 49
+    argv = ["emss", "--d", "4", "--top", "s7", "--hopf", "0"]
+    error = {"error": {"code": "invalid-presentation", "message":
+                       "the spectral sequence is read from degree 0; "
+                       "window 50:70 starts above it"}}
+    code, out = run(capsys, *argv, "--window", "50:70")
+    assert (code, json.loads(out)) == (1, error)
+    monkeypatch.setenv("DG_LEVEL_WINDOW", "50:70")
+    code, out = run(capsys, *argv)
+    assert (code, json.loads(out)) == (1, error)
+    code, out = run(capsys, *argv, "--window=-4:70")
+    assert code == 0 and json.loads(out)["result"]["verdict"]["kind"] == "infinite"
+
+
 @pytest.mark.parametrize("d", [3, 4, 6])
 @pytest.mark.parametrize("field", ["q", "f2"])
 def test_emss_counts_both_classes_of_s0(capsys, d, field):

@@ -107,11 +107,13 @@ def test_window_too_small():
 
 
 def test_d2_on_tau_hits_the_top_class():
-    # d₂ is a matching {source key: target key}, every entry the Hopf invariant
+    # d₂ is {source tower: target tower}, every entry the Hopf invariant: the
+    # unit tower, τ = γ_1(τ) among its keys, onto the x₇ tower one γ lower
     page = install_d2(e2_page(s7_over_s4(1), DegreeWindow(0, 24)))
     [(tau, _)] = page.cells[(-2, 8)]
     [(x7, _)] = page.cells[(0, 7)]
-    assert page.d2[tau] == x7
+    assert (tau, x7) == ((0, 0, 0, 1, 0, 0), (7, 0, 0, 0, 0, 0))
+    assert page.d2[0, 0, 0, 0, 0] == (7, 0, 0, 0, 0)
     assert page.spec.hopf == QQ.one()
 
 
@@ -240,12 +242,12 @@ def test_emss_totals_match_the_module_engine():
     assert compared == 143
 
 
-# -- the periodic listing ----------------------------------------------------------
+# -- the tower reading -------------------------------------------------------------
 
 
 def full_keys(spec, hi):
     """Every key of total degree <= hi with t >= 0, {key: (s, t)}, listed
-    without the stable start."""
+    one by one."""
     d = spec.d
     step = 2 if d % 2 == 0 else 1
     top = [(n, j) for n, m in spec.top_dims for j in range(m)]
@@ -261,8 +263,8 @@ def full_keys(spec, hi):
 
 
 def full_run(spec, window, run_window=None):
-    """The stable page by the route the periodic listing replaced, kept as its
-    reference: d₂ matched on every key of the window and E₃ read in every
+    """The stable page read key by key, kept as the reference for the tower
+    reading: d₂ matched on every key of the window and E₃ read in every
     degree below the top.  Returns (e3, totals, verdict, no_extension_problem)
     or the collapse message."""
     keys = full_keys(spec, window.hi)
@@ -305,12 +307,14 @@ def periodic_run(spec, window, run_window=None):
 @st.composite
 def periodic_cases(draw):
     """Top spaces with doubled classes, x_{2d-1} or a stray class, negative
-    degrees included; extras; odd d; windows that start past S."""
+    degrees included; extras, some in degree -2d or -3d, where a source
+    tower's lowest key sits on t = 0; odd d; windows that start above 0."""
     d = draw(st.integers(2, 9))
     degrees = st.sampled_from([0, 0, 2 * d - 1, 2 * d - 1, 3, d + 2, 17, -5])
     top = draw(st.dictionaries(degrees, st.integers(1, 2), min_size=1, max_size=3))
-    extra = draw(st.none() | st.dictionaries(st.sampled_from([0, 0, 2, 5, 8, 13, -3]),
-                                             st.integers(1, 2), min_size=1, max_size=3))
+    extra_degrees = st.sampled_from([0, 0, 2, 5, 8, 13, -3, -2 * d, -3 * d])
+    extra = draw(st.none() | st.dictionaries(extra_degrees, st.integers(1, 2),
+                                             min_size=1, max_size=3))
     h = draw(st.integers(0, 3)) if d % 2 == 0 else 0
     field = draw(st.sampled_from([QQ, GF2, GF3]))
     hi = draw(st.integers(2 * d, 160))
@@ -329,17 +333,29 @@ def test_the_periodic_page_runs_as_the_full_listing(case):
         set(full_keys(spec, window.hi))
 
 
+@pytest.mark.parametrize("extra, e3", [({-8: 1}, {(-2, 0): 1}), ({-12: 1}, {(-3, 0): 1})])
+def test_a_source_tower_keeps_its_lowest_key_on_t_0(extra, e3):
+    # τ⊗e₋₈ (ε = 0) and s⁻¹x4·τ⊗e₋₁₂ (ε = 1) sit on t = 0, where their
+    # partners below would have t = -1; every key above them dies
+    spec, window = s7_over_s4(1, extra=extra), DegreeWindow(0, 40)
+    run = periodic_run(spec, window)
+    assert run == full_run(spec, window) and run[0] == e3 and run[2].is_finite
+
+
 @pytest.mark.parametrize("d", range(2, 10))
 @pytest.mark.parametrize("extra", [None, {0: 1, 3: 1}])
 def test_the_listed_keys_do_not_grow_with_the_window(d, extra):
+    # when d₂ pairs every tower (d even, h = 1) E₃ is each source's lowest
+    # key, the same on any window that holds it
     spec = FibreSquareSpec.make(d, {0: 1, 2 * d - 1: 1}, d % 2 == 0, QQ, extra_dims=extra)
     small = install_d2(e2_page(spec, DegreeWindow(0, 40)))
     large = install_d2(e2_page(spec, DegreeWindow(0, 100_000)))
-    assert large.top == small.top < 40
-    assert large.index == small.index and large.d2 == small.d2
-    wide = run_to_stable(large)
-    assert {n: v for n, v in wide.total_dims.items() if n < 40} == \
-        run_to_stable(small).total_dims
+    wide, narrow = run_to_stable(large), run_to_stable(small)
+    assert {n: v for n, v in wide.total_dims.items() if n < 40} == narrow.total_dims
+    paired = {*large.d2, *large.d2.values()} == set(large.towers())
+    assert paired == (d % 2 == 0)
+    if paired:
+        assert wide.e3_cells == narrow.e3_cells
 
 
 # -- compactness ------------------------------------------------------------------
