@@ -12,9 +12,9 @@ Row reduction over the rationals clears each row's denominators once and
 eliminates on plain ints, dividing every combined row by its content (gcd)
 to keep the entries small; Fractions appear only in the returned RREF.
 Over F_p it eliminates on residues and touches only the pivot row's nonzero
-columns.  ``rank`` clears only below each pivot and ``rank_and_kernel``
-reads its kernel off the integer pivot rows, so neither builds the Fraction
-RREF.
+columns.  ``pivot_columns`` (and ``rank``, their count) clears only below
+each pivot and ``rank_and_kernel`` reads its kernel off the integer pivot
+rows, so neither builds the Fraction RREF.
 """
 
 from __future__ import annotations
@@ -303,14 +303,18 @@ def rank_and_kernel(rows, field: FieldTag):
     return len(pivots), basis
 
 
-def rank(rows, field: FieldTag) -> int:
-    """Rank from forward elimination alone: no RREF and no Fractions."""
+def pivot_columns(rows, field: FieldTag) -> list:
+    """The columns independent of those before them, by forward elimination
+    alone: no RREF and no Fractions."""
     if not rows or not rows[0]:
-        return 0
+        return []
     _validate_entries(rows, field)
-    if field.p:
-        return len(_rref_mod_p(rows, field.p, full=False)[1])
-    return len(_eliminate_rational(rows, full=False)[1])
+    return (_rref_mod_p(rows, field.p, False) if field.p else _eliminate_rational(rows, False))[1]
+
+
+def rank(rows, field: FieldTag) -> int:
+    """The number of pivot columns."""
+    return len(pivot_columns(rows, field))
 
 
 def solve(rows, rhs, field: FieldTag):

@@ -31,7 +31,7 @@ from functools import cache
 from math import inf
 
 from .errors import PresentationError
-from .field import FieldTag, integer_row, rank, rank_and_kernel, row_reduce
+from .field import FieldTag, integer_row, pivot_columns, rank, rank_and_kernel
 
 
 @dataclass(frozen=True)
@@ -270,9 +270,9 @@ def cohomology_dims(cx: CochainComplex, window: DegreeWindow | None = None):
 def _cohomology_at(cx: CochainComplex, n: int):
     """dim H^n and its representatives: the kernel basis vectors of d^n that
     are not in the span of the coboundaries and the kernel vectors before
-    them.  One row reduction of the columns [d^{n-1} | kernel] picks them:
-    its pivot columns in the kernel part.  Without d^{n-1} every kernel
-    basis vector is a representative."""
+    them.  One forward elimination of the columns [d^{n-1} | kernel] picks
+    them: its pivot columns in the kernel part.  Without d^{n-1} every
+    kernel basis vector is a representative."""
     f = cx.field
     dim_n = cx.space.dim(n)
     mat = cx.differential.get(n)
@@ -293,8 +293,7 @@ def _cohomology_at(cx: CochainComplex, n: int):
         return len(kernel), kernel
     width = len(image[0])
     cols = [list(image[i]) + [v[i] for v in kernel] for i in range(dim_n)]
-    _, pivots = row_reduce(cols, f)
-    reps = [kernel[c - width] for c in pivots if c >= width]
+    reps = [kernel[c - width] for c in pivot_columns(cols, f) if c >= width]
     return len(reps), reps
 
 

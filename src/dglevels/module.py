@@ -40,7 +40,7 @@ from .errors import (
     Undecided,
     VerificationFailed,
 )
-from .field import _validate_entries, integer_row, row_reduce, solve, sparse_sum
+from .field import _validate_entries, integer_row, pivot_columns, row_reduce, solve, sparse_sum
 from .graded import (CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology,
                      cohomology_dims, mat_vec)
 
@@ -831,10 +831,8 @@ class _Algebra:
 
     def independent(self, vectors):
         """The vectors at the pivot columns: a basis of their span."""
-        if not vectors:
-            return []
         rows = [[v[i] for v in vectors] for i in range(self.dim)]
-        return [vectors[c] for c in row_reduce(rows, self.field)[1]]
+        return [vectors[c] for c in pivot_columns(rows, self.field)]
 
     def minimal_polynomial(self, x):
         """Monic μ_x, coefficients from the constant term up."""

@@ -26,7 +26,13 @@ is built from the blocks only where a caller needs one (Hom, Tor, JSON).
 By the homological perturbation lemma the minimal model is (H(V, δ₀), x·Φ̄),
 since every higher transfer term carries x² = 0; Φ̄ is nilpotent of degree
 1-d, and a Jordan string of length m+1 whose top sits in degree l is the
-molecule Σ^{-l}Z_m.  This is rank arithmetic, and the answer is unique.
+molecule Σ^{-l}Z_m.  The strings are read in one sweep of the degrees from
+the top down (the elder rule of persistence): a string that reaches degree a
+goes on where its cocycle is independent of the boundaries and the older
+strings, and cocycles independent of all these start strings.  Invariant:
+the strings born at or above s that reach a span the image of H_s in H_a.
+So with r_k the rank of Φ̄^k, r_k(s) - r_{k+1}(s+d-1) strings born in s
+reach k steps down: the rank count, and the decomposition is unique.
 
 Bare dimension tables, and modules known only through their cohomology (raw
 or truncated presentations), are decomposed by perfect matching: pair the
@@ -39,6 +45,7 @@ levels are then exact only when all matchings agree, an interval otherwise.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import POLYNOMIAL, DGAlgebraPresentation, Generator
@@ -51,7 +58,7 @@ from .errors import (
     PresentationError,
     VerificationFailed,
 )
-from .field import FieldTag, QQ, _validate_entries, integer_row, rank, rank_and_kernel
+from .field import FieldTag, QQ, _validate_entries, integer_row, pivot_columns, rank_and_kernel
 from .module import DGModulePresentation
 from .resolve import TorResult, check_exterior_basis, phi
 
@@ -463,13 +470,15 @@ def decompose_module(module, d: int) -> Decomposition:
     """Molecules of a finite free module over H*(S^d): a SphereModule, or an
     untruncated free DGModulePresentation, which is split into its blocks.
 
-    Counts the Jordan strings of Φ̄ on H(V, δ₀) by ranks (see the module
-    docstring).  With r_k(a) the rank of Φ̄^k : H_a → H_{a+k(1-d)}, computed
-    as rank[Φ^k Z_a | B] - rank B on the cocycles Z and boundaries B of δ₀,
-    N(a, k) = r_k(a) - r_{k+1}(a+d-1) strings of length at least k+1 start
-    in degree a, and N(a, k) - N(a, k+1) of them have length exactly k+1.
-    `matching` lists each molecule's two cohomology degrees; nothing is
-    ambiguous.
+    Reads the Jordan strings of Φ̄ on H(V, δ₀) in one top-down sweep (see
+    the module docstring).  The strings carried into degree a hold a cocycle
+    each, oldest first.  With B_a the boundaries and Z_a a basis of the
+    cocycles, the pivots of [B_a | carried | Z_a] keep a string or end it in
+    degree a + d - 1, and start strings in degree a.  The survivors and
+    births go through Φ once and must number dim H_a, or VerificationFailed.
+    Dimension counts skip what they decide: with no boundaries a lone column
+    spans, and Z_a joins only where the carried do not fill H_a.  `matching`
+    lists each molecule's two cohomology degrees; nothing is ambiguous.
     """
     if d <= 1:
         raise PresentationError("sphere dimension must exceed 1")
@@ -486,60 +495,52 @@ def decompose_module(module, d: int) -> Decomposition:
             v[i] = reduce(c)
         return v
 
-    def span(vecs):
-        """The rank of nonzero vectors; one or none needs no reduction."""
-        return len(vecs) if len(vecs) < 2 else rank(vecs, f)
+    def pivots(cols):
+        """The columns independent of those before them; all are nonzero, so
+        a lone one needs no reduction."""
+        return [0] if len(cols) == 1 else pivot_columns(list(zip(*cols)), f)
 
-    boundaries = {}
-
-    def boundary(a):
-        if a not in boundaries:
-            n = len(labels[a])
-            vecs = [dense(col, n) for col in delta.get(a - 1, ()) if col]
-            boundaries[a] = (vecs, span(vecs))
-        return boundaries[a]
-
-    ranks = {}
-
-    def rank_powers(a):
-        """[r_0(a), r_1(a), ...] up to the first zero."""
-        if a not in ranks:
-            out = []
-            n = len(labels[a])
-            if a in delta:              # the kernel of δ₀, from its rows
-                rows = list(zip(*(dense(col, len(labels[a + 1])) for col in delta[a])))
-                vecs = [v if p else integer_row(v) for v in rank_and_kernel(rows, f)[1]]
+    ends = Counter()                # (m, l) -> strings of height m with top l
+    carried = {}                    # degree -> [(top, cocycle)], oldest first
+    for a in sorted(labels, reverse=True):
+        n, strings = len(labels[a]), carried.pop(a, [])
+        if a in delta:              # Z_a, the kernel of δ₀, from its rows
+            rows = zip(*(dense(col, len(labels[a + 1])) for col in delta[a]))
+            Z = [v if p else integer_row(v) for v in rank_and_kernel(list(rows), f)[1]]
+        else:
+            Z = [dense([(j, 1)], n) for j in range(n)]
+        B = [dense(col, n) for col in delta.get(a - 1, ()) if col]
+        if not B and (len(Z) == 1 or not strings):
+            # the first column spans H_a, or Z_a is its basis
+            dim, survivors, dead = len(Z), strings[:len(Z)], strings[len(Z):]
+            births = [] if strings else Z
+        else:                       # Z_a joins only if the carried do not fill H_a
+            found = pivots(B + [v for _, v in strings])
+            keep = [c - len(B) for c in found if c >= len(B)]
+            dim = len(Z) - len(found) + len(keep)       # rank B_a is the rest
+            survivors = [strings[i] for i in keep]
+            dead = [s for i, s in enumerate(strings) if i not in keep]
+            kept = B + [v for _, v in survivors]
+            births = [Z[c - len(kept)] for c in pivots(kept + Z) if c >= len(kept)] \
+                if len(keep) < dim else []
+        if len(survivors) + len(births) != dim:
+            raise VerificationFailed(f"degree {a} holds {len(survivors) + len(births)} strings "
+                                     f"where dim H = {dim}")
+        for top, _ in dead:
+            ends[(top - a) // (d - 1) - 1, top] += 1
+        blocks, t = phi.get(a), a + 1 - d
+        width = len(labels.get(t, ()))
+        for top, v in survivors + [(a, z) for z in births]:     # oldest first
+            w = [0] * width
+            for j, c in enumerate(v):
+                for k, e in blocks[j] if c and blocks else ():
+                    w[k] += c * e
+            w = [reduce(x) for x in w]
+            if any(w):
+                carried.setdefault(t, []).append((top, w))
             else:
-                vecs = [dense([(j, 1)], n) for j in range(n)]
-            # Z_a contains B_a, so r_0(a) = dim Z_a - rank B_a without a reduction
-            t, r = a, len(vecs) - boundary(a)[1]
-            while r:
-                out.append(r)
-                images = [module._compose(phi, t, [(j, c) for j, c in enumerate(v) if c])
-                          for v in vecs]    # Φ on the sparse columns
-                t += 1 - d
-                n = len(labels.get(t, ()))
-                vecs = [w for w in (dense(acc.items(), n) for acc in images) if any(w)]
-                if not vecs:
-                    break
-                bvecs, brank = boundary(t)
-                r = span(vecs + bvecs) - brank
-            ranks[a] = out
-        return ranks[a]
-
-    molecules = []
-    for a in sorted(labels):
-        r = rank_powers(a)
-        above = rank_powers(a + d - 1) if a + d - 1 in labels else []
-        # N(a, k) for k = 0 .. len(r)
-        at_least = [(r[k] if k < len(r) else 0) - (above[k + 1] if k + 1 < len(above) else 0)
-                    for k in range(len(r) + 1)]
-        for k in range(len(r)):
-            count = at_least[k] - at_least[k + 1]
-            if count < 0:
-                raise VerificationFailed(f"negative string count in degree {a}")
-            molecules.extend([MoleculeId(d, a, k)] * count)
-    molecules.sort(key=lambda mol: (mol.m, mol.l))
+                ends[(top - a) // (d - 1), top] += 1
+    molecules = [mol for (m, l), k in sorted(ends.items()) for mol in [MoleculeId(d, l, m)] * k]
     matching = tuple(tuple(sorted(molecule_cohomology(mol))) for mol in molecules)
     return Decomposition(tuple(molecules), matching, False, ())
 

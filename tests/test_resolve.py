@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -36,10 +37,12 @@ from dglevels.resolve import (
     GIVEN,
     KOSZUL,
     KOSZUL_GENERATOR_BUDGET,
+    N_EXPANSION_BUDGET,
     FinitenessVerdict,
     SemifreeFiltration,
     _koszul,
     _bar,
+    _monomials_through,
     _phi_window,
     _resolve,
     auto_strategy,
@@ -692,6 +695,27 @@ def test_the_sphere_koszul_chain_has_a_generator_budget():
     assert len(derived_tensor(K, K, KOSZUL, DegreeWindow(0, cap - 1)).dims) == cap
     with pytest.raises(BudgetExceeded, match=f"through degree {cap + 1} needs more than"):
         derived_tensor(K, K, KOSZUL, DegreeWindow(0, cap))
+
+
+def test_the_expansion_of_a_free_n_has_a_budget():
+    # over K[a₂, b₄] a free N spans the whole window; it is counted first,
+    # and the count is the size of the expansion it would build
+    P = DGAlgebraPresentation.polynomial(QQ, [("a", 2), ("b", 4)])
+    K = residue_module(P)
+    N = DGModulePresentation.free_rank_one(P)
+    start = time.process_time()
+    for hi in (320, 10**12):
+        with pytest.raises(BudgetExceeded, match=f"more than {N_EXPANSION_BUDGET} basis elements"):
+            derived_tensor(K, N, KOSZUL, DegreeWindow(0, hi))
+    assert time.process_time() - start < 0.5
+    E = DGAlgebraPresentation(QQ, [Generator("a", 2, "polynomial"), Generator("e", 3, "exterior")])
+    for X in (N, DGModulePresentation.free(P, [("u", 0), ("v", 3)], {}),
+              DGModulePresentation.free(E, [("u", -1), ("v", 2)], {})):
+        for hi in (0, 7, 40):
+            reach = tensor_reach(DegreeWindow(0, hi), residue_module(X.algebra), X, KOSZUL)
+            count = sum(_monomials_through(X.algebra.generators, reach.n_window.hi - g, 10**6)
+                        for _, g in X.generators)
+            assert count == sum(map(len, X.expand(reach.n_window).elements.values()))
 
 
 def test_an_empty_trivial_module_builds_no_koszul_resolution(monkeypatch):

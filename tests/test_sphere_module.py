@@ -13,11 +13,14 @@ from hypothesis import given, settings, strategies as st
 from dglevels import rational, resolve, spheres
 from dglevels.algebra import DGAlgebraPresentation
 from dglevels.cli import main
-from dglevels.errors import PresentationError
-from dglevels.field import GF2, GF3, QQ, rank, row_reduce
-from dglevels.module import DGModulePresentation, direct_sum, shift
+from dglevels import field as field_module
+from dglevels.errors import PresentationError, VerificationFailed
+from dglevels.field import GF2, GF3, GF5, QQ, rank, rank_and_kernel, row_reduce
+from dglevels.graded import DegreeWindow
+from dglevels.module import DGModulePresentation, cone, direct_sum, hom_complex, shift
 from dglevels.rational import build_P_tower, tower_level_bounds
-from dglevels.spheres import MoleculeId, SphereModule, bundle_level, decompose_module
+from dglevels.spheres import (MoleculeId, SphereModule, bundle_level, decompose_module,
+                              molecule_model, sphere_level)
 
 FIELDS = st.sampled_from([QQ, GF2, GF3])
 STRINGS = st.lists(st.tuples(st.integers(-4, 8), st.integers(0, 3)), max_size=4)
@@ -282,3 +285,104 @@ def test_decompose_module_respects_direct_sum(field, d, first, second, pieces, s
     assert total.molecules == tuple(sorted(decs[0].molecules + decs[1].molecules,
                                            key=lambda mol: (mol.m, mol.l)))
     assert total.level() == max(dec.level() for dec in decs)
+
+
+# -- the engine against the rank formula ------------------------------------------------
+
+
+def block_image(M, block, deg, vectors):
+    """The block applied to dense vectors in degree ``deg``, as dense vectors
+    in the degree it lands in."""
+    step = 1 - M.d if block is M.phi else 1
+    width = len(M.labels.get(deg + step, ()))
+    out = []
+    for v in vectors:
+        w = [0] * width
+        for j, col in enumerate(block.get(deg, [[]] * len(v))):
+            for i, c in col:
+                w[i] += v[j] * c
+        out.append([M.field.reduce(x) for x in w])
+    return out
+
+
+def phi_bar_rank(M, a, k):
+    """r_k(a), the rank of Φ̄^k on H_a: rank[Φ^k Z_a | B_t] - rank B_t, with
+    t = a - k(d - 1), Z the cocycles and B the boundaries of δ₀."""
+    f, n = M.field, len(M.labels.get(a, ()))
+    unit = [[int(i == j) for i in range(n)] for j in range(n)]
+    rows = list(zip(*block_image(M, M.delta, a, unit)))
+    Z = [list(v) for v in rank_and_kernel(rows, f)[1]] if rows else unit
+    t = a
+    for _ in range(k):
+        Z, t = block_image(M, M.phi, t, Z), t + 1 - M.d
+    below = len(M.labels.get(t - 1, ()))
+    B = block_image(M, M.delta, t - 1, [[int(i == j) for i in range(below)]
+                                        for j in range(below)])
+    B = [v for v in B if any(v)]
+    return rank(B + [v for v in Z if any(v)], f) - rank(B, f)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from([QQ, GF2, GF3, GF5]), st.integers(2, 6), STRINGS,
+       st.lists(st.tuples(st.integers(-4, 8), st.booleans()), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_strings_agree_with_the_rank_formula(field, d, strings, pieces, seed):
+    # every draw has a contractible piece, so δ₀ ≠ 0; r_k(a) - r_{k+1}(a + d - 1)
+    # strings have their top in degree a and height at least k
+    M = planted_module(field, d, strings, pieces, seed)
+    found = decompose_module(M, d).molecules
+    for a in M.labels:
+        for k in range(max((mol.m for mol in found), default=0) + 2):
+            count = sum(mol.l == a and mol.m >= k for mol in found)
+            assert phi_bar_rank(M, a, k) - phi_bar_rank(M, a + d - 1, k + 1) == count
+
+
+def test_a_wrong_pivot_kernel_fails_the_fill_check(monkeypatch):
+    # two strings reach degree 0, where H has dimension 2; a kernel that
+    # drops the last pivot leaves one, and the engine refuses to go on
+    M = SphereModule(4, QQ, [("a", 3), ("b", 3), ("u", 0), ("v", 0)],
+                     phi={0: {2: 1}, 1: {3: 1}})
+    assert decompose_module(M, 4).molecules == (MoleculeId(4, 3, 1),) * 2
+    monkeypatch.setattr(spheres, "pivot_columns",
+                        lambda rows, f: field_module.pivot_columns(rows, f)[:-1])
+    with pytest.raises(VerificationFailed, match="degree 0 holds 1 strings where dim H = 2"):
+        decompose_module(M, 4)
+
+
+# -- the level axioms on cones ------------------------------------------------------------
+
+
+MOLECULES = st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4)), min_size=1, max_size=2)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([QQ, GF2, GF3, GF5]), st.integers(2, 6), MOLECULES, MOLECULES,
+       st.lists(st.sampled_from([-1, 0, 1]), min_size=2, max_size=2), st.integers(0, 2**32 - 1))
+def test_cones_keep_the_triangle_inequalities(field, d, source, target, moves, seed):
+    # M → N → cone(f) → ΣM is exact, so each level is at most the sum of the
+    # other two.  N's molecules sit where M's do, moved by whole steps of
+    # d - 1 or d, so that a degree-0 map is there to draw more often
+    def build(parts, moved):
+        return direct_sum([shift(molecule_model(MoleculeId(d, 0, m), field, verify=False),
+                                 k * (d - 1) + moved) for m, k in parts])
+
+    rng = random.Random(seed)
+    M = build(source, 0)
+    N = build([(m, source[i % len(source)][1] + moves[i % 2]) for i, (m, _) in enumerate(target)],
+              rng.choice([0, d]))
+    hom = hom_complex(M, N, DegreeWindow(-1, 1))
+    maps = hom.basis.get(0, [])
+    if 0 in hom.complex.differential:
+        cocycles = rank_and_kernel(hom.complex.differential[0], field)[1]
+    else:
+        cocycles = [[int(i == j) for i in range(len(maps))] for j in range(len(maps))]
+    f_map = {}
+    for v in cocycles:
+        c = rng.choice([1, -1])
+        for (g, (h, mono)), x in zip(maps, v):
+            if x:
+                poly = f_map.setdefault(g, {}).setdefault(h, {})
+                poly[mono] = field.reduce(poly.get(mono, 0) + c * x)
+    levels = [sphere_level(X, d).value for X in (M, N, cone(f_map, M, N))]
+    for i in range(3):
+        assert levels[i] <= levels[i - 1] + levels[i - 2]
