@@ -48,6 +48,8 @@ class Generator:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise PresentationError(f"unknown generator kind {self.kind!r}")
+        if type(self.degree) is not int:    # a bool, float or string is no degree
+            raise PresentationError(f"degree {self.degree!r} of {self.label!r} is no integer")
         if self.degree <= 0:
             raise PresentationError(f"generator {self.label!r} must have positive degree")
 
@@ -353,7 +355,7 @@ class DGAlgebraPresentation:
         from .field import parse_field
 
         field = parse_field(data["field"])
-        gens = [Generator(lbl, int(deg), kind) for lbl, deg, kind in data["generators"]]
+        gens = [Generator(lbl, deg, kind) for lbl, deg, kind in data["generators"]]
         odd = data.get("char2PolynomialOdd", False) is True
         alg = DGAlgebraPresentation(field, gens, char2_polynomial_odd=odd)
         diff = {

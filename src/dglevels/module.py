@@ -45,6 +45,17 @@ from .graded import (CochainComplex, DegreeWindow, GradedVectorSpace, assemble, 
                      cohomology_dims, mat_vec)
 
 
+def free_generators(generators):
+    """(label, degree) pairs with distinct string labels and int degrees (a
+    bool is none), the rule of every free module; else PresentationError."""
+    out = tuple((str(label), deg) for label, deg in generators)
+    if bad := next((g for g in out if type(g[1]) is not int), None):
+        raise PresentationError(f"degree {bad[1]!r} of module generator {bad[0]!r} is no integer")
+    if len(dict(out)) != len(out):
+        raise PresentationError("duplicate module generator labels")
+    return out
+
+
 class DGModulePresentation:
     """A right DG module, either free over the algebra or a raw complex."""
 
@@ -58,10 +69,9 @@ class DGModulePresentation:
         if (generators is None) == (complex is None):
             raise PresentationError("give either generators (free) or a complex (raw)")
         if generators is not None:
-            self.generators = tuple((str(l), int(d)) for l, d in generators)
-            labels = [l for l, _ in self.generators]
-            if len(set(labels)) != len(labels):
-                raise PresentationError("duplicate module generator labels")
+            self.generators = free_generators(generators)
+            if not (truncation_degree is None or type(truncation_degree) is int):
+                raise PresentationError(f"truncation degree {truncation_degree!r} is no integer")
             self.gen_degree = dict(self.generators)
             self.differential = {}
             for src, terms in (differential or {}).items():
@@ -282,14 +292,12 @@ class DGModulePresentation:
 
         A = DGAlgebraPresentation.from_json(data["algebra"])
         if "generators" in data:
-            gens = [(l, int(d)) for l, d in data["generators"]]
             diff = {
                 src: {tgt: A.poly_from_json(terms) for tgt, terms in inner.items()}
                 for src, inner in data.get("differential", {}).items()
             }
-            trunc = data.get("truncationDegree")
-            return DGModulePresentation.free(A, gens, diff,
-                                             None if trunc is None else int(trunc))
+            return DGModulePresentation.free(A, data["generators"], diff,
+                                             data.get("truncationDegree"))
         from .graded import complex_from_json
 
         cx = complex_from_json(data["complex"])

@@ -58,7 +58,6 @@ from .algebra import DGAlgebraPresentation, EXTERIOR, Generator, POLYNOMIAL
 from .errors import BudgetExceeded, MTooSmall, NotExact, PresentationError, WrongTargetCohomology
 from .field import QQ, coordinates, rank_and_kernel, solve
 from .graded import DegreeWindow, cohomology
-from .module import DGModulePresentation
 from .resolve import SemifreeFiltration, check_exterior_basis, filtration_class
 from .spheres import LevelResult, SphereModule, decompose_module, extension_module
 
@@ -124,7 +123,7 @@ class TowerSpec:
 
     # -- conversions ------------------------------------------------------------
 
-    def as_base_module(self) -> DGModulePresentation:
+    def as_base_module(self) -> SphereModule:
         """The tower as a free module over H*(S^d), one generator per
         square-free monomial in the extension generators.
 
@@ -134,12 +133,8 @@ class TowerSpec:
         class in the derived category and so its level.  The push is an
         algebra map, so it is applied once to each D(w_k); D of a monomial
         w^S then follows from the Leibniz rule on S as a bit mask (see
-        `extension_module`, whose blocks this presentation carries).
+        `extension_module`, which builds it).
         """
-        return self.sphere_module().to_presentation()
-
-    def sphere_module(self) -> SphereModule:
-        """The blocks of `as_base_module`, built by `extension_module`."""
         return extension_module(self.d, QQ, self.generators,
                                 f"a tower with {len(self.generators)} extension generators")
 
@@ -178,7 +173,7 @@ def build_P_tower(l: int, d: int, m: int | None = None) -> TowerSpec:
 def tower_level_bounds(tower: TowerSpec) -> LevelResult:
     """The level of the tower over its base sphere, always exact: the
     molecules are the Jordan strings of the tower as a module over H*(S^d)."""
-    dec = decompose_module(tower.sphere_module(), tower.d)
+    dec = decompose_module(tower.as_base_module(), tower.d)
     return LevelResult.exact(dec.level(), decomposition=dec)
 
 
@@ -222,7 +217,7 @@ def pile_upper_bound(stages: int, extra_odd_spheres: int = 0):
             stage.append(j)
             if j:
                 phi[len(gens) - 1] = {len(gens) - 2: 1}     # D(e_j) = e_{j-1}·x
-    module = SphereModule(d, QQ, gens, phi=phi).to_presentation()
+    module = SphereModule(d, QQ, gens, phi=phi)
     filt = SemifreeFiltration(module, tuple(
         frozenset(lbl for (lbl, _), j in zip(gens, stage) if j <= c) for c in range(stages + 1)))
     cls = filtration_class(filt)

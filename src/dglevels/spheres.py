@@ -20,8 +20,8 @@ rule of `module`), D(h·a) = D(h)·a since dA = 0, so
   D²(g) = δ₀²(g) + (Φδ₀ + δ₀Φ)(g)·x,
 
 with no sign: D² = 0 exactly when δ₀² = 0 and Φδ₀ + δ₀Φ = 0, the two
-identities a SphereModule checks on construction.  A `DGModulePresentation`
-is built from the blocks only where a caller needs one (Hom, Tor, JSON).
+identities a SphereModule checks on construction, and once only: it is a
+free `DGModulePresentation` whose differential is read off the blocks.
 
 By the homological perturbation lemma the minimal model is (H(V, δ₀), x·Φ̄),
 since every higher transfer term carries x² = 0; Φ̄ is nilpotent of degree
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import POLYNOMIAL, DGAlgebraPresentation, Generator
 from .errors import (
@@ -59,7 +60,7 @@ from .errors import (
     VerificationFailed,
 )
 from .field import FieldTag, QQ, _validate_entries, integer_row, pivot_columns, rank_and_kernel
-from .module import DGModulePresentation
+from .module import DGModulePresentation, free_generators
 from .resolve import TorResult, check_exterior_basis, phi
 
 
@@ -346,7 +347,7 @@ def _require_sphere(module: DGModulePresentation, d: int):
         raise PresentationError(f"the module does not live over H*(S^{d})")
 
 
-class SphereModule:
+class SphereModule(DGModulePresentation):
     """A finite free module over H*(S^d) = K[x]/(x²) as two scalar blocks.
 
     ``generators`` lists (label, degree) pairs.  ``delta`` and ``phi`` map a
@@ -356,17 +357,19 @@ class SphereModule:
     generator j of degree n, rows indexing the generators of degree n + 1;
     a degree whose columns are all zero has no entry.
     D² = δ₀² + (Φδ₀ + δ₀Φ)·x (see the module docstring), so both identities
-    are checked on construction; a violation raises PresentationError.
+    are checked on construction; a violation raises PresentationError.  The
+    presentation's ``algebra`` and ``differential`` are read off on first use.
     """
+
+    truncation_degree = complex = actions = None
 
     def __init__(self, d: int, field: FieldTag, generators, delta=None, phi=None):
         if d <= 1:
             raise PresentationError("sphere dimension must exceed 1")
         self.d = d
         self.field = field
-        self.generators = tuple(generators)
-        if len({label for label, _ in self.generators}) != len(self.generators):
-            raise PresentationError("duplicate module generator labels")
+        self.generators = free_generators(generators)
+        self.gen_degree = dict(self.generators)
         self.labels = {}            # degree -> generator labels
         self._slot = []             # generator index -> position in its degree
         for label, deg in self.generators:
@@ -375,6 +378,22 @@ class SphereModule:
         self.delta = self._columns(delta or {}, 0)
         self.phi = self._columns(phi or {}, d)
         self._check()
+
+    @cached_property
+    def algebra(self):
+        return DGAlgebraPresentation.sphere_cohomology(self.d, self.field)
+
+    @cached_property
+    def differential(self):
+        f, diff = self.field, {}
+        for e, blocks in ((0, self.delta), (1, self.phi)):
+            for deg, cols in blocks.items():
+                targets = self.labels.get(deg + 1 - e * self.d)
+                for label, col in zip(self.labels[deg], cols):
+                    for i, c in col:
+                        diff.setdefault(label, {})[targets[i]] = \
+                            {(e,): f.from_int(c) if isinstance(c, int) else c}
+        return diff
 
     def _columns(self, columns, xdeg):
         """Per-degree sparse columns of the block whose entries multiply x^xdeg;
@@ -451,24 +470,10 @@ class SphereModule:
                     (phi if e else delta).setdefault(index[src], {})[index[tgt]] = c
         return SphereModule(d, module.field, module.generators, delta, phi)
 
-    def to_presentation(self) -> DGModulePresentation:
-        """The same module as a DGModulePresentation, validated in full."""
-        f = self.field
-        A = DGAlgebraPresentation.sphere_cohomology(self.d, f)
-        diff = {}
-        for e, blocks in ((0, self.delta), (1, self.phi)):
-            for deg, cols in blocks.items():
-                targets = self.labels.get(deg + 1 - e * self.d)
-                for label, col in zip(self.labels[deg], cols):
-                    for i, c in col:
-                        diff.setdefault(label, {})[targets[i]] = \
-                            {(e,): f.from_int(c) if isinstance(c, int) else c}
-        return DGModulePresentation.free(A, self.generators, diff)
-
 
 def decompose_module(module, d: int) -> Decomposition:
-    """Molecules of a finite free module over H*(S^d): a SphereModule, or an
-    untruncated free DGModulePresentation, which is split into its blocks.
+    """Molecules of a finite free module over H*(S^d): a SphereModule as it
+    is, or another untruncated free presentation, split by `from_presentation`.
 
     Reads the Jordan strings of Φ̄ on H(V, δ₀) in one top-down sweep (see
     the module docstring).  The strings carried into degree a hold a cocycle
@@ -482,7 +487,7 @@ def decompose_module(module, d: int) -> Decomposition:
     """
     if d <= 1:
         raise PresentationError("sphere dimension must exceed 1")
-    if isinstance(module, DGModulePresentation):
+    if not isinstance(module, SphereModule):
         module = SphereModule.from_presentation(module, d)
     elif module.d != d:
         raise PresentationError(f"the module does not live over H*(S^{d})")
@@ -551,7 +556,7 @@ def decompose_module(module, d: int) -> Decomposition:
 
 
 def molecule_model(mol: MoleculeId, field: FieldTag = QQ,
-                   verify: bool = True) -> DGModulePresentation:
+                   verify: bool = True) -> SphereModule:
     """Free module realizing Σ^{-l}Z_m over H*(S^d): generators e_0, ..., e_m
     in degrees l - (m-j)(d-1) with D(e_j) = e_{j-1}·x.
 
@@ -565,7 +570,7 @@ def molecule_model(mol: MoleculeId, field: FieldTag = QQ,
         if found != (mol,):
             raise VerificationFailed(
                 f"model of {mol} decomposes as {[str(m) for m in found]}")
-    return module.to_presentation()
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +620,6 @@ def sphere_level(data, d: int) -> LevelResult:
     window) is decomposed by matching; ambiguity produces an interval, never
     a guess.  A module over any other algebra raises PresentationError.
     """
-    if isinstance(data, DGModulePresentation):
-        _require_sphere(data, d)
-        if data.is_free and data.truncation_degree is None:
-            data = SphereModule.from_presentation(data, d)
-    if isinstance(data, SphereModule):
-        return decompose_module(data, d).level_result()
     if isinstance(data, TorResult):
         v = data.verdict()
         if v.is_infinite:
@@ -630,6 +629,9 @@ def sphere_level(data, d: int) -> LevelResult:
                 "finiteness of the cohomology could not be certified")
         dims = {n: x for n, x in data.dims.items() if x}
     elif isinstance(data, DGModulePresentation):
+        if data.is_free and data.truncation_degree is None:
+            return decompose_module(data, d).level_result()
+        _require_sphere(data, d)
         v = phi(data)
         if v.is_infinite:
             return LevelResult.infinite(v)

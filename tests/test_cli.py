@@ -358,6 +358,35 @@ def test_level_reads_a_module_over_odd_polynomial_generators_in_char_2(tmp_path,
                                         "message": "the module does not live over H*(S^4)"}
 
 
+@pytest.mark.parametrize("l, m, index, degree",
+                         [(0, 1, 1, 0.5), (3, 1, 1, "3"), (1, 0, 0, True)],
+                         ids=["float", "string", "bool"])
+def test_level_refuses_a_module_degree_that_is_no_integer(tmp_path, capsys, l, m, index, degree):
+    # each degree reads as the model's own under int(), so none may be read that way
+    payload = spheres.molecule_model(spheres.MoleculeId(4, l, m)).to_json()
+    label, old = payload["generators"][index]
+    assert int(degree) == old
+    payload["generators"][index][1] = degree
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out = run(capsys, "level", "--d", "4", "--module", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "invalid-presentation",
+        "message": f"degree {degree!r} of module generator {label!r} is no integer"}
+
+
+def test_hopf_refuses_a_model_degree_that_is_no_integer(tmp_path):
+    target = dict(HOPF_MODEL["target"], generators=[["x", 4.0, "polynomial"],
+                                                    *HOPF_MODEL["target"]["generators"][1:]])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(HOPF_MODEL, target=target)), encoding="utf-8")
+    code, out = run_captured(["hopf", "--model", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "invalid-presentation",
+                                        "message": "degree 4.0 of 'x' is no integer"}
+
+
 @pytest.mark.parametrize("case", ["missing file", "invalid json", "no target",
                                   "no generator"])
 def test_unreadable_hopf_models_are_domain_errors(tmp_path, case):

@@ -36,7 +36,10 @@ passes its ``args`` to (such as ``_window`` or ``_report``).
 
 One unchecked construction: ``__new__`` makes an object without running
 ``__init__``, so a module made that way skips the constructor's checks.  Only
-``module.block_sum``, whose parts are checked modules, does so.
+``module.block_sum``, whose parts are checked modules, does so.  A subclass
+of ``DGModulePresentation`` with its own ``__init__`` skips them as well; the
+one such class is ``spheres.SphereModule``, whose ``__init__`` runs its block
+check ``_check`` in their place.
 
 One place for the resolution rules: inside the package only
 ``resolve._resolve`` calls the bar builder ``_bar`` and the Koszul builder
@@ -341,6 +344,16 @@ def test_block_sum_is_the_only_construction_past_init():
             if getattr(n, "attr", None) == "__new__" or
             isinstance(n, ast.Constant) and n.value == "__new__"]
     assert uses == ["module.py block_sum"]
+    classes = {n.name: n for _, _, n in package_nodes() if isinstance(n, ast.ClassDef)}
+    derived = {"DGModulePresentation"}
+    while more := {name for name, c in classes.items() if name not in derived and
+                   any(getattr(b, "id", getattr(b, "attr", None)) in derived for b in c.bases)}:
+        derived |= more
+    assert derived == {"DGModulePresentation", "SphereModule"}
+    init = next(f for f in classes["SphereModule"].body
+                if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+    assert any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "_check"
+               for n in ast.walk(init))
 
 
 def test_only_resolve_picks_a_resolution():

@@ -289,7 +289,7 @@ def test_label_keyed_towers_push_and_keep_their_cohomology(tower):
 
 
 def test_mixed_tower_has_scalar_terms():
-    blocks = mixed_tower().sphere_module()
+    blocks = mixed_tower().as_base_module()
     assert any(any(cols) for cols in blocks.delta.values())
     assert tower_level_bounds(mixed_tower()).kind == "exact"
 

@@ -179,6 +179,9 @@ def test_block_guards():
         SphereModule(1, QQ, [("u", 0)])
     with pytest.raises(PresentationError, match="duplicate"):
         SphereModule(4, QQ, [("u", 0), ("u", 3)])
+    for degree in (1.5, "0", True):
+        with pytest.raises(PresentationError, match="no integer"):
+            SphereModule(4, QQ, [("a", degree)])
     with pytest.raises(PresentationError, match="total degree 0, expected 1"):
         SphereModule(4, QQ, [("u", 0), ("v", 0)], delta={0: {1: 1}})
     with pytest.raises(PresentationError, match="total degree 7, expected 4"):
@@ -204,7 +207,8 @@ def test_sphere_level_decomposes_a_sphere_module():
     res = spheres.sphere_level(M, 4)
     assert res.to_json() == {"kind": "exact", "level": 3}
     assert res.decomposition.molecules == (MoleculeId(4, 3, 2),)
-    assert spheres.sphere_level(M.to_presentation(), 4) == res
+    P = DGModulePresentation.free(M.algebra, M.generators, M.differential)
+    assert spheres.sphere_level(P, 4) == res
     with pytest.raises(PresentationError, match="does not live over"):
         spheres.sphere_level(M, 5)
 
@@ -213,24 +217,27 @@ def test_sphere_level_decomposes_a_sphere_module():
 
 
 @settings(deadline=None, max_examples=60)
-@given(FIELDS, st.integers(2, 5), STRINGS, PIECES, st.integers(0, 2**32 - 1))
+@given(st.sampled_from([QQ, GF2, GF3, GF5]), st.integers(2, 6), STRINGS, PIECES,
+       st.integers(0, 2**32 - 1))
 def test_presentation_round_trip(field, d, strings, pieces, seed):
+    # the view read off the blocks passes the symbolic check unchanged, and
+    # splits back into the same blocks
     M = planted_module(field, d, strings, pieces, seed)
-    P = M.to_presentation()
+    P = DGModulePresentation.free(M.algebra, M.generators, M.differential)
+    assert P.to_json() == M.to_json()
     back = SphereModule.from_presentation(P, d)
     assert (back.generators, back.delta, back.phi) == (M.generators, M.delta, M.phi)
-    assert back.to_presentation().to_json() == P.to_json()
 
 
 def test_level_pipelines_decompose_blocks(monkeypatch):
     # towers and bundles each call the one extension builder once and hand
-    # the engine its SphereModule; neither builds a presentation, a Koszul
-    # resolution or a derived tensor
+    # the engine its SphereModule; neither reads its presentation view nor
+    # builds a Koszul resolution or a derived tensor
     seen, built = [], []
     engine, builder = spheres.decompose_module, spheres.extension_module
 
     def spy(module, d):
-        seen.append(type(module))
+        seen.append(module)
         return engine(module, d)
 
     def builder_spy(d, field, generators, what):
@@ -246,7 +253,6 @@ def test_level_pipelines_decompose_blocks(monkeypatch):
         monkeypatch.setattr(mod, "extension_module", builder_spy)
     for cls in (DGAlgebraPresentation, DGModulePresentation):
         monkeypatch.setattr(cls, "__init__", refuse)
-    monkeypatch.setattr(SphereModule, "to_presentation", refuse)
     monkeypatch.setattr(SphereModule, "from_presentation", refuse)
     monkeypatch.setattr(resolve, "derived_tensor", refuse)
     monkeypatch.setattr(resolve, "koszul_resolution_poly", refuse)
@@ -254,7 +260,8 @@ def test_level_pipelines_decompose_blocks(monkeypatch):
     assert not hasattr(spheres, "koszul_resolution_poly")
     assert tower_level_bounds(tower).value == 4
     assert bundle_level([4, 6, 8], True, QQ)[0] == 2
-    assert seen == [SphereModule, SphereModule]
+    assert [type(module) for module in seen] == [SphereModule, SphereModule]
+    assert all("differential" not in module.__dict__ for module in seen)
     assert built == [(4, QQ, ["ρ", "w0", "w1"]), (4, QQ, ["a1", "a2", "a3"])]
 
 
@@ -266,7 +273,7 @@ def test_level_pipelines_decompose_blocks(monkeypatch):
        st.integers(-7, 7))
 def test_decompose_module_respects_shift(field, d, strings, pieces, seed, k):
     # Σ^k(Σ^{-l}Z_m) = Σ^{-(l-k)}Z_m: heights stay, every l moves by k
-    M = planted_module(field, d, strings, pieces, seed).to_presentation()
+    M = planted_module(field, d, strings, pieces, seed)
     dec = decompose_module(M, d)
     moved = decompose_module(shift(M, k), d)
     assert dec.molecules == expected(d, strings)
@@ -278,8 +285,8 @@ def test_decompose_module_respects_shift(field, d, strings, pieces, seed, k):
 @settings(deadline=None, max_examples=100)
 @given(FIELDS, st.integers(2, 5), STRINGS, STRINGS, PIECES, st.integers(0, 2**32 - 1))
 def test_decompose_module_respects_direct_sum(field, d, first, second, pieces, seed):
-    parts = [planted_module(field, d, first, pieces, seed).to_presentation(),
-             planted_module(field, d, second, (), seed + 1).to_presentation()]
+    parts = [planted_module(field, d, first, pieces, seed),
+             planted_module(field, d, second, (), seed + 1)]
     decs = [decompose_module(P, d) for P in parts]
     total = decompose_module(direct_sum(parts), d)
     assert total.molecules == tuple(sorted(decs[0].molecules + decs[1].molecules,
@@ -386,3 +393,6 @@ def test_cones_keep_the_triangle_inequalities(field, d, source, target, moves, s
     levels = [sphere_level(X, d).value for X in (M, N, cone(f_map, M, N))]
     for i in range(3):
         assert levels[i] <= levels[i - 1] + levels[i - 2]
+    # on the same draws: level(Σ^k M) = level(M), level(M ⊕ N) = max
+    assert sphere_level(shift(M, rng.randint(-7, 7)), d).value == levels[0]
+    assert sphere_level(direct_sum([M, N]), d).value == max(levels[:2])
