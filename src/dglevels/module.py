@@ -5,10 +5,11 @@ generators and a differential D(g) = Σ h·a_h with algebra coefficients on the
 right (unspecified modules are right modules); D² = 0 and the right-module
 Leibniz rule are enforced symbolically at construction, and block sums of
 checked modules (`block_sum`: shifts, direct sums, shifted Koszul sums)
-inherit them without a recheck.  A *raw* module is a
-finite cochain complex together with a right action matrix for every algebra
-generator (the fallback for cohomology-level inputs such as H*(S^7) over
-H*(S^4)).
+inherit them without a recheck; shifts and sums of SphereModules over one
+H*(S^d) and field stay SphereModules, checked by their constructor.  A *raw*
+module is a finite cochain complex together with a right action matrix for
+every algebra generator (the fallback for cohomology-level inputs such as
+H*(S^7) over H*(S^4)).
 
 A free module truncated at T (``truncation_degree``) holds every generator
 in degrees below T, and the whole differential of every generator below
@@ -441,11 +442,6 @@ class ModuleExpansion:
                 ((tdeg, i), x) for i, x in enumerate(self.module._raw_word(n, j, word)) if x]
             return out
 
-    def act_vector(self, degree, vector, poly):
-        """vector · poly for a vector in the basis of the given degree."""
-        return sparse_sum(((tgt, c * x) for c, elem in zip(vector, self.elements[degree]) if c
-                           for tgt, x in self.act_element(elem, poly).items()), self.field)
-
 
 # ---------------------------------------------------------------------------
 # Operations on presentations
@@ -494,11 +490,36 @@ def _common_algebra(modules, what):
     return base
 
 
+def _sphere_sum(parts):
+    """The block sum as a SphereModule when every part is one over the same
+    H*(S^d) and field, else None: the parts' δ₀ and Φ columns re-indexed into
+    the sum and scaled by (-1)^offset, checked by the constructor."""
+    from .spheres import SphereModule
+
+    first = parts[0][0]
+    if not all(isinstance(m, SphereModule) and m.d == first.d and m.field == first.field
+               for m, _, _ in parts):
+        return None
+    gens, blocks = [], ({}, {})
+    for m, pre, offset in parts:
+        at = {}                 # degree -> indices in the sum of the part's generators
+        for label, deg in m.generators:
+            at.setdefault(deg, []).append(len(gens))
+            gens.append((pre + label, deg + offset))
+        sign = -1 if offset % 2 else 1
+        for out, block, step in zip(blocks, (m.delta, m.phi), (1, 1 - m.d)):
+            for deg, cols in block.items():
+                out.update((j, {at[deg + step][i]: sign * c for i, c in col})
+                           for j, col in zip(at[deg], cols) if col)
+    return SphereModule(first.d, first.field, gens, *blocks)
+
+
 def shift(module: DGModulePresentation, k: int) -> DGModulePresentation:
     """Σ^k of a free module: generator degrees drop by k, differential picks up (-1)^k."""
     if not module.is_free:
         raise SourceNotFree("shift handles free presentations")
-    return block_sum([(module, "", -k)])
+    parts = [(module, "", -k)]
+    return _sphere_sum(parts) or block_sum(parts)
 
 
 def direct_sum(modules) -> DGModulePresentation:
@@ -506,12 +527,15 @@ def direct_sum(modules) -> DGModulePresentation:
     modules = list(modules)
     if not modules:
         raise AlgebraMismatch("an empty direct sum has no algebra")
+    parts = [(m, f"{i}·", 0) for i, m in enumerate(modules)]
+    if len(modules) > 1 and (out := _sphere_sum(parts)):
+        return out
     _common_algebra(modules, "direct summands")
     if len(modules) == 1:
         return modules[0]
     if not all(m.is_free for m in modules):
         raise SourceNotFree("direct_sum currently handles free presentations")
-    return block_sum([(m, f"{i}·", 0) for i, m in enumerate(modules)])
+    return block_sum(parts)
 
 
 def cone(f_map, source: DGModulePresentation, target: DGModulePresentation):
@@ -570,7 +594,8 @@ HOM_BASIS_BUDGET = 5_000
 def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
                 hom_window: DegreeWindow = None) -> MorphismComplex:
     """Algebra-linear maps source → target, graded by hom degree in the window
-    (default -8..8).  Raises BudgetExceeded past HOM_BASIS_BUDGET basis maps."""
+    (default -8..8); the φ∘D_M terms read D_M transposed, built once per call.
+    Raises BudgetExceeded past HOM_BASIS_BUDGET basis maps."""
     if not source.is_free:
         raise SourceNotFree("hom_complex needs a free source")
     A = _common_algebra([source, target], "hom endpoints")
@@ -597,6 +622,10 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
                     f"in hom degrees {hom_window.lo}..{hom_window.hi}")
     labels = {n: [f"{g}→{texp.elem_label(e, tag_degree=True)}" for g, e in elems]
               for n, elems in basis.items()}
+    hits = {}                   # g -> [(g2, coefficient of g in D_M(g2))]
+    for g2, terms in source.differential.items():
+        for g, poly in terms.items():
+            hits.setdefault(g, []).append((g2, poly))
 
     def column(n, elem):
         g, b = elem
@@ -605,10 +634,9 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
         for i, x in texp.complex.column(bdeg, texp.pos[b][1]):
             yield (g, texp.elements[bdeg + 1][i]), x
         # -(-1)^n φ ∘ D_M on every generator whose differential hits g
-        for g2, terms in source.differential.items():
-            if g in terms:
-                for e, c in texp.act_element(b, terms[g]).items():
-                    yield (g2, e), c if n % 2 else -c
+        for g2, poly in hits.get(g, ()):
+            for e, c in texp.act_element(b, poly).items():
+                yield (g2, e), c if n % 2 else -c
 
     # hom-degree n is known when every contributing target degree is known
     trunc_above = None
@@ -660,27 +688,29 @@ class EndomorphismH0:
         self.reps = reps.get(0, [])
         self.boundaries = self.hom.complex.coboundaries(0)
 
-    def _vector_to_map(self, vec):
-        """Morphism vector -> {source gen: expansion vector at its degree}."""
-        texp = self.hom.target_expansion
-        out = {g: [0] * len(texp.elements.get(gd, [])) for g, gd in self.module.generators}
+    def _terms(self, vec):
+        """Morphism vector -> {source gen: [(scalar, target element)]}, its nonzero terms."""
+        out = {g: [] for g, _ in self.module.generators}
         for (g, e), c in zip(self.hom.basis.get(0, []), vec):
-            out[g][texp.pos[e][1]] = c
+            if c:
+                out[g].append((c, e))
         return out
 
     def _compose(self, outer, inner, index):
-        """The cocycle vector of outer ∘ inner, both given as maps: each
-        generator's image under inner is Σ c·h·m, and outer sends h·m to
-        outer(h)·m."""
-        texp = self.hom.target_expansion
-        A, gen_degree = self.module.algebra, self.module.gen_degree
+        """The cocycle vector of outer ∘ inner, both given by their terms:
+        inner(g) = Σ c·h·m and outer(h) = Σ x·h′·m′, so each pair adds c·x·λ
+        on h′·(m′m), (λ, m′m) = mono_mul(m′, m), dropped outside the window."""
+        mul, pos = self.module.algebra.mono_mul, self.hom.target_expansion.pos
         out = [self.field.zero()] * len(index)
-        for g, gd in self.module.generators:
-            terms = ((tgt, c * x) for c, (h, m) in zip(inner[g], texp.elements.get(gd, [])) if c
-                     for tgt, x in texp.act_vector(gen_degree[h], outer[h],
-                                                   A.mono_poly(m)).items())
-            for tgt, x in sparse_sum(terms, self.field).items():
-                out[index[(g, tgt)]] = x
+        for g, terms in inner.items():
+            acc = {}
+            for c, (h, m) in terms:
+                for x, (h2, m2) in outer[h]:
+                    if (r := mul(m2, m)) and (tgt := (h2, r[1])) in pos:
+                        v = c * x * r[0]
+                        acc[tgt] = acc[tgt] + v if tgt in acc else v
+            for tgt, v in acc.items():
+                out[index[g, tgt]] = self.field.reduce(v)
         return out
 
     def structure(self):
@@ -700,7 +730,7 @@ class EndomorphismH0:
             identity[index[(g, (g, unit))]] = f.one()
         cols = self.reps + self.boundaries
         width = len(cols)
-        maps = [self._vector_to_map(rep) for rep in self.reps]
+        maps = [self._terms(rep) for rep in self.reps]
         cols += [self._compose(a, b, index) for a in maps for b in maps]
         cols.append(identity)
         rref, pivots = row_reduce([list(row) for row in zip(*cols)], f)

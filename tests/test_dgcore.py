@@ -755,6 +755,84 @@ def test_molecule_sums_split_and_molecules_are_local(field, d, parts):
         assert_complementary_pair(module, idems)
 
 
+def composed_by_action(end, outer, inner, index):
+    """outer ∘ inner as a cocycle vector, each term through `act_element`:
+    inner(g) = Σ c·h·m, and outer sends h·m to outer(h)·m."""
+    texp, A, f = end.hom.target_expansion, end.module.algebra, end.field
+    out = [f.zero()] * len(index)
+    for g, terms in inner.items():
+        acc = {}
+        for c, (h, m) in terms:
+            for x, e in outer[h]:
+                for tgt, y in texp.act_element(e, A.mono_poly(m)).items():
+                    acc[tgt] = acc.get(tgt, f.zero()) + c * x * y
+        for tgt, v in acc.items():
+            out[index[g, tgt]] = f.reduce(v)
+    return out
+
+
+@st.composite
+def end_modules(draw):
+    """Free modules of three kinds: shifted sums of molecule models; plain
+    presentations over H*(S^d) of x-chains e_j → e_{j-1}·x and pairs
+    D(v) = u·c (+ w·x); over ∧(a₃, b₃), where b·a = −a·b, three parts 3
+    degrees apart, so that maps compose through a·b and b·a, each R, the
+    pair D(f) = e·αa or the square D(f) = e·αa, D(g) = e·βb,
+    D(h) = f·γb + g·δa, where δ = αγ/β makes D²(h) = (αγ − βδ)·e·ab vanish."""
+    field = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
+    kind = draw(st.sampled_from(["molecules", "plain", "exterior"]))
+    unit = lambda: field.from_int(draw(st.sampled_from([1, -1, 2]))) or field.one()
+    count = draw(st.integers(1, 3))
+    if kind == "molecules":
+        d = draw(st.integers(2, 5))
+        return direct_sum([shift(molecule_model(MoleculeId(d, draw(st.integers(0, 4)),
+                                                           draw(st.integers(0, 2))),
+                                                field, verify=False), draw(st.integers(-3, 3)))
+                           for _ in range(count)])
+    if kind == "plain":
+        d = draw(st.integers(2, 5))
+        A, gens, diff = sphere(d, field), [], {}
+        for i in range(count):
+            n = draw(st.integers(-3, 4))
+            if draw(st.booleans()):
+                chain = [(f"c{i}e{j}", n + j * (d - 1)) for j in range(draw(st.integers(1, 3)))]
+                for (top, _), (low, _) in zip(chain[1:], chain):
+                    diff[top] = {low: {(1,): unit()}}
+                gens += chain
+            else:
+                gens += [(f"p{i}u", n), (f"p{i}v", n - 1)]
+                diff[f"p{i}v"] = {f"p{i}u": {(0,): unit()}}
+                if draw(st.booleans()):
+                    gens.append((f"p{i}w", n - d))
+                    diff[f"p{i}v"][f"p{i}w"] = {(1,): unit()}
+        return DGModulePresentation.free(A, gens, diff)
+    A = DGAlgebraPresentation(field, [Generator("a", 3, "exterior"),
+                                      Generator("b", 3, "exterior")])
+    a, b = (1, 0), (0, 1)
+    parts, base = [], draw(st.integers(-3, 3))
+    for i in range(3):
+        size = draw(st.sampled_from([1, 2, 4]))
+        alpha, beta, gamma = unit(), unit(), unit()
+        gens = [("e", 0), ("f", 2), ("g", 2), ("h", 4)][:size]
+        diff = {"f": {"e": {a: alpha}}} if size > 1 else {}
+        if size == 4:
+            diff["g"] = {"e": {b: beta}}
+            diff["h"] = {"f": {b: gamma}, "g": {a: field.reduce(alpha * gamma * field.inv(beta))}}
+        parts.append(shift(DGModulePresentation.free(A, gens, diff), base + 3 * i))
+    return direct_sum(parts)
+
+
+@settings(deadline=None, max_examples=80)
+@given(end_modules())
+def test_end_structure_agrees_with_composition_through_the_action(module):
+    # the structure constants of H^0(End M) from one monomial product per
+    # pair of terms equal those from acting on each element in turn
+    end = EndomorphismH0(module)
+    fast = end.structure()
+    end._compose = lambda outer, inner, index: composed_by_action(end, outer, inner, index)
+    assert fast == end.structure()
+
+
 def test_two_free_summands_split_into_one_pair_of_an_infinite_family():
     # End(Z_0 ⊕ Z_0) = M_2(Q): the answer is one complementary pair, not a
     # list of all idempotents, which form an infinite family over Q

@@ -14,10 +14,11 @@ from dglevels import rational, resolve, spheres
 from dglevels.algebra import DGAlgebraPresentation
 from dglevels.cli import main
 from dglevels import field as field_module
-from dglevels.errors import PresentationError, VerificationFailed
+from dglevels.errors import AlgebraMismatch, PresentationError, VerificationFailed
 from dglevels.field import GF2, GF3, GF5, QQ, rank, rank_and_kernel, row_reduce
-from dglevels.graded import DegreeWindow
-from dglevels.module import DGModulePresentation, cone, direct_sum, hom_complex, shift
+from dglevels.graded import DegreeWindow, cohomology
+from dglevels.module import (DGModulePresentation, block_sum, cone, direct_sum, hom_complex,
+                             shift)
 from dglevels.rational import build_P_tower, tower_level_bounds
 from dglevels.spheres import (MoleculeId, SphereModule, bundle_level, decompose_module,
                               molecule_model, sphere_level)
@@ -260,7 +261,12 @@ def test_level_pipelines_decompose_blocks(monkeypatch):
     assert not hasattr(spheres, "koszul_resolution_poly")
     assert tower_level_bounds(tower).value == 4
     assert bundle_level([4, 6, 8], True, QQ)[0] == 2
-    assert [type(module) for module in seen] == [SphereModule, SphereModule]
+    # a shifted sum of molecule models stays in block form: no split, and no
+    # algebra built to compare the summands
+    models = [shift(molecule_model(MoleculeId(4, l, m), QQ, verify=False), k)
+              for l, m, k in ((3, 1, 2), (0, 2, -5), (6, 0, 0))]
+    assert sphere_level(direct_sum(models), 4).value == 3
+    assert [type(module) for module in seen] == [SphereModule] * 3
     assert all("differential" not in module.__dict__ for module in seen)
     assert built == [(4, QQ, ["ρ", "w0", "w1"]), (4, QQ, ["a1", "a2", "a3"])]
 
@@ -292,6 +298,36 @@ def test_decompose_module_respects_direct_sum(field, d, first, second, pieces, s
     assert total.molecules == tuple(sorted(decs[0].molecules + decs[1].molecules,
                                            key=lambda mol: (mol.m, mol.l)))
     assert total.level() == max(dec.level() for dec in decs)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([QQ, GF2, GF3, GF5]), st.integers(2, 6), STRINGS, PIECES, STRINGS,
+       st.integers(0, 2**32 - 1), st.integers(-7, 7))
+def test_block_shift_and_sum_are_the_generic_block_sum(field, d, first, pieces, second, seed, k):
+    # Σ^k M and M ⊕ Σ^k N of SphereModules are SphereModules whose blocks and
+    # JSON are those of the generic block sum of the same parts, split again
+    M = planted_module(field, d, first, pieces, seed)
+    N = planted_module(field, d, second, (), seed + 1)
+    for built, parts in ((shift(M, k), [(M, "", -k)]),
+                         (direct_sum([M, shift(N, k)]), [(M, "0·", 0), (N, "1·", -k)])):
+        generic = block_sum(parts)
+        split = SphereModule.from_presentation(generic, d)
+        assert type(built) is SphereModule
+        assert (built.generators, built.delta, built.phi) == \
+            (split.generators, split.delta, split.phi)
+        assert built.to_json() == split.to_json() == generic.to_json()
+
+
+def test_sphere_modules_over_different_spheres_or_fields_keep_the_generic_sum():
+    # a SphereModule summed with a plain presentation over the same algebra
+    # is summed as presentations; different spheres or fields do not sum
+    mol = molecule_model(MoleculeId(4, 0, 1))
+    plain = DGModulePresentation.free(mol.algebra, mol.generators, mol.differential)
+    assert type(direct_sum([mol, plain])) is DGModulePresentation
+    for parts in ([molecule_model(MoleculeId(3, 0, 1)), mol],
+                  [mol, molecule_model(MoleculeId(4, 0, 1), GF3)]):
+        with pytest.raises(AlgebraMismatch, match="direct summands live over different"):
+            direct_sum(parts)
 
 
 # -- the engine against the rank formula ------------------------------------------------
@@ -359,6 +395,26 @@ def test_a_wrong_pivot_kernel_fails_the_fill_check(monkeypatch):
 # -- the level axioms on cones ------------------------------------------------------------
 
 
+def induced_rank(f_map, M, N):
+    """rank H(f) summed over degrees: f on the cocycle representatives of M,
+    counted modulo the coboundaries of N."""
+    A, field = M.algebra, M.field
+    em, en = M.expand(M.default_window()), N.expand(N.default_window())
+    total = 0
+    for n, reps in cohomology(em.complex)[1].items():
+        images = []
+        for v in reps:
+            w = [field.zero()] * en.complex.dim(n)
+            for c, (g, m) in zip(v, em.elements[n]):
+                for h, poly in f_map.get(g, {}).items() if c else ():
+                    for mono, x in A.poly_mul(poly, A.mono_poly(m)).items():
+                        w[en.pos[h, mono][1]] += c * x
+            images.append([field.reduce(x) for x in w])
+        B = en.complex.coboundaries(n)
+        total += rank(B + images, field) - rank(B, field)
+    return total
+
+
 MOLECULES = st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4)), min_size=1, max_size=2)
 
 
@@ -390,9 +446,14 @@ def test_cones_keep_the_triangle_inequalities(field, d, source, target, moves, s
             if x:
                 poly = f_map.setdefault(g, {}).setdefault(h, {})
                 poly[mono] = field.reduce(poly.get(mono, 0) + c * x)
-    levels = [sphere_level(X, d).value for X in (M, N, cone(f_map, M, N))]
+    results = [sphere_level(X, d) for X in (M, N, cone(f_map, M, N))]
+    levels = [r.value for r in results]
     for i in range(3):
         assert levels[i] <= levels[i - 1] + levels[i - 2]
+    # the long exact sequence: dim H(C) = dim H(M) + dim H(N) − 2·rank H(f),
+    # each dim H two classes per molecule the engine found
+    dims = [2 * len(r.decomposition.molecules) for r in results]
+    assert dims[2] == dims[0] + dims[1] - 2 * induced_rank(f_map, M, N)
     # on the same draws: level(Σ^k M) = level(M), level(M ⊕ N) = max
     assert sphere_level(shift(M, rng.randint(-7, 7)), d).value == levels[0]
     assert sphere_level(direct_sum([M, N]), d).value == max(levels[:2])
