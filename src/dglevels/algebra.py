@@ -331,11 +331,18 @@ class DGAlgebraPresentation:
         return terms
 
     def poly_from_json(self, terms):
+        """{monomial: scalar} from [coefficient, {label: exponent}] terms; an
+        exponent is an int (a bool is none) ≥ 0, and ≤ 1 on an exterior generator."""
         poly = {}
         for coeff, exp in terms:
             mono = [0] * self.n
             for label, e in exp.items():
-                mono[self.index[label]] = int(e)
+                i = self.index[label]
+                if type(e) is not int or e < 0:
+                    raise PresentationError(f"exponent {e!r} of {label!r} is no integer ≥ 0")
+                if e > 1 and self.generators[i].kind == EXTERIOR:
+                    raise PresentationError(f"exponent {e} of exterior {label!r} exceeds 1")
+                mono[i] = e
             poly[tuple(mono)] = self.field.scalar_from_json(coeff)
         return self.normalize_poly(poly)
 

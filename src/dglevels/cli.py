@@ -251,7 +251,9 @@ def cmd_hopf(args):
     def model(data):
         target = DGAlgebraPresentation.from_json(data["target"])
         gen = target.poly_from_json(data["generator"]) if args.generator == "file" else "auto"
-        return (target, int(data.get("d", args.d or 4)),
+        if type(d := data.get("d", args.d or 4)) is not int:
+            raise PresentationError(f"sphere dimension {d!r} is no integer")
+        return (target, d,
                 target.poly_from_json(data.get("gx", [])),
                 target.poly_from_json(data.get("gxi", [])), gen)
 

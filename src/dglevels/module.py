@@ -4,12 +4,11 @@ Two flavors share one class.  A *free* module is presented by finitely many
 generators and a differential D(g) = Σ h·a_h with algebra coefficients on the
 right (unspecified modules are right modules); D² = 0 and the right-module
 Leibniz rule are enforced symbolically at construction, and block sums of
-checked modules (`block_sum`: shifts, direct sums, shifted Koszul sums)
-inherit them without a recheck; shifts and sums of SphereModules over one
-H*(S^d) and field stay SphereModules, checked by their constructor.  A *raw*
-module is a finite cochain complex together with a right action matrix for
-every algebra generator (the fallback for cohomology-level inputs such as
-H*(S^7) over H*(S^4)).
+checked modules (`block_sum`: shifts, direct sums, shifted Koszul sums, and
+SphereModules over one H*(S^d) and field as one) inherit them without a
+recheck.  A *raw* module is a finite cochain complex together with a right
+action matrix for every algebra generator (the fallback for cohomology-level
+inputs such as H*(S^7) over H*(S^4)).
 
 A free module truncated at T (``truncation_degree``) holds every generator
 in degrees below T, and the whole differential of every generator below
@@ -452,32 +451,54 @@ def block_sum(parts) -> DGModulePresentation:
     """Block sum of checked free modules over the algebra of the first.
 
     Each part is (module, label prefix, degree offset): generator g of degree
-    n becomes prefix + g in degree n + offset, and its differential, in
-    generator order, is relabelled the same way and scaled by (-1)^offset, the
-    sign that keeps the Leibniz rule.  The truncation degree is the lowest part
-    truncation moved by its offset.  On each block D² is the part's D²,
-    relabelled, and a uniform offset keeps every term homogeneous, so the
-    parts' checks cover the sum: it is built without the constructor, and
-    only its labels are checked.
+    n becomes prefix + g in degree n + offset, and its differential is scaled
+    by (-1)^offset, the sign that keeps the Leibniz rule.  SphereModules over
+    one H*(S^d) and field sum to one, each degree's δ₀ and Φ columns the
+    parts' in part order with each row moved past the earlier parts'
+    generators; else the differential is relabelled in generator order and
+    the truncation is the parts' lowest, moved by its offset.  On each block
+    D² is the part's D², relabelled, and a uniform offset keeps every term
+    homogeneous, so the parts' checks cover the sum: it is built without a
+    constructor, and only its labels are checked.
     """
+    from .spheres import SphereModule
+
     first = parts[0][0]
     reduce = first.field.reduce
-    gens, diff, truncs = [], {}, []
-    for m, pre, offset in parts:
-        for label, deg in m.generators:
-            gens.append((pre + label, deg + offset))
-            if terms := m.differential.get(label):
-                diff[pre + label] = {pre + t: p if offset % 2 == 0 else
-                                     {mono: reduce(-c) for mono, c in p.items()}
-                                     for t, p in terms.items()}
-        if m.truncation_degree is not None:
-            truncs.append(m.truncation_degree + offset)
-    out = DGModulePresentation.__new__(DGModulePresentation)
-    out.algebra, out.field, out.complex, out.actions = first.algebra, first.field, None, None
-    out.generators, out.gen_degree, out.differential = tuple(gens), dict(gens), diff
-    if len(out.gen_degree) != len(gens):
+    blocks = all(isinstance(m, SphereModule) and (m.d, m.field) == (first.d, first.field)
+                 for m, _, _ in parts)
+    cls = SphereModule if blocks else DGModulePresentation
+    out = cls.__new__(cls)
+    out.field, out.generators = first.field, tuple(
+        (pre + label, deg + offset) for m, pre, offset in parts for label, deg in m.generators)
+    out.gen_degree = dict(out.generators)
+    if len(out.gen_degree) != len(out.generators):
         raise PresentationError("duplicate module generator labels")
-    out.truncation_degree = min(truncs, default=None)
+    if blocks:
+        out.d, out.labels, out.delta, out.phi = first.d, {}, {}, {}
+        for label, deg in out.generators:
+            out.labels.setdefault(deg, []).append(label)
+        before = {}                 # degree -> generators of the parts summed so far
+        for m, _, offset in parts:
+            sign = -1 if offset % 2 else 1
+            for block, part, step in ((out.delta, m.delta, 1), (out.phi, m.phi, 1 - m.d)):
+                for deg, cols in part.items():
+                    n = deg + offset
+                    at, row = before.get(n, 0), before.get(n + step, 0)
+                    block.setdefault(n, [[] for _ in out.labels[n]])[at:at + len(cols)] = \
+                        [[(row + i, reduce(sign * c)) for i, c in col] for col in cols]
+            for deg, labels in m.labels.items():
+                before[deg + offset] = before.get(deg + offset, 0) + len(labels)
+        return out
+    out.algebra, out.complex, out.actions, out.differential = first.algebra, None, None, {}
+    out.truncation_degree = min((m.truncation_degree + offset for m, _, offset in parts
+                                 if m.truncation_degree is not None), default=None)
+    for m, pre, offset in parts:
+        for label, _ in m.generators:
+            if terms := m.differential.get(label):
+                out.differential[pre + label] = {
+                    pre + t: p if offset % 2 == 0 else {mono: reduce(-c) for mono, c in p.items()}
+                    for t, p in terms.items()}
     return out
 
 
@@ -490,52 +511,30 @@ def _common_algebra(modules, what):
     return base
 
 
-def _sphere_sum(parts):
-    """The block sum as a SphereModule when every part is one over the same
-    H*(S^d) and field, else None: the parts' δ₀ and Φ columns re-indexed into
-    the sum and scaled by (-1)^offset, checked by the constructor."""
-    from .spheres import SphereModule
-
-    first = parts[0][0]
-    if not all(isinstance(m, SphereModule) and m.d == first.d and m.field == first.field
-               for m, _, _ in parts):
-        return None
-    gens, blocks = [], ({}, {})
-    for m, pre, offset in parts:
-        at = {}                 # degree -> indices in the sum of the part's generators
-        for label, deg in m.generators:
-            at.setdefault(deg, []).append(len(gens))
-            gens.append((pre + label, deg + offset))
-        sign = -1 if offset % 2 else 1
-        for out, block, step in zip(blocks, (m.delta, m.phi), (1, 1 - m.d)):
-            for deg, cols in block.items():
-                out.update((j, {at[deg + step][i]: sign * c for i, c in col})
-                           for j, col in zip(at[deg], cols) if col)
-    return SphereModule(first.d, first.field, gens, *blocks)
-
-
 def shift(module: DGModulePresentation, k: int) -> DGModulePresentation:
     """Σ^k of a free module: generator degrees drop by k, differential picks up (-1)^k."""
     if not module.is_free:
         raise SourceNotFree("shift handles free presentations")
-    parts = [(module, "", -k)]
-    return _sphere_sum(parts) or block_sum(parts)
+    return block_sum([(module, "", -k)])
 
 
 def direct_sum(modules) -> DGModulePresentation:
-    """Block sum of free modules over one algebra."""
+    """Block sum of free modules over one algebra, compared unless all are
+    SphereModules over one d and field, whose algebra is then never built."""
+    from .spheres import SphereModule
+
     modules = list(modules)
     if not modules:
         raise AlgebraMismatch("an empty direct sum has no algebra")
-    parts = [(m, f"{i}·", 0) for i, m in enumerate(modules)]
-    if len(modules) > 1 and (out := _sphere_sum(parts)):
-        return out
-    _common_algebra(modules, "direct summands")
+    first = modules[0]
+    if not all(isinstance(m, SphereModule) and (m.d, m.field) == (first.d, first.field)
+               for m in modules):
+        _common_algebra(modules, "direct summands")
     if len(modules) == 1:
-        return modules[0]
+        return first
     if not all(m.is_free for m in modules):
         raise SourceNotFree("direct_sum currently handles free presentations")
-    return block_sum(parts)
+    return block_sum([(m, f"{i}·", 0) for i, m in enumerate(modules)])
 
 
 def cone(f_map, source: DGModulePresentation, target: DGModulePresentation):

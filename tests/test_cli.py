@@ -852,6 +852,59 @@ def test_a_json_boolean_coefficient_is_refused(tmp_path, flavor):
     assert error["message"].startswith("cannot read") and "True" in error["message"]
 
 
+EXPONENT_ERRORS = [
+    (1.5, 3, "exponent 1.5 of 'x4' is no integer ≥ 0"),
+    ("1", 3, "exponent '1' of 'x4' is no integer ≥ 0"),
+    (True, 3, "exponent True of 'x4' is no integer ≥ 0"),
+    (-1, 3, "exponent -1 of 'x4' is no integer ≥ 0"),
+    (2, 7, "exponent 2 of exterior 'x4' exceeds 1"),
+]
+
+
+@pytest.mark.parametrize("exponent, degree, message", EXPONENT_ERRORS,
+                         ids=["float", "string", "bool", "negative", "exterior-square"])
+def test_module_files_refuse_an_exponent_outside_the_algebra(tmp_path, exponent, degree,
+                                                             message):
+    # D(b) = a·x4^e with b in the degree x4^e asks for: the first four once
+    # read as e = 1 or as a term of degree -4, and x4² (zero in H*(S^4)) once
+    # acted as zero for split and failed level on a degree count
+    payload = {"algebra": {"field": "q", "generators": [["x4", 4, "exterior"]],
+                           "differential": {}},
+               "generators": [["a", 0], ["b", degree]],
+               "differential": {"b": {"a": [["1/1", {"x4": exponent}]]}}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for argv in (["level", "--d", "4", "--module", str(path)], ["split", "--module", str(path)]):
+        code, out = run_captured(argv)
+        assert code == 1 and json.loads(out)["error"] == {"code": "invalid-presentation",
+                                                          "message": message}, argv[0]
+
+
+@pytest.mark.parametrize("key, exponent, message", [
+    ("gx", 1.5, "exponent 1.5 of 'x' is no integer ≥ 0"),
+    ("gxi", 2, "exponent 2 of exterior 'ξ' exceeds 1"),
+], ids=["float", "exterior-square"])
+def test_hopf_refuses_an_exponent_outside_the_algebra(tmp_path, key, exponent, message):
+    path = tmp_path / "model.json"
+    (label, _), = HOPF_MODEL[key][0][1].items()
+    path.write_text(json.dumps(dict(HOPF_MODEL, **{key: [["1/1", {label: exponent}]]})),
+                    encoding="utf-8")
+    code, out = run_captured(["hopf", "--model", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "invalid-presentation", "message": message}
+
+
+@pytest.mark.parametrize("d", [4.5, "4", True], ids=["float", "string", "bool"])
+def test_hopf_refuses_a_sphere_dimension_that_is_no_integer(tmp_path, d):
+    # 4.5 and "4" once read as d = 4, and true as d = 1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(HOPF_MODEL, d=d)), encoding="utf-8")
+    code, out = run_captured(["hopf", "--model", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "invalid-presentation",
+                                        "message": f"sphere dimension {d!r} is no integer"}
+
+
 @pytest.mark.parametrize("field", ["zz", "f4"])
 def test_decompose_refuses_an_unknown_field(field):
     code, out = run_captured(["decompose", "--d", "4", "--field", field, "--dims", "0:1,4:1"])

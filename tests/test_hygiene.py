@@ -36,10 +36,12 @@ passes its ``args`` to (such as ``_window`` or ``_report``).
 
 One unchecked construction: ``__new__`` makes an object without running
 ``__init__``, so a module made that way skips the constructor's checks.  Only
-``module.block_sum``, whose parts are checked modules, does so.  A subclass
-of ``DGModulePresentation`` with its own ``__init__`` skips them as well; the
-one such class is ``spheres.SphereModule``, whose ``__init__`` runs its block
-check ``_check`` in their place.
+``module.block_sum``, whose parts are checked modules, does so, and it builds
+both forms of a free module that way: a ``DGModulePresentation``, and a
+``spheres.SphereModule`` when every part is one over the same H*(S^d) and
+field.  A subclass of ``DGModulePresentation`` with its own ``__init__``
+skips them as well; the one such class is ``SphereModule``, whose
+``__init__`` runs its block check ``_check`` in their place.
 
 One place for the resolution rules: inside the package only
 ``resolve._resolve`` calls the bar builder ``_bar`` and the Koszul builder

@@ -304,17 +304,23 @@ def test_decompose_module_respects_direct_sum(field, d, first, second, pieces, s
 @given(st.sampled_from([QQ, GF2, GF3, GF5]), st.integers(2, 6), STRINGS, PIECES, STRINGS,
        st.integers(0, 2**32 - 1), st.integers(-7, 7))
 def test_block_shift_and_sum_are_the_generic_block_sum(field, d, first, pieces, second, seed, k):
-    # Σ^k M and M ⊕ Σ^k N of SphereModules are SphereModules whose blocks and
-    # JSON are those of the generic block sum of the same parts, split again
+    # Σ^k M, M ⊕ Σ^k N and N ⊕ Σ^k M ⊕ Σ^{2k+1} N of SphereModules are
+    # SphereModules whose blocks and JSON are those of the block sum of plain
+    # presentations of the same parts, split again by the constructor
     M = planted_module(field, d, first, pieces, seed)
     N = planted_module(field, d, second, (), seed + 1)
+    plain = {X: DGModulePresentation.free(X.algebra, X.generators, X.differential)
+             for X in (M, N)}
     for built, parts in ((shift(M, k), [(M, "", -k)]),
-                         (direct_sum([M, shift(N, k)]), [(M, "0·", 0), (N, "1·", -k)])):
-        generic = block_sum(parts)
+                         (direct_sum([M, shift(N, k)]), [(M, "0·", 0), (N, "1·", -k)]),
+                         (direct_sum([N, shift(M, k), shift(N, 2 * k + 1)]),
+                          [(N, "0·", 0), (M, "1·", -k), (N, "2·", -2 * k - 1)])):
+        generic = block_sum([(plain[X], pre, offset) for X, pre, offset in parts])
+        assert type(generic) is DGModulePresentation
         split = SphereModule.from_presentation(generic, d)
         assert type(built) is SphereModule
-        assert (built.generators, built.delta, built.phi) == \
-            (split.generators, split.delta, split.phi)
+        assert (built.generators, built.labels, built.delta, built.phi) == \
+            (split.generators, split.labels, split.delta, split.phi)
         assert built.to_json() == split.to_json() == generic.to_json()
 
 
