@@ -251,7 +251,7 @@ def cmd_hopf(args):
     def model(data):
         target = DGAlgebraPresentation.from_json(data["target"])
         gen = target.poly_from_json(data["generator"]) if args.generator == "file" else "auto"
-        if type(d := data.get("d", args.d or 4)) is not int:
+        if type(d := data.get("d", 4 if args.d is None else args.d)) is not int:
             raise PresentationError(f"sphere dimension {d!r} is no integer")
         return (target, d,
                 target.poly_from_json(data.get("gx", [])),

@@ -12,9 +12,14 @@ Row reduction over the rationals clears each row's denominators once and
 eliminates on plain ints, dividing every combined row by its content (gcd)
 to keep the entries small; Fractions appear only in the returned RREF.
 Over F_p it eliminates on residues and touches only the pivot row's nonzero
-columns.  ``pivot_columns`` (and ``rank``, their count) clears only below
-each pivot and ``rank_and_kernel`` reads its kernel off the integer pivot
-rows, so neither builds the Fraction RREF.
+columns.  ``rank_and_kernel`` reads its kernel off the integer pivot rows,
+so it builds no Fraction RREF.
+
+Pivots and ranks come from one forward elimination on sparse vectors,
+``echelon_leads``: it returns the leading indices of an echelon basis of
+the span.  Given the rows of a matrix these are its pivot columns
+(``pivot_columns``); given its columns, as a complex stores its
+differential, their count is its rank.
 """
 
 from __future__ import annotations
@@ -147,18 +152,23 @@ _EXACT = (frozenset((int,)), frozenset((int, Fraction)))    # entry types F_p / 
 _ZERO = Fraction(0)
 
 
+def _check_scalar(x, field):
+    """Reject x unless it is an int or, over Q, a Fraction (over F_p an
+    integral one)."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)) \
+            or field.p and x.denominator != 1:
+        kind = f"a mod-{field.p} residue" if field.p else "a rational scalar"
+        raise FieldMismatch(f"entry {x!r} is not {kind}")
+
+
 def _validate_entries(rows, field):
     """Reject entries that are no scalars: a row of exact ints (and Fractions
     over Q) passes on its types alone, any other row entry by entry."""
     exact = _EXACT[field.p == 0]
     for row in rows:
-        if exact.issuperset(map(type, row)):
-            continue
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, Fraction)) \
-                    or field.p and x.denominator != 1:
-                kind = f"a mod-{field.p} residue" if field.p else "a rational scalar"
-                raise FieldMismatch(f"entry {x!r} is not {kind}")
+        if not exact.issuperset(map(type, row)):
+            for x in row:
+                _check_scalar(x, field)
 
 
 def integer_row(row):
@@ -172,13 +182,11 @@ def integer_row(row):
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _eliminate_rational(rows, full=True):
+def _eliminate_rational(rows):
     """Elimination on integer rows: ``a·row − f·pivot_row``, then the row is
     divided by its content.  Rows only ever change by nonzero rational
     multiples of row operations, so dividing each pivot row by its pivot
-    gives the unique RREF.  Returns (pivot rows, pivot columns); with
-    ``full`` false only the rows below each pivot are cleared, which is
-    enough for the pivot columns."""
+    gives the unique RREF.  Returns (pivot rows, pivot columns)."""
     m = [integer_row(row) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -197,7 +205,7 @@ def _eliminate_rational(rows, full=True):
             piv = m[r] = [x // g for x in piv]
         a = piv[c]
         nz = [j for j in range(c, ncols) if piv[j]]
-        for i in range(0 if full else r + 1, nrows):
+        for i in range(nrows):
             row = m[i]
             f = row[c]
             if not f or i == r:
@@ -221,10 +229,9 @@ def _eliminate_rational(rows, full=True):
     return m[:r], pivots
 
 
-def _rref_mod_p(rows, p, full=True):
+def _rref_mod_p(rows, p):
     """Gauss-Jordan mod p; each elimination touches only the nonzero columns
-    of the pivot row.  With ``full`` false only the rows below each pivot
-    are cleared."""
+    of the pivot row."""
     m = [[int(x) % p for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -243,7 +250,7 @@ def _rref_mod_p(rows, p, full=True):
             inv = pow(piv[c], -1, p)
             for j in nz:
                 piv[j] = piv[j] * inv % p
-        for i in range(0 if full else r + 1, nrows):
+        for i in range(nrows):
             row = m[i]
             f = row[c]
             if not f or i == r:
@@ -303,18 +310,80 @@ def rank_and_kernel(rows, field: FieldTag):
     return len(pivots), basis
 
 
+def echelon_leads(vectors, field: FieldTag) -> list:
+    """The leading indices, ascending, of an echelon basis of the span of
+    sparse vectors, each an iterable of (index, scalar) pairs with distinct
+    indices: the indices at which some vector of the span starts.
+
+    Each vector is reduced by the basis vector at its leading index until
+    its leading index is new (it joins the basis) or nothing is left.
+    Entries are checked as `_validate_entries` checks them.  Over F_p an
+    entry is read as int(x) mod p and basis vectors are scaled to lead 1;
+    over Q each vector is cleared of denominators once and eliminated on
+    ints as `_eliminate_rational` does: ``a·v − f·b``, divided by its
+    content when a does not divide f."""
+    p = field.p
+    basis = {}                  # leading index -> {index: int}
+    for vec in vectors:
+        v = {}
+        if p:
+            for i, x in vec:
+                if type(x) is not int:
+                    _check_scalar(x, field)
+                    x = int(x)
+                if r := x % p:
+                    v[i] = r
+        else:
+            for i, x in vec:
+                if type(x) is not Fraction and type(x) is not int:
+                    _check_scalar(x, field)
+                if x:
+                    v[i] = x
+            v = dict(zip(v, integer_row(v.values())))
+        while v:
+            lead = min(v)
+            b = basis.get(lead)
+            if b is None:
+                if p:
+                    inv = pow(v[lead], -1, p)
+                    basis[lead] = {i: x * inv % p for i, x in v.items()}
+                else:
+                    g = gcd(*v.values())
+                    basis[lead] = {i: x // g for i, x in v.items()} if g > 1 else v
+                break
+            f = v[lead]
+            if p:
+                for i, x in b.items():
+                    if y := (v.get(i, 0) - f * x) % p:
+                        v[i] = y
+                    else:
+                        v.pop(i, None)
+                continue
+            a = b[lead]
+            scaled = f % a
+            if scaled:
+                g = gcd(a, f)
+                s, f = a // g, f // g
+                v = {i: s * x for i, x in v.items()}
+            else:
+                f //= a
+            for i, x in b.items():
+                if y := v.get(i, 0) - f * x:
+                    v[i] = y
+                else:
+                    v.pop(i, None)
+            if scaled and v and (g := gcd(*v.values())) > 1:
+                v = {i: x // g for i, x in v.items()}
+    return sorted(basis)
+
+
 def pivot_columns(rows, field: FieldTag) -> list:
-    """The columns independent of those before them, by forward elimination
-    alone: no RREF and no Fractions."""
+    """The columns independent of those before them: the leading indices of
+    the rows' echelon basis (`echelon_leads`), with no RREF and no
+    Fractions."""
     if not rows or not rows[0]:
         return []
-    _validate_entries(rows, field)
-    return (_rref_mod_p(rows, field.p, False) if field.p else _eliminate_rational(rows, False))[1]
-
-
-def rank(rows, field: FieldTag) -> int:
-    """The number of pivot columns."""
-    return len(pivot_columns(rows, field))
+    return echelon_leads(map(enumerate, rows), field)
 
 
 def solve(rows, rhs, field: FieldTag):

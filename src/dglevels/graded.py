@@ -11,13 +11,18 @@ are made elsewhere as explicit verdicts, never by silent truncation.
 Every complex expanded from a presentation (an algebra, a free module, a
 Hom complex, a derived tensor product) is built by :func:`assemble` from an
 ordered basis per degree, its labels, and a column rule that lists d(e) as
-(target, scalar) pairs.  ``CochainComplex.column`` reads d(e) back sparsely.
+(target, scalar) pairs.  A complex stores each differential as these sparse
+columns, ``cols[n][j]`` the nonzero (row, scalar) pairs of d(e_j), and the
+d∘d check, ``CochainComplex.column`` and :func:`cohomology_dims` read them
+directly.  The dense matrices, ``differential`` and ``matrix(n)``, are a
+view built on first read and kept, for kernels, coboundaries and JSON.
 
 Cohomology is read only in certified degrees, which form one range,
 ``CochainComplex.certified``, found once per call.  It comes two ways.
 :func:`cohomology_dims` gives dimensions only, dim C^n - rank d^n -
-rank d^{n-1}, ranking each differential once by forward elimination; use it
-whenever only the numbers are read (Tor, module cohomology).
+rank d^{n-1}, ranking each differential once by forward elimination on its
+stored columns (`field.echelon_leads`); use it whenever only the numbers
+are read (Tor, module cohomology).
 :func:`cohomology` also returns cocycle representatives, at the price of a
 kernel basis and a second reduction per degree; use it only where the
 classes themselves are used (H^0 of an endomorphism complex, reading a class
@@ -27,11 +32,13 @@ off a chosen basis).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from math import inf
+from fractions import Fraction
+from functools import cache, cached_property
+from math import gcd, inf
 
 from .errors import PresentationError
-from .field import FieldTag, integer_row, pivot_columns, rank, rank_and_kernel
+from .field import (FieldTag, _validate_entries, echelon_leads, integer_row, pivot_columns,
+                    rank_and_kernel)
 
 
 @dataclass(frozen=True)
@@ -85,29 +92,38 @@ class GradedVectorSpace:
 class CochainComplex:
     """A graded space with a degree +1 differential, d composed with d = 0.
 
-    ``differential[n]`` maps degree n to degree n+1; entry [i][j] is the
-    coefficient of target basis element i in d(source basis element j).
-    The zero-squared condition is checked at construction for every degree
-    where both composable maps are known; a violation is a constructor error.
+    ``cols[n]`` holds d^n, from degree n to degree n+1, as columns:
+    ``cols[n][j]`` lists the nonzero (row, scalar) pairs of d(e_j), rows
+    ascending, and a map that is zero is absent.  The constructor takes
+    dense matrices, ``differential[n]`` with entry [i][j] the coefficient of
+    target basis element i in d(source basis element j), checks their shapes
+    and entries and stores their columns; :func:`assemble` builds columns
+    itself and sets them on a complex made with no maps.  ``differential``
+    and ``matrix(n)`` read the maps back densely, built on first read and
+    kept.  The zero-squared condition is checked at construction for every
+    degree where both composable maps are known; a violation is a
+    constructor error.
     """
 
     def __init__(self, space: GradedVectorSpace, differential, truncated_above=None,
                  truncated_below=None):
-        self.space = space
-        self.field = space.field
-        self.truncated_above = truncated_above
-        self.truncated_below = truncated_below
-        self.differential = {}
+        cols = {}
         for n, mat in differential.items():
             src, tgt = space.dim(n), space.dim(n + 1)
-            if self.field.is_zero_matrix(mat):
+            if space.field.is_zero_matrix(mat):
                 continue
             if len(mat) != tgt or any(len(row) != src for row in mat):
                 raise PresentationError(
                     f"differential at degree {n} has shape "
                     f"{len(mat)}x{len(mat[0]) if mat else 0}, expected {tgt}x{src}"
                 )
-            self.differential[n] = [list(row) for row in mat]
+            _validate_entries(mat, space.field)
+            cols[n] = [[(i, row[j]) for i, row in enumerate(mat) if row[j]] for j in range(src)]
+        self.space = space
+        self.field = space.field
+        self.truncated_above = truncated_above
+        self.truncated_below = truncated_below
+        self.cols = cols
         self._check_d_squared()
 
     # -- knowledge bookkeeping ----------------------------------------------
@@ -126,11 +142,22 @@ class CochainComplex:
     def dim(self, n: int) -> int:
         return self.space.dim(n)
 
+    @cached_property
+    def differential(self):
+        """The dense view: {n: d^n as a list of rows} for the stored maps."""
+        zero = self.field.zero()
+        dense = {}
+        for n, cols in self.cols.items():
+            mat = dense[n] = [[zero] * len(cols) for _ in range(self.space.dim(n + 1))]
+            for j, col in enumerate(cols):
+                for i, c in col:
+                    mat[i][j] = c
+        return dense
+
     def matrix(self, n: int):
-        src, tgt = self.space.dim(n), self.space.dim(n + 1)
         mat = self.differential.get(n)
         if mat is None:
-            return [[self.field.zero()] * src for _ in range(tgt)]
+            return [[self.field.zero()] * self.space.dim(n) for _ in range(self.space.dim(n + 1))]
         return mat
 
     def apply(self, n: int, vector):
@@ -138,10 +165,8 @@ class CochainComplex:
 
     def column(self, n: int, j: int):
         """d(e_j) for basis element j of degree n as sparse (row, scalar) pairs."""
-        mat = self.differential.get(n)
-        if mat is None:
-            return []
-        return [(i, row[j]) for i, row in enumerate(mat) if row[j]]
+        cols = self.cols.get(n)
+        return cols[j] if cols is not None else []
 
     def coboundaries(self, n: int):
         """The nonzero columns of d^{n-1}: vectors of degree n spanning B^n."""
@@ -152,25 +177,26 @@ class CochainComplex:
         return [col for col in cols if any(col)]
 
     def _check_d_squared(self):
-        """b∘a = 0 on each known pair: each column of a sums the sparse columns of b it hits."""
+        """b∘a = 0 on each known pair: each column of a sums the columns of b
+        it hits."""
         rational = self.field.p == 0
         reduce = self.field.reduce
         lo, hi = self.certified()
-        for n in list(self.differential):
+        for n, a in self.cols.items():
             # both maps are known when the degree between them is certified
-            if n + 1 not in self.differential or not lo <= n + 1 <= hi:
+            b = self.cols.get(n + 1)
+            if b is None or not lo <= n + 1 <= hi:
                 continue
-            a, b = self.differential[n], self.differential[n + 1]
-            # over Q each row of b and each column of a is made integral by a
-            # nonzero factor, which keeps the zero pattern of b∘a
-            b_cols = [[] for _ in range(len(a))]
-            for i, row in enumerate(b):
-                for k, x in _nonzero(row, rational):
-                    b_cols[k].append((i, x))
-            for j, col in enumerate(zip(*a)):
+            if rational:
+                # each row of b and each column of a is made integral by a
+                # nonzero factor, which keeps the zero pattern of b∘a
+                b = _integer_rows(b)
+            for j, col in enumerate(a):
+                if rational:
+                    col = zip([k for k, _ in col], integer_row([y for _, y in col]))
                 acc = {}
-                for k, y in _nonzero(col, rational):
-                    for i, x in b_cols[k]:
+                for k, y in col:
+                    for i, x in b[k]:
                         acc[i] = acc[i] + x * y if i in acc else x * y
                 if any(map(reduce, acc.values())):
                     raise PresentationError(
@@ -179,13 +205,17 @@ class CochainComplex:
                     )
 
 
-def _nonzero(entries, rational):
-    """(index, entry) for the nonzero entries, over Q scaled to plain ints by
-    the lcm of their denominators (`integer_row`; zeros add none)."""
-    nz = [(k, x) for k, x in enumerate(entries) if x]
-    if rational:
-        return zip([k for k, _ in nz], integer_row([x for _, x in nz]))
-    return nz
+def _integer_rows(cols):
+    """Rational columns with each row scaled to plain ints by the lcm of the
+    denominators in that row."""
+    den = {}
+    for col in cols:
+        for i, x in col:
+            if type(x) is Fraction and (q := x.denominator) != 1:
+                d = den.get(i, 1)
+                den[i] = d * q // gcd(d, q)
+    return [[(i, x.numerator * (den.get(i, 1) // x.denominator)) for i, x in col]
+            for col in cols]
 
 
 def assemble(field: FieldTag, elements, labels, column, truncated_above=None,
@@ -200,21 +230,27 @@ def assemble(field: FieldTag, elements, labels, column, truncated_above=None,
     """
     pos = {e: (n, j) for n, es in elements.items() for j, e in enumerate(es)}
     zero, reduce = field.zero(), field.reduce
-    diff = {}
+    cols = {}
     for n, es in elements.items():
-        tgt = elements.get(n + 1)
-        if not tgt:
+        if not elements.get(n + 1):
             continue
-        mat = None                  # allocated when the first entry lands
-        for j, e in enumerate(es):
+        out = []
+        for e in es:
+            acc = {}
             for t, c in column(n, e):
                 loc = pos.get(t)
                 if loc is not None and loc[0] == n + 1:
-                    if mat is None:
-                        mat = diff[n] = [[zero] * len(es) for _ in tgt]
-                    row = mat[loc[1]]
-                    row[j] = reduce(row[j] + c)
-    cx = CochainComplex(GradedVectorSpace(field, labels), diff, truncated_above, truncated_below)
+                    i = loc[1]
+                    acc[i] = acc[i] + c if i in acc else zero + c
+            col = [(i, r) for i, c in acc.items() if (r := reduce(c))]
+            if len(col) > 1:
+                col.sort()
+            out.append(col)
+        if any(out):
+            cols[n] = out
+    cx = CochainComplex(GradedVectorSpace(field, labels), {}, truncated_above, truncated_below)
+    cx.cols = cols
+    cx._check_d_squared()
     return cx, pos
 
 
@@ -257,7 +293,7 @@ def cohomology_dims(cx: CochainComplex, window: DegreeWindow | None = None):
     once."""
     @cache
     def rank_of(n):
-        return rank(cx.differential[n], cx.field) if n in cx.differential else 0
+        return len(echelon_leads(cx.cols[n], cx.field)) if n in cx.cols else 0
 
     dims = {}
     lo, hi = cx.certified(window)

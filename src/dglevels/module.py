@@ -105,7 +105,7 @@ class DGModulePresentation:
         """Raw, zero differential, zero action: a finite sum of shifts of K."""
         if self.is_free:
             return not self.generators
-        return not self.complex.differential and self._zero_action()
+        return not self.complex.cols and self._zero_action()
 
     def _zero_action(self) -> bool:
         """Every action matrix of a raw module is zero."""
@@ -168,8 +168,8 @@ class DGModulePresentation:
         for label in self.actions:
             if label not in A.index:
                 raise PresentationError(f"action for unknown algebra generator {label!r}")
-        for mat in (*self.complex.differential.values(),
-                    *(mat for mats in self.actions.values() for mat in mats.values())):
+        # the complex's entries were checked by its constructor
+        for mat in (mat for mats in self.actions.values() for mat in mats.values()):
             _validate_entries(mat, f)
         if not self._zero_action():
             if not A.has_zero_differential():

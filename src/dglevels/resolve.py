@@ -313,48 +313,53 @@ def _bar(module: DGModulePresentation, algebra: DGAlgebraPresentation, cutoff: i
     mexp = module.expand(reach.m_window)
     m_elems = [(e, n) for n in sorted(mexp.elements) for e in mexp.elements[n]]
     cutoff = cutoff if cutoff is not None else wcap
-    slot_basis = [(m, deg) for deg, monos in sorted(algebra.monomial_basis(wcap + 1).items())
-                  if deg for m in monos]
-    slot_degree = dict(slot_basis)
-    slot_label = {m: algebra.mono_label(m) for m in slot_degree}
+    # slot k is the k-th positive-degree basis monomial in tuple order, so
+    # words as tuples of slot indices sort as words of monomials do
+    slot_degree = {m: deg for deg, monos in algebra.monomial_basis(wcap + 1).items() if deg
+                   for m in monos}
+    slots = sorted(slot_degree)
+    slot_index = {m: k for k, m in enumerate(slots)}
+    slot_step = [(k, slot_degree[m] - 1, algebra.mono_label(m)) for k, m in enumerate(slots)]
     # decided once per call: over H*(S^d) every product of two slots is zero
     # (x·x = 0), so no word has an adjacent merge and that scan is skipped
-    merges = any(algebra.mono_mul(a, b) is not None for a in slot_degree for b in slot_degree)
+    merges = any(algebra.mono_mul(a, b) is not None for a in slots for b in slots)
     # likewise over a zero-differential algebra no slot has a differential
     slot_differentials = not algebra.has_zero_differential()
     gens, diff, gen_label = [], {}, {}
 
-    # enumerate words of degree <= wcap and bar length <= cutoff; (m, slots)
-    # is kept when its total degree is <= cap
-    stack = [((), 0)]
-    all_words = []
-    while stack:
-        slots, sdeg = stack.pop()
-        all_words.append((slots, sdeg))
-        if len(all_words) > BAR_WORD_BUDGET:
-            raise BudgetExceeded(
-                f"the bar resolution needs more than {BAR_WORD_BUDGET} bar words "
-                f"below degree {wcap + 1}")
-        if len(slots) >= cutoff:
-            continue
-        for mono, mdeg in slot_basis:
-            nd = sdeg + mdeg - 1
-            if nd <= wcap:
-                stack.append((slots + (mono,), nd))
-    all_words.sort(key=lambda w: (len(w[0]), w[0]))
-    word_label = {slots: "[" + "|".join(slot_label[s] for s in slots) + "]" if slots else ""
-                  for slots, _ in all_words}
+    # words of degree <= wcap and bar length <= cutoff, by length and then
+    # lexicographically: each (slots, eps, label) extends a word of the
+    # length before; eps[i] is the suspended degree of the first i slots, so
+    # eps[-1] is the word's degree and m·word has degree deg m + eps[-1]
+    level = [((), (0,), "")]
+    words = level[:]
+    for _ in range(cutoff):
+        longer = []
+        for word, eps, label in level:
+            stem = label[:-1] + "|" if word else "["
+            for k, step, slot_label in slot_step:
+                if (nd := eps[-1] + step) <= wcap:
+                    longer.append((word + (k,), eps + (nd,), stem + slot_label + "]"))
+            if len(words) + len(longer) > BAR_WORD_BUDGET:
+                raise BudgetExceeded(
+                    f"the bar resolution needs more than {BAR_WORD_BUDGET} bar words "
+                    f"below degree {wcap + 1}")
+        if not longer:
+            break
+        words.extend(longer)
+        level = longer
 
     for elem, mdeg in m_elems:
         mlabel = mexp.elem_label(elem)
-        for slots, sdeg in all_words:
-            if mdeg + sdeg <= cap:
-                gen_label[elem, slots] = lbl = mlabel + word_label[slots]
-                gens.append((lbl, mdeg + sdeg))
+        for word, eps, label in words:
+            if mdeg + eps[-1] <= cap:
+                gen_label[elem, word] = lbl = mlabel + label
+                gens.append((lbl, mdeg + eps[-1]))
 
     unit = algebra.unit_monomial()
     one = f.one()
     first_merge = {}        # (element, first slot) -> element · slot
+    merged = {}             # (slot, slot) -> (scalar, slot) of their product, or None
 
     def add(target_key, mono, c):
         """c·mono on the target into the current word's terms."""
@@ -366,43 +371,45 @@ def _bar(module: DGModulePresentation, algebra: DGAlgebraPresentation, cutoff: i
     for elem, mdeg in m_elems:
         d_elem = [(mexp.elements[mdeg + 1][i], c)
                   for i, c in mexp.complex.column(mdeg, mexp.pos[elem][1])]
-        for slots, sdeg in all_words:
-            if mdeg + sdeg > cap:
+        for word, eps, _ in words:
+            if mdeg + eps[-1] > cap:
                 continue
             terms = {}          # target label -> {monomial: scalar}, reduced by the module
-            eps = [mdeg]
-            for s in slots:
-                eps.append(eps[-1] + slot_degree[s] - 1)
+            # the sign of slot i reads the degree of m and the slots before it
+            odd = [(mdeg + e) % 2 for e in eps]
 
             # internal differential of m
             for tgt_elem, c in d_elem:
-                add((tgt_elem, slots), unit, c)
+                add((tgt_elem, word), unit, c)
             # internal differentials of the slots
-            for i, s in enumerate(slots if slot_differentials else ()):
-                for tm, c in algebra.mono_differential(s).items():
-                    add((elem, slots[:i] + (tm,) + slots[i + 1:]), unit,
-                        c if eps[i] % 2 else -c)
-            if slots:
+            for i, k in enumerate(word if slot_differentials else ()):
+                for tm, c in algebra.mono_differential(slots[k]).items():
+                    if (t := slot_index.get(tm)) is not None:
+                        add((elem, word[:i] + (t,) + word[i + 1:]), unit, c if odd[i] else -c)
+            if word:
                 # merge m with the first slot
-                key = (elem, slots[0])
+                key = (elem, word[0])
                 if key not in first_merge:
-                    first_merge[key] = mexp.act_element(elem, {slots[0]: one})
+                    first_merge[key] = mexp.act_element(elem, {slots[word[0]]: one})
                 for tgt_elem, c in first_merge[key].items():
-                    add((tgt_elem, slots[1:]), unit, -c if mdeg % 2 else c)
+                    add((tgt_elem, word[1:]), unit, -c if mdeg % 2 else c)
                 if merges:
                     # merge adjacent slots; the sign uses the prefix through the
                     # left slot (suspended degrees)
-                    for i in range(1, len(slots)):
-                        prod = algebra.mono_mul(slots[i - 1], slots[i])
-                        if prod is None:
-                            continue
-                        c, mono = prod
-                        add((elem, slots[:i - 1] + (mono,) + slots[i + 1:]), unit,
-                            -c if eps[i] % 2 else c)
+                    for i in range(1, len(word)):
+                        pair = word[i - 1:i + 1]
+                        if pair not in merged:
+                            prod = algebra.mono_mul(slots[pair[0]], slots[pair[1]])
+                            t = None if prod is None else slot_index.get(prod[1])
+                            merged[pair] = None if t is None else (prod[0], t)
+                        if merged[pair] is not None:
+                            c, t = merged[pair]
+                            add((elem, word[:i - 1] + (t,) + word[i + 1:]), unit,
+                                -c if odd[i] else c)
                 # last slot becomes an algebra coefficient
-                add((elem, slots[:-1]), slots[-1], one if eps[-2] % 2 else -one)
+                add((elem, word[:-1]), slots[word[-1]], one if odd[-2] else -one)
             if terms:
-                diff[gen_label[(elem, slots)]] = terms
+                diff[gen_label[(elem, word)]] = terms
 
     cut = cap + 1 if module.truncation_degree is None else min(cap + 1, module.truncation_degree)
     return Resolution.of(DGModulePresentation.free(algebra, gens, diff, truncation_degree=cut))

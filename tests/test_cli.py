@@ -412,6 +412,14 @@ def test_hopf_of_sphere_dimension_one_is_domain_error(tmp_path):
     assert code == 1
     assert json.loads(out)["error"] == {"code": "invalid-presentation",
                                         "message": "sphere dimension must exceed 1"}
+    # a model without d reads --d, 0 and 1 alike: --d 0 once read as d = 4
+    no_d = {k: v for k, v in HOPF_MODEL.items() if k != "d"}
+    path.write_text(json.dumps(no_d), encoding="utf-8")
+    for flag in ("0", "1"):
+        code, out = run_captured(["hopf", "--model", str(path), "--d", flag])
+        assert code == 1
+        assert json.loads(out)["error"] == {"code": "invalid-presentation",
+                                            "message": "sphere dimension must exceed 1"}
 
 
 def test_decompose_runs_the_matching_search_once(capsys, monkeypatch):

@@ -5,9 +5,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from dglevels.errors import DivisionByZero, FieldMismatch
 from dglevels.field import (
-    QQ, GF2, GF3, GF5, FieldTag, _is_prime, parse_field, rank, rank_and_kernel, row_reduce, solve,
-    sparse_sum,
+    QQ, GF2, GF3, GF5, FieldTag, _is_prime, parse_field, pivot_columns, rank_and_kernel,
+    row_reduce, solve, sparse_sum,
 )
+
+
+def rank(rows, field):
+    """The rank of a dense matrix: the number of its pivot columns."""
+    return len(pivot_columns(rows, field))
 
 
 def test_rational_addition_is_exact():
@@ -287,16 +292,21 @@ def test_row_reduce_matches_naive_oracle_over_fp(case):
 @given(st.sampled_from([0, 2, 3, 5, 2**31 - 1]).flatmap(
     lambda p: st.tuples(st.just(p), matrices(
         RATIONAL_ENTRIES if p == 0 else st.one_of(
-            st.just(0), st.integers(0, p - 1), st.integers(-2 * p, 2 * p))))))
+            st.just(0), st.integers(0, p - 1), st.integers(-2 * p, 2 * p),
+            st.integers(-2 * p, 2 * p).map(Fraction))))))
 @example((0, [[0, 0], [0, 0]]))
 @example((0, [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]]))
 @example((2, [[1, 1, 0], [1, 1, 0], [0, 1, 1]]))
+@example((3, [[Fraction(4), 1], [2, Fraction(-1)], [Fraction(3), 3]]))
 def test_rank_and_kernel_agree_with_row_reduce(case):
-    # rank eliminates only below its pivots and rank_and_kernel reads the
-    # kernel off the unnormalised pivot rows; both must match the RREF
+    # pivot_columns runs the sparse forward elimination and rank_and_kernel
+    # reads the kernel off the unnormalised pivot rows; both must match the
+    # RREF.  Over F_p the entries include integral Fractions and residues
+    # outside [0, p)
     p, rows = case
     field = FieldTag(p)
     rref, pivots = row_reduce(rows, field)
+    assert pivot_columns(rows, field) == pivots
     assert rank(rows, field) == len(pivots)
     ncols = len(rows[0]) if rows else 0
     kernel = []

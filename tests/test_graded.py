@@ -281,3 +281,123 @@ def test_assemble_stores_no_all_zero_map():
     rule = {"a": [("c", 1), ("a", 2)], "b": [("c", 1)]}
     cx, _ = assemble(FieldTag(3), elements, labels, lambda n, e: rule.get(e, ()))
     assert cx.differential == {1: [[1]]}
+
+
+def rule_entries(f):
+    """Scalars a column rule may yield: over Q Fractions and plain ints, over
+    F_p ints inside and outside [0, p)."""
+    if f.p == 0:
+        return st.one_of(st.integers(-3, 3),
+                         st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    return st.integers(-f.p, 2 * f.p)
+
+
+@st.composite
+def column_rules(draw):
+    """A field, an ordered basis in degrees 0..3, a column rule and the ends
+    of what is known.  Each rule repeats targets, adds pairs that cancel and
+    names targets outside degree n + 1 (in other degrees or in none); in
+    the drawn quiet degrees only such noise is listed, so some maps vanish
+    and many rules have d∘d = 0."""
+    f = draw(st.sampled_from(FIELDS))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
+    elements = {n: [f"e{n}_{i}" for i in range(k)] for n, k in enumerate(sizes)}
+    quiet = draw(st.sets(st.integers(0, 2), max_size=2))
+    entry = rule_entries(f)
+    rule = {}
+    for n, es in elements.items():
+        inside = elements.get(n + 1, [])
+        outside = [e for m, other in elements.items() if m != n + 1 for e in other] + ["nowhere"]
+        for e in es:
+            pairs = []
+            if inside and n not in quiet:
+                pairs += draw(st.lists(st.tuples(st.sampled_from(inside), entry), max_size=4))
+            if inside:
+                cancel = draw(st.lists(st.tuples(st.sampled_from(inside), entry), max_size=2))
+                pairs += [p for t, c in cancel for p in ((t, c), (t, -c))]
+            pairs += draw(st.lists(st.tuples(st.sampled_from(outside), entry), max_size=2))
+            rule[e] = draw(st.permutations(pairs))
+    above = draw(st.sampled_from([None, 2, 3, 4]))
+    below = draw(st.sampled_from([None, -1, 0, 1]))
+    return f, elements, rule, above, below
+
+
+def dense_reference(f, elements, rule):
+    """The maps a column rule gives, entry by entry: zero plus the pairs on
+    that entry, reduced at each step, with every map that is all zero left
+    out."""
+    pos = {e: (n, j) for n, es in elements.items() for j, e in enumerate(es)}
+    ref = {}
+    for n, es in elements.items():
+        mat = [[f.zero()] * len(es) for _ in elements.get(n + 1, [])]
+        for j, e in enumerate(es):
+            for t, c in rule[e]:
+                if pos.get(t, (None,))[0] == n + 1:
+                    i = pos[t][1]
+                    mat[i][j] = f.reduce(mat[i][j] + c)
+        if any(x for row in mat for x in row):
+            ref[n] = mat
+    return ref
+
+
+def reference_d_squared_message(space, ref, lo, hi):
+    """The first source, degrees in basis order, whose d∘d is nonzero on a
+    pair of maps around a certified degree, as the constructor names it."""
+    f = space.field
+    for n in ref:
+        if n + 1 not in ref or not lo <= n + 1 <= hi:
+            continue
+        a, b = ref[n], ref[n + 1]
+        for j in range(space.dim(n)):
+            if any(f.reduce(sum(b[i][k] * a[k][j] for k in range(space.dim(n + 1))))
+                   for i in range(space.dim(n + 2))):
+                return f"d∘d ≠ 0 from degree {n} (source {space.labels(n)[j]!r})"
+    return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(column_rules())
+def test_assembled_columns_read_back_as_the_dense_reference(case):
+    f, elements, rule, above, below = case
+    labels = {n: [e.upper() for e in es] for n, es in elements.items()}
+    ref = dense_reference(f, elements, rule)
+    space = GradedVectorSpace(f, labels)
+    lo, hi = CochainComplex(space, {}, above, below).certified()
+    message = reference_d_squared_message(space, ref, lo, hi)
+    if message is not None:
+        with pytest.raises(PresentationError) as e:
+            assemble(f, elements, labels, lambda n, e: rule[e], above, below)
+        assert str(e.value) == message
+        return
+    cx, _ = assemble(f, elements, labels, lambda n, e: rule[e], above, below)
+    assert set(cx.cols) == set(ref)
+    assert all(any(cols) for cols in cx.cols.values())
+    assert cx.differential == ref
+    def type_names(maps):
+        return {n: [[type(x).__name__ for x in row] for row in mat] for n, mat in maps.items()}
+
+    assert type_names(cx.differential) == type_names(ref)
+    ranks = {n: rank_and_kernel(mat, f)[0] for n, mat in ref.items()}
+    dims = {n: d for n in space.degrees() if lo <= n <= hi
+            and (d := space.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0))}
+    assert cohomology_dims(cx) == dims
+
+
+@pytest.mark.parametrize("strategy", ["bar", "koszul"])
+def test_tor_and_its_dims_never_build_the_dense_view(strategy, monkeypatch):
+    from dglevels.algebra import DGAlgebraPresentation
+    from dglevels.module import DGModulePresentation
+    from dglevels.resolve import derived_tensor, residue_module
+
+    def refuse(cx):
+        raise AssertionError("the dense view was built")
+
+    monkeypatch.setattr(CochainComplex, "differential", property(refuse))
+    P = DGAlgebraPresentation.polynomial(GF2, [("a", 2), ("b", 4)])
+    S = DGAlgebraPresentation.sphere_cohomology(4, QQ)
+    for M, N, window in ((residue_module(P), residue_module(P), DegreeWindow(0, 8)),
+                         (DGModulePresentation.trivial(S, shifts=(0, 3)), residue_module(S),
+                          DegreeWindow(0, 30))):
+        tor = derived_tensor(M, N, strategy=strategy, window=window)
+        assert tor.dims and cohomology_dims(tor.complex, window) == {
+            n: h for n, h in tor.dims.items() if n <= tor.complex.certified(window)[1]}

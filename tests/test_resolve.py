@@ -20,7 +20,7 @@ from dglevels.errors import (
     OddGenerator,
     StrategyInapplicable,
 )
-from dglevels.field import QQ, GF2, GF3, GF5, rank
+from dglevels.field import QQ, GF2, GF3, GF5, pivot_columns
 from dglevels.graded import (
     CochainComplex,
     DegreeWindow,
@@ -61,6 +61,11 @@ from dglevels.resolve import (
     sphere_block_period,
     tensor_reach,
 )
+
+
+def rank(rows, field):
+    """The rank of a dense matrix: the number of its pivot columns."""
+    return len(pivot_columns(rows, field))
 
 
 def sphere(d, field=QQ):
@@ -116,6 +121,8 @@ RESOLUTION_DIGESTS = {
     ("poly/2,4", QQ): "90d8ff7050808de3",
     ("poly/4,6,7", GF2): "4948d39463861996",
     ("poly-sum", QQ): "47266917c29e3bbc",
+    ("bar-model", QQ): "a4f78f3acd9b99e8",
+    ("bar-model", GF3): "4e6d9dd355047c09",
 }
 
 
@@ -126,7 +133,10 @@ def test_resolution_layout_is_pinned(kind, field):
     K over K[a₂, b₄] at window 0:6 (bar); the Koszul resolution of K over
     H*(S^d) at a cap (sphere/d/cap) and over a polynomial algebra
     (poly/degrees); the shifted Koszul sum over K[x₂, x₄] for shifts 0, 3
-    (poly-sum)."""
+    (poly-sum); the bar resolution at window 0:5 of e, f, g over the S²
+    model ∧(x, ξ), dξ = x², with D(f) = e·x and D(g) = f·x − e·ξ
+    (bar-model), whose words meet slot differentials, merges with m and
+    between slots, and the module's own differential."""
     name, *args = kind.split("/")
     if name == "koszul":
         A = sphere(2, field)
@@ -145,6 +155,15 @@ def test_resolution_layout_is_pinned(kind, field):
         degrees = [int(g) for g in args[0].split(",")]
         F = koszul_resolution_poly(degrees, field).module
         assert len(F.generators) == 2 ** len(degrees)
+    elif name == "bar-model":
+        one, minus = field.one(), field.from_int(-1)
+        A = DGAlgebraPresentation(field, [Generator("x", 2, "polynomial"),
+                                          Generator("ξ", 3, "exterior")], {"ξ": {(2, 0): one}})
+        M = DGModulePresentation.free(A, [("e", 0), ("f", 1), ("g", 2)],
+                                      {"f": {"e": {(1, 0): one}},
+                                       "g": {"f": {(1, 0): one}, "e": {(0, 1): minus}}})
+        F = bar_resolution(M, window=DegreeWindow(0, 5)).module
+        assert len(F.generators) == 165
     else:
         P = DGAlgebraPresentation.polynomial(field, [("x1", 2), ("x2", 4)])
         M = DGModulePresentation.trivial(P, shifts=(0, 3))
