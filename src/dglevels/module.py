@@ -168,7 +168,10 @@ class DGModulePresentation:
         for label in self.actions:
             if label not in A.index:
                 raise PresentationError(f"action for unknown algebra generator {label!r}")
-        # the complex's entries were checked by its constructor
+        # the complex's constructor checked its nonzero entries against its own
+        # field, which may not be the algebra's
+        _validate_entries([[x for _, x in col] for cols in self.complex.cols.values()
+                           for col in cols], f)
         for mat in (mat for mats in self.actions.values() for mat in mats.values()):
             _validate_entries(mat, f)
         if not self._zero_action():

@@ -860,6 +860,20 @@ def test_a_json_boolean_coefficient_is_refused(tmp_path, flavor):
     assert error["message"].startswith("cannot read") and "True" in error["message"]
 
 
+def test_a_raw_complex_over_another_field_is_checked_against_the_algebra(tmp_path):
+    # the complex reads its entries over its own field, Q; over the algebra's
+    # F_3 the entry 1/2 is no residue
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "algebra": {"field": "f3", "generators": [["x4", 4, "exterior"]], "differential": {}},
+        "complex": {"field": "q", "basis": {"0": ["u"], "1": ["w"]}, "d": {"0": [["1/2"]]}},
+    }), encoding="utf-8")
+    code, out = run_captured(["level", "--d", "4", "--module", str(path)])
+    error = json.loads(out)["error"]
+    assert code == 1 and error["code"] == "field-mismatch"
+    assert error["message"] == "entry Fraction(1, 2) is not a mod-3 residue"
+
+
 EXPONENT_ERRORS = [
     (1.5, 3, "exponent 1.5 of 'x4' is no integer ≥ 0"),
     ("1", 3, "exponent '1' of 'x4' is no integer ≥ 0"),

@@ -8,11 +8,7 @@ from dglevels.field import (
     QQ, GF2, GF3, GF5, FieldTag, _is_prime, parse_field, pivot_columns, rank_and_kernel,
     row_reduce, solve, sparse_sum,
 )
-
-
-def rank(rows, field):
-    """The rank of a dense matrix: the number of its pivot columns."""
-    return len(pivot_columns(rows, field))
+from helpers import rank
 
 
 def test_rational_addition_is_exact():

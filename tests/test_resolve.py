@@ -20,7 +20,7 @@ from dglevels.errors import (
     OddGenerator,
     StrategyInapplicable,
 )
-from dglevels.field import QQ, GF2, GF3, GF5, pivot_columns
+from dglevels.field import QQ, GF2, GF3, GF5
 from dglevels.graded import (
     CochainComplex,
     DegreeWindow,
@@ -61,11 +61,7 @@ from dglevels.resolve import (
     sphere_block_period,
     tensor_reach,
 )
-
-
-def rank(rows, field):
-    """The rank of a dense matrix: the number of its pivot columns."""
-    return len(pivot_columns(rows, field))
+from helpers import rank
 
 
 def sphere(d, field=QQ):

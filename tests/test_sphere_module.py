@@ -15,22 +15,18 @@ from dglevels.algebra import DGAlgebraPresentation
 from dglevels.cli import main
 from dglevels import field as field_module
 from dglevels.errors import AlgebraMismatch, PresentationError, VerificationFailed
-from dglevels.field import GF2, GF3, GF5, QQ, pivot_columns, rank_and_kernel, row_reduce
+from dglevels.field import GF2, GF3, GF5, QQ, rank_and_kernel, row_reduce
 from dglevels.graded import DegreeWindow, cohomology
 from dglevels.module import (DGModulePresentation, block_sum, cone, direct_sum, hom_complex,
                              shift)
 from dglevels.rational import build_P_tower, tower_level_bounds
 from dglevels.spheres import (MoleculeId, SphereModule, bundle_level, decompose_module,
                               molecule_model, sphere_level)
+from helpers import rank
 
 FIELDS = st.sampled_from([QQ, GF2, GF3])
 STRINGS = st.lists(st.tuples(st.integers(-4, 8), st.integers(0, 3)), max_size=4)
 PIECES = st.lists(st.tuples(st.integers(-4, 8), st.booleans()), max_size=3)
-
-
-def rank(rows, field):
-    """The rank of a dense matrix: the number of its pivot columns."""
-    return len(pivot_columns(rows, field))
 
 
 def planted_blocks(field, d, strings, pieces, rng):

@@ -19,7 +19,7 @@ from dglevels.errors import (
     PresentationError,
     VerificationFailed,
 )
-from dglevels.field import QQ, GF2, GF3, GF5, pivot_columns, row_reduce
+from dglevels.field import QQ, GF2, GF3, GF5, row_reduce
 from dglevels.graded import CochainComplex, DegreeWindow, GradedVectorSpace, cohomology
 from dglevels.module import DGModulePresentation, cone, direct_sum, hom_complex, shift
 from dglevels.resolve import (
@@ -54,16 +54,13 @@ from dglevels.spheres import (
     realizable,
     sphere_level,
 )
+from helpers import rank
 
 GRID = [(d, l, m) for d in range(2, 7) for l in range(0, 11) for m in range(0, 6)]
 
 
-def rank(rows, field):
-    """The rank of a dense matrix: the number of its pivot columns."""
-    return len(pivot_columns(rows, field))
-
-
 # -- catalog -----------------------------------------------------------------
+
 
 def test_molecule_cohomology_examples():
     assert molecule_cohomology(MoleculeId(4, 3, 1)) == {0: 1, 7: 1}
