@@ -8,18 +8,16 @@ value once where it is stored or tested for zero (x mod p over F_p, x itself
 over Q).  ``sparse_sum`` adds (key, scalar) pairs that way.  No floating
 point appears anywhere.
 
-Row reduction over the rationals clears each row's denominators once and
-eliminates on plain ints, dividing every combined row by its content (gcd)
-to keep the entries small; Fractions appear only in the returned RREF.
-Over F_p it eliminates on residues and touches only the pivot row's nonzero
-columns.  ``rank_and_kernel`` reads its kernel off the integer pivot rows,
-so it builds no Fraction RREF.
-
-Pivots and ranks come from one forward elimination on sparse vectors,
-``echelon_leads``: it returns the leading indices of an echelon basis of
+All linear algebra runs on one elimination, a forward pass on sparse
+vectors (`_echelon`): over F_p on residues, over Q on plain ints, each
+vector's denominators cleared once and every combined vector divided by its
+content (gcd) to keep the entries small.  Pivots and ranks need only that
+pass: ``echelon_leads`` returns the leading indices of an echelon basis of
 the span.  Given the rows of a matrix these are its pivot columns
 (``pivot_columns``); given its columns, as a complex stores its
-differential, their count is its rank.
+differential, their count is its rank.  ``row_reduce``, ``rank_and_kernel``
+and ``solve`` add a back-substitution, which gives the unique reduced row
+echelon form; Fractions appear only in its rows.
 """
 
 from __future__ import annotations
@@ -149,7 +147,6 @@ def sparse_sum(terms, field: FieldTag):
 # ---------------------------------------------------------------------------
 
 _EXACT = (frozenset((int,)), frozenset((int, Fraction)))    # entry types F_p / Q take unchecked
-_ZERO = Fraction(0)
 
 
 def _check_scalar(x, field):
@@ -182,146 +179,47 @@ def integer_row(row):
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _eliminate_rational(rows):
-    """Elimination on integer rows: ``a·row − f·pivot_row``, then the row is
-    divided by its content.  Rows only ever change by nonzero rational
-    multiples of row operations, so dividing each pivot row by its pivot
-    gives the unique RREF.  Returns (pivot rows, pivot columns)."""
-    m = [integer_row(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if m[i][c]:
-                break
-        else:
-            continue
-        m[r], m[i] = m[i], m[r]
-        piv = m[r]
-        g = gcd(*piv)
-        if g > 1:
-            piv = m[r] = [x // g for x in piv]
-        a = piv[c]
-        nz = [j for j in range(c, ncols) if piv[j]]
-        for i in range(nrows):
-            row = m[i]
-            f = row[c]
-            if not f or i == r:
-                continue
-            if f % a == 0:
-                k = f // a
-                for j in nz:
-                    row[j] -= k * piv[j]
+def _eliminate(v, b, lead, p):
+    """v less the multiple of the basis vector b that clears v at b's lead.
+    Over F_p b is 1 at its lead.  Over Q both are int vectors: the step is
+    ``a·v − f·b`` (a the lead of b, f that of v, both over their gcd),
+    divided by its content when a does not divide f."""
+    f = v[lead]
+    if p:
+        for i, x in b.items():
+            if y := (v.get(i, 0) - f * x) % p:
+                v[i] = y
             else:
-                g = gcd(a, f)
-                s, k = a // g, f // g
-                row = [s * x for x in row]
-                for j in nz:
-                    row[j] -= k * piv[j]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
-
-
-def _rref_mod_p(rows, p):
-    """Gauss-Jordan mod p; each elimination touches only the nonzero columns
-    of the pivot row."""
-    m = [[int(x) % p for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if m[i][c]:
-                break
+                v.pop(i, None)
+        return v
+    a = b[lead]
+    scaled = f % a
+    if scaled:
+        g = gcd(a, f)
+        s, f = a // g, f // g
+        v = {i: s * x for i, x in v.items()}
+    else:
+        f //= a
+    for i, x in b.items():
+        if y := v.get(i, 0) - f * x:
+            v[i] = y
         else:
-            continue
-        m[r], m[i] = m[i], m[r]
-        piv = m[r]
-        nz = [j for j in range(c, ncols) if piv[j]]
-        if piv[c] != 1:
-            inv = pow(piv[c], -1, p)
-            for j in nz:
-                piv[j] = piv[j] * inv % p
-        for i in range(nrows):
-            row = m[i]
-            f = row[c]
-            if not f or i == r:
-                continue
-            for j in nz:
-                row[j] = (row[j] - f * piv[j]) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+            v.pop(i, None)
+    if scaled and v and (g := gcd(*v.values())) > 1:
+        v = {i: x // g for i, x in v.items()}
+    return v
 
 
-def row_reduce(rows, field: FieldTag):
-    """Reduced row echelon form. Returns (rref rows, pivot column list).
-
-    The input is not modified.  Over Q the elimination runs on plain ints
-    (each row's denominators cleared once) and Fractions are built only for
-    the returned RREF; over F_p it runs on residues.
-    """
-    _validate_entries(rows, field)
-    if field.p:
-        return _rref_mod_p(rows, field.p)
-    m, pivots = _eliminate_rational(rows)
-    return [[Fraction(x, row[c]) if x else _ZERO for x in row]
-            for row, c in zip(m, pivots)], pivots
-
-
-def rank_and_kernel(rows, field: FieldTag):
-    """Rank of the matrix and a basis of its right kernel.
-
-    Rows are equations: a kernel vector v satisfies (rows) . v = 0.
-    Kernel vectors are indexed by free columns in increasing order, with a 1
-    in the free coordinate.
-    """
-    if not rows or not rows[0]:
-        return 0, []
-    _validate_entries(rows, field)
-    p = field.p
-    # the pivot rows, on ints over Q (entry / pivot is the RREF entry)
-    red, pivots = _rref_mod_p(rows, p) if p else _eliminate_rational(rows)
-    ncols = len(rows[0])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [field.zero()] * ncols
-        v[free] = field.one()
-        for row, c in zip(red, pivots):
-            x = row[free]
-            if p:
-                v[c] = -x % p
-            elif x:
-                v[c] = Fraction(-x, row[c])
-        basis.append(tuple(v))
-    return len(pivots), basis
-
-
-def echelon_leads(vectors, field: FieldTag) -> list:
-    """The leading indices, ascending, of an echelon basis of the span of
-    sparse vectors, each an iterable of (index, scalar) pairs with distinct
-    indices: the indices at which some vector of the span starts.
+def _echelon(vectors, field: FieldTag) -> dict:
+    """An echelon basis of the span of sparse vectors, each an iterable of
+    (index, scalar) pairs with distinct indices, as {leading index: vector}.
 
     Each vector is reduced by the basis vector at its leading index until
     its leading index is new (it joins the basis) or nothing is left.
     Entries are checked as `_validate_entries` checks them.  Over F_p an
     entry is read as int(x) mod p and basis vectors are scaled to lead 1;
     over Q each vector is cleared of denominators once and eliminated on
-    ints as `_eliminate_rational` does: ``a·v − f·b``, divided by its
-    content when a does not divide f."""
+    ints, basis vectors divided by their content."""
     p = field.p
     basis = {}                  # leading index -> {index: int}
     for vec in vectors:
@@ -351,30 +249,32 @@ def echelon_leads(vectors, field: FieldTag) -> list:
                     g = gcd(*v.values())
                     basis[lead] = {i: x // g for i, x in v.items()} if g > 1 else v
                 break
-            f = v[lead]
-            if p:
-                for i, x in b.items():
-                    if y := (v.get(i, 0) - f * x) % p:
-                        v[i] = y
-                    else:
-                        v.pop(i, None)
-                continue
-            a = b[lead]
-            scaled = f % a
-            if scaled:
-                g = gcd(a, f)
-                s, f = a // g, f // g
-                v = {i: s * x for i, x in v.items()}
-            else:
-                f //= a
-            for i, x in b.items():
-                if y := v.get(i, 0) - f * x:
-                    v[i] = y
-                else:
-                    v.pop(i, None)
-            if scaled and v and (g := gcd(*v.values())) > 1:
-                v = {i: x // g for i, x in v.items()}
-    return sorted(basis)
+            v = _eliminate(v, b, lead, p)
+    return basis
+
+
+def echelon_leads(vectors, field: FieldTag) -> list:
+    """The leading indices, ascending, of `_echelon`'s basis of the span:
+    the indices at which some vector of the span starts."""
+    return sorted(_echelon(vectors, field))
+
+
+def _rref(rows, field: FieldTag) -> dict:
+    """The reduced row echelon form of dense rows as {pivot column: sparse
+    row}: each row 1 at its pivot and 0 at every other pivot, its entries
+    scalars of the field.  Back-substitution on the echelon basis from the
+    last pivot down clears each row at the later pivots it touches by the
+    rows there, which are already reduced, so one step per pivot does."""
+    basis = _echelon(map(enumerate, rows), field)
+    p = field.p
+    for c in sorted(basis, reverse=True):
+        v = basis[c]
+        for lead in [i for i in v if i != c and i in basis]:
+            v = _eliminate(v, basis[lead], lead, p)
+        basis[c] = v
+    if p:
+        return basis
+    return {c: {i: Fraction(x, v[c]) for i, x in v.items()} for c, v in basis.items()}
 
 
 def pivot_columns(rows, field: FieldTag) -> list:
@@ -386,6 +286,39 @@ def pivot_columns(rows, field: FieldTag) -> list:
     return echelon_leads(map(enumerate, rows), field)
 
 
+def row_reduce(rows, field: FieldTag):
+    """The reduced row echelon form (`_rref`) as (dense rows, pivot
+    columns); the input is not modified."""
+    rref = _rref(rows, field)
+    pivots = sorted(rref)
+    out = [[field.zero()] * len(rows[0]) for _ in pivots]
+    for row, c in zip(out, pivots):
+        for j, x in rref[c].items():
+            row[j] = x
+    return out, pivots
+
+
+def rank_and_kernel(rows, field: FieldTag):
+    """Rank of the matrix and a basis of its right kernel.
+
+    Rows are equations: a kernel vector v satisfies (rows) . v = 0.
+    Kernel vectors are indexed by free columns in increasing order, with a 1
+    in the free coordinate; its other coordinates are read off the RREF.
+    """
+    if not rows or not rows[0]:
+        return 0, []
+    rref = _rref(rows, field)
+    ncols = len(rows[0])
+    kernel = {j: [field.zero()] * ncols for j in range(ncols) if j not in rref}
+    for j, v in kernel.items():
+        v[j] = field.one()
+    for c, row in rref.items():
+        for j, x in row.items():
+            if j != c:
+                kernel[j][c] = field.reduce(-x)
+    return len(rref), [tuple(v) for v in kernel.values()]
+
+
 def solve(rows, rhs, field: FieldTag):
     """One solution x of (rows) . x = rhs, or None when inconsistent.
 
@@ -394,19 +327,15 @@ def solve(rows, rhs, field: FieldTag):
     if not rows:
         return None if any(not field.is_zero(b) for b in rhs) else ()
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    rref, pivots = row_reduce(aug, field)
-    x = [field.zero()] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            return None
-        x[p] = rref[r][ncols]
-    return tuple(x)
+    rref = _rref([(*row, b) for row, b in zip(rows, rhs)], field)
+    if ncols in rref:
+        return None
+    zero = field.zero()
+    return tuple(rref[i].get(ncols, zero) if i in rref else zero for i in range(ncols))
 
 
 def coordinates(vectors, target, field: FieldTag):
     """Coordinates of target in the span of ``vectors``, or None."""
     if not vectors:
         return () if all(field.is_zero(t) for t in target) else None
-    rows = [[vectors[j][i] for j in range(len(vectors))] for i in range(len(target))]
-    return solve(rows, list(target), field)
+    return solve(list(zip(*vectors)), list(target), field)

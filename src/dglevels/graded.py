@@ -11,11 +11,10 @@ are made elsewhere as explicit verdicts, never by silent truncation.
 Every complex expanded from a presentation (an algebra, a free module, a
 Hom complex, a derived tensor product) is built by :func:`assemble` from an
 ordered basis per degree, its labels, and a column rule that lists d(e) as
-(target, scalar) pairs.  A complex stores each differential as these sparse
-columns, ``cols[n][j]`` the nonzero (row, scalar) pairs of d(e_j), and the
-d∘d check, ``CochainComplex.column`` and :func:`cohomology_dims` read them
-directly.  The dense matrices, ``differential`` and ``matrix(n)``, are a
-view built on first read and kept, for kernels, coboundaries and JSON.
+(target, scalar) pairs.  A complex stores each differential only as these
+sparse columns, ``cols[n][j]`` the nonzero (row, scalar) pairs of d(e_j);
+the d∘d check, cohomology, coboundaries and JSON all read them.  Only the
+constructor takes dense matrices.
 
 Cohomology is read only in certified degrees, which form one range,
 ``CochainComplex.certified``, found once per call.  It comes two ways.
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import gcd, inf
 
 from .errors import PresentationError
@@ -98,10 +97,9 @@ class CochainComplex:
     dense matrices, ``differential[n]`` with entry [i][j] the coefficient of
     target basis element i in d(source basis element j), checks their shapes
     and entries and stores their columns; :func:`assemble` builds columns
-    itself and sets them on a complex made with no maps.  ``differential``
-    and ``matrix(n)`` read the maps back densely, built on first read and
-    kept.  The zero-squared condition is checked at construction for every
-    degree where both composable maps are known; a violation is a
+    itself and sets them on a complex made with no maps.  The columns are
+    the only storage.  The zero-squared condition is checked at construction
+    for every degree where both composable maps are known; a violation is a
     constructor error.
     """
 
@@ -142,39 +140,16 @@ class CochainComplex:
     def dim(self, n: int) -> int:
         return self.space.dim(n)
 
-    @cached_property
-    def differential(self):
-        """The dense view: {n: d^n as a list of rows} for the stored maps."""
-        zero = self.field.zero()
-        dense = {}
-        for n, cols in self.cols.items():
-            mat = dense[n] = [[zero] * len(cols) for _ in range(self.space.dim(n + 1))]
-            for j, col in enumerate(cols):
-                for i, c in col:
-                    mat[i][j] = c
-        return dense
-
-    def matrix(self, n: int):
-        mat = self.differential.get(n)
-        if mat is None:
-            return [[self.field.zero()] * self.space.dim(n) for _ in range(self.space.dim(n + 1))]
-        return mat
-
-    def apply(self, n: int, vector):
-        return mat_vec(self.matrix(n), vector, self.field)
-
     def column(self, n: int, j: int):
         """d(e_j) for basis element j of degree n as sparse (row, scalar) pairs."""
         cols = self.cols.get(n)
         return cols[j] if cols is not None else []
 
     def coboundaries(self, n: int):
-        """The nonzero columns of d^{n-1}: vectors of degree n spanning B^n."""
-        mat = self.differential.get(n - 1)
-        if mat is None:
-            return []
-        cols = (tuple(row[j] for row in mat) for j in range(self.space.dim(n - 1)))
-        return [col for col in cols if any(col)]
+        """The nonzero columns of d^{n-1} as dense vectors of degree n: they
+        span B^n."""
+        cols = [col for col in self.cols.get(n - 1, ()) if col]
+        return list(zip(*dense_rows(cols, self.space.dim(n), self.field)))
 
     def _check_d_squared(self):
         """b∘a = 0 on each known pair: each column of a sums the columns of b
@@ -216,6 +191,16 @@ def _integer_rows(cols):
                 den[i] = d * q // gcd(d, q)
     return [[(i, x.numerator * (den.get(i, 1) // x.denominator)) for i, x in col]
             for col in cols]
+
+
+def dense_rows(cols, nrows: int, field: FieldTag):
+    """The matrix with the given columns, each a list of (row, scalar) pairs,
+    as dense rows with the field's zero elsewhere."""
+    rows = [[field.zero()] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, c in col:
+            rows[i][j] = c
+    return rows
 
 
 def assemble(field: FieldTag, elements, labels, column, truncated_above=None,
@@ -311,25 +296,20 @@ def _cohomology_at(cx: CochainComplex, n: int):
     kernel basis vector is a representative."""
     f = cx.field
     dim_n = cx.space.dim(n)
-    mat = cx.differential.get(n)
-    if mat is None:
-        # d^n is zero: everything is a cocycle
-        kernel = []
-        for j in range(dim_n):
-            v = [f.zero()] * dim_n
-            v[j] = f.one()
-            kernel.append(tuple(v))
+    if n in cx.cols:
+        _, kernel = rank_and_kernel(dense_rows(cx.cols[n], cx.space.dim(n + 1), f), f)
     else:
-        _, kernel = rank_and_kernel(mat, f)
+        # d^n is zero: everything is a cocycle
+        kernel = [tuple(f.one() if i == j else f.zero() for i in range(dim_n))
+                  for j in range(dim_n)]
     if not kernel:
         return 0, []
-    image = cx.differential.get(n - 1)
+    image = cx.cols.get(n - 1)
     if image is None:
         # kernel basis vectors are independent: each has its own free coordinate
         return len(kernel), kernel
-    width = len(image[0])
-    cols = [list(image[i]) + [v[i] for v in kernel] for i in range(dim_n)]
-    reps = [kernel[c - width] for c in pivot_columns(cols, f) if c >= width]
+    rows = dense_rows(image + [list(enumerate(v)) for v in kernel], dim_n, f)
+    reps = [kernel[c - len(image)] for c in pivot_columns(rows, f) if c >= len(image)]
     return len(reps), reps
 
 
@@ -363,8 +343,9 @@ def complex_to_json(cx: CochainComplex):
         "field": str(f).lower(),
         "basis": {str(n): list(cx.space.labels(n)) for n in cx.space.degrees()},
         "d": {
-            str(n): [[f.scalar_to_json(x) for x in row] for row in mat]
-            for n, mat in sorted(cx.differential.items())
+            str(n): [[f.scalar_to_json(x) for x in row]
+                     for row in dense_rows(cols, cx.space.dim(n + 1), f)]
+            for n, cols in sorted(cx.cols.items())
         },
     }
 

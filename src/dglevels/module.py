@@ -34,6 +34,7 @@ from .errors import (
     AlgebraMismatch,
     BudgetExceeded,
     EndTooLarge,
+    FieldMismatch,
     NotAChainMap,
     PresentationError,
     SourceNotFree,
@@ -168,10 +169,10 @@ class DGModulePresentation:
         for label in self.actions:
             if label not in A.index:
                 raise PresentationError(f"action for unknown algebra generator {label!r}")
-        # the complex's constructor checked its nonzero entries against its own
-        # field, which may not be the algebra's
-        _validate_entries([[x for _, x in col] for cols in self.complex.cols.values()
-                           for col in cols], f)
+        # the complex's constructor checked its entries against its own field
+        if self.complex.field != f:
+            raise FieldMismatch(f"the complex is over {self.complex.field}, "
+                                f"the algebra over {f}")
         for mat in (mat for mats in self.actions.values() for mat in mats.values()):
             _validate_entries(mat, f)
         if not self._zero_action():
@@ -194,8 +195,8 @@ class DGModulePresentation:
                     v = [f.zero()] * self.complex.dim(n)
                     v[j] = f.one()
                     av = self._raw_apply(mats, n, v, gd)
-                    dav = self.complex.apply(n + gd, av)
-                    dv = self.complex.apply(n, v)
+                    dav = self._raw_d(n + gd, av)
+                    dv = self._raw_d(n, v)
                     adv = self._raw_apply(mats, n + 1, list(dv), gd)
                     if tuple(dav) != tuple(adv):
                         raise PresentationError(
@@ -226,6 +227,14 @@ class DGModulePresentation:
             v = self._raw_apply(self.actions.get(g.label, {}), n, v, g.degree)
             n += g.degree
         return v
+
+    def _raw_d(self, n, vector):
+        """d^n of a dense vector, read off the complex's stored columns."""
+        out = [self.field.zero()] * self.complex.dim(n + 1)
+        for c, col in zip(vector, self.complex.cols.get(n, ())):
+            for i, x in col:
+                out[i] += c * x
+        return [self.field.reduce(x) for x in out]
 
     def _raw_apply(self, mats, n, vector, gd):
         mat = mats.get(n)

@@ -57,7 +57,7 @@ from fractions import Fraction
 from .algebra import DGAlgebraPresentation, EXTERIOR, Generator, POLYNOMIAL
 from .errors import BudgetExceeded, MTooSmall, NotExact, PresentationError, WrongTargetCohomology
 from .field import QQ, coordinates, rank_and_kernel, solve
-from .graded import DegreeWindow, cohomology
+from .graded import DegreeWindow, cohomology, dense_rows
 from .resolve import SemifreeFiltration, check_exterior_basis, filtration_class
 from .spheres import LevelResult, SphereModule, decompose_module, extension_module
 
@@ -265,7 +265,9 @@ def hopf_invariant(target: DGAlgebraPresentation, gx, gxi=None, d: int = 4,
             v[at[m]] = c
         return v
 
-    rho = solve(cx.matrix(d - 1), vec(gx, d), field)
+    # d^{d-1} as rows; a zero map has dim C^{d-1} empty columns
+    dx = dense_rows(cx.cols.get(d - 1) or [()] * cx.dim(d - 1), cx.dim(d), field)
+    rho = solve(dx, vec(gx, d), field)
     if rho is None:
         raise NotExact("g(x) is not a coboundary in the target")
     gen = reps[top][0] if generator_choice == "auto" else \
@@ -282,7 +284,7 @@ def hopf_invariant(target: DGAlgebraPresentation, gx, gxi=None, d: int = 4,
 
     h = value(rho)
     # independence of the choice of ρ: perturb by a cocycle when one exists
-    _, cocycles = rank_and_kernel(cx.matrix(d - 1), field)
+    _, cocycles = rank_and_kernel(dx, field)
     for z in cocycles[:1]:
         if value(tuple(field.reduce(a + b) for a, b in zip(rho, z))) != h:
             raise PresentationError("the Hopf invariant depended on the lift")

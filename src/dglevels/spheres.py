@@ -59,7 +59,9 @@ from .errors import (
     PresentationError,
     VerificationFailed,
 )
-from .field import FieldTag, QQ, _validate_entries, integer_row, pivot_columns, rank_and_kernel
+from .field import (FieldTag, QQ, _validate_entries, echelon_leads, integer_row,
+                    rank_and_kernel, sparse_sum)
+from .graded import dense_rows
 from .module import DGModulePresentation, free_generators
 from .resolve import TorResult, check_exterior_basis, phi
 
@@ -491,30 +493,35 @@ def decompose_module(module, d: int) -> Decomposition:
         module = SphereModule.from_presentation(module, d)
     elif module.d != d:
         raise PresentationError(f"the module does not live over H*(S^{d})")
-    f, p, reduce = module.field, module.field.p, module.field.reduce
+    f, p = module.field, module.field.p
     labels, delta, phi = module.labels, module.delta, module.phi
 
-    def dense(pairs, n):
-        v = [0] * n
-        for i, c in pairs:
-            v[i] = reduce(c)
-        return v
-
     def pivots(cols):
-        """The columns independent of those before them; all are nonzero, so
-        a lone one needs no reduction."""
-        return [0] if len(cols) == 1 else pivot_columns(list(zip(*cols)), f)
+        """The sparse columns independent of those before them; all are
+        nonzero, so a lone one needs no reduction."""
+        if len(cols) == 1:
+            return [0]
+        rows = {}
+        for j, col in enumerate(cols):
+            for i, c in col:
+                rows.setdefault(i, []).append((j, c))
+        return echelon_leads(rows.values(), f)
+
+    def nonzero(v):
+        """A kernel vector's nonzero (index, scalar) pairs, over Q scaled to ints."""
+        at = [i for i, x in enumerate(v) if x]
+        return list(zip(at, (v[i] for i in at) if p else integer_row([v[i] for i in at])))
 
     ends = Counter()                # (m, l) -> strings of height m with top l
-    carried = {}                    # degree -> [(top, cocycle)], oldest first
+    carried = {}                    # degree -> [(top, sparse cocycle)], oldest first
     for a in sorted(labels, reverse=True):
         n, strings = len(labels[a]), carried.pop(a, [])
         if a in delta:              # Z_a, the kernel of δ₀, from its rows
-            rows = zip(*(dense(col, len(labels[a + 1])) for col in delta[a]))
-            Z = [v if p else integer_row(v) for v in rank_and_kernel(list(rows), f)[1]]
+            rows = dense_rows(delta[a], len(labels[a + 1]), f)
+            Z = [nonzero(v) for v in rank_and_kernel(rows, f)[1]]
         else:
-            Z = [dense([(j, 1)], n) for j in range(n)]
-        B = [dense(col, n) for col in delta.get(a - 1, ()) if col]
+            Z = [[(j, 1)] for j in range(n)]
+        B = [col for col in delta.get(a - 1, ()) if col]
         if not B and (len(Z) == 1 or not strings):
             # the first column spans H_a, or Z_a is its basis
             dim, survivors, dead = len(Z), strings[:len(Z)], strings[len(Z):]
@@ -534,15 +541,11 @@ def decompose_module(module, d: int) -> Decomposition:
         for top, _ in dead:
             ends[(top - a) // (d - 1) - 1, top] += 1
         blocks, t = phi.get(a), a + 1 - d
-        width = len(labels.get(t, ()))
         for top, v in survivors + [(a, z) for z in births]:     # oldest first
-            w = [0] * width
-            for j, c in enumerate(v):
-                for k, e in blocks[j] if c and blocks else ():
-                    w[k] += c * e
-            w = [reduce(x) for x in w]
-            if any(w):
-                carried.setdefault(t, []).append((top, w))
+            w = sparse_sum(((k, c * e) for j, c in v for k, e in blocks[j]), f) \
+                if blocks else {}
+            if w:
+                carried.setdefault(t, []).append((top, list(w.items())))
             else:
                 ends[(top - a) // (d - 1), top] += 1
     molecules = [mol for (m, l), k in sorted(ends.items()) for mol in [MoleculeId(d, l, m)] * k]

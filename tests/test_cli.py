@@ -871,7 +871,20 @@ def test_a_raw_complex_over_another_field_is_checked_against_the_algebra(tmp_pat
     code, out = run_captured(["level", "--d", "4", "--module", str(path)])
     error = json.loads(out)["error"]
     assert code == 1 and error["code"] == "field-mismatch"
-    assert error["message"] == "entry Fraction(1, 2) is not a mod-3 residue"
+    assert error["message"] == "the complex is over Q, the algebra over F3"
+
+
+def test_a_raw_complex_with_integral_entries_over_another_field_is_refused(tmp_path):
+    # d⁰ = [[3]] is an isomorphism over Q and zero over F_3: read over two
+    # fields at once it was once given exact level 0
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "algebra": {"field": "f3", "generators": [["x4", 4, "exterior"]], "differential": {}},
+        "complex": {"field": "q", "basis": {"0": ["u"], "1": ["w"]}, "d": {"0": [[3]]}},
+    }), encoding="utf-8")
+    code, out = run_captured(["level", "--d", "4", "--module", str(path)])
+    assert code == 1 and json.loads(out)["error"] == {
+        "code": "field-mismatch", "message": "the complex is over Q, the algebra over F3"}
 
 
 EXPONENT_ERRORS = [

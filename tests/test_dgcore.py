@@ -40,6 +40,7 @@ from dglevels.module import (
 from dglevels.resolve import (KOSZUL, _resolve, koszul_resolution_poly, koszul_resolution_sphere,
                               residue_module, tensor_reach)
 from dglevels.spheres import MoleculeId, molecule_model, sphere_level
+from helpers import differential
 
 
 def sphere(d, field=QQ):
@@ -955,7 +956,7 @@ def induced_map_rank(f_map, M, N, n, window=None):
         images.append(tuple(v))
     # rank of the induced map = dim of span of images modulo coboundaries
     boundaries = []
-    mat = nexp.complex.differential.get(n - 1)
+    mat = differential(nexp.complex).get(n - 1)
     if mat is not None:
         for j in range(nexp.complex.dim(n - 1)):
             boundaries.append(tuple(mat[i][j] for i in range(nexp.complex.dim(n))))

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from dglevels.errors import DivisionByZero, FieldMismatch
 from dglevels.field import (
-    QQ, GF2, GF3, GF5, FieldTag, _is_prime, parse_field, pivot_columns, rank_and_kernel,
-    row_reduce, solve, sparse_sum,
+    QQ, GF2, GF3, GF5, FieldTag, _is_prime, coordinates, parse_field, pivot_columns,
+    rank_and_kernel, row_reduce, solve, sparse_sum,
 )
 from helpers import rank
 
@@ -315,3 +315,110 @@ def test_rank_and_kernel_agree_with_row_reduce(case):
     got_rank, got_kernel = rank_and_kernel(rows, field)
     assert (got_rank, got_kernel) == (len(pivots), kernel)
     assert all(type(x) is (int if p else Fraction) for v in got_kernel for x in v)
+
+
+# -- solve and coordinates against the naive oracle --------------------------------
+
+
+def field_entries(p):
+    """Entries over Q, or over F_p residues, ints outside [0, p) and integral
+    Fractions."""
+    if p == 0:
+        return RATIONAL_ENTRIES
+    return st.one_of(st.just(0), st.integers(0, p - 1), st.integers(-2 * p, 2 * p),
+                     st.integers(-2 * p, 2 * p).map(Fraction))
+
+
+def reduced_product(field, row, x):
+    return field.reduce(sum((a * b for a, b in zip(row, x)), Fraction(0)))
+
+
+@st.composite
+def linear_systems(draw):
+    """(p, rows, rhs): half the right-hand sides are rows · x₀ for a drawn
+    x₀, so consistent; the others are drawn freely, and often inconsistent."""
+    p = draw(st.sampled_from([0, 2, 3, 5]))
+    entry = field_entries(p)
+    rows = draw(matrices(entry))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(entry, min_size=len(rows[0]) if rows else 0,
+                           max_size=len(rows[0]) if rows else 0))
+        rhs = [reduced_product(FieldTag(p), row, x0) for row in rows]
+    else:
+        rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    return p, rows, rhs
+
+
+@settings(deadline=None)
+@given(linear_systems())
+@example((0, [], []))
+@example((2, [[]], [1]))
+@example((3, [[0, 0], [3, 6]], [Fraction(3), 0]))
+@example((5, [[1, 2], [2, 4]], [1, 3]))
+@example((0, [[Fraction(1, 2), 1, 0], [1, 2, 0]], [1, 2]))
+def test_solve_matches_naive_oracle(case):
+    # None exactly when the augmented column is a pivot; otherwise the pivot
+    # coordinates are the RREF's last column and the free ones are 0
+    p, rows, rhs = case
+    field = FieldTag(p)
+    ncols = len(rows[0]) if rows else 0
+    rref, pivots = naive_rref([list(row) + [b] for row, b in zip(rows, rhs)], p)
+    x = solve(rows, rhs, field)
+    if ncols in pivots:
+        assert x is None
+        return
+    assert x is not None
+    expected = [0] * ncols
+    for r, c in enumerate(pivots):
+        expected[c] = rref[r][ncols]
+    assert list(x) == expected
+    assert all(type(c).__name__ == ("int" if p else "Fraction") for c in x)
+    assert all(0 <= c < p for c in x) if p else True
+    assert all(reduced_product(field, row, x) == field.reduce(b) for row, b in zip(rows, rhs))
+
+
+@st.composite
+def spans(draw):
+    """(p, vectors, target): k vectors of length n and a target that is a
+    combination of them half the time."""
+    p = draw(st.sampled_from([0, 2, 3, 5]))
+    entry = field_entries(p)
+    n, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple),
+                            min_size=k, max_size=k))
+    if draw(st.booleans()):
+        c = draw(st.lists(entry, min_size=k, max_size=k))
+        target = tuple(reduced_product(FieldTag(p), col, c) for col in zip(*vectors)) \
+            if vectors else (0,) * n
+    else:
+        target = tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+    return p, vectors, target
+
+
+@settings(deadline=None)
+@given(spans())
+@example((0, [], ()))
+@example((3, [], (3, 0)))
+@example((2, [], (1,)))
+@example((5, [(1, 2), (2, 4)], (3, 6)))
+@example((3, [(Fraction(2), 1), (1, 2)], (0, 0)))
+def test_coordinates_match_naive_oracle(case):
+    # None exactly when the target raises the rank; otherwise the coordinates
+    # give the target back, and those of the vectors dependent on earlier
+    # ones are 0
+    p, vectors, target = case
+    field = FieldTag(p)
+    span_rank = len(naive_rref([list(v) for v in vectors], p)[1])
+    in_span = len(naive_rref([list(v) for v in vectors] + [list(target)], p)[1]) == span_rank
+    coords = coordinates(vectors, target, field)
+    if not in_span:
+        assert coords is None
+        return
+    assert coords is not None
+    assert all(type(c).__name__ == ("int" if p else "Fraction") for c in coords)
+    if not coords:
+        return
+    assert [reduced_product(field, row, coords) for row in zip(*vectors)] == \
+        [field.reduce(t) for t in target]
+    pivots = naive_rref([list(row) for row in zip(*vectors)], p)[1]
+    assert all(coords[j] == 0 for j in range(len(vectors)) if j not in pivots)

@@ -59,6 +59,10 @@ One reach rule: inside ``resolve.py`` only ``tensor_reach`` builds a
 windows and the listed degrees of a derived tensor come from that one
 function; ``_phi_window``, which picks the window phi asks rather than what
 a window needs, is the one exception.
+
+One storage for a complex: ``graded.CochainComplex`` defines no
+``differential`` or ``matrix`` and sets no such attribute, so its maps live
+only in the sparse columns ``cols``; no dense view is built or kept.
 """
 
 import ast
@@ -390,3 +394,15 @@ def test_only_tensor_reach_derives_a_window():
                    getattr(n.func, "id", getattr(n.func, "attr", None))
                    in ("DegreeWindow", "default_window"))
     assert uses == {"tensor_reach": 3, "_phi_window": 2}
+
+
+def test_a_complex_keeps_its_maps_only_as_columns():
+    tree = ast.parse((ROOT / "src" / "dglevels" / "graded.py").read_text(encoding="utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "CochainComplex"]
+    defined = {n.name for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    defined |= {t.id for n in cls.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+                for t in getattr(n, "targets", [getattr(n, "target", None)])
+                if isinstance(t, ast.Name)}
+    defined |= {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Store) and getattr(n.value, "id", None) == "self"}
+    assert "cols" in defined and not defined & {"differential", "matrix"}

@@ -27,6 +27,7 @@ from dglevels.rational import (
 )
 from dglevels.resolve import filtration_class, level_upper_bound
 from dglevels.spheres import decompose_module, extension_module
+from helpers import matrix as dense_matrix
 
 
 def acyclic_closure_model(d=4):
@@ -288,7 +289,7 @@ def odd_towers(draw):
             gens.append((label, 2 * draw(st.integers(1, 10)) + 1, {}))
             continue
         n = draw(st.sampled_from(degrees))
-        matrix = F.to_complex(DegreeWindow(0, n + 1)).matrix(n)
+        matrix = dense_matrix(F.to_complex(DegreeWindow(0, n + 1)), n)
         size = len(basis[n])
         kernel = rank_and_kernel(matrix, QQ)[1] if matrix else \
             [[int(i == j) for i in range(size)] for j in range(size)]

@@ -61,7 +61,7 @@ from dglevels.resolve import (
     sphere_block_period,
     tensor_reach,
 )
-from helpers import rank
+from helpers import differential, rank
 
 
 def sphere(d, field=QQ):
@@ -428,7 +428,7 @@ def copied_tensor(M, N, window):
         above = F.truncation_degree + n_degrees[0]
         cert_hi, bounded = min(window.hi, above - 2), False
     cx, _ = assemble(f, dict(sorted(elems.items())), labels, column, above)
-    ranks = {n: rank(mat, f) for n, mat in cx.differential.items()}
+    ranks = {n: rank(mat, f) for n, mat in differential(cx).items()}
     dims = {n: h for n in cx.space.degrees() if window.contains(n)
             and (above is None or n + 1 < above)
             if (h := cx.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0))}
@@ -439,7 +439,7 @@ def tensor_record(cx, dims, cert_hi, period, bounded):
     """Everything compared: the complex as JSON and the type of each stored
     entry, both truncation flags, and the TorResult fields."""
     types = {n: [[type(x).__name__ for x in row] for row in mat]
-             for n, mat in cx.differential.items()}
+             for n, mat in differential(cx).items()}
     return (complex_to_json(cx), types, cx.truncated_above, cx.truncated_below,
             dims, cert_hi, period, bounded)
 
@@ -449,7 +449,7 @@ def listed(cx, lo, hi):
     two of them with the type of every entry."""
     return ({n: cx.space.labels(n) for n in cx.space.degrees() if lo <= n <= hi},
             {n: [[(type(x).__name__, x) for x in row] for row in mat]
-             for n, mat in cx.differential.items() if lo <= n < hi})
+             for n, mat in differential(cx).items() if lo <= n < hi})
 
 
 def periodic_and_full(M, N, window):

@@ -22,7 +22,7 @@ from dglevels.module import (DGModulePresentation, block_sum, cone, direct_sum, 
 from dglevels.rational import build_P_tower, tower_level_bounds
 from dglevels.spheres import (MoleculeId, SphereModule, bundle_level, decompose_module,
                               molecule_model, sphere_level)
-from helpers import rank
+from helpers import differential, rank
 
 FIELDS = st.sampled_from([QQ, GF2, GF3])
 STRINGS = st.lists(st.tuples(st.integers(-4, 8), st.integers(0, 3)), max_size=4)
@@ -393,8 +393,8 @@ def test_a_wrong_pivot_kernel_fails_the_fill_check(monkeypatch):
     M = SphereModule(4, QQ, [("a", 3), ("b", 3), ("u", 0), ("v", 0)],
                      phi={0: {2: 1}, 1: {3: 1}})
     assert decompose_module(M, 4).molecules == (MoleculeId(4, 3, 1),) * 2
-    monkeypatch.setattr(spheres, "pivot_columns",
-                        lambda rows, f: field_module.pivot_columns(rows, f)[:-1])
+    monkeypatch.setattr(spheres, "echelon_leads",
+                        lambda rows, f: field_module.echelon_leads(rows, f)[:-1])
     with pytest.raises(VerificationFailed, match="degree 0 holds 1 strings where dim H = 2"):
         decompose_module(M, 4)
 
@@ -442,8 +442,8 @@ def test_cones_keep_the_triangle_inequalities(field, d, source, target, moves, s
               rng.choice([0, d]))
     hom = hom_complex(M, N, DegreeWindow(-1, 1))
     maps = hom.basis.get(0, [])
-    if 0 in hom.complex.differential:
-        cocycles = rank_and_kernel(hom.complex.differential[0], field)[1]
+    if 0 in hom.complex.cols:
+        cocycles = rank_and_kernel(differential(hom.complex)[0], field)[1]
     else:
         cocycles = [[int(i == j) for i in range(len(maps))] for j in range(len(maps))]
     f_map = {}
