@@ -335,7 +335,10 @@ def solve(rows, rhs, field: FieldTag):
 
 
 def coordinates(vectors, target, field: FieldTag):
-    """Coordinates of target in the span of ``vectors``, or None."""
+    """Coordinates of target in the span of ``vectors``, or None; in a
+    zero-dimensional space (target ``()``) every coordinate is 0."""
+    if not target:
+        return (field.zero(),) * len(vectors)
     if not vectors:
         return () if all(field.is_zero(t) for t in target) else None
     return solve(list(zip(*vectors)), list(target), field)

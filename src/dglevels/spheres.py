@@ -34,13 +34,19 @@ the strings born at or above s that reach a span the image of H_s in H_a.
 So with r_k the rank of Φ̄^k, r_k(s) - r_{k+1}(s+d-1) strings born in s
 reach k steps down: the rank count, and the decomposition is unique.
 
-Bare dimension tables, and modules known only through their cohomology (raw
-or truncated presentations), are decomposed by perfect matching: pair the
-cohomology degrees (a, b) with b - a >= d and (b - a - d) divisible by d - 1;
-each pair names the molecule with l = b - d and m = (b - a - d)/(d - 1).
-Cohomology alone cannot always pick the matching, so every matching is
-listed, up to a fixed budget, and the default minimizes the largest height;
-levels are then exact only when all matchings agree, an interval otherwise.
+A raw module R (a finite complex with the action of x as matrices, a sum of
+shifts of K among them) goes through the same engine: its Koszul resolution,
+cut at a layer past R's amplitude, is a SphereModule (`raw_resolution`), and
+its strings are R's molecules, copies of them in the cut layer, and one tower
+per summand Σ^{-s}K of R, which certifies an infinite level.
+
+Bare dimension tables and finite Tor results, known only through their
+cohomology, are decomposed by perfect matching: pair the cohomology degrees
+(a, b) with b - a >= d and (b - a - d) divisible by d - 1; each pair names the
+molecule with l = b - d and m = (b - a - d)/(d - 1).  Cohomology alone cannot
+always pick the matching, so every matching is listed, up to a fixed budget,
+and the default minimizes the largest height; levels are then exact only when
+all matchings agree, an interval otherwise.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .algebra import POLYNOMIAL, DGAlgebraPresentation, Generator
 from .errors import (
@@ -63,7 +70,8 @@ from .field import (FieldTag, QQ, _validate_entries, echelon_leads, integer_row,
                     rank_and_kernel, sparse_sum)
 from .graded import dense_rows
 from .module import DGModulePresentation, free_generators
-from .resolve import TorResult, check_exterior_basis, phi
+from .resolve import (KOSZUL_GENERATOR_BUDGET, FinitenessVerdict, TorResult,
+                      check_exterior_basis, sphere_block_period)
 
 
 @dataclass(frozen=True)
@@ -218,6 +226,14 @@ class Decomposition:
     matching: tuple             # ((a, b), ...) degree pairs of the default
     ambiguous: bool
     alternatives: tuple         # other molecule multisets, sorted
+
+    @staticmethod
+    def of(molecules) -> "Decomposition":
+        """The one decomposition into these molecules, each matched by its
+        two cohomology degrees."""
+        molecules = tuple(molecules)
+        return Decomposition(molecules, tuple(tuple(sorted(molecule_cohomology(mol)))
+                                              for mol in molecules), False, ())
 
     def level(self):
         return _level_of(self.molecules)
@@ -548,9 +564,8 @@ def decompose_module(module, d: int) -> Decomposition:
                 carried.setdefault(t, []).append((top, list(w.items())))
             else:
                 ends[(top - a) // (d - 1), top] += 1
-    molecules = [mol for (m, l), k in sorted(ends.items()) for mol in [MoleculeId(d, l, m)] * k]
-    matching = tuple(tuple(sorted(molecule_cohomology(mol))) for mol in molecules)
-    return Decomposition(tuple(molecules), matching, False, ())
+    return Decomposition.of(mol for (m, l), k in sorted(ends.items())
+                            for mol in [MoleculeId(d, l, m)] * k)
 
 
 # ---------------------------------------------------------------------------
@@ -611,17 +626,83 @@ class LevelResult:
                 "certificate": self.certificate.to_json() if self.certificate else None}
 
 
+def raw_resolution(module: DGModulePresentation, d: int, layers: int) -> SphereModule:
+    """The Koszul resolution of a raw module R over A = H*(S^d), cut at
+    layer L = ``layers``, as a SphereModule.
+
+    It is the twisted tensor product A ⊗ A^¡ ⊗ R (Priddy, Koszul resolutions,
+    1970), with A^¡ = K{g_k} the Koszul dual coalgebra of A, g_k in degree
+    k(d-1): generators g_k ⊗ r, k = 0..L and r a basis of R, in degree
+    |r| + k(d-1), with
+
+      δ₀(g_k ⊗ r) = g_{k-1} ⊗ x·r + (-1)^k g_k ⊗ d_R r,
+      Φ(g_k ⊗ r) = (-1)^k g_{k-1} ⊗ r.
+
+    x commutes with d_R (the raw module checks it), so δ₀² = 0 and
+    Φδ₀ + δ₀Φ = 0, which the SphereModule checks again.  D lowers the layer,
+    so layers 0..L are a submodule F_L of the whole resolution F ≃ R.
+
+    The cut.  Let R lie in degrees lo..hi, a = hi - lo, p the period of
+    `sphere_block_period`; `sphere_level` takes the least L with
+    L(d-1) > a - d and L(d-1) >= 2p.  F_L(-) is additive and keeps
+    quasi-isomorphisms (its layers are copies of A ⊗ R), and R is a sum of
+    molecules and shifts of K, as every bounded module over A is.  So:
+    - F_L(Σ^{-s}K), lo <= s <= hi, has δ₀ = 0 and Φ stepping down the layers:
+      one string from s to s + L(d-1), a tower of height L, whose degrees in
+      steps of p are Tor classes of R, three or more;
+    - a molecule Z = Σ^{-l}Z_m of R has its cohomology in lo..hi, so
+      m(d-1) + d <= a (hence m < L) and l <= hi - d.  On Z's model, which
+      starts in degree l - m(d-1), F/F_L is F moved up L + 1 layers with
+      signs changed; it starts above l, where the model has no generator, so
+      Z → F/F_L is zero, and F_L(Z) is Z plus a copy moved up by
+      L(d-1) + d, of height m (it has Z's cohomology, moved).
+    Hence R's molecules are the strings topped below layer L, at l < lo +
+    L(d-1); copies are topped above it with m(d-1) + d <= a, and towers are
+    the strings with m(d-1) + d > a.
+
+    Raises BudgetExceeded, before building, past KOSZUL_GENERATOR_BUDGET
+    generators.
+    """
+    cx = module.complex
+    act = module.actions.get(module.algebra.generators[0].label, {})
+    degrees = cx.space.degrees()
+    size = sum(map(cx.dim, degrees))        # generators per layer
+    if (layers + 1) * size > KOSZUL_GENERATOR_BUDGET:
+        raise BudgetExceeded(f"the Koszul resolution of the raw module over H*(S^{d}) cut at "
+                             f"layer {layers} has {(layers + 1) * size} generators, more than "
+                             f"{KOSZUL_GENERATOR_BUDGET}")
+    at = dict(zip(degrees, accumulate(map(cx.dim, degrees), initial=0)))
+    gens, delta, phi = [], {}, {}
+    for k in range(layers + 1):
+        sign, layer = -1 if k % 2 else 1, k * size
+        for n in degrees:
+            cols, rows = cx.cols.get(n), act.get(n, ())
+            for j in range(cx.dim(n)):
+                g = len(gens)
+                gens.append((f"g{k}⊗{n}.{j}", n + k * (d - 1)))
+                delta[g] = {layer + at[n + 1] + i: sign * c for i, c in cols[j]} if cols else {}
+                if k:
+                    phi[g] = {g - size: sign}
+                    delta[g].update((layer - size + at[n + d] + i, row[j])
+                                    for i, row in enumerate(rows) if row[j])
+    return SphereModule(d, module.field, gens, delta, phi)
+
+
 def sphere_level(data, d: int) -> LevelResult:
     """Level over H*(S^d) of a module, a Tor result, or a dimension table.
 
-    A SphereModule, and a finite, untruncated free module, is decomposed by
-    its Jordan strings, so its level is exact.  Otherwise infinite-cohomology
-    certificates win: a Tor result's own verdict, or for a raw or truncated
-    module the verdict of `phi`.  Without one, a truncated module raises
-    NotCompactlyDecomposable, since its cohomology is known only below the
-    truncation; otherwise the cohomology (of a raw module in its default
-    window) is decomposed by matching; ambiguity produces an interval, never
-    a guess.  A module over any other algebra raises PresentationError.
+    Every untruncated module is decomposed by Jordan strings
+    (`decompose_module`): a SphereModule or a free module as it is, a raw
+    module R (trivial ones too) through `raw_resolution`, whose cut separates
+    R's molecules, for an exact level, from towers, the summands Σ^{-s}K of R.
+    A tower certifies an infinite level: its period is `sphere_block_period`,
+    its witnesses the lowest tower's degrees in steps of it.  A truncated
+    module raises NotCompactlyDecomposable: its cohomology is known only below
+    the truncation, and phi, which reads no truncated module, does not certify
+    infinite Tor.  A Tor result's own infinite verdict wins; finite Tor
+    results and dimension tables are decomposed by matching, and ambiguity
+    produces an interval, never a guess.  A module over any other algebra
+    raises PresentationError.
     """
     if isinstance(data, TorResult):
         v = data.verdict()
@@ -635,14 +716,21 @@ def sphere_level(data, d: int) -> LevelResult:
         if data.is_free and data.truncation_degree is None:
             return decompose_module(data, d).level_result()
         _require_sphere(data, d)
-        v = phi(data)
-        if v.is_infinite:
-            return LevelResult.infinite(v)
         if data.truncation_degree is not None:
             raise NotCompactlyDecomposable(
                 f"the module is truncated at degree {data.truncation_degree} and "
                 "phi does not certify infinite Tor, so its cohomology is partial")
-        dims = data.cohomology_dims()
+        degrees = data.complex.space.degrees() or [0]
+        lo, a, p = degrees[0], degrees[-1] - degrees[0], sphere_block_period(d)
+        layers = max((a - d) // (d - 1) + 1, 2 * p // (d - 1))
+        dec = decompose_module(raw_resolution(data, d, layers), d)
+        towers = [mol for mol in dec.molecules if mol.m * (d - 1) + d > a]
+        if towers:
+            bottom, top = min((mol.l - mol.m * (d - 1), mol.l) for mol in towers)
+            return LevelResult.infinite(FinitenessVerdict(
+                "infinite", period=p, witnesses=tuple(range(bottom, top + 1, p))))
+        return Decomposition.of(mol for mol in dec.molecules
+                                if mol.l < lo + layers * (d - 1)).level_result()
     else:
         dims = {n: x for n, x in data.items() if x}
     if not dims:

@@ -759,6 +759,33 @@ def test_level_of_a_raw_module_file_with_infinite_phi(tmp_path):
     assert "decomposition" not in result
 
 
+def test_level_of_a_raw_module_file_is_exact(tmp_path):
+    from helpers import raw_expansion, with_k
+
+    from dglevels.field import GF3
+    from dglevels.module import direct_sum
+    from dglevels.spheres import MoleculeId, molecule_model
+
+    # its cohomology matches Σ^{-3}Z_1 ⊕ Σ^{-6}Z_1 and Σ^{-6}Z_2 ⊕ Σ^{-3}Z_0 alike, but
+    # its Koszul resolution names the molecules
+    raw = raw_expansion(direct_sum([molecule_model(MoleculeId(4, 3, 1), GF3),
+                                    molecule_model(MoleculeId(4, 6, 1), GF3)]))
+    argv = ["level", "--d", "4", "--module", write_module(tmp_path / "raw.json", raw)]
+    code, out = run_captured(argv)
+    assert code == 0 and run_captured(argv) == (code, out)
+    result = json.loads(out)["result"]
+    assert (result["kind"], result["level"]) == ("exact", 2)
+    assert result["decomposition"]["ambiguous"] is False
+    assert [m["name"] for m in result["decomposition"]["molecules"]] == ["Σ^{-3}Z_1",
+                                                                         "Σ^{-6}Z_1"]
+    # a summand K in degree 5 is a tower of the resolution: level ∞
+    path = write_module(tmp_path / "raw-k.json", with_k(raw, [5]))
+    code, out = run_captured(["level", "--d", "4", "--module", path])
+    result = json.loads(out)["result"]
+    assert code == 0 and result["kind"] == "infinite"
+    assert result["certificate"]["period"] == 6 and result["certificate"]["witnesses"][0] == 5
+
+
 def test_level_of_a_module_file_over_another_algebra(tmp_path):
     from dglevels.algebra import DGAlgebraPresentation
     from dglevels.field import QQ

@@ -402,6 +402,7 @@ def spans(draw):
 @example((2, [], (1,)))
 @example((5, [(1, 2), (2, 4)], (3, 6)))
 @example((3, [(Fraction(2), 1), (1, 2)], (0, 0)))
+@example((0, [(), ()], ()))
 def test_coordinates_match_naive_oracle(case):
     # None exactly when the target raises the rank; otherwise the coordinates
     # give the target back, and those of the vectors dependent on earlier
@@ -414,7 +415,7 @@ def test_coordinates_match_naive_oracle(case):
     if not in_span:
         assert coords is None
         return
-    assert coords is not None
+    assert coords is not None and len(coords) == len(vectors)
     assert all(type(c).__name__ == ("int" if p else "Fraction") for c in coords)
     if not coords:
         return

@@ -22,7 +22,7 @@ from dglevels.module import (DGModulePresentation, block_sum, cone, direct_sum, 
 from dglevels.rational import build_P_tower, tower_level_bounds
 from dglevels.spheres import (MoleculeId, SphereModule, bundle_level, decompose_module,
                               molecule_model, sphere_level)
-from helpers import differential, rank
+from helpers import differential, rank, raw_expansion, with_k
 
 FIELDS = st.sampled_from([QQ, GF2, GF3])
 STRINGS = st.lists(st.tuples(st.integers(-4, 8), st.integers(0, 3)), max_size=4)
@@ -397,6 +397,50 @@ def test_a_wrong_pivot_kernel_fails_the_fill_check(monkeypatch):
                         lambda rows, f: field_module.echelon_leads(rows, f)[:-1])
     with pytest.raises(VerificationFailed, match="degree 0 holds 1 strings where dim H = 2"):
         decompose_module(M, 4)
+
+
+# -- raw modules through their Koszul resolution --------------------------------------------
+
+RAW_FIELDS = st.sampled_from([QQ, GF2, GF3, GF5])
+# none for a molecule sum, else contractible pairs and squares
+RAW_PIECES = st.one_of(st.just([]), st.lists(st.tuples(st.integers(-4, 8), st.booleans()),
+                                             min_size=1, max_size=3))
+
+
+def raw_level(M, d, shifts=()):
+    """sphere_level of the raw expansion of M, with Σ^{-s}K added for each
+    shift s, and no matching run."""
+    def no_matching(*args, **kwargs):
+        raise AssertionError("a module's cohomology was matched")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spheres, "all_matchings", no_matching)
+        return sphere_level(with_k(raw_expansion(M), shifts), d)
+
+
+@settings(deadline=None, max_examples=450)
+@given(RAW_FIELDS, st.integers(2, 6), STRINGS, RAW_PIECES, st.integers(0, 2**32 - 1))
+def test_a_raw_module_has_the_molecules_of_its_free_module(field, d, strings, pieces, seed):
+    # molecule sums, and with contractible pieces modules that are not
+    # minimal, in a random basis of each degree: then x·d ≠ 0 in the raw
+    # module, so the signs of its resolution are tested
+    M = planted_module(field, d, strings, pieces, seed)
+    res = raw_level(M, d)
+    assert res.kind == "exact" and res.value == decompose_module(M, d).level()
+    assert res.decomposition.molecules == decompose_module(M, d).molecules == expected(d, strings)
+
+
+@settings(deadline=None, max_examples=120)
+@given(RAW_FIELDS, st.integers(2, 6), STRINGS, RAW_PIECES, st.integers(0, 2**32 - 1),
+       st.lists(st.integers(-6, 10), min_size=1, max_size=3))
+def test_a_raw_module_with_a_summand_k_has_infinite_level(field, d, strings, pieces, seed,
+                                                          shifts):
+    # each Σ^{-s}K is a tower of the resolution; the lowest starts at min(shifts)
+    res = raw_level(planted_module(field, d, strings, pieces, seed), d, shifts)
+    period = resolve.sphere_block_period(d)
+    cert = res.certificate
+    assert res.kind == "infinite" and cert.period == period and len(cert.witnesses) >= 3
+    assert cert.witnesses == tuple(range(min(shifts), cert.witnesses[-1] + 1, period))
 
 
 # -- the level axioms on cones ------------------------------------------------------------

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dglevels import resolve
+from dglevels import resolve, spheres
 from dglevels.algebra import DGAlgebraPresentation
 from dglevels.errors import (
     BudgetExceeded,
@@ -54,7 +54,7 @@ from dglevels.spheres import (
     realizable,
     sphere_level,
 )
-from helpers import rank
+from helpers import rank, raw_expansion
 
 GRID = [(d, l, m) for d in range(2, 7) for l in range(0, 11) for m in range(0, 6)]
 
@@ -606,43 +606,37 @@ def test_sphere_level_of_a_tor_with_unknown_verdict_refuses():
     assert e.value.code == "not-compactly-decomposable"
 
 
-def raw_expansion(module):
-    """A free module over H*(S^d) as a raw module: its expansion in the
-    default window with the action of x as matrices."""
-    A = module.algebra
-    (x,) = A.generators
-    exp = module.expand(module.default_window())
-    actions = {}
-    for n, elems in exp.elements.items():
-        targets = exp.elements.get(n + x.degree)
-        if targets:
-            mat = actions[n] = [[A.field.zero()] * len(elems) for _ in targets]
-            for j, e in enumerate(elems):
-                for t, c in exp.act_element(e, A.generator_poly(x.label)).items():
-                    mat[exp.pos[t][1]][j] = c
-    return DGModulePresentation.raw(A, exp.complex, {x.label: actions})
-
-
 def test_phi_resolves_only_what_can_certify(monkeypatch):
     # a truncated free module, and a raw module with no Koszul resolution, have
     # no resolution whose Tor could be finite or periodic: phi answers unknown
-    # with nothing built, and sphere_level keeps its answers
+    # with nothing built.  sphere_level reads a raw module through its own
+    # Koszul resolution, with no phi and no matching, and answers exactly
     def refuse(*args, **kwargs):
         raise AssertionError("phi built a resolution it cannot read")
 
+    def no_matching(*args, **kwargs):
+        raise AssertionError("a module's cohomology was matched")
+
     monkeypatch.setattr(resolve, "_bar", refuse)
     monkeypatch.setattr(resolve, "derived_tensor", refuse)
+    assert not hasattr(spheres, "phi")
     truncated = koszul_resolution_sphere(4, QQ, cap=18).module
     assert resolve.auto_strategy(truncated) is None and phi(truncated).kind == "unknown"
     with pytest.raises(NotCompactlyDecomposable, match="truncated at degree 19 and phi"):
         sphere_level(truncated, 4)
-    for mols, interval in (([(4, 3, 1), (4, 6, 1)], (2, 3)),
-                           ([(4, 3, 2), (4, 6, 3), (4, 10, 1)], (3, 4)),
-                           ([(3, 0, 4), (3, 5, 3)], (3, 5))):
-        raw = raw_expansion(direct_sum([molecule_model(MoleculeId(*m)) for m in mols]))
-        assert resolve.auto_strategy(raw) is None and phi(raw).kind == "unknown"
-        res = sphere_level(raw, mols[0][0])
-        assert (res.kind, res.lo, res.hi) == ("interval", *interval)
+    for field in (QQ, GF2, GF3):
+        for mols, level in (([(4, 3, 1), (4, 6, 1)], 2),
+                            ([(4, 3, 2), (4, 6, 3), (4, 10, 1)], 4),
+                            ([(3, 0, 4), (3, 5, 3)], 5)):
+            raw = raw_expansion(direct_sum([molecule_model(MoleculeId(*m), field)
+                                            for m in mols]))
+            assert resolve.auto_strategy(raw) is None and phi(raw).kind == "unknown"
+            with monkeypatch.context() as m:
+                m.setattr(spheres, "all_matchings", no_matching)
+                res = sphere_level(raw, mols[0][0])
+            assert (res.kind, res.value) == ("exact", level)
+            assert sorted(res.decomposition.molecules, key=lambda mol: mol.l) == \
+                [MoleculeId(*mol) for mol in mols]
 
 
 @pytest.mark.parametrize("d", range(2, 13))
@@ -652,6 +646,17 @@ def test_k_has_infinite_level_over_every_sphere(d):
     res = sphere_level(DGModulePresentation.trivial(DGAlgebraPresentation.sphere_cohomology(d, QQ)), d)
     assert res.kind == "infinite"
     assert (res.certificate.period, res.certificate.witnesses[:3]) == (period, (0, period, 2 * period))
+
+
+def test_a_raw_module_resolution_has_a_generator_budget():
+    # K ⊕ Σ^{-s}K over H*(S^2) is cut at layer s - 1: 2s generators
+    A = DGAlgebraPresentation.sphere_cohomology(2, QQ)
+    assert sphere_level(DGModulePresentation.trivial(A, shifts=(0, 5000)), 2).kind == "infinite"
+    start = time.perf_counter()
+    for top in (5001, 10**12):
+        with pytest.raises(BudgetExceeded, match=f"more than {resolve.KOSZUL_GENERATOR_BUDGET}$"):
+            sphere_level(DGModulePresentation.trivial(A, shifts=(0, top)), 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_negative_multiplicities_are_refused():
@@ -664,16 +669,16 @@ def test_negative_multiplicities_are_refused():
 def test_sphere_level_interval_on_ambiguous_dims():
     res = sphere_level({0: 1, 3: 1, 7: 1, 10: 1}, 4)
     assert res.kind == "interval" and (res.lo, res.hi) == (2, 3)
-    # a compact raw module is known only through its cohomology: the same
-    # interval (the raw complex of Σ^{-3}Z_1 ⊕ Σ^{-6}Z_1, where phi is unknown)
+    # the raw complex of Σ^{-3}Z_1 ⊕ Σ^{-6}Z_1, where phi is unknown, has the
+    # same cohomology, and its Koszul resolution picks the molecules: level 2
     A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
     raw = raw_expansion(direct_sum([molecule_model(MoleculeId(4, 3, 1)),
                                     molecule_model(MoleculeId(4, 6, 1))]))
     assert raw.cohomology_dims() == {0: 1, 3: 1, 7: 1, 10: 1}
     assert phi(raw).kind == "unknown"
     res = sphere_level(raw, 4)
-    assert res.kind == "interval" and (res.lo, res.hi) == (2, 3)
-    # four shifts of K with zero action: phi certifies infinite cohomology,
+    assert res.kind == "exact" and res.value == 2
+    # four shifts of K with zero action: each is a tower of the resolution,
     # so the level is ∞ although the same dimensions match into molecules
     res = sphere_level(DGModulePresentation.trivial(A, shifts=(0, 3, 7, 10)), 4)
     assert res.kind == "infinite" and res.certificate.period == 6
