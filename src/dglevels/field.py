@@ -93,9 +93,6 @@ class FieldTag:
     def is_zero(self, a) -> bool:
         return not self.reduce(a)
 
-    def is_zero_matrix(self, mat) -> bool:
-        return all(self.is_zero(x) for row in mat for x in row)
-
     # -- serialization -------------------------------------------------------
 
     def scalar_to_json(self, a):

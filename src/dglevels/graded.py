@@ -14,7 +14,9 @@ ordered basis per degree, its labels, and a column rule that lists d(e) as
 (target, scalar) pairs.  A complex stores each differential only as these
 sparse columns, ``cols[n][j]`` the nonzero (row, scalar) pairs of d(e_j);
 the d∘d check, cohomology, coboundaries and JSON all read them.  Only the
-constructor takes dense matrices.
+constructor takes dense matrices, each converted once by `sparse_columns`,
+the conversion a raw module's actions share; `_apply` reads any such map on
+a sparse vector.
 
 Cohomology is read only in certified degrees, which form one range,
 ``CochainComplex.certified``, found once per call.  It comes two ways.
@@ -37,7 +39,7 @@ from math import gcd, inf
 
 from .errors import PresentationError
 from .field import (FieldTag, _validate_entries, echelon_leads, integer_row, pivot_columns,
-                    rank_and_kernel)
+                    rank_and_kernel, sparse_sum)
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,8 @@ class CochainComplex:
     ``cols[n][j]`` lists the nonzero (row, scalar) pairs of d(e_j), rows
     ascending, and a map that is zero is absent.  The constructor takes
     dense matrices, ``differential[n]`` with entry [i][j] the coefficient of
-    target basis element i in d(source basis element j), checks their shapes
-    and entries and stores their columns; :func:`assemble` builds columns
+    target basis element i in d(source basis element j), and stores their
+    reduced columns (`sparse_columns`); :func:`assemble` builds columns
     itself and sets them on a complex made with no maps.  The columns are
     the only storage.  The zero-squared condition is checked at construction
     for every degree where both composable maps are known; a violation is a
@@ -107,16 +109,9 @@ class CochainComplex:
                  truncated_below=None):
         cols = {}
         for n, mat in differential.items():
-            src, tgt = space.dim(n), space.dim(n + 1)
-            if space.field.is_zero_matrix(mat):
-                continue
-            if len(mat) != tgt or any(len(row) != src for row in mat):
-                raise PresentationError(
-                    f"differential at degree {n} has shape "
-                    f"{len(mat)}x{len(mat[0]) if mat else 0}, expected {tgt}x{src}"
-                )
-            _validate_entries(mat, space.field)
-            cols[n] = [[(i, row[j]) for i, row in enumerate(mat) if row[j]] for j in range(src)]
+            if m := sparse_columns(mat, space.dim(n), space.dim(n + 1), space.field,
+                                   f"differential at degree {n}"):
+                cols[n] = m
         self.space = space
         self.field = space.field
         self.truncated_above = truncated_above
@@ -193,6 +188,30 @@ def _integer_rows(cols):
             for col in cols]
 
 
+def sparse_columns(mat, src: int, tgt: int, field: FieldTag, what: str):
+    """A dense tgt x src matrix, entry [i][j] the coefficient of target i in
+    the image of source j, as columns of reduced nonzero (row, scalar) pairs,
+    rows ascending; None when every entry is zero.  Raises PresentationError
+    "<what> has wrong shape" on another shape, and FieldMismatch on an entry
+    that is no scalar of the field."""
+    if len(mat) != tgt or any(len(row) != src for row in mat):
+        raise PresentationError(f"{what} has wrong shape")
+    _validate_entries(mat, field)
+    reduce = field.reduce
+    cols = [[(i, r) for i, row in enumerate(mat) if (r := reduce(row[j]))] for j in range(src)]
+    return cols if any(cols) else None
+
+
+def _apply(maps, n: int, vector, field: FieldTag):
+    """The map of degree n in ``maps`` (degree -> sparse columns) on a
+    sparse vector of (index, scalar) pairs, as `sparse_sum`'s {row: scalar};
+    {} where ``maps`` holds no map of degree n."""
+    cols = maps.get(n)
+    if cols is None:
+        return {}
+    return sparse_sum(((i, c * x) for j, c in vector for i, x in cols[j]), field)
+
+
 def dense_rows(cols, nrows: int, field: FieldTag):
     """The matrix with the given columns, each a list of (row, scalar) pairs,
     as dense rows with the field's zero elsewhere."""
@@ -237,14 +256,6 @@ def assemble(field: FieldTag, elements, labels, column, truncated_above=None,
     cx.cols = cols
     cx._check_d_squared()
     return cx, pos
-
-
-def mat_vec(mat, vector, field: FieldTag):
-    """mat · vector as a tuple, summing plain values over the nonzero entries
-    of the vector only; reduced mod p over F_p."""
-    nz = [(j, x) for j, x in enumerate(vector) if x]
-    zero, reduce = field.zero(), field.reduce
-    return tuple(reduce(sum(row[j] * x for j, x in nz)) or zero for row in mat)
 
 
 # ---------------------------------------------------------------------------

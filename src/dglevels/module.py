@@ -7,8 +7,11 @@ Leibniz rule are enforced symbolically at construction, and block sums of
 checked modules (`block_sum`: shifts, direct sums, shifted Koszul sums, and
 SphereModules over one H*(S^d) and field as one) inherit them without a
 recheck.  A *raw* module is a finite cochain complex together with a right
-action matrix for every algebra generator (the fallback for cohomology-level
-inputs such as H*(S^7) over H*(S^4)).
+action of every algebra generator (the fallback for cohomology-level inputs
+such as H*(S^7) over H*(S^4)).  Its actions are taken as dense matrices and
+kept, as the complex keeps d, only as reduced sparse columns per degree
+(`graded.sparse_columns`), a zero map dropped; every check and product reads
+them through `graded._apply`.
 
 A free module truncated at T (``truncation_degree``) holds every generator
 in degrees below T, and the whole differential of every generator below
@@ -41,9 +44,9 @@ from .errors import (
     Undecided,
     VerificationFailed,
 )
-from .field import _validate_entries, integer_row, pivot_columns, row_reduce, solve, sparse_sum
-from .graded import (CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology,
-                     cohomology_dims, mat_vec)
+from .field import integer_row, pivot_columns, row_reduce, solve, sparse_sum
+from .graded import (CochainComplex, DegreeWindow, GradedVectorSpace, _apply, assemble, cohomology,
+                     cohomology_dims, dense_rows, sparse_columns)
 
 
 def free_generators(generators):
@@ -93,8 +96,7 @@ class DGModulePresentation:
         else:
             self.generators = None
             self.complex = complex
-            self.actions = {g: dict(mats) for g, mats in (actions or {}).items()}
-            self._validate_raw()
+            self._validate_raw(actions or {})
 
     # -- flavor ------------------------------------------------------------
 
@@ -106,19 +108,7 @@ class DGModulePresentation:
         """Raw, zero differential, zero action: a finite sum of shifts of K."""
         if self.is_free:
             return not self.generators
-        return not self.complex.cols and self._zero_action()
-
-    def _zero_action(self) -> bool:
-        """Every action matrix of a raw module is zero."""
-        return all(map(self.field.is_zero_matrix,
-                       (mat for mats in self.actions.values() for mat in mats.values())))
-
-    def shift_degrees(self):
-        """For a trivial module: the degrees of its K-summands, with multiplicity."""
-        out = []
-        for n in self.complex.space.degrees():
-            out.extend([n] * self.complex.space.dim(n))
-        return out
+        return not self.complex.cols and not self.actions
 
     # -- validation -----------------------------------------------------------
 
@@ -163,42 +153,39 @@ class DGModulePresentation:
                 if reduce(c):
                     raise PresentationError(f"D∘D ≠ 0 on generator {src!r} (lands on {k!r})")
 
-    def _validate_raw(self):
-        f = self.field
-        A = self.algebra
-        for label in self.actions:
+    def _validate_raw(self, actions):
+        """Store ``actions`` ({generator: {degree: dense matrix}}) as
+        ``self.actions``, {generator: {degree: sparse columns}} with zero
+        maps and generators without one dropped, and check the module axioms
+        on them."""
+        f, A, cx = self.field, self.algebra, self.complex
+        for label in actions:
             if label not in A.index:
                 raise PresentationError(f"action for unknown algebra generator {label!r}")
         # the complex's constructor checked its entries against its own field
-        if self.complex.field != f:
-            raise FieldMismatch(f"the complex is over {self.complex.field}, "
-                                f"the algebra over {f}")
-        for mat in (mat for mats in self.actions.values() for mat in mats.values()):
-            _validate_entries(mat, f)
-        if not self._zero_action():
+        if cx.field != f:
+            raise FieldMismatch(f"the complex is over {cx.field}, the algebra over {f}")
+        self.actions = {}
+        for label, mats in actions.items():
+            gd = A.generators[A.index[label]].degree
+            maps = {n: cols for n, mat in mats.items() if (cols := sparse_columns(
+                mat, cx.dim(n), cx.dim(n + gd), f, f"action of {label} at degree {n}"))}
+            if maps:
+                self.actions[label] = maps
+        if self.actions:
             if not A.has_zero_differential():
                 raise PresentationError(
                     "raw modules with nontrivial action require a zero-differential algebra")
             if any(g.kind == DIVIDED for g in A.generators):
                 raise PresentationError("raw modules over divided-power algebras are unsupported")
-        for label, mats in self.actions.items():
+        for label, maps in self.actions.items():
             gd = A.generators[A.index[label]].degree
-            for n, mat in mats.items():
-                src, tgt = self.complex.dim(n), self.complex.dim(n + gd)
-                if len(mat) != tgt or any(len(row) != src for row in mat):
-                    raise PresentationError(
-                        f"action of {label} at degree {n} has wrong shape")
             # module axiom: the action is a chain map (algebra differential zero
-            # here), in every degree; a missing matrix is the zero action
-            for n in self.complex.space.degrees():
-                for j in range(self.complex.dim(n)):
-                    v = [f.zero()] * self.complex.dim(n)
-                    v[j] = f.one()
-                    av = self._raw_apply(mats, n, v, gd)
-                    dav = self._raw_d(n + gd, av)
-                    dv = self._raw_d(n, v)
-                    adv = self._raw_apply(mats, n + 1, list(dv), gd)
-                    if tuple(dav) != tuple(adv):
+            # here), in every degree; a missing map is the zero action
+            for n in cx.space.degrees():
+                none = [()] * cx.dim(n)
+                for a, dv in zip(maps.get(n, none), cx.cols.get(n, none)):
+                    if _apply(cx.cols, n + gd, a, f) != _apply(maps, n + 1, dv, f):
                         raise PresentationError(
                             f"action of {label} does not commute with d at degree {n}")
         # the relations of A: x·x = 0 for exterior x, a·b = (-1)^{|a||b|} b·a
@@ -211,36 +198,22 @@ class DGModulePresentation:
                 # a == b: the sign 0 asks for x·x = 0
                 sign = 0 if a == b else -1 if ga.degree * gb.degree % 2 else 1
                 relation = f"{a}·{a} = 0" if a == b else f"{a}·{b} = ±{b}·{a}"
-                for n in self.complex.space.degrees():
-                    for j in range(self.complex.dim(n)):
-                        ab, ba = self._raw_word(n, j, (ga, gb)), self._raw_word(n, j, (gb, ga))
-                        if any(f.reduce(x - sign * y) for x, y in zip(ab, ba)):
+                for n in cx.space.degrees():
+                    for j in range(cx.dim(n)):
+                        ab = self._raw_word(n, j, (ga, gb))
+                        ba = self._raw_word(n, j, (gb, ga)) if sign else {}
+                        if sparse_sum([*ab.items(), *((k, -sign * y) for k, y in ba.items())], f):
                             raise PresentationError(
                                 f"the action breaks {relation} at degree {n}")
 
     def _raw_word(self, n, j, word):
-        """Basis vector j of degree n acted on by the generators of ``word`` in turn."""
-        f = self.field
-        v = [f.zero()] * self.complex.dim(n)
-        v[j] = f.one()
+        """Basis vector j of degree n acted on by the generators of ``word``
+        in turn, as {index: scalar}."""
+        v = {j: self.field.one()}
         for g in word:
-            v = self._raw_apply(self.actions.get(g.label, {}), n, v, g.degree)
+            v = _apply(self.actions.get(g.label, {}), n, v.items(), self.field)
             n += g.degree
         return v
-
-    def _raw_d(self, n, vector):
-        """d^n of a dense vector, read off the complex's stored columns."""
-        out = [self.field.zero()] * self.complex.dim(n + 1)
-        for c, col in zip(vector, self.complex.cols.get(n, ())):
-            for i, x in col:
-                out[i] += c * x
-        return [self.field.reduce(x) for x in out]
-
-    def _raw_apply(self, mats, n, vector, gd):
-        mat = mats.get(n)
-        if mat is None:
-            return (self.field.zero(),) * self.complex.dim(n + gd)
-        return mat_vec(mat, vector, self.field)
 
     # -- constructors ------------------------------------------------------------
 
@@ -290,11 +263,13 @@ class DGModulePresentation:
         else:
             from .graded import complex_to_json
 
+            f, dim = self.field, self.complex.dim
             out["complex"] = complex_to_json(self.complex)
             out["actions"] = {
-                g: {str(n): [[self.field.scalar_to_json(x) for x in row] for row in mat]
-                    for n, mat in sorted(mats.items())}
-                for g, mats in sorted(self.actions.items())
+                g: {str(n): [[f.scalar_to_json(x) for x in row] for row in dense_rows(
+                    cols, dim(n + A.generators[A.index[g]].degree), f)]
+                    for n, cols in sorted(maps.items())}
+                for g, maps in sorted(self.actions.items())
             }
         return out
 
@@ -450,7 +425,7 @@ class ModuleExpansion:
             word = [g for g, e in zip(A.generators, mono) for _ in range(e)]
             tdeg = n + sum(g.degree for g in word)
             out = self._raw_products[element, mono] = [
-                ((tdeg, i), x) for i, x in enumerate(self.module._raw_word(n, j, word)) if x]
+                ((tdeg, i), x) for i, x in self.module._raw_word(n, j, word).items()]
             return out
 
 

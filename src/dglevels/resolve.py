@@ -655,35 +655,16 @@ def auto_strategy(M: DGModulePresentation) -> str | None:
     return KOSZUL if M.is_trivial() and _koszul_applies(M.algebra) else None
 
 
-def phi(M: DGModulePresentation, window: DegreeWindow | None = None) -> FinitenessVerdict:
-    """dim H(M ⊗^L_A K) as a verdict; unknown at once, with nothing built,
-    when no resolution could certify it (`auto_strategy`)."""
+def phi(M: DGModulePresentation, window: DegreeWindow) -> FinitenessVerdict:
+    """dim H(M ⊗^L_A K) in ``window`` as a verdict; unknown at once, with
+    nothing built, when no resolution could certify it (`auto_strategy`)."""
     A = M.algebra
     if not A.is_simply_connected():
         raise NotSimplyConnected("phi needs a simply-connected algebra")
     strategy = auto_strategy(M)
     if strategy is None:
         return FinitenessVerdict("unknown")
-    window = window or _phi_window(M)
     return derived_tensor(M, residue_module(A), strategy=strategy, window=window).verdict()
-
-
-def _phi_window(M):
-    """A window that holds what phi certifies.  A free module's Tor lies in
-    its generator degrees.  For a trivial module the window ends two periods
-    past its lowest shift over H*(S^d), or at its highest shift plus the top
-    Koszul degree Σ(g_j - 1) over a polynomial algebra, and never before the
-    highest shift plus 4·(span of the shifts + 4)."""
-    if M.is_free:
-        return M.default_window()
-    A = M.algebra
-    shifts = M.shift_degrees() or [0]
-    lo, hi = min(shifts), max(shifts)
-    if A.sphere_generator_label() is not None:
-        reach = lo + 2 * sphere_block_period(A.generators[0].degree)
-    else:
-        reach = hi + sum(g.degree - 1 for g in A.generators)
-    return DegreeWindow(lo - 1, max(hi + 4 * (hi - lo + 4), reach))
 
 
 def infinite_level_certificate(tor: TorResult, algebra: DGAlgebraPresentation | None = None):

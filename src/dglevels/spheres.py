@@ -68,7 +68,7 @@ from .errors import (
 )
 from .field import (FieldTag, QQ, _validate_entries, echelon_leads, integer_row,
                     rank_and_kernel, sparse_sum)
-from .graded import dense_rows
+from .graded import _apply, dense_rows
 from .module import DGModulePresentation, free_generators
 from .resolve import (KOSZUL_GENERATOR_BUDGET, FinitenessVerdict, TorResult,
                       check_exterior_basis, sphere_block_period)
@@ -448,30 +448,20 @@ class SphereModule(DGModulePresentation):
         """δ₀² = 0 and Φδ₀ + δ₀Φ = 0, one generator's column at a time."""
         if not self.delta:
             return                  # δ₀ = 0 satisfies both
-        reduce, d = self.field.reduce, self.d
+        f, d = self.field, self.d
         for deg in sorted(self.delta.keys() | self.phi.keys()):
             none = [[]] * len(self.labels[deg])
             for label, dcol, pcol in zip(self.labels[deg], self.delta.get(deg, none),
                                          self.phi.get(deg, none)):
                 if not (dcol or pcol):
                     continue
-                square = self._compose(self.delta, deg + 1, dcol)
-                cross = self._compose(self.phi, deg + 1, dcol,
-                                      self._compose(self.delta, deg + 1 - d, pcol))
-                for acc, tdeg in ((square, deg + 2), (cross, deg + 2 - d)):
-                    hit = [i for i, c in acc.items() if reduce(c)]
+                square = _apply(self.delta, deg + 1, dcol, f)
+                cross = sparse_sum([*_apply(self.phi, deg + 1, dcol, f).items(),
+                                    *_apply(self.delta, deg + 1 - d, pcol, f).items()], f)
+                for hit, tdeg in ((square, deg + 2), (cross, deg + 2 - d)):
                     if hit:
                         raise PresentationError(f"D∘D ≠ 0 on generator {label!r} "
                                                 f"(lands on {self.labels[tdeg][min(hit)]!r})")
-
-    def _compose(self, blocks, deg, col, acc=None):
-        """acc plus the block at degree ``deg`` applied to a sparse column there."""
-        acc = {} if acc is None else acc
-        cols = blocks.get(deg)
-        for i, c in col if cols else ():
-            for k, e in cols[i]:
-                acc[k] = acc.get(k, 0) + c * e
-        return acc
 
     @staticmethod
     def from_presentation(module: DGModulePresentation, d: int) -> "SphereModule":
@@ -556,11 +546,9 @@ def decompose_module(module, d: int) -> Decomposition:
                                      f"where dim H = {dim}")
         for top, _ in dead:
             ends[(top - a) // (d - 1) - 1, top] += 1
-        blocks, t = phi.get(a), a + 1 - d
+        t = a + 1 - d
         for top, v in survivors + [(a, z) for z in births]:     # oldest first
-            w = sparse_sum(((k, c * e) for j, c in v for k, e in blocks[j]), f) \
-                if blocks else {}
-            if w:
+            if w := _apply(phi, a, v, f):
                 carried.setdefault(t, []).append((top, list(w.items())))
             else:
                 ends[(top - a) // (d - 1), top] += 1
@@ -676,15 +664,15 @@ def raw_resolution(module: DGModulePresentation, d: int, layers: int) -> SphereM
     for k in range(layers + 1):
         sign, layer = -1 if k % 2 else 1, k * size
         for n in degrees:
-            cols, rows = cx.cols.get(n), act.get(n, ())
+            cols, xcols = cx.cols.get(n), act.get(n)
             for j in range(cx.dim(n)):
                 g = len(gens)
                 gens.append((f"g{k}⊗{n}.{j}", n + k * (d - 1)))
                 delta[g] = {layer + at[n + 1] + i: sign * c for i, c in cols[j]} if cols else {}
                 if k:
                     phi[g] = {g - size: sign}
-                    delta[g].update((layer - size + at[n + d] + i, row[j])
-                                    for i, row in enumerate(rows) if row[j])
+                    if xcols:
+                        delta[g].update((layer - size + at[n + d] + i, c) for i, c in xcols[j])
     return SphereModule(d, module.field, gens, delta, phi)
 
 
@@ -696,7 +684,8 @@ def sphere_level(data, d: int) -> LevelResult:
     module R (trivial ones too) through `raw_resolution`, whose cut separates
     R's molecules, for an exact level, from towers, the summands Σ^{-s}K of R.
     A tower certifies an infinite level: its period is `sphere_block_period`,
-    its witnesses the lowest tower's degrees in steps of it.  A truncated
+    its witnesses the lowest tower's bottom and the two degrees one and two
+    periods above it, which the cut keeps in the tower.  A truncated
     module raises NotCompactlyDecomposable: its cohomology is known only below
     the truncation, and phi, which reads no truncated module, does not certify
     infinite Tor.  A Tor result's own infinite verdict wins; finite Tor
@@ -726,9 +715,9 @@ def sphere_level(data, d: int) -> LevelResult:
         dec = decompose_module(raw_resolution(data, d, layers), d)
         towers = [mol for mol in dec.molecules if mol.m * (d - 1) + d > a]
         if towers:
-            bottom, top = min((mol.l - mol.m * (d - 1), mol.l) for mol in towers)
+            bottom = min(mol.l - mol.m * (d - 1) for mol in towers)
             return LevelResult.infinite(FinitenessVerdict(
-                "infinite", period=p, witnesses=tuple(range(bottom, top + 1, p))))
+                "infinite", period=p, witnesses=(bottom, bottom + p, bottom + 2 * p)))
         return Decomposition.of(mol for mol in dec.molecules
                                 if mol.l < lo + layers * (d - 1)).level_result()
     else:

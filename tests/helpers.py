@@ -22,6 +22,12 @@ def differential(cx):
     return {n: matrix(cx, n) for n in cx.cols}
 
 
+def shift_degrees(M):
+    """The degrees of a trivial module's K-summands, with multiplicity,
+    ascending."""
+    return [n for n in M.complex.space.degrees() for _ in range(M.complex.dim(n))]
+
+
 def raw_expansion(module):
     """A free module over H*(S^d) as a raw module: its expansion in the
     default window with the action of x as matrices."""
@@ -55,6 +61,7 @@ def with_k(raw, shifts):
     (x,) = raw.algebra.generators
     complex = CochainComplex(GradedVectorSpace(raw.field, basis),
                              {n: pad(matrix(cx, n), n, n + 1) for n in cx.cols})
-    actions = {g: {n: pad(mat, n, n + x.degree) for n, mat in mats.items()}
-               for g, mats in raw.actions.items()}
+    actions = {g: {n: pad(dense_rows(cols, cx.dim(n + x.degree), raw.field), n, n + x.degree)
+                   for n, cols in maps.items()}
+               for g, maps in raw.actions.items()}
     return DGModulePresentation.raw(raw.algebra, complex, actions)

@@ -744,12 +744,13 @@ def test_level_of_a_module_file_with_a_positive_shift(tmp_path):
     assert [m["name"] for m in result["decomposition"]["molecules"]] == ["Σ^{-3}Z_1", "Σ^{1}Z_2"]
 
 
-def test_level_of_a_raw_module_file_with_infinite_phi(tmp_path):
+def test_level_of_a_raw_module_file_with_a_koszul_tower(tmp_path):
     from dglevels.algebra import DGAlgebraPresentation
     from dglevels.field import QQ
     from dglevels.module import DGModulePresentation
 
-    # H*(S^4) with zero x-action matches Z_0, but phi certifies infinite Tor
+    # H*(S^4) with zero x-action matches Z_0, but each shift of K is a tower
+    # of its Koszul resolution, which certifies an infinite level
     A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
     path = write_module(tmp_path / "k.json", DGModulePresentation.trivial(A, shifts=(0, 4)))
     code, out = run_captured(["level", "--d", "4", "--module", path])

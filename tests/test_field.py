@@ -8,6 +8,7 @@ from dglevels.field import (
     QQ, GF2, GF3, GF5, FieldTag, _is_prime, coordinates, parse_field, pivot_columns,
     rank_and_kernel, row_reduce, solve, sparse_sum,
 )
+from dglevels.graded import sparse_columns
 from helpers import rank
 
 
@@ -41,7 +42,9 @@ def test_inverse_of_zero_raises():
 
 def test_is_zero_compares_reduced_values():
     assert GF3.is_zero(3) and GF3.is_zero(-6) and not GF3.is_zero(4)
-    assert GF3.is_zero_matrix([[3, 0], [0, 9]]) and not GF5.is_zero_matrix([[3]])
+    # a matrix converts to the zero map exactly when its reduced entries are 0
+    assert sparse_columns([[3, 0], [0, 9]], 2, 2, GF3, "m") is None
+    assert sparse_columns([[3]], 1, 1, GF5, "m") == [[(0, 3)]]
     assert QQ.is_zero(Fraction(0)) and not QQ.is_zero(Fraction(1, 3))
     with pytest.raises(DivisionByZero):
         GF3.inv(3)

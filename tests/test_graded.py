@@ -12,6 +12,7 @@ from dglevels.graded import (
     assemble,
     cohomology,
     cohomology_dims,
+    complex_to_json,
     dims_from_text,
 )
 from helpers import differential, matrix
@@ -282,6 +283,19 @@ def test_assemble_stores_no_all_zero_map():
     rule = {"a": [("c", 1), ("a", 2)], "b": [("c", 1)]}
     cx, _ = assemble(FieldTag(3), elements, labels, lambda n, e: rule.get(e, ()))
     assert differential(cx) == {1: [[1]]}
+
+
+def test_a_complex_stores_reduced_residues():
+    # over F_3 the given entry 3 is zero: no stored pair, and JSON writes 0
+    space = GradedVectorSpace(FieldTag(3), {0: ["a", "b"], 1: ["c"]})
+    cx = CochainComplex(space, {0: [[3, 1]]})
+    assert cx.cols[0] == [[], [(0, 1)]]
+    assert complex_to_json(cx)["d"] == {"0": [[0, 1]]}
+    assert CochainComplex(space, {0: [[4, 3]]}).cols[0] == [[(0, 1)], []]
+    assert CochainComplex(space, {0: [[3, 6]]}).cols == {}
+    # every map is checked for its shape, a zero one too
+    with pytest.raises(PresentationError, match="^differential at degree 0 has wrong shape$"):
+        CochainComplex(space, {0: [[0]]})
 
 
 def rule_entries(f):

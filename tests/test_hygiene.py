@@ -57,8 +57,7 @@ it reads, and no call can change a later one.
 One reach rule: inside ``resolve.py`` only ``tensor_reach`` builds a
 ``DegreeWindow`` or reads ``default_window()``, so the cap, the expansion
 windows and the listed degrees of a derived tensor come from that one
-function; ``_phi_window``, which picks the window phi asks rather than what
-a window needs, is the one exception.
+function.
 
 One storage for a complex: ``graded.CochainComplex`` defines no
 ``differential`` or ``matrix`` and sets no such attribute, so its maps live
@@ -393,7 +392,7 @@ def test_only_tensor_reach_derives_a_window():
                    if name == "resolve.py" and isinstance(n, ast.Call) and
                    getattr(n.func, "id", getattr(n.func, "attr", None))
                    in ("DegreeWindow", "default_window"))
-    assert uses == {"tensor_reach": 3, "_phi_window": 2}
+    assert uses == {"tensor_reach": 3}
 
 
 def test_a_complex_keeps_its_maps_only_as_columns():

@@ -43,7 +43,6 @@ from dglevels.resolve import (
     _koszul,
     _bar,
     _monomials_through,
-    _phi_window,
     _resolve,
     auto_strategy,
     bar_resolution,
@@ -61,7 +60,7 @@ from dglevels.resolve import (
     sphere_block_period,
     tensor_reach,
 )
-from helpers import differential, rank
+from helpers import differential, rank, shift_degrees
 
 
 def sphere(d, field=QQ):
@@ -396,7 +395,7 @@ def copied_tensor(M, N, window):
     reach = tensor_reach(window, M, N, BAR)     # the whole window: only koszul cuts a period
     base = _koszul(A, reach.cap)
     F = block_sum([(base.module, f"{k}⟨{s}⟩·", s)
-                   for k, s in enumerate(sorted(M.shift_degrees()))])
+                   for k, s in enumerate(shift_degrees(M))])
     nexp = N.expand(reach.n_window)
     n_degrees = sorted(nexp.elements)
     elems = {}
@@ -552,7 +551,7 @@ def test_the_koszul_tensor_checks_its_recipe_once_and_copies_no_block(monkeypatc
     assert tor.dims[0] == 1
     assert derived_tensor(M, residue_module(A), KOSZUL, DegreeWindow(0, 30)).dims == tor.dims
     assert (len(checks), sums) == (2, []) and checks[0] is not checks[1]
-    assert phi(M).is_infinite
+    assert phi(M, DegreeWindow(0, 30)).is_infinite
     assert (len(checks), sums) == (3, [])
     # the sum of the blocks is built only when it is read
     assert len(resolution(M, KOSZUL, DegreeWindow(0, 30)).module.generators) == \
@@ -575,7 +574,7 @@ def koszul_record(M, window):
 def test_a_kept_koszul_resolution_gives_the_cold_record(d, field):
     # the tensor kept to one period past its stable start gives the record of
     # the full listing, in windows that end past the start, start past it, or
-    # are phi's own
+    # are phi's
     A = sphere(d, field)
     for shifts in SHIFT_LISTS:
         M = DGModulePresentation.trivial(A, shifts=shifts)
@@ -583,8 +582,9 @@ def test_a_kept_koszul_resolution_gives_the_cold_record(d, field):
             periodic, full = periodic_and_full(M, residue_module(A), w)
             assert periodic == full, (shifts, w)
     M = DGModulePresentation.trivial(A, shifts=(-2, 0, 0, d))
-    periodic, full = periodic_and_full(M, residue_module(A), _phi_window(M))
-    assert phi(M) == periodic[-1] == full[-1]
+    w = DegreeWindow(-3, 5 * d + 24)
+    periodic, full = periodic_and_full(M, residue_module(A), w)
+    assert phi(M, w) == periodic[-1] == full[-1]
 
 
 @pytest.mark.parametrize("algebra", [
@@ -1241,12 +1241,12 @@ def test_a_certified_degree_keeps_its_tor_in_a_window_twice_as_wide(data):
 
 def test_phi_of_the_algebra():
     A = sphere(4)
-    v = phi(DGModulePresentation.free_rank_one(A))
+    v = phi(DGModulePresentation.free_rank_one(A), DegreeWindow(-2, 6))
     assert v.is_finite and v.total == 1
 
 
 def test_phi_of_molecule_model():
-    v = phi(chain_module(4, 1))
+    v = phi(chain_module(4, 1), DegreeWindow(-2, 9))
     assert v.is_finite and v.total == 2
 
 
@@ -1258,10 +1258,16 @@ def test_phi_of_k_is_infinite():
     assert v.witnesses[:3] == (0, 6, 12)
 
 
+def test_phi_needs_a_window():
+    with pytest.raises(TypeError):
+        phi(residue_module(sphere(4)))
+
+
 def test_phi_shift_invariance():
     for k in (-2, 1, 3):
-        a = phi(chain_module(4, 2))
-        b = phi(shift(chain_module(4, 2), k))
+        M = chain_module(4, 2)
+        a = phi(M, M.default_window())
+        b = phi(shift(M, k), shift(M, k).default_window())
         assert a.total == b.total
 
 
@@ -1271,8 +1277,8 @@ def test_bounded_tor_is_finite_only_when_the_window_holds_its_support():
     assert derived_tensor(K, K, "koszul", DegreeWindow(-1, 16)).verdict().kind == "unknown"
     whole = derived_tensor(K, K, "koszul", DegreeWindow(0, 40)).verdict()
     assert (whole.kind, whole.dims) == ("finite", ((0, 1), (19, 1)))
-    # phi's own window reaches the top Koszul degree
-    assert phi(K) == whole
+    # a window that just reaches the top Koszul degree certifies it too
+    assert phi(K, DegreeWindow(-1, 19)) == whole
 
 
 def test_no_automatic_strategy_is_bar():
@@ -1284,13 +1290,13 @@ def test_no_automatic_strategy_is_bar():
              DGModulePresentation.trivial(DGAlgebraPresentation(
                  QQ, [Generator("a", 3, "exterior"), Generator("b", 5, "exterior")]))]
     assert [auto_strategy(M) for M in cases] == ["given", KOSZUL, None, None, None]
-    assert all(phi(M).kind == "unknown" for M in cases[2:])
+    assert all(phi(M, DegreeWindow(0, 30)).kind == "unknown" for M in cases[2:])
 
 
 def test_is_compact():
     A = sphere(4)
-    assert phi(DGModulePresentation.free_rank_one(A)).compact is True
-    assert phi(chain_module(4, 3)).compact is True
+    assert phi(DGModulePresentation.free_rank_one(A), DegreeWindow(-2, 6)).compact is True
+    assert phi(chain_module(4, 3), DegreeWindow(-2, 15)).compact is True
     assert phi(residue_module(A), DegreeWindow(0, 30)).compact is False
     assert phi(residue_module(A), DegreeWindow(0, 10)).compact is None
 

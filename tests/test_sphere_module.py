@@ -4,6 +4,7 @@ behaviour under shift and direct sum."""
 
 import json
 import random
+import re
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -16,7 +17,7 @@ from dglevels.cli import main
 from dglevels import field as field_module
 from dglevels.errors import AlgebraMismatch, PresentationError, VerificationFailed
 from dglevels.field import GF2, GF3, GF5, QQ, rank_and_kernel, row_reduce
-from dglevels.graded import DegreeWindow, cohomology
+from dglevels.graded import DegreeWindow, cohomology, dense_rows
 from dglevels.module import (DGModulePresentation, block_sum, cone, direct_sum, hom_complex,
                              shift)
 from dglevels.rational import build_P_tower, tower_level_bounds
@@ -441,6 +442,64 @@ def test_a_raw_module_with_a_summand_k_has_infinite_level(field, d, strings, pie
     cert = res.certificate
     assert res.kind == "infinite" and cert.period == period and len(cert.witnesses) >= 3
     assert cert.witnesses == tuple(range(min(shifts), cert.witnesses[-1] + 1, period))
+
+
+def dense_product(f, a, b, width):
+    """a·b of dense matrices over the field f, reduced; b has ``width``
+    columns, also when it has no rows."""
+    return [[f.reduce(sum(x * b[k][j] for k, x in enumerate(row))) for j in range(width)]
+            for row in a]
+
+
+def dense_refusal(raw, actions):
+    """The refusal a raw module with the complex of ``raw`` and the dense
+    action ``actions`` of x must meet, None if it is a module: the first
+    degree where x∘d ≠ d∘x, else the first where x∘x ≠ 0."""
+    cx, f, (x,) = raw.complex, raw.field, raw.algebra.generators
+
+    def mat(rows, src, tgt):
+        return rows if rows is not None else [[0] * cx.dim(src) for _ in range(cx.dim(tgt))]
+
+    def act(n):
+        return mat(actions.get(n), n, n + x.degree)
+
+    def d(n):
+        return mat(dense_rows(cx.cols[n], cx.dim(n + 1), f) if n in cx.cols else None, n, n + 1)
+
+    degrees = cx.space.degrees()
+    for n in degrees:
+        if dense_product(f, act(n + 1), d(n), cx.dim(n)) != \
+                dense_product(f, d(n + x.degree), act(n), cx.dim(n)):
+            return f"action of {x.label} does not commute with d at degree {n}"
+    for n in degrees:
+        if any(map(any, dense_product(f, act(n + x.degree), act(n), cx.dim(n)))):
+            return f"the action breaks {x.label}·{x.label} = 0 at degree {n}"
+    return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(RAW_FIELDS, st.integers(2, 6), STRINGS, RAW_PIECES, st.integers(0, 2**32 - 1), st.data())
+def test_a_perturbed_action_is_refused_exactly_where_a_dense_oracle_fails(field, d, strings,
+                                                                          pieces, seed, data):
+    # the checks read the action as sparse columns; the oracle multiplies the
+    # dense matrices the module was given
+    raw = raw_expansion(planted_module(field, d, strings, pieces, seed))
+    cx, (x,) = raw.complex, raw.algebra.generators
+    stored = raw.actions.get(x.label, {})
+    actions = {n: dense_rows(stored.get(n) or [[]] * cx.dim(n), cx.dim(n + d), field)
+               for n in cx.space.degrees() if cx.dim(n + d)}
+    if actions:
+        n = data.draw(st.sampled_from(sorted(actions)))
+        i = data.draw(st.integers(0, len(actions[n]) - 1))
+        j = data.draw(st.integers(0, len(actions[n][i]) - 1))
+        c = data.draw(st.integers(1, field.p - 1) if field.p else st.integers(-3, 3).filter(bool))
+        actions[n][i][j] = field.reduce(actions[n][i][j] + c)
+    refusal = dense_refusal(raw, actions)
+    if refusal is None:
+        DGModulePresentation.raw(raw.algebra, cx, {x.label: actions})
+    else:
+        with pytest.raises(PresentationError, match=f"^{re.escape(refusal)}$"):
+            DGModulePresentation.raw(raw.algebra, cx, {x.label: actions})
 
 
 # -- the level axioms on cones ------------------------------------------------------------

@@ -621,7 +621,8 @@ def test_phi_resolves_only_what_can_certify(monkeypatch):
     monkeypatch.setattr(resolve, "derived_tensor", refuse)
     assert not hasattr(spheres, "phi")
     truncated = koszul_resolution_sphere(4, QQ, cap=18).module
-    assert resolve.auto_strategy(truncated) is None and phi(truncated).kind == "unknown"
+    assert resolve.auto_strategy(truncated) is None and \
+        phi(truncated, DegreeWindow(0, 30)).kind == "unknown"
     with pytest.raises(NotCompactlyDecomposable, match="truncated at degree 19 and phi"):
         sphere_level(truncated, 4)
     for field in (QQ, GF2, GF3):
@@ -630,7 +631,8 @@ def test_phi_resolves_only_what_can_certify(monkeypatch):
                             ([(3, 0, 4), (3, 5, 3)], 5)):
             raw = raw_expansion(direct_sum([molecule_model(MoleculeId(*m), field)
                                             for m in mols]))
-            assert resolve.auto_strategy(raw) is None and phi(raw).kind == "unknown"
+            assert resolve.auto_strategy(raw) is None and \
+                phi(raw, DegreeWindow(0, 30)).kind == "unknown"
             with monkeypatch.context() as m:
                 m.setattr(spheres, "all_matchings", no_matching)
                 res = sphere_level(raw, mols[0][0])
@@ -641,7 +643,8 @@ def test_phi_resolves_only_what_can_certify(monkeypatch):
 
 @pytest.mark.parametrize("d", range(2, 13))
 def test_k_has_infinite_level_over_every_sphere(d):
-    # phi's window holds three terms of the period, lowest shift first
+    # K is one tower of its Koszul resolution: three terms of the period from
+    # its bottom, the lowest shift
     period = 2 * (d - 1) if d % 2 == 0 else d - 1
     res = sphere_level(DGModulePresentation.trivial(DGAlgebraPresentation.sphere_cohomology(d, QQ)), d)
     assert res.kind == "infinite"
@@ -651,7 +654,8 @@ def test_k_has_infinite_level_over_every_sphere(d):
 def test_a_raw_module_resolution_has_a_generator_budget():
     # K ⊕ Σ^{-s}K over H*(S^2) is cut at layer s - 1: 2s generators
     A = DGAlgebraPresentation.sphere_cohomology(2, QQ)
-    assert sphere_level(DGModulePresentation.trivial(A, shifts=(0, 5000)), 2).kind == "infinite"
+    res = sphere_level(DGModulePresentation.trivial(A, shifts=(0, 5000)), 2)
+    assert res.kind == "infinite" and res.certificate.witnesses == (0, 2, 4)
     start = time.perf_counter()
     for top in (5001, 10**12):
         with pytest.raises(BudgetExceeded, match=f"more than {resolve.KOSZUL_GENERATOR_BUDGET}$"):
@@ -675,7 +679,7 @@ def test_sphere_level_interval_on_ambiguous_dims():
     raw = raw_expansion(direct_sum([molecule_model(MoleculeId(4, 3, 1)),
                                     molecule_model(MoleculeId(4, 6, 1))]))
     assert raw.cohomology_dims() == {0: 1, 3: 1, 7: 1, 10: 1}
-    assert phi(raw).kind == "unknown"
+    assert phi(raw, DegreeWindow(0, 30)).kind == "unknown"
     res = sphere_level(raw, 4)
     assert res.kind == "exact" and res.value == 2
     # four shifts of K with zero action: each is a tower of the resolution,
@@ -688,9 +692,10 @@ def test_sphere_level_interval_on_ambiguous_dims():
         sphere_level(DGModulePresentation.trivial(S7, shifts=(0, 3, 7, 10)), 4)
 
 
-def test_sphere_level_of_raw_modules_puts_an_infinite_phi_first():
-    # H*(S^4) with zero x-action: its cohomology matches Z_0, but phi
-    # certifies it infinite, and an infinite certificate wins
+def test_sphere_level_of_raw_modules_puts_a_koszul_tower_first():
+    # H*(S^4) with zero x-action: its cohomology matches Z_0, but each shift
+    # of K is a tower of its Koszul resolution, and a tower makes the level
+    # infinite
     A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
     res = sphere_level(DGModulePresentation.trivial(A, shifts=(0, 4)), 4)
     assert res.kind == "infinite" and res.certificate.period == 6
