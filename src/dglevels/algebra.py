@@ -29,7 +29,7 @@ from math import comb
 from types import MappingProxyType
 
 from .errors import PresentationError
-from .field import FieldTag, _validate_entries, sparse_sum
+from .field import FieldTag, sparse_sum
 from .graded import CochainComplex, DegreeWindow, assemble
 
 EXTERIOR = "exterior"
@@ -134,16 +134,15 @@ class DGAlgebraPresentation:
     def normalize_poly(self, poly):
         """The polynomial with tuple monomials and reduced nonzero scalars, in
         one pass that also checks each monomial's arity.  A coefficient that
-        is no scalar of the field raises FieldMismatch (`_validate_entries`):
+        is no scalar of the field raises FieldMismatch (`FieldTag.scalar`):
         module and algebra differentials, cone maps and Hopf polynomials all
         enter here."""
-        _validate_entries((poly.values(),), self.field)
-        n, reduce = self.n, self.field.reduce
+        n, scalar = self.n, self.field.scalar
         out = {}
         for m, c in poly.items():
             if len(m) != n:
                 raise PresentationError(f"monomial {tuple(m)} has wrong arity")
-            if r := reduce(c):
+            if r := scalar(c):
                 out[tuple(m)] = r
         return out
 

@@ -1,7 +1,8 @@
 """Command-line surface: JSON reports, DOT quivers, golden-file friendly.
 
 Every invocation is deterministic: reports are sorted-key JSON with no
-timestamps or randomness, so identical invocations are byte-identical.
+timestamps or randomness, and nothing is read from the environment, so
+identical invocations are byte-identical.
 Exit codes: 0 success, 1 domain error (with a machine-readable error
 payload), 2 usage error (argparse).
 """
@@ -61,14 +62,6 @@ def _parse_gens(text):
 _window_arg = _usage_type(DegreeWindow.parse)
 _dims_arg = _usage_type(dims_from_text)
 _gens_arg = _usage_type(_parse_gens)
-
-
-def _window(args) -> DegreeWindow | None:
-    """``--window``, else ``DG_LEVEL_WINDOW``, else None."""
-    if getattr(args, "window", None):
-        return args.window
-    env = os.environ.get("DG_LEVEL_WINDOW")
-    return DegreeWindow.parse(env) if env else None
 
 
 def _report(command, inputs, result, kind, args):
@@ -183,7 +176,7 @@ def cmd_split(args):
 
 def cmd_tor(args):
     field = parse_field(args.field)
-    window = _window(args) or DEFAULT_WINDOW
+    window = args.window or DEFAULT_WINDOW
     A = DGAlgebraPresentation.sphere_cohomology(args.d, field)
     M = _module_from_name(args.module, A)
     N = _module_from_name(getattr(args, "arg") or "k", A)
@@ -204,7 +197,7 @@ def cmd_phi(args):
     field = parse_field(args.field)
     A = DGAlgebraPresentation.sphere_cohomology(args.d, field)
     M = _module_from_name(args.module, A)
-    verdict = phi(M, window=_window(args) or DEFAULT_WINDOW)
+    verdict = phi(M, window=args.window or DEFAULT_WINDOW)
     result = {"phi": verdict.to_json(), "compact": verdict.compact}
     return _report("phi", {"d": args.d, "module": args.module, "field": str(field)},
                    result, "compactness", args)
@@ -225,7 +218,7 @@ def cmd_emss(args):
             raise DomainError(f"unknown extra factor {args.extra!r}")
         extra = {0: 1}
         extra[n] = extra.get(n, 0) + 1
-    window = _window(args)
+    window = args.window
     if window and window.lo > 0:    # every class named here lies in degree >= 0
         raise PresentationError(f"the spectral sequence is read from degree 0; "
                                 f"window {window.lo}:{window.hi} starts above it")
@@ -251,15 +244,13 @@ def cmd_hopf(args):
     def model(data):
         target = DGAlgebraPresentation.from_json(data["target"])
         gen = target.poly_from_json(data["generator"]) if args.generator == "file" else "auto"
-        if type(d := data.get("d", 4 if args.d is None else args.d)) is not int:
+        if type(d := data.get("d", 4)) is not int:
             raise PresentationError(f"sphere dimension {d!r} is no integer")
         return (target, d,
                 target.poly_from_json(data.get("gx", [])),
                 target.poly_from_json(data.get("gxi", [])), gen)
 
     target, d, gx, gxi, gen = _read_file(args.model, "a Hopf model", model)
-    if args.d is not None and args.d != d:
-        _PARSER.error(f"--d {args.d} conflicts with d = {d} in {args.model}")
     value = hopf_invariant(target, gx, gxi, d=d, generator_choice=gen)
     result = {"hopf": target.field.scalar_to_json(value),
               "zeroInField": target.field.is_zero(value)}
@@ -276,7 +267,7 @@ def cmd_p_tower(args):
         "extension": [[lbl, deg] for lbl, deg in tower.extension],
         "fibreFinite": True,    # TowerSpec admits only odd generators
     }
-    if args.report in ("level", "all"):
+    if args.report == "level":
         result["level"] = tower_level_bounds(tower).to_json()
     return _report("p-tower", {"l": args.l, "d": args.d, "m": args.m},
                    result, "tower-level", args)
@@ -383,14 +374,13 @@ def build_parser():
     hp = sub.add_parser("hopf", help="Hopf invariant of a model map (JSON file)")
     hp.add_argument("--model", required=True)
     hp.add_argument("--generator", default="auto", choices=["auto", "file"])
-    hp.add_argument("--d", type=int)
     hp.set_defaults(func=cmd_hopf)
 
     pt = sub.add_parser("p-tower", help="odd-sphere extension tower and its level")
     pt.add_argument("--l", type=int, required=True)
     pt.add_argument("--d", type=int, required=True)
     pt.add_argument("--m", type=int)
-    pt.add_argument("--report", choices=["level", "shape", "all"], default="level")
+    pt.add_argument("--report", choices=["level", "shape"], default="level")
     pt.set_defaults(func=cmd_p_tower)
 
     pl = sub.add_parser("pile", help="pile filtration level bound")

@@ -65,8 +65,7 @@ class FibreSquareSpec:
             if top_dims else ((0, 1),)
         extra = tuple(sorted((n, v) for n, v in dict(extra_dims).items() if v)) \
             if extra_dims else ()
-        return FibreSquareSpec(d, top, field.from_int(hopf) if isinstance(hopf, int)
-                               else hopf, field, extra)
+        return FibreSquareSpec(d, top, field.scalar(hopf), field, extra)
 
 
 class BigradedPage:

@@ -3,10 +3,11 @@
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 (always stored reduced with positive denominator) and ints in ``[0, p)`` over
 a prime field.  Arithmetic is Python's own ``+ - *``; a :class:`FieldTag`
-carries the choice of field, builds its scalars, and ``reduce`` normalises a
-value once where it is stored or tested for zero (x mod p over F_p, x itself
-over Q).  ``sparse_sum`` adds (key, scalar) pairs that way.  No floating
-point appears anywhere.
+carries the choice of field, builds its scalars, checks every scalar handed
+to a constructor (``scalar``), and ``reduce`` normalises a value once where
+it is stored or tested for zero (x mod p over F_p, x itself over Q).
+``sparse_sum`` adds (key, scalar) pairs that way.  No floating point appears
+anywhere.
 
 All linear algebra runs on one elimination, a forward pass on sparse
 vectors (`_echelon`): over F_p on residues, over Q on plain ints, each
@@ -85,6 +86,14 @@ class FieldTag:
         """x mod p over F_p; x unchanged over Q."""
         return x % self.p if self.p else x
 
+    def scalar(self, x):
+        """A scalar handed in, as stored: its int residue over F_p, x itself
+        over Q.  Whatever `_check_scalar` refuses raises FieldMismatch."""
+        if type(x) is not int and (self.p or type(x) is not Fraction):
+            _check_scalar(x, self)
+            x = int(x) if self.p else x
+        return x % self.p if self.p else x
+
     def inv(self, a):
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
@@ -143,9 +152,6 @@ def sparse_sum(terms, field: FieldTag):
 # Exact linear algebra
 # ---------------------------------------------------------------------------
 
-_EXACT = (frozenset((int,)), frozenset((int, Fraction)))    # entry types F_p / Q take unchecked
-
-
 def _check_scalar(x, field):
     """Reject x unless it is an int or, over Q, a Fraction (over F_p an
     integral one)."""
@@ -153,16 +159,6 @@ def _check_scalar(x, field):
             or field.p and x.denominator != 1:
         kind = f"a mod-{field.p} residue" if field.p else "a rational scalar"
         raise FieldMismatch(f"entry {x!r} is not {kind}")
-
-
-def _validate_entries(rows, field):
-    """Reject entries that are no scalars: a row of exact ints (and Fractions
-    over Q) passes on its types alone, any other row entry by entry."""
-    exact = _EXACT[field.p == 0]
-    for row in rows:
-        if not exact.issuperset(map(type, row)):
-            for x in row:
-                _check_scalar(x, field)
 
 
 def integer_row(row):
@@ -213,7 +209,7 @@ def _echelon(vectors, field: FieldTag) -> dict:
 
     Each vector is reduced by the basis vector at its leading index until
     its leading index is new (it joins the basis) or nothing is left.
-    Entries are checked as `_validate_entries` checks them.  Over F_p an
+    Entries are checked as `FieldTag.scalar` checks them.  Over F_p an
     entry is read as int(x) mod p and basis vectors are scaled to lead 1;
     over Q each vector is cleared of denominators once and eliminated on
     ints, basis vectors divided by their content."""

@@ -38,8 +38,7 @@ from functools import cache
 from math import gcd, inf
 
 from .errors import PresentationError
-from .field import (FieldTag, _validate_entries, echelon_leads, integer_row, pivot_columns,
-                    rank_and_kernel, sparse_sum)
+from .field import FieldTag, echelon_leads, integer_row, pivot_columns, rank_and_kernel, sparse_sum
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,8 @@ class DegreeWindow:
     hi: int
 
     def __post_init__(self):
+        if type(self.lo) is not int or type(self.hi) is not int:   # a bool is no end
+            raise PresentationError(f"window ends {self.lo!r}:{self.hi!r} are no integers")
         if self.lo > self.hi:
             raise PresentationError(f"window [{self.lo}, {self.hi}] is empty")
 
@@ -196,9 +197,8 @@ def sparse_columns(mat, src: int, tgt: int, field: FieldTag, what: str):
     that is no scalar of the field."""
     if len(mat) != tgt or any(len(row) != src for row in mat):
         raise PresentationError(f"{what} has wrong shape")
-    _validate_entries(mat, field)
-    reduce = field.reduce
-    cols = [[(i, r) for i, row in enumerate(mat) if (r := reduce(row[j]))] for j in range(src)]
+    scalar = field.scalar
+    cols = [[(i, r) for i, row in enumerate(mat) if (r := scalar(row[j]))] for j in range(src)]
     return cols if any(cols) else None
 
 

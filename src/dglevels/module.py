@@ -489,11 +489,11 @@ def block_sum(parts) -> DGModulePresentation:
     return out
 
 
-def _common_algebra(modules, what):
-    """The algebra of the first module, which every other one must share."""
-    base = modules[0].algebra
-    for m in modules[1:]:
-        if m.algebra is not base and m.algebra.to_json() != base.to_json():
+def _common_algebra(what, *algebras):
+    """The first algebra, which every other one must equal."""
+    base = algebras[0]
+    for a in algebras[1:]:
+        if a is not base and a.to_json() != base.to_json():
             raise AlgebraMismatch(f"{what} live over different algebras")
     return base
 
@@ -516,7 +516,7 @@ def direct_sum(modules) -> DGModulePresentation:
     first = modules[0]
     if not all(isinstance(m, SphereModule) and (m.d, m.field) == (first.d, first.field)
                for m in modules):
-        _common_algebra(modules, "direct summands")
+        _common_algebra("direct summands", *(m.algebra for m in modules))
     if len(modules) == 1:
         return first
     if not all(m.is_free for m in modules):
@@ -531,7 +531,7 @@ def cone(f_map, source: DGModulePresentation, target: DGModulePresentation):
     """
     if not (source.is_free and target.is_free):
         raise SourceNotFree("cone requires free presentations")
-    A = _common_algebra([source, target], "cone endpoints")
+    A = _common_algebra("cone endpoints", source.algebra, target.algebra)
     s = block_sum([(target, "", 0), (source, "s·", -1)])
     diff = s.differential
     for src, terms in f_map.items():
@@ -584,7 +584,7 @@ def hom_complex(source: DGModulePresentation, target: DGModulePresentation,
     Raises BudgetExceeded past HOM_BASIS_BUDGET basis maps."""
     if not source.is_free:
         raise SourceNotFree("hom_complex needs a free source")
-    A = _common_algebra([source, target], "hom endpoints")
+    A = _common_algebra("hom endpoints", source.algebra, target.algebra)
     f = A.field
     hom_window = hom_window or DegreeWindow(-8, 8)
     gen_degs = [d for _, d in source.generators] or [0]

@@ -48,7 +48,7 @@ from .errors import (
     StrategyInapplicable,
 )
 from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology_dims
-from .module import DGModulePresentation, block_sum
+from .module import DGModulePresentation, _common_algebra, block_sum
 
 BAR = "bar"
 KOSZUL = "koszul"
@@ -286,8 +286,10 @@ def koszul_resolution_poly(degrees, field) -> Resolution:
 def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation = None,
                    cutoff: int | None = None, *, window: DegreeWindow) -> Resolution:
     """`_bar` through what a derived tensor with K in ``window`` reads; a
-    module with nothing in it is its own resolution."""
-    algebra = algebra or module.algebra
+    module with nothing in it is its own resolution.  An ``algebra`` other
+    than the module's raises AlgebraMismatch."""
+    algebra = _common_algebra("a bar resolution's module and algebra",
+                              algebra or module.algebra, module.algebra)
     reach = tensor_reach(window, module, residue_module(algebra), BAR)
     return _bar(module, algebra, cutoff, reach) if reach else Resolution.of(module)
 
@@ -564,7 +566,9 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
     complex is a prefix where the Koszul tensor over H*(S^d) is periodic,
     and the dims past it repeat its last period; a zero factor gives the
     zero complex.  Raises BudgetExceeded before N's expansion would list
-    more than N_EXPANSION_BUDGET basis elements."""
+    more than N_EXPANSION_BUDGET basis elements, and AlgebraMismatch on
+    factors over different algebras."""
+    A = _common_algebra("Tor factors", M.algebra, N.algebra)
     reach = tensor_reach(window, M, N, strategy)
     if reach and N.is_free and sum(     # g·m for every monomial m through n_window.hi - g
             _monomials_through(N.algebra.generators, reach.n_window.hi - g, N_EXPANSION_BUDGET)
@@ -572,7 +576,6 @@ def derived_tensor(M: DGModulePresentation, N: DGModulePresentation,
         raise BudgetExceeded(f"N's expansion through degree {reach.n_window.hi} would list "
                              f"more than {N_EXPANSION_BUDGET} basis elements")
     res = _resolve(M, strategy, reach)
-    A = M.algebra
     f = A.field
     if reach is None:
         return TorResult(CochainComplex(GradedVectorSpace(f, {}), {}), {}, window.hi, None, True,

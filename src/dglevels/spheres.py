@@ -66,8 +66,7 @@ from .errors import (
     PresentationError,
     VerificationFailed,
 )
-from .field import (FieldTag, QQ, _validate_entries, echelon_leads, integer_row,
-                    rank_and_kernel, sparse_sum)
+from .field import FieldTag, QQ, echelon_leads, integer_row, rank_and_kernel, sparse_sum
 from .graded import _apply, dense_rows
 from .module import DGModulePresentation, free_generators
 from .resolve import (KOSZUL_GENERATOR_BUDGET, FinitenessVerdict, TorResult,
@@ -421,11 +420,10 @@ class SphereModule(DGModulePresentation):
             if not all(type(i) is int and 0 <= i <= last for i in (src, *terms)):
                 raise PresentationError(f"a column of D({src!r}) indexes a generator outside "
                                         f"0..{last}")
-            _validate_entries((terms.values(),), self.field)
             label, deg = self.generators[src]
             col = []
             for tgt, c in terms.items():
-                c = self._scalar(c)
+                c = self.field.scalar(c)
                 if not c:
                     continue
                 tlabel, tdeg = self.generators[tgt]
@@ -433,16 +431,11 @@ class SphereModule(DGModulePresentation):
                     raise PresentationError(
                         f"D({label}) term on {tlabel} has total degree {tdeg + xdeg}, "
                         f"expected {deg + 1}")
-                col.append((self._slot[tgt], c))
+                # over Q an int where integral, which the int kernels read
+                col.append((self._slot[tgt], c.numerator if c.denominator == 1 else c))
             if col:
                 out.setdefault(deg, [[] for _ in self.labels[deg]])[self._slot[src]] = col
         return out
-
-    def _scalar(self, c):
-        """Residues over F_p; over Q ints where integral, else Fractions."""
-        if self.field.p:
-            return self.field.from_fraction(c.numerator, c.denominator)
-        return c.numerator if c.denominator == 1 else c
 
     def _check(self):
         """δ₀² = 0 and Φδ₀ + δ₀Φ = 0, one generator's column at a time."""

@@ -174,7 +174,7 @@ def test_emss_is_finite_only_when_the_window_holds_every_survivor(capsys):
         "kind": "finite", "total": 4, "dims": {"0": 1, "3": 1, "30": 1, "33": 1}}
 
 
-def test_emss_refuses_a_window_that_starts_above_degree_0(capsys, monkeypatch):
+def test_emss_refuses_a_window_that_starts_above_degree_0(capsys):
     # every class the command can name lies in degree >= 0 and the sequence
     # is read from degree 0, so a window from 50 would still report 0 … 49
     argv = ["emss", "--d", "4", "--top", "s7", "--hopf", "0"]
@@ -182,9 +182,6 @@ def test_emss_refuses_a_window_that_starts_above_degree_0(capsys, monkeypatch):
                        "the spectral sequence is read from degree 0; "
                        "window 50:70 starts above it"}}
     code, out = run(capsys, *argv, "--window", "50:70")
-    assert (code, json.loads(out)) == (1, error)
-    monkeypatch.setenv("DG_LEVEL_WINDOW", "50:70")
-    code, out = run(capsys, *argv)
     assert (code, json.loads(out)) == (1, error)
     code, out = run(capsys, *argv, "--window=-4:70")
     assert code == 0 and json.loads(out)["result"]["verdict"]["kind"] == "infinite"
@@ -282,7 +279,7 @@ P_TOWER_DIGESTS = {
 @pytest.mark.parametrize("l", sorted(P_TOWER_DIGESTS))
 def test_p_tower_stdout_is_pinned(capsys, l):
     for d, digest in zip(range(3, 7), P_TOWER_DIGESTS[l]):
-        code, out = run(capsys, "p-tower", "--l", str(l), "--d", str(d), "--report", "all")
+        code, out = run(capsys, "p-tower", "--l", str(l), "--d", str(d), "--report", "level")
         assert code == 0 and json.loads(out)["result"]["fibreFinite"] is True
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (l, d)
 
@@ -331,15 +328,14 @@ def test_hopf_generator_auto_ignores_the_file_generator(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["hopf"] == "-1/1"
 
 
-def test_hopf_d_flag_conflicting_with_the_file_is_a_usage_error(tmp_path, capsys):
+def test_hopf_d_flag_is_a_usage_error(tmp_path, capsys):
+    # the sphere dimension comes from the model file alone, even when equal
     path = tmp_path / "model.json"
     path.write_text(json.dumps(HOPF_MODEL), encoding="utf-8")
     with pytest.raises(SystemExit) as e:
-        main(["hopf", "--model", str(path), "--d", "6"])
+        main(["hopf", "--model", str(path), "--d", "4"])
     assert e.value.code == 2
-    assert "--d 6 conflicts with d = 4" in capsys.readouterr().err
-    code, out = run(capsys, "hopf", "--model", str(path), "--d", "4")
-    assert code == 0 and json.loads(out)["inputs"]["d"] == 4
+    assert "unrecognized arguments: --d 4" in capsys.readouterr().err
 
 
 def test_level_reads_a_module_over_odd_polynomial_generators_in_char_2(tmp_path, capsys):
@@ -412,14 +408,6 @@ def test_hopf_of_sphere_dimension_one_is_domain_error(tmp_path):
     assert code == 1
     assert json.loads(out)["error"] == {"code": "invalid-presentation",
                                         "message": "sphere dimension must exceed 1"}
-    # a model without d reads --d, 0 and 1 alike: --d 0 once read as d = 4
-    no_d = {k: v for k, v in HOPF_MODEL.items() if k != "d"}
-    path.write_text(json.dumps(no_d), encoding="utf-8")
-    for flag in ("0", "1"):
-        code, out = run_captured(["hopf", "--model", str(path), "--d", flag])
-        assert code == 1
-        assert json.loads(out)["error"] == {"code": "invalid-presentation",
-                                            "message": "sphere dimension must exceed 1"}
 
 
 def test_decompose_runs_the_matching_search_once(capsys, monkeypatch):
@@ -525,11 +513,14 @@ def test_usage_error_exit_code():
     assert e.value.code == 2
 
 
-def test_window_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("DG_LEVEL_WINDOW", "0:12")
-    code, out = run(capsys, "tor", "--d", "4", "--module", "k", "--arg", "k")
-    assert code == 0
-    assert json.loads(out)["result"]["certifiedThrough"] == 12
+def test_the_window_env_variable_is_ignored(capsys, monkeypatch):
+    # a window comes from --window alone, so one argv prints one output
+    argv = ["tor", "--d", "4", "--module", "k", "--arg", "k"]
+    code, plain = run(capsys, *argv)
+    assert code == 0 and json.loads(plain)["result"]["certifiedThrough"] == 64
+    for value in ("0:12", "abc"):
+        monkeypatch.setenv("DG_LEVEL_WINDOW", value)
+        assert run(capsys, *argv) == (0, plain), value
 
 
 @pytest.mark.parametrize("argv", [
@@ -561,15 +552,6 @@ def test_malformed_dims_is_usage_error(dims, capsys):
             main([command, "--d", "4", "--dims", dims])
         assert e.value.code == 2
         assert "is not of the form degree:multiplicity" in capsys.readouterr().err
-
-
-def test_malformed_window_env_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setenv("DG_LEVEL_WINDOW", "abc")
-    code, out = run(capsys, "tor", "--d", "4", "--module", "k", "--arg", "k")
-    assert code == 1
-    error = json.loads(out)["error"]
-    assert error["code"] == "invalid-presentation"
-    assert error["message"] == "window 'abc' is not of the form lo:hi"
 
 
 @pytest.mark.parametrize("command, dims", [("decompose", "0:1200,7:1200"),

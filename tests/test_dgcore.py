@@ -23,7 +23,7 @@ from dglevels.errors import (
     SourceNotFree,
     Undecided,
 )
-from dglevels.field import QQ, GF2, GF3, GF5, FieldTag
+from dglevels.field import QQ, GF2, GF3, GF5, FieldTag, coordinates
 from dglevels.graded import CochainComplex, DegreeWindow, GradedVectorSpace, cohomology
 from dglevels.module import (
     HOM_BASIS_BUDGET,
@@ -900,6 +900,31 @@ def test_truncated_polynomial_algebra_is_local(field):
     assert idempotent_split(struct, unit, field) is None
 
 
+@pytest.mark.parametrize("field", [QQ, GF3, GF5])
+def test_the_split_is_found_among_the_powers_of_j(field):
+    # M_2(K) on E12, E21, I + E12, E11 + E12 − E21 − E22: each basis element
+    # is a scalar plus a nilpotent, so none splits alone, but J² holds E11
+    basis = [(0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 1), (1, 1, -1, -1)]
+    basis = [tuple(map(field.from_int, b)) for b in basis]
+
+    def matmul(x, y):
+        return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+    struct = [[coordinates(basis, tuple(map(field.reduce, matmul(a, b))), field)
+               for b in basis] for a in basis]
+    unit = coordinates(basis, tuple(map(field.from_int, (1, 0, 0, 1))), field)
+    alg = dglevels.module._Algebra(struct, unit, field)
+    for i in range(4):
+        b = tuple(field.one() if j == i else field.zero() for j in range(4))
+        e, lam = alg.split(b)
+        assert e is None and lam is not None
+    e = idempotent_split(struct, unit, field)
+    assert alg.mul(e, e) == e and e not in (unit, alg.comb(unit, unit, -1))
+    if field == QQ:
+        assert e == (0, Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2))
+
+
 def test_root_search_guard_over_large_primes():
     field = FieldTag(200_003)
     struct, unit = truncated_polynomial_algebra([0, 0, 1], field)
@@ -1079,6 +1104,25 @@ def test_raw_scalars_are_checked_where_they_enter():
         with pytest.raises(FieldMismatch) as info:
             DGModulePresentation.raw(sphere(4), CochainComplex(space, d), {"x4": {0: action}})
         assert info.value.code == "field-mismatch"
+
+
+def test_an_integral_fraction_over_f3_is_stored_as_its_int_residue():
+    # every scalar a constructor is handed is stored as FieldTag.scalar gives
+    # it: over F3 the Fraction 4 is the int 1, in a complex, a raw action, a
+    # module polynomial, a block and a Hopf value alike
+    from dglevels.emss import FibreSquareSpec
+    from dglevels.spheres import SphereModule
+
+    four, gens = Fraction(4), [("a", 0), ("b", 3)]
+    space = GradedVectorSpace(GF3, {0: ["a"], 1: ["c"], 4: ["b"]})
+    cx = CochainComplex(space, {0: [[four]]})
+    raw = DGModulePresentation.raw(sphere(4, GF3), cx, {"x4": {0: [[four]]}})
+    free = DGModulePresentation.free(sphere(4, GF3), gens, {"b": {"a": {(1,): four}}})
+    blocks = SphereModule(4, GF3, gens, phi={1: {0: four}})
+    stored = [cx.cols[0][0][0][1], raw.actions["x4"][0][0][0][1],
+              free.differential["b"]["a"][(1,)], blocks.phi[3][0][0][1],
+              FibreSquareSpec.make(4, {0: 1}, four, GF3).hopf]
+    assert stored == [1] * 5 and {type(c) for c in stored} == {int}
 
 
 def float_inputs():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,8 @@ from dglevels.emss import (
     install_d2,
     run_to_stable,
 )
-from dglevels.errors import CannotCertifyCollapse, OddDimensionNonzeroHopf, WindowTooSmall
+from dglevels.errors import (CannotCertifyCollapse, FieldMismatch, OddDimensionNonzeroHopf,
+                             WindowTooSmall)
 from dglevels.field import QQ, GF2, GF3, GF5
 from dglevels.graded import DegreeWindow
 from dglevels.module import DGModulePresentation
@@ -347,7 +349,8 @@ def test_a_source_tower_keeps_its_lowest_key_on_t_0(extra, e3):
 def test_the_listed_keys_do_not_grow_with_the_window(d, extra):
     # when d₂ pairs every tower (d even, h = 1) E₃ is each source's lowest
     # key, the same on any window that holds it
-    spec = FibreSquareSpec.make(d, {0: 1, 2 * d - 1: 1}, d % 2 == 0, QQ, extra_dims=extra)
+    spec = FibreSquareSpec.make(d, {0: 1, 2 * d - 1: 1}, int(d % 2 == 0), QQ,
+                                extra_dims=extra)
     small = install_d2(e2_page(spec, DegreeWindow(0, 40)))
     large = install_d2(e2_page(spec, DegreeWindow(0, 100_000)))
     wide, narrow = run_to_stable(large), run_to_stable(small)
@@ -429,3 +432,12 @@ def test_collapse_scan_reports_the_first_pair():
     assert msg == "a d_3 could connect cells (-5, 9) and (-2, 7)"
     assert msg == collapse_outcome(pairwise_collapse_check, cells)
     assert collapse_outcome(_check_collapse, {(-4, 8), (-2, 7), (0, 0)}) is None
+
+
+@pytest.mark.parametrize("hopf, field", [(0.5, QQ), (True, QQ), (Fraction(1, 2), GF3)],
+                         ids=["float", "bool", "fraction-over-F3"])
+def test_a_hopf_value_that_is_no_scalar_is_refused(hopf, field):
+    # 0.5 once answered compact (it is no zero), True was read as 1
+    with pytest.raises(FieldMismatch) as info:
+        compactness_from_hopf(4, hopf, field)
+    assert info.value.code == "field-mismatch"

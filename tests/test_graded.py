@@ -414,3 +414,12 @@ def test_tor_and_its_dims_never_build_the_dense_view(strategy):
         tor = derived_tensor(M, N, strategy=strategy, window=window)
         assert tor.dims and cohomology_dims(tor.complex, window) == {
             n: h for n, h in tor.dims.items() if n <= tor.complex.certified(window)[1]}
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 12.5), (0.5, 12), (False, True)],
+                         ids=["float-top", "float-bottom", "bools"])
+def test_a_window_with_ends_that_are_no_integers_is_refused(lo, hi):
+    # 0:12.5 once built and stopped Tor with a TypeError; False:True read as 0:1
+    with pytest.raises(PresentationError, match="are no integers") as info:
+        DegreeWindow(lo, hi)
+    assert info.value.code == "invalid-presentation"

@@ -32,7 +32,7 @@ line no test reaches included.
 
 Read CLI options: every option a subcommand declares in ``cli.build_parser``
 is read by its handler, directly or through a ``cli`` function the handler
-passes its ``args`` to (such as ``_window`` or ``_report``).
+passes its ``args`` to (such as ``_report``).
 
 One unchecked construction: ``__new__`` makes an object without running
 ``__init__``, so a module made that way skips the constructor's checks.  Only
@@ -62,6 +62,13 @@ function.
 One storage for a complex: ``graded.CochainComplex`` defines no
 ``differential`` or ``matrix`` and sets no such attribute, so its maps live
 only in the sparse columns ``cols``; no dense view is built or kept.
+
+Named limits: the README names every module-level ``*_BUDGET`` and
+``*_GUARD`` constant of the package, so each limit a user can meet is
+listed with its bound.
+
+No environment: no package file reads ``os.environ`` or ``os.getenv``, so
+an input has one way in and identical argv print identical stdout.
 """
 
 import ast
@@ -405,3 +412,21 @@ def test_a_complex_keeps_its_maps_only_as_columns():
     defined |= {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)
                 and isinstance(n.ctx, ast.Store) and getattr(n.value, "id", None) == "self"}
     assert "cols" in defined and not defined & {"differential", "matrix"}
+
+
+def test_the_readme_names_every_budget_and_guard():
+    limits = [t.id for path in PACKAGE
+              for n in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(n, ast.Assign) for t in n.targets
+              if isinstance(t, ast.Name) and t.id.endswith(("_BUDGET", "_GUARD"))]
+    assert len(limits) >= 10
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in limits if f"`{name}`" not in readme] == []
+
+
+def test_no_package_file_reads_the_environment():
+    # an attribute (os.environ) or an imported name (from os import getenv)
+    reads = [f"{name} {fn}" for name, fn, n in package_nodes()
+             if getattr(n, "attr", getattr(n, "name", None))
+             in ("environ", "environb", "getenv", "getenvb")]
+    assert reads == []

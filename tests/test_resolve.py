@@ -14,6 +14,7 @@ import dglevels.module
 import dglevels.resolve
 from dglevels.algebra import DGAlgebraPresentation, Generator
 from dglevels.errors import (
+    AlgebraMismatch,
     BudgetExceeded,
     InvalidFiltration,
     NotSimplyConnected,
@@ -220,6 +221,39 @@ def test_bar_word_budget():
     P2 = DGAlgebraPresentation.polynomial(GF2, [("a", 2), ("b", 4)])
     res = bar_resolution(residue_module(P2), P2, window=DegreeWindow(0, 4))
     assert len(res.module.generators) == 20
+
+
+def algebra_mismatches():
+    """Tor and bar calls whose factors live over different algebras."""
+    S2, S4 = (DGAlgebraPresentation.sphere_cohomology(d, QQ) for d in (2, 4))
+    K4, w = residue_module(S4), DegreeWindow(0, 12)
+    P = DGAlgebraPresentation.polynomial(QQ, [("a", 2), ("b", 4)])
+    return {
+        "spheres": lambda: derived_tensor(K4, residue_module(S2), KOSZUL, w),
+        "fields": lambda: derived_tensor(
+            K4, residue_module(DGAlgebraPresentation.sphere_cohomology(4, GF3)), KOSZUL, w),
+        "free N": lambda: derived_tensor(K4, DGModulePresentation.free_rank_one(S2), KOSZUL, w),
+        "polynomial M": lambda: derived_tensor(residue_module(P), K4, BAR, DegreeWindow(0, 6)),
+        "bar algebra": lambda: bar_resolution(K4, S2, window=w),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(algebra_mismatches()))
+def test_tor_factors_over_different_algebras_are_refused(case):
+    # each once answered: K over S⁴ against K over S² read as periodic Tor,
+    # and the bar resolution of a module over S⁴ was built over S²
+    with pytest.raises(AlgebraMismatch, match="live over different algebras") as info:
+        algebra_mismatches()[case]()
+    assert info.value.code == "algebra-mismatch"
+
+
+def test_tor_factors_over_equal_algebras_are_accepted():
+    A = DGAlgebraPresentation.sphere_cohomology(4, QQ)
+    twin = DGAlgebraPresentation.from_json(A.to_json())
+    assert twin is not A
+    tor = derived_tensor(residue_module(A), residue_module(twin), KOSZUL, DegreeWindow(0, 12))
+    assert tor.dims == {0: 1, 3: 1, 6: 1, 9: 1, 12: 1}
+    assert bar_resolution(residue_module(A), twin, window=DegreeWindow(0, 6)).module.generators
 
 
 # -- Koszul resolutions -----------------------------------------------------------
