@@ -5,6 +5,7 @@ from .graded import DEFAULT_WINDOW, DegreeWindow, cohomology
 from .algebra import DGAlgebraPresentation, Generator
 from .module import (
     DGModulePresentation,
+    SphereModule,
     cone,
     direct_sum,
     find_idempotents,
@@ -20,7 +21,6 @@ from .resolve import (
     infinite_level_certificate,
     koszul_resolution_poly,
     koszul_resolution_sphere,
-    level_upper_bound,
     phi,
     residue_module,
 )
@@ -28,7 +28,6 @@ from .spheres import (
     Decomposition,
     LevelResult,
     MoleculeId,
-    SphereModule,
     bundle_level,
     component_index,
     decompose,
@@ -61,13 +60,13 @@ __all__ = [
     "QQ", "GF2", "GF3", "GF5", "FieldTag", "parse_field",
     "DEFAULT_WINDOW", "DegreeWindow", "cohomology",
     "DGAlgebraPresentation", "Generator",
-    "DGModulePresentation", "cone", "direct_sum", "find_idempotents",
+    "DGModulePresentation", "SphereModule", "cone", "direct_sum", "find_idempotents",
     "hom_complex", "shift",
     "FinitenessVerdict", "SemifreeFiltration", "bar_resolution",
     "derived_tensor", "filtration_class", "infinite_level_certificate",
     "koszul_resolution_poly", "koszul_resolution_sphere",
-    "level_upper_bound", "phi", "residue_module",
-    "Decomposition", "LevelResult", "MoleculeId", "SphereModule", "bundle_level",
+    "phi", "residue_module",
+    "Decomposition", "LevelResult", "MoleculeId", "bundle_level",
     "component_index", "decompose", "decompose_module",
     "free_pullback_level", "molecule_cohomology", "molecule_level",
     "molecule_model", "quiver_component", "realizable", "sphere_level",

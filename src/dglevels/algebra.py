@@ -29,7 +29,7 @@ from math import comb
 from types import MappingProxyType
 
 from .errors import PresentationError
-from .field import FieldTag, sparse_sum
+from .field import FieldTag, parse_field, sparse_sum
 from .graded import CochainComplex, DegreeWindow, assemble
 
 EXTERIOR = "exterior"
@@ -52,6 +52,14 @@ class Generator:
             raise PresentationError(f"degree {self.degree!r} of {self.label!r} is no integer")
         if self.degree <= 0:
             raise PresentationError(f"generator {self.label!r} must have positive degree")
+
+
+def check_sphere_dimension(d, what="sphere dimension"):
+    """Refuse a sphere dimension d that is no int (a bool is none) or not above 1."""
+    if type(d) is not int:
+        raise PresentationError(f"{what} {d!r} is no integer")
+    if d <= 1:
+        raise PresentationError(f"{what} must exceed 1")
 
 
 class DGAlgebraPresentation:
@@ -302,8 +310,7 @@ class DGAlgebraPresentation:
     @staticmethod
     def sphere_cohomology(d: int, field: FieldTag) -> "DGAlgebraPresentation":
         """H*(S^d; K): one generator of degree d squaring to zero, d > 1."""
-        if d <= 1:
-            raise PresentationError("sphere dimension must exceed 1")
+        check_sphere_dimension(d)
         return DGAlgebraPresentation(field, [Generator(f"x{d}", d, EXTERIOR)])
 
     @staticmethod
@@ -358,8 +365,6 @@ class DGAlgebraPresentation:
 
     @staticmethod
     def from_json(data):
-        from .field import parse_field
-
         field = parse_field(data["field"])
         gens = [Generator(lbl, deg, kind) for lbl, deg, kind in data["generators"]]
         odd = data.get("char2PolynomialOdd", False) is True

@@ -27,7 +27,7 @@ from .rational import (
     pile_upper_bound,
     tower_level_bounds,
 )
-from .resolve import derived_tensor, phi, residue_module
+from .resolve import derived_tensor, filtration_class, phi, residue_module
 from .spheres import (
     MoleculeId,
     bundle_level,
@@ -275,8 +275,6 @@ def cmd_p_tower(args):
 
 def cmd_pile(args):
     bound, filt = pile_upper_bound(args.stages, args.odd_spheres)
-    from .resolve import filtration_class
-
     result = {
         "levelUpperBound": bound,
         "filtrationClass": filtration_class(filt),

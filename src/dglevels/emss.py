@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .algebra import check_sphere_dimension
 from .errors import (
     CannotCertifyCollapse,
     OddDimensionNonzeroHopf,
@@ -40,7 +41,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .field import FieldTag
-from .graded import DegreeWindow
+from .graded import DegreeWindow, dims_table
 from .resolve import FinitenessVerdict, finiteness, sphere_block_period
 
 
@@ -59,12 +60,9 @@ class FibreSquareSpec:
 
     @staticmethod
     def make(d, top_dims, hopf, field, extra_dims=None):
-        if d <= 1:
-            raise PresentationError("base sphere dimension must exceed 1")
-        top = tuple(sorted((n, v) for n, v in dict(top_dims).items() if v)) \
-            if top_dims else ((0, 1),)
-        extra = tuple(sorted((n, v) for n, v in dict(extra_dims).items() if v)) \
-            if extra_dims else ()
+        check_sphere_dimension(d, "base sphere dimension")
+        top = tuple(sorted(dims_table(dict(top_dims)).items())) if top_dims else ((0, 1),)
+        extra = tuple(sorted(dims_table(dict(extra_dims)).items())) if extra_dims else ()
         return FibreSquareSpec(d, top, field.scalar(hopf), field, extra)
 
 

@@ -38,7 +38,8 @@ from functools import cache
 from math import gcd, inf
 
 from .errors import PresentationError
-from .field import FieldTag, echelon_leads, integer_row, pivot_columns, rank_and_kernel, sparse_sum
+from .field import (FieldTag, echelon_leads, integer_row, parse_field, pivot_columns,
+                    rank_and_kernel, sparse_sum)
 
 
 @dataclass(frozen=True)
@@ -324,6 +325,17 @@ def _cohomology_at(cx: CochainComplex, n: int):
     return len(reps), reps
 
 
+def dims_table(dims):
+    """A handed-in table {degree: multiplicity} without its zeros; PresentationError
+    on a degree or multiplicity that is no int (a bool is none) or below 0."""
+    for n, v in dims.items():
+        if type(n) is not int or type(v) is not int:
+            raise PresentationError(f"dimension entry {n!r}:{v!r} is no pair of integers")
+        if v < 0:
+            raise PresentationError(f"negative multiplicity at degree {n}")
+    return {n: v for n, v in dims.items() if v}
+
+
 def dims_to_json(dims):
     return {str(n): dims[n] for n in sorted(dims)}
 
@@ -362,8 +374,6 @@ def complex_to_json(cx: CochainComplex):
 
 
 def complex_from_json(data):
-    from .field import parse_field
-
     f = parse_field(data["field"])
     space = GradedVectorSpace(f, {int(n): labels for n, labels in data["basis"].items()})
     diff = {

@@ -11,7 +11,9 @@ action of every algebra generator (the fallback for cohomology-level inputs
 such as H*(S^7) over H*(S^4)).  Its actions are taken as dense matrices and
 kept, as the complex keeps d, only as reduced sparse columns per degree
 (`graded.sparse_columns`), a zero map dropped; every check and product reads
-them through `graded._apply`.
+them through `graded._apply`.  A `SphereModule` is a free module over
+H*(S^d) = K[x]/(x²) held as the scalar blocks of D = δ₀ + x·Φ, which the
+Jordan-string engine of `spheres` reads; its algebra and D are read off them.
 
 A free module truncated at T (``truncation_degree``) holds every generator
 in degrees below T, and the whole differential of every generator below
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import inf, isqrt
 
 from .algebra import DIVIDED, EXTERIOR, DGAlgebraPresentation
@@ -44,9 +47,10 @@ from .errors import (
     Undecided,
     VerificationFailed,
 )
-from .field import integer_row, pivot_columns, row_reduce, solve, sparse_sum
+from .field import FieldTag, integer_row, pivot_columns, row_reduce, solve, sparse_sum
 from .graded import (CochainComplex, DegreeWindow, GradedVectorSpace, _apply, assemble, cohomology,
-                     cohomology_dims, dense_rows, sparse_columns)
+                     cohomology_dims, complex_from_json, complex_to_json, dense_rows,
+                     sparse_columns)
 
 
 def free_generators(generators):
@@ -240,10 +244,6 @@ class DGModulePresentation:
         return DGModulePresentation(algebra, complex=cx, actions={})
 
     @staticmethod
-    def zero(algebra):
-        return DGModulePresentation(algebra, generators=[])
-
-    @staticmethod
     def raw(algebra, complex, actions=None):
         return DGModulePresentation(algebra, complex=complex, actions=actions)
 
@@ -261,8 +261,6 @@ class DGModulePresentation:
             if self.truncation_degree is not None:
                 out["truncationDegree"] = self.truncation_degree
         else:
-            from .graded import complex_to_json
-
             f, dim = self.field, self.complex.dim
             out["complex"] = complex_to_json(self.complex)
             out["actions"] = {
@@ -275,8 +273,6 @@ class DGModulePresentation:
 
     @staticmethod
     def from_json(data):
-        from .algebra import DGAlgebraPresentation
-
         A = DGAlgebraPresentation.from_json(data["algebra"])
         if "generators" in data:
             diff = {
@@ -285,8 +281,6 @@ class DGModulePresentation:
             }
             return DGModulePresentation.free(A, data["generators"], diff,
                                              data.get("truncationDegree"))
-        from .graded import complex_from_json
-
         cx = complex_from_json(data["complex"])
         actions = {
             g: {int(n): [[A.field.scalar_from_json(x) for x in row] for row in mat]
@@ -314,6 +308,120 @@ class DGModulePresentation:
             return DegreeWindow(min(degs) - 2, hi)
         degs = self.complex.space.degrees() or [0]
         return DegreeWindow(min(degs) - 2, max(degs) + 2)
+
+
+def _require_sphere(module: DGModulePresentation, d: int):
+    A = module.algebra
+    if A.sphere_generator_label() is None or A.generators[0].degree != d:
+        raise PresentationError(f"the module does not live over H*(S^{d})")
+
+
+class SphereModule(DGModulePresentation):
+    """A finite free module over H*(S^d) = K[x]/(x²) as two scalar blocks.
+
+    ``generators`` lists (label, degree) pairs.  ``delta`` and ``phi`` map a
+    generator's index to its column {target index: scalar}: D(g) = δ₀(g) +
+    Φ(g)·x, so δ₀ raises the degree by 1 and Φ by 1 - d.  Both are stored as
+    sparse columns per degree: ``delta[n][j]`` lists (row, scalar) pairs for
+    generator j of degree n, rows indexing the generators of degree n + 1;
+    a degree whose columns are all zero has no entry.
+    D² = δ₀² + (Φδ₀ + δ₀Φ)·x, with no sign as dA = 0, so both identities are
+    checked on construction; a violation raises PresentationError.  The
+    presentation's ``algebra`` and ``differential`` are read off on first use.
+    """
+
+    truncation_degree = complex = actions = None
+
+    def __init__(self, d: int, field: FieldTag, generators, delta=None, phi=None):
+        if d <= 1:
+            raise PresentationError("sphere dimension must exceed 1")
+        self.d = d
+        self.field = field
+        self.generators = free_generators(generators)
+        self.gen_degree = dict(self.generators)
+        self.labels = {}            # degree -> generator labels
+        self._slot = []             # generator index -> position in its degree
+        for label, deg in self.generators:
+            self._slot.append(len(self.labels.setdefault(deg, [])))
+            self.labels[deg].append(label)
+        self.delta = self._columns(delta or {}, 0)
+        self.phi = self._columns(phi or {}, d)
+        self._check()
+
+    @cached_property
+    def algebra(self):
+        return DGAlgebraPresentation.sphere_cohomology(self.d, self.field)
+
+    @cached_property
+    def differential(self):
+        f, diff = self.field, {}
+        for e, blocks in ((0, self.delta), (1, self.phi)):
+            for deg, cols in blocks.items():
+                targets = self.labels.get(deg + 1 - e * self.d)
+                for label, col in zip(self.labels[deg], cols):
+                    for i, c in col:
+                        diff.setdefault(label, {})[targets[i]] = \
+                            {(e,): f.from_int(c) if isinstance(c, int) else c}
+        return diff
+
+    def _columns(self, columns, xdeg):
+        """Per-degree sparse columns of the block whose entries multiply x^xdeg;
+        an entry that is no scalar of the field raises FieldMismatch."""
+        out, last = {}, len(self.generators) - 1
+        for src, terms in columns.items():
+            if not all(type(i) is int and 0 <= i <= last for i in (src, *terms)):
+                raise PresentationError(f"a column of D({src!r}) indexes a generator outside "
+                                        f"0..{last}")
+            label, deg = self.generators[src]
+            col = []
+            for tgt, c in terms.items():
+                c = self.field.scalar(c)
+                if not c:
+                    continue
+                tlabel, tdeg = self.generators[tgt]
+                if tdeg + xdeg != deg + 1:
+                    raise PresentationError(
+                        f"D({label}) term on {tlabel} has total degree {tdeg + xdeg}, "
+                        f"expected {deg + 1}")
+                # over Q an int where integral, which the int kernels read
+                col.append((self._slot[tgt], c.numerator if c.denominator == 1 else c))
+            if col:
+                out.setdefault(deg, [[] for _ in self.labels[deg]])[self._slot[src]] = col
+        return out
+
+    def _check(self):
+        """δ₀² = 0 and Φδ₀ + δ₀Φ = 0, one generator's column at a time."""
+        if not self.delta:
+            return                  # δ₀ = 0 satisfies both
+        f, d = self.field, self.d
+        for deg in sorted(self.delta.keys() | self.phi.keys()):
+            none = [[]] * len(self.labels[deg])
+            for label, dcol, pcol in zip(self.labels[deg], self.delta.get(deg, none),
+                                         self.phi.get(deg, none)):
+                if not (dcol or pcol):
+                    continue
+                square = _apply(self.delta, deg + 1, dcol, f)
+                cross = sparse_sum([*_apply(self.phi, deg + 1, dcol, f).items(),
+                                    *_apply(self.delta, deg + 1 - d, pcol, f).items()], f)
+                for hit, tdeg in ((square, deg + 2), (cross, deg + 2 - d)):
+                    if hit:
+                        raise PresentationError(f"D∘D ≠ 0 on generator {label!r} "
+                                                f"(lands on {self.labels[tdeg][min(hit)]!r})")
+
+    @staticmethod
+    def from_presentation(module: DGModulePresentation, d: int) -> "SphereModule":
+        """Split a finite, untruncated free presentation over H*(S^d) into
+        its blocks: the x⁰ coefficients form δ₀, the x¹ coefficients Φ."""
+        _require_sphere(module, d)
+        if not module.is_free or module.truncation_degree is not None:
+            raise PresentationError("Jordan strings need a finite, untruncated free module")
+        index = {label: i for i, (label, _) in enumerate(module.generators)}
+        delta, phi = {}, {}
+        for src, terms in module.differential.items():
+            for tgt, poly in terms.items():
+                for (e,), c in poly.items():
+                    (phi if e else delta).setdefault(index[src], {})[index[tgt]] = c
+        return SphereModule(d, module.field, module.generators, delta, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +556,9 @@ def block_sum(parts) -> DGModulePresentation:
     homogeneous, so the parts' checks cover the sum: it is built without a
     constructor, and only its labels are checked.
     """
-    from .spheres import SphereModule
-
     first = parts[0][0]
     reduce = first.field.reduce
-    blocks = all(isinstance(m, SphereModule) and (m.d, m.field) == (first.d, first.field)
-                 for m, _, _ in parts)
+    blocks = _one_sphere([m for m, _, _ in parts])
     cls = SphereModule if blocks else DGModulePresentation
     out = cls.__new__(cls)
     out.field, out.generators = first.field, tuple(
@@ -489,6 +594,13 @@ def block_sum(parts) -> DGModulePresentation:
     return out
 
 
+def _one_sphere(modules) -> bool:
+    """Every module is a SphereModule over the d and field of the first."""
+    first = modules[0]
+    return all(isinstance(m, SphereModule) and (m.d, m.field) == (first.d, first.field)
+               for m in modules)
+
+
 def _common_algebra(what, *algebras):
     """The first algebra, which every other one must equal."""
     base = algebras[0]
@@ -508,17 +620,13 @@ def shift(module: DGModulePresentation, k: int) -> DGModulePresentation:
 def direct_sum(modules) -> DGModulePresentation:
     """Block sum of free modules over one algebra, compared unless all are
     SphereModules over one d and field, whose algebra is then never built."""
-    from .spheres import SphereModule
-
     modules = list(modules)
     if not modules:
         raise AlgebraMismatch("an empty direct sum has no algebra")
-    first = modules[0]
-    if not all(isinstance(m, SphereModule) and (m.d, m.field) == (first.d, first.field)
-               for m in modules):
+    if not _one_sphere(modules):
         _common_algebra("direct summands", *(m.algebra for m in modules))
     if len(modules) == 1:
-        return first
+        return modules[0]
     if not all(m.is_free for m in modules):
         raise SourceNotFree("direct_sum currently handles free presentations")
     return block_sum([(m, f"{i}·", 0) for i, m in enumerate(modules)])

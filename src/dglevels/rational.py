@@ -54,19 +54,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import DGAlgebraPresentation, EXTERIOR, Generator, POLYNOMIAL
+from .algebra import DGAlgebraPresentation, EXTERIOR, Generator, POLYNOMIAL, check_sphere_dimension
 from .errors import BudgetExceeded, MTooSmall, NotExact, PresentationError, WrongTargetCohomology
 from .field import QQ, coordinates, rank_and_kernel, solve
 from .graded import DegreeWindow, cohomology, dense_rows
+from .module import SphereModule
 from .resolve import SemifreeFiltration, check_exterior_basis, filtration_class
-from .spheres import LevelResult, SphereModule, decompose_module, extension_module
+from .spheres import LevelResult, decompose_module, extension_module
 
 
 def sphere_model(d: int) -> DGAlgebraPresentation:
     """Minimal free model of S^d over Q: (∧(x, ξ), δξ = x²) for even d,
     (∧(x), 0) for odd d."""
-    if d <= 1:
-        raise PresentationError("sphere dimension must exceed 1")
+    check_sphere_dimension(d)
     if d % 2:
         return DGAlgebraPresentation(QQ, [Generator("x", d, EXTERIOR)])
     gens = [Generator("x", d, POLYNOMIAL), Generator("ξ", 2 * d - 1, EXTERIOR)]
@@ -149,10 +149,11 @@ def build_P_tower(l: int, d: int, m: int | None = None) -> TowerSpec:
     The target is reached for l <= 3 with d odd and for l <= 2 with d even;
     larger l overshoot (see the module docstring for the levels and why).
     """
+    if type(l) is not int:
+        raise PresentationError(f"the level target {l!r} is no integer")
     if l < 1:
         raise PresentationError("the level target must be at least 1")
-    if d <= 1:
-        raise PresentationError("sphere dimension must exceed 1")
+    check_sphere_dimension(d)
     m = m if m is not None else l * d + 1
     if m < l * d + 1:
         raise MTooSmall(f"suspension parameter m = {m} is below the bound {l * d + 1}")
@@ -196,6 +197,9 @@ def pile_upper_bound(stages: int, extra_odd_spheres: int = 0):
     Returns (bound, filtration): the explicit class-c semifree filtration is
     materialized on a witness module and validated, never assumed.
     """
+    if type(stages) is not int or type(extra_odd_spheres) is not int:
+        raise PresentationError(f"pile stage and sphere counts {stages!r}, {extra_odd_spheres!r} "
+                                "are no integers")
     if stages < 0:
         raise PresentationError("the stage count must be nonnegative")
     if extra_odd_spheres < 0:
@@ -240,8 +244,7 @@ def hopf_invariant(target: DGAlgebraPresentation, gx, gxi=None, d: int = 4,
     chosen degree-(2d-1) generator.  The answer does not depend on the choice
     of ρ; that is re-verified by perturbing ρ with a cocycle when one exists.
     """
-    if d <= 1:
-        raise PresentationError("sphere dimension must exceed 1")
+    check_sphere_dimension(d)
     field = target.field
     if d % 2:
         return field.zero()

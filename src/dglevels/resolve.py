@@ -12,7 +12,9 @@ reads, from the lowest degrees of M and N, is one rule, `tensor_reach`.
 `derived_tensor` tensors block by block, copying no shift, on resolutions
 built per call.  Over H*(S^d) the Koszul tensor of a sum of shifts of K and a
 bounded N is periodic from a stable start on, so it is listed only through
-one period past that start, and the rest of the window is read off it.
+one period past that start, and the rest of the window is read off it.  Both
+Koszul resolutions over H*(S^d) live here, on one sign rule: `_koszul` of K
+for Tor, and `raw_resolution` of a raw module for its level.
 
 A truncated engine must never silently claim finiteness, so every total
 cohomology question is answered by a three-way verdict from one rule,
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .algebra import EXTERIOR, POLYNOMIAL, DGAlgebraPresentation
 from .errors import (
@@ -48,7 +51,7 @@ from .errors import (
     StrategyInapplicable,
 )
 from .graded import CochainComplex, DegreeWindow, GradedVectorSpace, assemble, cohomology_dims
-from .module import DGModulePresentation, _common_algebra, block_sum
+from .module import DGModulePresentation, SphereModule, _common_algebra, block_sum
 
 BAR = "bar"
 KOSZUL = "koszul"
@@ -281,6 +284,71 @@ def koszul_resolution_poly(degrees, field) -> Resolution:
         raise OddGenerator("polynomial generators must have even degree outside char 2")
     A = DGAlgebraPresentation.polynomial(field, xs, char2_polynomial_odd=char2)
     return _koszul(A, None)
+
+
+def raw_resolution(module: DGModulePresentation, d: int, layers: int) -> SphereModule:
+    """The Koszul resolution of a raw module R over A = H*(S^d), cut at
+    layer L = ``layers``, as a SphereModule.
+
+    It is the twisted tensor product A ⊗ A^¡ ⊗ R (Priddy, Koszul resolutions,
+    1970), with A^¡ = K{g_k} the Koszul dual coalgebra of A, g_k in degree
+    k(d-1): generators g_k ⊗ r, k = 0..L and r a basis of R, in degree
+    |r| + k(d-1), with
+
+      δ₀(g_k ⊗ r) = (-1)^k (g_{k-1} ⊗ x·r + g_k ⊗ d_R r),
+      Φ(g_k ⊗ r) = g_{k-1} ⊗ r,
+
+    `_koszul`'s sign rule: on K it is `_koszul`'s chain.  As x² = d_R² = 0,
+    δ₀² = 0 since x commutes with d_R (the raw module checks it), and
+    Φδ₀ + δ₀Φ = 0 as the two terms differ by (-1); the SphereModule checks
+    both again.  D lowers the layer, so layers 0..L are a submodule F_L of
+    the whole resolution F ≃ R.
+
+    The cut.  Let R lie in degrees lo..hi, a = hi - lo, p the period of
+    `sphere_block_period`; `sphere_level` takes the least L with
+    L(d-1) > a - d and L(d-1) >= 2p.  F_L(-) is additive and keeps
+    quasi-isomorphisms (its layers are copies of A ⊗ R), and R is a sum of
+    molecules and shifts of K, as every bounded module over A is.  So:
+    - F_L(Σ^{-s}K), lo <= s <= hi, has δ₀ = 0 and Φ stepping down the layers:
+      one string from s to s + L(d-1), a tower of height L, whose degrees in
+      steps of p are Tor classes of R, three or more;
+    - a molecule Z = Σ^{-l}Z_m of R has its cohomology in lo..hi, so
+      m(d-1) + d <= a (hence m < L) and l <= hi - d.  On Z's model, which
+      starts in degree l - m(d-1), F/F_L is F moved up L + 1 layers with
+      signs changed; it starts above l, where the model has no generator, so
+      Z → F/F_L is zero, and F_L(Z) is Z plus a copy moved up by
+      L(d-1) + d, of height m (it has Z's cohomology, moved).
+    Hence R's molecules are the strings topped below layer L, at l < lo +
+    L(d-1); copies are topped above it with m(d-1) + d <= a, and towers are
+    the strings with m(d-1) + d > a.
+
+    Raises BudgetExceeded, before building, past KOSZUL_GENERATOR_BUDGET
+    generators.
+    """
+    cx = module.complex
+    act = module.actions.get(module.algebra.generators[0].label, {})
+    degrees = cx.space.degrees()
+    size = sum(map(cx.dim, degrees))        # generators per layer
+    if (layers + 1) * size > KOSZUL_GENERATOR_BUDGET:
+        raise BudgetExceeded(f"the Koszul resolution of the raw module over H*(S^{d}) cut at "
+                             f"layer {layers} has {(layers + 1) * size} generators, more than "
+                             f"{KOSZUL_GENERATOR_BUDGET}")
+    at = dict(zip(degrees, accumulate(map(cx.dim, degrees), initial=0)))
+    gens, delta, phi = [], {}, {}
+    for k in range(layers + 1):
+        sign, layer = -1 if k % 2 else 1, k * size
+        for n in degrees:
+            cols, xcols = cx.cols.get(n), act.get(n)
+            for j in range(cx.dim(n)):
+                g = len(gens)
+                gens.append((f"g{k}⊗{n}.{j}", n + k * (d - 1)))
+                delta[g] = {layer + at[n + 1] + i: sign * c for i, c in cols[j]} if cols else {}
+                if k:
+                    phi[g] = {g - size: 1}
+                    if xcols:
+                        delta[g].update((layer - size + at[n + d] + i, sign * c)
+                                        for i, c in xcols[j])
+    return SphereModule(d, module.field, gens, delta, phi)
 
 
 def bar_resolution(module: DGModulePresentation, algebra: DGAlgebraPresentation = None,
@@ -727,10 +795,6 @@ def filtration_class(filtration: SemifreeFiltration) -> int:
         if frozenset(stage) == all_gens:
             return i
     raise InvalidFiltration("no stage contains every generator")
-
-
-def level_upper_bound(filtration: SemifreeFiltration) -> int:
-    return filtration_class(filtration) + 1
 
 
 def generator_depth_filtration(module: DGModulePresentation) -> SemifreeFiltration:

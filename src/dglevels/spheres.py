@@ -11,17 +11,9 @@ Module inputs are decomposed by the Jordan strings of their minimal model
 (`decompose_module`).  A free module over A = K[x]/(x²) on a graded space V
 of generators has D = δ₀ + x·Φ with scalar matrices δ₀ (degree 1) and Φ
 (degree 1-d), and the level path builds every such module in this block
-form, as a `SphereModule` with sparse columns per degree: the molecule
-models, and by one builder (`extension_module`) every extension of the
-sphere model by odd generators: the towers of `rational` and the model of a
-bundle over S^4 alike.  With coefficients on the right (the right-module
-rule of `module`), D(h·a) = D(h)·a since dA = 0, so
-
-  D²(g) = δ₀²(g) + (Φδ₀ + δ₀Φ)(g)·x,
-
-with no sign: D² = 0 exactly when δ₀² = 0 and Φδ₀ + δ₀Φ = 0, the two
-identities a SphereModule checks on construction, and once only: it is a
-free `DGModulePresentation` whose differential is read off the blocks.
+form, as a `module.SphereModule`: the molecule models, and by one builder
+(`extension_module`) every extension of the sphere model by odd generators:
+the towers of `rational` and the model of a bundle over S^4 alike.
 
 By the homological perturbation lemma the minimal model is (H(V, δ₀), x·Φ̄),
 since every higher transfer term carries x² = 0; Φ̄ is nilpotent of degree
@@ -36,9 +28,10 @@ reach k steps down: the rank count, and the decomposition is unique.
 
 A raw module R (a finite complex with the action of x as matrices, a sum of
 shifts of K among them) goes through the same engine: its Koszul resolution,
-cut at a layer past R's amplitude, is a SphereModule (`raw_resolution`), and
-its strings are R's molecules, copies of them in the cut layer, and one tower
-per summand Σ^{-s}K of R, which certifies an infinite level.
+cut at a layer past R's amplitude, is a SphereModule
+(`resolve.raw_resolution`), and its strings are R's molecules, copies of
+them in the cut layer, and one tower per summand Σ^{-s}K of R, which
+certifies an infinite level.
 
 Bare dimension tables and finite Tor results, known only through their
 cohomology, are decomposed by perfect matching: pair the cohomology degrees
@@ -53,10 +46,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
 
-from .algebra import POLYNOMIAL, DGAlgebraPresentation, Generator
+from .algebra import POLYNOMIAL, Generator, check_sphere_dimension
 from .errors import (
     BudgetExceeded,
     FormalizabilityNotDeclared,
@@ -66,11 +57,11 @@ from .errors import (
     PresentationError,
     VerificationFailed,
 )
-from .field import FieldTag, QQ, echelon_leads, integer_row, rank_and_kernel, sparse_sum
-from .graded import _apply, dense_rows
-from .module import DGModulePresentation, free_generators
-from .resolve import (KOSZUL_GENERATOR_BUDGET, FinitenessVerdict, TorResult,
-                      check_exterior_basis, sphere_block_period)
+from .field import FieldTag, QQ, echelon_leads, integer_row, rank_and_kernel
+from .graded import _apply, dense_rows, dims_table
+from .module import DGModulePresentation, SphereModule, _require_sphere
+from .resolve import (FinitenessVerdict, TorResult, check_exterior_basis, raw_resolution,
+                      sphere_block_period)
 
 
 @dataclass(frozen=True)
@@ -82,8 +73,9 @@ class MoleculeId:
     m: int
 
     def __post_init__(self):
-        if self.d <= 1:
-            raise PresentationError("sphere dimension must exceed 1")
+        check_sphere_dimension(self.d)
+        if type(self.l) is not int or type(self.m) is not int:
+            raise PresentationError(f"molecule l, m = {self.l!r}, {self.m!r} are no integers")
         if self.m < 0:
             raise PresentationError("molecule height must be nonnegative")
 
@@ -152,6 +144,9 @@ def quiver_component(d: int, component: int, rows: int, cols: int) -> QuiverComp
     Σ^{-l}Z_m → Σ^{-l}Z_{m-1} (m >= 1, the same column); row translation is
     Σ^{-(d-1)}.  Raises BudgetExceeded before building more than
     QUIVER_VERTEX_BUDGET vertices."""
+    if type(component) is not int or type(rows) is not int or type(cols) is not int:
+        raise PresentationError(f"quiver component, rows and cols {component!r}, {rows!r}, "
+                                f"{cols!r} are no integers")
     if not (0 <= component <= d - 2):
         raise PresentationError(f"component must lie in [0, {d - 2}]")
     if rows < 1 or cols < 1:
@@ -330,12 +325,8 @@ def decompose(dims, d: int) -> Decomposition:
     lexicographically), and `ambiguous` flags everything with more than one
     molecule multiset.
     """
-    if d <= 1:
-        raise PresentationError("sphere dimension must exceed 1")
-    for n, v in dims.items():
-        if v < 0:
-            raise PresentationError(f"negative multiplicity at degree {n}")
-    dims = {n: v for n, v in dims.items() if v}
+    check_sphere_dimension(d)
+    dims = dims_table(dims)
     if sum(dims.values()) % 2:
         raise NoValidMatching("odd total dimension cannot split into molecules")
     # each molecule multiset, as sorted (m, l) pairs, with the first matching
@@ -358,120 +349,6 @@ def decompose(dims, d: int) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def _require_sphere(module: DGModulePresentation, d: int):
-    A = module.algebra
-    if A.sphere_generator_label() is None or A.generators[0].degree != d:
-        raise PresentationError(f"the module does not live over H*(S^{d})")
-
-
-class SphereModule(DGModulePresentation):
-    """A finite free module over H*(S^d) = K[x]/(x²) as two scalar blocks.
-
-    ``generators`` lists (label, degree) pairs.  ``delta`` and ``phi`` map a
-    generator's index to its column {target index: scalar}: D(g) = δ₀(g) +
-    Φ(g)·x, so δ₀ raises the degree by 1 and Φ by 1 - d.  Both are stored as
-    sparse columns per degree: ``delta[n][j]`` lists (row, scalar) pairs for
-    generator j of degree n, rows indexing the generators of degree n + 1;
-    a degree whose columns are all zero has no entry.
-    D² = δ₀² + (Φδ₀ + δ₀Φ)·x (see the module docstring), so both identities
-    are checked on construction; a violation raises PresentationError.  The
-    presentation's ``algebra`` and ``differential`` are read off on first use.
-    """
-
-    truncation_degree = complex = actions = None
-
-    def __init__(self, d: int, field: FieldTag, generators, delta=None, phi=None):
-        if d <= 1:
-            raise PresentationError("sphere dimension must exceed 1")
-        self.d = d
-        self.field = field
-        self.generators = free_generators(generators)
-        self.gen_degree = dict(self.generators)
-        self.labels = {}            # degree -> generator labels
-        self._slot = []             # generator index -> position in its degree
-        for label, deg in self.generators:
-            self._slot.append(len(self.labels.setdefault(deg, [])))
-            self.labels[deg].append(label)
-        self.delta = self._columns(delta or {}, 0)
-        self.phi = self._columns(phi or {}, d)
-        self._check()
-
-    @cached_property
-    def algebra(self):
-        return DGAlgebraPresentation.sphere_cohomology(self.d, self.field)
-
-    @cached_property
-    def differential(self):
-        f, diff = self.field, {}
-        for e, blocks in ((0, self.delta), (1, self.phi)):
-            for deg, cols in blocks.items():
-                targets = self.labels.get(deg + 1 - e * self.d)
-                for label, col in zip(self.labels[deg], cols):
-                    for i, c in col:
-                        diff.setdefault(label, {})[targets[i]] = \
-                            {(e,): f.from_int(c) if isinstance(c, int) else c}
-        return diff
-
-    def _columns(self, columns, xdeg):
-        """Per-degree sparse columns of the block whose entries multiply x^xdeg;
-        an entry that is no scalar of the field raises FieldMismatch."""
-        out, last = {}, len(self.generators) - 1
-        for src, terms in columns.items():
-            if not all(type(i) is int and 0 <= i <= last for i in (src, *terms)):
-                raise PresentationError(f"a column of D({src!r}) indexes a generator outside "
-                                        f"0..{last}")
-            label, deg = self.generators[src]
-            col = []
-            for tgt, c in terms.items():
-                c = self.field.scalar(c)
-                if not c:
-                    continue
-                tlabel, tdeg = self.generators[tgt]
-                if tdeg + xdeg != deg + 1:
-                    raise PresentationError(
-                        f"D({label}) term on {tlabel} has total degree {tdeg + xdeg}, "
-                        f"expected {deg + 1}")
-                # over Q an int where integral, which the int kernels read
-                col.append((self._slot[tgt], c.numerator if c.denominator == 1 else c))
-            if col:
-                out.setdefault(deg, [[] for _ in self.labels[deg]])[self._slot[src]] = col
-        return out
-
-    def _check(self):
-        """δ₀² = 0 and Φδ₀ + δ₀Φ = 0, one generator's column at a time."""
-        if not self.delta:
-            return                  # δ₀ = 0 satisfies both
-        f, d = self.field, self.d
-        for deg in sorted(self.delta.keys() | self.phi.keys()):
-            none = [[]] * len(self.labels[deg])
-            for label, dcol, pcol in zip(self.labels[deg], self.delta.get(deg, none),
-                                         self.phi.get(deg, none)):
-                if not (dcol or pcol):
-                    continue
-                square = _apply(self.delta, deg + 1, dcol, f)
-                cross = sparse_sum([*_apply(self.phi, deg + 1, dcol, f).items(),
-                                    *_apply(self.delta, deg + 1 - d, pcol, f).items()], f)
-                for hit, tdeg in ((square, deg + 2), (cross, deg + 2 - d)):
-                    if hit:
-                        raise PresentationError(f"D∘D ≠ 0 on generator {label!r} "
-                                                f"(lands on {self.labels[tdeg][min(hit)]!r})")
-
-    @staticmethod
-    def from_presentation(module: DGModulePresentation, d: int) -> "SphereModule":
-        """Split a finite, untruncated free presentation over H*(S^d) into
-        its blocks: the x⁰ coefficients form δ₀, the x¹ coefficients Φ."""
-        _require_sphere(module, d)
-        if not module.is_free or module.truncation_degree is not None:
-            raise PresentationError("Jordan strings need a finite, untruncated free module")
-        index = {label: i for i, (label, _) in enumerate(module.generators)}
-        delta, phi = {}, {}
-        for src, terms in module.differential.items():
-            for tgt, poly in terms.items():
-                for (e,), c in poly.items():
-                    (phi if e else delta).setdefault(index[src], {})[index[tgt]] = c
-        return SphereModule(d, module.field, module.generators, delta, phi)
-
-
 def decompose_module(module, d: int) -> Decomposition:
     """Molecules of a finite free module over H*(S^d): a SphereModule as it
     is, or another untruncated free presentation, split by `from_presentation`.
@@ -486,8 +363,7 @@ def decompose_module(module, d: int) -> Decomposition:
     spans, and Z_a joins only where the carried do not fill H_a.  `matching`
     lists each molecule's two cohomology degrees; nothing is ambiguous.
     """
-    if d <= 1:
-        raise PresentationError("sphere dimension must exceed 1")
+    check_sphere_dimension(d)
     if not isinstance(module, SphereModule):
         module = SphereModule.from_presentation(module, d)
     elif module.d != d:
@@ -607,68 +483,6 @@ class LevelResult:
                 "certificate": self.certificate.to_json() if self.certificate else None}
 
 
-def raw_resolution(module: DGModulePresentation, d: int, layers: int) -> SphereModule:
-    """The Koszul resolution of a raw module R over A = H*(S^d), cut at
-    layer L = ``layers``, as a SphereModule.
-
-    It is the twisted tensor product A ⊗ A^¡ ⊗ R (Priddy, Koszul resolutions,
-    1970), with A^¡ = K{g_k} the Koszul dual coalgebra of A, g_k in degree
-    k(d-1): generators g_k ⊗ r, k = 0..L and r a basis of R, in degree
-    |r| + k(d-1), with
-
-      δ₀(g_k ⊗ r) = g_{k-1} ⊗ x·r + (-1)^k g_k ⊗ d_R r,
-      Φ(g_k ⊗ r) = (-1)^k g_{k-1} ⊗ r.
-
-    x commutes with d_R (the raw module checks it), so δ₀² = 0 and
-    Φδ₀ + δ₀Φ = 0, which the SphereModule checks again.  D lowers the layer,
-    so layers 0..L are a submodule F_L of the whole resolution F ≃ R.
-
-    The cut.  Let R lie in degrees lo..hi, a = hi - lo, p the period of
-    `sphere_block_period`; `sphere_level` takes the least L with
-    L(d-1) > a - d and L(d-1) >= 2p.  F_L(-) is additive and keeps
-    quasi-isomorphisms (its layers are copies of A ⊗ R), and R is a sum of
-    molecules and shifts of K, as every bounded module over A is.  So:
-    - F_L(Σ^{-s}K), lo <= s <= hi, has δ₀ = 0 and Φ stepping down the layers:
-      one string from s to s + L(d-1), a tower of height L, whose degrees in
-      steps of p are Tor classes of R, three or more;
-    - a molecule Z = Σ^{-l}Z_m of R has its cohomology in lo..hi, so
-      m(d-1) + d <= a (hence m < L) and l <= hi - d.  On Z's model, which
-      starts in degree l - m(d-1), F/F_L is F moved up L + 1 layers with
-      signs changed; it starts above l, where the model has no generator, so
-      Z → F/F_L is zero, and F_L(Z) is Z plus a copy moved up by
-      L(d-1) + d, of height m (it has Z's cohomology, moved).
-    Hence R's molecules are the strings topped below layer L, at l < lo +
-    L(d-1); copies are topped above it with m(d-1) + d <= a, and towers are
-    the strings with m(d-1) + d > a.
-
-    Raises BudgetExceeded, before building, past KOSZUL_GENERATOR_BUDGET
-    generators.
-    """
-    cx = module.complex
-    act = module.actions.get(module.algebra.generators[0].label, {})
-    degrees = cx.space.degrees()
-    size = sum(map(cx.dim, degrees))        # generators per layer
-    if (layers + 1) * size > KOSZUL_GENERATOR_BUDGET:
-        raise BudgetExceeded(f"the Koszul resolution of the raw module over H*(S^{d}) cut at "
-                             f"layer {layers} has {(layers + 1) * size} generators, more than "
-                             f"{KOSZUL_GENERATOR_BUDGET}")
-    at = dict(zip(degrees, accumulate(map(cx.dim, degrees), initial=0)))
-    gens, delta, phi = [], {}, {}
-    for k in range(layers + 1):
-        sign, layer = -1 if k % 2 else 1, k * size
-        for n in degrees:
-            cols, xcols = cx.cols.get(n), act.get(n)
-            for j in range(cx.dim(n)):
-                g = len(gens)
-                gens.append((f"g{k}⊗{n}.{j}", n + k * (d - 1)))
-                delta[g] = {layer + at[n + 1] + i: sign * c for i, c in cols[j]} if cols else {}
-                if k:
-                    phi[g] = {g - size: sign}
-                    if xcols:
-                        delta[g].update((layer - size + at[n + d] + i, c) for i, c in xcols[j])
-    return SphereModule(d, module.field, gens, delta, phi)
-
-
 def sphere_level(data, d: int) -> LevelResult:
     """Level over H*(S^d) of a module, a Tor result, or a dimension table.
 
@@ -693,11 +507,12 @@ def sphere_level(data, d: int) -> LevelResult:
         if not v.is_finite:
             raise NotCompactlyDecomposable(
                 "finiteness of the cohomology could not be certified")
-        dims = {n: x for n, x in data.dims.items() if x}
+        data = data.dims
     elif isinstance(data, DGModulePresentation):
         if data.is_free and data.truncation_degree is None:
             return decompose_module(data, d).level_result()
         _require_sphere(data, d)
+        check_sphere_dimension(d)       # the algebra's degree d equals 4.0 too
         if data.truncation_degree is not None:
             raise NotCompactlyDecomposable(
                 f"the module is truncated at degree {data.truncation_degree} and "
@@ -713,8 +528,7 @@ def sphere_level(data, d: int) -> LevelResult:
                 "infinite", period=p, witnesses=(bottom, bottom + p, bottom + 2 * p)))
         return Decomposition.of(mol for mol in dec.molecules
                                 if mol.l < lo + layers * (d - 1)).level_result()
-    else:
-        dims = {n: x for n, x in data.items() if x}
+    dims = dims_table(data)
     if not dims:
         return LevelResult.exact(0)
     try:

@@ -686,7 +686,7 @@ def test_split_module_idempotents_mod_p():
 
 def test_zero_module_has_no_idempotents():
     A = sphere(4)
-    assert find_idempotents(DGModulePresentation.zero(A)) == []
+    assert find_idempotents(DGModulePresentation.free(A, [])) == []
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
@@ -1111,7 +1111,7 @@ def test_an_integral_fraction_over_f3_is_stored_as_its_int_residue():
     # it: over F3 the Fraction 4 is the int 1, in a complex, a raw action, a
     # module polynomial, a block and a Hopf value alike
     from dglevels.emss import FibreSquareSpec
-    from dglevels.spheres import SphereModule
+    from dglevels.module import SphereModule
 
     four, gens = Fraction(4), [("a", 0), ("b", 3)]
     space = GradedVectorSpace(GF3, {0: ["a"], 1: ["c"], 4: ["b"]})
@@ -1129,7 +1129,7 @@ def float_inputs():
     """Builders that each hand a constructor a coefficient that is no scalar
     of its field: a float, or over F_3 a fraction."""
     from dglevels.rational import hopf_invariant
-    from dglevels.spheres import SphereModule
+    from dglevels.module import SphereModule
 
     S4 = sphere(4)
     gens = [("a", 0), ("b", 3)]

@@ -17,7 +17,7 @@ from dglevels.emss import (
     run_to_stable,
 )
 from dglevels.errors import (CannotCertifyCollapse, FieldMismatch, OddDimensionNonzeroHopf,
-                             WindowTooSmall)
+                             PresentationError, WindowTooSmall)
 from dglevels.field import QQ, GF2, GF3, GF5
 from dglevels.graded import DegreeWindow
 from dglevels.module import DGModulePresentation
@@ -441,3 +441,21 @@ def test_a_hopf_value_that_is_no_scalar_is_refused(hopf, field):
     with pytest.raises(FieldMismatch) as info:
         compactness_from_hopf(4, hopf, field)
     assert info.value.code == "field-mismatch"
+
+
+@pytest.mark.parametrize("d, top, extra", [
+    (4, {0: 1.5}, None), (4, {0.5: 1}, None), (4, {0: -1}, None),
+    (4, {0: 1}, {0: 1, 3: -2}), (4, {0: True, 7: 1}, None), (4.0, {0: 1}, None)],
+    ids=["float-multiplicity", "float-degree", "negative", "negative-extra", "bool-multiplicity",
+         "float-d"])
+def test_a_fibre_square_with_a_table_entry_or_d_that_is_no_integer_is_refused(d, top, extra):
+    # each once stopped with a TypeError, answered unknown, dropped a class or
+    # read True as 1
+    with pytest.raises(PresentationError) as info:
+        FibreSquareSpec.make(d, top, 1, QQ, extra_dims=extra)
+    assert info.value.code == "invalid-presentation"
+
+
+def test_a_fibre_square_drops_zero_multiplicities():
+    spec = FibreSquareSpec.make(4, {0: 1, 3: 0, 7: 1}, 1, QQ, extra_dims={0: 1, 5: 0})
+    assert (spec.top_dims, spec.extra_dims) == (((0, 1), (7, 1)), ((0, 1),))

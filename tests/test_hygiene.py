@@ -38,7 +38,7 @@ One unchecked construction: ``__new__`` makes an object without running
 ``__init__``, so a module made that way skips the constructor's checks.  Only
 ``module.block_sum``, whose parts are checked modules, does so, and it builds
 both forms of a free module that way: a ``DGModulePresentation``, and a
-``spheres.SphereModule`` when every part is one over the same H*(S^d) and
+``module.SphereModule`` when every part is one over the same H*(S^d) and
 field.  A subclass of ``DGModulePresentation`` with its own ``__init__``
 skips them as well; the one such class is ``SphereModule``, whose
 ``__init__`` runs its block check ``_check`` in their place.
@@ -48,7 +48,13 @@ One place for the resolution rules: inside the package only
 ``_koszul``, so which resolution a Tor gets, and none for a zero factor, is
 decided there alone; the public builders ``bar_resolution``,
 ``koszul_resolution_sphere`` and ``koszul_resolution_poly`` are the one other
-caller of each, and nothing in the package calls them.
+caller of each, and nothing in the package calls them.  The Koszul
+resolution of a raw module, ``raw_resolution``, is defined beside
+``_koszul`` in ``resolve`` and has one caller, ``spheres.sphere_level``.
+
+Imports run one way: no package function imports anything, and each package
+module imports only modules before it in ``LAYERS``, so no module reaches a
+later one and no import cycle needs a function-level import to break it.
 
 Nothing kept between calls: ``resolve.py`` binds its module-level names to
 constants only and caches no function, so every Tor builds and checks what
@@ -80,6 +86,9 @@ PACKAGE = sorted((ROOT / "src" / "dglevels").glob("*.py"))
 SPEC_SUITES = [ROOT / "tests" / name for name in
                ("test_acceptance.py", "test_layout.py", "test_answers.py")]
 FILES = PACKAGE + sorted((ROOT / "bench").glob("*.py")) + SPEC_SUITES
+# the package modules from the bottom up; each imports only those before it
+LAYERS = ["errors", "field", "graded", "algebra", "module", "resolve", "spheres", "emss",
+          "rational", "cli"]
 
 
 class References(ast.NodeVisitor):
@@ -373,10 +382,15 @@ def test_only_resolve_picks_a_resolution():
                       if isinstance(n, ast.Call) and
                       getattr(n.func, "id", getattr(n.func, "attr", None))
                       in ("bar_resolution", "_bar", "_koszul", "koszul_resolution_sphere",
-                          "koszul_resolution_poly"))
+                          "koszul_resolution_poly", "raw_resolution"))
     assert callers == {"resolve.py _resolve": 3, "resolve.py bar_resolution": 1,
                        "resolve.py koszul_resolution_sphere": 1,
-                       "resolve.py koszul_resolution_poly": 1}
+                       "resolve.py koszul_resolution_poly": 1,
+                       "spheres.py sphere_level": 1}
+    # and both Koszul builders over H*(S^d) are defined in resolve, side by side
+    homes = {n.name: name for name, _, n in package_nodes()
+             if isinstance(n, ast.FunctionDef) and n.name in ("_koszul", "raw_resolution")}
+    assert homes == {"_koszul": "resolve.py", "raw_resolution": "resolve.py"}
 
 
 def test_resolve_keeps_nothing_between_calls():
@@ -430,3 +444,30 @@ def test_no_package_file_reads_the_environment():
              if getattr(n, "attr", getattr(n, "name", None))
              in ("environ", "environb", "getenv", "getenvb")]
     assert reads == []
+
+
+def test_no_package_function_imports():
+    inside = [f"{name}:{n.lineno} {fn}" for name, fn, n in package_nodes()
+              if fn is not None and isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert inside == []
+
+
+def test_each_package_module_imports_only_earlier_layers():
+    assert sorted(LAYERS) == sorted(p.stem for p in PACKAGE if p.stem != "__init__")
+    upward = []
+    for path in PACKAGE:
+        if path.stem == "__init__":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.ImportFrom) and n.level:
+                names = [n.module] if n.module else [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom) and (n.module or "").startswith("dglevels"):
+                names = [n.module.removeprefix("dglevels").lstrip(".")]
+            elif isinstance(n, ast.Import):
+                names = [a.name.removeprefix("dglevels.") for a in n.names
+                         if a.name.startswith("dglevels")]
+            else:
+                continue
+            upward += [f"{path.stem} imports {m}" for m in names
+                       if m not in LAYERS[:LAYERS.index(path.stem)]]
+    assert upward == []

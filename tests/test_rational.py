@@ -25,7 +25,7 @@ from dglevels.rational import (
     sphere_model,
     tower_level_bounds,
 )
-from dglevels.resolve import filtration_class, level_upper_bound
+from dglevels.resolve import filtration_class
 from dglevels.spheres import decompose_module, extension_module
 from helpers import matrix as dense_matrix
 
@@ -338,7 +338,7 @@ def test_tower_upper_bound_at_least_lower():
         module = t.as_base_module()
         from dglevels.resolve import generator_depth_filtration
 
-        upper = level_upper_bound(generator_depth_filtration(module))
+        upper = filtration_class(generator_depth_filtration(module)) + 1
         res = tower_level_bounds(t)
         assert res.kind == "exact"
         assert upper >= res.value
@@ -428,3 +428,17 @@ def test_hopf_invariant_lift_independence(monkeypatch):
     assert hopf_invariant(CC, {(1, 0, 0, 0, 0): Fraction(2)}, {(0, 1, 0, 0, 0): Fraction(4)},
                           d=4, generator_choice=pad) == Fraction(4)
     assert len(reads) == 2 and reads[0] != reads[1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_P_tower(2.5, 3), lambda: build_P_tower(True, 3), lambda: pile_upper_bound(2.5),
+    lambda: pile_upper_bound(True), lambda: pile_upper_bound(1, 1.0),
+    lambda: hopf_invariant(acyclic_closure_model(4), {}, {}, d=5.0)],
+    ids=["tower-float-l", "tower-bool-l", "pile-float", "pile-bool", "pile-float-spheres",
+         "hopf-float-d"])
+def test_an_integer_input_that_is_no_int_is_refused(call):
+    # 2.5 stopped with a TypeError, pile_upper_bound(True) answered 2 and a
+    # Hopf invariant over S^5.0 answered 0
+    with pytest.raises(PresentationError) as info:
+        call()
+    assert info.value.code == "invalid-presentation"

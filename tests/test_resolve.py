@@ -29,7 +29,7 @@ from dglevels.graded import (
     assemble,
     complex_to_json,
 )
-from dglevels.module import DGModulePresentation, block_sum, shift
+from dglevels.module import DGModulePresentation, block_sum, direct_sum, shift
 from dglevels.rational import sphere_model
 from dglevels.spheres import MoleculeId, molecule_model
 from dglevels.resolve import (
@@ -54,14 +54,14 @@ from dglevels.resolve import (
     infinite_level_certificate,
     koszul_resolution_poly,
     koszul_resolution_sphere,
-    level_upper_bound,
     periodic_witnesses,
     phi,
+    raw_resolution,
     residue_module,
     sphere_block_period,
     tensor_reach,
 )
-from helpers import differential, rank, shift_degrees
+from helpers import differential, rank, raw_expansion, shift_degrees, with_k
 
 
 def sphere(d, field=QQ):
@@ -746,6 +746,54 @@ def test_the_sphere_koszul_chain_has_a_generator_budget():
         derived_tensor(K, K, KOSZUL, DegreeWindow(0, cap))
 
 
+def chain(M):
+    """Each generator of a free module as (degree, D's terms as sorted
+    (target index, monomial, scalar)), in generator order."""
+    index = {label: i for i, (label, _) in enumerate(M.generators)}
+    return [(deg, sorted((index[t], mono, c) for t, poly in M.differential.get(label, {}).items()
+                         for mono, c in poly.items()))
+            for label, deg in M.generators]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("layers", [0, 1, 2, 5])
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_the_raw_resolution_of_k_is_the_koszul_chain(d, layers, field):
+    # one sign rule: on K, δ₀ = 0 and Φ steps down the layers by +1, which is
+    # _koszul's D(g_j) = g_{j-1}·x generator by generator
+    for s in (0, -3):
+        F = raw_resolution(DGModulePresentation.trivial(sphere(d, field), shifts=(s,)), d, layers)
+        assert F.delta == {}
+        assert all(col == [(0, 1)] for cols in F.phi.values() for col in cols)
+        koszul = _koszul(sphere(d, field), layers * (d - 1)).module
+        assert chain(F) == [(deg + s, terms) for deg, terms in chain(koszul)]
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_a_raw_resolution_has_one_layer_of_generators_per_step(d):
+    # (L + 1)·dim R generators, g_k ⊗ r in degree |r| + k(d - 1)
+    A = sphere(d)
+    mol = molecule_model(MoleculeId(d, d + 1, 2))
+    R = with_k(raw_expansion(direct_sum([mol, shift(mol, 1)])), [0, 1, 1])
+    cx = R.complex
+    degrees = sorted(n for n in cx.space.degrees() for _ in range(cx.dim(n)))
+    for layers in (0, 1, 3):
+        F = raw_resolution(R, d, layers)
+        assert F.algebra.to_json() == A.to_json()
+        assert len(F.generators) == (layers + 1) * len(degrees)
+        assert sorted(deg for _, deg in F.generators) == \
+            sorted(n + k * (d - 1) for k in range(layers + 1) for n in degrees)
+
+
+def test_a_raw_resolution_has_a_generator_budget():
+    # 100 copies of K: 100 generators a layer, so layer 99 is the last that passes
+    R = DGModulePresentation.trivial(sphere(3), shifts=range(100))
+    assert len(raw_resolution(R, 3, 99).generators) == KOSZUL_GENERATOR_BUDGET
+    for layers in (100, 10**12):
+        with pytest.raises(BudgetExceeded, match=f"more than {KOSZUL_GENERATOR_BUDGET}$"):
+            raw_resolution(R, 3, layers)
+
+
 def test_the_expansion_of_a_free_n_has_a_budget():
     # over K[a₂, b₄] a free N spans the whole window; it is counted first,
     # and the count is the size of the expansion it would build
@@ -956,7 +1004,7 @@ def test_a_bar_tor_checks_one_resolution_of_k_per_call(monkeypatch, k):
 
 def test_derived_tensor_with_a_zero_module_is_zero_and_finite():
     A = sphere(4)
-    tor = derived_tensor(residue_module(A), DGModulePresentation.zero(A), strategy="koszul",
+    tor = derived_tensor(residue_module(A), DGModulePresentation.free(A, []), strategy="koszul",
                          window=DegreeWindow(0, 12))
     assert tor.dims == {} and tor.certified_hi == 12
     assert tor.verdict().is_finite
@@ -1034,7 +1082,7 @@ def tor_outcome(M, N, strategy, window):
 def test_a_zero_factor_is_zero_tor_under_every_strategy(monkeypatch, name):
     A = ZERO_FACTOR_ALGEBRAS[name]
     zero = {"empty sum": DGModulePresentation.trivial(A, shifts=()),
-            "zero free": DGModulePresentation.zero(A)}
+            "zero free": DGModulePresentation.free(A, [])}
     other = {"K": residue_module(A), "free": DGModulePresentation.free_rank_one(A),
              "sum": DGModulePresentation.trivial(A, shifts=(-3, 0, 5))}
     if A.sphere_generator_label() is not None:
@@ -1078,7 +1126,7 @@ def test_a_zero_factor_needs_no_simply_connected_algebra():
     S1 = DGAlgebraPresentation(QQ, [Generator("t", 1, "exterior")])
     K, empty = residue_module(S1), DGModulePresentation.trivial(S1, shifts=())
     w = DegreeWindow(0, 12)
-    for M, N in ((empty, K), (K, empty), (DGModulePresentation.zero(S1), K)):
+    for M, N in ((empty, K), (K, empty), (DGModulePresentation.free(S1, []), K)):
         assert tor_outcome(M, N, BAR, w) == \
             ({}, w.hi, None, True, FinitenessVerdict("finite", total=0))
     assert tor_outcome(K, K, BAR, w) == \
@@ -1368,7 +1416,7 @@ def test_filtration_class_of_free_rank_one():
     M = DGModulePresentation.free_rank_one(A)
     filt = SemifreeFiltration(M, (frozenset({"e"}),))
     assert filtration_class(filt) == 0
-    assert level_upper_bound(filt) == 1
+    assert filtration_class(filt) + 1 == 1
 
 
 def test_filtration_class_of_chain_modules():
@@ -1377,14 +1425,14 @@ def test_filtration_class_of_chain_modules():
         stages = tuple(frozenset(f"e{j}" for j in range(c + 1)) for c in range(m + 1))
         filt = SemifreeFiltration(M, stages)
         assert filtration_class(filt) == m
-        assert level_upper_bound(filt) == m + 1
+        assert filtration_class(filt) + 1 == m + 1
 
 
 def test_two_stage_pile_filtration_has_class_two():
     M = chain_module(3, 2)
     filt = generator_depth_filtration(M)
     assert filtration_class(filt) == 2
-    assert level_upper_bound(filt) == 3
+    assert filtration_class(filt) + 1 == 3
 
 
 def test_invalid_filtration_detected():

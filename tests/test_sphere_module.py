@@ -18,11 +18,11 @@ from dglevels import field as field_module
 from dglevels.errors import AlgebraMismatch, PresentationError, VerificationFailed
 from dglevels.field import GF2, GF3, GF5, QQ, rank_and_kernel, row_reduce
 from dglevels.graded import DegreeWindow, cohomology, dense_rows
-from dglevels.module import (DGModulePresentation, block_sum, cone, direct_sum, hom_complex,
-                             shift)
+from dglevels.module import (DGModulePresentation, SphereModule, block_sum, cone, direct_sum,
+                             hom_complex, shift)
 from dglevels.rational import build_P_tower, tower_level_bounds
-from dglevels.spheres import (MoleculeId, SphereModule, bundle_level, decompose_module,
-                              molecule_model, sphere_level)
+from dglevels.spheres import (MoleculeId, bundle_level, decompose_module, molecule_model,
+                              sphere_level)
 from helpers import differential, rank, raw_expansion, with_k
 
 FIELDS = st.sampled_from([QQ, GF2, GF3])

@@ -21,7 +21,8 @@ from dglevels.errors import (
 )
 from dglevels.field import QQ, GF2, GF3, GF5, row_reduce
 from dglevels.graded import CochainComplex, DegreeWindow, GradedVectorSpace, cohomology
-from dglevels.module import DGModulePresentation, cone, direct_sum, hom_complex, shift
+from dglevels.module import (DGModulePresentation, SphereModule, cone, direct_sum, hom_complex,
+                             shift)
 from dglevels.resolve import (
     _resolve,
     derived_tensor,
@@ -29,7 +30,6 @@ from dglevels.resolve import (
     generator_depth_filtration,
     koszul_resolution_poly,
     koszul_resolution_sphere,
-    level_upper_bound,
     phi,
     residue_module,
     tensor_reach,
@@ -39,7 +39,6 @@ from dglevels.spheres import (
     QUIVER_VERTEX_BUDGET,
     Decomposition,
     MoleculeId,
-    SphereModule,
     _checked_tor,
     all_matchings,
     bundle_level,
@@ -493,7 +492,7 @@ def test_decompose_module_recovers_planted_strings(field, d, strings, pairs, see
             dims[n] = dims.get(n, 0) + v
     assert M.cohomology_dims() == dims
     try:
-        assert dec.level() <= level_upper_bound(generator_depth_filtration(M))
+        assert dec.level() <= filtration_class(generator_depth_filtration(M)) + 1
     except InvalidFiltration:
         pass        # a random basis can make D(g) reach back to g: no depth filtration
     if dims:
@@ -525,7 +524,7 @@ def test_decompose_module_guards():
     truncated = DGModulePresentation.free(A, [("a", 0)], truncation_degree=10)
     with pytest.raises(PresentationError, match="untruncated free module"):
         decompose_module(truncated, 4)
-    assert decompose_module(DGModulePresentation.zero(A), 4).molecules == ()
+    assert decompose_module(DGModulePresentation.free(A, []), 4).molecules == ()
 
 
 # -- molecule models --------------------------------------------------------------
@@ -551,7 +550,7 @@ def test_molecule_model_grid_verifies():
         assert module.cohomology_dims() == molecule_cohomology(mol), (d, l, m)
         filt = generator_depth_filtration(module)
         assert filtration_class(filt) == m
-        assert level_upper_bound(filt) == molecule_level(mol)
+        assert filtration_class(filt) + 1 == molecule_level(mol)
 
 
 def test_molecule_model_indecomposable_sample():
@@ -668,6 +667,30 @@ def test_negative_multiplicities_are_refused():
         with pytest.raises(PresentationError, match="negative multiplicity at degree") as info:
             sphere_level(dims, 4)
         assert info.value.code == "invalid-presentation"
+
+
+def raw_k():
+    """K over H*(S^4) as a raw module."""
+    return DGModulePresentation.trivial(DGAlgebraPresentation.sphere_cohomology(4, QQ))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sphere_level({0.5: 1, 7.5: 1}, 4), lambda: sphere_level({0: True, 7: True}, 4),
+    lambda: sphere_level({0: 1, 7: 1}, 4.0), lambda: decompose({0: 1.5, 7: 1.5}, 4),
+    lambda: decompose({0: 1, 7: 1}, 4.0), lambda: MoleculeId(4, 0, True),
+    lambda: MoleculeId(4.0, 0, 1), lambda: MoleculeId(4, 0.5, 1),
+    lambda: quiver_component(4, 0, 2.5, 3), lambda: quiver_component(4, True, 2, 3),
+    lambda: decompose_module(molecule_model(MoleculeId(4, 3, 1)), 4.0),
+    lambda: sphere_level(raw_k(), 4.0)],
+    ids=["level-float-degrees", "level-bool-multiplicities", "level-float-d",
+         "decompose-float-multiplicities", "decompose-float-d", "molecule-bool-m",
+         "molecule-float-d", "molecule-float-l", "quiver-float-rows", "quiver-bool-component",
+         "decompose-module-float-d", "level-raw-float-d"])
+def test_an_integer_input_that_is_no_int_is_refused(call):
+    # a float read as level 2.0, True as 1, and 2.5 rows stopped with a TypeError
+    with pytest.raises(PresentationError) as info:
+        call()
+    assert info.value.code == "invalid-presentation"
 
 
 def test_sphere_level_interval_on_ambiguous_dims():
